@@ -18,8 +18,8 @@ let scripts = lazy (Mini_bro.Bro_scripts.parse_all ())
 
 let evaluate ~proto records =
   Bench_util.gc_normalize ();
-  Driver.evaluate ~proto ~engine_mode:Mini_bro.Bro_engine.Interpreted
-    ~scripts:(Lazy.force scripts) records
+  Driver.evaluate_src ~proto ~engine_mode:Mini_bro.Bro_engine.Interpreted
+    ~scripts:(Lazy.force scripts) (Hilti_net.Pcap.iosrc_of_records records)
 
 let agreement_row name (a : Mini_bro.Bro_log.agreement) =
   ( name,

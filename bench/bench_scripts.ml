@@ -8,7 +8,8 @@ let scripts = lazy (Mini_bro.Bro_scripts.parse_all ())
 
 let evaluate ~proto ~mode records =
   Bench_util.gc_normalize ();
-  Driver.evaluate ~proto ~engine_mode:mode ~scripts:(Lazy.force scripts) records
+  Driver.evaluate_src ~proto ~engine_mode:mode ~scripts:(Lazy.force scripts)
+    (Hilti_net.Pcap.iosrc_of_records records)
 
 type results = {
   http_agreement : Mini_bro.Bro_log.agreement;

@@ -20,6 +20,16 @@ dune exec test/test_main.exe -- test shard
 echo "== streaming pipeline suite (test_stream)"
 dune exec test/test_main.exe -- test stream
 
+echo "== TCP stream runner via mini-bro: HTTP/MQTT/FTP std == pac logs under idle eviction"
+tcp_std=$(mktemp -d)
+tcp_pac=$(mktemp -d)
+for p in http mqtt ftp; do
+  dune exec bin/mini_bro_cli.exe -- -g "$p:40" -parsers std -timeout 5 -w "$tcp_std"
+  dune exec bin/mini_bro_cli.exe -- -g "$p:40" -parsers pac -timeout 5 -w "$tcp_pac"
+done
+diff -r "$tcp_std" "$tcp_pac"
+rm -rf "$tcp_std" "$tcp_pac"
+
 echo "== bench threads (writes BENCH_threads.json)"
 dune exec bench/main.exe -- threads --quick
 # Serial and sharded runs must produce byte-identical event streams.

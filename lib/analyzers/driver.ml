@@ -3,11 +3,17 @@
     or BinPAC++), raising events into a Mini-Bro engine (§6.1's pipeline).
 
     All entry points fold over a {!Hilti_rt.Iosrc.t} — the canonical packet
-    interface — so the pipeline's state is bounded by the live connections,
-    not by the trace length: packets are pulled one at a time, consumed
-    parser input is trimmed, and idle connections can be evicted through
-    {!Flow_table} timeouts ([?idle_timeout]).  The [record list] entry
-    points remain as thin wrappers and behave exactly as before.
+    interface; an in-memory trace goes through {!Pcap.iosrc_of_records} —
+    so the pipeline's state is bounded by the live connections, not by the
+    trace length: packets are pulled one at a time, consumed parser input
+    is trimmed, and idle connections can be evicted through {!Flow_table}
+    timeouts ([?idle_timeout]).
+
+    HTTP, MQTT and FTP share one TCP stream runner ({!run_tcp_src}); a
+    protocol only supplies the per-direction parsers.  DNS has a batched
+    zero-copy loop, a per-packet reference loop and a flow-sharded variant;
+    the firewall has a serial and a sharded loop; [.evt]-configured
+    analyzers buffer whole streams ({!run_evt_src}).
 
     Component costs are recorded under the profilers
     ["analyzer/parse"] (protocol parsing), ["analyzer/script"] (event
@@ -151,20 +157,52 @@ let make_session ?idle_timeout ?(stats_export : stats_export option) ?on_evict
   in
   { ss_table = table; ss_tick = tick }
 
-(* ---- Parse-error accounting -------------------------------------------------------- *)
+(* ---- TCP streams: HTTP, MQTT, FTP --------------------------------------------------- *)
 
-(* [m_parse_errors] counts once per failed parse attempt, uniformly across
-   every runner and recovery path: a rejected datagram (DNS), or a stream
-   direction whose parser went dead (HTTP/MQTT/FTP, std or pac).  Stream
-   parsers report failure on every feed once dead, so each direction
-   carries a latch. *)
-type side_acct = { mutable err_counted : bool }
+(** One direction of a TCP connection as the stream runner sees its parser:
+    reassembled bytes go to [feed], the end of the stream to [eof], and
+    [failed] reports whether the parser has gone dead. *)
+type tcp_side = {
+  feed : string -> unit;
+  eof : unit -> unit;
+  failed : unit -> bool;
+}
 
-let fresh_acct () = { err_counted = false }
+(** A protocol's parser constructor.  It is applied to the run's event sink
+    once per run, then to each new connection's value and flow; it returns
+    the (originator, responder) sides, or [None] for a flow it does not
+    parse (which is still tracked and still raises connection events).
+    Constructors build the originator side first: a BinPAC++ session
+    starts its parse fiber on creation. *)
+type tcp_parsers =
+  Events.sink -> Bro_val.t -> Flow.t -> (tcp_side * tcp_side) option
 
-let note_parse_error acct failed_now =
-  if failed_now && not acct.err_counted then begin
-    acct.err_counted <- true;
+type tcp_dir = {
+  side : tcp_side;
+  rs : Reassembly.t;
+  mutable err_counted : bool;
+      (** [m_parse_errors] counts a dead direction once: stream parsers
+          report failure on every feed once dead, so each direction
+          carries a latch *)
+}
+
+type tcp_conn = {
+  conn_val : Bro_val.t;
+  dirs : (tcp_dir * tcp_dir) option;  (** originator, responder *)
+  seq : int;  (** creation order, for the deterministic end-of-trace flush *)
+  mutable established : bool;
+}
+
+let tcp_dir side =
+  {
+    side;
+    rs = Reassembly.create (fun data -> in_parse (fun () -> side.feed data));
+    err_counted = false;
+  }
+
+let note_failed d =
+  if (not d.err_counted) && d.side.failed () then begin
+    d.err_counted <- true;
     Hilti_obs.Metrics.incr m_parse_errors
   end
 
@@ -173,49 +211,18 @@ let pac_session_failed (s : Binpacxx.Runtime.session) =
   | Binpacxx.Runtime.Failed _ -> true
   | _ -> false
 
-(* ---- HTTP ------------------------------------------------------------------------ *)
-
-type http_side =
-  | Hs_std of Http_std.t
-  | Hs_pac of Http_pac.session
-
-type http_conn = {
-  conn_val : Bro_val.t;
-  req_side : http_side;
-  rep_side : http_side;
-  req_rs : Reassembly.t;
-  rep_rs : Reassembly.t;
-  req_acct : side_acct;
-  rep_acct : side_acct;
-  seq : int;  (** creation order, for the deterministic end-of-trace flush *)
-  mutable established : bool;
-}
-
-let feed_side side data =
-  match side with
-  | Hs_std p -> Http_std.feed p data
-  | Hs_pac s -> Http_pac.feed s data
-
-let eof_side side =
-  match side with Hs_std p -> Http_std.eof p | Hs_pac s -> Http_pac.eof s
-
-let http_side_failed side =
-  match side with
-  | Hs_std p -> Http_std.failed p
-  | Hs_pac s -> pac_session_failed s.Http_pac.s
-
-(** Stream an HTTP source through the pipeline.  With [?idle_timeout],
-    connections idle for that long (in trace time) are flushed and evicted
-    as the clock advances, keeping the session table bounded by the live
-    flows; without it the table drains only at end of trace, matching the
-    list-based path event for event. *)
-let run_http_src ~(kind : http_kind) ~(sink : Events.sink) ?idle_timeout
+(** Stream a TCP source through the pipeline: flow tracking, per-direction
+    reassembly into the sides [parsers] builds, [connection_established] on
+    the responder's SYN+ACK and [connection_state_remove] at teardown.
+    With [?idle_timeout], connections idle for that long (in trace time)
+    are flushed and evicted as the clock advances, keeping the session
+    table bounded by the live flows; without it the table drains only at
+    end of trace, in creation order. *)
+let run_tcp_src ~(parsers : tcp_parsers) ~(sink : Events.sink) ?idle_timeout
     ?(stats_export : stats_export option) (src : Hilti_rt.Iosrc.t) : stats =
   let stats = fresh_stats () in
   let sink = profiled_sink sink stats in
-  (match kind with
-  | Http_pac t -> t.Http_pac.sink <- sink
-  | Http_std -> ());
+  let parsers = parsers sink in
   sink.Events.raise_event "bro_init" [];
   let uid_counter = ref 0 in
   let fresh flow ts =
@@ -223,40 +230,28 @@ let run_http_src ~(kind : http_kind) ~(sink : Events.sink) ?idle_timeout
     stats.connections <- stats.connections + 1;
     let uid = "C" ^ string_of_int !uid_counter in
     let conn_val = Events.connection_val ~uid ~flow ~start_time:ts in
-    let mk_side ~is_request =
-      match kind with
-      | Http_std ->
-          Hs_std
-            (Http_std.create ~is_request
-               ~on_request:(fun r -> Events.raise_http_request sink conn_val r)
-               ~on_reply:(fun r -> Events.raise_http_reply sink conn_val r))
-      | Http_pac t -> Hs_pac (Http_pac.session t ~conn:conn_val ~is_request)
+    let dirs =
+      Option.map
+        (fun (orig, resp) -> (tcp_dir orig, tcp_dir resp))
+        (parsers conn_val flow)
     in
-    let req_side = mk_side ~is_request:true in
-    let rep_side = mk_side ~is_request:false in
-    {
-      conn_val;
-      req_side;
-      rep_side;
-      req_rs =
-        Reassembly.create (fun data -> in_parse (fun () -> feed_side req_side data));
-      rep_rs =
-        Reassembly.create (fun data -> in_parse (fun () -> feed_side rep_side data));
-      req_acct = fresh_acct ();
-      rep_acct = fresh_acct ();
-      seq = !uid_counter;
-      established = false;
-    }
+    { conn_val; dirs; seq = !uid_counter; established = false }
   in
-  let note_sides (c : http_conn) =
-    note_parse_error c.req_acct (http_side_failed c.req_side);
-    note_parse_error c.rep_acct (http_side_failed c.rep_side)
+  let note_sides c =
+    match c.dirs with
+    | Some (orig, resp) ->
+        note_failed orig;
+        note_failed resp
+    | None -> ()
   in
-  let finish (c : http_conn) =
-    Reassembly.finish c.req_rs;
-    Reassembly.finish c.rep_rs;
-    in_parse (fun () -> eof_side c.req_side);
-    in_parse (fun () -> eof_side c.rep_side);
+  let finish c =
+    (match c.dirs with
+    | Some (orig, resp) ->
+        Reassembly.finish orig.rs;
+        Reassembly.finish resp.rs;
+        in_parse orig.side.eof;
+        in_parse resp.side.eof
+    | None -> ());
     note_sides c;
     Events.raise_connection_state_remove sink c.conn_val
   in
@@ -281,7 +276,6 @@ let run_http_src ~(kind : http_kind) ~(sink : Events.sink) ?idle_timeout
               let conn, _ = Flow_table.lookup session.ss_table ~ts flow in
               let c = conn.Flow_table.state in
               let from_orig = Flow.equal flow conn.Flow_table.flow in
-              (* connection_established on the responder's SYN+ACK. *)
               if
                 (not c.established)
                 && (not from_orig)
@@ -291,11 +285,15 @@ let run_http_src ~(kind : http_kind) ~(sink : Events.sink) ?idle_timeout
                 c.established <- true;
                 Events.raise_connection_established sink c.conn_val
               end;
-              let rs = if from_orig then c.req_rs else c.rep_rs in
-              Reassembly.segment rs ~seq:tcp.Tcp.seq
-                ~syn:(Tcp.has_flag tcp Tcp.flag_syn)
-                ~fin:(Tcp.has_flag tcp Tcp.flag_fin)
-                payload;
+              (match c.dirs with
+              | Some (orig, resp) ->
+                  Reassembly.segment
+                    (if from_orig then orig.rs else resp.rs)
+                    ~seq:tcp.Tcp.seq
+                    ~syn:(Tcp.has_flag tcp Tcp.flag_syn)
+                    ~fin:(Tcp.has_flag tcp Tcp.flag_fin)
+                    payload
+              | None -> ());
               note_sides c
           | _ -> ())
       | None -> ())
@@ -308,185 +306,75 @@ let run_http_src ~(kind : http_kind) ~(sink : Events.sink) ?idle_timeout
   sink.Events.raise_event "bro_done" [];
   stats
 
-(** Run an HTTP trace through the pipeline (list compat wrapper). *)
-let run_http ~(kind : http_kind) ~(sink : Events.sink) (records : Pcap.record list) :
-    stats =
-  run_http_src ~kind ~sink (Pcap.iosrc_of_records records)
+(* ---- HTTP ------------------------------------------------------------------------ *)
+
+let http_parsers (kind : http_kind) : tcp_parsers =
+ fun sink ->
+  (match kind with Http_pac t -> t.Http_pac.sink <- sink | Http_std -> ());
+  fun conn_val _flow ->
+    let side ~is_request =
+      match kind with
+      | Http_std ->
+          let p =
+            Http_std.create ~is_request
+              ~on_request:(fun r -> Events.raise_http_request sink conn_val r)
+              ~on_reply:(fun r -> Events.raise_http_reply sink conn_val r)
+          in
+          { feed = Http_std.feed p;
+            eof = (fun () -> Http_std.eof p);
+            failed = (fun () -> Http_std.failed p) }
+      | Http_pac t ->
+          let s = Http_pac.session t ~conn:conn_val ~is_request in
+          { feed = Http_pac.feed s;
+            eof = (fun () -> Http_pac.eof s);
+            failed = (fun () -> pac_session_failed s.Http_pac.s) }
+    in
+    let req = side ~is_request:true in
+    Some (req, side ~is_request:false)
+
+(** Stream an HTTP source through the pipeline ({!run_tcp_src}). *)
+let run_http_src ~(kind : http_kind) ~(sink : Events.sink) ?idle_timeout
+    ?(stats_export : stats_export option) (src : Hilti_rt.Iosrc.t) : stats =
+  run_tcp_src ~parsers:(http_parsers kind) ~sink ?idle_timeout ?stats_export src
 
 (* ---- MQTT ------------------------------------------------------------------------ *)
 
-type mqtt_side = Ms_std of Mqtt_std.t | Ms_pac of Mqtt_pac.session
-
-type mqtt_conn = {
-  m_conn_val : Bro_val.t;
-  m_orig : mqtt_side;
-  m_resp : mqtt_side;
-  m_orig_rs : Reassembly.t;
-  m_resp_rs : Reassembly.t;
-  m_orig_acct : side_acct;
-  m_resp_acct : side_acct;
-  m_seq : int;
-  mutable m_established : bool;
-}
-
-let mqtt_feed side data =
-  match side with
-  | Ms_std p -> Mqtt_std.feed p data
-  | Ms_pac s -> ignore (Mqtt_pac.feed s data)
-
-let mqtt_eof side =
-  match side with
-  | Ms_std p -> Mqtt_std.eof p
-  | Ms_pac s -> ignore (Mqtt_pac.eof s)
-
-let mqtt_failed side =
-  match side with
-  | Ms_std p -> Mqtt_std.failed p <> None
-  | Ms_pac s -> pac_session_failed s.Mqtt_pac.s
-
-(** Stream an MQTT source through the pipeline: TCP reassembly per
-    direction, control packets parsed by the selected implementation,
-    packet events raised on the owning connection.  Structure and eviction
-    semantics mirror {!run_http_src}. *)
-let run_mqtt_src ~(kind : mqtt_kind) ~(sink : Events.sink) ?idle_timeout
-    ?(stats_export : stats_export option) (src : Hilti_rt.Iosrc.t) : stats =
-  let stats = fresh_stats () in
-  let sink = profiled_sink sink stats in
-  sink.Events.raise_event "bro_init" [];
-  let uid_counter = ref 0 in
-  let fresh flow ts =
-    incr uid_counter;
-    stats.connections <- stats.connections + 1;
-    let uid = "C" ^ string_of_int !uid_counter in
-    let conn_val = Events.connection_val ~uid ~flow ~start_time:ts in
-    let on_packet ev = Events.raise_mqtt sink conn_val ev in
-    let mk_side () =
-      match kind with
-      | Mqtt_std -> Ms_std (Mqtt_std.create ~on_packet)
-      | Mqtt_pac t -> Ms_pac (Mqtt_pac.session t ~on_packet)
-    in
-    let m_orig = mk_side () in
-    let m_resp = mk_side () in
-    {
-      m_conn_val = conn_val;
-      m_orig;
-      m_resp;
-      m_orig_rs =
-        Reassembly.create (fun data -> in_parse (fun () -> mqtt_feed m_orig data));
-      m_resp_rs =
-        Reassembly.create (fun data -> in_parse (fun () -> mqtt_feed m_resp data));
-      m_orig_acct = fresh_acct ();
-      m_resp_acct = fresh_acct ();
-      m_seq = !uid_counter;
-      m_established = false;
-    }
+(* Control packets parsed per direction, raised on the owning connection. *)
+let mqtt_parsers (kind : mqtt_kind) : tcp_parsers =
+ fun sink conn_val _flow ->
+  let on_packet ev = Events.raise_mqtt sink conn_val ev in
+  let side () =
+    match kind with
+    | Mqtt_std ->
+        let p = Mqtt_std.create ~on_packet in
+        { feed = Mqtt_std.feed p;
+          eof = (fun () -> Mqtt_std.eof p);
+          failed = (fun () -> Mqtt_std.failed p <> None) }
+    | Mqtt_pac t ->
+        let s = Mqtt_pac.session t ~on_packet in
+        { feed = (fun data -> ignore (Mqtt_pac.feed s data));
+          eof = (fun () -> ignore (Mqtt_pac.eof s));
+          failed = (fun () -> pac_session_failed s.Mqtt_pac.s) }
   in
-  let note_sides c =
-    note_parse_error c.m_orig_acct (mqtt_failed c.m_orig);
-    note_parse_error c.m_resp_acct (mqtt_failed c.m_resp)
-  in
-  let finish (c : mqtt_conn) =
-    Reassembly.finish c.m_orig_rs;
-    Reassembly.finish c.m_resp_rs;
-    in_parse (fun () -> mqtt_eof c.m_orig);
-    in_parse (fun () -> mqtt_eof c.m_resp);
-    note_sides c;
-    Events.raise_connection_state_remove sink c.m_conn_val
-  in
-  let session =
-    make_session ?idle_timeout ?stats_export
-      ~on_evict:(fun conn ->
-        stats.evicted <- stats.evicted + 1;
-        finish conn.Flow_table.state)
-      fresh
-  in
-  Hilti_rt.Iosrc.iter
-    (fun (p : Hilti_rt.Iosrc.packet) ->
-      stats.packets <- stats.packets + 1;
-      let ts = p.Hilti_rt.Iosrc.ts in
-      if idle_timeout <> None then sink.Events.set_time ts;
-      session.ss_tick ts;
-      match Packet.decode_opt ~ts p.Hilti_rt.Iosrc.data with
-      | Some pkt -> (
-          match (pkt.Packet.transport, Packet.flow pkt) with
-          | Packet.TCP (tcp, payload), Some flow ->
-              sink.Events.set_time ts;
-              let conn, _ = Flow_table.lookup session.ss_table ~ts flow in
-              let c = conn.Flow_table.state in
-              let from_orig = Flow.equal flow conn.Flow_table.flow in
-              if
-                (not c.m_established)
-                && (not from_orig)
-                && Tcp.has_flag tcp Tcp.flag_syn
-                && Tcp.has_flag tcp Tcp.flag_ack
-              then begin
-                c.m_established <- true;
-                Events.raise_connection_established sink c.m_conn_val
-              end;
-              let rs = if from_orig then c.m_orig_rs else c.m_resp_rs in
-              Reassembly.segment rs ~seq:tcp.Tcp.seq
-                ~syn:(Tcp.has_flag tcp Tcp.flag_syn)
-                ~fin:(Tcp.has_flag tcp Tcp.flag_fin)
-                payload;
-              note_sides c
-          | _ -> ())
-      | None -> ())
-    src;
-  let live =
-    Flow_table.fold (fun conn acc -> conn.Flow_table.state :: acc) session.ss_table []
-  in
-  List.iter finish (List.sort (fun a b -> compare a.m_seq b.m_seq) live);
-  sink.Events.raise_event "bro_done" [];
-  stats
-
-let run_mqtt ~(kind : mqtt_kind) ~(sink : Events.sink) (records : Pcap.record list) :
-    stats =
-  run_mqtt_src ~kind ~sink (Pcap.iosrc_of_records records)
+  let orig = side () in
+  Some (orig, side ())
 
 (* ---- FTP ------------------------------------------------------------------------- *)
 
-type ftp_side = Fs_std of Ftp_std.t | Fs_pac of Ftp_pac.session
-
-type ftp_parse = {
-  f_orig : ftp_side;  (** client->server: commands *)
-  f_resp : ftp_side;  (** server->client: replies *)
-  f_orig_rs : Reassembly.t;
-  f_resp_rs : Reassembly.t;
-  f_orig_acct : side_acct;
-  f_resp_acct : side_acct;
-}
-
-type ftp_conn = {
-  f_conn_val : Bro_val.t;
-  f_parse : ftp_parse option;
-      (** [Some] on control connections; [None] on announced data
-          connections (and unrelated flows), which carry no parser *)
-  f_seq : int;
-  mutable f_established : bool;
-}
-
-let ftp_feed side data =
-  match side with
-  | Fs_std p -> Ftp_std.feed p data
-  | Fs_pac s -> ignore (Ftp_pac.feed s data)
-
-let ftp_eof side =
-  match side with
-  | Fs_std p -> Ftp_std.eof p
-  | Fs_pac s -> ignore (Ftp_pac.eof s)
-
-let ftp_failed side =
-  match side with
-  | Fs_std p -> Ftp_std.failed p <> None
-  | Fs_pac s -> pac_session_failed s.Ftp_pac.s
+(* One field of a host,port sextet: 1-3 ASCII decimal digits, at most 255. *)
+let sextet_field s =
+  let n = String.length s in
+  if n >= 1 && n <= 3 && String.for_all (fun c -> c >= '0' && c <= '9') s then
+    let v = int_of_string s in
+    if v <= 255 then Some v else None
+  else None
 
 (* "h1,h2,h3,h4,p1,p2" (RFC 959 PORT argument / 227 payload). *)
 let parse_host_port (s : string) : (Hilti_types.Addr.t * int) option =
-  match List.map int_of_string_opt (String.split_on_char ',' (String.trim s)) with
-  | [ Some a; Some b; Some c; Some d; Some p1; Some p2 ]
-    when List.for_all (fun x -> x >= 0 && x <= 255) [ a; b; c; d; p1; p2 ] ->
+  match List.map sextet_field (String.split_on_char ',' (String.trim s)) with
+  | [ Some a; Some b; Some c; Some d; Some p1; Some p2 ] ->
       Some (Hilti_types.Addr.of_ipv4_octets a b c d, (p1 lsl 8) lor p2)
-  | _ | (exception _) -> None
+  | _ -> None
 
 (* The host,port sextet inside a 227 reply's parentheses. *)
 let parse_pasv (text : string) : (Hilti_types.Addr.t * int) option =
@@ -495,162 +383,54 @@ let parse_pasv (text : string) : (Hilti_types.Addr.t * int) option =
       parse_host_port (String.sub text (l + 1) (r - l - 1))
   | _ -> None
 
-(** Stream an FTP source through the pipeline.  Control connections (port
-    21) get command/reply parsers; PORT commands and 227 passive replies
-    raise [ftp_data] and register the announced endpoint, so the later
-    data connection is recognized and coupled to its control session —
-    the cross-flow state sharing of §6.4. *)
-let run_ftp_src ~(kind : ftp_kind) ~(sink : Events.sink) ?idle_timeout
-    ?(stats_export : stats_export option) (src : Hilti_rt.Iosrc.t) : stats =
-  let stats = fresh_stats () in
-  let sink = profiled_sink sink stats in
-  sink.Events.raise_event "bro_init" [];
-  let uid_counter = ref 0 in
-  (* Announced data endpoints: "addr:port" the next connection will target. *)
-  let expected : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let endpoint_key addr port =
-    Hilti_types.Addr.to_string addr ^ ":" ^ string_of_int port
-  in
-  let expect conn_val host port =
-    Hashtbl.replace expected (endpoint_key host port) ();
+(** Control connections (port 21) get command/reply parsers; every other
+    flow, data connections included, is tracked but not parsed.  PORT
+    commands and 227 passive replies raise [ftp_data] with the announced
+    endpoint on the control connection. *)
+let ftp_parsers (kind : ftp_kind) : tcp_parsers =
+ fun sink ->
+  let announce conn_val (host, port) =
     Events.raise_ftp_data sink conn_val ~host ~port:(Hilti_types.Port.tcp port)
   in
   let on_control_event conn_val (ev : Events.ftp_event) =
     (match ev with
-    | Events.F_request { Events.cmd; arg }
-      when String.uppercase_ascii cmd = "PORT" -> (
-        match parse_host_port arg with
-        | Some (host, port) -> expect conn_val host port
-        | None -> ())
-    | Events.F_reply { Events.code = 227; msg } -> (
-        match parse_pasv msg with
-        | Some (host, port) -> expect conn_val host port
-        | None -> ())
+    | Events.F_request { Events.cmd; arg } when String.uppercase_ascii cmd = "PORT" ->
+        Option.iter (announce conn_val) (parse_host_port arg)
+    | Events.F_reply { Events.code = 227; msg } ->
+        Option.iter (announce conn_val) (parse_pasv msg)
     | _ -> ());
     Events.raise_ftp sink conn_val ev
   in
-  let fresh flow ts =
-    incr uid_counter;
-    stats.connections <- stats.connections + 1;
-    let uid = "C" ^ string_of_int !uid_counter in
-    let conn_val = Events.connection_val ~uid ~flow ~start_time:ts in
-    let is_control =
+  fun conn_val flow ->
+    if
       Hilti_types.Port.number flow.Flow.dst_port = 21
       || Hilti_types.Port.number flow.Flow.src_port = 21
-    in
-    let parse =
-      if is_control then begin
-        let on_event = on_control_event conn_val in
-        let mk_side ~is_command =
-          match kind with
-          | Ftp_std -> Fs_std (Ftp_std.create ~is_command ~on_event)
-          | Ftp_pac t -> Fs_pac (Ftp_pac.session t ~is_command ~on_event)
-        in
-        let f_orig = mk_side ~is_command:true in
-        let f_resp = mk_side ~is_command:false in
-        Some
-          {
-            f_orig;
-            f_resp;
-            f_orig_rs =
-              Reassembly.create (fun data ->
-                  in_parse (fun () -> ftp_feed f_orig data));
-            f_resp_rs =
-              Reassembly.create (fun data ->
-                  in_parse (fun () -> ftp_feed f_resp data));
-            f_orig_acct = fresh_acct ();
-            f_resp_acct = fresh_acct ();
-          }
-      end
-      else begin
-        (* A flow hitting an announced endpoint is that session's data
-           connection; it is tracked but not parsed. *)
-        let key =
-          endpoint_key flow.Flow.dst (Hilti_types.Port.number flow.Flow.dst_port)
-        in
-        if Hashtbl.mem expected key then Hashtbl.remove expected key;
-        None
-      end
-    in
-    { f_conn_val = conn_val; f_parse = parse; f_seq = !uid_counter; f_established = false }
-  in
-  let note_sides c =
-    match c.f_parse with
-    | Some p ->
-        note_parse_error p.f_orig_acct (ftp_failed p.f_orig);
-        note_parse_error p.f_resp_acct (ftp_failed p.f_resp)
-    | None -> ()
-  in
-  let finish (c : ftp_conn) =
-    (match c.f_parse with
-    | Some p ->
-        Reassembly.finish p.f_orig_rs;
-        Reassembly.finish p.f_resp_rs;
-        in_parse (fun () -> ftp_eof p.f_orig);
-        in_parse (fun () -> ftp_eof p.f_resp)
-    | None -> ());
-    note_sides c;
-    Events.raise_connection_state_remove sink c.f_conn_val
-  in
-  let session =
-    make_session ?idle_timeout ?stats_export
-      ~on_evict:(fun conn ->
-        stats.evicted <- stats.evicted + 1;
-        finish conn.Flow_table.state)
-      fresh
-  in
-  Hilti_rt.Iosrc.iter
-    (fun (p : Hilti_rt.Iosrc.packet) ->
-      stats.packets <- stats.packets + 1;
-      let ts = p.Hilti_rt.Iosrc.ts in
-      if idle_timeout <> None then sink.Events.set_time ts;
-      session.ss_tick ts;
-      match Packet.decode_opt ~ts p.Hilti_rt.Iosrc.data with
-      | Some pkt -> (
-          match (pkt.Packet.transport, Packet.flow pkt) with
-          | Packet.TCP (tcp, payload), Some flow ->
-              sink.Events.set_time ts;
-              let conn, _ = Flow_table.lookup session.ss_table ~ts flow in
-              let c = conn.Flow_table.state in
-              let from_orig = Flow.equal flow conn.Flow_table.flow in
-              if
-                (not c.f_established)
-                && (not from_orig)
-                && Tcp.has_flag tcp Tcp.flag_syn
-                && Tcp.has_flag tcp Tcp.flag_ack
-              then begin
-                c.f_established <- true;
-                Events.raise_connection_established sink c.f_conn_val
-              end;
-              (match c.f_parse with
-              | Some pr ->
-                  let rs = if from_orig then pr.f_orig_rs else pr.f_resp_rs in
-                  Reassembly.segment rs ~seq:tcp.Tcp.seq
-                    ~syn:(Tcp.has_flag tcp Tcp.flag_syn)
-                    ~fin:(Tcp.has_flag tcp Tcp.flag_fin)
-                    payload
-              | None -> ());
-              note_sides c
-          | _ -> ())
-      | None -> ())
-    src;
-  let live =
-    Flow_table.fold (fun conn acc -> conn.Flow_table.state :: acc) session.ss_table []
-  in
-  List.iter finish (List.sort (fun a b -> compare a.f_seq b.f_seq) live);
-  sink.Events.raise_event "bro_done" [];
-  stats
-
-let run_ftp ~(kind : ftp_kind) ~(sink : Events.sink) (records : Pcap.record list) :
-    stats =
-  run_ftp_src ~kind ~sink (Pcap.iosrc_of_records records)
+    then begin
+      let on_event = on_control_event conn_val in
+      let side ~is_command =
+        match kind with
+        | Ftp_std ->
+            let p = Ftp_std.create ~is_command ~on_event in
+            { feed = Ftp_std.feed p;
+              eof = (fun () -> Ftp_std.eof p);
+              failed = (fun () -> Ftp_std.failed p <> None) }
+        | Ftp_pac t ->
+            let s = Ftp_pac.session t ~is_command ~on_event in
+            { feed = (fun data -> ignore (Ftp_pac.feed s data));
+              eof = (fun () -> ignore (Ftp_pac.eof s));
+              failed = (fun () -> pac_session_failed s.Ftp_pac.s) }
+      in
+      let commands = side ~is_command:true in
+      Some (commands, side ~is_command:false)
+    end
+    else None
 
 (* ---- DNS ------------------------------------------------------------------------- *)
 
 type dns_outcome =
   | D_req of Events.dns_request
   | D_rep of Events.dns_reply
-  | D_none  (* port-53 crud: still creates the connection, like run_dns *)
+  | D_none  (* port-53 crud: still creates the connection *)
 
 (* Extract the DNS-relevant view of a datagram: the connection oriented
    client -> resolver plus the UDP payload.  Pure per-packet work — it runs
@@ -686,8 +466,9 @@ let dns_slice (p : Hilti_rt.Iosrc.packet) :
 
 (* Parse one datagram with the given parser kind.  Also pure per-packet
    work (parser state is per-kind instance, owned by whoever holds it).
-   This string entry is the pre-batching path, kept for the legacy runner
-   and as the bench baseline; the fast path is [dns_parse_view]. *)
+   This string entry is the pre-batching path, kept for the unbatched
+   reference loop and as the bench baseline; the fast path is
+   [dns_parse_view]. *)
 let dns_parse (kind : dns_kind) payload : dns_outcome =
   match kind with
   | Dns_std -> (
@@ -940,149 +721,6 @@ let run_dns_sharded_src ?batch ?ring ~shards ~(mk_kind : int -> dns_kind)
   flush_obs ();
   stats
 
-(** Run a DNS trace through the pipeline (list compat wrapper). *)
-let run_dns ~(kind : dns_kind) ~(sink : Events.sink) (records : Pcap.record list) :
-    stats =
-  run_dns_src ~kind ~sink (Pcap.iosrc_of_records records)
-
-(* ---- Parallel DNS (legacy Hilti_par.Engine path) ------------------------------------ *)
-
-(* Kept as the differential oracle for the sharded plane: same outcome, very
-   different machinery (virtual threads over a shared run queue vs. private
-   shards over SPSC batch rings). *)
-
-(* Scheduling substrate for parser kinds that carry no VM of their own. *)
-let trivial_sched_module () =
-  let m = Module_ir.create "ParDrv" in
-  let b = Builder.func m "ParDrv::noop" ~exported:true ~params:[] ~result:Htype.Void in
-  Builder.return_ b;
-  m
-
-(** [run_dns_src] with the datagram parse stage fanned out over [jobs]
-    OCaml domains via {!Hilti_par.Engine}, sharded by flow hash (§3.2's
-    hash-scheduling).  The source is consumed in bounded batches of
-    [?batch] packets: each batch is scheduled, drained ([run_scheduler] is
-    the backpressure point), then dispatched serially in packet order — so
-    at most one batch is in flight and the produced events, and therefore
-    the logs, are identical to the sequential pipeline's while memory stays
-    O(batch + live flows) instead of O(trace). *)
-let run_dns_par_src ?(batch = 1024) ~jobs ~(kind : dns_kind)
-    ?(stats_export : stats_export option) ~(sink : Events.sink)
-    (src : Hilti_rt.Iosrc.t) : stats =
-  if batch < 1 then invalid_arg "Driver.run_dns_par_src: batch must be >= 1";
-  let stats = fresh_stats () in
-  let sink = profiled_sink sink stats in
-  (* Exports are driven from the serial dispatch stage, so scrapes see a
-     consistent picture between batches. *)
-  let stats_mgr = Hilti_rt.Timer_mgr.create () in
-  arm_stats stats_mgr stats_export;
-  let api =
-    match kind with
-    | Dns_pac t -> t.Dns_pac.parser.Binpacxx.Runtime.api
-    | Dns_std -> Hilti_vm.Host_api.compile [ trivial_sched_module () ]
-  in
-  (* Parallel execution is only entered on verified bytecode (attach
-     re-verifies a program that skipped compile-time verification), and
-     attach also stamps the frame-reuse licence so per-packet activations
-     of analysis-proven functions recycle their worker's arena frames. *)
-  let engine = Hilti_par.Engine.attach api.Hilti_vm.Host_api.ctx ~domains:jobs in
-  assert api.Hilti_vm.Host_api.ctx.Hilti_vm.Vm.program.Hilti_vm.Bytecode.verified;
-  assert
-    (Array.length api.Hilti_vm.Host_api.ctx.Hilti_vm.Vm.program.Hilti_vm.Bytecode.reuse
-    > 0);
-  Fun.protect ~finally:(fun () -> Hilti_par.Engine.detach engine) @@ fun () ->
-  (* Every virtual thread owns its own parser state (§3.2): compile its
-     regexps before any datagram lands on it (FIFO per thread). *)
-  (match kind with
-  | Dns_pac t ->
-      let gname = t.Dns_pac.parser.Binpacxx.Runtime.grammar.Binpacxx.Ast.gname in
-      for tid = 0 to jobs - 1 do
-        Hilti_vm.Host_api.schedule api (Int64.of_int tid) (gname ^ "::init") []
-      done
-  | Dns_std -> ());
-  sink.Events.raise_event "bro_init" [];
-  let conns : (string, Bro_val.t) Hashtbl.t = Hashtbl.create 1024 in
-  let uid_counter = ref 0 in
-  let get_conn flow ts =
-    let canon, _ = Flow.canonical flow in
-    let key = Flow.to_string canon in
-    match Hashtbl.find_opt conns key with
-    | Some c -> c
-    | None ->
-        incr uid_counter;
-        stats.connections <- stats.connections + 1;
-        let uid = "C" ^ string_of_int !uid_counter in
-        let conn_val = Events.connection_val ~uid ~flow ~start_time:ts in
-        Hashtbl.add conns key conn_val;
-        Events.raise_connection_established sink conn_val;
-        conn_val
-  in
-  let recs = Array.make batch None in
-  let rec batch_loop () =
-    let n = ref 0 in
-    let eof = ref false in
-    while (not !eof) && !n < batch do
-      match Hilti_rt.Iosrc.read src with
-      | Some p ->
-          recs.(!n) <- Some p;
-          incr n
-      | None -> eof := true
-    done;
-    let n = !n in
-    if n > 0 then begin
-      (* Stage 1 — parallel: decode and parse each datagram of the batch on
-         the virtual thread owning its flow; results land in per-slot
-         cells. *)
-      let slots : (Flow.t * dns_outcome) option array = Array.make n None in
-      for i = 0 to n - 1 do
-        let p = Option.get recs.(i) in
-        let ts = p.Hilti_rt.Iosrc.ts in
-        match Packet.decode_opt ~ts p.Hilti_rt.Iosrc.data with
-        | Some pkt -> (
-            match (pkt.Packet.transport, Packet.flow pkt) with
-            | Packet.UDP (udp, payload), Some flow ->
-                let from_client = udp.Udp.dst_port = 53 in
-                let oriented = if from_client then flow else Flow.reverse flow in
-                let canon, _ = Flow.canonical oriented in
-                let tid =
-                  Hilti_rt.Scheduler.thread_for_hash ~threads:jobs (Flow.hash canon)
-                in
-                Hilti_vm.Host_api.schedule_host api tid ~label:"dns-parse"
-                  (fun _ctx -> slots.(i) <- Some (oriented, dns_parse kind payload))
-            | _ -> ())
-        | None -> ()
-      done;
-      Hilti_vm.Host_api.run_scheduler api;
-      (* Stage 2 — serial, in packet order: connection tracking and event
-         dispatch, exactly as the sequential pipeline does it. *)
-      for i = 0 to n - 1 do
-        let p = Option.get recs.(i) in
-        stats.packets <- stats.packets + 1;
-        if stats_export <> None then
-          ignore (Hilti_rt.Timer_mgr.advance stats_mgr p.Hilti_rt.Iosrc.ts);
-        match slots.(i) with
-        | None -> ()
-        | Some (oriented, outcome) -> (
-            sink.Events.set_time p.Hilti_rt.Iosrc.ts;
-            let conn_val = get_conn oriented p.Hilti_rt.Iosrc.ts in
-            match outcome with
-            | D_req rq -> Events.raise_dns_request sink conn_val rq
-            | D_rep rp -> Events.raise_dns_reply sink conn_val rp
-            | D_none -> ())
-      done;
-      Array.fill recs 0 n None;
-      if not !eof then batch_loop ()
-    end
-  in
-  batch_loop ();
-  sink.Events.raise_event "bro_done" [];
-  stats
-
-(** [run_dns] with the parse stage on [jobs] domains (list compat wrapper). *)
-let run_dns_par ~jobs ~(kind : dns_kind) ~(sink : Events.sink)
-    (records : Pcap.record list) : stats =
-  run_dns_par_src ~jobs ~kind ~sink (Pcap.iosrc_of_records records)
-
 (* ---- Firewall -------------------------------------------------------------------- *)
 
 (* The firewall example (§4.1) gets the same serial/sharded pair as DNS.
@@ -1185,13 +823,13 @@ let timed f =
 
 let profiler_ns name = Hilti_rt.Profiler.wall_ns (Hilti_rt.Profiler.find_or_create name)
 
-(** Run an HTTP or DNS source end-to-end with a given parser kind and
-    script engine; returns logs and the component time breakdown.
+(** Run an HTTP, DNS, MQTT or FTP source end-to-end with a given parser
+    kind and script engine; returns logs and the component time breakdown.
 
     @param jobs shard DNS decode+parse over this many OCaml domains via the
     flow-sharded data plane ({!run_dns_sharded_src}); each shard gets its
-    own freshly-built parser.  HTTP runs serially regardless (its parse
-    state is per-connection and incremental).
+    own freshly-built parser.  The TCP protocols run serially regardless
+    (their parse state is per-connection and incremental).
     @param idle_timeout evict connections idle for this long (trace time);
     honored identically by the serial and sharded DNS paths.
     @param stats_export scrape callback fired at this interval of trace
@@ -1224,8 +862,10 @@ let evaluate_src
             run_dns_sharded_src ~shards:j ~mk_kind ?idle_timeout ?stats_export
               ~sink src
         | `Dns kind, _ -> run_dns_src ~kind ~sink ?idle_timeout ?stats_export src
-        | `Mqtt kind, _ -> run_mqtt_src ~kind ~sink ?idle_timeout ?stats_export src
-        | `Ftp kind, _ -> run_ftp_src ~kind ~sink ?idle_timeout ?stats_export src)
+        | `Mqtt kind, _ ->
+            run_tcp_src ~parsers:(mqtt_parsers kind) ~sink ?idle_timeout ?stats_export src
+        | `Ftp kind, _ ->
+            run_tcp_src ~parsers:(ftp_parsers kind) ~sink ?idle_timeout ?stats_export src)
   in
   {
     logger;
@@ -1235,18 +875,6 @@ let evaluate_src
     glue_ns = profiler_ns Bro_val.glue_profiler;
     total_ns;
   }
-
-(** [evaluate_src] over an in-memory record list (compat wrapper). *)
-let evaluate
-    ~(proto :
-       [ `Http of http_kind
-       | `Dns of dns_kind
-       | `Mqtt of mqtt_kind
-       | `Ftp of ftp_kind ]) ~(engine_mode : Bro_engine.mode)
-    ~(scripts : Bro_ast.script) ?(logging = true) ?jobs
-    (records : Pcap.record list) : run_result =
-  evaluate_src ~proto ~engine_mode ~scripts ~logging ?jobs
-    (Pcap.iosrc_of_records records)
 
 (* ---- Event-configuration-driven analysis (Fig. 7) --------------------------------- *)
 
@@ -1309,8 +937,3 @@ let run_evt_src ~(loaded : Evt.loaded) ~(sink : Events.sink)
         [ resp_buf; orig_buf ])
     (List.rev !order);
   stats
-
-(** [run_evt_src] over an in-memory record list (compat wrapper). *)
-let run_evt ~(loaded : Evt.loaded) ~(sink : Events.sink) (records : Pcap.record list)
-    : stats =
-  run_evt_src ~loaded ~sink (Pcap.iosrc_of_records records)

@@ -109,11 +109,13 @@ let test_dns_std_compression_loop_guard () =
 
 (* ---- Event parity between std and pac on crafted sessions --------------------------- *)
 
-let run_http_session_events kind payload_c2s payload_s2c =
+(* A four-segment session (handshake, one payload each way) through a
+   stream runner, returning the raised events. *)
+let run_session_events ~server_port run payload_c2s payload_s2c =
   let open Hilti_types in
   let src = Addr.of_string "10.0.0.1" and dst = Addr.of_string "10.0.0.2" in
   let seg ~from_client ~seq ~flags data =
-    let sp, dp = if from_client then (5555, 80) else (80, 5555) in
+    let sp, dp = if from_client then (5555, server_port) else (server_port, 5555) in
     let s, d = if from_client then (src, dst) else (dst, src) in
     Hilti_net.Packet.encode_tcp ~src:s ~dst:d ~src_port:sp ~dst_port:dp
       ~seq ~ack:0l ~flags data
@@ -132,8 +134,13 @@ let run_http_session_events kind payload_c2s payload_s2c =
     { Events.raise_event = (fun name args -> events := (name, List.map Mini_bro.Bro_val.to_string args) :: !events);
       set_time = (fun _ -> ()) }
   in
-  ignore (Driver.run_http ~kind ~sink records);
+  ignore (run ~sink (Hilti_net.Pcap.iosrc_of_records records));
   List.rev !events
+
+let run_http_session_events kind payload_c2s payload_s2c =
+  run_session_events ~server_port:80
+    (fun ~sink src -> Driver.run_http_src ~kind ~sink src)
+    payload_c2s payload_s2c
 
 let test_event_parity_http () =
   let c2s = "GET /same HTTP/1.1\r\nHost: parity\r\n\r\n" in
@@ -163,6 +170,39 @@ let test_dns_event_parity () =
       Alcotest.(check (list int)) "ttls" std.Events.ttls pac.Events.ttls
   | _ -> Alcotest.fail "pac did not parse reply"
 
+(* ---- FTP PORT / 227 endpoints ------------------------------------------------------ *)
+
+let endpoint = Alcotest.(option (pair string int))
+
+let show_endpoint =
+  Option.map (fun (a, p) -> (Hilti_types.Addr.to_string a, p))
+
+let test_ftp_host_port_decimal_only () =
+  Alcotest.check endpoint "PORT argument" (Some ("10.0.0.1", 1025))
+    (show_endpoint (Driver.parse_host_port "10,0,0,1,4,1"));
+  Alcotest.check endpoint "227 reply" (Some ("192.168.1.2", 51210))
+    (show_endpoint (Driver.parse_pasv "Entering Passive Mode (192,168,1,2,200,10)."));
+  (* OCaml integer literal syntax, signs, padding and out-of-range octets
+     are not RFC 959 decimal. *)
+  List.iter
+    (fun arg ->
+      Alcotest.check endpoint (arg ^ " rejected") None
+        (show_endpoint (Driver.parse_host_port arg)))
+    [ "0x7f,0,0,1,0,1_0"; "1_0,0,0,1,0,1"; "+1,0,0,1,0,1"; "0b1,0,0,1,0,1";
+      "0o7,0,0,1,0,1"; "-1,0,0,1,0,1"; "256,0,0,1,0,1"; "0001,0,0,1,0,1";
+      "1, 0,0,1,0,1"; "1,0,0,1,0"; "1,0,0,1,0,1,2"; "" ];
+  (* Through the driver: only the decimal PORT announces a data endpoint. *)
+  let ftp_data command =
+    run_session_events ~server_port:21
+      (fun ~sink src ->
+        Driver.run_tcp_src ~parsers:(Driver.ftp_parsers Driver.Ftp_std) ~sink src)
+      (command ^ "\r\n") "200 PORT command successful\r\n"
+    |> List.filter (fun (name, _) -> name = "ftp_data")
+    |> List.length
+  in
+  Alcotest.(check int) "hex PORT: no ftp_data" 0 (ftp_data "PORT 0x7f,0,0,1,0,1_0");
+  Alcotest.(check int) "decimal PORT: one ftp_data" 1 (ftp_data "PORT 127,0,0,1,1,10")
+
 let suite =
   [ Alcotest.test_case "http_std request" `Quick test_http_std_request;
     Alcotest.test_case "http_std byte-at-a-time" `Quick test_http_std_split_across_feeds;
@@ -174,4 +214,6 @@ let suite =
     Alcotest.test_case "dns_std rejects crud" `Quick test_dns_std_rejects_crud;
     Alcotest.test_case "dns_std pointer-loop guard" `Quick test_dns_std_compression_loop_guard;
     Alcotest.test_case "HTTP event parity std/pac" `Quick test_event_parity_http;
-    Alcotest.test_case "DNS event parity std/pac" `Quick test_dns_event_parity ]
+    Alcotest.test_case "DNS event parity std/pac" `Quick test_dns_event_parity;
+    Alcotest.test_case "ftp PORT/227 endpoints are decimal only" `Quick
+      test_ftp_host_port_decimal_only ]

@@ -17,12 +17,12 @@ let dns_records =
 let scripts = lazy (Mini_bro.Bro_scripts.parse_all ())
 
 let run_http ~kind ~mode =
-  Driver.evaluate ~proto:(`Http kind) ~engine_mode:mode ~scripts:(Lazy.force scripts)
-    (Lazy.force http_records)
+  Driver.evaluate_src ~proto:(`Http kind) ~engine_mode:mode ~scripts:(Lazy.force scripts)
+    (Hilti_net.Pcap.iosrc_of_records (Lazy.force http_records))
 
 let run_dns ~kind ~mode =
-  Driver.evaluate ~proto:(`Dns kind) ~engine_mode:mode ~scripts:(Lazy.force scripts)
-    (Lazy.force dns_records)
+  Driver.evaluate_src ~proto:(`Dns kind) ~engine_mode:mode ~scripts:(Lazy.force scripts)
+    (Hilti_net.Pcap.iosrc_of_records (Lazy.force dns_records))
 
 (* ---- §6.4: standard vs BinPAC++ parsers (Table 2) -------------------------- *)
 

@@ -84,8 +84,8 @@ let test_evt_over_trace () =
   let printed = ref [] in
   Mini_bro.Bro_engine.set_print_sink engine (fun s -> printed := s :: !printed);
   let stats =
-    Driver.run_evt ~loaded ~sink:(Events.engine_sink engine)
-      trace.Hilti_traces.Ssh_gen.records
+    Driver.run_evt_src ~loaded ~sink:(Events.engine_sink engine)
+      (Hilti_net.Pcap.iosrc_of_records trace.Hilti_traces.Ssh_gen.records)
   in
   Alcotest.(check int) "5 connections" 5 stats.Driver.connections;
   Alcotest.(check int) "two banners per session" 10 stats.Driver.events;

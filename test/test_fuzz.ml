@@ -335,9 +335,9 @@ let test_eviction_incarnations () =
 (* ---- MQTT/FTP generator -> parse -> event -> log round trips ------------------- *)
 
 let evaluate ~proto records =
-  Hilti_analyzers.Driver.evaluate ~proto
+  Hilti_analyzers.Driver.evaluate_src ~proto
     ~engine_mode:Mini_bro.Bro_engine.Interpreted ~scripts:(Lazy.force scripts)
-    records
+    (Hilti_net.Pcap.iosrc_of_records records)
 
 let log_text r name =
   Mini_bro.Bro_log.to_string r.Hilti_analyzers.Driver.logger name

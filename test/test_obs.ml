@@ -133,31 +133,34 @@ let test_dns_packets_read_exact () =
   Alcotest.(check int)
     "jobs=4: events_raised == serial events_raised" events_s events_p
 
-let test_http_evictions_exact () =
-  let cfg = { Hilti_traces.Http_gen.default with sessions = 60 } in
-  let proto = `Http Hilti_analyzers.Driver.Http_std in
-  Metrics.reset ();
-  Metrics.with_enabled true (fun () ->
-      let r =
-        evaluate ~proto
-          ~idle_timeout:(Interval_ns.of_msecs 5)
-          (Hilti_traces.Http_gen.iosrc cfg)
-      in
-      let stats = r.Hilti_analyzers.Driver.stats in
-      Alcotest.(check bool)
-        "eviction fired" true
-        (stats.Hilti_analyzers.Driver.evicted > 0);
-      Alcotest.(check int)
-        "connections_evicted == driver stats"
-        stats.Hilti_analyzers.Driver.evicted
-        (scraped_counter "connections_evicted");
-      Alcotest.(check int)
-        "flow_connections_created == driver stats"
-        stats.Hilti_analyzers.Driver.connections
-        (scraped_counter "flow_connections_created");
-      Alcotest.(check int)
-        "events_raised == driver stats" stats.Hilti_analyzers.Driver.events
-        (scraped_counter "events_raised"))
+let test_tcp_evictions_exact () =
+  let check_proto name proto src =
+    Metrics.reset ();
+    Metrics.with_enabled true (fun () ->
+        let r = evaluate ~proto ~idle_timeout:(Interval_ns.of_msecs 5) src in
+        let stats = r.Hilti_analyzers.Driver.stats in
+        Alcotest.(check bool)
+          (name ^ ": eviction fired") true
+          (stats.Hilti_analyzers.Driver.evicted > 0);
+        Alcotest.(check int)
+          (name ^ ": connections_evicted == driver stats")
+          stats.Hilti_analyzers.Driver.evicted
+          (scraped_counter "connections_evicted");
+        Alcotest.(check int)
+          (name ^ ": flow_connections_created == driver stats")
+          stats.Hilti_analyzers.Driver.connections
+          (scraped_counter "flow_connections_created");
+        Alcotest.(check int)
+          (name ^ ": events_raised == driver stats")
+          stats.Hilti_analyzers.Driver.events
+          (scraped_counter "events_raised"))
+  in
+  check_proto "http" (`Http Hilti_analyzers.Driver.Http_std)
+    (Hilti_traces.Http_gen.iosrc { Hilti_traces.Http_gen.default with sessions = 60 });
+  check_proto "mqtt" (`Mqtt Hilti_analyzers.Driver.Mqtt_std)
+    (Hilti_traces.Mqtt_gen.iosrc { Hilti_traces.Mqtt_gen.default with sessions = 60 });
+  check_proto "ftp" (`Ftp Hilti_analyzers.Driver.Ftp_std)
+    (Hilti_traces.Ftp_gen.iosrc { Hilti_traces.Ftp_gen.default with sessions = 60 })
 
 let test_vm_instruction_groups () =
   (* Any compiled-script run must retire instructions in the data and
@@ -353,7 +356,7 @@ let suite =
     Alcotest.test_case "dns: packets_read exact, serial and jobs=4" `Quick
       test_dns_packets_read_exact;
     Alcotest.test_case "http: evictions and events exact" `Quick
-      test_http_evictions_exact;
+      test_tcp_evictions_exact;
     Alcotest.test_case "vm opcode-group counters" `Quick test_vm_instruction_groups;
     Alcotest.test_case "disabled path does not allocate" `Quick
       test_disabled_no_alloc;

@@ -16,17 +16,22 @@ let frames_of_garbage seed n =
 
 let test_http_driver_survives_garbage () =
   let records = frames_of_garbage 1 300 in
-  let stats = Driver.run_http ~kind:Driver.Http_std ~sink:silent_sink records in
+  let stats = Driver.run_http_src ~kind:Driver.Http_std ~sink:silent_sink (Pcap.iosrc_of_records records) in
   Alcotest.(check int) "saw all packets" 300 stats.Driver.packets;
   let stats2 =
-    Driver.run_http ~kind:(Driver.Http_pac (Http_pac.load ())) ~sink:silent_sink records
+    Driver.run_http_src ~kind:(Driver.Http_pac (Http_pac.load ())) ~sink:silent_sink
+      (Pcap.iosrc_of_records records)
   in
   Alcotest.(check int) "pac too" 300 stats2.Driver.packets
 
 let test_dns_driver_survives_garbage () =
   let records = frames_of_garbage 2 300 in
-  ignore (Driver.run_dns ~kind:Driver.Dns_std ~sink:silent_sink records);
-  ignore (Driver.run_dns ~kind:(Driver.Dns_pac (Dns_pac.load ())) ~sink:silent_sink records)
+  ignore
+    (Driver.run_dns_src ~kind:Driver.Dns_std ~sink:silent_sink
+       (Pcap.iosrc_of_records records));
+  ignore
+    (Driver.run_dns_src ~kind:(Driver.Dns_pac (Dns_pac.load ())) ~sink:silent_sink
+       (Pcap.iosrc_of_records records))
 
 (* Valid ethernet/IP/TCP envelopes carrying garbage payloads on port 80:
    the reassembler and parsers see hostile but well-framed data. *)
@@ -58,10 +63,13 @@ let test_hostile_tcp_streams () =
   let records = hostile_tcp_records 3 400 in
   let events = ref 0 in
   let sink = { Events.raise_event = (fun _ _ -> incr events); set_time = (fun _ -> ()) } in
-  let s1 = Driver.run_http ~kind:Driver.Http_std ~sink records in
+  let s1 = Driver.run_http_src ~kind:Driver.Http_std ~sink (Pcap.iosrc_of_records records) in
   let e1 = !events in
   events := 0;
-  let s2 = Driver.run_http ~kind:(Driver.Http_pac (Http_pac.load ())) ~sink records in
+  let s2 =
+    Driver.run_http_src ~kind:(Driver.Http_pac (Http_pac.load ())) ~sink
+      (Pcap.iosrc_of_records records)
+  in
   Alcotest.(check int) "std processed everything" 400 s1.Driver.packets;
   Alcotest.(check int) "pac processed everything" 400 s2.Driver.packets;
   (* Only lifecycle events (bro_init/established/remove/done), no HTTP
@@ -81,7 +89,7 @@ let test_evt_survives_garbage () =
   (* Rewrite the port to 22 by regenerating with dst_port 22: simpler to
      just reuse the HTTP-port records — they do not match port 22, so the
      analyzer must simply ignore them all. *)
-  let stats = Driver.run_evt ~loaded ~sink:silent_sink records in
+  let stats = Driver.run_evt_src ~loaded ~sink:silent_sink (Pcap.iosrc_of_records records) in
   Alcotest.(check int) "nothing matched port 22" 0 stats.Driver.connections
 
 (* The VM itself: calling with wrong arity/types must raise catchable

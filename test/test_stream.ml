@@ -288,6 +288,102 @@ let test_dns_log_equivalence () =
         "dns.log: streaming + jobs=2 byte-identical" (log_text from_list "dns")
         (log_text parallel "dns"))
 
+(* ---- Pinned TCP-runner output ------------------------------------------------------ *)
+
+(* HTTP, MQTT and FTP share one TCP stream runner.  These digests were
+   recorded from the three per-protocol loops it replaced: every log, the
+   driver stats and the raw event stream (which also pins the per-packet
+   [set_time] calls and the creation-order flush at end of trace, neither
+   of which the logs show) must stay byte-identical for both parser kinds,
+   with and without idle eviction. *)
+let tcp_digest ?idle_timeout (proto, run) src =
+  let r = evaluate ?idle_timeout ~proto (src ()) in
+  let s = r.Hilti_analyzers.Driver.stats in
+  let counts =
+    Printf.sprintf "%d %d %d %d" s.Hilti_analyzers.Driver.packets
+      s.Hilti_analyzers.Driver.connections s.Hilti_analyzers.Driver.events
+      s.Hilti_analyzers.Driver.evicted
+  in
+  let events = Buffer.create 4096 in
+  let sink =
+    {
+      Hilti_analyzers.Events.raise_event =
+        (fun name args ->
+          Buffer.add_string events
+            (String.concat " " (name :: List.map Mini_bro.Bro_val.to_string args));
+          Buffer.add_char events '\n');
+      set_time = (fun ts -> Buffer.add_string events (Printf.sprintf "@%Ld\n" ts));
+    }
+  in
+  ignore (run ~sink ?idle_timeout (src ()));
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          ((counts :: List.map (log_text r) [ "http"; "files"; "mqtt"; "ftp" ])
+          @ [ Buffer.contents events ])))
+
+let tcp_cases () =
+  let open Hilti_analyzers in
+  let http () =
+    Hilti_traces.Http_gen.iosrc { Hilti_traces.Http_gen.default with sessions = 30 }
+  in
+  let mqtt () =
+    Hilti_traces.Mqtt_gen.iosrc { Hilti_traces.Mqtt_gen.default with sessions = 30 }
+  in
+  let ftp () =
+    Hilti_traces.Ftp_gen.iosrc { Hilti_traces.Ftp_gen.default with sessions = 30 }
+  in
+  let http_kind kind =
+    (`Http kind, fun ~sink ?idle_timeout src -> Driver.run_http_src ~kind ~sink ?idle_timeout src)
+  in
+  let mqtt_kind kind =
+    ( `Mqtt kind,
+      fun ~sink ?idle_timeout src ->
+        Driver.run_tcp_src ~parsers:(Driver.mqtt_parsers kind) ~sink ?idle_timeout src )
+  in
+  let ftp_kind kind =
+    ( `Ftp kind,
+      fun ~sink ?idle_timeout src ->
+        Driver.run_tcp_src ~parsers:(Driver.ftp_parsers kind) ~sink ?idle_timeout src )
+  in
+  [
+    ("http/std", http_kind Driver.Http_std, http);
+    ("http/pac", http_kind (Driver.Http_pac (Http_pac.load ())), http);
+    ("mqtt/std", mqtt_kind Driver.Mqtt_std, mqtt);
+    ("mqtt/pac", mqtt_kind (Driver.Mqtt_pac (Mqtt_pac.load ())), mqtt);
+    ("ftp/std", ftp_kind Driver.Ftp_std, ftp);
+    ("ftp/pac", ftp_kind (Driver.Ftp_pac (Ftp_pac.load ())), ftp);
+  ]
+
+let pinned_tcp_digests =
+  [
+    ("http/std", "3efbc7bbff7a3cda649111679adc2e2b");
+    ("http/std+5ms", "93bf70449cbcd65f06c09f34db34e1df");
+    ("http/pac", "3efbc7bbff7a3cda649111679adc2e2b");
+    ("http/pac+5ms", "93bf70449cbcd65f06c09f34db34e1df");
+    ("mqtt/std", "51f6456c64e34ae19ef9338b05fd693f");
+    ("mqtt/std+5ms", "601254d88e0b7633de48e2c88f6d015f");
+    ("mqtt/pac", "51f6456c64e34ae19ef9338b05fd693f");
+    ("mqtt/pac+5ms", "601254d88e0b7633de48e2c88f6d015f");
+    ("ftp/std", "426783f18a7fc159f75bf70dc057ca2f");
+    ("ftp/std+5ms", "002ae4857490e3dbe44161ea8055d106");
+    ("ftp/pac", "426783f18a7fc159f75bf70dc057ca2f");
+    ("ftp/pac+5ms", "002ae4857490e3dbe44161ea8055d106");
+  ]
+
+let test_tcp_pinned_digests () =
+  let got =
+    List.concat_map
+      (fun (name, runner, src) ->
+        [
+          (name, tcp_digest runner src);
+          (name ^ "+5ms", tcp_digest ~idle_timeout:(Interval_ns.of_msecs 5) runner src);
+        ])
+      (tcp_cases ())
+  in
+  Alcotest.(check (list (pair string string)))
+    "logs + stats + events match the pinned digests" pinned_tcp_digests got
+
 (* ---- Idle-connection eviction ------------------------------------------------------ *)
 
 let test_flow_table_eviction () =
@@ -325,29 +421,37 @@ let test_flow_table_eviction () =
   Alcotest.(check (list int64)) "remove hook saw the state" [ t0 ] !removed
 
 let test_pipeline_eviction () =
-  let cfg = { Hilti_traces.Http_gen.default with sessions = 60 } in
-  let proto = `Http Hilti_analyzers.Driver.Http_std in
-  let baseline = evaluate ~proto (Hilti_traces.Http_gen.iosrc cfg) in
-  let evicting =
-    evaluate ~proto
-      ~idle_timeout:(Interval_ns.of_msecs 5)
-      (Hilti_traces.Http_gen.iosrc cfg)
+  let check_proto name proto src logs =
+    let baseline = evaluate ~proto (src ()) in
+    let evicting = evaluate ~proto ~idle_timeout:(Interval_ns.of_msecs 5) (src ()) in
+    Alcotest.(check bool)
+      (name ^ ": eviction fired") true
+      (evicting.Hilti_analyzers.Driver.stats.Hilti_analyzers.Driver.evicted > 0);
+    Alcotest.(check int)
+      (name ^ ": same events")
+      baseline.Hilti_analyzers.Driver.stats.Hilti_analyzers.Driver.events
+      evicting.Hilti_analyzers.Driver.stats.Hilti_analyzers.Driver.events;
+    (* Eviction may reorder end-of-connection rows but must lose none. *)
+    List.iter
+      (fun log ->
+        Alcotest.(check (list string))
+          (log ^ ".log: same rows up to order")
+          (Mini_bro.Bro_log.normalized baseline.Hilti_analyzers.Driver.logger log)
+          (Mini_bro.Bro_log.normalized evicting.Hilti_analyzers.Driver.logger log))
+      logs
   in
-  Alcotest.(check bool)
-    "eviction fired" true
-    (evicting.Hilti_analyzers.Driver.stats.Hilti_analyzers.Driver.evicted > 0);
-  Alcotest.(check int)
-    "same events"
-    baseline.Hilti_analyzers.Driver.stats.Hilti_analyzers.Driver.events
-    evicting.Hilti_analyzers.Driver.stats.Hilti_analyzers.Driver.events;
-  (* Eviction may reorder end-of-connection rows but must lose none. *)
-  List.iter
-    (fun log ->
-      Alcotest.(check (list string))
-        (log ^ ".log: same rows up to order")
-        (Mini_bro.Bro_log.normalized baseline.Hilti_analyzers.Driver.logger log)
-        (Mini_bro.Bro_log.normalized evicting.Hilti_analyzers.Driver.logger log))
-    [ "http"; "files" ]
+  check_proto "http" (`Http Hilti_analyzers.Driver.Http_std)
+    (fun () ->
+      Hilti_traces.Http_gen.iosrc { Hilti_traces.Http_gen.default with sessions = 60 })
+    [ "http"; "files" ];
+  check_proto "mqtt" (`Mqtt Hilti_analyzers.Driver.Mqtt_std)
+    (fun () ->
+      Hilti_traces.Mqtt_gen.iosrc { Hilti_traces.Mqtt_gen.default with sessions = 60 })
+    [ "mqtt" ];
+  check_proto "ftp" (`Ftp Hilti_analyzers.Driver.Ftp_std)
+    (fun () ->
+      Hilti_traces.Ftp_gen.iosrc { Hilti_traces.Ftp_gen.default with sessions = 60 })
+    [ "ftp" ]
 
 (* ---- Bounded parser retention ------------------------------------------------------ *)
 
@@ -425,6 +529,8 @@ let suite =
       test_http_log_equivalence;
     Alcotest.test_case "driver: dns logs byte-identical (serial + jobs=2)"
       `Quick test_dns_log_equivalence;
+    Alcotest.test_case "driver: tcp logs match pinned digests (std/pac, eviction)"
+      `Quick test_tcp_pinned_digests;
     Alcotest.test_case "flow table: idle timeout evicts through remove hook"
       `Quick test_flow_table_eviction;
     Alcotest.test_case "driver: eviction bounds table, loses no rows" `Quick

@@ -54,8 +54,8 @@ let test_http_ground_truth_matches_parse () =
       set_time = (fun _ -> ()) }
   in
   ignore
-    (Hilti_analyzers.Driver.run_http ~kind:Hilti_analyzers.Driver.Http_std ~sink
-       t.Hilti_traces.Http_gen.records);
+    (Hilti_analyzers.Driver.run_http_src ~kind:Hilti_analyzers.Driver.Http_std ~sink
+       (Pcap.iosrc_of_records t.Hilti_traces.Http_gen.records));
   Alcotest.(check int) "all requests parsed" expected !requests;
   Alcotest.(check int) "all replies parsed" expected !replies
 

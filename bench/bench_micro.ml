@@ -38,48 +38,6 @@ let fiber_cycle_rate () =
   in
   float_of_int n /. (Int64.to_float ns /. 1e9)
 
-(* ---- Verified-dispatch benchmark ---------------------------------------- *)
-
-(* A hot arithmetic/branch loop: exactly the register reads/writes,
-   branches and calls whose bounds/definedness checks the bytecode
-   verifier discharges, so it isolates the payoff of the VM's verified
-   fast path over the always-checked loop. *)
-let hot_loop_module () =
-  let m = Module_ir.create "Hot" in
-  let b =
-    Builder.func m "Hot::spin" ~params:[ ("n", Htype.Int 64) ]
-      ~result:(Htype.Int 64)
-  in
-  let acc = Builder.local b "acc" (Htype.Int 64) in
-  let i = Builder.local b "i" (Htype.Int 64) in
-  Builder.assign b ~target:acc (Builder.const_int 0);
-  Builder.assign b ~target:i (Builder.const_int 0);
-  Builder.jump b "head";
-  Builder.set_block b "head";
-  let c = Builder.emit b Htype.Bool "int.lt" [ Instr.Local i; Instr.Local "n" ] in
-  Builder.if_else b c ~then_:"body" ~else_:"exit";
-  Builder.set_block b "body";
-  let x = Builder.emit b (Htype.Int 64) "int.mul" [ Instr.Local i; Builder.const_int 3 ] in
-  let x = Builder.emit b (Htype.Int 64) "int.xor" [ x; Instr.Local acc ] in
-  let par = Builder.emit b (Htype.Int 64) "int.and" [ x; Builder.const_int 1 ] in
-  let even = Builder.emit b Htype.Bool "int.eq" [ par; Builder.const_int 0 ] in
-  Builder.if_else b even ~then_:"even" ~else_:"odd";
-  Builder.set_block b "even";
-  let e = Builder.emit b (Htype.Int 64) "int.add" [ Instr.Local acc; x ] in
-  Builder.assign b ~target:acc e;
-  Builder.jump b "latch";
-  Builder.set_block b "odd";
-  let o = Builder.emit b (Htype.Int 64) "int.sub" [ Instr.Local acc; x ] in
-  Builder.assign b ~target:acc o;
-  Builder.jump b "latch";
-  Builder.set_block b "latch";
-  let i' = Builder.emit b (Htype.Int 64) "int.add" [ Instr.Local i; Builder.const_int 1 ] in
-  Builder.assign b ~target:i i';
-  Builder.jump b "head";
-  Builder.set_block b "exit";
-  Builder.return_result b (Instr.Local acc);
-  m
-
 (* ---- Frame-arena allocation micro-benchmark -------------------------------- *)
 
 (* A per-packet-shaped call path: a driver loop making one direct call per
@@ -422,7 +380,7 @@ let suspend_copy_bench () =
     (copies_mid - copies_before);
   (arena_per, copy_per, copies_after - copies_mid)
 
-let verified_dispatch_bench (alloc_copy, alloc_reuse, alloc_reduction)
+let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
     ( dns_before,
       dns_after,
       dns_reduction,
@@ -432,41 +390,9 @@ let verified_dispatch_bench (alloc_copy, alloc_reuse, alloc_reduction)
       dns_e2e_after )
     (http_before, http_after, http_reduction)
     (susp_arena, susp_copy, susp_copies) =
-  Bench_util.header "bytecode verifier: checked vs verified vs specialized dispatch";
-  let iters = 400_000L in
-  let module H = Hilti_vm.Host_api in
-  let api_checked = H.compile ~verify:false [ hot_loop_module () ] in
-  let api_verified = H.compile ~specialize:false [ hot_loop_module () ] in
-  let api_spec = H.compile [ hot_loop_module () ] in
-  assert api_verified.H.ctx.Hilti_vm.Vm.program.Hilti_vm.Bytecode.verified;
-  assert (not api_checked.H.ctx.Hilti_vm.Vm.program.Hilti_vm.Bytecode.verified);
-  assert api_spec.H.ctx.Hilti_vm.Vm.program.Hilti_vm.Bytecode.specialized;
-  let spin api () =
-    Hilti_vm.Value.as_int (H.call api "Hot::spin" [ Hilti_vm.Value.Int iters ])
-  in
-  Bench_util.gc_normalize ();
-  let r_checked, ns_checked = Bench_util.best_of ~n:5 (spin api_checked) in
-  Bench_util.gc_normalize ();
-  let r_verified, ns_verified = Bench_util.best_of ~n:5 (spin api_verified) in
-  Bench_util.gc_normalize ();
-  let r_spec, ns_spec = Bench_util.best_of ~n:5 (spin api_spec) in
-  assert (r_checked = r_verified && r_verified = r_spec);
-  let speedup = Bench_util.ratio ns_checked ns_verified in
-  let speedup_spec = Bench_util.ratio ns_verified ns_spec in
-  Printf.printf "hot loop, %Ld iterations (best of 5):\n" iters;
-  Printf.printf "  checked dispatch     (verify=false):     %8.2f ms\n"
-    (Bench_util.ms ns_checked);
-  Printf.printf "  verified dispatch    (specialize=false): %8.2f ms\n"
-    (Bench_util.ms ns_verified);
-  Printf.printf "  specialized dispatch (default):          %8.2f ms\n"
-    (Bench_util.ms ns_spec);
-  Printf.printf "  verified/checked speedup:     %.2fx\n" speedup;
-  Printf.printf "  specialized/verified speedup: %.2fx\n" speedup_spec;
   let json =
     Printf.sprintf
-      "{\n  \"experiment\": \"verified_dispatch\",\n  \"iters\": %Ld,\n  \
-       \"checked_ms\": %.3f,\n  \"verified_ms\": %.3f,\n  \"speedup\": %.3f,\n  \
-       \"specialized_ms\": %.3f,\n  \"speedup_spec\": %.3f,\n  \
+      "{\n  \"experiment\": \"frame_arena_and_alloc\",\n  \
        \"alloc_bytes_copy\": %.1f,\n  \"alloc_bytes_reuse\": %.1f,\n  \
        \"alloc_reduction\": %.3f,\n  \
        \"dns_alloc_bytes_per_packet_before\": %.1f,\n  \
@@ -482,14 +408,12 @@ let verified_dispatch_bench (alloc_copy, alloc_reuse, alloc_reduction)
        \"suspend_arena_bytes_per_activation\": %.1f,\n  \
        \"suspend_copy_bytes_per_activation\": %.1f,\n  \
        \"suspend_copies\": %d\n}\n"
-      iters (Bench_util.ms ns_checked) (Bench_util.ms ns_verified) speedup
-      (Bench_util.ms ns_spec) speedup_spec alloc_copy alloc_reuse
-      alloc_reduction dns_before dns_after dns_reduction dns_parse_before
-      dns_parse_after dns_e2e_before dns_e2e_after http_before http_after
-      http_reduction susp_arena susp_copy susp_copies
+      alloc_copy alloc_reuse alloc_reduction dns_before dns_after dns_reduction
+      dns_parse_before dns_parse_after dns_e2e_before dns_e2e_after http_before
+      http_after http_reduction susp_arena susp_copy susp_copies
   in
   Bench_util.write_file_atomic "BENCH_micro.json" json;
-  print_endline "dispatch + frame-arena data written to BENCH_micro.json"
+  print_endline "frame-arena + allocation data written to BENCH_micro.json"
 
 (* ---- Hbytes allocation micro-benchmark ----------------------------------- *)
 
@@ -589,4 +513,4 @@ let run () =
   print_newline ();
   let susp = suspend_copy_bench () in
   print_newline ();
-  verified_dispatch_bench arena dns http susp
+  write_micro_json arena dns http susp

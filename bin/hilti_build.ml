@@ -16,8 +16,6 @@ options:
   -O0        disable optimization
 |}
 
-let magic = "HILTI-IMAGE-1"
-
 let () =
   let files = ref [] in
   let out = ref None in
@@ -36,14 +34,18 @@ let () =
   parse_args (List.tl (Array.to_list Sys.argv));
   match !exec with
   | Some image ->
-      let ic = open_in_bin image in
-      let m = really_input_string ic (String.length magic) in
-      if m <> magic then begin
-        Printf.eprintf "%s: not a HILTI program image\n" image;
-        exit 1
-      end;
-      let program : Hilti_vm.Bytecode.program = Marshal.from_channel ic in
-      close_in ic;
+      (* The image is verified again on load: the flags stored in the file
+         are not trusted. *)
+      let program =
+        try Hilti_vm.Image.load image with
+        | Hilti_vm.Image.Not_an_image _ ->
+            Printf.eprintf "%s: not a HILTI program image\n" image;
+            exit 1
+        | Hilti_vm.Verify.Verify_error errors ->
+            Printf.eprintf "%s: image fails verification\n" image;
+            List.iter (Printf.eprintf "error: %s\n") errors;
+            exit 1
+      in
       let ctx = Hilti_vm.Vm.create program in
       Hilti_vm.Vm.register_host ctx "Hilti::print" (fun c args ->
           c.Hilti_vm.Vm.debug_sink
@@ -89,10 +91,7 @@ let () =
         let api = Hilti_vm.Host_api.compile ~optimize:!optimize modules in
         match !out with
         | Some path ->
-            let oc = open_out_bin path in
-            output_string oc magic;
-            Marshal.to_channel oc api.Hilti_vm.Host_api.ctx.Hilti_vm.Vm.program [];
-            close_out oc;
+            Hilti_vm.Image.write path api.Hilti_vm.Host_api.ctx.Hilti_vm.Vm.program;
             Printf.printf "wrote %s (%d bytecode instructions, %d functions)\n" path
               (Hilti_vm.Host_api.code_size api)
               (Array.length api.Hilti_vm.Host_api.ctx.Hilti_vm.Vm.program.Hilti_vm.Bytecode.funcs)

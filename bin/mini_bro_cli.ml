@@ -43,7 +43,7 @@ differential fuzzing (no input required):
   -fuzz dns|mqtt|ftp|all
                    run the grammar-aware differential fuzzer: mutated
                    generator streams through hand-written vs BinPAC++
-                   parsers and checked vs specialized VM dispatch; writes
+                   parsers and generic vs specialized VM bytecode; writes
                    DIR/fuzz.jsonl and exits nonzero on any finding
   -seed N          fuzzer RNG seed (default 1); replays are deterministic
   -budget N        mutated executions per oracle pair (default 150)

@@ -68,19 +68,17 @@ grep -q '"overhead_pct_1"' BENCH_obs.json
 grep -q '"overhead_pct_4"' BENCH_obs.json
 grep -q '"disabled_alloc_words_per_100k"' BENCH_obs.json
 
-echo "== analysis suite (dataflow, lint, verifier, verified dispatch)"
+echo "== analysis suite (dataflow, lint, verifier, verification as the VM's precondition)"
 dune exec test/test_main.exe -- test analysis
 
 echo "== escape suite (summaries, escape classes, race detector, frame arena)"
 dune exec test/test_main.exe -- test escape
 
-echo "== vmopt suite (typing export, specialized-opcode verification, 3-way differential)"
+echo "== vmopt suite (typing export, specialized-opcode verification, generic-vs-specialized differential)"
 dune exec test/test_main.exe -- test vmopt
 
-echo "== bench micro (writes BENCH_micro.json incl. specialized dispatch + hbytes)"
+echo "== bench micro (writes BENCH_micro.json: frame arena + allocation per packet)"
 dune exec bench/main.exe -- micro --quick
-grep -q '"specialized_ms"' BENCH_micro.json
-grep -q '"speedup_spec"' BENCH_micro.json
 grep -q '"alloc_bytes_copy"' BENCH_micro.json
 grep -q '"alloc_bytes_reuse"' BENCH_micro.json
 # Analysis-licensed frame reuse must cut per-activation allocation by
@@ -95,12 +93,12 @@ awk -F': ' '/"dns_alloc_reduction"/ { if ($2+0 < 0.5) exit 1 }' BENCH_micro.json
 
 echo "== bench vmopt (writes BENCH_vmopt.json)"
 dune exec bench/main.exe -- vmopt --quick
-grep -q '"speedup_spec_over_verified"' BENCH_vmopt.json
+grep -q '"speedup_spec_over_generic"' BENCH_vmopt.json
 grep -q '"firewall_speedup"' BENCH_vmopt.json
 grep -q '"dns_speedup"' BENCH_vmopt.json
-# Specialized dispatch must beat verified on the hot loop and must not
-# regress the end-to-end workloads (0.9 allows measurement noise).
-awk -F': ' '/"speedup_spec_over_verified"/ { if ($2+0 < 1.5) exit 1 }' BENCH_vmopt.json
+# Specialized opcodes must beat the generic ones on the hot loop and must
+# not regress the end-to-end workloads (0.9 allows measurement noise).
+awk -F': ' '/"speedup_spec_over_generic"/ { if ($2+0 < 1.5) exit 1 }' BENCH_vmopt.json
 awk -F': ' '/"firewall_speedup"/ { if ($2+0 < 0.9) exit 1 }' BENCH_vmopt.json
 awk -F': ' '/"dns_speedup"/ { if ($2+0 < 0.9) exit 1 }' BENCH_vmopt.json
 
@@ -120,8 +118,8 @@ echo "== fuzz suite (test_fuzz: shape scanners, replayable findings, clean pairs
 dune exec test/test_main.exe -- test fuzz
 
 echo "== fuzz smoke (all six differential pairs, fixed seed, bounded time)"
-# DNS pair + both new grammars under std-vs-pac and checked-vs-specialized
-# dispatch; any divergence, crash or hang fails the check (exit 1).  The
+# DNS pair + both new grammars under std-vs-pac and generic-vs-specialized
+# bytecode; any divergence, crash or hang fails the check (exit 1).  The
 # budget keeps this under ~15s even on slow machines.
 dune exec bin/mini_bro_cli.exe -- -fuzz all -seed 1 -budget 150 -quiet
 

@@ -12,6 +12,7 @@
     finding ({!to_line}), sorted by {!compare} so reruns diff cleanly. *)
 
 open Module_ir
+module Analyses = Hilti_passes.Analyses
 
 type severity = Error | Warning
 

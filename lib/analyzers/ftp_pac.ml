@@ -21,7 +21,7 @@ type t = {
   mutable on_event : Events.ftp_event -> unit;
 }
 
-let load ?(optimize = true) ?(verify = true) ?(specialize = true) () : t =
+let load ?(optimize = true) ?(specialize = true) () : t =
   let t_ref = ref None in
   let prepare (m : Module_ir.t) =
     List.iter
@@ -51,7 +51,7 @@ let load ?(optimize = true) ?(verify = true) ?(specialize = true) () : t =
     hook_body "FTP::Reply" "Analyzer::ftp_reply"
   in
   let parser =
-    Runtime.load ~optimize ~verify ~specialize ~prepare (Grammars.parse_ftp ())
+    Runtime.load ~optimize ~specialize ~prepare (Grammars.parse_ftp ())
   in
   let t = { parser; on_event = ignore } in
   t_ref := Some t;

@@ -69,10 +69,10 @@ type t = {
   mutable on_packet : Events.mqtt_event -> unit;
 }
 
-(** Load the MQTT grammar with the packet hook attached.  [verify] /
-    [specialize] pick the VM dispatch loop — the fuzzer runs the same
-    grammar on different loops as a differential pair. *)
-let load ?(optimize = true) ?(verify = true) ?(specialize = true) () : t =
+(** Load the MQTT grammar with the packet hook attached.  [specialize]
+    picks the specialized or the generic opcodes — the fuzzer runs the
+    same grammar both ways as a differential pair. *)
+let load ?(optimize = true) ?(specialize = true) () : t =
   let t_ref = ref None in
   let prepare (m : Module_ir.t) =
     Module_ir.add_func m
@@ -95,7 +95,7 @@ let load ?(optimize = true) ?(verify = true) ?(specialize = true) () : t =
     Builder.return_ b
   in
   let parser =
-    Runtime.load ~optimize ~verify ~specialize ~prepare (Grammars.parse_mqtt ())
+    Runtime.load ~optimize ~specialize ~prepare (Grammars.parse_mqtt ())
   in
   let t = { parser; on_packet = ignore } in
   t_ref := Some t;

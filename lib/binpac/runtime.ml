@@ -12,14 +12,14 @@ type t = {
 
 (** Compile and load a grammar.  [prepare] can add further IR to the
     module before compilation — e.g. the Bro event bridge's hook bodies.
-    [verify]/[specialize] select the VM dispatch loop the parser runs on
-    (checked / verified / specialized) — the fuzzer drives the same
-    grammar through all three as a differential oracle. *)
-let load ?(optimize = true) ?(verify = true) ?(specialize = true) ?prepare
+    [specialize] selects the specialized or the generic opcodes — the
+    fuzzer drives the same grammar through both as a differential
+    oracle. *)
+let load ?(optimize = true) ?(specialize = true) ?prepare
     (g : Ast.grammar) : t =
   let m = Codegen.compile g in
   (match prepare with Some f -> f m | None -> ());
-  let api = Host_api.compile ~optimize ~verify ~specialize [ m ] in
+  let api = Host_api.compile ~optimize ~specialize [ m ] in
   ignore (Host_api.call api (g.Ast.gname ^ "::init") []);
   { api; grammar = g }
 

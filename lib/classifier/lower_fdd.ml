@@ -6,8 +6,8 @@
     the Fig. 4 BPF compiler.  The five field words are loaded into locals
     once at entry; each node block is then [int.and] + [int.eq] +
     [if.else], so a match executes O(depth) bytecode instructions and
-    the function runs under the verified + specialized dispatch loops
-    like every other workload.
+    the function runs verified and specialized like every other
+    workload.
 
     Malformed or truncated frames fail safe to [false] through a
     function-level exception handler; non-IPv4 frames return the
@@ -147,12 +147,12 @@ let compile_module ?(default = false) ?(name = "Classifier") (fdd : Fdd.t) :
 (** Compile and load; returns the api handle and a [frame -> bool]
     closure.  The HILTI-level optimization pipeline is off by default:
     node blocks are already minimal and pipeline cost grows with the
-    diagram, while verification + specialization stay on so the function
-    runs under the specialized dispatch loop. *)
-let load ?default ?(optimize = false) ?(verify = true) ?(specialize = true)
+    diagram, while specialization stays on so the function runs on the
+    unboxed register banks. *)
+let load ?default ?(optimize = false) ?(specialize = true)
     (fdd : Fdd.t) : Hilti_vm.Host_api.t * (string -> bool) =
   let m = compile_module ?default fdd in
-  let api = Hilti_vm.Host_api.compile ~optimize ~verify ~specialize [ m ] in
+  let api = Hilti_vm.Host_api.compile ~optimize ~specialize [ m ] in
   let run pkt =
     let bts = Hilti_types.Hbytes.of_string pkt in
     Hilti_types.Hbytes.freeze bts;

@@ -4,8 +4,8 @@
     Implementations come in two families:
     - hand-written baseline vs BinPAC++ parser (mqtt, ftp, dns) — the
       §6.4 cross-parser differential;
-    - the same BinPAC++ grammar on two VM dispatch loops (checked vs
-      specialized) — a compiler/VM differential.
+    - the same BinPAC++ grammar as generic and as specialized bytecode
+      on the VM — a compiler/VM differential.
 
     Each run yields an {!outcome}: the serialized event stream (the
     common currency both analyzer families emit), per-flow fates
@@ -159,8 +159,7 @@ let classify_status = function
 let eof_fate status =
   match classify_status status with Some st -> st | None -> "reject"
 
-let dispatch_tag ~verify ~specialize =
-  if not verify then "checked" else if specialize then "spec" else "verified"
+let dispatch_tag ~specialize = if specialize then "spec" else "generic"
 
 (* ---- MQTT implementations ---------------------------------------------------- *)
 
@@ -188,11 +187,11 @@ let mqtt_std () : impl =
           });
   }
 
-let mqtt_pac ~verify ~specialize ~step_budget () : impl =
-  let t = Mpac.load ~verify ~specialize () in
+let mqtt_pac ~specialize ~step_budget () : impl =
+  let t = Mpac.load ~specialize () in
   let api = t.Mpac.parser.R.api in
   {
-    iname = "mqtt-pac-" ^ dispatch_tag ~verify ~specialize;
+    iname = "mqtt-pac-" ^ dispatch_tag ~specialize;
     run =
       (fun case ->
         Hilti_vm.Host_api.set_step_budget api step_budget;
@@ -242,11 +241,11 @@ let ftp_std () : impl =
           });
   }
 
-let ftp_pac ~verify ~specialize ~step_budget () : impl =
-  let t = Fpac.load ~verify ~specialize () in
+let ftp_pac ~specialize ~step_budget () : impl =
+  let t = Fpac.load ~specialize () in
   let api = t.Fpac.parser.R.api in
   {
-    iname = "ftp-pac-" ^ dispatch_tag ~verify ~specialize;
+    iname = "ftp-pac-" ^ dispatch_tag ~specialize;
     run =
       (fun case ->
         Hilti_vm.Host_api.set_step_budget api step_budget;
@@ -306,7 +305,7 @@ let dns_pac ~specialize ~step_budget () : impl =
   let t = Dpac.load ~specialize () in
   let api = t.Dpac.parser.R.api in
   {
-    iname = "dns-pac-" ^ dispatch_tag ~verify:true ~specialize;
+    iname = "dns-pac-" ^ dispatch_tag ~specialize;
     run =
       (fun case ->
         Hilti_vm.Host_api.set_step_budget api step_budget;
@@ -388,24 +387,24 @@ let pair_specs : (string * Shape.proto * (int -> pair)) list =
     ( "mqtt/std-pac", Shape.Mqtt,
       fun step_budget ->
         { pname = "mqtt/std-pac"; proto = Shape.Mqtt; left = mqtt_std ();
-          right = mqtt_pac ~verify:false ~specialize:false ~step_budget ();
+          right = mqtt_pac ~specialize:false ~step_budget ();
           agree = exact } );
     ( "mqtt/dispatch", Shape.Mqtt,
       fun step_budget ->
         { pname = "mqtt/dispatch"; proto = Shape.Mqtt;
-          left = mqtt_pac ~verify:false ~specialize:false ~step_budget ();
-          right = mqtt_pac ~verify:true ~specialize:true ~step_budget ();
+          left = mqtt_pac ~specialize:false ~step_budget ();
+          right = mqtt_pac ~specialize:true ~step_budget ();
           agree = exact } );
     ( "ftp/std-pac", Shape.Ftp,
       fun step_budget ->
         { pname = "ftp/std-pac"; proto = Shape.Ftp; left = ftp_std ();
-          right = ftp_pac ~verify:false ~specialize:false ~step_budget ();
+          right = ftp_pac ~specialize:false ~step_budget ();
           agree = exact } );
     ( "ftp/dispatch", Shape.Ftp,
       fun step_budget ->
         { pname = "ftp/dispatch"; proto = Shape.Ftp;
-          left = ftp_pac ~verify:false ~specialize:false ~step_budget ();
-          right = ftp_pac ~verify:true ~specialize:true ~step_budget ();
+          left = ftp_pac ~specialize:false ~step_budget ();
+          right = ftp_pac ~specialize:true ~step_budget ();
           agree = exact } );
     ( "dns/std-pac", Shape.Dns,
       fun step_budget ->
@@ -419,7 +418,7 @@ let pair_specs : (string * Shape.proto * (int -> pair)) list =
   ]
 
 (** The full shipped pair set: cross-parser differentials for MQTT, FTP
-    and DNS, plus checked-vs-specialized VM dispatch differentials for
+    and DNS, plus generic-vs-specialized VM dispatch differentials for
     each grammar. *)
 let pairs ?(step_budget = default_step_budget) () : pair list =
   List.map (fun (_, _, mk) -> mk step_budget) pair_specs

@@ -62,7 +62,6 @@ type t = {
   vthreads : (int64, vthread) Hashtbl.t;
   mutable vthread_count : int;
   mutable total_jobs : int;
-  mutable absorbed_instrs : int;  (* clone instr counts folded into root *)
 }
 
 (* Lock ordering: engine lock < pool lock.  The pool never takes the
@@ -185,15 +184,11 @@ let drain t =
     if jobs_pending t > 0 then go ()
   in
   go ();
-  (* Fold the clones' instruction counts into the root so host-side
+  (* Collect the clones' instruction counts on the root so host-side
      reporting (Host_api.cycles) keeps working in parallel mode. *)
   Mutex.protect t.lock (fun () ->
-      let total =
-        Array.fold_left (fun acc c -> acc + c.Vm.instr_count) 0 t.clones
-      in
-      t.root.Vm.instr_count <-
-        t.root.Vm.instr_count + (total - t.absorbed_instrs);
-      t.absorbed_instrs <- total)
+      t.root.Vm.clone_instrs <-
+        Array.fold_left (fun acc c -> acc + !(c.Vm.instrs)) 0 t.clones)
 
 (** Advance every virtual thread's timer manager to [time].  Expiration
     callbacks run as jobs on the owning thread — on its domain, under its
@@ -228,25 +223,6 @@ let attach (root : Vm.context) ~domains =
   if root.Vm.parent <> None then invalid_arg "Engine.attach: context is a clone";
   if Hilti_rt.Scheduler.backend root.Vm.scheduler <> None then
     invalid_arg "Engine.attach: scheduler already has a backend";
-  (* Multicore execution requires verified bytecode: the clones all run
-     the fast dispatch loop, so a program that skipped verification at
-     compile time (compile ~verify:false, or hand-built bytecode) is
-     checked here — Verify_error propagates to the caller. *)
-  if not root.Vm.program.Bytecode.verified then
-    ignore (Hilti_vm.Verify.verify_exn root.Vm.program);
-  assert root.Vm.program.Bytecode.verified;
-  (* Register-bank specialization is equally domain-safe: the per-function
-     bank templates are immutable after [Specialize] runs, and every
-     activation copies them into fresh per-frame banks exactly as frames
-     copy [reg_defaults] — so clones share only immutable data. *)
-  if not root.Vm.program.Bytecode.specialized then
-    ignore (Hilti_vm.Specialize.specialize root.Vm.program);
-  (* Frame reuse is likewise domain-safe — arena slots live in the
-     per-domain context clones, never in shared state — so attach makes
-     sure the licence analysis has run for programs that bypassed
-     [Host_api.compile]. *)
-  if Array.length root.Vm.program.Bytecode.reuse = 0 then
-    ignore (Hilti_vm.Summary.license_frame_reuse root.Vm.program);
   let clones = Array.init domains (fun _ -> Vm.clone_for_domain root) in
   let pool =
     Domain_pool.create ~domains ~on_start:(fun wid ->
@@ -263,7 +239,6 @@ let attach (root : Vm.context) ~domains =
       vthreads = Hashtbl.create 64;
       vthread_count = 0;
       total_jobs = 0;
-      absorbed_instrs = 0;
     }
   in
   Hilti_rt.Scheduler.set_backend t.sched

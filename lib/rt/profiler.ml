@@ -46,9 +46,13 @@ let charge_cycles n =
   let r = Domain.DLS.get dls_counter in
   r := !r + n
 
+(* Summed as an unboxed [int] and boxed once: profilers read this on
+   every start and stop, and the list grows with every VM context ever
+   created, so a boxed [Int64] accumulator would allocate per counter. *)
 let global_cycles () =
-  Mutex.protect counters_lock (fun () ->
-      List.fold_left (fun acc r -> Int64.add acc (Int64.of_int !r)) 0L !counters)
+  Int64.of_int
+    (Mutex.protect counters_lock (fun () ->
+         List.fold_left (fun acc r -> acc + !r) 0 !counters))
 
 let monotonic_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
 

@@ -281,12 +281,12 @@ type program = {
   types : (string, Module_ir.type_decl) Hashtbl.t;
   mutable verified : bool;
   (** set (only) by {!Verify} after every function passed the static
-      checker; the VM then selects the fast dispatch loop that elides the
-      bounds/definedness checks the verifier discharged *)
+      checker; [Vm.create] refuses programs without it, because the
+      dispatch loop elides the bounds/definedness checks the verifier
+      discharged *)
   mutable specialized : bool;
   (** set (only) by {!Specialize} after rewriting every function onto the
-      unboxed register banks; the VM then selects the specialized dispatch
-      loop *)
+      unboxed register banks *)
   mutable reuse : bool array;
   (** per-function frame-reuse licence, set (only) by
       [Summary.license_frame_reuse]: [reuse.(i)] means the interprocedural

@@ -28,8 +28,8 @@
     (escaping callee param ⇒ caller argument escapes) and up (caller
     escaping a returned object ⇒ the callee's site escapes).
 
-    Soundness contract (checked by the QCheck harness against the checked
-    interpreter): a site classified [Local] is never observed escaping at
+    Soundness contract (checked by the QCheck harness against the VM): a
+    site classified [Local] is never observed escaping at
     runtime.  The converse is allowed — the analysis may conservatively
     over-classify. *)
 

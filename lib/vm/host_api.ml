@@ -14,24 +14,23 @@ type t = {
 
 exception Compile_error of string list
 
-(** Compile a set of modules into an execution environment.
+(** Compile a set of modules into an execution environment.  The lowered
+    bytecode always passes the verifier ({!Verify}) before it can run;
+    programs it rejects raise [Compile_error].
 
     @param optimize run the HILTI-level optimization pipeline (default on)
     @param validate reject invalid IR (default on)
-    @param verify run the bytecode verifier after lowering (default on);
-      on success the VM uses the fast dispatch loop that skips the checks
-      the verifier discharged
-    @param specialize rewrite verified bytecode onto unboxed int/float
-      register banks and fuse hot instruction pairs (default on; effective
-      only together with [verify], whose typing export drives the bank
-      assignment)
+    @param specialize rewrite the verified bytecode onto unboxed int/float
+      register banks and fuse hot instruction pairs (default on).  Off, the
+      same dispatch loop runs the generic opcodes: the reference
+      configuration the differential tests compare specialization against.
     @param frame_reuse run the interprocedural summary analysis
       ({!Summary.license_frame_reuse}) and let the VM recycle a per-worker
-      arena frame for every function the analysis proves safe (default on;
-      effective only together with [verify] — the reuse contract leans on
-      the verifier's defined-before-use proof) *)
-let compile ?(optimize = true) ?(validate = true) ?(verify = true)
-    ?(specialize = true) ?(frame_reuse = true) (modules : Module_ir.t list) : t =
+      arena frame for every function the analysis proves safe (default
+      on; the reuse contract leans on the verifier's defined-before-use
+      proof) *)
+let compile ?(optimize = true) ?(validate = true) ?(specialize = true)
+    ?(frame_reuse = true) (modules : Module_ir.t list) : t =
   let linked = Hilti_passes.Linker.link modules in
   (* Validation runs on the linked unit, where cross-module references
      (functions, hooks, globals) are all visible. *)
@@ -44,12 +43,10 @@ let compile ?(optimize = true) ?(validate = true) ?(verify = true)
     if optimize then Some (Hilti_passes.Pipeline.optimize linked) else None
   in
   let program = Lower.lower_module linked in
-  if verify then begin
-    (try ignore (Verify.verify_exn program)
-     with Verify.Verify_error errors -> raise (Compile_error errors));
-    if specialize then ignore (Specialize.specialize program);
-    if frame_reuse then ignore (Summary.license_frame_reuse program)
-  end;
+  (try ignore (Verify.verify_exn program)
+   with Verify.Verify_error errors -> raise (Compile_error errors));
+  if specialize then ignore (Specialize.specialize program);
+  if frame_reuse then ignore (Summary.license_frame_reuse program);
   let ctx = Vm.create program in
   (* The standard library surface host applications always get. *)
   Vm.register_host ctx "Hilti::print" (fun c args ->
@@ -77,10 +74,10 @@ let run_hook t name args = Vm.run_hook t.ctx name args
 (** Abstract-cycle counter (the PAPI stand-in). *)
 let cycles t = Vm.instr_count t.ctx
 
-(** Hang guard: after [n] more retired instructions any dispatch loop
+(** Hang guard: after [n] more retired instructions the dispatch loop
     raises [Vm.Step_budget_exceeded] (a raw OCaml exception that generated
     try-handlers cannot catch).  [clear_step_budget] turns it off. *)
-let set_step_budget t n = t.ctx.Vm.step_kill <- t.ctx.Vm.instr_count + n
+let set_step_budget t n = t.ctx.Vm.step_kill <- !(t.ctx.Vm.instrs) + n
 
 let clear_step_budget t = t.ctx.Vm.step_kill <- max_int
 

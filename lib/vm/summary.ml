@@ -304,8 +304,8 @@ let reachable_from (s : program_summary) (entries : int list) : bool array =
     The summary is transitive, so one check of [total] covers the whole
     synchronous closure.  (The VM additionally keeps a per-slot busy bit
     and falls back to copying, so a hole in this licence degrades
-    performance, not correctness — and the checked interpreter's poison
-    mode turns any stale read into a hard failure.) *)
+    performance, not correctness — and the VM's arena poison mode makes
+    a stale read fail or diverge under the reuse-on/off differential.) *)
 let reusable (s : program_summary) (i : int) : bool =
   let t = s.total.(i) in
   (not s.recursive.(i))

@@ -1,7 +1,9 @@
 (** eBPF-style static verifier for lowered bytecode (run after {!Lower}).
 
-    Before a program may execute in the VM's fast path, every function is
-    checked once, statically:
+    Verification is a precondition of execution: {!Host_api.compile}
+    always runs it, [Vm.create] refuses unverified programs, and program
+    images are verified again on load.  Every function is checked once,
+    statically:
 
     - {b control flow}: every [Jump]/[Br]/[Switch]/[TryPush] target is a
       valid instruction index, and no path falls off the end of the code
@@ -10,7 +12,8 @@
       of every instruction is inside the frame ([-1] is the "discard"
       destination the VM ignores); global slots and callee indices index
       their arrays; direct calls pass exactly the callee's parameter
-      count;
+      count; specialized opcodes index inside the register banks, whose
+      templates match their declared sizes;
     - {b definedness}: along {e all} paths (including exceptional edges
       from [TryPush] to its handler) every register is written before it
       is read.  Parameters, declared locals (typed defaults) and
@@ -24,8 +27,8 @@
     The analysis is a joined forward dataflow at instruction granularity:
     definedness is a must-set (bitwise AND at joins), tags join to [Any]
     on conflict.  On success {!verify_exn} marks the program
-    {!Bytecode.program.verified}, which the VM uses to select the
-    unchecked dispatch loop; the count of statically discharged checks is
+    {!Bytecode.program.verified}, which lets the VM's one dispatch loop
+    skip the checks proven here; the count of statically discharged checks is
     exported as the [vm_safety_checks{mode="static_discharged"}] metric
     (its dynamic counterpart counts runtime check failures). *)
 
@@ -202,6 +205,12 @@ let verify_func (p : program) (f : func) : int * string list =
     err (-1) "entry_init shorter than frame (%d < %d)"
       (Array.length f.entry_init) f.nregs;
   if len = 0 then err (-1) "empty code array";
+  (match f.spec with
+  | Some sp
+    when Bytes.length sp.ibank_init <> 8 * sp.n_int
+         || Array.length sp.fbank_init <> sp.n_float ->
+      err (-1) "register-bank templates do not match the bank sizes"
+  | _ -> ());
   if !errors <> [] then (0, List.rev !errors)
   else begin
     let nglobals = Array.length p.globals in
@@ -547,8 +556,8 @@ let verify (p : program) : report =
   { funcs = Array.length p.funcs; instrs; checks_discharged = !checks;
     errors = !errors }
 
-(** Verify and, on success, mark the program verified (enabling the VM's
-    fast dispatch), export each function's register typing, and account
+(** Verify and, on success, mark the program verified (admitting it to
+    the VM), export each function's register typing, and account
     the discharged checks; raises {!Verify_error} otherwise. *)
 let verify_exn (p : program) : report =
   let r = verify p in

@@ -1,6 +1,8 @@
 (** The HILTI execution engine.
 
-    Executes lowered bytecode with:
+    Executes lowered bytecode that {!Verify} has accepted — verification
+    is a precondition of execution, as in the eBPF model, and {!create}
+    refuses anything else — in a single dispatch loop, with:
     - per-function register frames and an explicit per-frame handler stack
       for exceptions (HILTI propagates exceptions with explicit checks
       after calls, §5 "Runtime Model");
@@ -19,7 +21,7 @@ open Bytecode
 exception Runtime_error of string
 
 exception Step_budget_exceeded
-(** Raised by the dispatch loops when [step_kill] instructions have been
+(** Raised by the dispatch loop when [step_kill] instructions have been
     retired.  Deliberately a raw OCaml exception, not a HILTI one, so
     generated [try] handlers cannot swallow it — the fuzzer uses it as a
     hang detector on hostile input. *)
@@ -97,9 +99,13 @@ type context = {
   mutable current_thread : int64;
   mutable cached_tid : int64;          (* thread whose globals are cached *)
   mutable cached_globals : Value.t array;
-  mutable instr_count : int;
-  mutable step_kill : int;             (* raise past this instr_count; max_int = off *)
-  cycles : int ref;                    (* per-context abstract cycle counter *)
+  instrs : int ref;
+      (* instructions retired on this context: the step-budget clock, and
+         (registered with the profiler) its abstract cycle counter *)
+  mutable step_kill : int;             (* raise once [instrs] reaches this; max_int = off *)
+  mutable clone_instrs : int;
+      (* root only: instructions the parallel engine collected from the
+         per-domain clones *)
   mutable debug_sink : string -> unit;
   mutable arena : arena_slot option array;
       (* frame arena, indexed by func idx; [[||]] until first licensed
@@ -109,7 +115,11 @@ type context = {
 
 let main_thread_id = 0L
 
-let create program =
+(** An execution context for [program], which must have passed
+    {!Verify.verify_exn}: the dispatch loop relies on the verifier's
+    proofs instead of checking.  Raises [Invalid_argument] otherwise. *)
+let create (program : Bytecode.program) =
+  if not program.verified then invalid_arg "Vm.create: program is not verified";
   {
     program;
     host_funcs = Hashtbl.create 16;
@@ -118,9 +128,9 @@ let create program =
     current_thread = main_thread_id;
     cached_tid = Int64.min_int;
     cached_globals = [||];
-    instr_count = 0;
+    instrs = Hilti_rt.Profiler.new_counter ();
     step_kill = max_int;
-    cycles = Hilti_rt.Profiler.new_counter ();
+    clone_instrs = 0;
     debug_sink = (fun s -> print_endline s);
     arena = [||];
     parent = None;
@@ -128,7 +138,9 @@ let create program =
 
 let register_host ctx name fn = Hashtbl.replace ctx.host_funcs name fn
 
-let instr_count ctx = Int64.of_int ctx.instr_count
+(** Instructions retired, including those run on the parallel engine's
+    per-domain clones. *)
+let instr_count ctx = Int64.of_int (!(ctx.instrs) + ctx.clone_instrs)
 
 (* ---- Per-domain execution contexts (the parallel engine) --------------------- *)
 
@@ -148,9 +160,9 @@ let clone_for_domain ctx =
     current_thread = main_thread_id;
     cached_tid = Int64.min_int;
     cached_globals = [||];
-    instr_count = 0;
+    instrs = Hilti_rt.Profiler.new_counter ();
     step_kill = max_int;
-    cycles = Hilti_rt.Profiler.new_counter ();
+    clone_instrs = 0;
     arena = [||];
     parent = Some ctx;
   }
@@ -260,29 +272,23 @@ type frame = {
 (* Debug mode for the frame arena: on acquire, every register the frame
    contract does not initialize ([entry_init] false — lowering
    temporaries the verifier proved defined-before-used) is filled with a
-   physically-unique sentinel instead of its bank-template default.  The
-   checked interpreter then turns any read of a stale slot into a hard
-   failure, making "reuse never observes a leftover value" an executable
-   assertion rather than an argument. *)
+   physically-unique sentinel (a string) instead of its default.  The
+   dispatch loop does not look for it — a per-read compare would tax every
+   instruction — but any computation that consumes a stale slot then
+   fails its type check or returns a different result, so a reuse-on vs
+   reuse-off differential run with this flag set turns "reuse never
+   observes a leftover value" into an executable assertion. *)
 let arena_debug = ref false
 
 let arena_poison : Value.t = Value.String "\xffhilti-arena-poison\xff"
 
-let reg frame i =
-  let v = frame.regs.(i) in
-  if !arena_debug && v == arena_poison then
-    fail "frame arena: read of stale register r%d in a reused frame" i;
-  v
+(* Register accesses for the dispatch loop: {!Verify} proved every
+   register field of every instruction to be inside the frame, so the
+   bounds checks are statically discharged.  [-1] remains the "discard"
+   destination. *)
+let reg frame i = Array.unsafe_get frame.regs i
 
-let setreg frame i v = if i >= 0 then frame.regs.(i) <- v
-
-(* Unchecked variants for the verified dispatch loop: {!Verify} proved
-   every register field of every instruction to be inside the frame, so
-   the bounds checks are statically discharged.  [-1] remains the
-   "discard" destination. *)
-let ureg frame i = Array.unsafe_get frame.regs i
-
-let usetreg frame i v = if i >= 0 then Array.unsafe_set frame.regs i v
+let setreg frame i v = if i >= 0 then Array.unsafe_set frame.regs i v
 
 (* ---- The frame arena ------------------------------------------------------------ *)
 
@@ -373,10 +379,10 @@ let acquire_frame ctx (fidx : int) (f : Bytecode.func) : arena_slot option =
 
 let release_frame = function Some s -> s.a_busy <- false | None -> ()
 
-(* Unchecked 64-bit bank accesses for the specialized dispatch loop:
+(* Unchecked 64-bit bank accesses for the specialized opcodes:
    {!Verify} type-checks every specialized opcode's slot against the bank
    sizes in [func.spec], so the bounds checks are statically discharged —
-   same contract as [ureg]/[usetreg].  These are the unboxing-aware
+   same contract as [reg]/[setreg].  These are the unboxing-aware
    compiler primitives, so reads feed arithmetic without allocating. *)
 external ibank_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external ibank_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
@@ -1278,20 +1284,20 @@ and exec_file ctx op args =
 
 (* ---- The dispatch loop ------------------------------------------------------------ *)
 
-(* Two handwritten copies of the dispatch loop: [exec_func_checked] with
-   ordinary (bounds-checked) array accesses, and [exec_func_verified]
-   using [Array.unsafe_get]/[unsafe_set] for registers, code fetch and
-   globals — every one of those accesses was proven in range by {!Verify}
-   before [program.verified] was set.  A functor would express this once,
-   but without flambda the functor call stays indirect in the hottest
-   loop, which is exactly the cost verified mode exists to remove. *)
-
+(* The one dispatch loop.  {!create} admits only verified programs, so
+   every register field, code fetch, global slot and bank slot below was
+   proven in range by {!Verify} and the accesses skip their bounds checks.
+   Functions rewritten by {!Specialize} carry unboxed int/float register
+   banks; each activation copies the immutable bank templates, exactly as
+   [regs] copies [reg_defaults] — so under [Hilti_par] banks clone per
+   frame and nothing mutable is shared between domains.  Functions without
+   bank metadata (the generic [~specialize:false] configuration) run with
+   empty banks: the verifier rejects bank opcodes there, so none can
+   execute.  The bank arithmetic is written out inline (not via
+   [int_arith]/[exec_prim]): without flambda a helper call re-boxes its
+   int64/float arguments, which is precisely the allocation the banks
+   exist to remove. *)
 and exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
-  if ctx.program.specialized then exec_func_spec ctx fidx args
-  else if ctx.program.verified then exec_func_verified ctx fidx args
-  else exec_func_checked ctx fidx args
-
-and exec_func_checked ctx (fidx : int) (args : Value.t list) : Value.t =
   let f = ctx.program.funcs.(fidx) in
   let slot = acquire_frame ctx fidx f in
   let regs =
@@ -1299,21 +1305,34 @@ and exec_func_checked ctx (fidx : int) (args : Value.t list) : Value.t =
   in
   let frame = { regs; pc = 0; tries = [] } in
   List.iteri (fun i v -> if i < f.nregs then frame.regs.(i) <- v) args;
+  (* [acquire_frame] already blitted the bank templates over a reused
+     slot's banks, so both paths start from the template state. *)
+  let ibank =
+    match (slot, f.spec) with
+    | Some s, _ -> s.a_ibank
+    | None, Some sp -> Bytes.copy sp.ibank_init
+    | None, None -> Bytes.empty
+  in
+  let fbank =
+    match (slot, f.spec) with
+    | Some s, _ -> s.a_fbank
+    | None, Some sp -> Array.copy sp.fbank_init
+    | None, None -> [||]
+  in
   let code = f.code in
   let result = ref Value.Null in
   let running = ref true in
-  (* Metrics tally, allocated only when observability is on; flushed into
-     the sharded counters once per activation, not per instruction. *)
   let obs =
     if Hilti_obs.Metrics.enabled () then Some (Array.make n_opgroups 0) else None
   in
-  let instrs_at_entry = ctx.instr_count in
+  let instrs = ctx.instrs in
+  let instrs_at_entry = !instrs in
   (try
      while !running do
-    let i = code.(frame.pc) in
-    ctx.instr_count <- ctx.instr_count + 1;
-    if ctx.instr_count >= ctx.step_kill then raise Step_budget_exceeded;
-    ctx.cycles := !(ctx.cycles) + 1;
+    let i = Array.unsafe_get code frame.pc in
+    let n = !instrs + 1 in
+    instrs := n;
+    if n >= ctx.step_kill then raise Step_budget_exceeded;
     (match obs with
     | Some ops ->
         let g = opgroup_of i in
@@ -1329,10 +1348,10 @@ and exec_func_checked ctx (fidx : int) (args : Value.t list) : Value.t =
            setreg frame dst (reg frame src);
            frame.pc <- next
        | LoadGlobal (dst, slot) ->
-           setreg frame dst (current_globals ctx).(slot);
+           setreg frame dst (Array.unsafe_get (current_globals ctx) slot);
            frame.pc <- next
        | StoreGlobal (slot, src) ->
-           (current_globals ctx).(slot) <- reg frame src;
+           Array.unsafe_set (current_globals ctx) slot (reg frame src);
            frame.pc <- next
        | Jump pc -> frame.pc <- pc
        | Br (c, t, e) -> frame.pc <- (if Value.as_bool (reg frame c) then t else e)
@@ -1341,7 +1360,7 @@ and exec_func_checked ctx (fidx : int) (args : Value.t list) : Value.t =
            let rec find k =
              if k >= Array.length cases then default
              else
-               let cv, pc = cases.(k) in
+               let cv, pc = Array.unsafe_get cases k in
                if Value.equal cv value then pc else find (k + 1)
            in
            frame.pc <- find 0
@@ -1376,7 +1395,6 @@ and exec_func_checked ctx (fidx : int) (args : Value.t list) : Value.t =
            (match Hilti_rt.Fiber.yield () with
            | () -> ()
            | exception Effect.Unhandled _ ->
-               (* Suspending outside a fiber cannot park anywhere. *)
                raise (Value.would_block ()));
            frame.pc <- next
        | HookRun (name, arg_regs) ->
@@ -1397,16 +1415,12 @@ and exec_func_checked ctx (fidx : int) (args : Value.t list) : Value.t =
              (Value.Callable
                 {
                   description = name;
-                  (* Resolve at invocation: the callable may fire later on a
-                     different domain (e.g. from a migrated timer). *)
                   invoke = (fun () -> exec_func (exec_context ctx) callee args);
                 });
            frame.pc <- next
        | Prim (p, arg_regs, dst) ->
            let args = Array.map (reg frame) arg_regs in
            let v =
-             (* Substrate-level exceptions surface as HILTI exceptions so
-                generated code can catch them. *)
              try exec_prim ctx p args with
              | Hilti_types.Hbytes.Out_of_range ->
                  raise (Value.value_error "bytes: out of range")
@@ -1422,327 +1436,6 @@ and exec_func_checked ctx (fidx : int) (args : Value.t list) : Value.t =
            setreg frame dst v;
            frame.pc <- next
        | Nop -> frame.pc <- next
-       | IConst_u _ | IMov_u _ | UnboxI _ | BoxI _ | IArith_u _ | IArithK_u _
-       | ICmp_u _ | ICmpK_u _ | IBrCmp_u _ | IBrCmpK_u _ | IIncrJ_u _
-       | FConst_u _ | FMov_u _ | UnboxF _ | BoxF _ | FArith_u _ | FCmp_u _
-       | FBrCmp_u _ ->
-           (* Specialized programs are routed to [exec_func_spec]; a bank
-              opcode reaching this loop is a dispatch bug, not user error. *)
-           fail "specialized opcode in %s outside specialized dispatch" f.name
-     with Value.Hilti_error e when frame.tries <> [] && e.Value.ename <> "Hilti::HookStop" ->
-       let handler, exc_reg = List.hd frame.tries in
-       frame.tries <- List.tl frame.tries;
-       setreg frame exc_reg (Value.Exception e);
-       frame.pc <- handler)
-     done
-   with e ->
-     release_frame slot;
-     raise e);
-  release_frame slot;
-  (match obs with
-  | Some ops ->
-      Array.iteri
-        (fun g n -> if n > 0 then Hilti_obs.Metrics.add m_opgroup.(g) n)
-        ops;
-      Hilti_obs.Metrics.observe m_func_instrs (ctx.instr_count - instrs_at_entry)
-  | None -> ());
-  !result
-
-(* Keep in lockstep with [exec_func_checked]; only the array accesses the
-   verifier discharged differ. *)
-and exec_func_verified ctx (fidx : int) (args : Value.t list) : Value.t =
-  let f = ctx.program.funcs.(fidx) in
-  let slot = acquire_frame ctx fidx f in
-  let regs =
-    match slot with Some s -> s.a_regs | None -> Array.copy f.reg_defaults
-  in
-  let frame = { regs; pc = 0; tries = [] } in
-  List.iteri (fun i v -> if i < f.nregs then frame.regs.(i) <- v) args;
-  let code = f.code in
-  let result = ref Value.Null in
-  let running = ref true in
-  let obs =
-    if Hilti_obs.Metrics.enabled () then Some (Array.make n_opgroups 0) else None
-  in
-  let instrs_at_entry = ctx.instr_count in
-  (try
-     while !running do
-    let i = Array.unsafe_get code frame.pc in
-    ctx.instr_count <- ctx.instr_count + 1;
-    if ctx.instr_count >= ctx.step_kill then raise Step_budget_exceeded;
-    ctx.cycles := !(ctx.cycles) + 1;
-    (match obs with
-    | Some ops ->
-        let g = opgroup_of i in
-        ops.(g) <- ops.(g) + 1
-    | None -> ());
-    let next = frame.pc + 1 in
-    (try
-       match i with
-       | Const (dst, v) ->
-           usetreg frame dst v;
-           frame.pc <- next
-       | Mov (dst, src) ->
-           usetreg frame dst (ureg frame src);
-           frame.pc <- next
-       | LoadGlobal (dst, slot) ->
-           usetreg frame dst (Array.unsafe_get (current_globals ctx) slot);
-           frame.pc <- next
-       | StoreGlobal (slot, src) ->
-           Array.unsafe_set (current_globals ctx) slot (ureg frame src);
-           frame.pc <- next
-       | Jump pc -> frame.pc <- pc
-       | Br (c, t, e) -> frame.pc <- (if Value.as_bool (ureg frame c) then t else e)
-       | Switch (v, default, cases) ->
-           let value = ureg frame v in
-           let rec find k =
-             if k >= Array.length cases then default
-             else
-               let cv, pc = Array.unsafe_get cases k in
-               if Value.equal cv value then pc else find (k + 1)
-           in
-           frame.pc <- find 0
-       | Call (callee, arg_regs, dst) ->
-           let args = Array.to_list (Array.map (ureg frame) arg_regs) in
-           let r = exec_func_verified ctx callee args in
-           usetreg frame dst r;
-           frame.pc <- next
-       | CallC (name, arg_regs, dst) -> (
-           match Hashtbl.find_opt ctx.host_funcs name with
-           | Some fn ->
-               let args = Array.to_list (Array.map (ureg frame) arg_regs) in
-               usetreg frame dst (fn ctx args);
-               frame.pc <- next
-           | None -> fail "unresolved host function %s" name)
-       | Ret r ->
-           result := (if r >= 0 then ureg frame r else Value.Null);
-           running := false
-       | TryPush (handler, exc_reg) ->
-           frame.tries <- (handler, exc_reg) :: frame.tries;
-           frame.pc <- next
-       | TryPop ->
-           (match frame.tries with
-           | _ :: rest -> frame.tries <- rest
-           | [] -> ());
-           frame.pc <- next
-       | Throw r -> (
-           match ureg frame r with
-           | Value.Exception e -> raise (Value.Hilti_error e)
-           | v -> raise (Value.Hilti_error { ename = "Hilti::Exception"; earg = v }))
-       | Yield ->
-           (match Hilti_rt.Fiber.yield () with
-           | () -> ()
-           | exception Effect.Unhandled _ ->
-               raise (Value.would_block ()));
-           frame.pc <- next
-       | HookRun (name, arg_regs) ->
-           let args = Array.to_list (Array.map (ureg frame) arg_regs) in
-           run_hook ctx name args;
-           frame.pc <- next
-       | Schedule (callee, arg_regs, tid_reg) ->
-           let tid = Value.as_int (ureg frame tid_reg) in
-           let args =
-             Array.to_list (Array.map (fun r -> Value.deep_copy (ureg frame r)) arg_regs)
-           in
-           schedule_job ctx tid callee args;
-           frame.pc <- next
-       | Bind (callee, arg_regs, dst) ->
-           let args = Array.to_list (Array.map (ureg frame) arg_regs) in
-           let name = ctx.program.funcs.(callee).name in
-           usetreg frame dst
-             (Value.Callable
-                {
-                  description = name;
-                  invoke = (fun () -> exec_func (exec_context ctx) callee args);
-                });
-           frame.pc <- next
-       | Prim (p, arg_regs, dst) ->
-           let args = Array.map (ureg frame) arg_regs in
-           let v =
-             try exec_prim ctx p args with
-             | Hilti_types.Hbytes.Out_of_range ->
-                 raise (Value.value_error "bytes: out of range")
-             | Hilti_types.Hbytes.Frozen ->
-                 raise (Value.value_error "bytes: frozen")
-             | Hilti_rt.Regexp.Parse_error msg -> raise (Value.value_error msg)
-             | Invalid_argument msg ->
-                 (* Hostile field values (e.g. a lying length that goes
-                    negative) reach substrate primitives; surface them as a
-                    catchable HILTI exception, not a raw OCaml crash. *)
-                 raise (Value.value_error ("prim: " ^ msg))
-           in
-           usetreg frame dst v;
-           frame.pc <- next
-       | Nop -> frame.pc <- next
-       | IConst_u _ | IMov_u _ | UnboxI _ | BoxI _ | IArith_u _ | IArithK_u _
-       | ICmp_u _ | ICmpK_u _ | IBrCmp_u _ | IBrCmpK_u _ | IIncrJ_u _
-       | FConst_u _ | FMov_u _ | UnboxF _ | BoxF _ | FArith_u _ | FCmp_u _
-       | FBrCmp_u _ ->
-           fail "specialized opcode in %s outside specialized dispatch" f.name
-     with Value.Hilti_error e when frame.tries <> [] && e.Value.ename <> "Hilti::HookStop" ->
-       let handler, exc_reg = List.hd frame.tries in
-       frame.tries <- List.tl frame.tries;
-       usetreg frame exc_reg (Value.Exception e);
-       frame.pc <- handler)
-     done
-   with e ->
-     release_frame slot;
-     raise e);
-  release_frame slot;
-  (match obs with
-  | Some ops ->
-      Array.iteri
-        (fun g n -> if n > 0 then Hilti_obs.Metrics.add m_opgroup.(g) n)
-        ops;
-      Hilti_obs.Metrics.observe m_func_instrs (ctx.instr_count - instrs_at_entry)
-  | None -> ());
-  !result
-
-(* The specialized dispatch loop: verified semantics plus the unboxed
-   register banks {!Specialize} attached to every function.  Each
-   activation copies the immutable bank templates, exactly as [regs]
-   copies [reg_defaults] — so under [Hilti_par] banks clone per frame and
-   nothing mutable is shared between domains.  The bank arithmetic is
-   written out inline (not via [int_arith]/[exec_prim]): without flambda a
-   helper call re-boxes its int64/float arguments, which is precisely the
-   allocation this loop exists to remove. *)
-and exec_func_spec ctx (fidx : int) (args : Value.t list) : Value.t =
-  let f = ctx.program.funcs.(fidx) in
-  let sp =
-    match f.spec with
-    | Some s -> s
-    | None -> fail "function %s has no register-bank metadata" f.name
-  in
-  let slot = acquire_frame ctx fidx f in
-  let regs =
-    match slot with Some s -> s.a_regs | None -> Array.copy f.reg_defaults
-  in
-  let frame = { regs; pc = 0; tries = [] } in
-  List.iteri (fun i v -> if i < f.nregs then frame.regs.(i) <- v) args;
-  (* [acquire_frame] already blitted the bank templates over a reused
-     slot's banks, so both paths start from the template state. *)
-  let ibank =
-    match slot with Some s -> s.a_ibank | None -> Bytes.copy sp.ibank_init
-  in
-  let fbank =
-    match slot with Some s -> s.a_fbank | None -> Array.copy sp.fbank_init
-  in
-  let code = f.code in
-  let result = ref Value.Null in
-  let running = ref true in
-  let obs =
-    if Hilti_obs.Metrics.enabled () then Some (Array.make n_opgroups 0) else None
-  in
-  let instrs_at_entry = ctx.instr_count in
-  (try
-     while !running do
-    let i = Array.unsafe_get code frame.pc in
-    ctx.instr_count <- ctx.instr_count + 1;
-    if ctx.instr_count >= ctx.step_kill then raise Step_budget_exceeded;
-    ctx.cycles := !(ctx.cycles) + 1;
-    (match obs with
-    | Some ops ->
-        let g = opgroup_of i in
-        ops.(g) <- ops.(g) + 1
-    | None -> ());
-    let next = frame.pc + 1 in
-    (try
-       match i with
-       | Const (dst, v) ->
-           usetreg frame dst v;
-           frame.pc <- next
-       | Mov (dst, src) ->
-           usetreg frame dst (ureg frame src);
-           frame.pc <- next
-       | LoadGlobal (dst, slot) ->
-           usetreg frame dst (Array.unsafe_get (current_globals ctx) slot);
-           frame.pc <- next
-       | StoreGlobal (slot, src) ->
-           Array.unsafe_set (current_globals ctx) slot (ureg frame src);
-           frame.pc <- next
-       | Jump pc -> frame.pc <- pc
-       | Br (c, t, e) -> frame.pc <- (if Value.as_bool (ureg frame c) then t else e)
-       | Switch (v, default, cases) ->
-           let value = ureg frame v in
-           let rec find k =
-             if k >= Array.length cases then default
-             else
-               let cv, pc = Array.unsafe_get cases k in
-               if Value.equal cv value then pc else find (k + 1)
-           in
-           frame.pc <- find 0
-       | Call (callee, arg_regs, dst) ->
-           let args = Array.to_list (Array.map (ureg frame) arg_regs) in
-           let r = exec_func_spec ctx callee args in
-           usetreg frame dst r;
-           frame.pc <- next
-       | CallC (name, arg_regs, dst) -> (
-           match Hashtbl.find_opt ctx.host_funcs name with
-           | Some fn ->
-               let args = Array.to_list (Array.map (ureg frame) arg_regs) in
-               usetreg frame dst (fn ctx args);
-               frame.pc <- next
-           | None -> fail "unresolved host function %s" name)
-       | Ret r ->
-           result := (if r >= 0 then ureg frame r else Value.Null);
-           running := false
-       | TryPush (handler, exc_reg) ->
-           frame.tries <- (handler, exc_reg) :: frame.tries;
-           frame.pc <- next
-       | TryPop ->
-           (match frame.tries with
-           | _ :: rest -> frame.tries <- rest
-           | [] -> ());
-           frame.pc <- next
-       | Throw r -> (
-           match ureg frame r with
-           | Value.Exception e -> raise (Value.Hilti_error e)
-           | v -> raise (Value.Hilti_error { ename = "Hilti::Exception"; earg = v }))
-       | Yield ->
-           (match Hilti_rt.Fiber.yield () with
-           | () -> ()
-           | exception Effect.Unhandled _ ->
-               raise (Value.would_block ()));
-           frame.pc <- next
-       | HookRun (name, arg_regs) ->
-           let args = Array.to_list (Array.map (ureg frame) arg_regs) in
-           run_hook ctx name args;
-           frame.pc <- next
-       | Schedule (callee, arg_regs, tid_reg) ->
-           let tid = Value.as_int (ureg frame tid_reg) in
-           let args =
-             Array.to_list (Array.map (fun r -> Value.deep_copy (ureg frame r)) arg_regs)
-           in
-           schedule_job ctx tid callee args;
-           frame.pc <- next
-       | Bind (callee, arg_regs, dst) ->
-           let args = Array.to_list (Array.map (ureg frame) arg_regs) in
-           let name = ctx.program.funcs.(callee).name in
-           usetreg frame dst
-             (Value.Callable
-                {
-                  description = name;
-                  invoke = (fun () -> exec_func (exec_context ctx) callee args);
-                });
-           frame.pc <- next
-       | Prim (p, arg_regs, dst) ->
-           let args = Array.map (ureg frame) arg_regs in
-           let v =
-             try exec_prim ctx p args with
-             | Hilti_types.Hbytes.Out_of_range ->
-                 raise (Value.value_error "bytes: out of range")
-             | Hilti_types.Hbytes.Frozen ->
-                 raise (Value.value_error "bytes: frozen")
-             | Hilti_rt.Regexp.Parse_error msg -> raise (Value.value_error msg)
-             | Invalid_argument msg ->
-                 (* Hostile field values (e.g. a lying length that goes
-                    negative) reach substrate primitives; surface them as a
-                    catchable HILTI exception, not a raw OCaml crash. *)
-                 raise (Value.value_error ("prim: " ^ msg))
-           in
-           usetreg frame dst v;
-           frame.pc <- next
-       | Nop -> frame.pc <- next
        (* ---- Int bank ---- *)
        | IConst_u (d, k) ->
            ibank_set ibank (d lsl 3) k;
@@ -1753,12 +1446,12 @@ and exec_func_spec ctx (fidx : int) (args : Value.t list) : Value.t =
        | UnboxI (d, s) ->
            (* Mirrors [Value.as_int] so failure counting matches the
               generic path. *)
-           (match ureg frame s with
+           (match reg frame s with
            | Value.Int k -> ibank_set ibank (d lsl 3) k
            | v -> raise (Value.type_error ("int: " ^ Value.to_string v)));
            frame.pc <- next
        | BoxI (d, s) ->
-           usetreg frame d (Value.Int (ibank_get ibank (s lsl 3)));
+           setreg frame d (Value.Int (ibank_get ibank (s lsl 3)));
            frame.pc <- next
        | IArith_u (op, w, d, a, b) ->
            let x = ibank_get ibank (a lsl 3) and y = ibank_get ibank (b lsl 3) in
@@ -1816,7 +1509,7 @@ and exec_func_spec ctx (fidx : int) (args : Value.t list) : Value.t =
              | C_leq -> x <= y
              | C_geq -> x >= y
            in
-           usetreg frame d (if r then vtrue else vfalse);
+           setreg frame d (if r then vtrue else vfalse);
            frame.pc <- next
        | ICmpK_u (c, d, a, y) ->
            let x = ibank_get ibank (a lsl 3) in
@@ -1828,7 +1521,7 @@ and exec_func_spec ctx (fidx : int) (args : Value.t list) : Value.t =
              | C_leq -> x <= y
              | C_geq -> x >= y
            in
-           usetreg frame d (if r then vtrue else vfalse);
+           setreg frame d (if r then vtrue else vfalse);
            frame.pc <- next
        | IBrCmp_u (c, a, b, t, e) ->
            let x = ibank_get ibank (a lsl 3) and y = ibank_get ibank (b lsl 3) in
@@ -1869,13 +1562,13 @@ and exec_func_spec ctx (fidx : int) (args : Value.t list) : Value.t =
            frame.pc <- next
        | UnboxF (d, s) ->
            (* Mirrors [Value.as_double], including the int coercion. *)
-           (match ureg frame s with
+           (match reg frame s with
            | Value.Double x -> Array.unsafe_set fbank d x
            | Value.Int k -> Array.unsafe_set fbank d (Int64.to_float k)
            | v -> raise (Value.type_error ("double: " ^ Value.to_string v)));
            frame.pc <- next
        | BoxF (d, s) ->
-           usetreg frame d (Value.Double (Array.unsafe_get fbank s));
+           setreg frame d (Value.Double (Array.unsafe_get fbank s));
            frame.pc <- next
        | FArith_u (op, d, a, b) ->
            let x = Array.unsafe_get fbank a and y = Array.unsafe_get fbank b in
@@ -1896,7 +1589,7 @@ and exec_func_spec ctx (fidx : int) (args : Value.t list) : Value.t =
              compare_by c
                (Float.compare (Array.unsafe_get fbank a) (Array.unsafe_get fbank b))
            in
-           usetreg frame d (if r then vtrue else vfalse);
+           setreg frame d (if r then vtrue else vfalse);
            frame.pc <- next
        | FBrCmp_u (c, a, b, t, e) ->
            let r =
@@ -1907,7 +1600,7 @@ and exec_func_spec ctx (fidx : int) (args : Value.t list) : Value.t =
      with Value.Hilti_error e when frame.tries <> [] && e.Value.ename <> "Hilti::HookStop" ->
        let handler, exc_reg = List.hd frame.tries in
        frame.tries <- List.tl frame.tries;
-       usetreg frame exc_reg (Value.Exception e);
+       setreg frame exc_reg (Value.Exception e);
        frame.pc <- handler)
      done
    with e ->
@@ -1921,7 +1614,7 @@ and exec_func_spec ctx (fidx : int) (args : Value.t list) : Value.t =
         ops;
       if ops.(bridge_group) > 0 then
         Hilti_obs.Metrics.add m_regbank_transfers ops.(bridge_group);
-      Hilti_obs.Metrics.observe m_func_instrs (ctx.instr_count - instrs_at_entry)
+      Hilti_obs.Metrics.observe m_func_instrs (!instrs - instrs_at_entry)
   | None -> ());
   !result
 

@@ -1,7 +1,7 @@
 (* The static-analysis layer: the dataflow solver and its stock analyses,
    the lint engine, dead-store elimination, the purity split feeding
-   DCE/DSE, and the bytecode verifier (acceptance, rejection, and the
-   verified fast-path dispatch). *)
+   DCE/DSE, and the bytecode verifier (acceptance, rejection, and
+   verification as the VM's precondition). *)
 
 module Analyses = Hilti_passes.Analyses
 module Dataflow = Hilti_passes.Dataflow
@@ -10,8 +10,8 @@ module Bc = Hilti_vm.Bytecode
 module Value = Hilti_vm.Value
 module Verify = Hilti_vm.Verify
 
-let compile_and_call ?(optimize = true) ?(verify = true) m name args =
-  let api = Hilti_vm.Host_api.compile ~optimize ~verify [ m ] in
+let compile_and_call ?(optimize = true) ?(specialize = true) m name args =
+  let api = Hilti_vm.Host_api.compile ~optimize ~specialize [ m ] in
   Hilti_vm.Host_api.call api name args
 
 (* f(x): a is assigned on both arms of a diamond and returned at the
@@ -420,26 +420,38 @@ let test_verifier_accepts_all_bundled_programs () =
       ("bro:scan",
        [ Mini_bro.Bro_compile.compile (Mini_bro.Bro_parse.parse Mini_bro.Bro_scripts.scan) ]) ]
 
-(* ---- Verified fast-path dispatch ---------------------------------------- *)
+(* ---- Verified dispatch -------------------------------------------------- *)
 
 let test_verified_dispatch_equivalence () =
   let mk () = fst (diamond_module ()) in
   List.iter
     (fun x ->
-      let fast = compile_and_call ~verify:true (mk ()) "D::f" [ Value.Int x ] in
-      let checked = compile_and_call ~verify:false (mk ()) "D::f" [ Value.Int x ] in
+      let spec = compile_and_call (mk ()) "D::f" [ Value.Int x ] in
+      let generic = compile_and_call ~specialize:false (mk ()) "D::f" [ Value.Int x ] in
       Alcotest.(check int64)
-        (Printf.sprintf "f(%Ld) same on both dispatch loops" x)
-        (Value.as_int checked) (Value.as_int fast))
+        (Printf.sprintf "f(%Ld) same on generic and specialized opcodes" x)
+        (Value.as_int generic) (Value.as_int spec))
     [ 0L; 9L; 10L; -4L ];
-  (* compile ~verify:true really selects the fast path... *)
-  let api = Hilti_vm.Host_api.compile [ mk () ] in
+  let api = Hilti_vm.Host_api.compile ~specialize:false [ mk () ] in
   Alcotest.(check bool) "program marked verified" true
-    api.Hilti_vm.Host_api.ctx.Hilti_vm.Vm.program.Bc.verified;
-  (* ...and ~verify:false leaves the checked loop in charge. *)
-  let api = Hilti_vm.Host_api.compile ~verify:false [ mk () ] in
-  Alcotest.(check bool) "unverified program stays on checked loop" false
     api.Hilti_vm.Host_api.ctx.Hilti_vm.Vm.program.Bc.verified
+
+let test_vm_create_requires_verification () =
+  let refused what p =
+    Alcotest.check_raises what
+      (Invalid_argument "Vm.create: program is not verified")
+      (fun () -> ignore (Hilti_vm.Vm.create p))
+  in
+  (* Lowered but never verified. *)
+  let p =
+    Hilti_vm.Lower.lower_module (Hilti_passes.Linker.link [ fst (diamond_module ()) ])
+  in
+  refused "lowered, unverified program" p;
+  ignore (Verify.verify_exn p);
+  Alcotest.(check int64) "runs once verified" 10L
+    (Value.as_int (Hilti_vm.Vm.call (Hilti_vm.Vm.create p) "D::f" [ Value.Int 9L ]));
+  (* Bytecode the verifier rejects can never reach the dispatch loop. *)
+  refused "jump past the end" (mk_prog [ mk_func [ Bc.Jump 99 ] ])
 
 (* ---- Differential property: optimizer + DSE preserve semantics ---------- *)
 
@@ -558,4 +570,6 @@ let suite =
     Alcotest.test_case "verifier: exception-edge join" `Quick test_verifier_exception_edge_join;
     Alcotest.test_case "verifier accepts frontend output" `Quick test_verifier_accepts_all_bundled_programs;
     Alcotest.test_case "verified dispatch equivalence" `Quick test_verified_dispatch_equivalence;
+    Alcotest.test_case "vm requires verified bytecode" `Quick
+      test_vm_create_requires_verification;
     prop_differential_branch_loop ]

@@ -1,7 +1,7 @@
 (* The decision-diagram classifier: hash-cons sharing invariants,
    reduction idempotence, incremental table deltas, and the three-way
    differential (linear reference == FDD == lowered HILTI bytecode under
-   both checked and specialized dispatch). *)
+   both generic and specialized opcodes). *)
 
 open Hilti_types
 module Fdd = Hilti_classifier.Fdd
@@ -132,20 +132,17 @@ let test_fdd_matches_linear =
 
 (* ---- Differential: linear == FDD == lowered bytecode ---------------------- *)
 
-let check_three_way ~checked rules keys =
+let check_three_way ~specialize rules keys =
   let mgr = Fdd.create_mgr () in
   let fdd = Compile.of_rules mgr rules in
-  let _, run =
-    if checked then Lower.load ~verify:false ~specialize:false fdd
-    else Lower.load fdd
-  in
+  let _, run = Lower.load ~specialize fdd in
   List.iter
     (fun k ->
       let expect = Acl.linear_match rules k in
       Alcotest.(check bool) "fdd == linear" expect (Fdd.eval fdd k = 1);
       Alcotest.(check bool)
-        (if checked then "bytecode (checked) == linear"
-         else "bytecode (specialized) == linear")
+        (if specialize then "bytecode (specialized) == linear"
+         else "bytecode (generic) == linear")
         expect
         (run (frame_of_key k)))
     keys
@@ -161,8 +158,8 @@ let test_lowered_differential () =
         (fun k -> if k.Fdd.proto = 1 then { k with Fdd.proto = 17 } else k)
         (QCheck.Gen.generate1 ~rand gen_keys)
     in
-    check_three_way ~checked:true rules keys;
-    check_three_way ~checked:false rules keys
+    check_three_way ~specialize:false rules keys;
+    check_three_way ~specialize:true rules keys
   done
 
 let test_lowered_fail_safe () =

@@ -429,10 +429,20 @@ int<64> f (int<64> x) {
 }
 |}
 
+(* Run [f] with the frame arena's debug poisoning on: every reused frame
+   starts with the sentinel in each register not initialized at entry. *)
+let with_arena_debug f =
+  let saved = !Vm.arena_debug in
+  Vm.arena_debug := true;
+  Fun.protect ~finally:(fun () -> Vm.arena_debug := saved) f
+
 let test_frame_reuse_differential () =
+  (* Reuse runs poisoned: a stale register that reuse exposed would fail
+     its type check or change the result. *)
   let run frame_reuse x =
     let api = compile ~frame_reuse reuse_src in
-    Value.as_int (Hilti_vm.Host_api.call api "W::f" [ Value.Int x ])
+    let call () = Value.as_int (Hilti_vm.Host_api.call api "W::f" [ Value.Int x ]) in
+    if frame_reuse then with_arena_debug call else call ()
   in
   List.iter
     (fun x ->
@@ -502,29 +512,50 @@ let test_frame_reuse_suspend_overlap () =
       Alcotest.(check int64) "run2 result intact across overlap" 16L
         (Value.as_int (Hilti_vm.Host_api.result_exn run2)))
 
-let test_frame_reuse_checked_poison () =
-  (* Debug poison mode: recycled frames are filled with a poison value in
-     every register the verifier did not prove initialized at entry; the
-     checked interpreter faults on any read of one.  A verified program
-     must therefore run clean even with the licence active. *)
-  let api = compile reuse_src in
+let test_frame_reuse_poison_fires () =
+  (* The differential above only means something if poisoning is
+     observable.  Take a constant-pool register — initialized at entry,
+     read by the call below — and pretend the verifier had proven it a
+     temporary ([entry_init] false): a reused frame then hands the
+     poison to the callee, which must fail or compute something else. *)
+  let src =
+    {|module K
+
+int<64> sq (int<64> a) {
+    local int<64> r
+    r = int.mul a a
+    return r
+}
+
+int<64> f (int<64> x) {
+    local int<64> a
+    local int<64> b
+    a = call K::sq (3)
+    b = int.add a x
+    return b
+}
+|}
+  in
+  let api = compile src in
   let p = program api in
-  (* Force the checked dispatch loop while keeping the licence. *)
-  p.Bc.verified <- false;
-  let saved = !Vm.arena_debug in
-  Vm.arena_debug := true;
-  Fun.protect
-    ~finally:(fun () -> Vm.arena_debug := saved)
-    (fun () ->
-      for i = 1 to 3 do
-        let v =
-          Value.as_int
-            (Hilti_vm.Host_api.call api "W::f" [ Value.Int (Int64.of_int i) ])
-        in
-        Alcotest.(check int64)
-          (Printf.sprintf "poison-checked f(%d)" i)
-          (Int64.of_int ((i * i) + (i * i * i * i)))
-          v
+  let f = p.Bc.funcs.(fidx p "K::f") in
+  Alcotest.(check bool) "K::f licensed" true p.Bc.reuse.(fidx p "K::f");
+  let r = ref (-1) in
+  Array.iteri
+    (fun i v -> if i >= f.Bc.nparams && v = Value.Int 3L then r := i)
+    f.Bc.reg_defaults;
+  Alcotest.(check bool) "constant register found" true (!r >= 0);
+  f.Bc.entry_init.(!r) <- false;
+  let run () =
+    match Hilti_vm.Host_api.call api "K::f" [ Value.Int 1L ] with
+    | v -> Ok (Value.as_int v)
+    | exception Value.Hilti_error e -> Error e.Value.ename
+  in
+  Alcotest.(check bool) "clean without poisoning" true (run () = Ok 10L);
+  with_arena_debug (fun () ->
+      for _ = 1 to 2 do
+        Alcotest.(check bool) "poisoned read fails or diverges" true
+          (run () <> Ok 10L)
       done)
 
 (* ---- QCheck: Local verdicts are never observed escaping -------------------- *)
@@ -655,5 +686,5 @@ let suite =
     Alcotest.test_case "frame reuse: differential" `Quick test_frame_reuse_differential;
     Alcotest.test_case "frame reuse: suspend overlap copies" `Quick
       test_frame_reuse_suspend_overlap;
-    Alcotest.test_case "frame reuse: checked poison mode" `Quick test_frame_reuse_checked_poison;
+    Alcotest.test_case "frame reuse: poison detection fires" `Quick test_frame_reuse_poison_fires;
     prop_local_never_escapes ]

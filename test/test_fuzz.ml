@@ -178,7 +178,7 @@ let quick_cfg =
   { Engine.default with Engine.execs = 25; minimize_budget = 16 }
 
 let test_shipped_pairs_clean () =
-  (* Every shipped differential — std-vs-pac and checked-vs-specialized
+  (* Every shipped differential — std-vs-pac and generic-vs-specialized
      dispatch for MQTT, FTP and DNS — must agree on the corpus and on a
      short seeded mutation run. *)
   let report = Engine.run ~pairs:(Oracle.pairs ()) quick_cfg in
@@ -190,7 +190,7 @@ let test_shipped_pairs_clean () =
 
 let test_dispatch_pairs_clean () =
   (* The acceptance-pinned subset: MQTT and FTP under the
-     checked-vs-specialized VM dispatch differential. *)
+     generic-vs-specialized VM dispatch differential. *)
   let pairs =
     List.filter
       (fun p -> Filename.check_suffix p.Oracle.pname "dispatch")

@@ -190,17 +190,55 @@ let test_iosrc_via_vm () =
 
 (* ---- Program image (hilti-build) round trip ---------------------------------------------- *)
 
-let test_program_marshals () =
+let times_six_module () =
   let m = Module_ir.create "T" in
   let b = Builder.func m "T::f" ~params:[ ("x", Htype.Int 64) ] ~result:(Htype.Int 64) in
   let v = Builder.emit b (Htype.Int 64) "int.mul" [ Instr.Local "x"; Builder.const_int 6 ] in
   Builder.return_result b v;
-  let api = Host_api.compile [ m ] in
+  m
+
+let test_program_marshals () =
+  let api = Host_api.compile [ times_six_module () ] in
   let blob = Marshal.to_string api.Host_api.ctx.Vm.program [] in
   let program : Bytecode.program = Marshal.from_string blob 0 in
   let ctx = Vm.create program in
   Alcotest.(check int64) "image executes" 42L
     (Value.as_int (Vm.call ctx "T::f" [ Value.Int 7L ]))
+
+(* An image is input from outside the process.  A hand-edited jump past
+   the end of the code must be refused — by the loader and by
+   [hilti-build -x], which exits 1 with the verifier's errors — instead
+   of reaching the dispatch loop, whose code fetch is unchecked. *)
+let test_tampered_image_rejected () =
+  let program = (Host_api.compile [ times_six_module () ]).Host_api.ctx.Vm.program in
+  let path = Filename.temp_file "hilti-image" ".hbc" in
+  let errors = Filename.temp_file "hilti-image" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path; Sys.remove errors)
+    (fun () ->
+      Image.write path program;
+      Alcotest.(check int64) "clean image loads and runs" 42L
+        (Value.as_int (Vm.call (Vm.create (Image.load path)) "T::f" [ Value.Int 7L ]));
+      let f = program.Bytecode.funcs.(0) in
+      f.Bytecode.code.(0) <- Bytecode.Jump (Array.length f.Bytecode.code + 10);
+      Image.write path program;
+      (match Image.load path with
+      | _ -> Alcotest.fail "tampered image was loaded"
+      | exception Verify.Verify_error errs ->
+          Alcotest.(check bool) "verifier names the bad jump" true
+            (List.exists (fun e -> Astring_contains.contains e "out of range") errs));
+      let exe =
+        List.fold_left Filename.concat
+          (Filename.dirname Sys.executable_name)
+          [ Filename.parent_dir_name; "bin"; "hilti_build.exe" ]
+      in
+      let status =
+        Sys.command (Filename.quote_command exe ~stderr:errors [ "-x"; path; "-e"; "T::f" ])
+      in
+      Alcotest.(check int) "hilti-build -x exits 1" 1 status;
+      let msg = In_channel.with_open_bin errors In_channel.input_all in
+      Alcotest.(check bool) "hilti-build -x reports the verifier error" true
+        (Astring_contains.contains msg "out of range"))
 
 let suite =
   [ Alcotest.test_case "HILTI calls host function" `Quick test_hilti_calls_host;
@@ -210,4 +248,5 @@ let suite =
     Alcotest.test_case "channels across fibers" `Quick test_channel_across_fibers;
     Alcotest.test_case "file output via VM" `Quick test_file_via_vm;
     Alcotest.test_case "iosrc via VM" `Quick test_iosrc_via_vm;
-    Alcotest.test_case "program image marshals" `Quick test_program_marshals ]
+    Alcotest.test_case "program image marshals" `Quick test_program_marshals;
+    Alcotest.test_case "tampered image rejected" `Quick test_tampered_image_rejected ]

@@ -1,13 +1,8 @@
-(** Shared benchmark plumbing: wall-clock measurement, Bechamel micro
+(** Shared benchmark plumbing: monotonic-clock timing, Bechamel micro
     benches, and paper-style table rendering. *)
 
-let monotonic_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
 (** Time one run of [f] in nanoseconds. *)
-let time_ns f =
-  let t0 = monotonic_ns () in
-  let r = f () in
-  (r, Int64.sub (monotonic_ns ()) t0)
+let time_ns = Hilti_obs.Clock.timed
 
 (** Normalize the heap before timing: earlier experiments' garbage must
     not be charged to later ones. *)

@@ -194,9 +194,8 @@ let () =
           (Hilti_fuzz.Oracle.pairs_for ~step_budget:cfg.Hilti_fuzz.Engine.step_budget)
           protos
       in
-      let t0 = Unix.gettimeofday () in
-      let report = Hilti_fuzz.Engine.run ~pairs cfg in
-      let dt = Unix.gettimeofday () -. t0 in
+      let report, ns = Hilti_obs.Clock.timed (fun () -> Hilti_fuzz.Engine.run ~pairs cfg) in
+      let dt = Int64.to_float ns /. 1e9 in
       Printf.printf "%s in %.1f s (%.0f execs/s, seed %d)\n"
         (Hilti_fuzz.Engine.summary report)
         dt

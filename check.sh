@@ -30,6 +30,19 @@ done
 diff -r "$tcp_std" "$tcp_pac"
 rm -rf "$tcp_std" "$tcp_pac"
 
+echo "== profiler smoke via mini-bro: -profile report + profiler samples in the scrape"
+prof=$(mktemp -d)
+dune exec bin/mini_bro_cli.exe -- -g dns:2000 -parsers pac -compile-scripts -timeout 50 \
+  -quiet -profile "$prof/F" -metrics "$prof/P"
+grep -q '^#profiler' "$prof/F"
+grep -q '^analyzer/parse ' "$prof/F"
+grep -q '^analyzer/script ' "$prof/F"
+grep -q '^bro/glue ' "$prof/F"
+# The VM credits its cycle clock, so the parse block has cycles.
+grep '^analyzer/parse ' "$prof/F" | grep -qv 'cycles=0$'
+grep -qF 'profiler_cycles{name="analyzer/parse"}' "$prof/P.prom"
+rm -rf "$prof"
+
 echo "== bench threads (writes BENCH_threads.json)"
 dune exec bench/main.exe -- threads --quick
 # Serial and sharded runs must produce byte-identical event streams.

@@ -35,8 +35,8 @@ type stats = {
   mutable evicted : int;  (** connections torn down by idle timeout *)
 }
 
-let parse_profiler = "analyzer/parse"
-let script_profiler = "analyzer/script"
+let parse_profiler = Hilti_rt.Profiler.create "analyzer/parse"
+let script_profiler = Hilti_rt.Profiler.create "analyzer/script"
 
 let m_events =
   Hilti_obs.Metrics.counter "events_raised"
@@ -816,13 +816,6 @@ type run_result = {
   total_ns : int64;
 }
 
-let timed f =
-  let t0 = Hilti_rt.Profiler.monotonic_ns () in
-  let r = f () in
-  (r, Int64.sub (Hilti_rt.Profiler.monotonic_ns ()) t0)
-
-let profiler_ns name = Hilti_rt.Profiler.wall_ns (Hilti_rt.Profiler.find_or_create name)
-
 (** Run an HTTP, DNS, MQTT or FTP source end-to-end with a given parser
     kind and script engine; returns logs and the component time breakdown.
 
@@ -850,7 +843,7 @@ let evaluate_src
   Bro_engine.set_print_sink engine (fun _ -> ());
   let sink = Events.engine_sink engine in
   let stats, total_ns =
-    timed (fun () ->
+    Hilti_obs.Clock.timed (fun () ->
         match (proto, jobs) with
         | `Http kind, _ -> run_http_src ~kind ~sink ?idle_timeout ?stats_export src
         | `Dns kind, Some j when j > 0 ->
@@ -870,9 +863,9 @@ let evaluate_src
   {
     logger;
     stats;
-    parse_ns = profiler_ns parse_profiler;
-    script_ns = profiler_ns script_profiler;
-    glue_ns = profiler_ns Bro_val.glue_profiler;
+    parse_ns = Hilti_rt.Profiler.wall_ns parse_profiler;
+    script_ns = Hilti_rt.Profiler.wall_ns script_profiler;
+    glue_ns = Hilti_rt.Profiler.wall_ns Bro_val.glue_profiler;
     total_ns;
   }
 

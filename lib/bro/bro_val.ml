@@ -184,7 +184,7 @@ let record_field r name =
 
 (* ---- HILTI conversion: the Bro<->HILTI glue (§5, §6.4) ----------------------------- *)
 
-let glue_profiler = "bro/glue"
+let glue_profiler = Hilti_rt.Profiler.create "bro/glue"
 
 (** Convert a Bro value to its HILTI representation.  Bro strings become
     HILTI bytes (as in the real plugin, where script strings carry raw

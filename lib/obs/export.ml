@@ -143,7 +143,10 @@ let create ~prefix =
 let scrape ?ts_ns t =
   if not t.closed then begin
     let ts_ns =
-      match ts_ns with Some ts -> ts | None -> Trace.monotonic_ns ()
+      (* A point in time, not a duration: wall-clock epoch nanoseconds. *)
+      match ts_ns with
+      | Some ts -> ts
+      | None -> Int64.of_float (Unix.gettimeofday () *. 1e9)
     in
     let samples = Metrics.scrape () in
     output_string t.jsonl (jsonl_line ~ts_ns samples);

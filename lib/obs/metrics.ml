@@ -1,27 +1,29 @@
 (** Domain-safe metrics: counters, gauges, and log-scale histograms (§3.3).
 
-    The paper's runtime treats measurement as part of the abstract machine
-    (profilers with periodic dumps to disk); this module supplies the
-    counters and distributions the profilers lack, instrumenting the whole
-    pipeline — packet I/O, flow state, VM dispatch, the domain pool — with
-    exact (never sampled) values.
+    The paper's runtime treats measurement as part of the abstract machine;
+    this module is its one instrumentation registry.  It holds the ambient
+    counters and distributions that instrument the whole pipeline — packet
+    I/O, flow state, VM dispatch, the domain pool — and the §3.3 profilers,
+    which {!Hilti_rt.Profiler} keeps as [profiler_*] counters here.  All
+    values are exact (never sampled).
 
     {2 Sharding}
 
-    Counters and histograms are sharded per OCaml domain exactly like
-    {!Hilti_rt.Profiler}'s cycle counters: each domain owns a private shard
-    reached through domain-local storage, so a hot-path increment is a
-    deref + store with no synchronisation, and the global value is the sum
-    over all registered shards, taken at scrape time.  Shards of terminated
-    domains stay registered, so nothing is lost.  Gauges are a single
-    [Atomic] cell (they track levels, not flows, and are updated at coarse
-    points such as queue submit/take).
+    Counters and histograms are sharded per OCaml domain: each domain owns
+    a private shard reached through domain-local storage, so a hot-path
+    increment is a deref + store with no synchronisation, and the global
+    value is the sum over all registered shards, taken at scrape time.
+    Shards of terminated domains stay registered, so nothing is lost.
+    Gauges are a single [Atomic] cell (they track levels, not flows, and
+    are updated at coarse points such as queue submit/take).
 
     {2 Enablement}
 
     All recording operations are gated on a global flag, off by default:
     with observability disabled the fast path is one load + branch and
-    never allocates.  Scraping works regardless (it just sees zeros). *)
+    never allocates.  Scraping works regardless (it just sees zeros).
+    Always-on measurement — the profilers and the VM cycle clock — writes
+    through {!shard} instead, which bypasses the flag. *)
 
 (* The global enable flag.  A plain ref read is race-benign: the flag is
    flipped before a run starts, and OCaml guarantees no tearing.  Exposed
@@ -76,10 +78,19 @@ let add c n =
 
 let incr c = add c 1
 
+(** The executing domain's own shard of [c].  Writes through it bypass the
+    enable flag (for explicit, always-on measurement); reading it gives
+    this domain's contribution only. *)
+let shard c = Domain.DLS.get c.c_key
+
 (** Current value: the sum over all domains' shards (exact). *)
 let counter_value c =
   Mutex.protect c.c_lock (fun () ->
       List.fold_left (fun acc r -> acc + !r) 0 !(c.c_shards))
+
+(** Zero the counter on every domain. *)
+let reset_counter c =
+  Mutex.protect c.c_lock (fun () -> List.iter (fun r -> r := 0) !(c.c_shards))
 
 (* ---- Histograms ------------------------------------------------------------------- *)
 
@@ -249,8 +260,7 @@ let histogram ?(help = "") ?label name =
 
 (* ---- Scraping --------------------------------------------------------------------- *)
 
-(** One scraped value.  Collectors (e.g. the profiler bridge) may also
-    produce samples without owning a registered metric. *)
+(** One scraped value. *)
 type value = V_counter of int | V_gauge of float | V_histogram of hsnapshot
 
 type sample = {
@@ -259,12 +269,6 @@ type sample = {
   s_label : (string * string) option;
   s_value : value;
 }
-
-let collectors : (unit -> sample list) list ref = ref []
-
-(** Register a callback contributing extra samples to every scrape
-    (used by {!Hilti_rt.Profiler} to expose its totals). *)
-let register_collector f = collectors := f :: !collectors
 
 let sample_of_metric = function
   | Counter c ->
@@ -289,34 +293,23 @@ let sample_of_metric = function
         s_value = V_histogram (histogram_snapshot h);
       }
 
-(** Scrape every registered metric plus all collector contributions,
-    sorted by (name, label) for deterministic output. *)
+let registered () =
+  Mutex.protect registry_lock (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) registry [])
+
+(** Scrape every registered metric, sorted by (name, label) for
+    deterministic output. *)
 let scrape () =
-  let own =
-    Mutex.protect registry_lock (fun () ->
-        Hashtbl.fold (fun _ m acc -> m :: acc) registry [])
-  in
-  let samples =
-    List.map sample_of_metric own
-    @ List.concat_map (fun f -> f ()) !collectors
-  in
+  let samples = List.map sample_of_metric (registered ()) in
   List.sort
     (fun a b ->
       match compare a.s_name b.s_name with 0 -> compare a.s_label b.s_label | c -> c)
     samples
 
-(** Zero every registered metric (shards included).  Collectors are not
-    touched — reset their owners separately. *)
+(** Zero every registered metric (shards included). *)
 let reset () =
-  let metrics =
-    Mutex.protect registry_lock (fun () ->
-        Hashtbl.fold (fun _ m acc -> m :: acc) registry [])
-  in
   List.iter
     (function
-      | Counter c ->
-          Mutex.protect c.c_lock (fun () ->
-              List.iter (fun r -> r := 0) !(c.c_shards))
+      | Counter c -> reset_counter c
       | Gauge g -> Atomic.set g.g_cell 0
       | Histogram h ->
           Mutex.protect h.h_lock (fun () ->
@@ -326,7 +319,7 @@ let reset () =
                   s.hs_sum <- 0;
                   s.hs_count <- 0)
                 !(h.h_shards)))
-    metrics
+    (registered ())
 
 (** Find a scraped counter value by name (testing convenience). *)
 let find_counter samples name =

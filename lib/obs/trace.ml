@@ -11,7 +11,7 @@ type event = {
   ev_name : string;
   ev_cat : string;
   ev_ph : char;  (* 'X' = complete span, 'i' = instant *)
-  ev_ts : int64;  (* start, ns *)
+  ev_ts : int64;  (* start, ns on {!Clock} *)
   ev_dur : int64;  (* span duration, ns; 0 for instants *)
   ev_dom : int;  (* Domain.self at record time *)
 }
@@ -40,8 +40,6 @@ let ring_key : ring Domain.DLS.key =
       Mutex.protect rings_lock (fun () -> rings := r :: !rings);
       r)
 
-let monotonic_ns () = Int64.of_float (Unix.gettimeofday () *. 1e9)
-
 let push ev =
   let r = Domain.DLS.get ring_key in
   r.buf.(r.head) <- Some ev;
@@ -56,7 +54,7 @@ let instant ?(cat = "rt") name =
         ev_name = name;
         ev_cat = cat;
         ev_ph = 'i';
-        ev_ts = monotonic_ns ();
+        ev_ts = Int64.of_int (Clock.now_ns ());
         ev_dur = 0L;
         ev_dom = (Domain.self () :> int);
       }
@@ -66,15 +64,15 @@ let instant ?(cat = "rt") name =
 let with_span ?(cat = "rt") name f =
   if not !on then f ()
   else begin
-    let t0 = monotonic_ns () in
+    let t0 = Clock.now_ns () in
     Fun.protect f ~finally:(fun () ->
         push
           {
             ev_name = name;
             ev_cat = cat;
             ev_ph = 'X';
-            ev_ts = t0;
-            ev_dur = Int64.sub (monotonic_ns ()) t0;
+            ev_ts = Int64.of_int t0;
+            ev_dur = Int64.of_int (Clock.now_ns () - t0);
             ev_dom = (Domain.self () :> int);
           })
   end

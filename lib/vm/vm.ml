@@ -13,8 +13,10 @@
     - virtual threads: each 64-bit thread id owns its own copy of the
       thread-local globals array and its own timer manager; [thread.schedule]
       deep-copies arguments (state isolation, §3.2);
-    - an abstract cycle counter charged per executed instruction, standing
-      in for PAPI cycle measurements in the evaluation. *)
+    - an abstract cycle count: each context counts the instructions it
+      retires and credits them to the profilers' cycle clock once per
+      activation ({!credit}), standing in for PAPI cycle measurements in
+      the evaluation. *)
 
 open Bytecode
 
@@ -100,8 +102,9 @@ type context = {
   mutable cached_tid : int64;          (* thread whose globals are cached *)
   mutable cached_globals : Value.t array;
   instrs : int ref;
-      (* instructions retired on this context: the step-budget clock, and
-         (registered with the profiler) its abstract cycle counter *)
+      (* instructions retired on this context: the step-budget clock *)
+  mutable charged : int;
+      (* [instrs] already credited to the profilers' shared cycle clock *)
   mutable step_kill : int;             (* raise once [instrs] reaches this; max_int = off *)
   mutable clone_instrs : int;
       (* root only: instructions the parallel engine collected from the
@@ -128,7 +131,8 @@ let create (program : Bytecode.program) =
     current_thread = main_thread_id;
     cached_tid = Int64.min_int;
     cached_globals = [||];
-    instrs = Hilti_rt.Profiler.new_counter ();
+    instrs = ref 0;
+    charged = 0;
     step_kill = max_int;
     clone_instrs = 0;
     debug_sink = (fun s -> print_endline s);
@@ -141,6 +145,18 @@ let register_host ctx name fn = Hashtbl.replace ctx.host_funcs name fn
 (** Instructions retired, including those run on the parallel engine's
     per-domain clones. *)
 let instr_count ctx = Int64.of_int (!(ctx.instrs) + ctx.clone_instrs)
+
+(** Credit the instructions retired since the last credit to the cycle
+    clock ({!Hilti_rt.Profiler.cycle_clock}): one add per activation, made
+    wherever control can reach a profiler boundary — activation exit, a
+    host call, a suspension, a [profiler.*] instruction. *)
+let credit ctx =
+  let n = !(ctx.instrs) in
+  if n <> ctx.charged then begin
+    let r = Hilti_obs.Metrics.shard Hilti_rt.Profiler.cycle_clock in
+    r := !r + (n - ctx.charged);
+    ctx.charged <- n
+  end
 
 (* ---- Per-domain execution contexts (the parallel engine) --------------------- *)
 
@@ -160,7 +176,8 @@ let clone_for_domain ctx =
     current_thread = main_thread_id;
     cached_tid = Int64.min_int;
     cached_globals = [||];
-    instrs = Hilti_rt.Profiler.new_counter ();
+    instrs = ref 0;
+    charged = 0;
     step_kill = max_int;
     clone_instrs = 0;
     arena = [||];
@@ -212,17 +229,22 @@ let current_timer_mgr ctx =
 
 (* ---- Blocking operations ---------------------------------------------------- *)
 
-(** Run [f], suspending the enclosing fiber while it signals that more
-    input is needed.  Outside a fiber the suspension cannot happen, so the
-    condition surfaces as Hilti::WouldBlock. *)
-let blocking f =
+(** Suspend the enclosing fiber.  Outside a fiber the suspension cannot
+    happen, so it surfaces as Hilti::WouldBlock. *)
+let suspend ctx =
+  credit ctx;
+  match Hilti_rt.Fiber.yield () with
+  | () -> ()
+  | exception Effect.Unhandled _ -> raise (Value.would_block ())
+
+(** Run [f], suspending while it signals that more input is needed. *)
+let blocking ctx f =
   let rec go () =
     match f () with
     | v -> v
-    | exception Hilti_types.Hbytes.Would_block -> (
-        match Hilti_rt.Fiber.yield () with
-        | () -> go ()
-        | exception Effect.Unhandled _ -> raise (Value.would_block ()))
+    | exception Hilti_types.Hbytes.Would_block ->
+        suspend ctx;
+        go ()
   in
   go ()
 
@@ -467,8 +489,8 @@ let rec exec_prim ctx (p : prim) (args : Value.t array) : Value.t =
   | P_double_abs -> Value.Double (Float.abs (Value.as_double (a 0)))
   | P_double_to_int -> Value.Int (Int64.of_float (Value.as_double (a 0)))
   | P_string op -> exec_string op args
-  | P_bytes op -> exec_bytes op args
-  | P_iter op -> exec_iter op args
+  | P_bytes op -> exec_bytes ctx op args
+  | P_iter op -> exec_iter ctx op args
   | P_addr op -> exec_addr op args
   | P_port op -> exec_port op args
   | P_net op -> exec_net op args
@@ -510,9 +532,9 @@ let rec exec_prim ctx (p : prim) (args : Value.t array) : Value.t =
   | P_vector op -> exec_vector op args
   | P_set op -> exec_set ctx op args
   | P_map op -> exec_map ctx op args
-  | P_channel op -> exec_channel op args
+  | P_channel op -> exec_channel ctx op args
   | P_classifier op -> exec_classifier op args
-  | P_regexp op -> exec_regexp op args
+  | P_regexp op -> exec_regexp ctx op args
   | P_overlay_get spec -> exec_overlay ctx spec args
   | P_timer_new ->
       let c = Value.as_callable (a 0) in
@@ -558,7 +580,9 @@ let rec exec_prim ctx (p : prim) (args : Value.t array) : Value.t =
       | None -> raise (Value.exhausted ()))
   | P_iosrc_close -> Value.Null
   | P_profiler op ->
-      let p = Hilti_rt.Profiler.find_or_create (Value.as_string (a 0)) in
+      (* The one profiler resolved by name: the name is a runtime value. *)
+      let p = Hilti_rt.Profiler.create (Value.as_string (a 0)) in
+      credit ctx;
       (match op with
       | PR_start -> Hilti_rt.Profiler.start p
       | PR_stop -> Hilti_rt.Profiler.stop p
@@ -652,7 +676,7 @@ and exec_string op args =
       let fmt = s 0 in
       Value.String (format_string fmt (List.tl (Array.to_list args)))
 
-and exec_bytes op args =
+and exec_bytes ctx op args =
   let a n = args.(n) in
   let open Hilti_types in
   match op with
@@ -715,14 +739,14 @@ and exec_bytes op args =
         | Value.String s -> s
         | v -> raise (Value.type_error ("bytes.match_prefix: " ^ Value.to_string v))
       in
-      Value.Bool (blocking (fun () -> Hbytes.match_prefix it s))
+      Value.Bool (blocking ctx (fun () -> Hbytes.match_prefix it s))
   | B_can_read ->
       let it = Value.as_bytes_iter (a 0) in
       Value.Bool (Hbytes.available it >= Value.as_int_i (a 1))
   | B_read ->
       let it = Value.as_bytes_iter (a 0) and n = Value.as_int_i (a 1) in
       if n < 0 then raise (Value.value_error "bytes.read: negative length");
-      let data, it' = blocking (fun () -> Hbytes.read it n) in
+      let data, it' = blocking ctx (fun () -> Hbytes.read it n) in
       let b = Hbytes.of_string data in
       Hbytes.freeze b;
       Value.Tuple [| Value.Bytes b; Value.Iter (Value.Ibytes it') |]
@@ -774,7 +798,7 @@ and exec_bytes op args =
       let width = Value.as_int_i (a 1) in
       let order = if Value.as_bool (a 2) then Hbytes.Big else Hbytes.Little in
       let read = if op = B_unpack_uint then Hbytes.read_uint else Hbytes.read_sint in
-      let v, it' = blocking (fun () -> read it ~width ~order) in
+      let v, it' = blocking ctx (fun () -> read it ~width ~order) in
       Value.Tuple [| Value.Int v; Value.Iter (Value.Ibytes it') |]
   | B_upper ->
       let b = Hbytes.of_string (String.uppercase_ascii (Hbytes.to_string (Value.as_bytes (a 0)))) in
@@ -785,7 +809,7 @@ and exec_bytes op args =
       Hbytes.freeze b;
       Value.Bytes b
 
-and exec_iter op args =
+and exec_iter ctx op args =
   let a n = args.(n) in
   let open Hilti_types in
   match op with
@@ -833,7 +857,7 @@ and exec_iter op args =
       | Value.Ivector (v, i) -> Value.Iter (Value.Ivector (v, i + n)))
   | I_deref -> (
       match Value.as_iter (a 0) with
-      | Value.Ibytes it -> Value.Int (Int64.of_int (blocking (fun () -> Hbytes.get it)))
+      | Value.Ibytes it -> Value.Int (Int64.of_int (blocking ctx (fun () -> Hbytes.get it)))
       | Value.Isnapshot l -> (
           match !l with [] -> raise (Value.index_error ()) | x :: _ -> x)
       | Value.Ivector (v, i) -> (
@@ -1051,17 +1075,17 @@ and exec_map ctx op args =
       Hilti_rt.Exp_map.set_timeout m (expire_strategy_of args 1) (current_timer_mgr ctx);
       Value.Null
 
-and exec_channel op args =
+and exec_channel ctx op args =
   let a n = args.(n) in
   let c = Value.as_channel (a 0) in
   match op with
   | CH_write ->
-      blocking (fun () ->
+      blocking ctx (fun () ->
           if not (Hilti_rt.Channel.try_write c (Value.deep_copy (a 1))) then
             raise Hilti_types.Hbytes.Would_block);
       Value.Null
   | CH_read ->
-      blocking (fun () ->
+      blocking ctx (fun () ->
           match Hilti_rt.Channel.try_read c with
           | Some v -> v
           | None -> raise Hilti_types.Hbytes.Would_block)
@@ -1135,7 +1159,7 @@ and exec_classifier op args =
       | Some _ -> Value.Bool true
       | None -> Value.Bool false)
 
-and exec_regexp op args =
+and exec_regexp ctx op args =
   let a n = args.(n) in
   let open Hilti_types in
   match op with
@@ -1177,7 +1201,7 @@ and exec_regexp op args =
   | RE_match_token ->
       let re = Value.as_regexp (a 0) in
       let it = Value.as_bytes_iter (a 1) in
-      exec_match_token re it
+      exec_match_token ctx re it
   | RE_span -> (
       let re = Value.as_regexp (a 0) in
       let b = Value.as_bytes (a 1) in
@@ -1196,7 +1220,7 @@ and it_bytes (it : Hilti_types.Hbytes.iter) = it.Hilti_types.Hbytes.bytes
 
 (* Incremental anchored token match: longest match semantics, suspending
    the fiber while the outcome is undecidable. *)
-and exec_match_token re (start : Hilti_types.Hbytes.iter) : Value.t =
+and exec_match_token ctx re (start : Hilti_types.Hbytes.iter) : Value.t =
   let open Hilti_types in
   let m = Hilti_rt.Regexp.matcher re in
   let b = it_bytes start in
@@ -1218,15 +1242,12 @@ and exec_match_token re (start : Hilti_types.Hbytes.iter) : Value.t =
     | Hilti_rt.Regexp.No_match ->
         Value.Tuple [| Value.Int (-1L); Value.Iter (Value.Ibytes start) |]
     | Hilti_rt.Regexp.Need_more ->
-        (match Hilti_rt.Fiber.yield () with
-        | () -> ()
-        | exception Effect.Unhandled _ -> raise (Value.would_block ()));
+        suspend ctx;
         loop2 ()
   in
   loop2 ()
 
 and exec_overlay ctx spec args =
-  ignore ctx;
   let open Hilti_types in
   let it =
     match args.(0) with
@@ -1237,17 +1258,17 @@ and exec_overlay ctx spec args =
   let fit = Hbytes.advance it spec.ov_offset in
   match spec.ov_fmt with
   | Module_ir.U_bytes n ->
-      let data, _ = blocking (fun () -> Hbytes.read fit n) in
+      let data, _ = blocking ctx (fun () -> Hbytes.read fit n) in
       let b = Hbytes.of_string data in
       Hbytes.freeze b;
       Value.Bytes b
   | Module_ir.U_ipv4 ->
-      let v, _ = blocking (fun () -> Hbytes.read_uint fit ~width:4 ~order:Hbytes.Big) in
+      let v, _ = blocking ctx (fun () -> Hbytes.read_uint fit ~width:4 ~order:Hbytes.Big) in
       Value.Addr (Addr.of_ipv4_int32 (Int64.to_int32 v))
   | Module_ir.U_uint (w, order) | Module_ir.U_sint (w, order) ->
       let signed = match spec.ov_fmt with Module_ir.U_sint _ -> true | _ -> false in
       let read = if signed then Hbytes.read_sint else Hbytes.read_uint in
-      let v, _ = blocking (fun () -> read fit ~width:w ~order) in
+      let v, _ = blocking ctx (fun () -> read fit ~width:w ~order) in
       let v =
         match spec.ov_bits with
         | Some (lo, hi) ->
@@ -1373,6 +1394,7 @@ and exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
            match Hashtbl.find_opt ctx.host_funcs name with
            | Some fn ->
                let args = Array.to_list (Array.map (reg frame) arg_regs) in
+               credit ctx;
                setreg frame dst (fn ctx args);
                frame.pc <- next
            | None -> fail "unresolved host function %s" name)
@@ -1392,10 +1414,7 @@ and exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
            | Value.Exception e -> raise (Value.Hilti_error e)
            | v -> raise (Value.Hilti_error { ename = "Hilti::Exception"; earg = v }))
        | Yield ->
-           (match Hilti_rt.Fiber.yield () with
-           | () -> ()
-           | exception Effect.Unhandled _ ->
-               raise (Value.would_block ()));
+           suspend ctx;
            frame.pc <- next
        | HookRun (name, arg_regs) ->
            let args = Array.to_list (Array.map (reg frame) arg_regs) in
@@ -1605,8 +1624,10 @@ and exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
      done
    with e ->
      release_frame slot;
+     credit ctx;
      raise e);
   release_frame slot;
+  credit ctx;
   (match obs with
   | Some ops ->
       Array.iteri

@@ -327,22 +327,182 @@ let test_atomic_write () =
   Alcotest.(check (list string)) "no temp files left" [] droppings;
   Sys.remove path
 
-(* ---- Profiler snapshot cap --------------------------------------------------------- *)
+(* ---- Profilers in the one registry ------------------------------------------------ *)
+
+module Profiler = Hilti_rt.Profiler
+module Driver = Hilti_analyzers.Driver
+
+(* (calls, cycles) of the parse, script and glue profilers after a
+   BinPAC++-parser, compiled-script run: mini-bro's
+   [-parsers pac -compile-scripts -quiet -timeout MS]. *)
+let pac_attribution ?jobs ~timeout_ms ~proto src =
+  ignore
+    (Driver.evaluate_src ~proto ~engine_mode:Mini_bro.Bro_engine.Compiled
+       ~scripts:(Lazy.force scripts) ~logging:false ?jobs
+       ~idle_timeout:(Interval_ns.of_msecs timeout_ms) src);
+  List.map
+    (fun p -> (Profiler.invocations p, Profiler.cycles p))
+    [ Driver.parse_profiler; Driver.script_profiler; Mini_bro.Bro_val.glue_profiler ]
+
+let attribution = Alcotest.(list (pair int int64))
+
+(* Pinned values: mini-bro's [-profile] report on the same traces.  Any
+   drift means the VM's cycle credits or the profiler bookkeeping moved
+   instructions between blocks. *)
+let test_profiler_attribution_dns () =
+  let src () =
+    Hilti_traces.Dns_gen.iosrc { Hilti_traces.Dns_gen.default with transactions = 6000 }
+  in
+  let run ?jobs () =
+    pac_attribution ?jobs ~timeout_ms:50
+      ~proto:(`Dns (Driver.Dns_pac (Hilti_analyzers.Dns_pac.load ())))
+      (src ())
+  in
+  let serial = run () in
+  Alcotest.check attribution "dns:6000 parse/script/glue"
+    [ (47, 4907409L); (47, 455576L); (71697, 0L) ]
+    serial;
+  (* With 4 shards the glue runs on the worker domains; sharded profiler
+     counters make the call count exact. *)
+  let glue_calls r = fst (List.nth r 2) in
+  Alcotest.(check int)
+    "jobs=4: bro/glue calls == serial" (glue_calls serial)
+    (glue_calls (run ~jobs:4 ()))
+
+let test_profiler_attribution_tcp () =
+  let check name proto src expected =
+    Alcotest.check attribution name expected (pac_attribution ~timeout_ms:5 ~proto src)
+  in
+  check "http:60"
+    (`Http (Driver.Http_pac (Hilti_analyzers.Http_pac.load ())))
+    (Hilti_traces.Http_gen.iosrc { Hilti_traces.Http_gen.default with sessions = 60 })
+    [ (598, 139618L); (420, 15951L); (2206, 0L) ];
+  check "mqtt:60"
+    (`Mqtt (Driver.Mqtt_pac (Hilti_analyzers.Mqtt_pac.load ())))
+    (Hilti_traces.Mqtt_gen.iosrc { Hilti_traces.Mqtt_gen.default with sessions = 60 })
+    [ (712, 106836L); (531, 14952L); (1907, 0L) ];
+  check "ftp:60"
+    (`Ftp (Driver.Ftp_pac (Hilti_analyzers.Ftp_pac.load ())))
+    (Hilti_traces.Ftp_gen.iosrc { Hilti_traces.Ftp_gen.default with sessions = 60 })
+    [ (1023, 58905L); (1214, 36045L); (4047, 0L) ]
+
+(* A block opened and closed mid-activation is charged exactly the
+   instructions retired inside it: the VM credits the cycle clock before a
+   [profiler.*] instruction and before a host call, not only at exit. *)
+let test_profiler_cycles_mid_activation () =
+  let src =
+    {|
+module Main
+
+declare void Host::start ()
+declare void Host::stop ()
+
+int<64> run () {
+    local int<64> i
+    local bool more
+    i = assign 0
+warm:
+    more = int.lt i 500
+    if.else more warm_body measured
+warm_body:
+    i = int.add i 1
+    jump warm
+measured:
+    profiler.start "test_obs/vm_op"
+    call Host::start ()
+    i = assign 0
+inner:
+    more = int.lt i 5
+    if.else more inner_body done
+inner_body:
+    i = int.add i 1
+    jump inner
+done:
+    call Host::stop ()
+    profiler.stop "test_obs/vm_op"
+    return i
+}
+|}
+  in
+  let host = Profiler.create "test_obs/host" and op = Profiler.create "test_obs/vm_op" in
+  Profiler.reset_all ();
+  let api = Hilti_vm.Host_api.compile [ Hilti_lang.Parser.parse_module src ] in
+  Hilti_vm.Host_api.register api "Host::start" (fun _ ->
+      Profiler.start host;
+      Hilti_vm.Value.Null);
+  Hilti_vm.Host_api.register api "Host::stop" (fun _ ->
+      Profiler.stop host;
+      Hilti_vm.Value.Null);
+  ignore (Hilti_vm.Host_api.call api "Main::run" []);
+  let retired = Hilti_vm.Host_api.cycles api in
+  let cycles p = Profiler.cycles p in
+  Alcotest.(check bool) "warm-up loop retired > 1000" true (retired > 1000L);
+  Alcotest.(check bool)
+    (Printf.sprintf "host-call block charged its inner loop only (%Ld)" (cycles host))
+    true
+    (cycles host > 0L && cycles host < 100L);
+  Alcotest.(check bool)
+    (Printf.sprintf "profiler.* block charged its inner loop only (%Ld)" (cycles op))
+    true
+    (cycles op > cycles host && cycles op < 100L)
+
+let test_profiler_exact_under_domains () =
+  let p = Profiler.create "test_obs/domains" in
+  Profiler.reset_all ();
+  let per_domain = 10_000 in
+  List.init 4 (fun _ ->
+      Domain.spawn (fun () ->
+          for _ = 1 to per_domain do
+            Profiler.time p ignore
+          done))
+  |> List.iter Domain.join;
+  Alcotest.(check int) "4 domains x time calls" (4 * per_domain) (Profiler.invocations p)
+
+let test_profiler_scraped_when_disabled () =
+  Metrics.with_enabled false (fun () ->
+      let p = Profiler.create "test_obs/scraped" in
+      Profiler.reset_all ();
+      Profiler.time p ignore;
+      Profiler.time p ignore;
+      let samples = Metrics.scrape () in
+      let value name =
+        List.find_map
+          (fun (s : Metrics.sample) ->
+            match s.s_value with
+            | Metrics.V_counter v
+              when s.s_name = name && s.s_label = Some ("name", "test_obs/scraped") ->
+                Some v
+            | _ -> None)
+          samples
+      in
+      Alcotest.(check (option int)) "profiler_calls" (Some 2) (value "profiler_calls");
+      Alcotest.(check bool)
+        "profiler_wall_ns" true
+        (Option.is_some (value "profiler_wall_ns"));
+      Alcotest.(check (option int)) "profiler_cycles" (Some 0) (value "profiler_cycles");
+      Alcotest.(check bool)
+        "prometheus sample line" true
+        (Astring_contains.contains (Export.prometheus_text samples)
+           {|profiler_calls{name="test_obs/scraped"} 2|}))
 
 let test_profiler_snapshot_cap () =
-  let p = Hilti_rt.Profiler.find_or_create "test_obs/snap_cap" in
-  for i = 1 to 300 do
-    p.Hilti_rt.Profiler.wall_ns <- Int64.of_int i;
-    Hilti_rt.Profiler.snapshot p
-  done;
-  let snaps = Hilti_rt.Profiler.snapshots p in
+  let p = Profiler.create "test_obs/snap_cap" in
+  Profiler.reset_all ();
+  (* Wall totals after each of 300 snapshots, in order. *)
+  let walls =
+    List.init 300 (fun _ ->
+        Profiler.time p ignore;
+        Profiler.snapshot p;
+        Profiler.wall_ns p)
+  in
+  let snaps = Profiler.snapshots p in
   Alcotest.(check int)
-    "capped at max_snapshots" Hilti_rt.Profiler.max_snapshots (List.length snaps);
+    "capped at max_snapshots" Profiler.max_snapshots (List.length snaps);
   (* The newest survive: the retained window is [45..300], oldest first. *)
-  Alcotest.(check int64) "oldest retained" 45L (fst (List.hd snaps));
-  Alcotest.(check int64)
-    "newest retained" 300L
-    (fst (List.nth snaps (List.length snaps - 1)))
+  Alcotest.(check (list int64))
+    "newest retained, oldest first"
+    (List.filteri (fun i _ -> i >= 300 - Profiler.max_snapshots) walls)
+    (List.map fst snaps)
 
 let suite =
   [
@@ -363,6 +523,16 @@ let suite =
     Alcotest.test_case "trace ring bounded" `Quick test_trace_ring_bounded;
     Alcotest.test_case "export jsonl + prometheus" `Quick test_export_files;
     Alcotest.test_case "atomic file write" `Quick test_atomic_write;
+    Alcotest.test_case "profiler attribution pinned: dns, serial and jobs=4" `Quick
+      test_profiler_attribution_dns;
+    Alcotest.test_case "profiler attribution pinned: http/mqtt/ftp" `Quick
+      test_profiler_attribution_tcp;
+    Alcotest.test_case "profiler cycles exact mid-activation" `Quick
+      test_profiler_cycles_mid_activation;
+    Alcotest.test_case "profiler calls exact under domains" `Quick
+      test_profiler_exact_under_domains;
+    Alcotest.test_case "profiler samples scraped with metrics disabled" `Quick
+      test_profiler_scraped_when_disabled;
     Alcotest.test_case "profiler snapshot history capped" `Quick
       test_profiler_snapshot_cap;
   ]

@@ -416,16 +416,19 @@ let test_profiler_exclusive () =
       ()
     done
   in
+  let naive_outer = Profiler.create "naive_outer"
+  and outer = Profiler.create "outer"
+  and inner = Profiler.create "inner" in
   (* Control: plain nesting makes the outer window include the inner. *)
-  Profiler.time "naive_outer" (fun () ->
+  Profiler.time naive_outer (fun () ->
       busy 3.;
-      Profiler.time "naive_inner" (fun () -> busy 5.));
+      Profiler.time (Profiler.create "naive_inner") (fun () -> busy 5.));
   (* Exclusive: the inner window is carved out of the outer. *)
-  Profiler.time "outer" (fun () ->
+  Profiler.time outer (fun () ->
       busy 3.;
-      Profiler.time_exclusive "inner" (fun () -> busy 5.));
-  let ms name = Int64.to_float (Profiler.wall_ns (Profiler.find_or_create name)) /. 1e6 in
-  let naive = ms "naive_outer" and outer = ms "outer" and inner = ms "inner" in
+      Profiler.time_exclusive inner (fun () -> busy 5.));
+  let ms p = Int64.to_float (Profiler.wall_ns p) /. 1e6 in
+  let naive = ms naive_outer and outer = ms outer and inner = ms inner in
   Alcotest.(check bool)
     (Printf.sprintf "exclusive outer (%.1fms) < nested outer (%.1fms), inner=%.1fms"
        outer naive inner)

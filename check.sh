@@ -30,6 +30,10 @@ done
 diff -r "$tcp_std" "$tcp_pac"
 rm -rf "$tcp_std" "$tcp_pac"
 
+echo "== SHA-1 kernel (test bro) and streamed HTTP body hashing (test analyzers)"
+dune exec test/test_main.exe -- test bro
+dune exec test/test_main.exe -- test analyzers
+
 echo "== profiler smoke via mini-bro: -profile report + profiler samples in the scrape"
 prof=$(mktemp -d)
 dune exec bin/mini_bro_cli.exe -- -g dns:2000 -parsers pac -compile-scripts -timeout 50 \

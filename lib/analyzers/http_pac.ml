@@ -37,16 +37,21 @@ let find_header headers name =
       else None)
     headers
 
-let body_of st =
-  (* body | chunks | body_close, whichever the grammar filled in *)
+(* Hash the reply body — body | chunks | body_close, whichever the grammar
+   filled in — straight from the unit's bytes objects into [ctx]. *)
+let hash_body ctx st =
+  let feed = function
+    | Some (V.Bytes b) ->
+        Hilti_types.Hbytes.(view_read (view b)) Mini_bro.Sha1.feed_bytes ctx
+    | _ -> ()
+  in
   match sfield st "body" with
-  | Some (V.Bytes b) -> Hilti_types.Hbytes.to_string b
+  | Some (V.Bytes _) as b -> feed b
   | _ -> (
       match sfield st "chunks" with
       | Some (V.List d) ->
-          String.concat ""
-            (List.map (fun c -> sbytes c "data") (Hilti_vm.Deque.to_list d))
-      | _ -> sbytes st "body_close")
+          Hilti_vm.Deque.iter (fun c -> feed (sfield c "data")) d
+      | _ -> feed (sfield st "body_close"))
 
 let request_of_unit st : Events.http_request =
   let rl = Option.get (sfield st "request") in
@@ -60,10 +65,10 @@ let request_of_unit st : Events.http_request =
     host = Option.value ~default:"" (find_header (slist st "headers") "host");
   }
 
-(* Field extraction is conversion glue; body reassembly and hashing are
-   analysis work (the standard parser does the same in its parse path), so
-   the caller computes them outside the glue window. *)
-let reply_of_unit ~body ~sha st : Events.http_reply =
+(* Field extraction is conversion glue; body hashing is analysis work (the
+   standard parser does it in its parse path), so the caller runs it
+   outside the glue window. *)
+let reply_of_unit ~body_len ~sha st : Events.http_reply =
   let rl = Option.get (sfield st "reply") in
   let version =
     match sfield rl "version" with Some v -> sbytes v "number" | None -> ""
@@ -75,7 +80,7 @@ let reply_of_unit ~body ~sha st : Events.http_reply =
     reason = sbytes rl "reason";
     mime =
       Option.value ~default:"-" (find_header (slist st "headers") "content-type");
-    body_len = String.length body;
+    body_len;
     body_sha1 = sha;
   }
 
@@ -144,9 +149,11 @@ let load ?(optimize = true) () : t =
     (fun args ->
       (match (args, !t_ref) with
       | [ st ], Some t ->
-          let body = body_of st in
-          let sha = if body = "" then "" else Mini_bro.Sha1.digest body in
-          let r = glue (fun () -> reply_of_unit ~body ~sha st) in
+          let ctx = Mini_bro.Sha1.init () in
+          hash_body ctx st;
+          let body_len = Mini_bro.Sha1.length ctx in
+          let sha = if body_len = 0 then "" else Mini_bro.Sha1.finish ctx in
+          let r = glue (fun () -> reply_of_unit ~body_len ~sha st) in
           Events.raise_http_reply t.sink t.current_conn r
       | _ -> ());
       V.Null);

@@ -36,8 +36,9 @@ type t = {
   mutable phase : phase;
   (* current-message scratch *)
   mutable line1 : string list; (** split start line *)
-  mutable headers : headers;
-  mutable body : Buffer.t;
+  mutable headers : headers;   (** newest first; see {!header} *)
+  mutable hashing : bool;      (** feed body bytes to [body_hash]? *)
+  body_hash : Mini_bro.Sha1.ctx; (** running hash and length of the body *)
   mutable messages : int;
 }
 
@@ -51,22 +52,29 @@ let create ~is_request ~on_request ~on_reply =
     phase = Start_line;
     line1 = [];
     headers = [];
-    body = Buffer.create 256;
+    hashing = false;
+    body_hash = Mini_bro.Sha1.init ();
     messages = 0;
   }
 
 (** Stream bytes currently held — stays bounded by one in-flight message
-    because consumed input is trimmed after every drain. *)
+    because consumed input is trimmed after every drain, and body bytes are
+    hashed as they arrive rather than kept. *)
 let retained t = Hilti_types.Hbytes.length t.buf
 
+(* Headers are accumulated newest first (linear in the header count);
+   the first occurrence on the wire wins, so the last match here does. *)
 let header t name =
   let name = String.lowercase_ascii name in
-  List.assoc_opt name t.headers
+  List.fold_left
+    (fun found (n, v) -> if n = name then Some v else found)
+    None t.headers
 
 let reset_message t =
   t.line1 <- [];
   t.headers <- [];
-  t.body <- Buffer.create 256;
+  t.hashing <- false;
+  Mini_bro.Sha1.reset t.body_hash;
   t.phase <- Start_line
 
 let cursor t = Hilti_types.Hbytes.iter_at t.buf t.pos
@@ -90,25 +98,25 @@ let take_line t =
       t.pos <- Hilti_types.Hbytes.offset nl + 1;
       Some line
 
-(* Copy [n] buffered bytes straight into [buf] (no intermediate string);
-   false if not enough data yet. *)
-let take_into t n buf =
+(* Consume the body bytes in [it, stop), hashing them in place. *)
+let take_body t it stop =
+  if t.hashing then
+    Hilti_types.Hbytes.view_read
+      (Hilti_types.Hbytes.sub_view it stop)
+      Mini_bro.Sha1.feed_bytes t.body_hash;
+  t.pos <- Hilti_types.Hbytes.offset stop
+
+(* Consume [n] buffered body bytes; false if not enough data yet. *)
+let take_into t n =
   let it = cursor t in
   if Hilti_types.Hbytes.available it < n then false
   else begin
-    let v = Hilti_types.Hbytes.sub_view it (Hilti_types.Hbytes.advance it n) in
-    Hilti_types.Hbytes.view_add_to_buffer v 0 n buf;
-    t.pos <- t.pos + n;
+    take_body t it (Hilti_types.Hbytes.advance it n);
     true
   end
 
-(* Move everything still buffered into the body accumulator (Until_close). *)
-let take_all_into t buf =
-  let it = cursor t in
-  let v = Hilti_types.Hbytes.sub_view it (Hilti_types.Hbytes.end_ t.buf) in
-  Hilti_types.Hbytes.view_add_to_buffer v 0
-    (Hilti_types.Hbytes.view_length v) buf;
-  t.pos <- Hilti_types.Hbytes.end_offset t.buf
+(* Consume everything still buffered as body (Until_close). *)
+let take_all_into t = take_body t (cursor t) (Hilti_types.Hbytes.end_ t.buf)
 
 let split_ws s =
   String.split_on_char ' ' s |> List.filter (fun x -> x <> "")
@@ -138,7 +146,6 @@ let finish_reply t =
   (match t.line1 with
   | version :: code :: rest ->
       let code = int_of_string_opt code |> Option.value ~default:0 in
-      let body = Buffer.contents t.body in
       let reply =
         if code = 206 then
           (* The standard parser skips body metadata on Partial Content. *)
@@ -156,8 +163,10 @@ let finish_reply t =
             code;
             reason = String.concat " " rest;
             mime = Option.value ~default:"-" (header t "content-type");
-            body_len = String.length body;
-            body_sha1 = (if body = "" then "" else Mini_bro.Sha1.digest body);
+            body_len = Mini_bro.Sha1.length t.body_hash;
+            body_sha1 =
+              (if Mini_bro.Sha1.length t.body_hash = 0 then ""
+               else Mini_bro.Sha1.finish t.body_hash);
           }
       in
       t.on_reply reply
@@ -205,6 +214,13 @@ let rec step t : bool =
           in
           if plausible then begin
             t.line1 <- parts;
+            (* Only reply bodies are hashed, and not those of 206 replies,
+               whose metadata this parser drops (see [finish_reply]). *)
+            t.hashing <-
+              (match parts with
+              | _ :: code :: _ when not t.is_request ->
+                  int_of_string_opt code <> Some 206
+              | _ -> false);
             t.phase <- In_headers;
             true
           end
@@ -226,7 +242,7 @@ let rec step t : bool =
           | Some i ->
               let name = String.lowercase_ascii (String.sub line 0 i) in
               let value = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-              t.headers <- t.headers @ [ (name, value) ];
+              t.headers <- (name, value) :: t.headers;
               true
           | None -> true (* ignore malformed header line, as Bro does *))
       | None -> false)
@@ -234,7 +250,7 @@ let rec step t : bool =
       finish_message t;
       true
   | In_body (Fixed n) ->
-      if take_into t n t.body then begin
+      if take_into t n then begin
         finish_message t;
         true
       end
@@ -249,7 +265,7 @@ let rec step t : bool =
           | None -> t.phase <- Failed; false)
       | None -> false)
   | In_body (Chunk_data n) ->
-      if take_into t n t.body then begin
+      if take_into t n then begin
         t.phase <- In_body (Chunk_sep 0);
         true
       end
@@ -264,7 +280,10 @@ let rec step t : bool =
       | Some "" -> finish_message t; true
       | Some _ -> true
       | None -> false)
-  | In_body Until_close -> false  (* everything buffers until EOF *)
+  | In_body Until_close ->
+      (* Everything up to EOF is body: hash what is buffered and wait. *)
+      take_all_into t;
+      false
 
 and drain t = if step t then drain t
 
@@ -275,20 +294,14 @@ let trim t = Hilti_types.Hbytes.trim t.buf (cursor t)
 let feed t data =
   if t.phase <> Failed then begin
     Hilti_types.Hbytes.append t.buf data;
-    (match t.phase with
-    | In_body Until_close -> take_all_into t t.body
-    | _ -> ());
     drain t;
     trim t
   end
 
 (** The stream is over (FIN/RST/trace end). *)
 let eof t =
-  (match t.phase with
-  | In_body Until_close ->
-      take_all_into t t.body;
-      finish_message t
-  | _ -> drain t);
+  drain t;
+  (match t.phase with In_body Until_close -> finish_message t | _ -> ());
   trim t
 
 let messages t = t.messages

@@ -417,6 +417,14 @@ let view_add_to_buffer (v : view) off len (buf : Buffer.t) =
   if off < 0 || len < 0 || off + len > v.vlen then raise Out_of_range;
   Buffer.add_subbytes buf v.vt.buf (v.vphys + off) len
 
+(** Hand the view's bytes to [f x buf off len] without copying them, for
+    streaming consumers such as a running hash.  [f] may only read
+    [buf.[off .. off+len-1]] and must not keep [buf]: it is the object's
+    storage, which the next append may overwrite or move. *)
+let view_read (v : view) (f : 'a -> Bytes.t -> int -> int -> unit) (x : 'a) =
+  check_view v;
+  f x v.vt.buf v.vphys v.vlen
+
 (** A frozen bytes object sharing the view's window — zero-copy when the
     underlying object is frozen (the backing buffer can never move), a
     copy otherwise.  This is how a packet-payload slice enters the

@@ -85,6 +85,54 @@ let test_http_std_206_divergence () =
       Alcotest.(check int) "body metadata withheld" 0 r.Events.body_len
   | rs -> Alcotest.failf "%d replies" (List.length rs)
 
+let test_http_std_until_close_bounded () =
+  (* A 16 MiB close-delimited reply in 1460-byte segments: the direction
+     keeps no body, only the running hash, so neither the stream buffer
+     nor the major heap grows with the body. *)
+  let seg_len = 1460 and body_len = 16 lsl 20 in
+  let segment i =
+    let n = min seg_len (body_len - (i * seg_len)) in
+    String.init n (fun j -> Char.chr (((i * 31) + j) land 0xff))
+  in
+  let nsegs = (body_len + seg_len - 1) / seg_len in
+  let got = ref [] in
+  let p =
+    Http_std.create ~is_request:false
+      ~on_request:(fun _ -> ())
+      ~on_reply:(fun r -> got := r :: !got)
+  in
+  Gc.compact ();
+  let heap0 = (Gc.quick_stat ()).Gc.heap_words in
+  Http_std.feed p "HTTP/1.0 200 OK\r\nConnection: close\r\n\r\n";
+  for i = 0 to nsegs - 1 do
+    Http_std.feed p (segment i);
+    if Http_std.retained p >= seg_len then
+      Alcotest.failf "retained %d bytes after segment %d" (Http_std.retained p) i
+  done;
+  Http_std.eof p;
+  let growth = ((Gc.quick_stat ()).Gc.heap_words - heap0) * (Sys.word_size / 8) in
+  if growth >= body_len / 4 then
+    Alcotest.failf "major heap grew by %d bytes for a %d-byte body" growth body_len;
+  let body = String.concat "" (List.init nsegs segment) in
+  match !got with
+  | [ r ] ->
+      Alcotest.(check int) "body len" body_len r.Events.body_len;
+      Alcotest.(check string) "body sha1" (Mini_bro.Sha1.digest body) r.Events.body_sha1
+  | rs -> Alcotest.failf "%d replies" (List.length rs)
+
+let test_http_std_duplicate_headers () =
+  (* The first occurrence of a repeated header wins. *)
+  let msg =
+    "HTTP/1.1 200 OK\r\nContent-Type: a/first\r\nContent-Length: 3\r\n\
+     Content-Type: b/second\r\nContent-Length: 5\r\n\r\nabcde"
+  in
+  match collect_replies [ msg ] with
+  | [ r ] ->
+      Alcotest.(check string) "first content-type" "a/first" r.Events.mime;
+      Alcotest.(check int) "first content-length" 3 r.Events.body_len;
+      Alcotest.(check string) "sha of abc" (Mini_bro.Sha1.digest "abc") r.Events.body_sha1
+  | rs -> Alcotest.failf "%d replies" (List.length rs)
+
 (* ---- Dns_std ----------------------------------------------------------------------- *)
 
 let test_dns_std_rejects_crud () =
@@ -216,4 +264,8 @@ let suite =
     Alcotest.test_case "HTTP event parity std/pac" `Quick test_event_parity_http;
     Alcotest.test_case "DNS event parity std/pac" `Quick test_dns_event_parity;
     Alcotest.test_case "ftp PORT/227 endpoints are decimal only" `Quick
-      test_ftp_host_port_decimal_only ]
+      test_ftp_host_port_decimal_only;
+    Alcotest.test_case "http_std 16 MiB until-close stays bounded" `Quick
+      test_http_std_until_close_bounded;
+    Alcotest.test_case "http_std duplicate headers: first wins" `Quick
+      test_http_std_duplicate_headers ]

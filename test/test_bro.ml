@@ -156,15 +156,64 @@ let test_log_write () =
   Alcotest.(check (list string)) "rows agree" i c;
   Alcotest.(check (list string)) "content" [ "hello\t42\tT"; "x y\t0\tT" ] i
 
+(* Deterministic message of length [n] ("abc...zab..."). *)
+let alpha n = String.init n (fun i -> Char.chr (97 + (i mod 26)))
+
 let test_sha1 () =
-  (* RFC 3174 test vectors. *)
-  Alcotest.(check string) "abc" "a9993e364706816aba3e25717850c26c9cd0d89d"
-    (Sha1.digest "abc");
-  Alcotest.(check string) "empty" "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-    (Sha1.digest "");
-  Alcotest.(check string) "alphabet"
-    "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-    (Sha1.digest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")
+  let check name expected msg =
+    Alcotest.(check string) name expected (Sha1.digest msg)
+  in
+  (* FIPS 180 / RFC 3174 vectors. *)
+  check "abc" "a9993e364706816aba3e25717850c26c9cd0d89d" "abc";
+  check "empty" "da39a3ee5e6b4b0d3255bfef95601890afd80709" "";
+  check "448-bit" "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
+    "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+  check "896-bit" "a49b2446a02c645bf419f995b67091253a04a259"
+    "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnop\
+     jklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
+  check "million a" "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
+    (String.make 1_000_000 'a');
+  (* Padding boundaries: the length field fits (55), just misses (56) or
+     fills a block (63, 64, 65), and again one block later (119, 120).
+     Expected values from sha1sum over [alpha n]. *)
+  List.iter
+    (fun (n, expected) -> check (Printf.sprintf "len %d" n) expected (alpha n))
+    [ (55, "a617d006d1ca12671785098a19a87fe58443bde9");
+      (56, "4ad5bb7ae3c4024768d364b77c52128ea3cffebe");
+      (63, "fc8a5ab77259625085ead3ec96515b3b8d933fad");
+      (64, "93249d4c2f8903ebf41ac358473148ae6ddd7042");
+      (65, "cf2a63cc308225cf07b498d2309a01dd0df52f67");
+      (119, "edd0f1133d0e4ca5f3e98bb7e0295f31d20d2cdb");
+      (120, "23a58eee587aa1f50d19a969ab36a3fe3e88c393") ]
+
+let test_sha1_streaming () =
+  (* Any split of the message into two feeds hashes like one feed, and a
+     reset context is as good as a fresh one. *)
+  let c = Sha1.init () in
+  for n = 0 to 130 do
+    let msg = alpha n in
+    let expected = Sha1.digest msg in
+    for split = 0 to n do
+      Sha1.reset c;
+      Sha1.feed_string c (String.sub msg 0 split);
+      Sha1.feed_bytes c (Bytes.of_string msg) split (n - split);
+      Alcotest.(check int) "length" n (Sha1.length c);
+      Alcotest.(check string)
+        (Printf.sprintf "len %d split %d" n split)
+        expected (Sha1.finish c)
+    done
+  done
+
+let test_sha1_allocation () =
+  (* Hashing allocates a fixed-size context and the hex digest, nothing
+     per block. *)
+  let msg = String.make (1 lsl 20) 'x' in
+  ignore (Sha1.digest msg);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Sha1.digest msg));
+  let bytes = (Gc.minor_words () -. before) *. float (Sys.word_size / 8) in
+  if bytes >= 2048. then
+    Alcotest.failf "digest of 1 MiB allocated %.0f bytes" bytes
 
 let suite =
   [ Alcotest.test_case "track.bro interpreted (Fig. 8)" `Quick test_track_interp;
@@ -173,4 +222,6 @@ let suite =
     Alcotest.test_case "scan detector (§7)" `Quick test_scan_detector;
     Alcotest.test_case "semantics agreement" `Quick test_semantics_agree;
     Alcotest.test_case "Log::write both engines" `Quick test_log_write;
-    Alcotest.test_case "sha1 vectors" `Quick test_sha1 ]
+    Alcotest.test_case "sha1 vectors" `Quick test_sha1;
+    Alcotest.test_case "sha1 streaming = one-shot" `Quick test_sha1_streaming;
+    Alcotest.test_case "sha1 allocation" `Quick test_sha1_allocation ]

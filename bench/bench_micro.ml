@@ -202,6 +202,41 @@ let dns_alloc_bench () =
   (decode_before, decode_after, reduction, parse_before, parse_after,
    e2e_before, e2e_after)
 
+(* ---- BinPAC++ DNS on the VM: allocation and instructions per packet ------- *)
+
+(* The same 1,500-transaction trace as [dns_alloc_bench], parsed by the
+   HILTI-compiled DNS grammar.  Allocation and retired VM instructions are
+   counts, not times, so both are deterministic for a given tree. *)
+let dns_pac_bench () =
+  Bench_util.header "dns BinPAC++ parse on the VM: bytes and instructions per packet";
+  let module D = Hilti_analyzers.Driver in
+  let cfg = { Hilti_traces.Dns_gen.default with transactions = 1500; seed = 7 } in
+  let records = (Hilti_traces.Dns_gen.generate cfg).Hilti_traces.Dns_gen.records in
+  let views = ref [] in
+  Hilti_rt.Iosrc.iter
+    (fun p ->
+      match D.dns_slice p with Some (_, v) -> views := v :: !views | None -> ())
+    (Hilti_net.Pcap.iosrc_of_records records);
+  let views = Array.of_list (List.rev !views) in
+  let n = Array.length views in
+  let pac = Hilti_analyzers.Dns_pac.load () in
+  let kind = D.Dns_pac pac in
+  let parse_all () = Array.iter (fun v -> ignore (D.dns_parse_view kind v)) views in
+  let bytes = alloc_of ~per:n parse_all in
+  let api = pac.Hilti_analyzers.Dns_pac.parser.Binpacxx.Runtime.api in
+  let c0 = Hilti_vm.Host_api.cycles api in
+  parse_all ();
+  let instrs =
+    Int64.to_float (Int64.sub (Hilti_vm.Host_api.cycles api) c0) /. float_of_int n
+  in
+  let reps = 10 in
+  let (), ns = Bench_util.time_ns (fun () -> for _ = 1 to reps do parse_all () done) in
+  Printf.printf
+    "%d datagrams (Dns_pac): %.1f bytes/packet, %.1f VM instructions/packet, %.0f ns/packet\n"
+    n bytes instrs
+    (Int64.to_float ns /. float_of_int (reps * n));
+  (bytes, instrs)
+
 (* ---- Zero-copy parse-path allocation: HTTP -------------------------------- *)
 
 (* The HTTP extraction layer the views replaced: header lines used to be
@@ -389,7 +424,7 @@ let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
       dns_e2e_before,
       dns_e2e_after )
     (http_before, http_after, http_reduction)
-    (susp_arena, susp_copy, susp_copies) =
+    (susp_arena, susp_copy, susp_copies) (pac_bytes, pac_instrs) =
   let json =
     Printf.sprintf
       "{\n  \"experiment\": \"frame_arena_and_alloc\",\n  \
@@ -407,10 +442,13 @@ let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
        \"http_alloc_reduction\": %.3f,\n  \
        \"suspend_arena_bytes_per_activation\": %.1f,\n  \
        \"suspend_copy_bytes_per_activation\": %.1f,\n  \
-       \"suspend_copies\": %d\n}\n"
+       \"suspend_copies\": %d,\n  \
+       \"dns_pac_alloc_bytes_per_packet\": %.1f,\n  \
+       \"dns_pac_instrs_per_packet\": %.1f\n}\n"
       alloc_copy alloc_reuse alloc_reduction dns_before dns_after dns_reduction
       dns_parse_before dns_parse_after dns_e2e_before dns_e2e_after http_before
-      http_after http_reduction susp_arena susp_copy susp_copies
+      http_after http_reduction susp_arena susp_copy susp_copies pac_bytes
+      pac_instrs
   in
   Bench_util.write_file_atomic "BENCH_micro.json" json;
   print_endline "frame-arena + allocation data written to BENCH_micro.json"
@@ -513,4 +551,6 @@ let run () =
   print_newline ();
   let susp = suspend_copy_bench () in
   print_newline ();
-  write_micro_json arena dns http susp
+  let pac = dns_pac_bench () in
+  print_newline ();
+  write_micro_json arena dns http susp pac

@@ -107,6 +107,13 @@ grep -q '"http_alloc_reduction"' BENCH_micro.json
 # Zero-copy view decode must cut the DNS per-packet allocation by >= 50%
 # versus the string-materializing path (measured runs land ~90%).
 awk -F': ' '/"dns_alloc_reduction"/ { if ($2+0 < 0.5) exit 1 }' BENCH_micro.json
+grep -q '"dns_pac_alloc_bytes_per_packet"' BENCH_micro.json
+grep -q '"dns_pac_instrs_per_packet"' BENCH_micro.json
+# BinPAC++ DNS on the VM, with names resolved at link time: allocated
+# bytes per packet (a count, not a time, so the gate is deterministic;
+# ~5,700 measured, 38,561 before struct slots, hook indices and the
+# two-destination unpack).
+awk -F': ' '/"dns_pac_alloc_bytes_per_packet"/ { if ($2+0 > 8000) exit 1 }' BENCH_micro.json
 
 echo "== bench vmopt (writes BENCH_vmopt.json)"
 dune exec bench/main.exe -- vmopt --quick

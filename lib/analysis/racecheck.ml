@@ -121,6 +121,15 @@ let param_derived (f : Bytecode.func) : bool array =
             match p with
             | Bytecode.P_new _ -> set d false
             | _ -> set d (Array.for_all ok args))
+        | Bytecode.Unpack (_, s, v, it) ->
+            set v (ok s);
+            set it (ok s)
+        | Bytecode.Read (s, n, v, it) ->
+            set v (ok s && ok n);
+            set it (ok s && ok n)
+        | Bytecode.UnpackI_u (_, s, v, it) ->
+            iset v (ok s);
+            set it (ok s)
         | Bytecode.IConst_u (d, _) -> iset d true
         | Bytecode.IMov_u (d, s) -> iset d (iok s)
         | Bytecode.UnboxI (d, s) -> iset d (ok s)
@@ -158,7 +167,7 @@ let mutates_container (p : Bytecode.prim) =
   | Bytecode.P_map
       (Bytecode.M_insert | Bytecode.M_remove | Bytecode.M_clear) ->
       true
-  | Bytecode.P_struct (Bytecode.ST_set _ | Bytecode.ST_unset _) -> true
+  | Bytecode.P_struct ((Bytecode.ST_set | Bytecode.ST_unset), _, _) -> true
   | Bytecode.P_classifier (Bytecode.CL_add | Bytecode.CL_compile) -> true
   | _ -> false
 
@@ -178,13 +187,20 @@ let global_derived (f : Bytecode.func) : bool array =
         match instr with
         | Bytecode.LoadGlobal (d, _) -> mark d true
         | Bytecode.Mov (d, s) -> mark d (is s)
+        | Bytecode.Unpack (_, s, v, it) ->
+            mark v (is s);
+            mark it (is s)
+        | Bytecode.Read (s, n, v, it) ->
+            mark v (is s || is n);
+            mark it (is s || is n)
+        | Bytecode.UnpackI_u (_, s, _, it) -> mark it (is s)
         | Bytecode.Prim (p, args, d) -> (
             match p with
             | Bytecode.P_list (Bytecode.L_front | Bytecode.L_back)
             | Bytecode.P_vector Bytecode.V_get
             | Bytecode.P_map (Bytecode.M_get | Bytecode.M_get_default)
             | Bytecode.P_struct
-                (Bytecode.ST_get _ | Bytecode.ST_get_default _)
+                ((Bytecode.ST_get | Bytecode.ST_get_default), _, _)
             | Bytecode.P_classifier Bytecode.CL_get
             | Bytecode.P_select | Bytecode.P_make_tuple
             | Bytecode.P_tuple_get _ ->
@@ -256,7 +272,8 @@ let check (p : Bytecode.program) ~(shard_entries : string list) : race list =
                          "deferred call to '%s' writes globals; it may fire \
                           on a different shard"
                          p.Bytecode.funcs.(callee).Bytecode.name)
-              | Bytecode.CallC (name, _, _) -> (
+              | Bytecode.CallC (h, _, _) -> (
+                  let name = p.Bytecode.host_names.(h) in
                   match Effects.host_effects name with
                   | None ->
                       flag "race/hostapi-shared" fi pc

@@ -12,12 +12,8 @@ type t = { parser : Runtime.t }
 let load ?(optimize = true) ?(specialize = true) () : t =
   { parser = Runtime.load ~optimize ~specialize (Grammars.parse_dns ()) }
 
-let sint st name =
-  match Http_pac.sfield st name with
-  | Some (V.Int i) -> Int64.to_int i
-  | _ -> 0
-
-let sbytes = Http_pac.sbytes
+let sint = Runtime.int_or_zero
+let sbytes = Runtime.bytes_or_empty
 
 (* Decode all character-strings of a raw TXT rdata. *)
 let txt_strings raw =
@@ -34,7 +30,7 @@ let render_rr st =
   let rtype = sint st "rtype" in
   match rtype with
   | 1 -> (
-      match Http_pac.sfield st "rdata_a" with
+      match V.field st "rdata_a" with
       | Some (V.Int a) ->
           let a = Int64.to_int a in
           Printf.sprintf "%d.%d.%d.%d" ((a lsr 24) land 0xff) ((a lsr 16) land 0xff)

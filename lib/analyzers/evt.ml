@@ -200,7 +200,7 @@ let load ?(optimize = true) (config : t) (grammar : Binpacxx.Ast.grammar) : load
                   (fun () ->
                     List.map
                       (fun f ->
-                        match Http_pac.sfield st f with
+                        match Hilti_vm.Value.field st f with
                         | Some v -> Mini_bro.Bro_val.of_hilti_raw v
                         | None -> Mini_bro.Bro_val.Vstring "")
                       binding.args)

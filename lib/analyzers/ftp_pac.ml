@@ -7,14 +7,7 @@
 open Binpacxx
 module V = Hilti_vm.Value
 
-let sbytes st name =
-  match st with
-  | V.Struct s -> (
-      match !(V.struct_field s name) with
-      | Some (V.Bytes b) -> Hilti_types.Hbytes.to_string b
-      | _ -> ""
-      | exception _ -> "")
-  | _ -> ""
+let sbytes = Runtime.bytes_or_empty
 
 type t = {
   parser : Runtime.t;

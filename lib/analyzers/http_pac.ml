@@ -12,21 +12,8 @@ open Binpacxx
 module V = Hilti_vm.Value
 
 (* Struct-value access helpers. *)
-let sfield st name =
-  match st with
-  | V.Struct s -> (
-      match !(V.struct_field s name) with v -> v | exception _ -> None)
-  | _ -> None
-
-let sbytes st name =
-  match sfield st name with
-  | Some (V.Bytes b) -> Hilti_types.Hbytes.to_string b
-  | _ -> ""
-
-let slist st name =
-  match sfield st name with
-  | Some (V.List d) -> Hilti_vm.Deque.to_list d
-  | _ -> []
+let sbytes = Runtime.bytes_or_empty
+let slist = Runtime.list_or_empty
 
 (* Walk a Header-unit list for a (lowercase) name. *)
 let find_header headers name =
@@ -45,18 +32,18 @@ let hash_body ctx st =
         Hilti_types.Hbytes.(view_read (view b)) Mini_bro.Sha1.feed_bytes ctx
     | _ -> ()
   in
-  match sfield st "body" with
+  match V.field st "body" with
   | Some (V.Bytes _) as b -> feed b
   | _ -> (
-      match sfield st "chunks" with
+      match V.field st "chunks" with
       | Some (V.List d) ->
-          Hilti_vm.Deque.iter (fun c -> feed (sfield c "data")) d
-      | _ -> feed (sfield st "body_close"))
+          Hilti_vm.Deque.iter (fun c -> feed (V.field c "data")) d
+      | _ -> feed (V.field st "body_close"))
 
 let request_of_unit st : Events.http_request =
-  let rl = Option.get (sfield st "request") in
+  let rl = Option.get (V.field st "request") in
   let version =
-    match sfield rl "version" with Some v -> sbytes v "number" | None -> ""
+    match V.field rl "version" with Some v -> sbytes v "number" | None -> ""
   in
   {
     Events.method_ = sbytes rl "method";
@@ -69,9 +56,9 @@ let request_of_unit st : Events.http_request =
    standard parser does it in its parse path), so the caller runs it
    outside the glue window. *)
 let reply_of_unit ~body_len ~sha st : Events.http_reply =
-  let rl = Option.get (sfield st "reply") in
+  let rl = Option.get (V.field st "reply") in
   let version =
-    match sfield rl "version" with Some v -> sbytes v "number" | None -> ""
+    match V.field rl "version" with Some v -> sbytes v "number" | None -> ""
   in
   let code = int_of_string_opt (sbytes rl "status") |> Option.value ~default:0 in
   {

@@ -8,28 +8,13 @@
 open Binpacxx
 module V = Hilti_vm.Value
 
-let sfield st name =
-  match st with
-  | V.Struct s -> (
-      match !(V.struct_field s name) with v -> v | exception _ -> None)
-  | _ -> None
-
-let sbytes st name =
-  match sfield st name with
-  | Some (V.Bytes b) -> Hilti_types.Hbytes.to_string b
-  | _ -> ""
-
-let sint st name =
-  match sfield st name with Some (V.Int i) -> Int64.to_int i | _ -> 0
-
-let slist st name =
-  match sfield st name with
-  | Some (V.List d) -> Hilti_vm.Deque.to_list d
-  | _ -> []
+let sbytes = Runtime.bytes_or_empty
+let sint = Runtime.int_or_zero
+let slist = Runtime.list_or_empty
 
 (* A Str sub-unit's payload. *)
 let sstr st name =
-  match sfield st name with Some s -> sbytes s "data" | None -> ""
+  match V.field st name with Some s -> sbytes s "data" | None -> ""
 
 let event_of_unit st : Events.mqtt_event =
   match sint st "ptype" with

@@ -29,8 +29,12 @@ type ctx = {
   mutable regexes : (string * string) list;  (* pattern -> global name *)
   mutable label_counter : int;
   mutable need_dnsname : bool;
-  mutable need_find_header : bool;
+  mutable find_headers : string list;
+      (* header-unit struct types that need a find_header helper *)
+  mutable self_type : string;  (* struct type of [self] in the unit being compiled *)
 }
+
+let find_header_name hdr = hdr ^ "::find_header"
 
 let fresh ctx prefix =
   ctx.label_counter <- ctx.label_counter + 1;
@@ -78,23 +82,54 @@ let struct_decl ctx (u : unit_decl) : Module_ir.type_decl =
   in
   Module_ir.Struct_decl (parse_fields @ var_fields)
 
+(* The declared type of field [f] of struct type [sname]: struct accesses
+   resolve to slots by their operand's declared type, so every value read
+   out of a unit keeps its type. *)
+let field_type ctx sname f =
+  match List.assoc_opt sname ctx.m.Module_ir.types with
+  | Some (Module_ir.Struct_decl fields) -> (
+      match List.assoc_opt f fields with
+      | Some t -> t
+      | None -> fail "unit %s has no field %s" sname f)
+  | _ -> fail "unknown unit type %s" sname
+
+let struct_name = function
+  | Htype.Ref (Htype.Struct n) | Htype.Struct n -> n
+  | t -> fail "expected a unit, got %s" (Htype.to_string t)
+
 (* ---- Expressions -------------------------------------------------------------- *)
 
 (* Compile an expression to an operand.  [self] is the unit struct under
    construction; [elem] (when in a &until_elem context) is the
-   just-parsed list element. *)
+   just-parsed list element and its type.  Evaluating an expression
+   writes no field, so each field it names is read once. *)
 let rec compile_expr ctx b ?elem (e : expr) : Instr.operand =
-  let recur e = compile_expr ctx b ?elem e in
+  compile_expr_in ctx b ?elem (Hashtbl.create 4) e
+
+and compile_expr_in ctx b ?elem reads (e : expr) : Instr.operand =
+  let recur e = compile_expr_in ctx b ?elem reads e in
+  let read key f =
+    match Hashtbl.find_opt reads key with
+    | Some op -> op
+    | None ->
+        let op = f () in
+        Hashtbl.add reads key op;
+        op
+  in
   match e with
   | E_int i -> Instr.Const (Constant.Int (i, 64))
   | E_bool v -> Instr.Const (Constant.Bool v)
   | E_bytes s -> Instr.Const (Constant.Bytes s)
   | E_field f ->
-      Builder.emit b Htype.Any "struct.get" [ Instr.Local "self"; Instr.Member f ]
+      read f (fun () ->
+          Builder.emit b (field_type ctx ctx.self_type f) "struct.get"
+            [ Instr.Local "self"; Instr.Member f ])
   | E_elem_field f -> (
       match elem with
-      | Some elem_op ->
-          Builder.emit b Htype.Any "struct.get" [ elem_op; Instr.Member f ]
+      | Some (elem_op, elem_ty) ->
+          read ("$$." ^ f) (fun () ->
+              Builder.emit b (field_type ctx (struct_name elem_ty) f) "struct.get"
+                [ elem_op; Instr.Member f ])
       | None -> fail "$$ used outside &until_elem")
   | E_not e -> Builder.emit b Htype.Bool "bool.not" [ recur e ]
   | E_binop (op, l, r) -> (
@@ -124,11 +159,19 @@ let rec compile_expr ctx b ?elem (e : expr) : Instr.operand =
       Builder.emit b Htype.Bool "struct.is_set" [ Instr.Local "self"; Instr.Member f ]
   | E_call ("find_header", [ l; n ]) ->
       (* First header whose lowercased name equals the (lowercase) needle;
-         empty bytes if absent.  Compiles to a shared helper function. *)
-      ctx.need_find_header <- true;
+         empty bytes if absent.  Compiles to a helper function shared by
+         every list of the same header unit. *)
+      let hdr =
+        match l with
+        | E_field f -> (
+            match field_type ctx ctx.self_type f with
+            | Htype.Ref (Htype.List t) -> struct_name t
+            | t -> fail "find_header: %s is a %s, not a list of units" f (Htype.to_string t))
+        | _ -> fail "find_header: the header list must be a field"
+      in
+      if not (List.mem hdr ctx.find_headers) then ctx.find_headers <- ctx.find_headers @ [ hdr ];
       Builder.emit b Htype.Bytes "call"
-        [ Instr.Fname (qualified ctx "find_header");
-          Instr.Tuple_op [ recur l; recur n ] ]
+        [ Instr.Fname (find_header_name hdr); Instr.Tuple_op [ recur l; recur n ] ]
   | E_call ("offset", []) ->
       (* Bytes consumed so far in the current unit's parse function: the
          distance from its start iterator [cur0] to the cursor [cur].
@@ -170,6 +213,7 @@ let hook_name ctx (u : unit_decl) target =
   | f -> qualified ctx u.uname ^ "::" ^ f
 
 let compile_hook_body ctx (u : unit_decl) target stmts =
+  ctx.self_type <- qualified ctx u.uname;
   let b =
     Builder.func ctx.m ~cc:Module_ir.Cc_hook (hook_name ctx u target)
       ~params:[ ("self", Htype.Ref (Htype.Struct (qualified ctx u.uname))) ]
@@ -471,7 +515,7 @@ let rec emit_parse ctx b (u : unit_decl) ~cur (spec : parse_spec) : Instr.operan
       Builder.instr b ~target:counter "assign" [ one ];
       (match stop with
       | Stop_until_elem e ->
-          let c = compile_expr ctx b ~elem:(Instr.Local ev_local) e in
+          let c = compile_expr ctx b ~elem:(Instr.Local ev_local, elem_ty) e in
           Builder.if_else b c ~then_:done_l ~else_:head
       | _ -> Builder.jump b head);
       Builder.set_block b done_l;
@@ -481,6 +525,7 @@ let rec emit_parse ctx b (u : unit_decl) ~cur (spec : parse_spec) : Instr.operan
 
 let compile_unit ctx (u : unit_decl) =
   let sname = qualified ctx u.uname in
+  ctx.self_type <- sname;
   let b =
     Builder.func ctx.m
       (qualified ctx ("parse_" ^ u.uname))
@@ -646,13 +691,13 @@ let compile_dnsname_helper ctx =
   Builder.set_block b final;
   Builder.return_result b (Instr.Tuple_op [ Instr.Local out; Instr.Local ret ])
 
-(* find_header(headers: ref<list<ref<Header>>>, name: bytes) -> bytes
-   Shared lookup over header-shaped units (fields "name"/"value"). *)
-let compile_find_header_helper ctx =
+(* <Header>::find_header(headers: ref<list<ref<Header>>>, name: bytes) -> bytes
+   Lookup over a list of one header-shaped unit (fields "name"/"value"). *)
+let compile_find_header_helper ctx hdr =
+  let hty = Htype.Ref (Htype.Struct hdr) in
   let b =
-    Builder.func ctx.m
-      (qualified ctx "find_header")
-      ~params:[ ("headers", Htype.Ref (Htype.List Htype.Any)); ("needle", Htype.Bytes) ]
+    Builder.func ctx.m (find_header_name hdr)
+      ~params:[ ("headers", Htype.Ref (Htype.List hty)); ("needle", Htype.Bytes) ]
       ~result:Htype.Bytes
   in
   let it = Builder.local b "it" (Htype.Iter (Htype.List Htype.Any)) in
@@ -664,7 +709,7 @@ let compile_find_header_helper ctx =
   Builder.if_else b at_end ~then_:"missing" ~else_:"check";
   Builder.set_block b "check";
   let h = Builder.emit b Htype.Any "iter.deref" [ Instr.Local it ] in
-  let hl = Builder.local b "h" Htype.Any in
+  let hl = Builder.local b "h" hty in
   Builder.instr b ~target:hl "assign" [ h ];
   let hn = Builder.emit b Htype.Bytes "struct.get" [ Instr.Local hl; Instr.Member "name" ] in
   let hn_low = Builder.emit b Htype.Bytes "bytes.to_lower" [ hn ] in
@@ -689,7 +734,7 @@ let compile (g : grammar) : Module_ir.t =
   let m = Module_ir.create g.gname in
   let ctx =
     { g; m; regexes = []; label_counter = 0; need_dnsname = false;
-      need_find_header = false }
+      find_headers = []; self_type = "" }
   in
   (* Struct declarations first so all unit references resolve. *)
   List.iter
@@ -699,7 +744,7 @@ let compile (g : grammar) : Module_ir.t =
     g.decls;
   List.iter (function Unit u -> compile_unit ctx u | Const _ -> ()) g.decls;
   if ctx.need_dnsname then compile_dnsname_helper ctx;
-  if ctx.need_find_header then compile_find_header_helper ctx;
+  List.iter (compile_find_header_helper ctx) ctx.find_headers;
   (* init: compile every token regexp into its global. *)
   let b = Builder.func m (qualified ctx "init") ~exported:true ~params:[] ~result:Htype.Void in
   List.iter

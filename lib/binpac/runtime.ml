@@ -118,9 +118,20 @@ let retained s = Hilti_types.Hbytes.length s.data
 
 (* ---- Struct access helpers (the "C API" of Fig. 6(b)) ---------------------------- *)
 
-let field (st : Value.t) name : Value.t option =
-  let s = Value.as_struct st in
-  match !(Value.struct_field s name) with v -> v | exception _ -> None
+let field = Value.field
+
+(* Lenient reads for event glue: a missing, unset or mistyped field reads
+   as empty or zero. *)
+let bytes_or_empty st name =
+  match Value.field st name with
+  | Some (Value.Bytes b) -> Hilti_types.Hbytes.to_string b
+  | _ -> ""
+
+let int_or_zero st name =
+  match Value.field st name with Some (Value.Int i) -> Int64.to_int i | _ -> 0
+
+let list_or_empty st name =
+  match Value.field st name with Some (Value.List d) -> Deque.to_list d | _ -> []
 
 let field_exn st name =
   match field st name with

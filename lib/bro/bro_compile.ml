@@ -128,7 +128,17 @@ let host_call b ?result name args =
       Builder.instr b "call" [ Instr.Fname name; Instr.Tuple_op args ];
       Instr.Const (Constant.Bool true)
 
-let rec compile_expr ctx b (tenv : tenv) (e : expr) : Instr.operand =
+(* The declared IR type of a local operand. *)
+let operand_htype b (op : Instr.operand) =
+  match op with
+  | Instr.Local n ->
+      List.assoc_opt n (b.Builder.func.Module_ir.locals @ b.Builder.func.Module_ir.params)
+  | _ -> None
+
+(* [expect] is the static type of the slot the value flows into: a record
+   constructor builds a struct of that record type (Bro's coercion), so
+   compiled accesses through the declared type find its layout. *)
+let rec compile_expr ?expect ctx b (tenv : tenv) (e : expr) : Instr.operand =
   let recur e = compile_expr ctx b tenv e in
   match e with
   | E_bool v -> Builder.const_bool v
@@ -148,14 +158,15 @@ let rec compile_expr ctx b (tenv : tenv) (e : expr) : Instr.operand =
       if List.mem_assoc n tenv then Instr.Local n
       else if Hashtbl.mem ctx.global_types n then Instr.Global n
       else fail "unknown identifier %s" n
-  | E_field (e, f) ->
-      Builder.emit b Htype.Any "struct.get" [ recur e; Instr.Member f ]
+  | E_field (r, f) ->
+      let ty = Option.fold ~none:Htype.Any ~some:htype_of (type_of ctx tenv e) in
+      Builder.emit b ty "struct.get" [ recur r; Instr.Member f ]
   | E_index (e, keys) -> (
       let container = recur e in
       let key = compile_key ctx b tenv keys in
       match type_of ctx tenv e with
-      | Some (T_table _) | None ->
-          Builder.emit b Htype.Any "map.get" [ container; key ]
+      | Some (T_table (_, v)) -> Builder.emit b (htype_of v) "map.get" [ container; key ]
+      | None -> Builder.emit b Htype.Any "map.get" [ container; key ]
       | Some (T_vector _) -> fail "vector indexing is not supported in compiled scripts"
       | Some t -> fail "indexing %s" (btype_to_string t))
   | E_in (k, c) -> compile_membership ctx b tenv k c
@@ -240,11 +251,27 @@ let rec compile_expr ctx b (tenv : tenv) (e : expr) : Instr.operand =
       | Some T_string | None -> Builder.emit b (Htype.Int 64) "bytes.length" [ v ]
       | Some t -> fail "|..| on %s" (btype_to_string t))
   | E_record_ctor fields ->
-      (* An anonymous record type per constructor site. *)
-      ctx.anon_counter <- ctx.anon_counter + 1;
-      let tname = Printf.sprintf "bro::anon%d" ctx.anon_counter in
-      Module_ir.add_type ctx.m tname
-        (Module_ir.Struct_decl (List.map (fun (n, _) -> (n, Htype.Any)) fields));
+      (* Coerced to the expected record type when every field belongs to
+         it; otherwise an anonymous record type per constructor site. *)
+      let declared =
+        match expect with
+        | Some (T_record rn) -> (
+            match find_record ctx.script rn with
+            | Some fs when List.for_all (fun (n, _) -> List.mem_assoc n fs) fields ->
+                Some (rn, fs)
+            | _ -> None)
+        | _ -> None
+      in
+      let tname, field_ty =
+        match declared with
+        | Some (rn, fs) -> (record_type rn, fun n -> List.assoc_opt n fs)
+        | None ->
+            ctx.anon_counter <- ctx.anon_counter + 1;
+            let tname = Printf.sprintf "bro::anon%d" ctx.anon_counter in
+            Module_ir.add_type ctx.m tname
+              (Module_ir.Struct_decl (List.map (fun (n, _) -> (n, Htype.Any)) fields));
+            (tname, fun _ -> None)
+      in
       let s =
         Builder.emit b (Htype.Ref (Htype.Struct tname)) "new"
           [ Instr.Type_op (Htype.Struct tname) ]
@@ -253,7 +280,8 @@ let rec compile_expr ctx b (tenv : tenv) (e : expr) : Instr.operand =
       Builder.instr b ~target:local "assign" [ s ];
       List.iter
         (fun (n, e) ->
-          Builder.instr b "struct.set" [ Instr.Local local; Instr.Member n; recur e ])
+          let v = compile_expr ?expect:(field_ty n) ctx b tenv e in
+          Builder.instr b "struct.set" [ Instr.Local local; Instr.Member n; v ])
         fields;
       Instr.Local local
   | E_vector_ctor es ->
@@ -301,9 +329,12 @@ and compile_call ctx b tenv fn args : Instr.operand =
   | "join" -> host_call b ~result:Htype.Bytes "Bro::join" (vals ())
   | "network_time" -> host_call b ~result:Htype.Time "Bro::network_time" []
   | "push" -> (
-      match vals () with
+      match args with
       | [ v; x ] ->
-          Builder.instr b "list.append" [ v; x ];
+          let elem = match type_of ctx tenv v with Some (T_vector t) -> Some t | _ -> None in
+          let vv = compile_expr ctx b tenv v in
+          let xv = compile_expr ?expect:elem ctx b tenv x in
+          Builder.instr b "list.append" [ vv; xv ];
           Builder.const_bool true
       | _ -> fail "push arity")
   | "shift" -> (
@@ -315,6 +346,14 @@ and compile_call ctx b tenv fn args : Instr.operand =
       | [ stream; record ] -> host_call b ~result:Htype.Bool "Bro::log_write" [ stream; record ]
       | _ -> fail "Log::write arity")
   | fn when List.mem_assoc fn (functions ctx) ->
+      let params = fst (List.assoc fn (functions ctx)) in
+      let vals () =
+        List.mapi
+          (fun i a ->
+            let expect = Option.map snd (List.nth_opt params i) in
+            compile_expr ?expect ctx b tenv a)
+          args
+      in
       let result =
         match Hashtbl.find_opt ctx.func_results fn with
         | Some t -> htype_of t
@@ -337,19 +376,31 @@ and functions ctx =
 let rec compile_stmt ctx b (tenv : tenv ref) (s : stmt) =
   match s with
   | S_expr e -> ignore (compile_expr ctx b !tenv e)
+  | S_local (name, None, Some e) ->
+      (* Typed by its initializer; a record constructor's value keeps its
+         anonymous struct type. *)
+      let bty = Option.value ~default:T_any (type_of ctx !tenv e) in
+      let v = compile_expr ctx b !tenv e in
+      let hty =
+        match (bty, operand_htype b v) with
+        | T_any, Some t -> t
+        | _ -> htype_of bty
+      in
+      let name = Builder.local b name hty in
+      tenv := (name, bty) :: !tenv;
+      Builder.instr b ~target:name "assign" [ v ]
   | S_local (name, ty, init) ->
       let bty =
-        match (ty, init) with
-        | Some t, _ -> t
-        | None, Some e -> Option.value ~default:T_any (type_of ctx !tenv e)
-        | None, None -> fail "local %s needs type or initializer" name
+        match ty with
+        | Some t -> t
+        | None -> fail "local %s needs type or initializer" name
       in
       let hty = htype_of bty in
       let name = Builder.local b name hty in
       tenv := (name, bty) :: !tenv;
       (match init with
       | Some e ->
-          let v = compile_expr ctx b !tenv e in
+          let v = compile_expr ~expect:bty ctx b !tenv e in
           Builder.instr b ~target:name "assign" [ v ]
       | None -> (
           (* Containers and records need allocation even without an
@@ -362,7 +413,13 @@ let rec compile_stmt ctx b (tenv : tenv ref) (s : stmt) =
               Builder.instr b ~target:name "assign" [ v ]
           | _ -> ()))
   | S_assign (lhs, rhs) -> (
-      let v = compile_expr ctx b !tenv rhs in
+      let expect =
+        match lhs with
+        | E_index (e, _) -> (
+            match type_of ctx !tenv e with Some (T_table (_, v)) -> Some v | _ -> None)
+        | _ -> type_of ctx !tenv lhs
+      in
+      let v = compile_expr ?expect ctx b !tenv rhs in
       match lhs with
       | E_id n ->
           if List.mem_assoc n !tenv then Builder.instr b ~target:n "assign" [ v ]

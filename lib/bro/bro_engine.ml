@@ -51,11 +51,7 @@ let rec hl_render (v : Hilti_vm.Value.t) : string =
       in
       "{" ^ String.concat "," (List.sort compare elems) ^ "}"
   | V.Struct s ->
-      let fields =
-        Array.to_list s.V.sfields
-        |> List.filter_map (fun (n, slot) ->
-               Option.map (fun v -> n ^ "=" ^ hl_render v) !slot)
-      in
+      let fields = List.map (fun (n, v) -> n ^ "=" ^ hl_render v) (V.struct_fields s) in
       "[" ^ String.concat "," (List.sort compare fields) ^ "]"
   | V.Null -> "<void>"
   | other -> V.to_string other
@@ -172,11 +168,7 @@ let load ?(logger = Bro_log.create ()) ?(optimize = true) mode (script : script)
           match args with
           | [ stream; V.Struct s ] ->
               let stream = hl_render stream in
-              let fields =
-                Array.to_list s.V.sfields
-                |> List.filter_map (fun (n, slot) ->
-                       Option.map (fun v -> (n, hl_render v)) !slot)
-              in
+              let fields = List.map (fun (n, v) -> (n, hl_render v)) (V.struct_fields s) in
               Bro_log.write c.clogger stream fields;
               V.Bool true
           | _ -> raise (Bro_val.Bro_error "log_write arity"));
@@ -191,12 +183,20 @@ let load ?(logger = Bro_log.create ()) ?(optimize = true) mode (script : script)
 
 (* ---- Dispatch -------------------------------------------------------------------- *)
 
+(* The compiled program's layout for a Bro record type: declared types are
+   [bro::<name>]; records converted back from HILTI already carry the
+   struct type's own name. *)
+let layout_of c rtype =
+  match Hilti_vm.Host_api.struct_layout c.api (Bro_compile.record_type rtype) with
+  | Some l -> Some l
+  | None -> Hilti_vm.Host_api.struct_layout c.api rtype
+
 let rec dispatch (t : t) name (args : Bro_val.t list) =
   match t with
   | Interp i -> Bro_interp.dispatch i name args
   | Comp c ->
       if event_handlers c.cscript name <> [] then begin
-        let hargs = List.map Bro_val.to_hilti args in
+        let hargs = List.map (Bro_val.to_hilti ~layout_of:(layout_of c)) args in
         Hilti_vm.Host_api.run_hook c.api (Bro_compile.event_hook name) hargs
       end;
       while not (Queue.is_empty c.cqueue) do
@@ -225,7 +225,7 @@ let call_function t name (args : Bro_val.t list) : Bro_val.t =
   match t with
   | Interp i -> Bro_interp.call_value i name args
   | Comp c ->
-      let hargs = List.map Bro_val.to_hilti args in
+      let hargs = List.map (Bro_val.to_hilti ~layout_of:(layout_of c)) args in
       Bro_val.of_hilti
         (Hilti_vm.Host_api.call c.api (Bro_compile.func_name name) hargs)
 

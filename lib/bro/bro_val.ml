@@ -188,12 +188,17 @@ let glue_profiler = Hilti_rt.Profiler.create "bro/glue"
 
 (** Convert a Bro value to its HILTI representation.  Bro strings become
     HILTI bytes (as in the real plugin, where script strings carry raw
-    payload data). *)
-let rec to_hilti (v : t) : Hilti_vm.Value.t =
-  Hilti_rt.Profiler.time_exclusive glue_profiler (fun () -> to_hilti_raw v)
+    payload data).  Records become structs of the layout [layout_of]
+    gives their record type — compiled code can only read a struct built
+    with its program's layout; without one (or when the record carries a
+    field the layout lacks) the struct gets its own layout of the sorted
+    field names, which only the host can read. *)
+let rec to_hilti ?(layout_of = fun _ -> None) (v : t) : Hilti_vm.Value.t =
+  Hilti_rt.Profiler.time_exclusive glue_profiler (fun () -> to_hilti_raw ~layout_of v)
 
-and to_hilti_raw (v : t) : Hilti_vm.Value.t =
+and to_hilti_raw ~layout_of (v : t) : Hilti_vm.Value.t =
   let module V = Hilti_vm.Value in
+  let to_hilti_raw = to_hilti_raw ~layout_of in
   match v with
   | Vbool b -> V.Bool b
   | Vcount c | Vint c -> V.Int c
@@ -237,13 +242,17 @@ and to_hilti_raw (v : t) : Hilti_vm.Value.t =
       V.List d
   | Vrecord r ->
       let names = Array.fold_left (fun acc (k, _) -> k :: acc) [] r.rfields in
-      let names = List.sort compare names in
-      let s = V.new_struct r.rtype names in
+      let layout =
+        match layout_of r.rtype with
+        | Some l when List.for_all (fun n -> V.field_index l n >= 0) names -> l
+        | _ -> V.make_layout r.rtype (List.sort compare names)
+      in
+      let s = V.new_struct layout in
       List.iter
         (fun n ->
           match record_find r n with
           | Some { contents = Vvoid } | None -> ()
-          | Some v -> V.struct_field s n := Some (to_hilti_raw !v))
+          | Some v -> V.set_field s n (to_hilti_raw !v))
         names;
       V.Struct s
   | Vvoid -> V.Null
@@ -288,13 +297,7 @@ and of_hilti_raw (v : Hilti_vm.Value.t) : t =
   | V.Tuple vs ->
       Vvector (Hilti_vm.Deque.of_list (List.map of_hilti_raw (Array.to_list vs)))
   | V.Struct s ->
-      let fields = ref [] in
-      Array.iter
-        (fun (n, slot) ->
-          match !slot with
-          | Some v -> fields := (n, ref (of_hilti_raw v)) :: !fields
-          | None -> ())
-        s.V.sfields;
-      Vrecord { rtype = s.V.sname; rfields = Array.of_list (List.rev !fields) }
+      let fields = List.map (fun (n, v) -> (n, ref (of_hilti_raw v))) (V.struct_fields s) in
+      Vrecord { rtype = s.V.layout.V.lname; rfields = Array.of_list fields }
   | V.Null -> Vvoid
   | other -> error "cannot convert HILTI value %s" (V.to_string other)

@@ -302,6 +302,23 @@ let read_uint (it : iter) ~width ~order =
   | Little -> for k = width - 1 downto 0 do v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (byte k)) done);
   (!v, advance it width)
 
+(** The unsigned [len]-byte integer ([len] <= 7) starting [k] bytes past
+    [it], big-endian if [big]; allocation-free.  The caller must first
+    {!require} the bytes. *)
+let uint_at (it : iter) ~k ~len ~big =
+  let t = it.bytes in
+  let base = t.off + it.pos - t.base + k in
+  let v = ref 0 in
+  if big then
+    for j = 0 to len - 1 do
+      v := (!v lsl 8) lor Char.code (Bytes.get t.buf (base + j))
+    done
+  else
+    for j = len - 1 downto 0 do
+      v := (!v lsl 8) lor Char.code (Bytes.get t.buf (base + j))
+    done;
+  !v
+
 let read_sint (it : iter) ~width ~order =
   let v, it' = read_uint it ~width ~order in
   let bits = width * 8 in

@@ -3,9 +3,14 @@
     Where HILTI's prototype compiles IR to LLVM bitcode and on to native
     code, we lower to a flat array of register operations per function —
     the same pipeline position, with jump targets resolved to instruction
-    indices and all name/type resolution (struct fields, enum labels,
-    bitset masks, overlay layouts, globals' slots) done at lowering time so
-    the execution loop performs no lookups by name. *)
+    indices and every name resolved when the program is linked: struct
+    fields to slots of their declared type's {!Value.layout}, hooks to the
+    indices of their bodies, host functions to slots of [host_names], enum
+    labels and bitset masks to values, overlay fields to offsets, globals
+    to slots.  The execution loop performs no lookup by name.  What stays
+    by name is host-side only: [Host_api.call]/[run_hook] entry points,
+    [Vm.register_host] filling a host slot, and {!Value.field} reads of
+    struct values handed to the host. *)
 
 type int_arith = A_add | A_sub | A_mul | A_div | A_mod | A_shl | A_shr | A_and | A_or | A_xor | A_min | A_max
 
@@ -18,9 +23,12 @@ type string_op =
 
 type bytes_op =
   | B_new | B_length | B_append | B_freeze | B_is_frozen | B_trim | B_sub
-  | B_find | B_match_prefix | B_can_read | B_read | B_to_string | B_to_int
+  | B_find | B_match_prefix | B_can_read | B_to_string | B_to_int
   | B_eq | B_starts_with | B_contains | B_offset
-  | B_unpack_uint | B_unpack_sint | B_upper | B_lower
+  | B_upper | B_lower
+
+(** A [bytes.unpack_*] format, fixed at lowering. *)
+type unpack_fmt = { u_signed : bool; u_width : int; u_big : bool }
 
 type iter_op =
   | I_begin | I_end | I_incr | I_advance | I_deref | I_eq | I_distance
@@ -33,12 +41,7 @@ type net_op = NE_contains | NE_prefix | NE_length | NE_eq
 type time_op = TI_add | TI_sub | TI_cmp of cmp | TI_wall | TI_to_double | TI_nsecs
 type interval_op = IV_add | IV_sub | IV_mul | IV_eq | IV_lt | IV_to_double | IV_nsecs
 
-type struct_op =
-  | ST_get of string
-  | ST_get_default of string
-  | ST_set of string
-  | ST_unset of string
-  | ST_is_set of string
+type struct_op = ST_get | ST_get_default | ST_set | ST_unset | ST_is_set
 
 type list_op = L_append | L_push_front | L_pop_front | L_front | L_back | L_size | L_clear
 type vector_op = V_push_back | V_get | V_set | V_size | V_reserve | V_clear | V_pop_back
@@ -55,7 +58,7 @@ type profiler_op = PR_start | PR_stop | PR_snapshot
 type debug_op = D_msg | D_assert | D_internal_error
 
 type new_spec =
-  | New_struct of string * string list  (** type name, field names *)
+  | New_struct of Value.layout
   | New_list
   | New_vector
   | New_set
@@ -97,8 +100,9 @@ type prim =
   | P_tuple_get of int
   | P_tuple_length
   | P_tuple_eq
-  | P_struct of struct_op
-  | P_enum_from_int of string
+  | P_struct of struct_op * Value.layout * int
+      (** op, the layout of the operand's declared struct type, slot *)
+  | P_enum_from_int of string * int array  (** type name, declared label values *)
   | P_enum_value
   | P_enum_eq
   | P_bitset_set of int64 | P_bitset_clear of int64 | P_bitset_has of int64 | P_bitset_eq
@@ -197,16 +201,20 @@ type instr =
   | Br of int * int * int             (** cond, then-pc, else-pc *)
   | Switch of int * int * (Value.t * int) array
   | Call of int * int array * int     (** func idx, arg regs, dst (-1 = none) *)
-  | CallC of string * int array * int (** host function, arg regs, dst *)
+  | CallC of int * int array * int    (** host slot ([program.host_names]), arg regs, dst *)
   | Ret of int                        (** reg, -1 for void *)
   | TryPush of int * int              (** handler pc, exception dst reg *)
   | TryPop
   | Throw of int
   | Yield
-  | HookRun of string * int array
+  | HookRun of int array * int array (** hook body func idxs (priority order), arg regs *)
   | Schedule of int * int array * int (** func idx, arg regs, thread-id reg *)
   | Bind of int * int array * int     (** func idx, arg regs, dst: make callable *)
   | Prim of prim * int array * int    (** arg regs, dst (-1 = none) *)
+  | Unpack of unpack_fmt * int * int * int
+      (** [bytes.unpack_*]: iterator src, value dst, iterator dst *)
+  | Read of int * int * int * int
+      (** [bytes.read]: iterator src, length, bytes dst, iterator dst *)
   | Nop
   (* Specialized register-bank opcodes, emitted only by {!Specialize} on
      verified programs.  Integer operands live in a per-frame unboxed
@@ -228,6 +236,8 @@ type instr =
   | IBrCmpK_u of cmp * int * int64 * int * int
   | IIncrJ_u of int * int * int64 * int
       (** fused increment+jump backedge: width, d, k, target *)
+  | UnpackI_u of unpack_fmt * int * int * int
+      (** [Unpack] with the value into the int bank: src, ibank[d], iterator dst *)
   | FConst_u of int * float           (** fbank[d] <- k *)
   | FMov_u of int * int
   | UnboxF of int * int               (** fbank[d] <- as_double regs[s] (bridge) *)
@@ -277,8 +287,12 @@ type program = {
   globals : string array;                   (** slot -> name (post-link layout) *)
   global_defaults : Value.t array;          (** typed initial values per slot *)
   global_index : (string, int) Hashtbl.t;
-  hooks : (string, int list) Hashtbl.t;     (** hook name -> func idxs, priority order *)
-  types : (string, Module_ir.type_decl) Hashtbl.t;
+  hooks : (string, int array) Hashtbl.t;
+  (** hook name -> body func idxs, priority order: the host's [run_hook]
+      entry; [HookRun] carries its indices *)
+  layouts : (string, Value.layout) Hashtbl.t;
+  (** struct type -> its one layout, for structs the host builds *)
+  host_names : string array;                (** host slot -> host function name *)
   mutable verified : bool;
   (** set (only) by {!Verify} after every function passed the static
       checker; [Vm.create] refuses programs without it, because the
@@ -323,6 +337,9 @@ let int_arith_name = function
 let cmp_name = function
   | C_eq -> "eq" | C_lt -> "lt" | C_gt -> "gt" | C_leq -> "leq" | C_geq -> "geq"
 
+let unpack_name fmt =
+  (if fmt.u_signed then "s" else "u") ^ if fmt.u_big then "be" else "le"
+
 let instr_to_string (i : instr) =
   match i with
   | Const (d, v) -> Printf.sprintf "r%d <- const %s" d (Value.to_string v)
@@ -338,17 +355,25 @@ let instr_to_string (i : instr) =
               (fun (c, pc) -> Printf.sprintf "%s->%d" (Value.to_string c) pc)
               (Array.to_list cases)))
   | Call (f, args, d) -> Printf.sprintf "r%d <- call #%d (%s)" d f (regs args)
-  | CallC (n, args, d) -> Printf.sprintf "r%d <- callc %s (%s)" d n (regs args)
+  | CallC (h, args, d) -> Printf.sprintf "r%d <- callc @%d (%s)" d h (regs args)
   | Ret r -> if r < 0 then "ret" else Printf.sprintf "ret r%d" r
   | TryPush (pc, r) -> Printf.sprintf "try.push @%d -> r%d" pc r
   | TryPop -> "try.pop"
   | Throw r -> Printf.sprintf "throw r%d" r
   | Yield -> "yield"
-  | HookRun (n, args) -> Printf.sprintf "hook.run %s (%s)" n (regs args)
+  | HookRun (fs, args) ->
+      Printf.sprintf "hook.run [%s] (%s)"
+        (String.concat " " (List.map (Printf.sprintf "#%d") (Array.to_list fs)))
+        (regs args)
   | Schedule (f, args, tid) -> Printf.sprintf "schedule #%d (%s) -> thread r%d" f (regs args) tid
   | Bind (f, args, d) -> Printf.sprintf "r%d <- bind #%d (%s)" d f (regs args)
   | Prim (_, args, d) -> Printf.sprintf "r%d <- prim (%s)" d (regs args)
+  | Unpack (fmt, s, v, i) ->
+      Printf.sprintf "r%d, r%d <- unpack.%s%d r%d" v i (unpack_name fmt) fmt.u_width s
+  | Read (s, n, v, i) -> Printf.sprintf "r%d, r%d <- read r%d r%d" v i s n
   | Nop -> "nop"
+  | UnpackI_u (fmt, s, v, i) ->
+      Printf.sprintf "i%d, r%d <- unpack.%s%d r%d" v i (unpack_name fmt) fmt.u_width s
   | IConst_u (d, k) -> Printf.sprintf "i%d <- const %Ld" d k
   | IMov_u (d, s) -> Printf.sprintf "i%d <- i%d" d s
   | UnboxI (d, s) -> Printf.sprintf "i%d <- unbox r%d" d s

@@ -95,7 +95,7 @@ let insert_like (p : Bytecode.prim) =
   | Bytecode.P_vector (Bytecode.V_push_back | Bytecode.V_set) -> true
   | Bytecode.P_set Bytecode.SE_insert -> true
   | Bytecode.P_map Bytecode.M_insert -> true
-  | Bytecode.P_struct (Bytecode.ST_set _) -> true
+  | Bytecode.P_struct (Bytecode.ST_set, _, _) -> true
   | Bytecode.P_classifier Bytecode.CL_add -> true
   | Bytecode.P_channel Bytecode.CH_write -> true
   | Bytecode.P_set Bytecode.SE_timeout | Bytecode.P_map Bytecode.M_timeout ->
@@ -111,7 +111,7 @@ let read_like (p : Bytecode.prim) =
       true
   | Bytecode.P_vector Bytecode.V_get -> true
   | Bytecode.P_map (Bytecode.M_get | Bytecode.M_get_default) -> true
-  | Bytecode.P_struct (Bytecode.ST_get _ | Bytecode.ST_get_default _) -> true
+  | Bytecode.P_struct ((Bytecode.ST_get | Bytecode.ST_get_default), _, _) -> true
   | Bytecode.P_classifier (Bytecode.CL_get | Bytecode.CL_matches) -> true
   | Bytecode.P_channel (Bytecode.CH_read | Bytecode.CH_try_read) -> true
   | Bytecode.P_iter Bytecode.I_deref -> true
@@ -199,8 +199,8 @@ let analyze (p : Bytecode.program) : result =
               add_contents (Param (callee, j)) (sites a))
           args;
         add_pts fi d retsites.(callee)
-    | Bytecode.HookRun (name, args) ->
-        List.iter
+    | Bytecode.HookRun (bodies, args) ->
+        Array.iter
           (fun callee ->
             let cf = p.Bytecode.funcs.(callee) in
             Array.iteri
@@ -208,10 +208,10 @@ let analyze (p : Bytecode.program) : result =
                 if j < cf.Bytecode.nparams then
                   add_contents (Param (callee, j)) (sites a))
               args)
-          (Option.value ~default:[] (Hashtbl.find_opt p.Bytecode.hooks name))
-    | Bytecode.CallC (name, args, d) ->
+          bodies
+    | Bytecode.CallC (h, args, d) ->
         let retained =
-          match Effects.host_effects name with
+          match Effects.host_effects p.Bytecode.host_names.(h) with
           | None -> true (* unknown: assume it keeps everything *)
           | Some h -> h.Effects.hf_sink
         in
@@ -258,6 +258,8 @@ let analyze (p : Bytecode.program) : result =
     | Bytecode.Const _ | Bytecode.Jump _ | Bytecode.Br _ | Bytecode.Switch _
     | Bytecode.TryPush _ | Bytecode.TryPop | Bytecode.Yield | Bytecode.Nop ->
         ()
+    (* An unpacked int and a fresh iterator: no allocation sites flow. *)
+    | Bytecode.Unpack _ | Bytecode.UnpackI_u _ | Bytecode.Read _ -> ()
     (* Specialized bank opcodes only move unboxed ints/floats. *)
     | Bytecode.IConst_u _ | Bytecode.IMov_u _ | Bytecode.UnboxI _
     | Bytecode.BoxI _ | Bytecode.IArith_u _ | Bytecode.IArithK_u _

@@ -68,6 +68,10 @@ let register_ctx t name fn = Vm.register_host t.ctx name fn
 (** Call an exported HILTI function synchronously. *)
 let call t name args = Vm.call t.ctx name args
 
+(** The layout of declared struct type [name]: structs the host builds for
+    HILTI code must use it (see {!Value.new_struct}). *)
+let struct_layout t name = Hashtbl.find_opt t.ctx.Vm.program.Bytecode.layouts name
+
 (** Run a hook by name. *)
 let run_hook t name args = Vm.run_hook t.ctx name args
 

@@ -1,11 +1,17 @@
 (** Lowering: HILTI IR -> register bytecode.
 
-    Performs, at compile time, everything the execution loop should not do
-    by name: variable-to-register allocation, block-label resolution,
-    constant materialization (including enum labels and bitset masks
-    resolved against their declarations), struct/overlay layout lookup, and
-    the global (thread-local) variable array layout that HILTI's custom
-    linker computes across compilation units (§5 "Linker"). *)
+    Performs, when the program is linked, everything the execution loop
+    should not do by name: variable-to-register allocation, block-label
+    resolution, constant materialization (including enum labels and bitset
+    masks resolved against their declarations), struct member to slot
+    resolution against the operand's declared struct type (one shared
+    {!Value.layout} per type), hook runs to the indices of their bodies
+    (dropped when a hook has none), host calls to host slots, overlay
+    layouts, and the global (thread-local) variable array layout that
+    HILTI's custom linker computes across compilation units (§5 "Linker").
+    [bytes.unpack_*] and [bytes.read] lower to two-destination
+    instructions ({!Bytecode.Unpack}, {!Bytecode.Read}) whose [tuple.get]s
+    become register moves, so no result tuple is built. *)
 
 open Bytecode
 
@@ -92,7 +98,14 @@ type pre =
 (* ---- Function lowering ---------------------------------------------------------- *)
 
 type fctx = {
+  fname : string;
   types : (string, Module_ir.type_decl) Hashtbl.t;
+  layouts : (string, Value.layout) Hashtbl.t;  (* one per struct type *)
+  hooks : (string, int array) Hashtbl.t;       (* hook -> body func idxs *)
+  hosts : (string, int) Hashtbl.t;             (* host function -> slot *)
+  pairs : (string, int * int) Hashtbl.t;
+      (* unpack result locals read only through [tuple.get]: their value
+         and iterator registers *)
   var_types : (string, Htype.t) Hashtbl.t;
   regs : (string, int) Hashtbl.t;
   mutable nregs : int;
@@ -213,14 +226,37 @@ let cmp_of = function
   | "eq" -> C_eq | "lt" -> C_lt | "gt" -> C_gt | "leq" -> C_leq | "geq" -> C_geq
   | op -> fail "unknown comparison %s" op
 
-let struct_field_names ctx tname =
-  match Hashtbl.find_opt ctx.types tname with
-  | Some (Module_ir.Struct_decl fields) -> List.map fst fields
-  | _ -> fail "unknown struct type %s" tname
+let struct_layout ctx tname =
+  match Hashtbl.find_opt ctx.layouts tname with
+  | Some l -> l
+  | None -> fail "unknown struct type %s" tname
+
+(* The layout and slot of [member] in the declared struct type of the
+   operand of struct instruction [m]. *)
+let struct_slot ctx m (operand : Instr.operand) member =
+  let declared = operand_htype ctx operand in
+  match Option.map Htype.deref declared with
+  | Some (Htype.Struct tname) ->
+      let l = struct_layout ctx tname in
+      let i = Value.field_index l member in
+      if i < 0 then fail "%s: struct %s has no field %s" m tname member;
+      (l, i)
+  | _ ->
+      fail "%s in %s: operand %s has no declared struct type (declared %s)" m
+        ctx.fname (Instr.operand_to_string operand)
+        (match declared with Some t -> Htype.to_string t | None -> "nothing")
+
+let host_slot ctx name =
+  match Hashtbl.find_opt ctx.hosts name with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length ctx.hosts in
+      Hashtbl.add ctx.hosts name i;
+      i
 
 let classifier_nfields ctx (rule_ty : Htype.t) =
   match rule_ty with
-  | Htype.Struct n -> List.length (struct_field_names ctx n)
+  | Htype.Struct n -> Array.length (struct_layout ctx n).Value.lfields
   | Htype.Tuple ts -> List.length ts
   | Htype.Any -> fail "classifier rule type must be concrete"
   | _ -> 1
@@ -268,6 +304,18 @@ let bitset_mask ctx op =
       | _ -> fail "unknown bitset %s" tn)
   | _ -> fail "bitset operation needs constant labels"
 
+(* A two-destination instruction: straight into the registers of a pair
+   local, or, when the result tuple is used as a whole, into fresh
+   registers it is then built from. *)
+let lower_pair ctx (i : Instr.t) (mk : int -> int -> Bytecode.instr) =
+  match Option.bind i.Instr.target (Hashtbl.find_opt ctx.pairs) with
+  | Some (v, it) -> emit ctx (P (mk v it))
+  | None ->
+      let v = fresh ctx and it = fresh ctx in
+      emit ctx (P (mk v it));
+      store_target ctx i.Instr.target (fun dst ->
+          emit ctx (P (Prim (P_make_tuple, [| v; it |], dst))))
+
 (* Lower one IR instruction. *)
 let lower_instr ctx (i : Instr.t) =
   let m = i.Instr.mnemonic in
@@ -311,7 +359,8 @@ let lower_instr ctx (i : Instr.t) =
         store_target ctx dst_wanted (fun dst -> emit ctx (P (Call (idx, arg_regs, dst))))
     | None ->
         (* Unknown at link time: a host-application ("C") function. *)
-        store_target ctx dst_wanted (fun dst -> emit ctx (P (CallC (f, arg_regs, dst))))
+        let h = host_slot ctx f in
+        store_target ctx dst_wanted (fun dst -> emit ctx (P (CallC (h, arg_regs, dst))))
   in
   match (group, sub) with
   (* ---- flow ------------------------------------------------------------- *)
@@ -361,7 +410,7 @@ let lower_instr ctx (i : Instr.t) =
       | Instr.Type_op ty ->
           let spec =
             match Htype.deref ty with
-            | Htype.Struct n -> New_struct (n, struct_field_names ctx n)
+            | Htype.Struct n -> New_struct (struct_layout ctx n)
             | Htype.List _ -> New_list
             | Htype.Vector _ -> New_vector
             | Htype.Set _ -> New_set
@@ -421,16 +470,29 @@ let lower_instr ctx (i : Instr.t) =
       in
       prim (P_string sop)
   (* ---- bytes --------------------------------------------------------------- *)
+  | "bytes", ("unpack_uint" | "unpack_sint") ->
+      let fmt =
+        match (op 1, op 2) with
+        | Instr.Const (Constant.Int (w, _)), Instr.Const (Constant.Bool big)
+          when w >= 1L && w <= 8L ->
+            { u_signed = sub = "unpack_sint"; u_width = Int64.to_int w; u_big = big }
+        | _ -> fail "%s: width (1..8) and byte order must be constants" m
+      in
+      let src = lower_operand ctx (op 0) in
+      lower_pair ctx i (fun v it -> Unpack (fmt, src, v, it))
+  | "bytes", "read" ->
+      let src = lower_operand ctx (op 0) in
+      let n = lower_operand ctx (op 1) in
+      lower_pair ctx i (fun v it -> Read (src, n, v, it))
   | "bytes", _ ->
       let bop =
         match sub with
         | "new" -> B_new | "length" -> B_length | "append" -> B_append
         | "freeze" -> B_freeze | "is_frozen" -> B_is_frozen | "trim" -> B_trim
         | "sub" -> B_sub | "find" -> B_find | "match_prefix" -> B_match_prefix
-        | "can_read" -> B_can_read | "read" -> B_read | "to_string" -> B_to_string
+        | "can_read" -> B_can_read | "to_string" -> B_to_string
         | "to_int" -> B_to_int | "eq" -> B_eq | "starts_with" -> B_starts_with
         | "contains" -> B_contains | "offset" -> B_offset
-        | "unpack_uint" -> B_unpack_uint | "unpack_sint" -> B_unpack_sint
         | "to_upper" -> B_upper | "to_lower" -> B_lower
         | _ -> fail "unknown bytes op %s" sub
       in
@@ -474,22 +536,42 @@ let lower_instr ctx (i : Instr.t) =
   (* ---- tuples --------------------------------------------------------------------- *)
   | "tuple", "get" -> (
       match op 1 with
-      | Instr.Const (Constant.Int (idx, _)) ->
-          prim ~args:[ op 0 ] (P_tuple_get (Int64.to_int idx))
+      | Instr.Const (Constant.Int (idx, _)) -> (
+          let pair =
+            match op 0 with Instr.Local t -> Hashtbl.find_opt ctx.pairs t | _ -> None
+          in
+          match pair with
+          | Some (v, it) ->
+              let src = if idx = 0L then v else it in
+              store_target ctx i.Instr.target (fun dst ->
+                  if dst >= 0 then emit ctx (P (Mov (dst, src))))
+          | None -> prim ~args:[ op 0 ] (P_tuple_get (Int64.to_int idx)))
       | o -> fail "tuple.get: constant index required, got %s" (Instr.operand_to_string o))
   | "tuple", "length" -> prim P_tuple_length
   | "tuple", "eq" -> prim P_tuple_eq
   (* ---- structs --------------------------------------------------------------------- *)
-  | "struct", "get" -> prim ~args:[ op 0 ] (P_struct (ST_get (member_of (op 1))))
-  | "struct", "get_default" ->
-      prim ~args:[ op 0; op 2 ] (P_struct (ST_get_default (member_of (op 1))))
-  | "struct", "set" -> prim ~args:[ op 0; op 2 ] (P_struct (ST_set (member_of (op 1))))
-  | "struct", "unset" -> prim ~args:[ op 0 ] (P_struct (ST_unset (member_of (op 1))))
-  | "struct", "is_set" -> prim ~args:[ op 0 ] (P_struct (ST_is_set (member_of (op 1))))
+  | "struct", ("get" | "get_default" | "set" | "unset" | "is_set") ->
+      let sop, args =
+        match sub with
+        | "get" -> (ST_get, [ op 0 ])
+        | "get_default" -> (ST_get_default, [ op 0; op 2 ])
+        | "set" -> (ST_set, [ op 0; op 2 ])
+        | "unset" -> (ST_unset, [ op 0 ])
+        | _ -> (ST_is_set, [ op 0 ])
+      in
+      let layout, slot = struct_slot ctx m (op 0) (member_of (op 1)) in
+      prim ~args (P_struct (sop, layout, slot))
   (* ---- enums ------------------------------------------------------------------------- *)
   | "enum", "from_int" -> (
       match op 0 with
-      | Instr.Type_op (Htype.Enum n) -> prim ~args:[ op 1 ] (P_enum_from_int n)
+      | Instr.Type_op (Htype.Enum n) ->
+          (* Undeclared enum types make every value Undef. *)
+          let labels =
+            match Hashtbl.find_opt ctx.types n with
+            | Some (Module_ir.Enum_decl labels) -> Array.of_list (List.map snd labels)
+            | _ -> [||]
+          in
+          prim ~args:[ op 1 ] (P_enum_from_int (n, labels))
       | o -> fail "enum.from_int: expected enum type, got %s" (Instr.operand_to_string o))
   | "enum", "value" -> prim P_enum_value
   | "enum", "eq" -> prim P_enum_eq
@@ -603,11 +685,15 @@ let lower_instr ctx (i : Instr.t) =
       emit ctx (P (Schedule (idx, arg_regs, tid)))
   | "thread", "id" -> prim P_thread_id
   (* ---- hooks ------------------------------------------------------------------------------------- *)
-  | "hook", "run" ->
-      let name = fname_of (op 0) in
-      let args = match op 1 with Instr.Tuple_op l -> l | o -> [ o ] in
-      let arg_regs = Array.of_list (List.map (lower_operand ctx) args) in
-      emit ctx (P (HookRun (name, arg_regs)))
+  | "hook", "run" -> (
+      (* Hooks are static: the linked module holds every body, so a hook
+         without bodies runs nothing and is dropped. *)
+      match Hashtbl.find_opt ctx.hooks (fname_of (op 0)) with
+      | None -> ()
+      | Some bodies ->
+          let args = match op 1 with Instr.Tuple_op l -> l | o -> [ o ] in
+          let arg_regs = Array.of_list (List.map (lower_operand ctx) args) in
+          emit ctx (P (HookRun (bodies, arg_regs))))
   | "hook", "stop" ->
       (* Modeled as a distinguished exception understood by the hook runner. *)
       let r = fresh ctx in
@@ -661,11 +747,141 @@ let resolve_labels (pres : pre list) (block_offsets : (string, int) Hashtbl.t) =
       | PTryPush (l, r) -> TryPush (resolve l, r))
     pres
 
-let lower_func types global_index fname_index c_funcs internal_name
+(* Unpack/read result locals whose only uses are [tuple.get]s with a constant
+   index, and which nothing else assigns, get a value and an iterator
+   register instead of a tuple.  A [tuple.get] right after its unpack (only
+   other such [tuple.get]s in between) whose target is assigned nowhere
+   else is dropped: the unpack writes that target's register directly.  So
+   is an [assign] that then copies such a target, used nowhere else, into
+   another local that the dropped instructions do not mention.  Returns
+   each pair local with the locals (if any) receiving its value and its
+   iterator, and the dropped instructions. *)
+let pair_plan (f : Module_ir.func) =
+  let all = List.concat_map (fun b -> b.Module_ir.instrs) f.Module_ir.blocks in
+  let defs = Hashtbl.create 16 and uses = Hashtbl.create 16 and bad = Hashtbl.create 16 in
+  let count tbl n = Hashtbl.replace tbl n (1 + Option.value ~default:0 (Hashtbl.find_opt tbl n)) in
+  let candidates = ref [] in
+  let rec use ok (o : Instr.operand) =
+    match o with
+    | Instr.Local n | Instr.Global n ->
+        count uses n;
+        if not ok then Hashtbl.replace bad n ()
+    | Instr.Tuple_op l -> List.iter (use false) l
+    | _ -> ()
+  in
+  List.iter
+    (fun (i : Instr.t) ->
+      Option.iter (count defs) i.Instr.target;
+      (match (i.Instr.mnemonic, i.Instr.target) with
+      | ("bytes.unpack_uint" | "bytes.unpack_sint" | "bytes.read"), Some t ->
+          candidates := t :: !candidates
+      | _ -> ());
+      match (i.Instr.mnemonic, i.Instr.operands) with
+      | "tuple.get", [ (Instr.Local _ as t); Instr.Const (Constant.Int ((0L | 1L), _)) ] ->
+          use true t
+      | _, ops -> List.iter (use false) ops)
+    all;
+  let is_local n = List.mem_assoc n f.Module_ir.locals in
+  let single_def n = Hashtbl.find_opt defs n = Some 1 in
+  let pairs =
+    List.filter
+      (fun t -> single_def t && (not (Hashtbl.mem bad t)) && is_local t)
+      (List.sort_uniq compare !candidates)
+  in
+  let plan = Hashtbl.create 8 and skip = ref [] in
+  List.iter
+    (fun (b : Module_ir.block) ->
+      let rec scan = function
+        | [] -> ()
+        | (i : Instr.t) :: rest -> (
+            match i.Instr.target with
+            | Some t
+              when List.mem t pairs
+                   && List.mem i.Instr.mnemonic
+                        [ "bytes.unpack_uint"; "bytes.unpack_sint"; "bytes.read" ] ->
+                let dest = [| None; None |] in
+                let mentioned = ref [ t ] in
+                let rec follow = function
+                  | ({ Instr.mnemonic = "tuple.get";
+                       operands = [ Instr.Local t'; Instr.Const (Constant.Int (k, _)) ];
+                       target = Some x; _ } as g)
+                    :: rest
+                    when t' = t && dest.(Int64.to_int k) = None && single_def x && is_local x ->
+                      dest.(Int64.to_int k) <- Some x;
+                      mentioned := x :: !mentioned;
+                      skip := g :: !skip;
+                      follow rest
+                  | ({ Instr.mnemonic = "assign"; operands = [ Instr.Local x ]; target = Some y; _ }
+                     as a)
+                    :: rest
+                    when Hashtbl.find_opt uses x = Some 1
+                         && (is_local y || List.mem_assoc y f.Module_ir.params)
+                         && not (List.mem y !mentioned) -> (
+                      match Array.find_index (fun d -> d = Some x) dest with
+                      | Some k ->
+                          dest.(k) <- Some y;
+                          mentioned := y :: !mentioned;
+                          skip := a :: !skip;
+                          follow rest
+                      | None -> a :: rest)
+                  | rest -> rest
+                in
+                let rest = follow rest in
+                Hashtbl.replace plan t (dest.(0), dest.(1));
+                scan rest
+            | _ -> scan rest)
+      in
+      scan b.Module_ir.instrs)
+    f.Module_ir.blocks;
+  (List.map (fun t -> (t, Option.value ~default:(None, None) (Hashtbl.find_opt plan t))) pairs,
+   !skip)
+
+(* Adjacent copy coalescing: [x = <op>; y = assign x], where the local [x]
+   is assigned and read nowhere else, becomes [y = <op>].  Every lowered
+   instruction reads its operands before it writes its destination, so
+   [y] may be among [<op>]'s operands; and [<op>] failing leaves [y]
+   untouched either way. *)
+let coalesce_copies (f : Module_ir.func) (blocks : (string * Instr.t list) list) =
+  let defs = Hashtbl.create 32 and uses = Hashtbl.create 32 in
+  let count tbl n = Hashtbl.replace tbl n (1 + Option.value ~default:0 (Hashtbl.find_opt tbl n)) in
+  let rec use (o : Instr.operand) =
+    match o with
+    | Instr.Local n -> count uses n
+    | Instr.Tuple_op l -> List.iter use l
+    | _ -> ()
+  in
+  List.iter
+    (fun (_, is) ->
+      List.iter
+        (fun (i : Instr.t) ->
+          Option.iter (count defs) i.Instr.target;
+          List.iter use i.Instr.operands)
+        is)
+    blocks;
+  let once tbl n = Hashtbl.find_opt tbl n = Some 1 in
+  let is_local n = List.mem_assoc n f.Module_ir.locals in
+  let is_reg n = is_local n || List.mem_assoc n f.Module_ir.params in
+  let rec go acc = function
+    | ({ Instr.target = Some x; _ } as i)
+      :: { Instr.mnemonic = "assign"; operands = [ Instr.Local x' ]; target = Some y; _ }
+      :: rest
+      when x = x' && x <> y && is_local x && once defs x && once uses x && is_reg y ->
+        go acc ({ i with Instr.target = Some y } :: rest)
+    | i :: rest -> go (i :: acc) rest
+    | [] -> List.rev acc
+  in
+  List.map (fun (l, is) -> (l, go [] is)) blocks
+
+let lower_func types layouts hooks hosts global_index fname_index c_funcs internal_name
     (f : Module_ir.func) : Bytecode.func =
   let ctx =
     {
+      fname = internal_name;
       types;
+      layouts;
+      hooks;
+      hosts;
+      pairs = Hashtbl.create 8;
       var_types = Hashtbl.create 16;
       regs = Hashtbl.create 16;
       nregs = 0;
@@ -683,14 +899,43 @@ let lower_func types global_index fname_index c_funcs internal_name
       Hashtbl.replace ctx.var_types n t;
       Hashtbl.replace ctx.regs n (fresh ctx))
     (f.Module_ir.params @ f.Module_ir.locals);
+  (* Value and iterator registers of the pair locals start out with the
+     declared tuple's element defaults, as the tuple local itself did. *)
+  let pairs, skip = pair_plan f in
+  let pair_inits = ref [] in
+  List.iter
+    (fun (t, (dv, di)) ->
+      let defaults =
+        match var_type ctx t with
+        | Some (Htype.Tuple [ a; b ]) -> [| default_value a; default_value b |]
+        | _ -> [| Value.Int 0L; Value.Null |]
+      in
+      let reg k = function
+        | Some x -> reg_of_var ctx x
+        | None ->
+            let r = fresh ctx in
+            pair_inits := (r, defaults.(k)) :: !pair_inits;
+            r
+      in
+      let v = reg 0 dv in
+      let it = reg 1 di in
+      Hashtbl.replace ctx.pairs t (v, it))
+    pairs;
   (* Two-phase emission: lower every block recording start offsets, then
      patch label references. *)
+  let blocks =
+    coalesce_copies f
+      (List.map
+         (fun (b : Module_ir.block) ->
+           (b.Module_ir.label, List.filter (fun i -> not (List.memq i skip)) b.Module_ir.instrs))
+         f.Module_ir.blocks)
+  in
   let block_offsets = Hashtbl.create 8 in
   List.iter
-    (fun (b : Module_ir.block) ->
-      Hashtbl.replace block_offsets b.Module_ir.label ctx.nout;
-      List.iter (lower_instr ctx) b.Module_ir.instrs)
-    f.Module_ir.blocks;
+    (fun (label, instrs) ->
+      Hashtbl.replace block_offsets label ctx.nout;
+      List.iter (lower_instr ctx) instrs)
+    blocks;
   (* Implicit return for void functions. *)
   (match ctx.out with
   | P (Ret _) :: _ -> ()
@@ -710,7 +955,7 @@ let lower_func types global_index fname_index c_funcs internal_name
     (fun (r, v) ->
       reg_defaults.(r) <- v;
       entry_init.(r) <- true)
-    ctx.const_inits;
+    (ctx.const_inits @ !pair_inits);
   {
     name = internal_name;
     nparams = List.length f.Module_ir.params;
@@ -757,29 +1002,39 @@ let lower_module (m : Module_ir.t) : Bytecode.program =
       (fun a b -> Int.compare b.Module_ir.hook_priority a.Module_ir.hook_priority)
       m.Module_ir.hooks
   in
-  let hooks_table = Hashtbl.create 8 in
+  let hooks = Hashtbl.create 8 in
   List.iteri
     (fun i (h : Module_ir.func) ->
       let idx = nfuncs + i in
-      let existing = Option.value ~default:[] (Hashtbl.find_opt hooks_table h.Module_ir.fname) in
-      Hashtbl.replace hooks_table h.Module_ir.fname (existing @ [ idx ]))
+      let existing = Option.value ~default:[||] (Hashtbl.find_opt hooks h.Module_ir.fname) in
+      Hashtbl.replace hooks h.Module_ir.fname (Array.append existing [| idx |]))
     hook_bodies;
+  (* One layout per declared struct type: VM slot accesses identify a
+     struct's type by this physical layout. *)
+  let layouts = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun n d ->
+      match d with
+      | Module_ir.Struct_decl fields ->
+          Hashtbl.replace layouts n (Value.make_layout n (List.map fst fields))
+      | _ -> ())
+    types;
+  let hosts = Hashtbl.create 8 in
+  let lower name f =
+    lower_func types layouts hooks hosts global_index fname_index c_funcs name f
+  in
   let lowered_funcs =
-    List.map
-      (fun (f : Module_ir.func) ->
-        lower_func types global_index fname_index c_funcs f.Module_ir.fname f)
-      hilti_funcs
+    List.map (fun (f : Module_ir.func) -> lower f.Module_ir.fname f) hilti_funcs
   in
   let lowered_hooks =
     List.mapi
-      (fun i (h : Module_ir.func) ->
-        lower_func types global_index fname_index c_funcs
-          (Printf.sprintf "%s#%d" h.Module_ir.fname i)
-          h)
+      (fun i (h : Module_ir.func) -> lower (Printf.sprintf "%s#%d" h.Module_ir.fname i) h)
       hook_bodies
   in
   let funcs = Array.of_list (lowered_funcs @ lowered_hooks) in
   let func_index = Hashtbl.create 32 in
   Array.iteri (fun i (f : Bytecode.func) -> Hashtbl.replace func_index f.name i) funcs;
-  { funcs; func_index; globals; global_defaults; global_index; hooks = hooks_table;
-    types; verified = false; specialized = false; reuse = [||]; reuse_susp = [||] }
+  let host_names = Array.make (Hashtbl.length hosts) "" in
+  Hashtbl.iter (fun n i -> host_names.(i) <- n) hosts;
+  { funcs; func_index; globals; global_defaults; global_index; hooks; layouts;
+    host_names; verified = false; specialized = false; reuse = [||]; reuse_susp = [||] }

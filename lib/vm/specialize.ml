@@ -51,7 +51,10 @@ type stats = {
    source is a boxed register. *)
 let boxed_reads (i : instr) : int list =
   match i with
-  | Mov (_, s) | StoreGlobal (_, s) | Throw s | UnboxI (_, s) | UnboxF (_, s) -> [ s ]
+  | Mov (_, s) | StoreGlobal (_, s) | Throw s | UnboxI (_, s) | UnboxF (_, s)
+  | Unpack (_, s, _, _) | UnpackI_u (_, s, _, _) ->
+      [ s ]
+  | Read (_, s, n, _) -> [ s; n ]
   | Br (c, _, _) -> [ c ]
   | Switch (v, _, _) -> [ v ]
   | Ret r -> if r >= 0 then [ r ] else []
@@ -61,17 +64,19 @@ let boxed_reads (i : instr) : int list =
   | Schedule (_, args, tid) -> tid :: Array.to_list args
   | _ -> []
 
-(* The boxed register an instruction defines on fallthrough, or -1.
-   TryPush's exception register is defined on the exception edge, not
-   here — and is [Texception]-tagged, so never banked anyway. *)
-let boxed_def (i : instr) : int =
+(* The boxed registers an instruction defines on fallthrough.  TryPush's
+   exception register is defined on the exception edge, not here — and is
+   [Texception]-tagged, so never banked anyway. *)
+let boxed_defs (i : instr) : int list =
   match i with
-  | Const (d, _) | Mov (d, _) | LoadGlobal (d, _) -> d
-  | Call (_, _, d) | CallC (_, _, d) | Bind (_, _, d) | Prim (_, _, d) -> d
+  | Const (d, _) | Mov (d, _) | LoadGlobal (d, _) -> [ d ]
+  | Call (_, _, d) | CallC (_, _, d) | Bind (_, _, d) | Prim (_, _, d) -> [ d ]
   | BoxI (d, _) | BoxF (d, _) | ICmp_u (_, d, _, _) | ICmpK_u (_, d, _, _)
   | FCmp_u (_, d, _, _) ->
-      d
-  | _ -> -1
+      [ d ]
+  | Unpack (_, _, v, it) | Read (_, _, v, it) -> [ v; it ]
+  | UnpackI_u (_, _, _, it) -> [ it ]
+  | _ -> []
 
 let ibank_reads (i : instr) : int list =
   match i with
@@ -126,9 +131,7 @@ let specialize_func (st : stats) (f : func) : unit =
      parameter registers whose boxed value never goes stale). *)
   let written = Array.make nregs false in
   Array.iter
-    (fun i ->
-      let d = boxed_def i in
-      if d >= 0 then written.(d) <- true)
+    (fun i -> List.iter (fun d -> if d >= 0 then written.(d) <- true) (boxed_defs i))
     code;
   (* Registers that participate in a specializable primitive site. *)
   let spec_use = Array.make nregs false in
@@ -254,6 +257,8 @@ let specialize_func (st : stats) (f : func) : unit =
         let sa, pre = float_operand sf0 a [] in
         let sb, pre = float_operand sf1 b pre in
         List.rev pre @ [ FCmp_u (c, d, sa, sb) ]
+    (* An unpacked value feeding int arithmetic goes straight to its bank. *)
+    | Unpack (fmt, s, v, it) when ibanked v -> [ UnpackI_u (fmt, s, int_slot.(v), it) ]
     | i ->
         (* Generic instruction: refresh boxed shadows of banked written
            registers it reads, and pull any banked register it defines
@@ -267,11 +272,13 @@ let specialize_func (st : stats) (f : func) : unit =
               else None)
             reads
         in
-        let d = boxed_def i in
         let post =
-          if ibanked d then [ bridge (UnboxI (int_slot.(d), d)) ]
-          else if fbanked d then [ bridge (UnboxF (float_slot.(d), d)) ]
-          else []
+          List.filter_map
+            (fun d ->
+              if ibanked d then Some (bridge (UnboxI (int_slot.(d), d)))
+              else if fbanked d then Some (bridge (UnboxF (float_slot.(d), d)))
+              else None)
+            (boxed_defs i)
         in
         pre @ (i :: post)
   in

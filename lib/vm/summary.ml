@@ -124,8 +124,7 @@ let equal a b =
 let prim_may_suspend (p : Bytecode.prim) =
   match p with
   | Bytecode.P_bytes
-      (Bytecode.B_match_prefix | Bytecode.B_read | Bytecode.B_unpack_uint
-      | Bytecode.B_unpack_sint) ->
+      Bytecode.B_match_prefix ->
       true
   | Bytecode.P_iter Bytecode.I_deref -> true
   | Bytecode.P_channel (Bytecode.CH_write | Bytecode.CH_read) -> true
@@ -169,12 +168,11 @@ let callgraph (p : Bytecode.program) : callgraph =
         (fun pc instr ->
           match instr with
           | Bytecode.Call (callee, _, _) -> add sync i callee
-          | Bytecode.HookRun (name, _) ->
-              List.iter (add sync i)
-                (Option.value ~default:[] (Hashtbl.find_opt p.Bytecode.hooks name))
+          | Bytecode.HookRun (bodies, _) -> Array.iter (add sync i) bodies
           | Bytecode.Bind (callee, _, _) | Bytecode.Schedule (callee, _, _) ->
               add async i callee
-          | Bytecode.CallC (name, _, _) -> hosts.(i) <- (name, pc) :: hosts.(i)
+          | Bytecode.CallC (h, _, _) ->
+              hosts.(i) <- (p.Bytecode.host_names.(h), pc) :: hosts.(i)
           | _ -> ())
         f.Bytecode.code)
     p.Bytecode.funcs;
@@ -193,7 +191,8 @@ let local_summary (p : Bytecode.program) (fidx : int) : t =
           upd (fun s -> { s with reads_globals = IntSet.add slot s.reads_globals })
       | Bytecode.StoreGlobal (slot, _) ->
           upd (fun s -> { s with writes_globals = IntSet.add slot s.writes_globals })
-      | Bytecode.CallC (name, _, _) ->
+      | Bytecode.CallC (h, _, _) ->
+          let name = p.Bytecode.host_names.(h) in
           upd (fun s ->
               let s = { s with host_calls = StrSet.add name s.host_calls } in
               match Effects.host_effects name with
@@ -211,7 +210,9 @@ let local_summary (p : Bytecode.program) (fidx : int) : t =
       | Bytecode.HookRun _ -> upd (fun s -> { s with runs_hooks = true })
       | Bytecode.Schedule _ -> upd (fun s -> { s with schedules = true })
       | Bytecode.Bind _ -> upd (fun s -> { s with binds = true })
-      | Bytecode.Yield -> upd (fun s -> { s with may_suspend = true })
+      (* [Unpack] and [Read] block for input like the suspending primitives. *)
+      | Bytecode.Yield | Bytecode.Unpack _ | Bytecode.UnpackI_u _ | Bytecode.Read _ ->
+          upd (fun s -> { s with may_suspend = true })
       | Bytecode.Throw _ -> upd (fun s -> { s with throws = true })
       | Bytecode.Prim (prim, _, _) ->
           upd (fun s ->
@@ -333,6 +334,84 @@ let reusable_susp (s : program_summary) (i : int) : bool =
 (** Compute summaries and stamp the per-function reuse licences into the
     program ({!Bytecode.program.reuse} and [reuse_susp]), enabling the
     VM's frame-arena path.  Returns the summary for further consumers. *)
+(* ---- Frame reset sets ------------------------------------------------------ *)
+
+(** [(reset, stale)] for a reused arena frame of [f].  [reset]: the
+    registers it must restore from [reg_defaults] — the parameters (a host
+    call may pass fewer arguments) and every register some instruction
+    writes whose entry value an activation can observe, read on some path
+    from entry before any write.  [stale]: the other written registers,
+    which every activation writes before reading them, so they may keep a
+    previous activation's value.  Registers no instruction writes keep
+    their default in the slot.  A forward must-analysis over the
+    instructions; an exception edge carries the state at its [TryPush],
+    as in {!Verify}. *)
+let reset_regs (f : Bytecode.func) : int array * int array =
+  let n = max f.Bytecode.nregs 1 in
+  let code = f.Bytecode.code in
+  let len = Array.length code in
+  let writes (i : Bytecode.instr) =
+    match i with
+    | Bytecode.TryPush (_, r) -> [ r ]
+    | i -> Specialize.boxed_defs i
+  in
+  let written = Array.make n false in
+  Array.iter (fun i -> List.iter (fun d -> if d >= 0 && d < n then written.(d) <- true) (writes i)) code;
+  let states : Bytes.t option array = Array.make len None in
+  let work = Queue.create () in
+  let flow pc st =
+    if pc >= 0 && pc < len then
+      match states.(pc) with
+      | None ->
+          states.(pc) <- Some (Bytes.copy st);
+          Queue.add pc work
+      | Some cur ->
+          let changed = ref false in
+          Bytes.iteri
+            (fun r c ->
+              if c = '\001' && Bytes.get st r = '\000' then begin
+                Bytes.set cur r '\000';
+                changed := true
+              end)
+            cur;
+          if !changed then Queue.add pc work
+  in
+  let set st r = if r >= 0 && r < n then Bytes.set st r '\001' in
+  if len > 0 then flow 0 (Bytes.make n '\000');
+  while not (Queue.is_empty work) do
+    let pc = Queue.pop work in
+    let st = Bytes.copy (Option.get states.(pc)) in
+    let i = code.(pc) in
+    (match i with
+    | Bytecode.TryPush (h, r) ->
+        (* [r] is written on the exception edge only. *)
+        let hs = Bytes.copy st in
+        set hs r;
+        flow h hs
+    | _ ->
+        List.iter (set st) (writes i);
+        List.iter (fun t -> flow t st) (Specialize.targets_of i));
+    match i with
+    | Bytecode.Jump _ | Bytecode.Br _ | Bytecode.Switch _ | Bytecode.Ret _ | Bytecode.Throw _
+    | Bytecode.IIncrJ_u _ | Bytecode.IBrCmp_u _ | Bytecode.IBrCmpK_u _ | Bytecode.FBrCmp_u _ ->
+        ()
+    | _ -> flow (pc + 1) st
+  done;
+  let reset = Array.make n false in
+  for r = 0 to min f.Bytecode.nparams n - 1 do reset.(r) <- true done;
+  Array.iteri
+    (fun pc i ->
+      match states.(pc) with
+      | Some st ->
+          List.iter
+            (fun r ->
+              if r >= 0 && r < n && written.(r) && Bytes.get st r = '\000' then reset.(r) <- true)
+            (Specialize.boxed_reads i)
+      | None -> ())
+    code;
+  let pick keep = Array.of_list (List.filter keep (List.init n Fun.id)) in
+  (pick (fun r -> reset.(r)), pick (fun r -> written.(r) && not reset.(r)))
+
 let license_frame_reuse (p : Bytecode.program) : program_summary =
   let s = compute p in
   let n = Array.length p.Bytecode.funcs in

@@ -43,7 +43,15 @@ type t =
   | Iosrc of Hilti_rt.Iosrc.t
   | Caddr of string                  (** name of a registered host function *)
 
-and strukt = { sname : string; sfields : (string * t option ref) array }
+and strukt = { layout : layout; slots : t array }
+(** A struct instance: its type's layout and one slot per declared field,
+    holding {!unset} while the field is unset. *)
+
+and layout = { lname : string; lfields : string array }
+(** The field layout of one declared struct type, shared by every instance
+    of the type.  {!Lower} makes exactly one per declared type, so VM slot
+    accesses check a struct's type with one physical-equality test on its
+    layout. *)
 
 and iter =
   | Ibytes of Hbytes.iter
@@ -89,6 +97,57 @@ let exhausted () = safety_failure "Hilti::Exhausted" Null
 let type_error msg = safety_failure "Hilti::TypeError" (String msg)
 let would_block () = hilti_exception "Hilti::WouldBlock" Null
 
+(* ---- Structs ------------------------------------------------------------------ *)
+
+(* The unset-slot marker: a physically unique value, only ever compared
+   with [==] and never handed out by the accessors below. *)
+let unset : t = Exception { ename = "Hilti::Unset"; earg = Null }
+
+let make_layout lname fields = { lname; lfields = Array.of_list fields }
+
+let new_struct layout =
+  { layout; slots = Array.make (Array.length layout.lfields) unset }
+
+(** Slot of field [name] in [layout], or -1 when the type does not declare it. *)
+let field_index layout name =
+  let fs = layout.lfields in
+  let rec go i =
+    if i >= Array.length fs then -1
+    else if String.equal fs.(i) name then i
+    else go (i + 1)
+  in
+  go 0
+
+(** The set fields of [s] in declaration order. *)
+let struct_fields s =
+  let acc = ref [] in
+  for i = Array.length s.slots - 1 downto 0 do
+    let v = s.slots.(i) in
+    if v != unset then acc := (s.layout.lfields.(i), v) :: !acc
+  done;
+  !acc
+
+(** Host-side read of field [name]: [None] when [v] is not a struct, its
+    type does not declare [name], or the field is unset.  The one by-name
+    struct access; a host probe is not a VM safety check, so nothing is
+    counted. *)
+let field v name =
+  match v with
+  | Struct s ->
+      let i = field_index s.layout name in
+      if i < 0 then None
+      else
+        let x = s.slots.(i) in
+        if x == unset then None else Some x
+  | _ -> None
+
+(** Host-side write of field [name]; raises [Invalid_argument] when the
+    struct's type does not declare it. *)
+let set_field s name v =
+  let i = field_index s.layout name in
+  if i < 0 then invalid_arg ("Value.set_field: " ^ s.layout.lname ^ " has no field " ^ name);
+  s.slots.(i) <- v
+
 (* ---- Printing --------------------------------------------------------------- *)
 
 let rec to_string = function
@@ -110,13 +169,9 @@ let rec to_string = function
       "(" ^ String.concat ", " (Array.to_list (Array.map to_string vs)) ^ ")"
   | Struct s ->
       let fields =
-        Array.to_list s.sfields
-        |> List.filter_map (fun (n, v) ->
-               match !v with
-               | Some v -> Some (Printf.sprintf "%s=%s" n (to_string v))
-               | None -> None)
+        List.map (fun (n, v) -> Printf.sprintf "%s=%s" n (to_string v)) (struct_fields s)
       in
-      Printf.sprintf "%s{%s}" s.sname (String.concat ", " fields)
+      Printf.sprintf "%s{%s}" s.layout.lname (String.concat ", " fields)
   | List d -> "[" ^ String.concat ", " (List.map to_string (Deque.to_list d)) ^ "]"
   | Vector v ->
       "vector("
@@ -223,9 +278,8 @@ let rec deep_copy v =
   | Struct s ->
       Struct
         {
-          sname = s.sname;
-          sfields =
-            Array.map (fun (n, f) -> (n, ref (Option.map deep_copy !f))) s.sfields;
+          s with
+          slots = Array.map (fun x -> if x == unset then x else deep_copy x) s.slots;
         }
   | List d ->
       let d' = Deque.create () in
@@ -286,17 +340,3 @@ let as_exception = function Exception e -> e | v -> raise (type_error ("exceptio
 let as_callable = function Callable c -> c | v -> raise (type_error ("callable: " ^ to_string v))
 let as_file = function File f -> f | v -> raise (type_error ("file: " ^ to_string v))
 let as_iosrc = function Iosrc s -> s | v -> raise (type_error ("iosrc: " ^ to_string v))
-
-(* ---- Struct helpers ------------------------------------------------------------------ *)
-
-let struct_field s name =
-  let rec go i =
-    if i >= Array.length s.sfields then raise (unset_field name)
-    else
-      let n, f = s.sfields.(i) in
-      if n = name then f else go (i + 1)
-  in
-  go 0
-
-let new_struct sname field_names =
-  { sname; sfields = Array.of_list (List.map (fun n -> (n, ref None)) field_names) }

@@ -12,8 +12,10 @@
       of every instruction is inside the frame ([-1] is the "discard"
       destination the VM ignores); global slots and callee indices index
       their arrays; direct calls pass exactly the callee's parameter
-      count; specialized opcodes index inside the register banks, whose
-      templates match their declared sizes;
+      count; hook-run body indices and host slots index the function and
+      host-name arrays; struct slots lie inside their layout; specialized
+      opcodes index inside the register banks, whose templates match
+      their declared sizes;
     - {b definedness}: along {e all} paths (including exceptional edges
       from [TryPush] to its handler) every register is written before it
       is read.  Parameters, declared locals (typed defaults) and
@@ -105,8 +107,7 @@ let prim_sig (p : prim) : tag option array option * tag =
           (None, Tbool)
       | B_to_string -> (None, Tstring)
       | B_new | B_sub -> (None, Tbytes)
-      | B_read | B_find | B_unpack_uint | B_unpack_sint ->
-          (None, Ttuple)  (* (value, rest-iterator) pairs *)
+      | B_find -> (None, Ttuple)  (* (found, iterator) pair *)
       | _ -> (None, Any))
   | P_iter _ -> (None, Any)
   | P_addr op -> (
@@ -215,6 +216,7 @@ let verify_func (p : program) (f : func) : int * string list =
   else begin
     let nglobals = Array.length p.globals in
     let nfuncs = Array.length p.funcs in
+    let nhosts = Array.length p.host_names in
     let check_target pc t what =
       incr checks;
       if t < 0 || t >= len then err pc "%s target %d out of range [0,%d)" what t len
@@ -292,6 +294,11 @@ let verify_func (p : program) (f : func) : int * string list =
           if s < 0 || s >= sp.n_float then
             err pc "%s: float-bank slot %d out of range [0,%d)" what s sp.n_float
     in
+    let unpack_width pc fmt =
+      incr checks;
+      if fmt.u_width < 1 || fmt.u_width > 8 then
+        err pc "unpack width %d outside 1..8" fmt.u_width
+    in
     while not (Queue.is_empty work) do
       let pc = Queue.pop work in
       let st = copy_state (Option.get states.(pc)) in
@@ -353,7 +360,10 @@ let verify_func (p : program) (f : func) : int * string list =
           end;
           Array.iteri (fun i r -> ignore (use st pc r (Printf.sprintf "call arg %d" i))) args;
           def st pc d Any
-      | CallC (_, args, d) ->
+      | CallC (h, args, d) ->
+          incr checks;
+          if h < 0 || h >= nhosts then
+            err pc "host slot %d out of range [0,%d)" h nhosts;
           Array.iteri (fun i r -> ignore (use st pc r (Printf.sprintf "callc arg %d" i))) args;
           def st pc d Any
       | Ret r ->
@@ -372,7 +382,13 @@ let verify_func (p : program) (f : func) : int * string list =
           ignore (use st pc r "throw operand");
           fallthrough := false
       | Yield -> ()
-      | HookRun (_, args) ->
+      | HookRun (bodies, args) ->
+          Array.iter
+            (fun fi ->
+              incr checks;
+              if fi < 0 || fi >= nfuncs then
+                err pc "hook body index %d out of range [0,%d)" fi nfuncs)
+            bodies;
           Array.iteri (fun i r -> ignore (use st pc r (Printf.sprintf "hook arg %d" i))) args
       | Schedule (fi, args, tid) ->
           incr checks;
@@ -390,6 +406,16 @@ let verify_func (p : program) (f : func) : int * string list =
           Array.iteri (fun i r -> ignore (use st pc r (Printf.sprintf "bind arg %d" i))) args;
           def st pc d Tcallable
       | Prim (prim, args, d) ->
+          (match prim with
+          | P_struct (op, l, slot) ->
+              incr checks;
+              let n = Array.length l.Value.lfields in
+              if slot < 0 || slot >= n then
+                err pc "struct slot %d out of range [0,%d) for %s" slot n l.Value.lname;
+              let arity = match op with ST_get_default | ST_set -> 2 | _ -> 1 in
+              if Array.length args <> arity then
+                err pc "struct operation takes %d operands, got %d" arity (Array.length args)
+          | _ -> ());
           let expected, ret = prim_sig prim in
           Array.iteri
             (fun i r ->
@@ -404,6 +430,22 @@ let verify_func (p : program) (f : func) : int * string list =
               | _ -> ())
             args;
           def st pc d ret
+      | Unpack (fmt, s, v, it) ->
+          unpack_width pc fmt;
+          ignore (use st pc s "unpack source");
+          def st pc v Tint;
+          def st pc it Any
+      | Read (s, n, v, it) ->
+          ignore (use st pc s "read source");
+          let nt = use st pc n "read length" in
+          require pc "read length" ~expected:Tint ~actual:nt;
+          def st pc v Tbytes;
+          def st pc it Any
+      | UnpackI_u (fmt, s, v, it) ->
+          unpack_width pc fmt;
+          ignore (use st pc s "unpack source");
+          islot pc v "unpack dst";
+          def st pc it Any
       | Nop -> ()
       | IConst_u (d, _) -> islot pc d "iconst"
       | IMov_u (d, s) ->
@@ -523,6 +565,13 @@ let compute_typing (f : func) : tag array =
       | TryPush (_, r) -> contribute r Texception
       | Bind (_, _, d) -> contribute d Tcallable
       | Prim (p, _, d) -> contribute d (snd (prim_sig p))
+      | Unpack (_, _, v, it) ->
+          contribute v Tint;
+          contribute it Any
+      | UnpackI_u (_, _, _, it) -> contribute it Any
+      | Read (_, _, v, it) ->
+          contribute v Tbytes;
+          contribute it Any
       | BoxI (d, _) -> contribute d Tint
       | BoxF (d, _) -> contribute d Tdouble
       | ICmp_u (_, d, _, _) | ICmpK_u (_, d, _, _) | FCmp_u (_, d, _, _) ->

@@ -56,9 +56,11 @@ let opgroup_of (i : Bytecode.instr) =
   | TryPush _ | TryPop | Throw _ -> 3
   | Yield | HookRun _ | Schedule _ -> 4
   | LoadGlobal _ | StoreGlobal _ -> 5
-  | Prim _ -> 6
+  | Prim _ | Unpack _ | Read _ -> 6
   | Nop -> 7
-  | IConst_u _ | IMov_u _ | IArith_u _ | IArithK_u _ | ICmp_u _ | ICmpK_u _ -> 8
+  | IConst_u _ | IMov_u _ | IArith_u _ | IArithK_u _ | ICmp_u _ | ICmpK_u _
+  | UnpackI_u _ ->
+      8
   | FConst_u _ | FMov_u _ | FArith_u _ | FCmp_u _ -> 9
   | IBrCmp_u _ | IBrCmpK_u _ | IIncrJ_u _ | FBrCmp_u _ -> 10
   | UnboxI _ | BoxI _ | UnboxF _ | BoxF _ -> bridge_group
@@ -88,6 +90,9 @@ let m_regbank_transfers =
    performance but never correctness. *)
 type arena_slot = {
   a_regs : Value.t array;
+  a_code : Bytecode.instr array;  (** the code [a_reset]/[a_stale] were computed for *)
+  a_reset : int array;   (** registers restored per activation ({!Summary.reset_regs}) *)
+  a_stale : int array;   (** written registers left as the last activation left them *)
   a_ibank : Bytes.t;      (** empty when the function has no bank layout *)
   a_fbank : float array;
   mutable a_busy : bool;
@@ -95,7 +100,8 @@ type arena_slot = {
 
 type context = {
   program : Bytecode.program;
-  host_funcs : (string, context -> Value.t list -> Value.t) Hashtbl.t;
+  host_slots : (context -> Value.t list -> Value.t) option array;
+      (* by host slot ([program.host_names]); shared with domain clones *)
   scheduler : Hilti_rt.Scheduler.t;
   vthread_globals : (int64, Value.t array) Hashtbl.t;
   mutable current_thread : int64;
@@ -125,7 +131,7 @@ let create (program : Bytecode.program) =
   if not program.verified then invalid_arg "Vm.create: program is not verified";
   {
     program;
-    host_funcs = Hashtbl.create 16;
+    host_slots = Array.make (Array.length program.host_names) None;
     scheduler = Hilti_rt.Scheduler.create ();
     vthread_globals = Hashtbl.create 8;
     current_thread = main_thread_id;
@@ -140,7 +146,12 @@ let create (program : Bytecode.program) =
     parent = None;
   }
 
-let register_host ctx name fn = Hashtbl.replace ctx.host_funcs name fn
+(** Bind host function [name] to its slot.  A name the program never calls
+    has no slot and nothing to bind. *)
+let register_host ctx name fn =
+  Array.iteri
+    (fun i n -> if String.equal n name then ctx.host_slots.(i) <- Some fn)
+    ctx.program.host_names
 
 (** Instructions retired, including those run on the parallel engine's
     per-domain clones. *)
@@ -160,7 +171,7 @@ let credit ctx =
 
 (* ---- Per-domain execution contexts (the parallel engine) --------------------- *)
 
-(* A domain clone shares the immutable program, the host-function table and
+(* A domain clone shares the immutable program, the host-function slots and
    the scheduler, but owns the mutable execution state (current thread,
    globals table/cache, instruction counter).  [Hilti_par] makes one clone
    per worker domain and registers it in domain-local storage; every VM
@@ -248,6 +259,35 @@ let blocking ctx f =
   in
   go ()
 
+(** Wait until [w] bytes are readable at [it], suspending while the stream
+    may still grow. *)
+let rec await_bytes ctx it w =
+  match Hilti_types.Hbytes.require it w with
+  | () -> ()
+  | exception Hilti_types.Hbytes.Would_block ->
+      suspend ctx;
+      await_bytes ctx it w
+  | exception Hilti_types.Hbytes.Out_of_range ->
+      raise (Value.value_error "bytes: out of range")
+
+(** The integer [bytes.unpack_*] reads at [it] (after {!await_bytes}).
+    Inlined, so the int-bank path never boxes it. *)
+let[@inline] unpack_value (it : Hilti_types.Hbytes.iter) (fmt : unpack_fmt) : int64 =
+  let module H = Hilti_types.Hbytes in
+  let w = fmt.u_width and big = fmt.u_big in
+  let x =
+    if w <= 7 then Int64.of_int (H.uint_at it ~k:0 ~len:w ~big)
+    else
+      (* Eight bytes: two 4-byte halves, so the native ints never overflow. *)
+      let hi = H.uint_at it ~k:(if big then 0 else 4) ~len:4 ~big
+      and lo = H.uint_at it ~k:(if big then 4 else 0) ~len:4 ~big in
+      Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+  in
+  if fmt.u_signed && w < 8 then
+    let sh = 64 - (8 * w) in
+    Int64.shift_right (Int64.shift_left x sh) sh
+  else x
+
 (* ---- Int semantics ------------------------------------------------------------ *)
 
 let wrap width v =
@@ -293,8 +333,10 @@ type frame = {
 
 (* Debug mode for the frame arena: on acquire, every register the frame
    contract does not initialize ([entry_init] false — lowering
-   temporaries the verifier proved defined-before-used) is filled with a
-   physically-unique sentinel (a string) instead of its default.  The
+   temporaries the verifier proved defined-before-used) and every register
+   a reused frame does not restore ([a_stale]: written before read, by
+   {!Summary.reset_regs}) is filled with a physically-unique sentinel (a
+   string) instead of its default.  The
    dispatch loop does not look for it — a per-read compare would tax every
    instruction — but any computation that consumes a stale slot then
    fails its type check or returns a different result, so a reuse-on vs
@@ -324,17 +366,18 @@ let m_frame_suspend_copies =
     ~help:
       "Activations of may-suspend functions that copied bank templates because their arena slot was parked busy by a suspended activation"
 
-let poison_uninit (f : Bytecode.func) (regs : Value.t array) =
-  if !arena_debug then
-    Array.iteri
-      (fun i init -> if not init then regs.(i) <- arena_poison)
-      f.entry_init
+let poison_uninit (f : Bytecode.func) (s : arena_slot) =
+  if !arena_debug then begin
+    Array.iteri (fun i init -> if not init then s.a_regs.(i) <- arena_poison) f.entry_init;
+    Array.iter (fun r -> s.a_regs.(r) <- arena_poison) s.a_stale
+  end
 
-(* A cached slot is only reusable while its shapes still match the
-   function: {!Specialize} may rewrite [reg_defaults] and attach banks
-   after a slot was first created. *)
+(* A cached slot is only reusable while its shapes and code still match
+   the function: {!Specialize} may rewrite the code and attach banks after
+   a slot was first created. *)
 let slot_fits (f : Bytecode.func) (s : arena_slot) =
-  Array.length s.a_regs = Array.length f.reg_defaults
+  s.a_code == f.code
+  && Array.length s.a_regs = Array.length f.reg_defaults
   && (match f.spec with
      | Some sp ->
          Bytes.length s.a_ibank = Bytes.length sp.ibank_init
@@ -348,8 +391,9 @@ let slot_fits (f : Bytecode.func) (s : arena_slot) =
     back).  For the suspend-tolerant class the busy fallback is the
     expected steady-state cost of overlapping parked fibers, so it is
     metered separately as [vm_frame_suspend_copies].  On reuse the bank
-    templates are blitted over the slot in place, so the activation
-    starts from exactly the state a fresh copy would have. *)
+    templates are blitted over the slot in place and the registers whose
+    entry value is observable are restored, so the activation computes
+    exactly what it would from a fresh copy. *)
 let acquire_frame ctx (fidx : int) (f : Bytecode.func) : arena_slot option =
   let lic = ctx.program.reuse in
   let lic_s = ctx.program.reuse_susp in
@@ -362,13 +406,19 @@ let acquire_frame ctx (fidx : int) (f : Bytecode.func) : arena_slot option =
     match ctx.arena.(fidx) with
     | Some s when (not s.a_busy) && slot_fits f s ->
         s.a_busy <- true;
-        Array.blit f.reg_defaults 0 s.a_regs 0 (Array.length f.reg_defaults);
+        (* Only the observable registers: a whole-frame blit into an old
+           array pays the write barrier on every slot. *)
+        let rs = s.a_reset in
+        for k = 0 to Array.length rs - 1 do
+          let r = Array.unsafe_get rs k in
+          Array.unsafe_set s.a_regs r (Array.unsafe_get f.reg_defaults r)
+        done;
         (match f.spec with
         | Some sp ->
             Bytes.blit sp.ibank_init 0 s.a_ibank 0 (Bytes.length sp.ibank_init);
             Array.blit sp.fbank_init 0 s.a_fbank 0 (Array.length sp.fbank_init)
         | None -> ());
-        poison_uninit f s.a_regs;
+        poison_uninit f s;
         if Hilti_obs.Metrics.enabled () then Hilti_obs.Metrics.incr m_frames_reused;
         Some s
     | Some s when s.a_busy ->
@@ -380,9 +430,13 @@ let acquire_frame ctx (fidx : int) (f : Bytecode.func) : arena_slot option =
     | _ ->
         (* First licensed activation (or a stale-shaped slot): build the
            slot from the templates; later activations reuse it. *)
+        let reset, stale = Summary.reset_regs f in
         let s =
           {
             a_regs = Array.copy f.reg_defaults;
+            a_code = f.code;
+            a_reset = reset;
+            a_stale = stale;
             a_ibank =
               (match f.spec with
               | Some sp -> Bytes.copy sp.ibank_init
@@ -394,7 +448,7 @@ let acquire_frame ctx (fidx : int) (f : Bytecode.func) : arena_slot option =
             a_busy = true;
           }
         in
-        poison_uninit f s.a_regs;
+        poison_uninit f s;
         ctx.arena.(fidx) <- Some s;
         Some s
   end
@@ -409,10 +463,34 @@ let release_frame = function Some s -> s.a_busy <- false | None -> ()
 external ibank_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external ibank_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* Preallocated booleans so specialized comparisons never allocate their
-   boxed result. *)
+(* Preallocated booleans so comparisons never allocate their boxed
+   result. *)
 let vtrue = Value.Bool true
 let vfalse = Value.Bool false
+let vbool b = if b then vtrue else vfalse
+
+(* Operand [n] of a primitive: register [ar.(n)] of the frame [rg].  The
+   verifier proved every register in [ar] inside the frame; the index into
+   [ar] stays checked, since primitives of the wrong arity can reach here. *)
+let arg (rg : Value.t array) (ar : int array) n = Array.unsafe_get rg ar.(n)
+
+let sarg rg ar n = Value.as_string (arg rg ar n)
+
+let arg_array rg ar =
+  match Array.length ar with
+  | 0 -> [||]
+  | 2 -> [| arg rg ar 0; arg rg ar 1 |]  (* the common pair: no runtime call *)
+  | n ->
+      let a = Array.make n (arg rg ar 0) in
+      for i = 1 to n - 1 do
+        Array.unsafe_set a i (arg rg ar i)
+      done;
+      a
+
+let rec args_from rg ar i =
+  if i >= Array.length ar then [] else Array.unsafe_get rg ar.(i) :: args_from rg ar (i + 1)
+
+let args_list rg ar = args_from rg ar 0
 
 (* Printf-lite formatting for string.format: %s %d %f %%. *)
 let format_string fmt args =
@@ -448,26 +526,25 @@ let format_string fmt args =
 
 (* ---- Primitive dispatch ------------------------------------------------------------- *)
 
-let rec exec_prim ctx (p : prim) (args : Value.t array) : Value.t =
-  let a n = args.(n) in
+let rec exec_prim ctx (p : prim) (rg : Value.t array) (ar : int array) : Value.t =
   match p with
-  | P_select -> if Value.as_bool (a 0) then a 1 else a 2
-  | P_equal -> Value.Bool (Value.equal (a 0) (a 1))
-  | P_make_tuple -> Value.Tuple (Array.copy args)
-  | P_new spec -> exec_new ctx spec args
-  | P_bool_and -> Value.Bool (Value.as_bool (a 0) && Value.as_bool (a 1))
-  | P_bool_or -> Value.Bool (Value.as_bool (a 0) || Value.as_bool (a 1))
-  | P_bool_not -> Value.Bool (not (Value.as_bool (a 0)))
-  | P_int_arith (op, w) -> Value.Int (int_arith op w (Value.as_int (a 0)) (Value.as_int (a 1)))
-  | P_int_cmp c -> Value.Bool (compare_by c (Int64.compare (Value.as_int (a 0)) (Value.as_int (a 1))))
-  | P_int_neg w -> Value.Int (wrap w (Int64.neg (Value.as_int (a 0))))
-  | P_int_abs -> Value.Int (Int64.abs (Value.as_int (a 0)))
-  | P_int_to_double -> Value.Double (Int64.to_float (Value.as_int (a 0)))
-  | P_int_to_time -> Value.Time (Hilti_types.Time_ns.of_secs (Value.as_int_i (a 0)))
-  | P_int_to_interval -> Value.Interval (Hilti_types.Interval_ns.of_secs (Value.as_int_i (a 0)))
+  | P_select -> if Value.as_bool (arg rg ar 0) then arg rg ar 1 else arg rg ar 2
+  | P_equal -> vbool (Value.equal (arg rg ar 0) (arg rg ar 1))
+  | P_make_tuple -> Value.Tuple (arg_array rg ar)
+  | P_new spec -> exec_new ctx spec rg ar
+  | P_bool_and -> vbool (Value.as_bool (arg rg ar 0) && Value.as_bool (arg rg ar 1))
+  | P_bool_or -> vbool (Value.as_bool (arg rg ar 0) || Value.as_bool (arg rg ar 1))
+  | P_bool_not -> vbool (not (Value.as_bool (arg rg ar 0)))
+  | P_int_arith (op, w) -> Value.Int (int_arith op w (Value.as_int (arg rg ar 0)) (Value.as_int (arg rg ar 1)))
+  | P_int_cmp c -> vbool (compare_by c (Int64.compare (Value.as_int (arg rg ar 0)) (Value.as_int (arg rg ar 1))))
+  | P_int_neg w -> Value.Int (wrap w (Int64.neg (Value.as_int (arg rg ar 0))))
+  | P_int_abs -> Value.Int (Int64.abs (Value.as_int (arg rg ar 0)))
+  | P_int_to_double -> Value.Double (Int64.to_float (Value.as_int (arg rg ar 0)))
+  | P_int_to_time -> Value.Time (Hilti_types.Time_ns.of_secs (Value.as_int_i (arg rg ar 0)))
+  | P_int_to_interval -> Value.Interval (Hilti_types.Interval_ns.of_secs (Value.as_int_i (arg rg ar 0)))
   | P_int_to_string ->
-      let base = if Array.length args > 1 then Value.as_int_i (a 1) else 10 in
-      let v = Value.as_int (a 0) in
+      let base = if Array.length ar > 1 then Value.as_int_i (arg rg ar 1) else 10 in
+      let v = Value.as_int (arg rg ar 0) in
       Value.String
         (match base with
         | 10 -> Int64.to_string v
@@ -475,7 +552,7 @@ let rec exec_prim ctx (p : prim) (args : Value.t array) : Value.t =
         | 8 -> Printf.sprintf "%Lo" v
         | _ -> raise (Value.value_error "int.to_string: base must be 8, 10 or 16"))
   | P_double_arith op ->
-      let x = Value.as_double (a 0) and y = Value.as_double (a 1) in
+      let x = Value.as_double (arg rg ar 0) and y = Value.as_double (arg rg ar 1) in
       Value.Double
         (match op with
         | A_add -> x +. y
@@ -484,69 +561,65 @@ let rec exec_prim ctx (p : prim) (args : Value.t array) : Value.t =
         | A_div -> if y = 0. then raise (Value.division_by_zero ()) else x /. y
         | _ -> fail "double arith")
   | P_double_cmp c ->
-      Value.Bool (compare_by c (Float.compare (Value.as_double (a 0)) (Value.as_double (a 1))))
-  | P_double_neg -> Value.Double (-.Value.as_double (a 0))
-  | P_double_abs -> Value.Double (Float.abs (Value.as_double (a 0)))
-  | P_double_to_int -> Value.Int (Int64.of_float (Value.as_double (a 0)))
-  | P_string op -> exec_string op args
-  | P_bytes op -> exec_bytes ctx op args
-  | P_iter op -> exec_iter ctx op args
-  | P_addr op -> exec_addr op args
-  | P_port op -> exec_port op args
-  | P_net op -> exec_net op args
-  | P_time op -> exec_time op args
-  | P_interval op -> exec_interval op args
+      vbool (compare_by c (Float.compare (Value.as_double (arg rg ar 0)) (Value.as_double (arg rg ar 1))))
+  | P_double_neg -> Value.Double (-.Value.as_double (arg rg ar 0))
+  | P_double_abs -> Value.Double (Float.abs (Value.as_double (arg rg ar 0)))
+  | P_double_to_int -> Value.Int (Int64.of_float (Value.as_double (arg rg ar 0)))
+  | P_string op -> exec_string op rg ar
+  | P_bytes op -> exec_bytes ctx op rg ar
+  | P_iter op -> exec_iter ctx op rg ar
+  | P_addr op -> exec_addr op rg ar
+  | P_port op -> exec_port op rg ar
+  | P_net op -> exec_net op rg ar
+  | P_time op -> exec_time op rg ar
+  | P_interval op -> exec_interval op rg ar
   | P_tuple_get i ->
-      let t = Value.as_tuple (a 0) in
+      let t = Value.as_tuple (arg rg ar 0) in
       if i < 0 || i >= Array.length t then raise (Value.index_error ()) else t.(i)
-  | P_tuple_length -> Value.Int (Int64.of_int (Array.length (Value.as_tuple (a 0))))
-  | P_tuple_eq -> Value.Bool (Value.equal (a 0) (a 1))
-  | P_struct op -> exec_struct op args
-  | P_enum_from_int name ->
-      let v = Value.as_int_i (a 0) in
-      let known =
-        match Hashtbl.find_opt ctx.program.types name with
-        | Some (Module_ir.Enum_decl labels) -> List.exists (fun (_, x) -> x = v) labels
-        | _ -> false
-      in
-      Value.Enum (name, v, not known)
+  | P_tuple_length -> Value.Int (Int64.of_int (Array.length (Value.as_tuple (arg rg ar 0))))
+  | P_tuple_eq -> vbool (Value.equal (arg rg ar 0) (arg rg ar 1))
+  | P_struct (op, layout, slot) -> exec_struct op layout slot rg ar
+  | P_enum_from_int (name, labels) ->
+      let v = Value.as_int_i (arg rg ar 0) in
+      let rec known k = k < Array.length labels && (labels.(k) = v || known (k + 1)) in
+      Value.Enum (name, v, not (known 0))
   | P_enum_value -> (
-      match a 0 with
+      match arg rg ar 0 with
       | Value.Enum (_, v, _) -> Value.Int (Int64.of_int v)
       | v -> raise (Value.type_error ("enum: " ^ Value.to_string v)))
-  | P_enum_eq -> Value.Bool (Value.equal (a 0) (a 1))
+  | P_enum_eq -> vbool (Value.equal (arg rg ar 0) (arg rg ar 1))
   | P_bitset_set mask -> (
-      match a 0 with
+      match arg rg ar 0 with
       | Value.Bitset (n, bits) -> Value.Bitset (n, Int64.logor bits mask)
       | v -> raise (Value.type_error ("bitset: " ^ Value.to_string v)))
   | P_bitset_clear mask -> (
-      match a 0 with
+      match arg rg ar 0 with
       | Value.Bitset (n, bits) -> Value.Bitset (n, Int64.logand bits (Int64.lognot mask))
       | v -> raise (Value.type_error ("bitset: " ^ Value.to_string v)))
   | P_bitset_has mask -> (
-      match a 0 with
-      | Value.Bitset (_, bits) -> Value.Bool (Int64.logand bits mask = mask)
+      match arg rg ar 0 with
+      | Value.Bitset (_, bits) -> vbool (Int64.logand bits mask = mask)
       | v -> raise (Value.type_error ("bitset: " ^ Value.to_string v)))
-  | P_bitset_eq -> Value.Bool (Value.equal (a 0) (a 1))
-  | P_list op -> exec_list op args
-  | P_vector op -> exec_vector op args
-  | P_set op -> exec_set ctx op args
-  | P_map op -> exec_map ctx op args
-  | P_channel op -> exec_channel ctx op args
-  | P_classifier op -> exec_classifier op args
-  | P_regexp op -> exec_regexp ctx op args
-  | P_overlay_get spec -> exec_overlay ctx spec args
+  | P_bitset_eq -> vbool (Value.equal (arg rg ar 0) (arg rg ar 1))
+  | P_list op -> exec_list op rg ar
+  | P_vector op -> exec_vector op rg ar
+  | P_set op -> exec_set ctx op rg ar
+  | P_map op -> exec_map ctx op rg ar
+  | P_channel op -> exec_channel ctx op rg ar
+  | P_classifier op -> exec_classifier op rg ar
+  | P_regexp op -> exec_regexp ctx op rg ar
+  | P_overlay_get spec -> exec_overlay ctx spec rg ar
   | P_timer_new ->
-      let c = Value.as_callable (a 0) in
+      let c = Value.as_callable (arg rg ar 0) in
       Value.Timer (Hilti_rt.Timer.create (fun () -> ignore (c.Value.invoke ())))
   | P_timer_cancel ->
-      Hilti_rt.Timer.cancel (Value.as_timer (a 0));
+      Hilti_rt.Timer.cancel (Value.as_timer (arg rg ar 0));
       Value.Null
   | P_timer_mgr_schedule ->
-      let mgr = Value.as_timer_mgr (a 0) in
-      let at = Value.as_time (a 1) in
+      let mgr = Value.as_timer_mgr (arg rg ar 0) in
+      let at = Value.as_time (arg rg ar 1) in
       let timer =
-        match a 2 with
+        match arg rg ar 2 with
         | Value.Timer t -> t
         | Value.Callable c -> Hilti_rt.Timer.create (fun () -> ignore (c.Value.invoke ()))
         | v -> raise (Value.type_error ("timer: " ^ Value.to_string v))
@@ -554,25 +627,25 @@ let rec exec_prim ctx (p : prim) (args : Value.t array) : Value.t =
       Hilti_rt.Timer_mgr.schedule mgr timer at;
       Value.Timer timer
   | P_timer_mgr_advance ->
-      ignore (Hilti_rt.Timer_mgr.advance (Value.as_timer_mgr (a 0)) (Value.as_time (a 1)));
+      ignore (Hilti_rt.Timer_mgr.advance (Value.as_timer_mgr (arg rg ar 0)) (Value.as_time (arg rg ar 1)));
       Value.Null
   | P_timer_mgr_advance_global ->
-      ignore (Hilti_rt.Timer_mgr.advance (current_timer_mgr ctx) (Value.as_time (a 0)));
+      ignore (Hilti_rt.Timer_mgr.advance (current_timer_mgr ctx) (Value.as_time (arg rg ar 0)));
       Value.Null
-  | P_timer_mgr_current -> Value.Time (Hilti_rt.Timer_mgr.current (Value.as_timer_mgr (a 0)))
+  | P_timer_mgr_current -> Value.Time (Hilti_rt.Timer_mgr.current (Value.as_timer_mgr (arg rg ar 0)))
   | P_timer_mgr_expire_all ->
-      ignore (Hilti_rt.Timer_mgr.expire_all (Value.as_timer_mgr (a 0)));
+      ignore (Hilti_rt.Timer_mgr.expire_all (Value.as_timer_mgr (arg rg ar 0)));
       Value.Null
   | P_thread_id -> Value.Int ctx.current_thread
   | P_exc_new ->
-      let name = Value.as_string (a 0) in
-      let arg = if Array.length args > 1 then a 1 else Value.Null in
+      let name = Value.as_string (arg rg ar 0) in
+      let arg = if Array.length ar > 1 then arg rg ar 1 else Value.Null in
       Value.Exception { ename = name; earg = arg }
-  | P_exc_data -> (Value.as_exception (a 0)).Value.earg
-  | P_exc_name -> Value.String (Value.as_exception (a 0)).Value.ename
-  | P_file op -> exec_file ctx op args
+  | P_exc_data -> (Value.as_exception (arg rg ar 0)).Value.earg
+  | P_exc_name -> Value.String (Value.as_exception (arg rg ar 0)).Value.ename
+  | P_file op -> exec_file ctx op rg ar
   | P_iosrc_read -> (
-      match Hilti_rt.Iosrc.read (Value.as_iosrc (a 0)) with
+      match Hilti_rt.Iosrc.read (Value.as_iosrc (arg rg ar 0)) with
       | Some pkt ->
           let b = Hilti_types.Hbytes.of_string pkt.Hilti_rt.Iosrc.data in
           Hilti_types.Hbytes.freeze b;
@@ -581,7 +654,7 @@ let rec exec_prim ctx (p : prim) (args : Value.t array) : Value.t =
   | P_iosrc_close -> Value.Null
   | P_profiler op ->
       (* The one profiler resolved by name: the name is a runtime value. *)
-      let p = Hilti_rt.Profiler.create (Value.as_string (a 0)) in
+      let p = Hilti_rt.Profiler.create (Value.as_string (arg rg ar 0)) in
       credit ctx;
       (match op with
       | PR_start -> Hilti_rt.Profiler.start p
@@ -592,25 +665,25 @@ let rec exec_prim ctx (p : prim) (args : Value.t array) : Value.t =
       match op with
       | D_msg ->
           let msg =
-            if Array.length args > 1 then
-              Printf.sprintf "[%s] %s" (Value.to_string (a 0)) (Value.to_string (a 1))
-            else Value.to_string (a 0)
+            if Array.length ar > 1 then
+              Printf.sprintf "[%s] %s" (Value.to_string (arg rg ar 0)) (Value.to_string (arg rg ar 1))
+            else Value.to_string (arg rg ar 0)
           in
           ctx.debug_sink msg;
           Value.Null
       | D_assert ->
-          if not (Value.as_bool (a 0)) then
+          if not (Value.as_bool (arg rg ar 0)) then
             raise
               (Value.hilti_exception "Hilti::AssertionError"
-                 (if Array.length args > 1 then a 1 else Value.Null))
+                 (if Array.length ar > 1 then arg rg ar 1 else Value.Null))
           else Value.Null
       | D_internal_error ->
-          raise (Value.hilti_exception "Hilti::InternalError" (a 0)))
-  | P_callable_call -> (Value.as_callable (a 0)).Value.invoke ()
+          raise (Value.hilti_exception "Hilti::InternalError" (arg rg ar 0)))
+  | P_callable_call -> (Value.as_callable (arg rg ar 0)).Value.invoke ()
 
-and exec_new _ctx spec args =
+and exec_new _ctx spec rg ar =
   match spec with
-  | New_struct (name, fields) -> Value.Struct (Value.new_struct name fields)
+  | New_struct layout -> Value.Struct (Value.new_struct layout)
   | New_list -> Value.List (Deque.create ())
   | New_vector -> Value.Vector (Dynarray.create ())
   | New_set -> Value.Set (Hilti_rt.Exp_map.create ())
@@ -622,19 +695,17 @@ and exec_new _ctx spec args =
       Value.Classifier
         { Value.cls = Hilti_rt.Classifier.create nfields; key_types = [] }
   | New_match_state ->
-      let re = Value.as_regexp args.(0) in
+      let re = Value.as_regexp (arg rg ar 0) in
       Value.Match_state (Hilti_rt.Regexp.matcher re)
 
-and exec_string op args =
-  let a n = args.(n) in
-  let s n = Value.as_string (a n) in
+and exec_string op rg ar =
   match op with
-  | S_concat -> Value.String (s 0 ^ s 1)
-  | S_length -> Value.Int (Int64.of_int (String.length (s 0)))
-  | S_eq -> Value.Bool (String.equal (s 0) (s 1))
-  | S_lt -> Value.Bool (String.compare (s 0) (s 1) < 0)
+  | S_concat -> Value.String (sarg rg ar 0 ^ sarg rg ar 1)
+  | S_length -> Value.Int (Int64.of_int (String.length (sarg rg ar 0)))
+  | S_eq -> vbool (String.equal (sarg rg ar 0) (sarg rg ar 1))
+  | S_lt -> vbool (String.compare (sarg rg ar 0) (sarg rg ar 1) < 0)
   | S_find -> (
-      let hay = s 0 and needle = s 1 in
+      let hay = sarg rg ar 0 and needle = sarg rg ar 1 in
       let nl = String.length needle and hl = String.length hay in
       let rec go i =
         if i + nl > hl then Value.Int (-1L)
@@ -643,27 +714,26 @@ and exec_string op args =
       in
       go 0)
   | S_substr ->
-      let str = s 0 and start = Value.as_int_i (a 1) and len = Value.as_int_i (a 2) in
+      let str = sarg rg ar 0 and start = Value.as_int_i (arg rg ar 1) and len = Value.as_int_i (arg rg ar 2) in
       if start < 0 || len < 0 || start + len > String.length str then
         raise (Value.index_error ())
       else Value.String (String.sub str start len)
   | S_to_bytes ->
-      let b = Hilti_types.Hbytes.of_string (s 0) in
+      let b = Hilti_types.Hbytes.of_string (sarg rg ar 0) in
       Hilti_types.Hbytes.freeze b;
       Value.Bytes b
-  | S_upper -> Value.String (String.uppercase_ascii (s 0))
-  | S_lower -> Value.String (String.lowercase_ascii (s 0))
+  | S_upper -> Value.String (String.uppercase_ascii (sarg rg ar 0))
+  | S_lower -> Value.String (String.lowercase_ascii (sarg rg ar 0))
   | S_starts_with ->
-      let str = s 0 and p = s 1 in
-      Value.Bool
-        (String.length p <= String.length str && String.sub str 0 (String.length p) = p)
+      let str = sarg rg ar 0 and p = sarg rg ar 1 in
+      vbool (String.length p <= String.length str && String.sub str 0 (String.length p) = p)
   | S_contains -> (
-      match exec_string S_find args with
-      | Value.Int i -> Value.Bool (i >= 0L)
+      match exec_string S_find rg ar with
+      | Value.Int i -> vbool (i >= 0L)
       | _ -> assert false)
   | S_split1 -> (
-      let str = s 0 and sep = s 1 in
-      match exec_string S_find [| a 0; a 1 |] with
+      let str = sarg rg ar 0 and sep = sarg rg ar 1 in
+      match exec_string S_find rg ar with
       | Value.Int i when i >= 0L ->
           let i = Int64.to_int i in
           Value.Tuple
@@ -673,54 +743,53 @@ and exec_string op args =
                     (String.length str - i - String.length sep)) |]
       | _ -> Value.Tuple [| Value.String str; Value.String "" |])
   | S_format ->
-      let fmt = s 0 in
-      Value.String (format_string fmt (List.tl (Array.to_list args)))
+      let fmt = sarg rg ar 0 in
+      Value.String (format_string fmt (List.tl (args_list rg ar)))
 
-and exec_bytes ctx op args =
-  let a n = args.(n) in
+and exec_bytes ctx op rg ar =
   let open Hilti_types in
   match op with
   | B_new -> Value.Bytes (Hbytes.create ())
-  | B_length -> Value.Int (Int64.of_int (Hbytes.length (Value.as_bytes (a 0))))
+  | B_length -> Value.Int (Int64.of_int (Hbytes.length (Value.as_bytes (arg rg ar 0))))
   | B_append ->
-      let b = Value.as_bytes (a 0) in
-      (match a 1 with
+      let b = Value.as_bytes (arg rg ar 0) in
+      (match arg rg ar 1 with
       | Value.Bytes src -> Hbytes.append b (Hbytes.to_string src)
       | Value.String s -> Hbytes.append b s
       | v -> raise (Value.type_error ("bytes.append: " ^ Value.to_string v)));
       Value.Null
   | B_freeze ->
-      Hbytes.freeze (Value.as_bytes (a 0));
+      Hbytes.freeze (Value.as_bytes (arg rg ar 0));
       Value.Null
-  | B_is_frozen -> Value.Bool (Hbytes.is_frozen (Value.as_bytes (a 0)))
+  | B_is_frozen -> vbool (Hbytes.is_frozen (Value.as_bytes (arg rg ar 0)))
   | B_trim ->
       (* Accepts the bytes object itself or any iterator into it: generated
          parsers only hold iterators, never the underlying stream value. *)
       let target =
-        match a 0 with
+        match arg rg ar 0 with
         | Value.Bytes b -> b
         | Value.Iter (Value.Ibytes it) -> it.Hbytes.bytes
         | v -> raise (Value.type_error ("bytes.trim: " ^ Value.to_string v))
       in
-      Hbytes.trim target (Value.as_bytes_iter (a 1));
+      Hbytes.trim target (Value.as_bytes_iter (arg rg ar 1));
       Value.Null
   | B_sub ->
-      let i1 = Value.as_bytes_iter (a 0) and i2 = Value.as_bytes_iter (a 1) in
+      let i1 = Value.as_bytes_iter (arg rg ar 0) and i2 = Value.as_bytes_iter (arg rg ar 1) in
       let b = Hbytes.of_string (Hbytes.sub i1 i2) in
       Hbytes.freeze b;
       Value.Bytes b
   | B_find -> (
       let from =
-        match a 0 with
+        match arg rg ar 0 with
         | Value.Bytes b -> Hbytes.begin_ b
         | Value.Iter (Value.Ibytes it) -> it
         | v -> raise (Value.type_error ("bytes.find: " ^ Value.to_string v))
       in
       let from =
-        if Array.length args > 2 then Value.as_bytes_iter (a 2) else from
+        if Array.length ar > 2 then Value.as_bytes_iter (arg rg ar 2) else from
       in
       let needle =
-        match a 1 with
+        match arg rg ar 1 with
         | Value.Bytes b -> Hbytes.to_string b
         | Value.String s -> s
         | v -> raise (Value.type_error ("bytes.find: " ^ Value.to_string v))
@@ -732,28 +801,21 @@ and exec_bytes ctx op args =
             [| Value.Bool false;
                Value.Iter (Value.Ibytes from) |])
   | B_match_prefix ->
-      let it = Value.as_bytes_iter (a 0) in
+      let it = Value.as_bytes_iter (arg rg ar 0) in
       let s =
-        match a 1 with
+        match arg rg ar 1 with
         | Value.Bytes b -> Hbytes.to_string b
         | Value.String s -> s
         | v -> raise (Value.type_error ("bytes.match_prefix: " ^ Value.to_string v))
       in
-      Value.Bool (blocking ctx (fun () -> Hbytes.match_prefix it s))
+      vbool (blocking ctx (fun () -> Hbytes.match_prefix it s))
   | B_can_read ->
-      let it = Value.as_bytes_iter (a 0) in
-      Value.Bool (Hbytes.available it >= Value.as_int_i (a 1))
-  | B_read ->
-      let it = Value.as_bytes_iter (a 0) and n = Value.as_int_i (a 1) in
-      if n < 0 then raise (Value.value_error "bytes.read: negative length");
-      let data, it' = blocking ctx (fun () -> Hbytes.read it n) in
-      let b = Hbytes.of_string data in
-      Hbytes.freeze b;
-      Value.Tuple [| Value.Bytes b; Value.Iter (Value.Ibytes it') |]
-  | B_to_string -> Value.String (Hbytes.to_string (Value.as_bytes (a 0)))
+      let it = Value.as_bytes_iter (arg rg ar 0) in
+      vbool (Hbytes.available it >= Value.as_int_i (arg rg ar 1))
+  | B_to_string -> Value.String (Hbytes.to_string (Value.as_bytes (arg rg ar 0)))
   | B_to_int -> (
-      let s = String.trim (Hbytes.to_string (Value.as_bytes (a 0))) in
-      let base = if Array.length args > 1 then Value.as_int_i (a 1) else 10 in
+      let s = String.trim (Hbytes.to_string (Value.as_bytes (arg rg ar 0))) in
+      let base = if Array.length ar > 1 then Value.as_int_i (arg rg ar 1) else 10 in
       let s_prefixed =
         match base with
         | 10 -> s
@@ -766,11 +828,11 @@ and exec_bytes ctx op args =
       | None -> raise (Value.value_error ("bytes.to_int: " ^ s)))
   | B_eq ->
       Value.Bool
-        (Hbytes.to_string (Value.as_bytes (a 0)) = Hbytes.to_string (Value.as_bytes (a 1)))
+        (Hbytes.to_string (Value.as_bytes (arg rg ar 0)) = Hbytes.to_string (Value.as_bytes (arg rg ar 1)))
   | B_starts_with ->
-      let b = Value.as_bytes (a 0) in
+      let b = Value.as_bytes (arg rg ar 0) in
       let s =
-        match a 1 with
+        match arg rg ar 1 with
         | Value.Bytes x -> Hbytes.to_string x
         | Value.String x -> x
         | v -> raise (Value.type_error (Value.to_string v))
@@ -780,9 +842,9 @@ and exec_bytes ctx op args =
         (String.length s <= String.length content
         && String.sub content 0 (String.length s) = s)
   | B_contains -> (
-      let b = Value.as_bytes (a 0) in
+      let b = Value.as_bytes (arg rg ar 0) in
       let s =
-        match a 1 with
+        match arg rg ar 1 with
         | Value.Bytes x -> Hbytes.to_string x
         | Value.String x -> x
         | v -> raise (Value.type_error (Value.to_string v))
@@ -791,30 +853,22 @@ and exec_bytes ctx op args =
       | Some _ -> Value.Bool true
       | None -> Value.Bool false)
   | B_offset ->
-      let b = Value.as_bytes (a 0) in
-      Value.Iter (Value.Ibytes (Hbytes.iter_at b (Value.as_int_i (a 1))))
-  | B_unpack_uint | B_unpack_sint ->
-      let it = Value.as_bytes_iter (a 0) in
-      let width = Value.as_int_i (a 1) in
-      let order = if Value.as_bool (a 2) then Hbytes.Big else Hbytes.Little in
-      let read = if op = B_unpack_uint then Hbytes.read_uint else Hbytes.read_sint in
-      let v, it' = blocking ctx (fun () -> read it ~width ~order) in
-      Value.Tuple [| Value.Int v; Value.Iter (Value.Ibytes it') |]
+      let b = Value.as_bytes (arg rg ar 0) in
+      Value.Iter (Value.Ibytes (Hbytes.iter_at b (Value.as_int_i (arg rg ar 1))))
   | B_upper ->
-      let b = Hbytes.of_string (String.uppercase_ascii (Hbytes.to_string (Value.as_bytes (a 0)))) in
+      let b = Hbytes.of_string (String.uppercase_ascii (Hbytes.to_string (Value.as_bytes (arg rg ar 0)))) in
       Hbytes.freeze b;
       Value.Bytes b
   | B_lower ->
-      let b = Hbytes.of_string (String.lowercase_ascii (Hbytes.to_string (Value.as_bytes (a 0)))) in
+      let b = Hbytes.of_string (String.lowercase_ascii (Hbytes.to_string (Value.as_bytes (arg rg ar 0)))) in
       Hbytes.freeze b;
       Value.Bytes b
 
-and exec_iter ctx op args =
-  let a n = args.(n) in
+and exec_iter ctx op rg ar =
   let open Hilti_types in
   match op with
   | I_begin -> (
-      match a 0 with
+      match arg rg ar 0 with
       | Value.Bytes b -> Value.Iter (Value.Ibytes (Hbytes.begin_ b))
       | Value.List d -> Value.Iter (Value.Isnapshot (ref (Deque.to_list d)))
       | Value.Vector v -> Value.Iter (Value.Ivector (v, 0))
@@ -830,7 +884,7 @@ and exec_iter ctx op args =
           Value.Iter (Value.Isnapshot (ref (List.rev elems)))
       | v -> raise (Value.type_error ("iter.begin: " ^ Value.to_string v)))
   | I_end -> (
-      match a 0 with
+      match arg rg ar 0 with
       | Value.Bytes b -> Value.Iter (Value.Ibytes (Hbytes.end_ b))
       | Value.Iter (Value.Ibytes it) ->
           (* End of the iterator's underlying bytes object. *)
@@ -840,7 +894,7 @@ and exec_iter ctx op args =
       | Value.Vector v -> Value.Iter (Value.Ivector (v, Dynarray.size v))
       | v -> raise (Value.type_error ("iter.end: " ^ Value.to_string v)))
   | I_incr -> (
-      match Value.as_iter (a 0) with
+      match Value.as_iter (arg rg ar 0) with
       | Value.Ibytes it -> Value.Iter (Value.Ibytes (Hbytes.incr it))
       | Value.Isnapshot l -> (
           match !l with
@@ -848,15 +902,15 @@ and exec_iter ctx op args =
           | _ :: rest -> Value.Iter (Value.Isnapshot (ref rest)))
       | Value.Ivector (v, i) -> Value.Iter (Value.Ivector (v, i + 1)))
   | I_advance -> (
-      let n = Value.as_int_i (a 1) in
-      match Value.as_iter (a 0) with
+      let n = Value.as_int_i (arg rg ar 1) in
+      match Value.as_iter (arg rg ar 0) with
       | Value.Ibytes it -> Value.Iter (Value.Ibytes (Hbytes.advance it n))
       | Value.Isnapshot l ->
           let rec drop k lst = if k <= 0 then lst else match lst with [] -> [] | _ :: r -> drop (k - 1) r in
           Value.Iter (Value.Isnapshot (ref (drop n !l)))
       | Value.Ivector (v, i) -> Value.Iter (Value.Ivector (v, i + n)))
   | I_deref -> (
-      match Value.as_iter (a 0) with
+      match Value.as_iter (arg rg ar 0) with
       | Value.Ibytes it -> Value.Int (Int64.of_int (blocking ctx (fun () -> Hbytes.get it)))
       | Value.Isnapshot l -> (
           match !l with [] -> raise (Value.index_error ()) | x :: _ -> x)
@@ -865,117 +919,118 @@ and exec_iter ctx op args =
           | x -> x
           | exception Dynarray.Out_of_bounds -> raise (Value.index_error ())))
   | I_eq -> (
-      match (Value.as_iter (a 0), Value.as_iter (a 1)) with
-      | Value.Ibytes x, Value.Ibytes y -> Value.Bool (Hbytes.iter_equal x y)
+      match (Value.as_iter (arg rg ar 0), Value.as_iter (arg rg ar 1)) with
+      | Value.Ibytes x, Value.Ibytes y -> vbool (Hbytes.iter_equal x y)
       | Value.Isnapshot x, Value.Isnapshot y ->
-          Value.Bool (List.length !x = List.length !y)
-      | Value.Ivector (_, i), Value.Ivector (_, j) -> Value.Bool (i = j)
+          vbool (List.length !x = List.length !y)
+      | Value.Ivector (_, i), Value.Ivector (_, j) -> vbool (i = j)
       | _ -> Value.Bool false)
   | I_distance -> (
-      match (Value.as_iter (a 0), Value.as_iter (a 1)) with
+      match (Value.as_iter (arg rg ar 0), Value.as_iter (arg rg ar 1)) with
       | Value.Ibytes x, Value.Ibytes y -> Value.Int (Int64.of_int (Hbytes.distance x y))
       | Value.Ivector (_, i), Value.Ivector (_, j) -> Value.Int (Int64.of_int (j - i))
       | _ -> raise (Value.type_error "iter.distance"))
   | I_at_end -> (
-      match Value.as_iter (a 0) with
-      | Value.Ibytes it -> Value.Bool (Hbytes.at_end it)
-      | Value.Isnapshot l -> Value.Bool (!l = [])
-      | Value.Ivector (v, i) -> Value.Bool (i >= Dynarray.size v))
+      match Value.as_iter (arg rg ar 0) with
+      | Value.Ibytes it -> vbool (Hbytes.at_end it)
+      | Value.Isnapshot l -> vbool (!l = [])
+      | Value.Ivector (v, i) -> vbool (i >= Dynarray.size v))
   | I_is_eod -> (
-      match Value.as_iter (a 0) with
-      | Value.Ibytes it -> Value.Bool (Hbytes.is_eod it)
-      | Value.Isnapshot l -> Value.Bool (!l = [])
-      | Value.Ivector (v, i) -> Value.Bool (i >= Dynarray.size v))
+      match Value.as_iter (arg rg ar 0) with
+      | Value.Ibytes it -> vbool (Hbytes.is_eod it)
+      | Value.Isnapshot l -> vbool (!l = [])
+      | Value.Ivector (v, i) -> vbool (i >= Dynarray.size v))
   | I_is_frozen -> (
-      match Value.as_iter (a 0) with
-      | Value.Ibytes it -> Value.Bool (Hbytes.is_frozen (it_bytes it))
+      match Value.as_iter (arg rg ar 0) with
+      | Value.Ibytes it -> vbool (Hbytes.is_frozen (it_bytes it))
       | Value.Isnapshot _ | Value.Ivector _ -> Value.Bool true)
 
-and exec_addr op args =
-  let a n = args.(n) in
+and exec_addr op rg ar =
   let open Hilti_types in
   match op with
   | AD_family ->
-      let fam = Addr.family (Value.as_addr (a 0)) in
+      let fam = Addr.family (Value.as_addr (arg rg ar 0)) in
       Value.Enum ("Hilti::AddrFamily", (match fam with Addr.IPv4 -> 4 | Addr.IPv6 -> 6), false)
-  | AD_eq -> Value.Bool (Addr.equal (Value.as_addr (a 0)) (Value.as_addr (a 1)))
+  | AD_eq -> vbool (Addr.equal (Value.as_addr (arg rg ar 0)) (Value.as_addr (arg rg ar 1)))
   | AD_mask ->
-      let addr = Value.as_addr (a 0) and len = Value.as_int_i (a 1) in
+      let addr = Value.as_addr (arg rg ar 0) and len = Value.as_int_i (arg rg ar 1) in
       Value.Net (Network.make addr len)
-  | AD_to_string -> Value.String (Addr.to_string (Value.as_addr (a 0)))
+  | AD_to_string -> Value.String (Addr.to_string (Value.as_addr (arg rg ar 0)))
 
-and exec_port op args =
-  let a n = args.(n) in
+and exec_port op rg ar =
   let open Hilti_types in
   match op with
   | PO_protocol ->
-      let proto = Port.proto (Value.as_port (a 0)) in
+      let proto = Port.proto (Value.as_port (arg rg ar 0)) in
       Value.Enum
         ( "Hilti::Protocol",
           (match proto with Port.TCP -> 1 | Port.UDP -> 2 | Port.ICMP -> 3),
           false )
-  | PO_number -> Value.Int (Int64.of_int (Port.number (Value.as_port (a 0))))
-  | PO_eq -> Value.Bool (Port.equal (Value.as_port (a 0)) (Value.as_port (a 1)))
+  | PO_number -> Value.Int (Int64.of_int (Port.number (Value.as_port (arg rg ar 0))))
+  | PO_eq -> vbool (Port.equal (Value.as_port (arg rg ar 0)) (Value.as_port (arg rg ar 1)))
 
-and exec_net op args =
-  let a n = args.(n) in
+and exec_net op rg ar =
   let open Hilti_types in
   match op with
-  | NE_contains -> Value.Bool (Network.contains (Value.as_net (a 0)) (Value.as_addr (a 1)))
-  | NE_prefix -> Value.Addr (Network.prefix (Value.as_net (a 0)))
-  | NE_length -> Value.Int (Int64.of_int (Network.length (Value.as_net (a 0))))
-  | NE_eq -> Value.Bool (Network.equal (Value.as_net (a 0)) (Value.as_net (a 1)))
+  | NE_contains -> vbool (Network.contains (Value.as_net (arg rg ar 0)) (Value.as_addr (arg rg ar 1)))
+  | NE_prefix -> Value.Addr (Network.prefix (Value.as_net (arg rg ar 0)))
+  | NE_length -> Value.Int (Int64.of_int (Network.length (Value.as_net (arg rg ar 0))))
+  | NE_eq -> vbool (Network.equal (Value.as_net (arg rg ar 0)) (Value.as_net (arg rg ar 1)))
 
-and exec_time op args =
-  let a n = args.(n) in
+and exec_time op rg ar =
   let open Hilti_types in
   match op with
-  | TI_add -> Value.Time (Time_ns.add (Value.as_time (a 0)) (Interval_ns.to_ns (Value.as_interval (a 1))))
-  | TI_sub -> Value.Interval (Interval_ns.of_ns (Time_ns.diff (Value.as_time (a 0)) (Value.as_time (a 1))))
-  | TI_cmp c -> Value.Bool (compare_by c (Time_ns.compare (Value.as_time (a 0)) (Value.as_time (a 1))))
+  | TI_add -> Value.Time (Time_ns.add (Value.as_time (arg rg ar 0)) (Interval_ns.to_ns (Value.as_interval (arg rg ar 1))))
+  | TI_sub -> Value.Interval (Interval_ns.of_ns (Time_ns.diff (Value.as_time (arg rg ar 0)) (Value.as_time (arg rg ar 1))))
+  | TI_cmp c -> vbool (compare_by c (Time_ns.compare (Value.as_time (arg rg ar 0)) (Value.as_time (arg rg ar 1))))
   | TI_wall -> Value.Time (Time_ns.now ())
-  | TI_to_double -> Value.Double (Time_ns.to_float (Value.as_time (a 0)))
-  | TI_nsecs -> Value.Int (Time_ns.to_ns (Value.as_time (a 0)))
+  | TI_to_double -> Value.Double (Time_ns.to_float (Value.as_time (arg rg ar 0)))
+  | TI_nsecs -> Value.Int (Time_ns.to_ns (Value.as_time (arg rg ar 0)))
 
-and exec_interval op args =
-  let a n = args.(n) in
+and exec_interval op rg ar =
   let open Hilti_types in
   match op with
-  | IV_add -> Value.Interval (Interval_ns.add (Value.as_interval (a 0)) (Value.as_interval (a 1)))
-  | IV_sub -> Value.Interval (Interval_ns.sub (Value.as_interval (a 0)) (Value.as_interval (a 1)))
-  | IV_mul -> Value.Interval (Interval_ns.mul (Value.as_interval (a 0)) (Value.as_int_i (a 1)))
-  | IV_eq -> Value.Bool (Interval_ns.equal (Value.as_interval (a 0)) (Value.as_interval (a 1)))
-  | IV_lt -> Value.Bool (Interval_ns.compare (Value.as_interval (a 0)) (Value.as_interval (a 1)) < 0)
-  | IV_to_double -> Value.Double (Interval_ns.to_float (Value.as_interval (a 0)))
-  | IV_nsecs -> Value.Int (Interval_ns.to_ns (Value.as_interval (a 0)))
+  | IV_add -> Value.Interval (Interval_ns.add (Value.as_interval (arg rg ar 0)) (Value.as_interval (arg rg ar 1)))
+  | IV_sub -> Value.Interval (Interval_ns.sub (Value.as_interval (arg rg ar 0)) (Value.as_interval (arg rg ar 1)))
+  | IV_mul -> Value.Interval (Interval_ns.mul (Value.as_interval (arg rg ar 0)) (Value.as_int_i (arg rg ar 1)))
+  | IV_eq -> vbool (Interval_ns.equal (Value.as_interval (arg rg ar 0)) (Value.as_interval (arg rg ar 1)))
+  | IV_lt -> vbool (Interval_ns.compare (Value.as_interval (arg rg ar 0)) (Value.as_interval (arg rg ar 1)) < 0)
+  | IV_to_double -> Value.Double (Interval_ns.to_float (Value.as_interval (arg rg ar 0)))
+  | IV_nsecs -> Value.Int (Interval_ns.to_ns (Value.as_interval (arg rg ar 0)))
 
-and exec_struct op args =
-  let a n = args.(n) in
-  let s = Value.as_struct (a 0) in
+(* Slot accesses: one physical-equality check that the struct has the
+   operand's declared type, then a direct slot read or write ({!Verify}
+   proved the slot inside the layout, which fixes the slot array's size). *)
+and exec_struct op (layout : Value.layout) slot rg ar =
+  let s = Value.as_struct (arg rg ar 0) in
+  if s.Value.layout != layout then
+    raise
+      (Value.type_error
+         (Printf.sprintf "struct %s: got %s" layout.Value.lname s.Value.layout.Value.lname));
+  let slots = s.Value.slots in
   match op with
-  | ST_get f -> (
-      match !(Value.struct_field s f) with
-      | Some v -> v
-      | None -> raise (Value.unset_field f))
-  | ST_get_default f -> (
-      match !(Value.struct_field s f) with Some v -> v | None -> a 1)
-  | ST_set f ->
-      Value.struct_field s f := Some (a 1);
+  | ST_get ->
+      let v = Array.unsafe_get slots slot in
+      if v == Value.unset then raise (Value.unset_field layout.Value.lfields.(slot)) else v
+  | ST_get_default ->
+      let v = Array.unsafe_get slots slot in
+      if v == Value.unset then arg rg ar 1 else v
+  | ST_set ->
+      Array.unsafe_set slots slot (arg rg ar 1);
       Value.Null
-  | ST_unset f ->
-      Value.struct_field s f := None;
+  | ST_unset ->
+      Array.unsafe_set slots slot Value.unset;
       Value.Null
-  | ST_is_set f -> Value.Bool (!(Value.struct_field s f) <> None)
+  | ST_is_set -> vbool (Array.unsafe_get slots slot != Value.unset)
 
-and exec_list op args =
-  let a n = args.(n) in
-  let d = Value.as_list (a 0) in
+and exec_list op rg ar =
+  let d = Value.as_list (arg rg ar 0) in
   match op with
   | L_append ->
-      Deque.push_back d (a 1);
+      Deque.push_back d (arg rg ar 1);
       Value.Null
   | L_push_front ->
-      Deque.push_front d (a 1);
+      Deque.push_front d (arg rg ar 1);
       Value.Null
   | L_pop_front -> (
       match Deque.pop_front d with Some v -> v | None -> raise (Value.underflow ()))
@@ -988,100 +1043,99 @@ and exec_list op args =
       Deque.clear d;
       Value.Null
 
-and exec_vector op args =
-  let a n = args.(n) in
-  let v = Value.as_vector (a 0) in
-  let guard f = try f () with Dynarray.Out_of_bounds -> raise (Value.index_error ()) in
+and exec_vector op rg ar =
+  let v = Value.as_vector (arg rg ar 0) in
   match op with
   | V_push_back ->
-      Dynarray.push v (a 1);
+      Dynarray.push v (arg rg ar 1);
       Value.Null
-  | V_get -> guard (fun () -> Dynarray.get v (Value.as_int_i (a 1)))
-  | V_set ->
-      guard (fun () ->
-          Dynarray.set v (Value.as_int_i (a 1)) (a 2);
-          Value.Null)
+  | V_get -> (
+      try Dynarray.get v (Value.as_int_i (arg rg ar 1))
+      with Dynarray.Out_of_bounds -> raise (Value.index_error ()))
+  | V_set -> (
+      try
+        Dynarray.set v (Value.as_int_i (arg rg ar 1)) (arg rg ar 2);
+        Value.Null
+      with Dynarray.Out_of_bounds -> raise (Value.index_error ()))
   | V_size -> Value.Int (Int64.of_int (Dynarray.size v))
   | V_reserve ->
-      Dynarray.reserve v (Value.as_int_i (a 1));
+      Dynarray.reserve v (Value.as_int_i (arg rg ar 1));
       Value.Null
   | V_clear ->
       Dynarray.clear v;
       Value.Null
-  | V_pop_back -> guard (fun () -> Dynarray.pop v)
+  | V_pop_back -> (
+      try Dynarray.pop v with Dynarray.Out_of_bounds -> raise (Value.index_error ()))
 
-and expire_strategy_of args i =
+and expire_strategy_of rg ar i =
   (* (strategy enum, interval) trailing arguments of *.timeout. *)
   let strategy_val =
-    match args.(i) with
+    match arg rg ar i with
     | Value.Enum (_, v, _) -> v
     | Value.Int v -> Int64.to_int v
     | v -> raise (Value.type_error ("expire strategy: " ^ Value.to_string v))
   in
-  let ival = Value.as_interval args.(i + 1) in
+  let ival = Value.as_interval (arg rg ar (i + 1)) in
   match strategy_val with
   | 0 -> Hilti_rt.Expire.Create ival
   | 1 -> Hilti_rt.Expire.Access ival
   | 2 -> Hilti_rt.Expire.Write ival
   | _ -> Hilti_rt.Expire.Never
 
-and exec_set ctx op args =
-  let a n = args.(n) in
-  let s = Value.as_set (a 0) in
+and exec_set ctx op rg ar =
+  let s = Value.as_set (arg rg ar 0) in
   match op with
   | SE_insert ->
-      Hilti_rt.Exp_map.insert s (Value.key_string (a 1)) (a 1);
+      Hilti_rt.Exp_map.insert s (Value.key_string (arg rg ar 1)) (arg rg ar 1);
       Value.Null
-  | SE_exists -> Value.Bool (Hilti_rt.Exp_map.mem_touch s (Value.key_string (a 1)))
+  | SE_exists -> vbool (Hilti_rt.Exp_map.mem_touch s (Value.key_string (arg rg ar 1)))
   | SE_remove ->
-      Hilti_rt.Exp_map.remove s (Value.key_string (a 1));
+      Hilti_rt.Exp_map.remove s (Value.key_string (arg rg ar 1));
       Value.Null
   | SE_size -> Value.Int (Int64.of_int (Hilti_rt.Exp_map.size s))
   | SE_clear ->
       Hilti_rt.Exp_map.clear s;
       Value.Null
   | SE_timeout ->
-      Hilti_rt.Exp_map.set_timeout s (expire_strategy_of args 1) (current_timer_mgr ctx);
+      Hilti_rt.Exp_map.set_timeout s (expire_strategy_of rg ar 1) (current_timer_mgr ctx);
       Value.Null
 
-and exec_map ctx op args =
-  let a n = args.(n) in
-  let m = Value.as_map (a 0) in
+and exec_map ctx op rg ar =
+  let m = Value.as_map (arg rg ar 0) in
   match op with
   | M_insert ->
-      Hilti_rt.Exp_map.insert m (Value.key_string (a 1)) (a 1, a 2);
+      Hilti_rt.Exp_map.insert m (Value.key_string (arg rg ar 1)) (arg rg ar 1, arg rg ar 2);
       Value.Null
   | M_get -> (
-      match Hilti_rt.Exp_map.find_opt m (Value.key_string (a 1)) with
+      match Hilti_rt.Exp_map.find_opt m (Value.key_string (arg rg ar 1)) with
       | Some (_, v) -> v
       | None -> raise (Value.index_error ()))
   | M_get_default -> (
-      match Hilti_rt.Exp_map.find_opt m (Value.key_string (a 1)) with
+      match Hilti_rt.Exp_map.find_opt m (Value.key_string (arg rg ar 1)) with
       | Some (_, v) -> v
-      | None -> a 2)
-  | M_exists -> Value.Bool (Hilti_rt.Exp_map.mem_touch m (Value.key_string (a 1)))
+      | None -> arg rg ar 2)
+  | M_exists -> vbool (Hilti_rt.Exp_map.mem_touch m (Value.key_string (arg rg ar 1)))
   | M_remove ->
-      Hilti_rt.Exp_map.remove m (Value.key_string (a 1));
+      Hilti_rt.Exp_map.remove m (Value.key_string (arg rg ar 1));
       Value.Null
   | M_size -> Value.Int (Int64.of_int (Hilti_rt.Exp_map.size m))
   | M_clear ->
       Hilti_rt.Exp_map.clear m;
       Value.Null
   | M_default ->
-      let default = a 1 in
+      let default = arg rg ar 1 in
       Hilti_rt.Exp_map.set_default m (fun _ -> (Value.Null, Value.deep_copy default));
       Value.Null
   | M_timeout ->
-      Hilti_rt.Exp_map.set_timeout m (expire_strategy_of args 1) (current_timer_mgr ctx);
+      Hilti_rt.Exp_map.set_timeout m (expire_strategy_of rg ar 1) (current_timer_mgr ctx);
       Value.Null
 
-and exec_channel ctx op args =
-  let a n = args.(n) in
-  let c = Value.as_channel (a 0) in
+and exec_channel ctx op rg ar =
+  let c = Value.as_channel (arg rg ar 0) in
   match op with
   | CH_write ->
       blocking ctx (fun () ->
-          if not (Hilti_rt.Channel.try_write c (Value.deep_copy (a 1))) then
+          if not (Hilti_rt.Channel.try_write c (Value.deep_copy (arg rg ar 1))) then
             raise Hilti_types.Hbytes.Would_block);
       Value.Null
   | CH_read ->
@@ -1115,34 +1169,32 @@ and classifier_field_of_value (v : Value.t) : Hilti_rt.Classifier.field =
 and classifier_key_of_value (v : Value.t) : string =
   (classifier_field_of_value v).Hilti_rt.Classifier.data
 
-and exec_classifier op args =
-  let a n = args.(n) in
-  let c = Value.as_classifier (a 0) in
+and exec_classifier op rg ar =
+  let c = Value.as_classifier (arg rg ar 0) in
   match op with
   | CL_add ->
       let fields =
-        match a 1 with
+        match arg rg ar 1 with
         | Value.Tuple vs -> Array.map classifier_field_of_value vs
         | Value.Struct s ->
             Array.map
-              (fun (_, f) ->
-                match !f with
-                | Some v -> classifier_field_of_value v
-                | None -> Hilti_rt.Classifier.wildcard)
-              s.Value.sfields
+              (fun v ->
+                if v == Value.unset then Hilti_rt.Classifier.wildcard
+                else classifier_field_of_value v)
+              s.Value.slots
         | v -> [| classifier_field_of_value v |]
       in
       let priority =
-        if Array.length args > 3 then Value.as_int_i (a 3) else 0
+        if Array.length ar > 3 then Value.as_int_i (arg rg ar 3) else 0
       in
-      Hilti_rt.Classifier.add c.Value.cls ~priority fields (a 2);
+      Hilti_rt.Classifier.add c.Value.cls ~priority fields (arg rg ar 2);
       Value.Null
   | CL_compile ->
       Hilti_rt.Classifier.compile c.Value.cls;
       Value.Null
   | CL_get -> (
       let keys =
-        match a 1 with
+        match arg rg ar 1 with
         | Value.Tuple vs -> Array.map classifier_key_of_value vs
         | v -> [| classifier_key_of_value v |]
       in
@@ -1151,7 +1203,7 @@ and exec_classifier op args =
       | None -> raise (Value.index_error ()))
   | CL_matches -> (
       let keys =
-        match a 1 with
+        match arg rg ar 1 with
         | Value.Tuple vs -> Array.map classifier_key_of_value vs
         | v -> [| classifier_key_of_value v |]
       in
@@ -1159,13 +1211,12 @@ and exec_classifier op args =
       | Some _ -> Value.Bool true
       | None -> Value.Bool false)
 
-and exec_regexp ctx op args =
-  let a n = args.(n) in
+and exec_regexp ctx op rg ar =
   let open Hilti_types in
   match op with
   | RE_compile ->
       let patterns =
-        match a 0 with
+        match arg rg ar 0 with
         | Value.String s -> [ s ]
         | Value.Bytes b -> [ Hbytes.to_string b ]
         | Value.List d ->
@@ -1187,9 +1238,9 @@ and exec_regexp ctx op args =
       in
       Value.Regexp (Hilti_rt.Regexp.compile patterns)
   | RE_find -> (
-      let re = Value.as_regexp (a 0) in
+      let re = Value.as_regexp (arg rg ar 0) in
       let it =
-        match a 1 with
+        match arg rg ar 1 with
         | Value.Bytes b -> Hbytes.begin_ b
         | Value.Iter (Value.Ibytes it) -> it
         | v -> raise (Value.type_error (Value.to_string v))
@@ -1199,12 +1250,12 @@ and exec_regexp ctx op args =
       | Some (_, id, _) -> Value.Int (Int64.of_int id)
       | None -> Value.Int (-1L))
   | RE_match_token ->
-      let re = Value.as_regexp (a 0) in
-      let it = Value.as_bytes_iter (a 1) in
+      let re = Value.as_regexp (arg rg ar 0) in
+      let it = Value.as_bytes_iter (arg rg ar 1) in
       exec_match_token ctx re it
   | RE_span -> (
-      let re = Value.as_regexp (a 0) in
-      let b = Value.as_bytes (a 1) in
+      let re = Value.as_regexp (arg rg ar 0) in
+      let b = Value.as_bytes (arg rg ar 1) in
       let data = Hbytes.to_string b in
       match Hilti_rt.Regexp.search re data ~pos:0 with
       | Some (start, id, len) ->
@@ -1214,7 +1265,7 @@ and exec_regexp ctx op args =
                Value.Iter (Value.Ibytes (Hbytes.iter_at b (Hbytes.start_offset b + start + len))) |]
       | None -> Value.Tuple [| Value.Int (-1L); Value.Iter (Value.Ibytes (Hbytes.begin_ b)); Value.Iter (Value.Ibytes (Hbytes.begin_ b)) |])
   | RE_groups ->
-      Value.Int (Int64.of_int (List.length (Hilti_rt.Regexp.patterns (Value.as_regexp (a 0)))))
+      Value.Int (Int64.of_int (List.length (Hilti_rt.Regexp.patterns (Value.as_regexp (arg rg ar 0)))))
 
 and it_bytes (it : Hilti_types.Hbytes.iter) = it.Hilti_types.Hbytes.bytes
 
@@ -1247,10 +1298,10 @@ and exec_match_token ctx re (start : Hilti_types.Hbytes.iter) : Value.t =
   in
   loop2 ()
 
-and exec_overlay ctx spec args =
+and exec_overlay ctx spec rg ar =
   let open Hilti_types in
   let it =
-    match args.(0) with
+    match arg rg ar 0 with
     | Value.Bytes b -> Hbytes.begin_ b
     | Value.Iter (Value.Ibytes it) -> it
     | v -> raise (Value.type_error ("overlay.get: " ^ Value.to_string v))
@@ -1279,20 +1330,19 @@ and exec_overlay ctx spec args =
       in
       Value.Int v
 
-and exec_file ctx op args =
-  let a n = args.(n) in
+and exec_file ctx op rg ar =
   match op with
   | F_open ->
-      let path = Value.as_string (a 0) in
+      let path = Value.as_string (arg rg ar 0) in
       let mode =
-        if Array.length args > 1 then Value.as_string (a 1) else "disk"
+        if Array.length ar > 1 then Value.as_string (arg rg ar 1) else "disk"
       in
       if mode = "memory" then Value.File (Hilti_rt.Hfile.open_memory ~serializer:ctx.scheduler path)
       else Value.File (Hilti_rt.Hfile.open_disk ~serializer:ctx.scheduler path)
   | F_write ->
-      let f = Value.as_file (a 0) in
+      let f = Value.as_file (arg rg ar 0) in
       let data =
-        match a 1 with
+        match arg rg ar 1 with
         | Value.String s -> s
         | Value.Bytes b -> Hilti_types.Hbytes.to_string b
         | v -> Value.to_string v
@@ -1300,7 +1350,7 @@ and exec_file ctx op args =
       Hilti_rt.Hfile.write f data;
       Value.Null
   | F_close ->
-      Hilti_rt.Hfile.close (Value.as_file (a 0));
+      Hilti_rt.Hfile.close (Value.as_file (arg rg ar 0));
       Value.Null
 
 (* ---- The dispatch loop ------------------------------------------------------------ *)
@@ -1324,8 +1374,25 @@ and exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
   let regs =
     match slot with Some s -> s.a_regs | None -> Array.copy f.reg_defaults
   in
+  List.iteri (fun i v -> if i < f.nparams then regs.(i) <- v) args;
+  run_frame ctx f slot regs
+
+(* A call from bytecode: the arguments go straight from the caller's
+   registers [rg] (at [ar]) into the callee's parameters.  Arguments past
+   the parameters are dropped (only a hook body can be run with more). *)
+and call_regs ctx (fidx : int) (rg : Value.t array) (ar : int array) : Value.t =
+  let f = Array.unsafe_get ctx.program.funcs fidx in
+  let slot = acquire_frame ctx fidx f in
+  let regs =
+    match slot with Some s -> s.a_regs | None -> Array.copy f.reg_defaults
+  in
+  for i = 0 to min (Array.length ar) f.nparams - 1 do
+    Array.unsafe_set regs i (Array.unsafe_get rg (Array.unsafe_get ar i))
+  done;
+  run_frame ctx f slot regs
+
+and run_frame ctx (f : Bytecode.func) slot (regs : Value.t array) : Value.t =
   let frame = { regs; pc = 0; tries = [] } in
-  List.iteri (fun i v -> if i < f.nregs then frame.regs.(i) <- v) args;
   (* [acquire_frame] already blitted the bank templates over a reused
      slot's banks, so both paths start from the template state. *)
   let ibank =
@@ -1386,18 +1453,17 @@ and exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
            in
            frame.pc <- find 0
        | Call (callee, arg_regs, dst) ->
-           let args = Array.to_list (Array.map (reg frame) arg_regs) in
-           let r = exec_func ctx callee args in
+           let r = call_regs ctx callee frame.regs arg_regs in
            setreg frame dst r;
            frame.pc <- next
-       | CallC (name, arg_regs, dst) -> (
-           match Hashtbl.find_opt ctx.host_funcs name with
+       | CallC (h, arg_regs, dst) -> (
+           match Array.unsafe_get ctx.host_slots h with
            | Some fn ->
-               let args = Array.to_list (Array.map (reg frame) arg_regs) in
+               let args = args_list frame.regs arg_regs in
                credit ctx;
                setreg frame dst (fn ctx args);
                frame.pc <- next
-           | None -> fail "unresolved host function %s" name)
+           | None -> fail "unresolved host function %s" ctx.program.host_names.(h))
        | Ret r ->
            result := (if r >= 0 then reg frame r else Value.Null);
            running := false
@@ -1416,9 +1482,12 @@ and exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
        | Yield ->
            suspend ctx;
            frame.pc <- next
-       | HookRun (name, arg_regs) ->
-           let args = Array.to_list (Array.map (reg frame) arg_regs) in
-           run_hook ctx name args;
+       | HookRun (bodies, arg_regs) ->
+           (try
+              for k = 0 to Array.length bodies - 1 do
+                ignore (call_regs ctx (Array.unsafe_get bodies k) frame.regs arg_regs)
+              done
+            with Value.Hilti_error e when e.Value.ename = "Hilti::HookStop" -> ());
            frame.pc <- next
        | Schedule (callee, arg_regs, tid_reg) ->
            let tid = Value.as_int (reg frame tid_reg) in
@@ -1437,10 +1506,15 @@ and exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
                   invoke = (fun () -> exec_func (exec_context ctx) callee args);
                 });
            frame.pc <- next
+       | Prim (P_struct (op, layout, slot), arg_regs, dst) ->
+           (* The hottest primitive in generated parsers: straight to the
+              slot access, which raises only HILTI exceptions ({!Verify}
+              checked its arity). *)
+           setreg frame dst (exec_struct op layout slot frame.regs arg_regs);
+           frame.pc <- next
        | Prim (p, arg_regs, dst) ->
-           let args = Array.map (reg frame) arg_regs in
            let v =
-             try exec_prim ctx p args with
+             try exec_prim ctx p frame.regs arg_regs with
              | Hilti_types.Hbytes.Out_of_range ->
                  raise (Value.value_error "bytes: out of range")
              | Hilti_types.Hbytes.Frozen ->
@@ -1453,6 +1527,23 @@ and exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
                  raise (Value.value_error ("prim: " ^ msg))
            in
            setreg frame dst v;
+           frame.pc <- next
+       | Unpack (fmt, s, vd, itd) ->
+           let it = Value.as_bytes_iter (reg frame s) in
+           await_bytes ctx it fmt.u_width;
+           setreg frame vd (Value.Int (unpack_value it fmt));
+           setreg frame itd
+             (Value.Iter (Value.Ibytes (Hilti_types.Hbytes.advance it fmt.u_width)));
+           frame.pc <- next
+       | Read (s, n, vd, itd) ->
+           let it = Value.as_bytes_iter (reg frame s) in
+           let k = Value.as_int_i (reg frame n) in
+           if k < 0 then raise (Value.value_error "bytes.read: negative length");
+           await_bytes ctx it k;
+           let it' = Hilti_types.Hbytes.advance it k in
+           setreg frame vd
+             (Value.Bytes (Hilti_types.Hbytes.frozen_of_string (Hilti_types.Hbytes.sub it it')));
+           setreg frame itd (Value.Iter (Value.Ibytes it'));
            frame.pc <- next
        | Nop -> frame.pc <- next
        (* ---- Int bank ---- *)
@@ -1564,6 +1655,13 @@ and exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
              | C_geq -> x >= y
            in
            frame.pc <- (if r then t else e)
+       | UnpackI_u (fmt, s, d, itd) ->
+           let it = Value.as_bytes_iter (reg frame s) in
+           await_bytes ctx it fmt.u_width;
+           ibank_set ibank (d lsl 3) (unpack_value it fmt);
+           setreg frame itd
+             (Value.Iter (Value.Ibytes (Hilti_types.Hbytes.advance it fmt.u_width)));
+           frame.pc <- next
        | IIncrJ_u (w, d, k, t) ->
            let r = Int64.add (ibank_get ibank (d lsl 3)) k in
            let r =
@@ -1639,11 +1737,13 @@ and exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
   | None -> ());
   !result
 
+(** Run hook [name] from the host ([hook.run] in bytecode carries the body
+    indices instead). *)
 and run_hook ctx name args =
   match Hashtbl.find_opt ctx.program.hooks name with
   | None -> ()
-  | Some idxs -> (
-      try List.iter (fun idx -> ignore (exec_func ctx idx args)) idxs
+  | Some bodies -> (
+      try Array.iter (fun idx -> ignore (exec_func ctx idx args)) bodies
       with Value.Hilti_error e when e.Value.ename = "Hilti::HookStop" -> ())
 
 (** Schedule bytecode function [callee] on virtual thread [tid]

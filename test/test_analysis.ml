@@ -241,7 +241,8 @@ let mk_prog ?(globals = [||]) funcs =
     global_defaults = Array.map snd globals;
     global_index = Hashtbl.create 8;
     hooks = Hashtbl.create 8;
-    types = Hashtbl.create 8;
+    layouts = Hashtbl.create 8;
+    host_names = [||];
     verified = false;
     specialized = false;
     reuse = [||];
@@ -306,6 +307,92 @@ let test_verifier_rejects_bad_frame_refs () =
          mk_func ~name:"caller" ~entry_init:[ 0 ]
            [ Bc.Const (0, Value.Int 1L); Bc.Call (0, [| 0 |], 1); Bc.Ret 1 ] ])
     "expects 2"
+
+(* Link-time resolution: struct slots, hook bodies and host slots are
+   indices the verifier bounds like any other. *)
+let test_verifier_rejects_bad_link_refs () =
+  let layout = Value.make_layout "S" [ "a"; "b" ] in
+  expect_reject "struct slot outside its layout"
+    (mk_prog
+       [ mk_func ~entry_init:[ 0 ]
+           [ Bc.Prim (Bc.P_struct (Bc.ST_get, layout, 2), [| 0 |], 1); Bc.Ret 1 ] ])
+    "struct slot 2 out of range";
+  expect_reject "negative struct slot"
+    (mk_prog
+       [ mk_func ~entry_init:[ 0 ]
+           [ Bc.Prim (Bc.P_struct (Bc.ST_set, layout, -1), [| 0; 0 |], -1); Bc.Ret (-1) ] ])
+    "struct slot -1 out of range";
+  expect_reject "hook body index out of range"
+    (mk_prog [ mk_func ~entry_init:[ 0 ] [ Bc.HookRun ([| 0; 5 |], [| 0 |]); Bc.Ret (-1) ] ])
+    "hook body index 5 out of range";
+  expect_reject "host slot out of range"
+    (mk_prog [ mk_func [ Bc.CallC (0, [||], 0); Bc.Ret 0 ] ])
+    "host slot 0 out of range"
+
+(* A struct operation whose operand has no declared struct type cannot be
+   resolved to a slot: lowering fails and names the instruction. *)
+let test_lower_rejects_untyped_struct_op () =
+  let m = Module_ir.create "U" in
+  Module_ir.add_type m "U::S" (Module_ir.Struct_decl [ ("x", Htype.Int 64) ]);
+  let b = Builder.func m "U::f" ~params:[ ("s", Htype.Any) ] ~result:(Htype.Int 64) in
+  let v = Builder.emit b (Htype.Int 64) "struct.get" [ Instr.Local "s"; Instr.Member "x" ] in
+  Builder.return_result b v;
+  match Hilti_vm.Lower.lower_module (Hilti_passes.Linker.link [ m ]) with
+  | _ -> Alcotest.fail "untyped struct operand lowered"
+  | exception Hilti_vm.Lower.Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error names the instruction and operand: %s" msg)
+        true
+        (Astring_contains.contains msg "struct.get"
+        && Astring_contains.contains msg "U::f"
+        && Astring_contains.contains msg "operand s")
+
+(* Each slot access checks the struct's layout by identity: a struct of
+   another type raises Hilti::TypeError instead of reading a wrong slot. *)
+let test_vm_struct_type_check () =
+  let m = Module_ir.create "W" in
+  Module_ir.add_type m "W::A" (Module_ir.Struct_decl [ ("x", Htype.Int 64) ]);
+  Module_ir.add_type m "W::B" (Module_ir.Struct_decl [ ("x", Htype.Int 64) ]);
+  let b =
+    Builder.func m "W::get" ~exported:true
+      ~params:[ ("a", Htype.Ref (Htype.Struct "W::A")) ]
+      ~result:(Htype.Int 64)
+  in
+  let v = Builder.emit b (Htype.Int 64) "struct.get" [ Instr.Local "a"; Instr.Member "x" ] in
+  Builder.return_result b v;
+  let api = Hilti_vm.Host_api.compile [ m ] in
+  let mk tname =
+    let l = Option.get (Hilti_vm.Host_api.struct_layout api tname) in
+    let s = Value.new_struct l in
+    Value.set_field s "x" (Value.Int 7L);
+    Value.Struct s
+  in
+  Alcotest.(check int64) "own type reads its slot" 7L
+    (Value.as_int (Hilti_vm.Host_api.call api "W::get" [ mk "W::A" ]));
+  match Hilti_vm.Host_api.call api "W::get" [ mk "W::B" ] with
+  | v -> Alcotest.failf "struct of another type read: %s" (Value.to_string v)
+  | exception Value.Hilti_error e ->
+      Alcotest.(check string) "TypeError" "Hilti::TypeError" e.Value.ename
+
+(* Host-side reads go through the layout by name and are not VM safety
+   checks: an unset or undeclared field leaves the counter alone. *)
+let test_host_field_read_uncounted () =
+  let module M = Hilti_obs.Metrics in
+  let s = Value.new_struct (Value.make_layout "H" [ "set"; "unset" ]) in
+  Value.set_field s "set" (Value.Int 1L);
+  let read name = Value.field (Value.Struct s) name in
+  M.with_enabled true (fun () ->
+      let before = M.counter_value Value.m_dynamic_hit in
+      Alcotest.(check bool) "set field" true (read "set" = Some (Value.Int 1L));
+      Alcotest.(check bool) "unset field" true (read "unset" = None);
+      Alcotest.(check bool) "undeclared field" true (read "nope" = None);
+      Alcotest.(check bool) "not a struct" true (Value.field (Value.Int 3L) "set" = None);
+      Alcotest.(check int) "dynamic_hit unchanged" before
+        (M.counter_value Value.m_dynamic_hit);
+      (* The counter is live: a VM-side failure does move it. *)
+      ignore (Value.unset_field "unset");
+      Alcotest.(check int) "a safety failure counts" (before + 1)
+        (M.counter_value Value.m_dynamic_hit))
 
 let test_verifier_accepts_good_function () =
   (* A small loop: sum = 0; i = 3; while (i > 0) { sum += i; i -= 1 } —
@@ -565,6 +652,10 @@ let suite =
     Alcotest.test_case "verifier rejects wrong tags" `Quick test_verifier_rejects_wrong_tag;
     Alcotest.test_case "verifier rejects bad frame refs" `Quick test_verifier_rejects_bad_frame_refs;
     Alcotest.test_case "verifier accepts a good function" `Quick test_verifier_accepts_good_function;
+    Alcotest.test_case "verifier rejects bad link-time refs" `Quick test_verifier_rejects_bad_link_refs;
+    Alcotest.test_case "lower rejects untyped struct ops" `Quick test_lower_rejects_untyped_struct_op;
+    Alcotest.test_case "vm: struct of another type" `Quick test_vm_struct_type_check;
+    Alcotest.test_case "host field reads are not safety checks" `Quick test_host_field_read_uncounted;
     Alcotest.test_case "verifier: exception edges" `Quick test_verifier_handles_exception_edges;
     Alcotest.test_case "verifier: irreducible CFG" `Quick test_verifier_irreducible_cfg;
     Alcotest.test_case "verifier: exception-edge join" `Quick test_verifier_exception_edge_join;

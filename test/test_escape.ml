@@ -144,7 +144,8 @@ let mk_prog funcs =
     global_defaults = [||];
     global_index = Hashtbl.create 8;
     hooks = Hashtbl.create 8;
-    types = Hashtbl.create 8;
+    layouts = Hashtbl.create 8;
+    host_names = [||];
     verified = false;
     specialized = false;
     reuse = [||];

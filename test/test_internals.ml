@@ -88,17 +88,38 @@ let test_value_deep_copy () =
   let open Value in
   let d = Deque.create () in
   Deque.push_back d (Int 1L);
-  let s = new_struct "S" [ "items" ] in
-  struct_field s "items" := Some (List d);
+  let layout = make_layout "S" [ "items"; "note" ] in
+  let s = new_struct layout in
+  set_field s "items" (List d);
   let copy = deep_copy (Struct s) in
   Deque.push_back d (Int 2L);
   (match copy with
-  | Struct s' -> (
-      match !(struct_field s' "items") with
+  | Struct s' ->
+      Alcotest.(check bool) "layout shared" true (s'.layout == layout);
+      (match field copy "items" with
       | Some (List d') -> Alcotest.(check int) "copy isolated" 1 (Deque.size d')
-      | _ -> Alcotest.fail "field lost")
+      | _ -> Alcotest.fail "field lost");
+      Alcotest.(check bool) "unset stays unset" true (field copy "note" = None)
   | _ -> Alcotest.fail "copy kind");
   Alcotest.(check int) "original mutated" 2 (Deque.size d)
+
+(* The slot layout: printing shows set fields in declaration order, and
+   structs compare by identity, not by contents. *)
+let test_value_struct_layout () =
+  let open Value in
+  let layout = make_layout "P" [ "x"; "y"; "z" ] in
+  let a = new_struct layout and b = new_struct layout in
+  set_field a "z" (Int 3L);
+  set_field a "x" (Int 1L);
+  set_field b "z" (Int 3L);
+  set_field b "x" (Int 1L);
+  Alcotest.(check string) "to_string" "P{x=1, z=3}" (to_string (Struct a));
+  Alcotest.(check bool) "identity equal" true (equal (Struct a) (Struct a));
+  Alcotest.(check bool) "same contents, different struct" false
+    (equal (Struct a) (Struct b));
+  Alcotest.(check (list string)) "set fields in layout order" [ "x"; "z" ]
+    (List.map fst (struct_fields a));
+  Alcotest.(check int) "undeclared field" (-1) (field_index layout "w")
 
 (* ---- Log framework ------------------------------------------------------------------ *)
 
@@ -166,6 +187,7 @@ let suite =
     Alcotest.test_case "value equality" `Quick test_value_equality;
     Alcotest.test_case "value canonical keys" `Quick test_value_key_string;
     Alcotest.test_case "value deep copy" `Quick test_value_deep_copy;
+    Alcotest.test_case "value struct layout" `Quick test_value_struct_layout;
     Alcotest.test_case "log columns" `Quick test_log_columns_and_missing;
     Alcotest.test_case "log disabled counting (§6.1)" `Quick test_log_disabled_still_counts;
     Alcotest.test_case "log agreement math" `Quick test_log_agreement_math;

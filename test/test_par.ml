@@ -233,7 +233,10 @@ let dns_wrapper_module () =
       [ Instr.Fname "DNS::parse_Message";
         Instr.Tuple_op [ Instr.Local itl; Instr.Local itl ] ]
   in
-  let st = Builder.emit b Htype.Any "tuple.get" [ t; Builder.const_int 0 ] in
+  let st =
+    Builder.emit b (Htype.Ref (Htype.Struct "DNS::Message")) "tuple.get"
+      [ t; Builder.const_int 0 ]
+  in
   let id = Builder.emit b (Htype.Int 64) "struct.get" [ st; Instr.Member "id" ] in
   Builder.call b "Par::record" [ id ];
   Builder.return_ b;

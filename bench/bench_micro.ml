@@ -237,6 +237,68 @@ let dns_pac_bench () =
     (Int64.to_float ns /. float_of_int (reps * n));
   (bytes, instrs)
 
+(* ---- Interpreted DNS scripts: allocation per transaction ------------------ *)
+
+(* The bundled [Bro_scripts.dns] handlers under the standard interpreter,
+   replaying a fixed dns_request/dns_reply stream recorded once from the
+   1,500-transaction trace.  The event arguments are built before the
+   measurement, so the count covers network-time updates, handler
+   dispatch and the log rows only.  Allocation is a count, not a time, so
+   it is deterministic for a given tree. *)
+(* The same measurement on the interpreter before scripts were resolved at
+   load (per-call [Hashtbl] scopes, name lookup, [Printf] renderers and an
+   intermediate record per [Log::write]); that interpreter no longer
+   exists, so its figure is recorded here. *)
+let dns_script_alloc_before = 11239.6
+
+let dns_script_bench () =
+  Bench_util.header "interpreted DNS scripts: bytes per transaction";
+  let module D = Hilti_analyzers.Driver in
+  let cfg = { Hilti_traces.Dns_gen.default with transactions = 1500; seed = 7 } in
+  let records = (Hilti_traces.Dns_gen.generate cfg).Hilti_traces.Dns_gen.records in
+  let events = ref [] and ts = ref Hilti_types.Time_ns.epoch in
+  let sink =
+    { Hilti_analyzers.Events.raise_event =
+        (fun name args ->
+          if name = "dns_request" || name = "dns_reply" then
+            events := (!ts, name, args) :: !events);
+      set_time = (fun t -> ts := t) }
+  in
+  ignore (D.run_dns_src ~kind:D.Dns_std ~sink (Hilti_net.Pcap.iosrc_of_records records));
+  let events = Array.of_list (List.rev !events) in
+  let txns =
+    Array.fold_left (fun n (_, name, _) -> if name = "dns_reply" then n + 1 else n) 0 events
+  in
+  let script = Mini_bro.Bro_scripts.parse_dns () in
+  let load () =
+    let logger = Mini_bro.Bro_log.create () in
+    Mini_bro.Bro_scripts.setup_logs logger;
+    let e = Mini_bro.Bro_engine.load ~logger Mini_bro.Bro_engine.Interpreted script in
+    Mini_bro.Bro_engine.dispatch e "bro_init" [];
+    (e, logger)
+  in
+  let replay e =
+    Array.iter
+      (fun (ts, name, args) ->
+        Mini_bro.Bro_engine.set_network_time e ts;
+        Mini_bro.Bro_engine.dispatch e name args)
+      events
+  in
+  let warm, _ = load () in
+  replay warm;
+  let e, logger = load () in
+  Bench_util.gc_normalize ();
+  let before = Gc.allocated_bytes () in
+  replay e;
+  let bytes = (Gc.allocated_bytes () -. before) /. float_of_int txns in
+  assert (Mini_bro.Bro_log.row_count logger "dns" = txns);
+  let reps = 10 in
+  let (), ns = Bench_util.time_ns (fun () -> for _ = 1 to reps do replay e done) in
+  Printf.printf "%d transactions (%d events): %.1f bytes/transaction, %.0f ns/transaction\n"
+    txns (Array.length events) bytes
+    (Int64.to_float ns /. float_of_int (reps * txns));
+  bytes
+
 (* ---- Zero-copy parse-path allocation: HTTP -------------------------------- *)
 
 (* The HTTP extraction layer the views replaced: header lines used to be
@@ -424,7 +486,7 @@ let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
       dns_e2e_before,
       dns_e2e_after )
     (http_before, http_after, http_reduction)
-    (susp_arena, susp_copy, susp_copies) (pac_bytes, pac_instrs) =
+    (susp_arena, susp_copy, susp_copies) (pac_bytes, pac_instrs) script_bytes =
   let json =
     Printf.sprintf
       "{\n  \"experiment\": \"frame_arena_and_alloc\",\n  \
@@ -444,11 +506,13 @@ let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
        \"suspend_copy_bytes_per_activation\": %.1f,\n  \
        \"suspend_copies\": %d,\n  \
        \"dns_pac_alloc_bytes_per_packet\": %.1f,\n  \
-       \"dns_pac_instrs_per_packet\": %.1f\n}\n"
+       \"dns_pac_instrs_per_packet\": %.1f,\n  \
+       \"dns_script_alloc_bytes_per_txn_before\": %.1f,\n  \
+       \"dns_script_alloc_bytes_per_txn\": %.1f\n}\n"
       alloc_copy alloc_reuse alloc_reduction dns_before dns_after dns_reduction
       dns_parse_before dns_parse_after dns_e2e_before dns_e2e_after http_before
       http_after http_reduction susp_arena susp_copy susp_copies pac_bytes
-      pac_instrs
+      pac_instrs dns_script_alloc_before script_bytes
   in
   Bench_util.write_file_atomic "BENCH_micro.json" json;
   print_endline "frame-arena + allocation data written to BENCH_micro.json"
@@ -553,4 +617,6 @@ let run () =
   print_newline ();
   let pac = dns_pac_bench () in
   print_newline ();
-  write_micro_json arena dns http susp pac
+  let script = dns_script_bench () in
+  print_newline ();
+  write_micro_json arena dns http susp pac script

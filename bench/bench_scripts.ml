@@ -96,7 +96,7 @@ let run ?(http_sessions = 250) ?(dns_transactions = 2500) () : results =
   let fib_speedup = Bench_util.ratio interp_ns compiled_ns in
   Bench_util.header "§6.5 Fibonacci baseline";
   Printf.printf "fib(21) interpreted: %8.2f ms\n" (Bench_util.ms interp_ns);
-  Printf.printf "fib(21) compiled:    %8.2f ms  (%.1fx faster; paper: orders of magnitude)\n"
+  Printf.printf "fib(21) compiled:    %8.2f ms  (interpreted/compiled %.2fx; paper: orders of magnitude)\n"
     (Bench_util.ms compiled_ns) fib_speedup;
   { http_agreement; files_agreement; dns_agreement; http_script_ratio;
     dns_script_ratio; fib_speedup }

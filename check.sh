@@ -114,6 +114,11 @@ grep -q '"dns_pac_instrs_per_packet"' BENCH_micro.json
 # ~5,700 measured, 38,561 before struct slots, hook indices and the
 # two-destination unpack).
 awk -F': ' '/"dns_pac_alloc_bytes_per_packet"/ { if ($2+0 > 8000) exit 1 }' BENCH_micro.json
+grep -q '"dns_script_alloc_bytes_per_txn"' BENCH_micro.json
+# The bundled DNS handlers under the interpreter, resolved at load:
+# allocated bytes per transaction (a deterministic count; ~1,570
+# measured, 11,240 before frame slots and column-ordered log rows).
+awk -F': ' '/"dns_script_alloc_bytes_per_txn"/ { if ($2+0 > 5000) exit 1 }' BENCH_micro.json
 
 echo "== bench vmopt (writes BENCH_vmopt.json)"
 dune exec bench/main.exe -- vmopt --quick

@@ -98,10 +98,3 @@ let find_record (script : script) name =
   List.find_map
     (function D_record (n, fields) when n = name -> Some fields | _ -> None)
     script
-
-let event_handlers (script : script) name =
-  List.filter_map
-    (function
-      | D_event (n, params, body) when n = name -> Some (params, body)
-      | _ -> None)
-    script

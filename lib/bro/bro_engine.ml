@@ -14,11 +14,21 @@ type mode = Interpreted | Compiled
 
 type compiled = {
   api : Hilti_vm.Host_api.t;
-  cscript : script;
+  handled : (string, unit) Hashtbl.t;  (** events with at least one handler *)
   clogger : Bro_log.t;
+  mutable log_maps : log_map list;  (** per struct layout and stream *)
   mutable cprint : string -> unit;
   cqueue : (string * Bro_val.t list) Queue.t;
   mutable cnetwork_time : Hilti_types.Time_ns.t;
+}
+
+(* The slots of [layout] in [stream]'s column order (-1: no such field),
+   built for the column array [cols]. *)
+and log_map = {
+  layout : Hilti_vm.Value.layout;
+  stream : Bro_log.stream;
+  mutable cols : string array;
+  mutable slot_of_col : int array;
 }
 
 type t = Interp of Bro_interp.t | Comp of compiled
@@ -29,7 +39,7 @@ let rec hl_render (v : Hilti_vm.Value.t) : string =
   let module V = Hilti_vm.Value in
   match v with
   | V.Bool b -> if b then "T" else "F"
-  | V.Int i -> Int64.to_string i
+  | V.Int i -> Hilti_types.Digits.int64_to_string i
   | V.Double d -> Printf.sprintf "%g" d
   | V.String s -> s
   | V.Bytes b -> Hilti_types.Hbytes.to_string b
@@ -55,6 +65,17 @@ let rec hl_render (v : Hilti_vm.Value.t) : string =
       "[" ^ String.concat "," (List.sort compare fields) ^ "]"
   | V.Null -> "<void>"
   | other -> V.to_string other
+
+(* Append [v] as a log field: as [hl_render], scalars in place. *)
+let hl_add_field b (v : Hilti_vm.Value.t) =
+  let module V = Hilti_vm.Value in
+  match v with
+  | V.Int i -> Hilti_types.Digits.add_int64 b i
+  | V.Bytes x -> Bro_log.add_field b (Hilti_types.Hbytes.to_string x)
+  | V.Addr a -> Hilti_types.Addr.add_to_buffer b a
+  | V.Port p -> Hilti_types.Port.add_to_buffer b p
+  | V.Time t -> Hilti_types.Time_ns.add_to_buffer b t
+  | v -> Bro_log.add_field b (hl_render v)
 
 let hl_num = function
   | Hilti_vm.Value.Int i -> i
@@ -94,6 +115,21 @@ let fmt_hilti fmtstr args =
 
 (* ---- Loading ------------------------------------------------------------------- *)
 
+let log_map c stream layout =
+  let m =
+    match List.find_opt (fun m -> m.layout == layout && m.stream == stream) c.log_maps with
+    | Some m -> m
+    | None ->
+        let m = { layout; stream; cols = [||]; slot_of_col = [||] } in
+        c.log_maps <- m :: c.log_maps;
+        m
+  in
+  if m.cols != stream.Bro_log.columns then begin
+    m.cols <- stream.Bro_log.columns;
+    m.slot_of_col <- Array.map (Hilti_vm.Value.field_index layout) m.cols
+  end;
+  m
+
 let load ?(logger = Bro_log.create ()) ?(optimize = true) mode (script : script) : t =
   match mode with
   | Interpreted ->
@@ -103,11 +139,14 @@ let load ?(logger = Bro_log.create ()) ?(optimize = true) mode (script : script)
   | Compiled ->
       let m = Bro_compile.compile script in
       let api = Hilti_vm.Host_api.compile ~optimize [ m ] in
+      let handled = Hashtbl.create 16 in
+      List.iter (function D_event (n, _, _) -> Hashtbl.replace handled n () | _ -> ()) script;
       let c =
         {
           api;
-          cscript = script;
+          handled;
           clogger = logger;
+          log_maps = [];
           cprint = print_endline;
           cqueue = Queue.create ();
           cnetwork_time = Hilti_types.Time_ns.epoch;
@@ -167,9 +206,13 @@ let load ?(logger = Bro_log.create ()) ?(optimize = true) mode (script : script)
       reg "Bro::log_write" (fun args ->
           match args with
           | [ stream; V.Struct s ] ->
-              let stream = hl_render stream in
-              let fields = List.map (fun (n, v) -> (n, hl_render v)) (V.struct_fields s) in
-              Bro_log.write c.clogger stream fields;
+              let m = log_map c (Bro_log.stream c.clogger (hl_render stream)) s.V.layout in
+              Bro_log.write_row c.clogger m.stream (fun b i ->
+                  match m.slot_of_col.(i) with
+                  | -1 -> ()
+                  | slot ->
+                      let v = s.V.slots.(slot) in
+                      if v != V.unset then hl_add_field b v);
               V.Bool true
           | _ -> raise (Bro_val.Bro_error "log_write arity"));
       reg "Bro::queue_event" (fun args ->
@@ -195,7 +238,7 @@ let rec dispatch (t : t) name (args : Bro_val.t list) =
   match t with
   | Interp i -> Bro_interp.dispatch i name args
   | Comp c ->
-      if event_handlers c.cscript name <> [] then begin
+      if Hashtbl.mem c.handled name then begin
         let hargs = List.map (Bro_val.to_hilti ~layout_of:(layout_of c)) args in
         Hilti_vm.Host_api.run_hook c.api (Bro_compile.event_hook name) hargs
       end;

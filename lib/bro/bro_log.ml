@@ -7,7 +7,7 @@
 
 type stream = {
   name : string;
-  columns : string list;
+  mutable columns : string array;
   mutable rows : string list;  (** rendered lines, newest first *)
   mutable count : int;
 }
@@ -15,51 +15,81 @@ type stream = {
 type t = {
   streams : (string, stream) Hashtbl.t;
   mutable enabled : bool;
+  row : Buffer.t;  (** scratch for the row being rendered *)
 }
 
-let create () = { streams = Hashtbl.create 8; enabled = true }
+let create () = { streams = Hashtbl.create 8; enabled = true; row = Buffer.create 256 }
 
 let set_enabled t flag = t.enabled <- flag
-
-let create_stream t name columns =
-  Hashtbl.replace t.streams name { name; columns; rows = []; count = 0 }
 
 let stream t name =
   match Hashtbl.find_opt t.streams name with
   | Some s -> s
   | None ->
-      let s = { name; columns = []; rows = []; count = 0 } in
+      let s = { name; columns = [||]; rows = []; count = 0 } in
       Hashtbl.add t.streams name s;
       s
 
-let render_field = function
-  | "" -> "-"
-  | s ->
-      (* TSV-escape embedded separators as Bro does *)
-      String.map (fun c -> if c = '\t' || c = '\n' then ' ' else c) s
-
-(** Write one row: values are rendered strings keyed by column name;
-    missing columns log "-". *)
-let write t name (fields : (string * string) list) =
+(** (Re)define stream [name] with no rows.  The stream record is reset in
+    place, so a writer that cached it stays valid; a changed column array
+    tells it to rebuild its column map. *)
+let create_stream t name columns =
   let s = stream t name in
+  s.columns <- Array.of_list columns;
+  s.rows <- [];
+  s.count <- 0
+
+(** Column index of [name] in [s], or -1. *)
+let column s name =
+  let cols = s.columns in
+  let rec go i =
+    if i >= Array.length cols then -1
+    else if String.equal cols.(i) name then i
+    else go (i + 1)
+  in
+  go 0
+
+let needs_escape c = c = '\t' || c = '\n'
+
+(** Append one field, TSV-escaping embedded separators as Bro does; the
+    value is copied only when it contains one. *)
+let add_field b s =
+  if String.exists needs_escape s then
+    Buffer.add_string b (String.map (fun c -> if needs_escape c then ' ' else c) s)
+  else Buffer.add_string b s
+
+(** Write one row in column order: [render b i] appends column [i] to [b]
+    (strings through {!add_field}); a column that appends nothing logs
+    "-".  The row is counted even when logging is disabled, but then
+    nothing is rendered. *)
+let write_row t s (render : Buffer.t -> int -> unit) =
   s.count <- s.count + 1;
   if t.enabled then begin
-    let row =
-      String.concat "\t"
-        (List.map
-           (fun col ->
-             match List.assoc_opt col fields with
-             | Some v -> render_field v
-             | None -> "-")
-           s.columns)
-    in
-    s.rows <- row :: s.rows
+    let b = t.row in
+    Buffer.clear b;
+    for i = 0 to Array.length s.columns - 1 do
+      if i > 0 then Buffer.add_char b '\t';
+      let start = Buffer.length b in
+      render b i;
+      if Buffer.length b = start then Buffer.add_char b '-'
+    done;
+    s.rows <- Buffer.contents b :: s.rows
   end
+
+(** Write one row: values are rendered strings keyed by column name;
+    missing columns log "-", and fields naming no column are ignored. *)
+let write t name (fields : (string * string) list) =
+  let s = stream t name in
+  let rec find col = function
+    | [] -> ""
+    | (k, v) :: rest -> if String.equal k col then v else find col rest
+  in
+  write_row t s (fun b i -> add_field b (find s.columns.(i) fields))
 
 let rows t name = List.rev (stream t name).rows
 let row_count t name = (stream t name).count
 
-let header s = "#fields\t" ^ String.concat "\t" s.columns
+let header s = "#fields\t" ^ String.concat "\t" (Array.to_list s.columns)
 
 let to_string t name =
   let s = stream t name in

@@ -40,31 +40,34 @@ exception Bro_error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Bro_error s)) fmt
 
-(** The slot holding field [name], if present. *)
-let record_find r name =
+(** Index of the first field [name] in [r], or -1. *)
+let record_index r name =
   let fields = r.rfields in
   let n = Array.length fields in
   let rec go i =
-    if i >= n then None
-    else
-      let k, v = Array.unsafe_get fields i in
-      if String.equal k name then Some v else go (i + 1)
+    if i >= n then -1
+    else if String.equal (fst (Array.unsafe_get fields i)) name then i
+    else go (i + 1)
   in
   go 0
+
+(** The slot holding field [name], if present. *)
+let record_find r name =
+  match record_index r name with -1 -> None | i -> Some (snd r.rfields.(i))
 
 (* ---- Canonical keys ----------------------------------------------------------- *)
 
 let rec key_string = function
   | Vbool b -> if b then "T" else "F"
-  | Vcount c -> "c" ^ Int64.to_string c
-  | Vint i -> "i" ^ Int64.to_string i
+  | Vcount c -> "c" ^ Digits.int64_to_string c
+  | Vint i -> "i" ^ Digits.int64_to_string i
   | Vdouble d -> "d" ^ string_of_float d
   | Vstring s -> "s" ^ s
   | Vaddr a -> "a" ^ Addr.to_string a
   | Vport p -> "p" ^ Port.to_string p
   | Vsubnet n -> "n" ^ Network.to_string n
-  | Vtime t -> "t" ^ Int64.to_string (Time_ns.to_ns t)
-  | Vinterval i -> "v" ^ Int64.to_string (Interval_ns.to_ns i)
+  | Vtime t -> "t" ^ Digits.int64_to_string (Time_ns.to_ns t)
+  | Vinterval i -> "v" ^ Digits.int64_to_string (Interval_ns.to_ns i)
   | Vrecord r ->
       (* records as keys: field-sorted canonical form *)
       let fields =
@@ -99,8 +102,7 @@ let keys_string vs = String.concat "\x00" (List.map key_string vs)
 
 let rec to_string = function
   | Vbool b -> if b then "T" else "F"
-  | Vcount c -> Int64.to_string c
-  | Vint i -> Int64.to_string i
+  | Vcount c | Vint c -> Digits.int64_to_string c
   | Vdouble d -> Printf.sprintf "%g" d
   | Vstring s -> s
   | Vaddr a -> Addr.to_string a
@@ -128,6 +130,26 @@ let rec to_string = function
       in
       "[" ^ String.concat "," (List.sort compare fields) ^ "]"
   | Vvoid -> "<void>"
+
+(** Append [to_string v] to [b]; scalars render in place. *)
+let add_rendered b = function
+  | Vbool x -> Buffer.add_char b (if x then 'T' else 'F')
+  | Vcount c | Vint c -> Digits.add_int64 b c
+  | Vstring s -> Buffer.add_string b s
+  | Vaddr a -> Addr.add_to_buffer b a
+  | Vport p -> Port.add_to_buffer b p
+  | Vtime t -> Time_ns.add_to_buffer b t
+  | Vinterval i -> Interval_ns.add_to_buffer b i
+  | v -> Buffer.add_string b (to_string v)
+
+(** Append [v] as a log field ({!Bro_log.add_field} escaping); [Vvoid]
+    appends nothing, so its column logs "-". *)
+let add_log_field b = function
+  | Vvoid -> ()
+  | Vstring s -> Bro_log.add_field b s
+  | (Vset _ | Vtable _ | Vvector _ | Vrecord _ | Vpattern _) as v ->
+      Bro_log.add_field b (to_string v)
+  | v -> add_rendered b v
 
 let rec equal a b =
   match (a, b) with

@@ -123,11 +123,15 @@ let of_string_opt s = try Some (of_string s) with Invalid _ -> None
 
 (* Printing --------------------------------------------------------------- *)
 
-let ipv4_to_string t =
+let add_ipv4 b t =
   let i = to_ipv4_int t in
-  Printf.sprintf "%d.%d.%d.%d"
-    ((i lsr 24) land 0xff) ((i lsr 16) land 0xff) ((i lsr 8) land 0xff)
-    (i land 0xff)
+  Digits.add_int b ((i lsr 24) land 0xff);
+  Buffer.add_char b '.';
+  Digits.add_int b ((i lsr 16) land 0xff);
+  Buffer.add_char b '.';
+  Digits.add_int b ((i lsr 8) land 0xff);
+  Buffer.add_char b '.';
+  Digits.add_int b (i land 0xff)
 
 let groups_of t =
   let g64 w =
@@ -175,7 +179,12 @@ let ipv6_to_string t =
   Buffer.contents buf
 
 let to_string t =
-  match t.family with IPv4 -> ipv4_to_string t | IPv6 -> ipv6_to_string t
+  match t.family with
+  | IPv4 -> Digits.to_string ~size:16 add_ipv4 t
+  | IPv6 -> ipv6_to_string t
+
+let add_to_buffer b t =
+  match t.family with IPv4 -> add_ipv4 b t | IPv6 -> Buffer.add_string b (ipv6_to_string t)
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

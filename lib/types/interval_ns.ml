@@ -23,8 +23,8 @@ let compare : t -> t -> int = Int64.compare
 let equal (a : t) (b : t) = Int64.equal a b
 let hash (t : t) = Hashtbl.hash t
 
-let to_string (t : t) =
-  let secs = Int64.div t ns_per_sec and frac = Int64.rem t ns_per_sec in
-  Printf.sprintf "%Ld.%06Ld" secs (Int64.div (Int64.abs frac) 1000L)
+(* Same rendering as {!Time_ns.to_string}. *)
+let add_to_buffer b (t : t) = Time_ns.add_to_buffer b t
+let to_string (t : t) = Time_ns.to_string t
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -27,7 +27,12 @@ let proto_of_string = function
   | "icmp" -> ICMP
   | s -> raise (Invalid s)
 
-let to_string t = Printf.sprintf "%d/%s" t.number (proto_to_string t.proto)
+let add_to_buffer b t =
+  Digits.add_int b t.number;
+  Buffer.add_char b '/';
+  Buffer.add_string b (proto_to_string t.proto)
+
+let to_string t = Digits.to_string ~size:10 add_to_buffer t
 
 let of_string s =
   match String.index_opt s '/' with

@@ -28,9 +28,13 @@ let hash (t : t) = Hashtbl.hash t
 
 (** Render as fractional seconds since the epoch, Bro-log style
     (e.g. ["1398558468.123456"]). *)
-let to_string (t : t) =
+let add_to_buffer b (t : t) =
   let secs = Int64.div t ns_per_sec and frac = Int64.rem t ns_per_sec in
-  Printf.sprintf "%Ld.%06Ld" secs (Int64.div (Int64.abs frac) 1000L)
+  Digits.add_int64 b secs;
+  Buffer.add_char b '.';
+  Digits.add_padded b ~width:6 (Int64.to_int (Int64.div (Int64.abs frac) 1000L))
+
+let to_string (t : t) = Digits.to_string ~size:24 add_to_buffer t
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

@@ -35,6 +35,16 @@ let pop_front t =
       t.size <- t.size - 1;
       Some node.value
 
+(** The [i]-th element from the front, walking the links (no allocation).
+    @raise Invalid_argument when [i] is out of range. *)
+let get t i =
+  if i < 0 || i >= t.size then invalid_arg "Deque.get";
+  let rec go i = function
+    | Some node -> if i = 0 then node.value else go (i - 1) node.next
+    | None -> invalid_arg "Deque.get"
+  in
+  go i t.front
+
 let peek_front t = Option.map (fun n -> n.value) t.front
 let peek_back t = Option.map (fun n -> n.value) t.back
 

@@ -187,6 +187,209 @@ event go() {
   Alcotest.(check string) "builtins"
     "host:8080\nmixed\n123\na1T\na9993e364706816aba3e25717850c26c9cd0d89d\n" out
 
+(* The interpreter alone, for behaviour the compiled engine does not
+   share (it rejects the script at load). *)
+let run_interp ?(events = []) src =
+  let engine = Bro_engine.load Bro_engine.Interpreted (Bro_parse.parse src) in
+  let out = Buffer.create 64 in
+  Bro_engine.set_print_sink engine (fun s -> Buffer.add_string out (s ^ "\n"));
+  List.iter (fun (name, args) -> Bro_engine.dispatch engine name args) events;
+  (engine, out)
+
+let bro_error f =
+  match f () with
+  | () -> Alcotest.fail "expected Bro_error"
+  | exception Bro_val.Bro_error msg -> msg
+
+(* Interpreter-only: compiled scripts reject vector indexing at load. *)
+let test_vector_index () =
+  let src =
+    {|
+global v: vector of count;
+
+event fill() {
+    push(v, 10);
+    push(v, 20);
+    push(v, 30);
+    print v[0], v[2];
+}
+
+event at(i: int) {
+    print v[i];
+}
+|}
+  in
+  let engine, out = run_interp ~events:[ ("fill", []) ] src in
+  Alcotest.(check string) "in range" "10, 30\n" (Buffer.contents out);
+  List.iter
+    (fun i ->
+      Alcotest.(check string)
+        (Printf.sprintf "v[%Ld]" i) "vector index out of range"
+        (bro_error (fun () -> Bro_engine.dispatch engine "at" [ Bro_val.Vint i ])))
+    [ -1L; 3L; Int64.min_int ]
+
+let test_branch_local_not_visible_after () =
+  let out =
+    run_both
+      {|
+global x: count = 1;
+
+event go() {
+    if (T) {
+        local x = 5;
+        print x;
+    }
+    print x;
+}
+|}
+  in
+  Alcotest.(check string) "branch local, then the global" "5\n1\n" out
+
+(* Interpreter-only: the compiled engine rejects an unknown identifier
+   when the script is compiled. *)
+let test_undefined_name_raises_when_run () =
+  let engine, out =
+    run_interp
+      {|
+event go(flag: bool) {
+    if (flag) {
+        local y = 1;
+        print y;
+    }
+    print "after";
+    if (flag)
+        print y;
+}
+|}
+  in
+  Bro_engine.dispatch engine "go" [ Bro_val.Vbool false ];
+  Alcotest.(check string) "loads and runs while the name is not reached" "after\n"
+    (Buffer.contents out);
+  Alcotest.(check string) "raised when the statement runs" "unknown identifier y"
+    (bro_error (fun () -> Bro_engine.dispatch engine "go" [ Bro_val.Vbool true ]));
+  Alcotest.(check string) "statements before it ran" "after\n1\nafter\n"
+    (Buffer.contents out)
+
+(* Interpreter-only: the compiled engine maps each local name to one
+   function-wide HILTI local, so there a branch local overwrites the outer
+   one (it prints 2, 3, 3). *)
+let test_branch_local_shadows () =
+  let _, out =
+    run_interp ~events:[ ("go", []) ]
+      {|
+event go() {
+    local a = 1;
+    if (a == 1) {
+        local a = 2;
+        print a;
+        a = 3;
+        print a;
+    }
+    else {
+        print a;
+    }
+    print a;
+}
+|}
+  in
+  Alcotest.(check string) "outer untouched" "2\n3\n1\n" (Buffer.contents out)
+
+let for_src body =
+  {|
+global outer: vector of count;
+global inner: vector of count;
+
+event go() {
+    push(outer, 1);
+    push(outer, 2);
+    push(inner, 10);
+    push(inner, 20);
+    for (i in outer) {
+|} ^ body ^ {|
+    }
+}
+|}
+
+let test_for_iteration_bindings () =
+  let out =
+    run_both
+      (for_src
+         {|
+        local n = i * 100;
+        for (j in inner) {
+            local m = n + j;
+            print m;
+        }
+        print i;
+|})
+  in
+  Alcotest.(check string) "loop variables and initialized locals" "110\n120\n1\n210\n220\n2\n"
+    out;
+  (* Interpreter-only: the compiled engine declares a typed local once per
+     function, so without an initializer it keeps its value across
+     iterations (it prints 21, 32, 1, 55, 68, 3). *)
+  let _, out =
+    run_interp ~events:[ ("go", []) ]
+      (for_src
+         {|
+        local n: count;
+        n = n + i;
+        for (j in inner) {
+            local m: count;
+            m = m + j + n;
+            print m;
+        }
+        print n;
+|})
+  in
+  Alcotest.(check string) "typed locals start fresh each iteration"
+    "11\n21\n1\n12\n22\n2\n" (Buffer.contents out)
+
+let test_recursive_frames () =
+  let out =
+    run_both
+      {|
+function fib(n: count): count {
+    if (n < 2)
+        return n;
+    local a = fib(n - 1);
+    local b = fib(n - 2);
+    return a + b;
+}
+
+event go() {
+    print fib(15);
+}
+|}
+  in
+  Alcotest.(check string) "fib(15)" "610\n" out
+
+let test_return_from_nested_blocks () =
+  let out =
+    run_both
+      {|
+global s: set[count];
+
+function find(want: count): string {
+    for (x in s) {
+        if (x == want) {
+            if (x > 0)
+                return fmt("found %d", x);
+        }
+    }
+    return "none";
+}
+
+event go() {
+    add s[3];
+    add s[7];
+    print find(7);
+    print find(4);
+}
+|}
+  in
+  Alcotest.(check string) "returns" "found 7\nnone\n" out
+
 let test_parse_error_position () =
   match Bro_parse.parse "event go() { print 1 + ; }" with
   | exception Bro_parse.Parse_error (_, line) ->
@@ -203,7 +406,18 @@ let suite =
     Alcotest.test_case "for loops" `Quick test_for_loops;
     Alcotest.test_case "queued events" `Quick test_queued_events;
     Alcotest.test_case "builtins" `Quick test_builtins;
-    Alcotest.test_case "parse error positions" `Quick test_parse_error_position ]
+    Alcotest.test_case "parse error positions" `Quick test_parse_error_position;
+    Alcotest.test_case "vector indexing (interpreter)" `Quick test_vector_index;
+    Alcotest.test_case "scope: branch local not visible after" `Quick
+      test_branch_local_not_visible_after;
+    Alcotest.test_case "scope: undefined name raises when run (interpreter)" `Quick
+      test_undefined_name_raises_when_run;
+    Alcotest.test_case "scope: branch local shadows (interpreter)" `Quick
+      test_branch_local_shadows;
+    Alcotest.test_case "scope: per-iteration bindings" `Quick test_for_iteration_bindings;
+    Alcotest.test_case "scope: recursive frames" `Quick test_recursive_frames;
+    Alcotest.test_case "scope: return from nested blocks" `Quick
+      test_return_from_nested_blocks ]
 
 (* Table expiration attributes (&read_expire), driven by network time via
    the compiled engine's timers — the capability §6.1 disables for the

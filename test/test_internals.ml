@@ -155,6 +155,56 @@ let test_log_agreement_math () =
   Alcotest.(check bool) "fraction 2/3" true
     (abs_float (agg.Mini_bro.Bro_log.fraction -. (2.0 /. 3.0)) < 1e-9)
 
+let test_log_row_writer () =
+  let module L = Mini_bro.Bro_log in
+  let l = L.create () in
+  L.create_stream l "s" [ "a"; "b"; "c"; "d" ];
+  let s = L.stream l "s" in
+  Alcotest.(check int) "column index" 2 (L.column s "c");
+  Alcotest.(check int) "no such column" (-1) (L.column s "zz");
+  L.write_row l s (fun b i ->
+      match i with
+      | 0 -> L.add_field b "x\ty"
+      | 1 -> ()
+      | 2 -> L.add_field b ""
+      | _ -> L.add_field b "p\nq\tr");
+  L.write l "s" [ ("zz", "extra"); ("d", "1"); ("a", "") ];
+  Alcotest.(check (list string)) "missing/empty '-', separators become spaces, extras ignored"
+    [ "x y\t-\t-\tp q r"; "-\t-\t-\t1" ] (L.rows l "s");
+  L.set_enabled l false;
+  L.write_row l s (fun _ _ -> Alcotest.fail "rendered while disabled");
+  Alcotest.(check int) "disabled rows still count" 3 (L.row_count l "s");
+  Alcotest.(check int) "but are not stored" 2 (List.length (L.rows l "s"))
+
+(* Both engines' Log::write go through the row writer: a record literal
+   maps its fields to columns, with the same rendering rules. *)
+let test_log_write_engines () =
+  let module L = Mini_bro.Bro_log in
+  let script =
+    Mini_bro.Bro_parse.parse
+      {|
+event go(t: string) {
+    Log::write("s", [$c=t, $a=1, $extra=5, $b="", $e=1.2.3.4, $f=53/udp]);
+}
+|}
+  in
+  let run mode enabled =
+    let l = L.create () in
+    L.create_stream l "s" [ "a"; "b"; "c"; "d"; "e"; "f" ];
+    L.set_enabled l enabled;
+    let e = Mini_bro.Bro_engine.load ~logger:l mode script in
+    Mini_bro.Bro_engine.dispatch e "go" [ Mini_bro.Bro_val.Vstring "x\ty\nz" ];
+    Mini_bro.Bro_engine.dispatch e "go" [ Mini_bro.Bro_val.Vstring "" ];
+    (L.rows l "s", L.row_count l "s")
+  in
+  List.iter
+    (fun mode ->
+      Alcotest.(check (pair (list string) int)) "rows"
+        ([ "1\t-\tx y z\t-\t1.2.3.4\t53/udp"; "1\t-\t-\t-\t1.2.3.4\t53/udp" ], 2)
+        (run mode true);
+      Alcotest.(check (pair (list string) int)) "disabled" ([], 2) (run mode false))
+    [ Mini_bro.Bro_engine.Interpreted; Mini_bro.Bro_engine.Compiled ]
+
 (* ---- Mixed traces ---------------------------------------------------------------------- *)
 
 let test_mix_ordered_and_demuxable () =
@@ -191,4 +241,6 @@ let suite =
     Alcotest.test_case "log columns" `Quick test_log_columns_and_missing;
     Alcotest.test_case "log disabled counting (§6.1)" `Quick test_log_disabled_still_counts;
     Alcotest.test_case "log agreement math" `Quick test_log_agreement_math;
+    Alcotest.test_case "log row writer" `Quick test_log_row_writer;
+    Alcotest.test_case "log write through both engines" `Quick test_log_write_engines;
     Alcotest.test_case "mixed trace" `Quick test_mix_ordered_and_demuxable ]

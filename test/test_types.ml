@@ -109,6 +109,113 @@ let test_time_interval () =
   Alcotest.(check string) "interval mul" "7.500000"
     (Interval_ns.to_string (Interval_ns.mul i 3))
 
+(* ---- Printf-free renderers ------------------------------------------------------------ *)
+
+(* The Printf forms the digit writers replaced, kept as the reference. *)
+let ref_time (t : int64) =
+  let secs = Int64.div t 1_000_000_000L and frac = Int64.rem t 1_000_000_000L in
+  Printf.sprintf "%Ld.%06Ld" secs (Int64.div (Int64.abs frac) 1000L)
+
+let ref_ipv4 a b c d = Printf.sprintf "%d.%d.%d.%d" a b c d
+
+let ref_port n proto = Printf.sprintf "%d/%s" n (Port.proto_to_string proto)
+
+let buffered add x =
+  let b = Buffer.create 8 in
+  Buffer.add_string b "<";
+  add b x;
+  Buffer.contents b
+
+let edge_int64s =
+  [ 0L; 1L; -1L; 9L; 10L; -10L; 999_999L; 1_000_000L; -999_999_999L; 1_000_000_000L;
+    Int64.of_int max_int; Int64.of_int min_int; Int64.succ (Int64.of_int max_int);
+    Int64.pred (Int64.of_int min_int); Int64.max_int; Int64.min_int;
+    Int64.succ Int64.min_int; Int64.pred Int64.max_int ]
+
+(* Edge values plus a seeded sweep over all magnitudes. *)
+let int64_samples =
+  let st = Random.State.make [| 17 |] in
+  edge_int64s
+  @ List.init 2000 (fun i ->
+        let v = Random.State.int64 st Int64.max_int in
+        let v = Int64.shift_right v (i mod 63) in
+        if i mod 2 = 0 then v else Int64.neg v)
+
+let test_render_counts () =
+  List.iter
+    (fun v ->
+      let want = Printf.sprintf "%Ld" v in
+      Alcotest.(check string) want want (Digits.int64_to_string v);
+      Alcotest.(check string) ("buffer " ^ want) ("<" ^ want) (buffered Digits.add_int64 v);
+      let n = Int64.to_int v in
+      if Int64.equal (Int64.of_int n) v then begin
+        Alcotest.(check string) ("int " ^ want) want (Digits.int_to_string n);
+        Alcotest.(check string) ("int buffer " ^ want) ("<" ^ want) (buffered Digits.add_int n)
+      end)
+    int64_samples;
+  List.iter
+    (fun (w, n) ->
+      Alcotest.(check string) "padded" (Printf.sprintf "%0*d" w n)
+        (Digits.to_string ~size:8 (Digits.add_padded ~width:w) n))
+    [ (6, 0); (6, 7); (6, 999_999); (6, 123); (2, 12345); (1, 0) ]
+
+let test_render_times () =
+  let samples =
+    [ 0L; 1L; 999L; 1_000L; 1_999L; -1L; -999L; -1_000L; -500_000_000L; -1_500_000_000L;
+      1_000_000_000L; 1_398_558_468_123_456_789L; -1_398_558_468_123_456_789L;
+      Int64.max_int; Int64.min_int ]
+    @ int64_samples
+  in
+  List.iter
+    (fun t ->
+      let want = ref_time t in
+      Alcotest.(check string) want want (Time_ns.to_string (Time_ns.of_ns t));
+      Alcotest.(check string) ("buffer " ^ want) ("<" ^ want)
+        (buffered Time_ns.add_to_buffer (Time_ns.of_ns t));
+      Alcotest.(check string) ("interval " ^ want) want
+        (Interval_ns.to_string (Interval_ns.of_ns t)))
+    samples
+
+let test_render_addrs () =
+  let st = Random.State.make [| 23 |] in
+  let quads =
+    [ (0, 0, 0, 0); (255, 255, 255, 255); (192, 168, 1, 1); (10, 0, 0, 1); (8, 8, 8, 8);
+      (1, 22, 133, 9) ]
+    @ List.init 500 (fun _ ->
+          let o () = Random.State.int st 256 in
+          let a = o () in
+          let b = o () in
+          let c = o () in
+          (a, b, c, o ()))
+  in
+  List.iter
+    (fun (a, b, c, d) ->
+      let want = ref_ipv4 a b c d in
+      let addr = Addr.of_ipv4_octets a b c d in
+      Alcotest.(check string) want want (Addr.to_string addr);
+      Alcotest.(check string) ("buffer " ^ want) ("<" ^ want) (buffered Addr.add_to_buffer addr))
+    quads;
+  (* IPv6 rendering is unchanged. *)
+  List.iter
+    (fun (input, want) ->
+      let addr = Addr.of_string input in
+      Alcotest.(check string) input want (Addr.to_string addr);
+      Alcotest.(check string) ("buffer " ^ input) ("<" ^ want) (buffered Addr.add_to_buffer addr))
+    [ ("2001:db8::1", "2001:db8::1"); ("::", "::"); ("fe80:0:0:0:1:2:3:4", "fe80::1:2:3:4");
+      ("1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8") ]
+
+let test_render_ports () =
+  List.iter
+    (fun proto ->
+      List.iter
+        (fun n ->
+          let want = ref_port n proto in
+          let p = Port.make n proto in
+          Alcotest.(check string) want want (Port.to_string p);
+          Alcotest.(check string) ("buffer " ^ want) ("<" ^ want) (buffered Port.add_to_buffer p))
+        [ 0; 1; 53; 80; 443; 9999; 10000; 65535 ])
+    [ Port.TCP; Port.UDP; Port.ICMP ]
+
 (* ---- Bitsets and enums ------------------------------------------------------------- *)
 
 let test_bitset () =
@@ -352,6 +459,10 @@ let suite =
     prop_network_masked_member;
     Alcotest.test_case "port" `Quick test_port;
     Alcotest.test_case "time and interval" `Quick test_time_interval;
+    Alcotest.test_case "render counts == Printf" `Quick test_render_counts;
+    Alcotest.test_case "render times == Printf" `Quick test_render_times;
+    Alcotest.test_case "render IPv4 == Printf, IPv6 unchanged" `Quick test_render_addrs;
+    Alcotest.test_case "render ports == Printf" `Quick test_render_ports;
     Alcotest.test_case "bitset" `Quick test_bitset;
     Alcotest.test_case "enum" `Quick test_enum;
     Alcotest.test_case "hbytes basics" `Quick test_hbytes_basics;

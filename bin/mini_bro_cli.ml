@@ -290,7 +290,10 @@ let () =
         in
         let grammar = Binpacxx.Grammar_parser.parse (read_file grammar_path) in
         let loaded = Hilti_analyzers.Evt.load cfg grammar in
-        let stats = Hilti_analyzers.Driver.run_evt_src ~loaded ~sink (make_src ()) in
+        let stats =
+          Hilti_analyzers.Driver.(run_tcp_src ~parsers:(evt_parsers loaded) ~sink)
+            (make_src ())
+        in
         Printf.eprintf "%s: %d packets, %d connections, %d events\n" evt_file
           stats.Hilti_analyzers.Driver.packets
           stats.Hilti_analyzers.Driver.connections

@@ -30,6 +30,17 @@ done
 diff -r "$tcp_std" "$tcp_pac"
 rm -rf "$tcp_std" "$tcp_pac"
 
+echo "== .evt analyzers on the TCP stream runner (test evt + Fig. 7(d) via mini-bro)"
+dune exec test/test_main.exe -- test evt
+evt=$(mktemp -d)
+dune exec bin/mini_bro_cli.exe -- -g ssh:20 examples/data/ssh.evt examples/data/ssh.bro \
+  > "$evt/out" 2> "$evt/err"
+# Two banners per session, one "software, version" line each.
+[ "$(grep -c '^[^ ]*, [0-9.]*$' "$evt/out")" -eq 40 ]
+[ "$(wc -l < "$evt/out")" -eq 40 ]
+grep -q ' 20 connections,' "$evt/err"
+rm -rf "$evt"
+
 echo "== SHA-1 kernel (test bro) and streamed HTTP body hashing (test analyzers)"
 dune exec test/test_main.exe -- test bro
 dune exec test/test_main.exe -- test analyzers

@@ -9,11 +9,12 @@ module V = Hilti_vm.Value
 
 type t = { parser : Runtime.t }
 
-let load ?(optimize = true) ?(specialize = true) () : t =
-  { parser = Runtime.load ~optimize ~specialize (Grammars.parse_dns ()) }
+let load ?(specialize = true) () : t =
+  { parser = Runtime.load ~specialize (Grammars.parse_dns ()) }
 
 let sint = Runtime.int_or_zero
 let sbytes = Runtime.bytes_or_empty
+let slist = Runtime.list_or_empty
 
 (* Decode all character-strings of a raw TXT rdata. *)
 let txt_strings raw =
@@ -62,7 +63,7 @@ and convert st =
       let flags = sint st "flags" in
       let is_response = flags land 0x8000 <> 0 in
       if is_response then
-        let answers = Http_pac.slist st "answers" in
+        let answers = slist st "answers" in
         Reply
           {
             Events.r_id = id;
@@ -72,7 +73,7 @@ and convert st =
           }
       else
         let q =
-          match Http_pac.slist st "questions" with q :: _ -> Some q | [] -> None
+          match slist st "questions" with q :: _ -> Some q | [] -> None
         in
         Request
           {

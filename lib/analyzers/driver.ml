@@ -9,11 +9,12 @@
     is trimmed, and idle connections can be evicted through {!Flow_table}
     timeouts ([?idle_timeout]).
 
-    HTTP, MQTT and FTP share one TCP stream runner ({!run_tcp_src}); a
-    protocol only supplies the per-direction parsers.  DNS has a batched
-    zero-copy loop, a per-packet reference loop and a flow-sharded variant;
-    the firewall has a serial and a sharded loop; [.evt]-configured
-    analyzers buffer whole streams ({!run_evt_src}).
+    HTTP, MQTT, FTP and [.evt]-configured analyzers share one TCP stream
+    runner ({!run_tcp_src}); a protocol only supplies the per-direction
+    parsers, and every BinPAC++ one is a {!Binpacxx.Runtime} session whose
+    hooks raise its events.  DNS has a batched zero-copy loop, a
+    per-packet reference loop and a flow-sharded variant; the firewall has
+    a serial and a sharded loop.
 
     Component costs are recorded under the profilers
     ["analyzer/parse"] (protocol parsing), ["analyzer/script"] (event
@@ -206,10 +207,17 @@ let note_failed d =
     Hilti_obs.Metrics.incr m_parse_errors
   end
 
-let pac_session_failed (s : Binpacxx.Runtime.session) =
-  match Binpacxx.Runtime.status s with
-  | Binpacxx.Runtime.Failed _ -> true
-  | _ -> false
+(* A BinPAC++ session as a stream side; its hooks already raise events. *)
+let pac_side (s : Binpacxx.Runtime.session) : tcp_side =
+  {
+    feed = (fun data -> ignore (Binpacxx.Runtime.feed s data));
+    eof = (fun () -> ignore (Binpacxx.Runtime.finish s));
+    failed =
+      (fun () ->
+        match Binpacxx.Runtime.status s with
+        | Binpacxx.Runtime.Failed _ -> true
+        | _ -> false);
+  }
 
 (** Stream a TCP source through the pipeline: flow tracking, per-direction
     reassembly into the sides [parsers] builds, [connection_established] on
@@ -309,9 +317,7 @@ let run_tcp_src ~(parsers : tcp_parsers) ~(sink : Events.sink) ?idle_timeout
 (* ---- HTTP ------------------------------------------------------------------------ *)
 
 let http_parsers (kind : http_kind) : tcp_parsers =
- fun sink ->
-  (match kind with Http_pac t -> t.Http_pac.sink <- sink | Http_std -> ());
-  fun conn_val _flow ->
+ fun sink conn_val _flow ->
     let side ~is_request =
       match kind with
       | Http_std ->
@@ -323,11 +329,7 @@ let http_parsers (kind : http_kind) : tcp_parsers =
           { feed = Http_std.feed p;
             eof = (fun () -> Http_std.eof p);
             failed = (fun () -> Http_std.failed p) }
-      | Http_pac t ->
-          let s = Http_pac.session t ~conn:conn_val ~is_request in
-          { feed = Http_pac.feed s;
-            eof = (fun () -> Http_pac.eof s);
-            failed = (fun () -> pac_session_failed s.Http_pac.s) }
+      | Http_pac t -> pac_side (Http_pac.session t ~sink ~conn:conn_val ~is_request)
     in
     let req = side ~is_request:true in
     Some (req, side ~is_request:false)
@@ -350,11 +352,7 @@ let mqtt_parsers (kind : mqtt_kind) : tcp_parsers =
         { feed = Mqtt_std.feed p;
           eof = (fun () -> Mqtt_std.eof p);
           failed = (fun () -> Mqtt_std.failed p <> None) }
-    | Mqtt_pac t ->
-        let s = Mqtt_pac.session t ~on_packet in
-        { feed = (fun data -> ignore (Mqtt_pac.feed s data));
-          eof = (fun () -> ignore (Mqtt_pac.eof s));
-          failed = (fun () -> pac_session_failed s.Mqtt_pac.s) }
+    | Mqtt_pac t -> pac_side (Mqtt_pac.session t ~on_packet)
   in
   let orig = side () in
   Some (orig, side ())
@@ -414,14 +412,28 @@ let ftp_parsers (kind : ftp_kind) : tcp_parsers =
             { feed = Ftp_std.feed p;
               eof = (fun () -> Ftp_std.eof p);
               failed = (fun () -> Ftp_std.failed p <> None) }
-        | Ftp_pac t ->
-            let s = Ftp_pac.session t ~is_command ~on_event in
-            { feed = (fun data -> ignore (Ftp_pac.feed s data));
-              eof = (fun () -> ignore (Ftp_pac.eof s));
-              failed = (fun () -> pac_session_failed s.Ftp_pac.s) }
+        | Ftp_pac t -> pac_side (Ftp_pac.session t ~is_command ~on_event)
       in
       let commands = side ~is_command:true in
       Some (commands, side ~is_command:false)
+    end
+    else None
+
+(* ---- Event-configured analyzers (Fig. 7) ------------------------------------------ *)
+
+(** Flows on the [.evt] file's port get originator and responder sessions
+    on its top unit, whose bindings raise the configured events; every
+    other flow is tracked but not parsed. *)
+let evt_parsers (l : Evt.loaded) : tcp_parsers =
+ fun sink ->
+  let port = Hilti_types.Port.number l.Evt.config.Evt.port in
+  fun _conn_val flow ->
+    if
+      Hilti_types.Port.number flow.Flow.dst_port = port
+      || Hilti_types.Port.number flow.Flow.src_port = port
+    then begin
+      let orig = pac_side (Evt.session l ~sink) in
+      Some (orig, pac_side (Evt.session l ~sink))
     end
     else None
 
@@ -868,65 +880,3 @@ let evaluate_src
     glue_ns = Hilti_rt.Profiler.wall_ns Bro_val.glue_profiler;
     total_ns;
   }
-
-(* ---- Event-configuration-driven analysis (Fig. 7) --------------------------------- *)
-
-(** Stream a TCP source through an .evt-configured BinPAC++ analyzer: flows
-    on the configured port are reassembled and each direction handed to the
-    parser, whose unit hooks raise the configured events into [sink]. *)
-let run_evt_src ~(loaded : Evt.loaded) ~(sink : Events.sink)
-    (src : Hilti_rt.Iosrc.t) : stats =
-  let stats = fresh_stats () in
-  loaded.Evt.sink <- profiled_sink sink stats;
-  let want_port = Hilti_types.Port.number loaded.Evt.config.Evt.port in
-  let conns :
-      (string, (Reassembly.t * Buffer.t) * (Reassembly.t * Buffer.t) * Flow.t)
-      Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let order = ref [] in
-  let mk_rs () =
-    let buf = Buffer.create 256 in
-    (Reassembly.create (Buffer.add_string buf), buf)
-  in
-  Hilti_rt.Iosrc.iter
-    (fun (p : Hilti_rt.Iosrc.packet) ->
-      stats.packets <- stats.packets + 1;
-      match Packet.decode_opt ~ts:p.Hilti_rt.Iosrc.ts p.Hilti_rt.Iosrc.data with
-      | Some ({ Packet.transport = Packet.TCP (tcp, payload); _ } as pkt) -> (
-          match Packet.flow pkt with
-          | Some flow
-            when tcp.Tcp.src_port = want_port || tcp.Tcp.dst_port = want_port ->
-              let canon, _ = Flow.canonical flow in
-              let key = Flow.to_string canon in
-              let orig_side, resp_side, first_flow =
-                match Hashtbl.find_opt conns key with
-                | Some c -> c
-                | None ->
-                    stats.connections <- stats.connections + 1;
-                    let c = (mk_rs (), mk_rs (), flow) in
-                    Hashtbl.replace conns key c;
-                    order := key :: !order;
-                    c
-              in
-              let rs, _ = if Flow.equal flow first_flow then orig_side else resp_side in
-              Reassembly.segment rs ~seq:tcp.Tcp.seq
-                ~syn:(Tcp.has_flag tcp Tcp.flag_syn)
-                ~fin:(Tcp.has_flag tcp Tcp.flag_fin)
-                payload
-          | _ -> ())
-      | _ -> ())
-    src;
-  (* Parse each direction of each connection, server side first (in SSH
-     the server speaks first). *)
-  List.iter
-    (fun key ->
-      let (_, orig_buf), (_, resp_buf), _ = Hashtbl.find conns key in
-      List.iter
-        (fun buf ->
-          let data = Buffer.contents buf in
-          if data <> "" then
-            ignore (in_parse (fun () -> Evt.parse_input loaded data)))
-        [ resp_buf; orig_buf ])
-    (List.rev !order);
-  stats

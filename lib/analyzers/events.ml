@@ -17,6 +17,10 @@ let connection_val ~uid ~(flow : Hilti_net.Flow.t) ~start_time : Bro_val.t =
             ("resp_h", Bro_val.Vaddr flow.Hilti_net.Flow.dst);
             ("resp_p", Bro_val.Vport flow.Hilti_net.Flow.dst_port) ] ) ]
 
+(** Run a BinPAC++ unit-to-event conversion under the HILTI-to-Bro glue
+    profiler (§6.4). *)
+let glue f = Hilti_rt.Profiler.time_exclusive Bro_val.glue_profiler f
+
 type http_request = {
   method_ : string;
   uri : string;

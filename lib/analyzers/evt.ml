@@ -14,10 +14,12 @@
     on SSH::Banner -> event ssh_banner(self.version, self.software);
     v}
 
-    Loading an .evt attaches HILTI hook bodies to the grammar's units;
-    when generated parsing code finishes a unit, the hook calls back into
-    the engine, which converts the referenced fields to Bro values (glue)
-    and dispatches the event — exactly the Fig. 7(d) workflow. *)
+    Loading an .evt exposes one hook per binding through
+    {!Binpacxx.Runtime.load}; when generated parsing code finishes a unit,
+    each binding's hook reaches the session's handler, which converts the
+    referenced fields to Bro values (glue) and dispatches the event —
+    exactly the Fig. 7(d) workflow.  Only TCP analyzers are accepted: the
+    driver streams them through its TCP runner ({!Driver.evt_parsers}). *)
 
 open Hilti_types
 
@@ -30,7 +32,6 @@ type event_binding = {
 type t = {
   grammar_file : string;
   analyzer : string;
-  transport : [ `Tcp | `Udp ];
   top_unit : string;
   port : Port.t;
   bindings : event_binding list;
@@ -81,7 +82,6 @@ let parse (text : string) : t =
   let stmts = tokenize_words text in
   let grammar_file = ref "" in
   let analyzer = ref "" in
-  let transport = ref `Tcp in
   let top_unit = ref "" in
   let port = ref (Port.tcp 0) in
   let bindings = ref [] in
@@ -91,7 +91,10 @@ let parse (text : string) : t =
       | "grammar" :: file :: _ -> grammar_file := file
       | "protocol" :: "analyzer" :: name :: "over" :: proto :: rest ->
           analyzer := name;
-          transport := (if String.uppercase_ascii proto = "UDP" then `Udp else `Tcp);
+          if String.uppercase_ascii proto <> "TCP" then
+            raise
+              (Parse_error
+                 ("analyzer " ^ name ^ " over " ^ proto ^ ": only TCP analyzers run"));
           (* "parse with X::Y , port N/tcp" *)
           let rec scan = function
             | "parse" :: "with" :: u :: rest ->
@@ -131,10 +134,11 @@ let parse (text : string) : t =
       | w :: _ -> raise (Parse_error ("unknown statement: " ^ w)))
     stmts;
   if !top_unit = "" then raise (Parse_error "missing 'parse with' clause");
+  if Port.proto !port <> Port.TCP then
+    raise (Parse_error ("port " ^ Port.to_string !port ^ ": only TCP analyzers run"));
   {
     grammar_file = !grammar_file;
     analyzer = !analyzer;
-    transport = !transport;
     top_unit = !top_unit;
     port = !port;
     bindings = List.rev !bindings;
@@ -145,79 +149,44 @@ let parse (text : string) : t =
 type loaded = {
   config : t;
   parser : Binpacxx.Runtime.t;
-  mutable sink : Events.sink;
+  hooks : event_binding array;  (** binding [i] owns hook index [i] *)
 }
 
-(** Compile [grammar] with the hook bodies the configuration requests;
-    every triggered event lands in [sink] (settable later). *)
-let load ?(optimize = true) (config : t) (grammar : Binpacxx.Ast.grammar) : loaded =
+(** Compile [grammar] with one hook per binding: [on <Unit>] is the
+    [<G>::<Unit>] ([%done]) hook. *)
+let load (config : t) (grammar : Binpacxx.Ast.grammar) : loaded =
   let gname = grammar.Binpacxx.Ast.gname in
-  let loaded = ref None in
-  let prepare (m : Module_ir.t) =
-    Module_ir.add_func m
-      {
-        Module_ir.fname = "Evt::raise";
-        params = [ ("event", Htype.String); ("self", Htype.Any) ];
-        result = Htype.Void;
-        locals = [];
-        blocks = [];
-        cc = Module_ir.Cc_c;
-        hook_priority = 0;
-        exported = true;
-      };
-    List.iter
-      (fun binding ->
-        (* on <Unit> -> a hook body on <G>::<Unit>'s %done hook. *)
-        let hook = gname ^ "::" ^ binding.unit_name in
-        let b =
-          Builder.func m ~cc:Module_ir.Cc_hook hook
-            ~params:[ ("self", Htype.Any) ]
-            ~result:Htype.Void
-        in
-        Builder.call b "Evt::raise"
-          [ Builder.const_string binding.event; Instr.Local "self" ];
-        Builder.return_ b)
-      config.bindings
+  let hooks = List.map (fun b -> gname ^ "::" ^ b.unit_name) config.bindings in
+  {
+    config;
+    parser = Binpacxx.Runtime.load ~hooks grammar;
+    hooks = Array.of_list config.bindings;
+  }
+
+(* Fig. 7: the event carries exactly the binding's declared arguments. *)
+let raise_binding (sink : Events.sink) binding st =
+  let args =
+    Events.glue (fun () ->
+        List.map
+          (fun f ->
+            match Hilti_vm.Value.field st f with
+            | Some v -> Mini_bro.Bro_val.of_hilti_raw v
+            | None -> Mini_bro.Bro_val.Vstring "")
+          binding.args)
   in
-  let parser = Binpacxx.Runtime.load ~optimize ~prepare grammar in
-  let l = { config; parser; sink = Events.null_sink } in
-  loaded := Some l;
-  Hilti_vm.Host_api.register parser.Binpacxx.Runtime.api "Evt::raise" (fun args ->
-      (match (args, !loaded) with
-      | [ ev; st ], Some l ->
-          let event =
-            match ev with
-            | Hilti_vm.Value.String s -> s
-            | v -> Hilti_vm.Value.to_string v
-          in
-          (* Which binding fired?  Match by event name. *)
-          (match
-             List.find_opt (fun b -> b.event = event) l.config.bindings
-           with
-          | Some binding ->
-              let field_vals =
-                Hilti_rt.Profiler.time_exclusive Mini_bro.Bro_val.glue_profiler
-                  (fun () ->
-                    List.map
-                      (fun f ->
-                        match Hilti_vm.Value.field st f with
-                        | Some v -> Mini_bro.Bro_val.of_hilti_raw v
-                        | None -> Mini_bro.Bro_val.Vstring "")
-                      binding.args)
-              in
-              (* Fig. 7: the event carries exactly the declared
-                 arguments. *)
-              l.sink.Events.raise_event event field_vals
-          | None -> ())
-      | _ -> ());
-      Hilti_vm.Value.Null);
-  l
+  sink.Events.raise_event binding.event args
+
+(** An incremental parse of [top_unit] (one direction of a connection);
+    every binding that fires raises its event into [sink]. *)
+let session (l : loaded) ~(sink : Events.sink) : Binpacxx.Runtime.session =
+  Binpacxx.Runtime.session l.parser ~unit_name:l.config.top_unit
+    ~on_hook:(fun i st -> raise_binding sink l.hooks.(i) st)
 
 (** Parse one complete input (e.g. one direction of a connection),
-    triggering the configured events into the sink. *)
-let parse_input (l : loaded) (input : string) =
-  match
-    Binpacxx.Runtime.parse_string l.parser ~unit_name:l.config.top_unit input
-  with
-  | _ -> true
-  | exception Binpacxx.Runtime.Parse_failed _ -> false
+    triggering the configured events into [sink]; true when it parses. *)
+let parse_input (l : loaded) ~(sink : Events.sink) (input : string) : bool =
+  let s = session l ~sink in
+  ignore (Binpacxx.Runtime.feed s input);
+  match Binpacxx.Runtime.finish s with
+  | Binpacxx.Runtime.Done _ -> true
+  | _ -> false

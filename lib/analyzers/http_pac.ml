@@ -2,11 +2,10 @@
     parser over reassembled streams and turns parsed units into the same
     events the standard analyzer raises (§6.4).
 
-    Events fire from {e inside} the parse, through hooks attached to the
-    grammar's Request/Reply units (the event-configuration mechanism of
-    Fig. 7(b)): each hook body calls back into the host, which converts
-    the unit struct into event arguments — HILTI-to-Bro glue, profiled as
-    such. *)
+    Events fire from {e inside} the parse, through the Request/Reply unit
+    hooks the parser exposes ({!Runtime.load}[ ~hooks], the mechanism
+    behind Fig. 7(b)): the session's handler converts the unit struct into
+    event arguments — HILTI-to-Bro glue, profiled as such. *)
 
 open Binpacxx
 module V = Hilti_vm.Value
@@ -73,93 +72,27 @@ let reply_of_unit ~body_len ~sha st : Events.http_reply =
 
 (* ---- The loaded parser, shared across connections ---------------------------- *)
 
-type t = {
-  parser : Runtime.t;
-  (* The driver points this at the connection being fed before resuming
-     its fiber, so hook callbacks know whose event to raise. *)
-  mutable current_conn : Mini_bro.Bro_val.t;
-  mutable sink : Events.sink;
-}
+type t = Runtime.t
 
-(** Load the HTTP grammar with event hooks attached (the ssh.evt
-    equivalent for HTTP). *)
-let load ?(optimize = true) () : t =
-  let t_ref = ref None in
-  let prepare (m : Module_ir.t) =
-    (* Declare the host callbacks... *)
-    List.iter
-      (fun name ->
-        Module_ir.add_func m
-          {
-            Module_ir.fname = name;
-            params = [ ("self", Htype.Any) ];
-            result = Htype.Void;
-            locals = [];
-            blocks = [];
-            cc = Module_ir.Cc_c;
-            hook_priority = 0;
-            exported = true;
-          })
-      [ "Analyzer::http_request"; "Analyzer::http_reply" ];
-    (* ...and attach hook bodies: on HTTP::Request -> host callback. *)
-    let hook_body hook_name callback =
-      let b =
-        Builder.func m ~cc:Module_ir.Cc_hook hook_name
-          ~params:[ ("self", Htype.Any) ]
-          ~result:Htype.Void
-      in
-      Builder.call b callback [ Instr.Local "self" ];
-      Builder.return_ b
-    in
-    hook_body "HTTP::Request" "Analyzer::http_request";
-    hook_body "HTTP::Reply" "Analyzer::http_reply"
-  in
-  let parser = Runtime.load ~optimize ~prepare (Grammars.parse_http ()) in
-  let t =
-    { parser; current_conn = Mini_bro.Bro_val.Vvoid; sink = Events.null_sink }
-  in
-  t_ref := Some t;
-  (* Converting a parsed unit struct into event arguments is the
-     HILTI-to-Bro glue of §6.4 — profiled as such. *)
-  let glue f =
-    Hilti_rt.Profiler.time_exclusive Mini_bro.Bro_val.glue_profiler f
-  in
-  Hilti_vm.Host_api.register parser.Runtime.api "Analyzer::http_request"
-    (fun args ->
-      (match (args, !t_ref) with
-      | [ st ], Some t ->
-          let r = glue (fun () -> request_of_unit st) in
-          Events.raise_http_request t.sink t.current_conn r
-      | _ -> ());
-      V.Null);
-  Hilti_vm.Host_api.register parser.Runtime.api "Analyzer::http_reply"
-    (fun args ->
-      (match (args, !t_ref) with
-      | [ st ], Some t ->
-          let ctx = Mini_bro.Sha1.init () in
-          hash_body ctx st;
-          let body_len = Mini_bro.Sha1.length ctx in
-          let sha = if body_len = 0 then "" else Mini_bro.Sha1.finish ctx in
-          let r = glue (fun () -> reply_of_unit ~body_len ~sha st) in
-          Events.raise_http_reply t.sink t.current_conn r
-      | _ -> ());
-      V.Null);
-  t
+(** Load the HTTP grammar with the Request/Reply hooks exposed (the
+    ssh.evt equivalent for HTTP). *)
+let load () : t =
+  Runtime.load ~hooks:[ "HTTP::Request"; "HTTP::Reply" ] (Grammars.parse_http ())
 
-(* ---- Per-connection-direction sessions ------------------------------------------ *)
+let raise_reply sink conn st =
+  let ctx = Mini_bro.Sha1.init () in
+  hash_body ctx st;
+  let body_len = Mini_bro.Sha1.length ctx in
+  let sha = if body_len = 0 then "" else Mini_bro.Sha1.finish ctx in
+  Events.raise_http_reply sink conn
+    (Events.glue (fun () -> reply_of_unit ~body_len ~sha st))
 
-type session = { t : t; conn : Mini_bro.Bro_val.t; s : Runtime.session }
-
-let session t ~conn ~is_request =
+(** One direction of connection [conn]: events fire into [sink] from
+    inside the parse. *)
+let session t ~(sink : Events.sink) ~conn ~is_request : Runtime.session =
   let unit_name = if is_request then "Requests" else "Replies" in
-  { t; conn; s = Runtime.session t.parser ~unit_name }
-
-let with_conn (ss : session) f =
-  let saved_conn = ss.t.current_conn in
-  ss.t.current_conn <- ss.conn;
-  Fun.protect ~finally:(fun () -> ss.t.current_conn <- saved_conn) f
-
-(** Feed reassembled stream data; events fire from inside the parse. *)
-let feed (ss : session) data = with_conn ss (fun () -> ignore (Runtime.feed ss.s data))
-
-let eof (ss : session) = with_conn ss (fun () -> ignore (Runtime.finish ss.s))
+  Runtime.session t ~unit_name ~on_hook:(fun hook st ->
+      (* Hook 0 is HTTP::Request, hook 1 HTTP::Reply. *)
+      if hook = 0 then
+        Events.raise_http_request sink conn (Events.glue (fun () -> request_of_unit st))
+      else raise_reply sink conn st)

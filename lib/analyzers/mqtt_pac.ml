@@ -47,71 +47,16 @@ let event_of_unit st : Events.mqtt_event =
 
 (* ---- The loaded parser, shared across connections ---------------------------- *)
 
-type t = {
-  parser : Runtime.t;
-  (* The driver points this at the session being fed before resuming its
-     fiber, so the hook callback knows where to deliver the packet. *)
-  mutable on_packet : Events.mqtt_event -> unit;
-}
+type t = Runtime.t
 
-(** Load the MQTT grammar with the packet hook attached.  [specialize]
+(** Load the MQTT grammar with the packet hook exposed.  [specialize]
     picks the specialized or the generic opcodes — the fuzzer runs the
     same grammar both ways as a differential pair. *)
-let load ?(optimize = true) ?(specialize = true) () : t =
-  let t_ref = ref None in
-  let prepare (m : Module_ir.t) =
-    Module_ir.add_func m
-      {
-        Module_ir.fname = "Analyzer::mqtt_packet";
-        params = [ ("self", Htype.Any) ];
-        result = Htype.Void;
-        locals = [];
-        blocks = [];
-        cc = Module_ir.Cc_c;
-        hook_priority = 0;
-        exported = true;
-      };
-    let b =
-      Builder.func m ~cc:Module_ir.Cc_hook "MQTT::Packet"
-        ~params:[ ("self", Htype.Any) ]
-        ~result:Htype.Void
-    in
-    Builder.call b "Analyzer::mqtt_packet" [ Instr.Local "self" ];
-    Builder.return_ b
-  in
-  let parser =
-    Runtime.load ~optimize ~specialize ~prepare (Grammars.parse_mqtt ())
-  in
-  let t = { parser; on_packet = ignore } in
-  t_ref := Some t;
-  Hilti_vm.Host_api.register parser.Runtime.api "Analyzer::mqtt_packet"
-    (fun args ->
-      (match (args, !t_ref) with
-      | [ st ], Some t ->
-          let ev =
-            Hilti_rt.Profiler.time_exclusive Mini_bro.Bro_val.glue_profiler
-              (fun () -> event_of_unit st)
-          in
-          t.on_packet ev
-      | _ -> ());
-      V.Null);
-  t
+let load ?(specialize = true) () : t =
+  Runtime.load ~specialize ~hooks:[ "MQTT::Packet" ] (Grammars.parse_mqtt ())
 
-(* ---- Per-connection-direction sessions ------------------------------------------ *)
-
-type session = { t : t; cb : Events.mqtt_event -> unit; s : Runtime.session }
-
-let session t ~on_packet = { t; cb = on_packet; s = Runtime.session t.parser ~unit_name:"Packets" }
-
-let with_cb (ss : session) f =
-  let saved = ss.t.on_packet in
-  ss.t.on_packet <- ss.cb;
-  Fun.protect ~finally:(fun () -> ss.t.on_packet <- saved) f
-
-(** Feed reassembled stream data; packet events fire from inside the
-    parse.  Returns the parse status so callers can track failures. *)
-let feed (ss : session) data : Runtime.status =
-  with_cb ss (fun () -> Runtime.feed ss.s data)
-
-let eof (ss : session) : Runtime.status =
-  with_cb ss (fun () -> Runtime.finish ss.s)
+(** One direction of a connection: each completed control packet goes to
+    [on_packet] from inside the parse. *)
+let session t ~on_packet : Runtime.session =
+  Runtime.session t ~unit_name:"Packets" ~on_hook:(fun _ st ->
+      on_packet (Events.glue (fun () -> event_of_unit st)))

@@ -1,27 +1,75 @@
 (** The BinPAC++ runtime interface for host applications (Fig. 6(b)):
     loading compiled parsers and driving them — either on complete input
     or incrementally, feeding chunks as they arrive from the network and
-    resuming the suspended parse fiber (§3.2's fiber workflow). *)
+    resuming the suspended parse fiber (§3.2's fiber workflow).
+
+    It is also the one bridge from unit hooks to the host (Fig. 7): a
+    parser loaded with [~hooks] attaches one body to each named hook, and
+    every body calls the single host function [BinPAC::hook] with the
+    hook's index and [self].  The call lands in the handler of the session
+    being resumed, so a host never routes hook calls itself. *)
 
 open Hilti_vm
+
+(** What a session does with a hook call: the hook's index in the list
+    given to {!load}, and the unit struct. *)
+type hook_handler = int -> Value.t -> unit
+
+let no_hook : hook_handler = fun _ _ -> ()
 
 type t = {
   api : Host_api.t;
   grammar : Ast.grammar;
+  mutable deliver : hook_handler;
+      (** the handler of the session being resumed ({!with_handler}) *)
 }
 
-(** Compile and load a grammar.  [prepare] can add further IR to the
-    module before compilation — e.g. the Bro event bridge's hook bodies.
+let hook_fn = "BinPAC::hook"
+
+(* Declare [BinPAC::hook] and attach one body per hook, in list order:
+   bodies on the same hook run in that order, each passing its own index. *)
+let attach_hooks (m : Module_ir.t) hooks =
+  Module_ir.add_func m
+    {
+      Module_ir.fname = hook_fn;
+      params = [ ("hook", Htype.Int 64); ("self", Htype.Any) ];
+      result = Htype.Void;
+      locals = [];
+      blocks = [];
+      cc = Module_ir.Cc_c;
+      hook_priority = 0;
+      exported = true;
+    };
+  List.iteri
+    (fun i hook ->
+      let b =
+        Builder.func m ~cc:Module_ir.Cc_hook hook
+          ~params:[ ("self", Htype.Any) ]
+          ~result:Htype.Void
+      in
+      Builder.call b hook_fn [ Builder.const_int i; Instr.Local "self" ];
+      Builder.return_ b)
+    hooks
+
+(** Compile and load a grammar.  [hooks] names the unit hooks the host
+    wants to hear about (e.g. ["HTTP::Request"], a unit's [%done] hook);
+    a session's handler receives each one's index in this list.
     [specialize] selects the specialized or the generic opcodes — the
     fuzzer drives the same grammar through both as a differential
     oracle. *)
-let load ?(optimize = true) ?(specialize = true) ?prepare
-    (g : Ast.grammar) : t =
+let load ?(specialize = true) ?(hooks = []) (g : Ast.grammar) : t =
   let m = Codegen.compile g in
-  (match prepare with Some f -> f m | None -> ());
-  let api = Host_api.compile ~optimize ~specialize [ m ] in
+  if hooks <> [] then attach_hooks m hooks;
+  let api = Host_api.compile ~specialize [ m ] in
+  let t = { api; grammar = g; deliver = no_hook } in
+  if hooks <> [] then
+    Host_api.register api hook_fn (fun args ->
+        (match args with
+        | [ Value.Int i; self ] -> t.deliver (Int64.to_int i) self
+        | _ -> ());
+        Value.Null);
   ignore (Host_api.call api (g.Ast.gname ^ "::init") []);
-  { api; grammar = g }
+  t
 
 let parse_fn t unit_name = t.grammar.Ast.gname ^ "::parse_" ^ unit_name
 
@@ -66,6 +114,7 @@ type session = {
   parser : t;
   data : Hilti_types.Hbytes.t;
   run : Host_api.parse_run;
+  on_hook : hook_handler;
 }
 
 type status =
@@ -86,28 +135,57 @@ let status_of_run run : status =
       Failed ("uncaught: " ^ Printexc.to_string e)
   | None -> Blocked
 
-(** Start an incremental parse; input arrives later via {!feed}. *)
-let session t ~unit_name : session =
+(* Run [f] with [handler] receiving the parser's hook calls; the previous
+   handler is back on exit, also when [f] raises. *)
+let with_handler t handler f =
+  let saved = t.deliver in
+  t.deliver <- handler;
+  match f () with
+  | r ->
+      t.deliver <- saved;
+      r
+  | exception e ->
+      t.deliver <- saved;
+      raise e
+
+(** Start an incremental parse; input arrives later via {!feed}.  Hook
+    calls the parse makes go to [on_hook] (default: dropped). *)
+let session ?(on_hook = no_hook) t ~unit_name : session =
   let data = Hilti_types.Hbytes.create () in
   let it = Value.Iter (Value.Ibytes (Hilti_types.Hbytes.begin_ data)) in
-  let run = Host_api.call_fiber t.api (parse_fn t unit_name) [ it; it ] in
-  { parser = t; data; run }
+  let run =
+    with_handler t on_hook (fun () ->
+        Host_api.call_fiber t.api (parse_fn t unit_name) [ it; it ])
+  in
+  { parser = t; data; run; on_hook }
 
 let status s = status_of_run s.run
 
-(** Append network data and resume the suspended parser. *)
-let feed s chunk : status =
-  Hilti_types.Hbytes.append s.data chunk;
-  ignore (Host_api.resume s.run);
-  status s
+let resume s =
+  with_handler s.parser s.on_hook (fun () -> ignore (Host_api.resume s.run))
 
-(** Declare end-of-input and resume; the parser must now finish or fail. *)
+(** Append network data and resume the suspended parser.  A session that
+    is already done or failed takes nothing more: the chunk is dropped and
+    the status returned unchanged. *)
+let feed s chunk : status =
+  if Host_api.finished s.run then status s
+  else begin
+    Hilti_types.Hbytes.append s.data chunk;
+    resume s;
+    status s
+  end
+
+(** Declare end-of-input and resume; the parser must now finish or fail.
+    A finished session keeps its status. *)
 let finish s : status =
-  Hilti_types.Hbytes.freeze s.data;
-  ignore (Host_api.resume s.run);
-  match status s with
-  | Blocked -> Failed "parser suspended past end of input"
-  | other -> other
+  if Host_api.finished s.run then status s
+  else begin
+    Hilti_types.Hbytes.freeze s.data;
+    resume s;
+    match status s with
+    | Blocked -> Failed "parser suspended past end of input"
+    | other -> other
+  end
 
 let cancel s = Host_api.cancel s.run
 

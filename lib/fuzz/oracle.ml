@@ -189,7 +189,7 @@ let mqtt_std () : impl =
 
 let mqtt_pac ~specialize ~step_budget () : impl =
   let t = Mpac.load ~specialize () in
-  let api = t.Mpac.parser.R.api in
+  let api = t.R.api in
   {
     iname = "mqtt-pac-" ^ dispatch_tag ~specialize;
     run =
@@ -204,8 +204,8 @@ let mqtt_pac ~specialize ~step_budget () : impl =
                       push (label ^ " " ^ mqtt_ev ev))
                 in
                 {
-                  p_feed = (fun b -> classify_status (Mpac.feed ss b));
-                  p_eof = (fun () -> eof_fate (Mpac.eof ss));
+                  p_feed = (fun b -> classify_status (R.feed ss b));
+                  p_eof = (fun () -> eof_fate (R.finish ss));
                 })));
   }
 
@@ -243,7 +243,7 @@ let ftp_std () : impl =
 
 let ftp_pac ~specialize ~step_budget () : impl =
   let t = Fpac.load ~specialize () in
-  let api = t.Fpac.parser.R.api in
+  let api = t.R.api in
   {
     iname = "ftp-pac-" ^ dispatch_tag ~specialize;
     run =
@@ -258,8 +258,8 @@ let ftp_pac ~specialize ~step_budget () : impl =
                     ~on_event:(fun ev -> push (label ^ " " ^ ftp_ev ev))
                 in
                 {
-                  p_feed = (fun b -> classify_status (Fpac.feed ss b));
-                  p_eof = (fun () -> eof_fate (Fpac.eof ss));
+                  p_feed = (fun b -> classify_status (R.feed ss b));
+                  p_eof = (fun () -> eof_fate (R.finish ss));
                 })));
   }
 

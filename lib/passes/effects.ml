@@ -66,15 +66,10 @@ let host_table =
     hf "Bro::network_time" [ Reads_global ];
     hf ~sink:true "Bro::log_write" [ Emits_event; Io ];
     hf ~sink:true "Bro::queue_event" [ Emits_event ];
-    (* BinPAC++ analyzer event sinks (lib/analyzers): collected into
-       per-flow logs and replayed serially by the collector, so they are
-       event emission, not shared-state writes. *)
-    hf ~sink:true "Analyzer::http_request" [ Emits_event ];
-    hf ~sink:true "Analyzer::http_reply" [ Emits_event ];
-    hf ~sink:true "Analyzer::mqtt_packet" [ Emits_event ];
-    hf ~sink:true "Analyzer::ftp_request" [ Emits_event ];
-    hf ~sink:true "Analyzer::ftp_reply" [ Emits_event ];
-    hf ~sink:true "Evt::raise" [ Emits_event ];
+    (* The BinPAC++ hook bridge (binpac/runtime.ml): every analyzer's unit
+       hooks call it, and the session's handler turns the unit into
+       events — event emission, not shared-state writes. *)
+    hf ~sink:true "BinPAC::hook" [ Emits_event ];
   ]
 
 let host_index : (string, host_fn) Hashtbl.t =

@@ -176,6 +176,38 @@ type R = unit {
   Alcotest.(check bool) "session canceled cleanly" true
     (Runtime.status s = Runtime.Blocked || true)
 
+(* A session that is done or failed takes no more input: feeding it
+   appends nothing, so it cannot grow while the driver keeps feeding the
+   rest of a dead or finished direction. *)
+let test_finished_session_buffers_nothing () =
+  let mb = String.make 1_000_000 'x' in
+  let tag = function
+    | Runtime.Done _ -> "done"
+    | Runtime.Blocked -> "blocked"
+    | Runtime.Failed m -> "failed: " ^ m
+  in
+  let check_frozen what s =
+    let before = Runtime.retained s in
+    let st = tag (Runtime.status s) in
+    Alcotest.(check string) (what ^ ": feed keeps the status") st (tag (Runtime.feed s mb));
+    Alcotest.(check int) (what ^ ": retained unchanged") before (Runtime.retained s);
+    Alcotest.(check string) (what ^ ": finish keeps the status") st (tag (Runtime.finish s));
+    Alcotest.(check int) (what ^ ": retained unchanged after finish") before
+      (Runtime.retained s)
+  in
+  let http = Runtime.load (Grammars.parse_http ()) in
+  let s = Runtime.session http ~unit_name:"Requests" in
+  (match Runtime.feed s "\x00\x01 not a request line\r\n\r\n" with
+  | Runtime.Failed _ -> ()
+  | _ -> Alcotest.fail "bad request line not rejected");
+  check_frozen "failed" s;
+  let ssh = Runtime.load (Grammars.parse_ssh ()) in
+  let s = Runtime.session ssh ~unit_name:"Banner" in
+  (match Runtime.feed s "SSH-2.0-OpenSSH_6.1\r\n" with
+  | Runtime.Done _ -> ()
+  | _ -> Alcotest.fail "banner not done");
+  check_frozen "done" s
+
 let suite =
   [ Alcotest.test_case "counted uint list" `Quick test_counted_list_of_uints;
     Alcotest.test_case "endianness attribute" `Quick test_little_endian;
@@ -186,4 +218,6 @@ let suite =
     Alcotest.test_case "truncated input fails" `Quick test_truncated_input_fails;
     Alcotest.test_case "incremental counted list" `Quick test_incremental_counted_list;
     Alcotest.test_case "grammar errors" `Quick test_grammar_errors;
-    Alcotest.test_case "session cancel" `Quick test_session_cancel ]
+    Alcotest.test_case "session cancel" `Quick test_session_cancel;
+    Alcotest.test_case "finished session buffers nothing" `Quick
+      test_finished_session_buffers_nothing ]

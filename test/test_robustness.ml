@@ -33,9 +33,9 @@ let test_dns_driver_survives_garbage () =
     (Driver.run_dns_src ~kind:(Driver.Dns_pac (Dns_pac.load ())) ~sink:silent_sink
        (Pcap.iosrc_of_records records))
 
-(* Valid ethernet/IP/TCP envelopes carrying garbage payloads on port 80:
+(* Valid ethernet/IP/TCP envelopes carrying garbage payloads on [dst_port]:
    the reassembler and parsers see hostile but well-framed data. *)
-let hostile_tcp_records seed n =
+let hostile_tcp_records ?(dst_port = 80) seed n =
   let rng = Hilti_traces.Rng.create seed in
   let open Hilti_types in
   List.init n (fun i ->
@@ -53,7 +53,7 @@ let hostile_tcp_records seed n =
         | _ -> Tcp.flag_ack
       in
       let data =
-        Packet.encode_tcp ~src ~dst ~src_port:(1024 + (i mod 100)) ~dst_port:80
+        Packet.encode_tcp ~src ~dst ~src_port:(1024 + (i mod 100)) ~dst_port
           ~seq:(Int32.of_int (Hilti_traces.Rng.int rng 1_000_000))
           ~ack:0l ~flags payload
       in
@@ -77,20 +77,40 @@ let test_hostile_tcp_streams () =
   Alcotest.(check bool) "no http events from noise (std)" true
     (e1 <= (2 * s1.Driver.connections) + 2 + s1.Driver.connections)
 
-(* Random segment storms through the evt/SSH analyzer. *)
+(* Random segment storms through the evt/SSH analyzer, on port 80 (flows
+   tracked but not parsed) and on port 22 (parsed, and rejected). *)
 let test_evt_survives_garbage () =
   let cfg = Evt.parse Test_evt.ssh_evt in
   let loaded = Evt.load cfg (Binpacxx.Grammars.parse_ssh ()) in
-  let records =
-    List.map
-      (fun (r : Pcap.record) -> r)
-      (hostile_tcp_records 4 100)
+  let lifecycle =
+    [ "bro_init"; "bro_done"; "connection_established"; "connection_state_remove" ]
   in
-  (* Rewrite the port to 22 by regenerating with dst_port 22: simpler to
-     just reuse the HTTP-port records — they do not match port 22, so the
-     analyzer must simply ignore them all. *)
-  let stats = Driver.run_evt_src ~loaded ~sink:silent_sink (Pcap.iosrc_of_records records) in
-  Alcotest.(check int) "nothing matched port 22" 0 stats.Driver.connections
+  let run records =
+    let other = ref [] in
+    let sink =
+      {
+        Events.raise_event =
+          (fun name _ -> if not (List.mem name lifecycle) then other := name :: !other);
+        set_time = (fun _ -> ());
+      }
+    in
+    let errors = Hilti_obs.Metrics.counter_value Driver.m_parse_errors in
+    let stats =
+      Hilti_obs.Metrics.with_enabled true (fun () ->
+          Driver.run_tcp_src ~parsers:(Driver.evt_parsers loaded) ~sink
+            (Pcap.iosrc_of_records records))
+    in
+    (stats, !other, Hilti_obs.Metrics.counter_value Driver.m_parse_errors - errors)
+  in
+  let stats, other, errors = run (hostile_tcp_records 4 100) in
+  (* 100 records, each from its own source port: 100 flows, none on 22. *)
+  Alcotest.(check int) "every port-80 flow tracked" 100 stats.Driver.connections;
+  Alcotest.(check (list string)) "only lifecycle events" [] other;
+  Alcotest.(check int) "no parse errors on unparsed flows" 0 errors;
+  let stats, other, errors = run (hostile_tcp_records ~dst_port:22 4 100) in
+  Alcotest.(check int) "saw all port-22 packets" 100 stats.Driver.packets;
+  Alcotest.(check (list string)) "no banners from noise" [] other;
+  Alcotest.(check bool) "noise rejected as parse errors" true (errors > 0)
 
 (* The VM itself: calling with wrong arity/types must raise catchable
    errors, not crash. *)

@@ -270,8 +270,13 @@ let () =
         print_string usage;
         exit 1
   in
+  let note_serial what =
+    if !jobs <> None then
+      Printf.eprintf "note: -j applies to the DNS parse stage; %s runs serially\n" what
+  in
   (* Fig. 7(d) mode: .evt + .bro files drive a BinPAC++ analyzer. *)
   if !evt_files <> [] then begin
+    note_serial "the .evt analyzer";
     let script =
       Mini_bro.Bro_parse.parse
         (String.concat "\n" (List.map read_file (List.rev !bro_files)))
@@ -323,10 +328,7 @@ let () =
         Printf.eprintf "bad -proto %s / -parsers %s\n" p k;
         exit 1
   in
-  (match (!jobs, proto) with
-  | Some _, "http" ->
-      Printf.eprintf "note: -j applies to the DNS parse stage; http runs serially\n"
-  | _ -> ());
+  if proto <> "dns" then note_serial proto;
   let result =
     Driver.evaluate_src ~proto:proto_kind ~engine_mode ~scripts
       ~logging:(not !quiet) ?jobs:!jobs ?idle_timeout:!idle_timeout ?stats_export

@@ -30,6 +30,19 @@ done
 diff -r "$tcp_std" "$tcp_pac"
 rm -rf "$tcp_std" "$tcp_pac"
 
+echo "== -j 2 vs serial via mini-bro: identical dns.log, parse/script breakdown kept"
+for mode in "-parsers std" "-parsers pac -compile-scripts"; do
+  ser=$(mktemp -d)
+  par=$(mktemp -d)
+  dune exec bin/mini_bro_cli.exe -- -g dns:2000 $mode -w "$ser" > /dev/null
+  dune exec bin/mini_bro_cli.exe -- -g dns:2000 $mode -j 2 -w "$par" > "$par/out"
+  cmp "$ser/dns.log" "$par/dns.log"
+  # time: total T ms (parse P, script S, glue G) -- P and S must be non-zero.
+  awk '/^time:/ { found = 1; if ($6 + 0 <= 0 || $8 + 0 <= 0) exit 1 }
+       END { if (!found) exit 1 }' "$par/out"
+  rm -rf "$ser" "$par"
+done
+
 echo "== .evt analyzers on the TCP stream runner (test evt + Fig. 7(d) via mini-bro)"
 dune exec test/test_main.exe -- test evt
 evt=$(mktemp -d)

@@ -5,16 +5,19 @@
     All entry points fold over a {!Hilti_rt.Iosrc.t} — the canonical packet
     interface; an in-memory trace goes through {!Pcap.iosrc_of_records} —
     so the pipeline's state is bounded by the live connections, not by the
-    trace length: packets are pulled one at a time, consumed parser input
-    is trimmed, and idle connections can be evicted through {!Flow_table}
-    timeouts ([?idle_timeout]).
+    trace length: packets are pulled a batch at a time, consumed parser
+    input is trimmed, and idle connections can be evicted through
+    {!Flow_table} timeouts ([?idle_timeout]).
 
-    HTTP, MQTT, FTP and [.evt]-configured analyzers share one TCP stream
-    runner ({!run_tcp_src}); a protocol only supplies the per-direction
-    parsers, and every BinPAC++ one is a {!Binpacxx.Runtime} session whose
-    hooks raise its events.  DNS has a batched zero-copy loop, a
-    per-packet reference loop and a flow-sharded variant; the firewall has
-    a serial and a sharded loop.
+    Every runner is one packet loop, {!Hilti_par.Shard_plane.run}: a serial
+    run is its zero-shard case, so the serial and sharded paths batch,
+    order and time packets the same way.  HTTP, MQTT, FTP and
+    [.evt]-configured analyzers share one TCP stream runner
+    ({!run_tcp_src}); a protocol only supplies the per-direction parsers,
+    and every BinPAC++ one is a {!Binpacxx.Runtime} session whose hooks
+    raise its events.  DNS and the firewall shard over domains on the same
+    loop.  {!run_dns_src_unbatched} is the one loop outside it: the
+    per-packet reference oracle for tests and benchmarks.
 
     Component costs are recorded under the profilers
     ["analyzer/parse"] (protocol parsing), ["analyzer/script"] (event
@@ -71,8 +74,8 @@ let profiled_sink (sink : Events.sink) (stats : stats) : Events.sink =
   }
 
 (* Accounting-only sink for the batched loops: events are still counted,
-   but the script profiler runs once per batch (see [in_events]) instead
-   of opening an exclusive span around every dispatch — the per-event
+   but the script profiler runs once per batch (the plane's consume phase)
+   instead of opening an exclusive span around every dispatch — the per-event
    clock reads are exactly the kind of per-packet obs cost batching is
    meant to amortize.  The events-raised metric is likewise deferred:
    dispatches bump a plain counter and the returned flush publishes the
@@ -98,12 +101,6 @@ let counted_sink (sink : Events.sink) (stats : stats) :
 let in_parse f =
   Hilti_obs.Trace.with_span ~cat:"analyzer" "parse" (fun () ->
       Hilti_rt.Profiler.time parse_profiler f)
-
-(* One script-execution span per batch, bracketing the whole serial event
-   stage; pairs with [counted_sink].  Parse and event stages never nest in
-   the batched loops, so plain (non-exclusive) timing keeps the breakdown
-   additive. *)
-let in_events f = Hilti_rt.Profiler.time script_profiler f
 
 (* ---- Periodic stats export ---------------------------------------------------------- *)
 
@@ -219,7 +216,15 @@ let pac_side (s : Binpacxx.Runtime.session) : tcp_side =
         | _ -> false);
   }
 
-(** Stream a TCP source through the pipeline: flow tracking, per-direction
+(* The TCP runner's batch.  A batch's decoded segments, payload copies
+   included, stay live until the batch is consumed; a short batch keeps
+   that live set a small fraction of the minor heap, so segments still
+   die young.  At the DNS batch (256) http-std held ~2 MiB more peak RSS
+   and lost ~7% throughput. *)
+let tcp_batch = 16
+
+(** Stream a TCP source through the pipeline on the packet loop at zero
+    shards ({!Hilti_par.Shard_plane.run}): flow tracking, per-direction
     reassembly into the sides [parsers] builds, [connection_established] on
     the responder's SYN+ACK and [connection_state_remove] at teardown.
     With [?idle_timeout], connections idle for that long (in trace time)
@@ -270,42 +275,49 @@ let run_tcp_src ~(parsers : tcp_parsers) ~(sink : Events.sink) ?idle_timeout
         finish conn.Flow_table.state)
       fresh
   in
-  Hilti_rt.Iosrc.iter
-    (fun (p : Hilti_rt.Iosrc.packet) ->
-      stats.packets <- stats.packets + 1;
-      let ts = p.Hilti_rt.Iosrc.ts in
-      if idle_timeout <> None then sink.Events.set_time ts;
-      session.ss_tick ts;
-      match Packet.decode_opt ~ts p.Hilti_rt.Iosrc.data with
-      | Some pkt -> (
-          match (pkt.Packet.transport, Packet.flow pkt) with
-          | Packet.TCP (tcp, payload), Some flow ->
-              sink.Events.set_time ts;
-              let conn, _ = Flow_table.lookup session.ss_table ~ts flow in
-              let c = conn.Flow_table.state in
-              let from_orig = Flow.equal flow conn.Flow_table.flow in
-              if
-                (not c.established)
-                && (not from_orig)
-                && Tcp.has_flag tcp Tcp.flag_syn
-                && Tcp.has_flag tcp Tcp.flag_ack
-              then begin
-                c.established <- true;
-                Events.raise_connection_established sink c.conn_val
-              end;
-              (match c.dirs with
-              | Some (orig, resp) ->
-                  Reassembly.segment
-                    (if from_orig then orig.rs else resp.rs)
-                    ~seq:tcp.Tcp.seq
-                    ~syn:(Tcp.has_flag tcp Tcp.flag_syn)
-                    ~fin:(Tcp.has_flag tcp Tcp.flag_fin)
-                    payload
-              | None -> ());
-              note_sides c
-          | _ -> ())
-      | None -> ())
-    src;
+  (* Decode is the pure per-packet pass; the trace clock still advances
+     per packet, in [before], so eviction points do not depend on the
+     batch.  Parse and event spans nest here, so the runner times them
+     itself ([in_parse], [profiled_sink]). *)
+  ignore
+    (Hilti_par.Shard_plane.run ~shards:0 ~batch:tcp_batch ~timing:Untimed
+       ~shard_of:(fun _ -> 0)
+       ~init:ignore
+       ~process:(fun () ~seq:_ (p : Hilti_rt.Iosrc.packet) ->
+         Packet.decode_opt ~ts:p.Hilti_rt.Iosrc.ts p.Hilti_rt.Iosrc.data)
+       ~before:(fun ~seq:_ ~ts ->
+         stats.packets <- stats.packets + 1;
+         if idle_timeout <> None then sink.Events.set_time ts;
+         session.ss_tick ts)
+       ~consume:(fun ~seq:_ pkt ->
+         match (pkt.Packet.transport, Packet.flow pkt) with
+         | Packet.TCP (tcp, payload), Some flow ->
+             let ts = pkt.Packet.ts in
+             sink.Events.set_time ts;
+             let conn, _ = Flow_table.lookup session.ss_table ~ts flow in
+             let c = conn.Flow_table.state in
+             let from_orig = Flow.equal flow conn.Flow_table.flow in
+             if
+               (not c.established)
+               && (not from_orig)
+               && Tcp.has_flag tcp Tcp.flag_syn
+               && Tcp.has_flag tcp Tcp.flag_ack
+             then begin
+               c.established <- true;
+               Events.raise_connection_established sink c.conn_val
+             end;
+             (match c.dirs with
+             | Some (orig, resp) ->
+                 Reassembly.segment
+                   (if from_orig then orig.rs else resp.rs)
+                   ~seq:tcp.Tcp.seq
+                   ~syn:(Tcp.has_flag tcp Tcp.flag_syn)
+                   ~fin:(Tcp.has_flag tcp Tcp.flag_fin)
+                   payload
+             | None -> ());
+             note_sides c
+         | _ -> ())
+       src);
   (* Trace over: flush the still-live connections in creation order. *)
   let live =
     Flow_table.fold (fun conn acc -> conn.Flow_table.state :: acc) session.ss_table []
@@ -522,13 +534,11 @@ let dns_parse_view ?scratch (kind : dns_kind) (v : Hilti_types.Hbytes.view) :
           D_none)
 
 (* The serial event stage: connection tracking, uid assignment, trace-time
-   timers, and event dispatch, driven strictly in packet order.  The serial
-   and sharded DNS paths share this code verbatim — it is why their logs
-   are byte-identical.  Time is batch-granular on both: [ds_event] runs
-   per packet in global order, then one [ds_count]/[ds_epoch] pair closes
-   the batch (packet accounting + a single timer advance to the batch's
-   last timestamp).  Identical batch sizes on the two paths therefore
-   yield identical eviction points and uid sequences. *)
+   timers, and event dispatch, driven strictly in packet order.  On the
+   packet loop [ds_event] runs per packet in global order, then one
+   [ds_count]/[ds_epoch] pair closes the batch (packet accounting + a
+   single timer advance to the batch's last timestamp), at any shard
+   count; the unbatched oracle closes an epoch per packet instead. *)
 type dns_stage = {
   ds_count : int -> unit;  (* per batch: packet accounting *)
   ds_event : ts:Hilti_types.Time_ns.t -> Flow.t -> dns_outcome -> unit;
@@ -566,98 +576,11 @@ let dns_stage ~(sink : Events.sink) ~(stats : stats) ?idle_timeout
     ds_epoch = session.ss_tick;
   }
 
-(** The driver's batch size.  Must equal {!Hilti_par.Shard_plane.run}'s
-    default batch: the serial and sharded DNS paths advance their trace
-    clocks at the same batch boundaries only when the sizes agree, and
-    that alignment is what keeps their logs byte-identical under
-    [?idle_timeout]. *)
-let dns_batch = 256
+(** The driver's batch size: the packet loop's one batch constant. *)
+let dns_batch = Hilti_par.Shard_plane.default_batch
 
-(* Per-session parse-result arena: one mutable slot per batch position,
-   written by the parse stage and consumed (then cleared) by the serial
-   event stage.  The slots are allocated once per run and reused every
-   batch — staging a packet's result allocates nothing. *)
-type dns_slot = {
-  mutable sl_ts : Hilti_types.Time_ns.t;
-  mutable sl_flow : Flow.t;
-  mutable sl_outcome : dns_outcome;
-  mutable sl_full : bool;
-}
-
-let null_packet = { Hilti_rt.Iosrc.ts = Hilti_types.Time_ns.epoch; data = "" }
-
-let null_flow =
-  lazy
-    (let a = Hilti_types.Addr.of_ipv4_octets 0 0 0 0 in
-     let p = Hilti_types.Port.udp 0 in
-     Flow.make ~src:a ~dst:a ~src_port:p ~dst_port:p)
-
-let make_dns_arena batch =
-  Array.init batch (fun _ ->
-      { sl_ts = Hilti_types.Time_ns.epoch; sl_flow = Lazy.force null_flow;
-        sl_outcome = D_none; sl_full = false })
-
-(** Stream a DNS source through the pipeline.  [?idle_timeout] bounds the
-    per-flow connection-value table the same way as for HTTP (DNS has no
-    teardown events, so eviction only releases state).
-
-    The loop is batch-granular: up to [?batch] packets are pulled, parsed
-    zero-copy off the raw frames into the reusable arena under a single
-    profiler span, then consumed by the serial event stage in packet
-    order, and finally the trace clock advances once to the batch's last
-    timestamp.  [?batch] defaults to {!dns_batch} and must match the
-    sharded path's batch for byte-identical logs. *)
-let run_dns_src ~(kind : dns_kind) ~(sink : Events.sink) ?idle_timeout
-    ?(stats_export : stats_export option) ?(batch = dns_batch)
-    (src : Hilti_rt.Iosrc.t) : stats =
-  if batch < 1 then invalid_arg "Driver.run_dns_src: batch must be >= 1";
-  let stats = fresh_stats () in
-  let sink, flush_obs = counted_sink sink stats in
-  sink.Events.raise_event "bro_init" [];
-  let stage = dns_stage ~sink ~stats ?idle_timeout ?stats_export () in
-  let scratch = Dns_std.make_scratch () in
-  let pkts = Array.make batch null_packet in
-  let arena = make_dns_arena batch in
-  let eof = ref false in
-  while not !eof do
-    (* Input stage: one batched read, one input-counter update. *)
-    let n = Hilti_rt.Iosrc.read_batch src pkts batch in
-    if n < batch then eof := true;
-    if n > 0 then begin
-      (* Parse stage: whole batch, one span, results into the arena. *)
-      in_parse (fun () ->
-          for i = 0 to n - 1 do
-            let p = pkts.(i) in
-            let s = arena.(i) in
-            s.sl_ts <- p.Hilti_rt.Iosrc.ts;
-            match dns_slice p with
-            | Some (oriented, v) ->
-                s.sl_flow <- oriented;
-                s.sl_outcome <- dns_parse_view ~scratch kind v;
-                s.sl_full <- true
-            | None -> s.sl_full <- false
-          done);
-      (* Serial event stage, in packet order, under one script span; each
-         slot resets as it is consumed so the arena holds no stale
-         references across batches. *)
-      in_events (fun () ->
-          for i = 0 to n - 1 do
-            let s = arena.(i) in
-            if s.sl_full then stage.ds_event ~ts:s.sl_ts s.sl_flow s.sl_outcome;
-            s.sl_full <- false;
-            s.sl_outcome <- D_none
-          done);
-      (* Batch epoch: accounting, one obs flush, one timer advance to the
-         watermark. *)
-      stage.ds_count n;
-      flush_obs ();
-      stage.ds_epoch pkts.(n - 1).Hilti_rt.Iosrc.ts;
-      Array.fill pkts 0 n null_packet
-    end
-  done;
-  sink.Events.raise_event "bro_done" [];
-  flush_obs ();
-  stats
+(** An empty packet, for filling {!Hilti_rt.Iosrc.read_batch} buffers. *)
+let null_packet = Hilti_par.Shard_plane.null_packet
 
 (** The pre-batching serial loop — one payload string materialized per
     datagram, per-packet tick and timer advance.  Kept as the measured
@@ -683,24 +606,28 @@ let run_dns_src_unbatched ~(kind : dns_kind) ~(sink : Events.sink)
   sink.Events.raise_event "bro_done" [];
   stats
 
-(* ---- Sharded DNS (the flow-sharded data plane) -------------------------------------- *)
+(** Stream a DNS source through the pipeline on the packet loop
+    ({!Hilti_par.Shard_plane.run}).  Each batch's datagrams are parsed
+    zero-copy off the raw frames with the parser [mk_kind] builds for
+    their shard, then the serial event stage consumes the results in
+    packet order, and the trace clock advances once to the batch's last
+    timestamp.  [?idle_timeout] bounds the per-flow connection-value table
+    the same way as for HTTP (DNS has no teardown events, so eviction only
+    releases state).
 
-(** [run_dns_src] with decode and parse fanned out over [shards] OCaml
-    domains through {!Hilti_par.Shard_plane}: the dispatcher hashes each
-    datagram's 5-tuple symmetrically ({!Flow.shard}) so both directions of
-    a connection land on the same shard, each shard owns a private parser
-    built by [mk_kind] (no cross-domain locks on the fast path), and the
-    collector replays connection tracking and event dispatch in global
-    packet order — the produced events, and therefore the logs, are
-    byte-identical to {!run_dns_src}'s.  [shards = 1] is the degenerate
-    case: one worker, same output, pipeline parallelism only. *)
+    [shards = 0] runs inline on the calling domain ({!run_dns_src}).
+    With [shards >= 1] decode and parse fan out over that many OCaml
+    domains: the dispatcher hashes each datagram's 5-tuple symmetrically
+    ({!Flow.shard}) so both directions of a connection land on the same
+    shard, each shard owns the private parser [mk_kind] builds on its
+    domain (no cross-domain locks on the fast path), and the collector
+    replays connection tracking and event dispatch in global packet
+    order — the produced events, and therefore the logs, are
+    byte-identical to the zero-shard run's at the same [?batch]. *)
 let run_dns_sharded_src ?batch ?ring ~shards ~(mk_kind : int -> dns_kind)
     ?idle_timeout ?(stats_export : stats_export option) ~(sink : Events.sink)
     (src : Hilti_rt.Iosrc.t) : stats =
   let stats = fresh_stats () in
-  (* Same per-batch obs policy as the serial batched loop: events are
-     counted, not individually span-timed — the collector's dispatch rate
-     is the plane's serial bottleneck. *)
   let sink, flush_obs = counted_sink sink stats in
   sink.Events.raise_event "bro_init" [];
   let stage = dns_stage ~sink ~stats ?idle_timeout ?stats_export () in
@@ -709,12 +636,13 @@ let run_dns_sharded_src ?batch ?ring ~shards ~(mk_kind : int -> dns_kind)
     | Some flow -> Flow.shard ~shards flow
     | None -> 0
   in
-  (* Workers parse zero-copy slices with a shard-private parser and label
-     scratch; the collector replays the serial event stage per packet and
-     closes each batch with the same count/epoch pair as the serial loop
-     (same default batch size), so the logs stay byte-identical. *)
+  (* The plane charges each batch's parse pass and its event replay to the
+     two profilers (pairs with [counted_sink]).  The phases never nest, so
+     plain timing keeps the breakdown additive. *)
   ignore
-    (Hilti_par.Shard_plane.run ~shards ?batch ?ring ~shard_of
+    (Hilti_par.Shard_plane.run ~shards ?batch ?ring
+       ~timing:(Phases (parse_profiler, script_profiler))
+       ~shard_of
        ~init:(fun sid -> (mk_kind sid, Dns_std.make_scratch ()))
        ~process:(fun (kind, scratch) ~seq:_ p ->
          match dns_slice p with
@@ -733,11 +661,17 @@ let run_dns_sharded_src ?batch ?ring ~shards ~(mk_kind : int -> dns_kind)
   flush_obs ();
   stats
 
+(** The serial DNS runner: {!run_dns_sharded_src} at zero shards. *)
+let run_dns_src ~(kind : dns_kind) ~(sink : Events.sink) ?idle_timeout
+    ?(stats_export : stats_export option) ?batch (src : Hilti_rt.Iosrc.t) : stats =
+  run_dns_sharded_src ?batch ~shards:0 ~mk_kind:(fun _ -> kind) ?idle_timeout
+    ?stats_export ~sink src
+
 (* ---- Firewall -------------------------------------------------------------------- *)
 
-(* The firewall example (§4.1) gets the same serial/sharded pair as DNS.
-   Its dynamic state (the VM-side rule set and its expiry timers) is keyed
-   by host pair, so the shard key is the symmetric address-pair hash: every
+(* The firewall example (§4.1) runs on the same packet loop as DNS.  Its
+   dynamic state (the VM-side rule set and its expiry timers) is keyed by
+   host pair, so the shard key is the symmetric address-pair hash: every
    packet between two hosts — either direction, any port — lands on the
    shard owning that pair's state, and per-shard trace clocks advance
    independently without changing any decision. *)
@@ -749,46 +683,12 @@ let fw_line ~ts ~src ~dst allowed =
     (Hilti_types.Addr.to_string dst)
     (if allowed then "allow" else "deny")
 
-(** Run every frame of [src] through a compiled firewall, emitting one
-    decision line per IP packet via [emit] (in trace order).  The loop is
-    batch-granular like the DNS path: packets are pulled [?batch] at a
-    time and accounting is amortized per batch; decisions themselves are
-    per packet (each carries its own timestamp) and do not depend on the
-    batch size. *)
-let run_firewall_src ~(fw : Hilti_firewall.Fw_hilti.t) ?(emit = fun _ -> ())
-    ?(batch = dns_batch) (src : Hilti_rt.Iosrc.t) : stats =
-  if batch < 1 then invalid_arg "Driver.run_firewall_src: batch must be >= 1";
-  let stats = fresh_stats () in
-  let pkts = Array.make batch null_packet in
-  let eof = ref false in
-  while not !eof do
-    let n = Hilti_rt.Iosrc.read_batch src pkts batch in
-    if n < batch then eof := true;
-    if n > 0 then begin
-      let decided = ref 0 in
-      for i = 0 to n - 1 do
-        let p = pkts.(i) in
-        let ts = p.Hilti_rt.Iosrc.ts in
-        match Packet.peek_addrs p.Hilti_rt.Iosrc.data with
-        | Some (src_a, dst_a) ->
-            let allowed =
-              Hilti_firewall.Fw_hilti.match_packet fw ~ts ~src:src_a ~dst:dst_a
-            in
-            incr decided;
-            emit (fw_line ~ts ~src:src_a ~dst:dst_a allowed)
-        | None -> ()
-      done;
-      stats.packets <- stats.packets + n;
-      stats.events <- stats.events + !decided;
-      Array.fill pkts 0 n null_packet
-    end
-  done;
-  stats
-
-(** [run_firewall_src] over the sharded data plane: [mk_fw] builds each
-    shard's private firewall instance (its own VM, rule set, timers) on the
-    shard's domain; decision lines are merged back into trace order, so the
-    emitted log is byte-identical to the serial run's. *)
+(** Run every frame of [src] through a firewall, emitting one decision
+    line per IP packet via [emit], in trace order.  [mk_fw] builds each
+    shard's private firewall instance (its own VM, rule set, timers) on
+    the shard's domain; [shards = 0] runs inline ({!run_firewall_src}).
+    Decisions are per packet (each carries its own timestamp), so the
+    emitted log depends on neither the batch size nor the shard count. *)
 let run_firewall_sharded_src ?batch ?ring ~shards
     ~(mk_fw : int -> Hilti_firewall.Fw_hilti.t) ?(emit = fun _ -> ())
     (src : Hilti_rt.Iosrc.t) : stats =
@@ -799,7 +699,8 @@ let run_firewall_sharded_src ?batch ?ring ~shards
     | None -> 0
   in
   ignore
-    (Hilti_par.Shard_plane.run ~shards ?batch ?ring ~shard_of ~init:mk_fw
+    (Hilti_par.Shard_plane.run ~shards ?batch ?ring ~timing:Untimed ~shard_of
+       ~init:mk_fw
        ~process:(fun fw ~seq:_ p ->
          let ts = p.Hilti_rt.Iosrc.ts in
          match Packet.peek_addrs p.Hilti_rt.Iosrc.data with
@@ -817,6 +718,12 @@ let run_firewall_sharded_src ?batch ?ring ~shards
        src);
   stats
 
+(** The serial firewall runner: {!run_firewall_sharded_src} at zero
+    shards over the one instance [fw]. *)
+let run_firewall_src ~(fw : Hilti_firewall.Fw_hilti.t) ?emit ?batch
+    (src : Hilti_rt.Iosrc.t) : stats =
+  run_firewall_sharded_src ?batch ~shards:0 ~mk_fw:(fun _ -> fw) ?emit src
+
 (* ---- Convenience: full evaluation runs (§6.4/§6.5) ---------------------------------- *)
 
 type run_result = {
@@ -831,10 +738,10 @@ type run_result = {
 (** Run an HTTP, DNS, MQTT or FTP source end-to-end with a given parser
     kind and script engine; returns logs and the component time breakdown.
 
-    @param jobs shard DNS decode+parse over this many OCaml domains via the
-    flow-sharded data plane ({!run_dns_sharded_src}); each shard gets its
-    own freshly-built parser.  The TCP protocols run serially regardless
-    (their parse state is per-connection and incremental).
+    @param jobs shard DNS decode+parse over this many OCaml domains
+    ({!run_dns_sharded_src}; absent means 0, the inline run); each shard
+    gets its own freshly-built parser.  The TCP protocols run serially
+    regardless (their parse state lives on the collector).
     @param idle_timeout evict connections idle for this long (trace time);
     honored identically by the serial and sharded DNS paths.
     @param stats_export scrape callback fired at this interval of trace
@@ -856,20 +763,22 @@ let evaluate_src
   let sink = Events.engine_sink engine in
   let stats, total_ns =
     Hilti_obs.Clock.timed (fun () ->
-        match (proto, jobs) with
-        | `Http kind, _ -> run_http_src ~kind ~sink ?idle_timeout ?stats_export src
-        | `Dns kind, Some j when j > 0 ->
+        match proto with
+        | `Http kind -> run_http_src ~kind ~sink ?idle_timeout ?stats_export src
+        | `Dns kind ->
+            let shards = Option.value jobs ~default:0 in
+            (* Each worker domain gets its own BinPAC++ parser; a zero-shard
+               run uses the caller's. *)
             let mk_kind _shard =
               match kind with
-              | Dns_std -> Dns_std
-              | Dns_pac _ -> Dns_pac (Dns_pac.load ())
+              | Dns_pac _ when shards > 0 -> Dns_pac (Dns_pac.load ())
+              | k -> k
             in
-            run_dns_sharded_src ~shards:j ~mk_kind ?idle_timeout ?stats_export
+            run_dns_sharded_src ~shards ~mk_kind ?idle_timeout ?stats_export
               ~sink src
-        | `Dns kind, _ -> run_dns_src ~kind ~sink ?idle_timeout ?stats_export src
-        | `Mqtt kind, _ ->
+        | `Mqtt kind ->
             run_tcp_src ~parsers:(mqtt_parsers kind) ~sink ?idle_timeout ?stats_export src
-        | `Ftp kind, _ ->
+        | `Ftp kind ->
             run_tcp_src ~parsers:(ftp_parsers kind) ~sink ?idle_timeout ?stats_export src)
   in
   {

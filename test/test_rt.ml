@@ -344,32 +344,6 @@ let prop_regexp_incremental_equiv =
       in
       whole = chunked)
 
-(* ---- Hooks ---------------------------------------------------------------------------------- *)
-
-let test_hooks_priority_and_stop () =
-  let h = Hooks.create "test" in
-  let log = ref [] in
-  Hooks.add ~priority:1 h (fun x -> log := ("low:" ^ x) :: !log);
-  Hooks.add ~priority:10 h (fun x -> log := ("high:" ^ x) :: !log);
-  Hooks.run h "e";
-  Alcotest.(check (list string)) "priority order" [ "high:e"; "low:e" ] (List.rev !log);
-  log := [];
-  let h2 = Hooks.create "stop" in
-  Hooks.add ~priority:10 h2 (fun _ -> log := "first" :: !log; raise Hooks.Stop);
-  Hooks.add ~priority:1 h2 (fun _ -> log := "second" :: !log);
-  Alcotest.(check bool) "stopped" true (Hooks.run_stoppable h2 ());
-  Alcotest.(check (list string)) "short-circuited" [ "first" ] (List.rev !log)
-
-let test_hooks_registry_merge () =
-  let a : string Hooks.Registry.t = Hooks.Registry.create () in
-  let b : string Hooks.Registry.t = Hooks.Registry.create () in
-  let log = ref [] in
-  Hooks.Registry.add a "ev" (fun x -> log := ("a:" ^ x) :: !log);
-  Hooks.Registry.add b "ev" (fun x -> log := ("b:" ^ x) :: !log);
-  Hooks.Registry.merge ~dst:a ~src:b;
-  Hooks.Registry.run a "ev" "x";
-  Alcotest.(check int) "both bodies ran" 2 (List.length !log)
-
 (* ---- Scheduler -------------------------------------------------------------------------------- *)
 
 let test_scheduler_fifo_per_thread () =
@@ -458,8 +432,6 @@ let suite =
     Alcotest.test_case "regexp multi-pattern ids" `Quick test_regexp_multi_pattern;
     Alcotest.test_case "regexp incremental" `Quick test_regexp_incremental;
     prop_regexp_incremental_equiv;
-    Alcotest.test_case "hooks priority and stop" `Quick test_hooks_priority_and_stop;
-    Alcotest.test_case "hooks registry merge" `Quick test_hooks_registry_merge;
     Alcotest.test_case "scheduler fifo" `Quick test_scheduler_fifo_per_thread;
     Alcotest.test_case "scheduler spawned jobs" `Quick test_scheduler_jobs_spawn_jobs;
     Alcotest.test_case "scheduler command queue" `Quick test_scheduler_command_queue;

@@ -111,37 +111,40 @@ let test_ring_backpressure () =
 
 (* ---- Shard_plane ------------------------------------------------------------- *)
 
+(* The same schedule at every shard count: [before] for every packet and
+   [consume] for every result, both in global sequence order. *)
 let test_plane_order () =
   let n = 1_000 in
-  let shards = 3 in
   let packets =
     List.init n (fun i ->
         { Hilti_rt.Iosrc.ts = Time_ns.of_ns (Int64.of_int i);
           data = string_of_int i })
   in
-  let before_seqs = ref [] and consumed = ref [] in
-  let stats =
-    Hilti_par.Shard_plane.run ~shards ~batch:64 ~ring:4
-      ~shard_of:(fun p -> int_of_string p.Hilti_rt.Iosrc.data mod shards)
-      ~init:(fun sid -> sid)
-      ~process:(fun _sid ~seq:_ p ->
-        let i = int_of_string p.Hilti_rt.Iosrc.data in
-        if i land 1 = 0 then Some i else None)
-      ~finish:(fun sid -> [ (n + sid, -sid) ])
-      ~before:(fun ~seq ~ts:_ -> before_seqs := seq :: !before_seqs)
-      ~consume:(fun ~seq out -> consumed := (seq, out) :: !consumed)
-      (Hilti_rt.Iosrc.of_list packets)
-  in
-  Alcotest.(check int) "every packet observed" n stats.Hilti_par.Shard_plane.packets;
-  Alcotest.(check (list int)) "before runs in global sequence order"
-    (List.init n Fun.id) (List.rev !before_seqs);
-  let expected =
-    List.filter_map (fun i -> if i land 1 = 0 then Some (i, i) else None)
-      (List.init n Fun.id)
-    @ List.init shards (fun sid -> (n + sid, -sid))
-  in
-  Alcotest.(check (list (pair int int)))
-    "results merged in order, flush records last" expected (List.rev !consumed)
+  List.iter
+    (fun shards ->
+      let before_seqs = ref [] and consumed = ref [] in
+      let stats =
+        Hilti_par.Shard_plane.run ~shards ~batch:64 ~ring:4 ~timing:Untimed
+          ~shard_of:(fun p -> int_of_string p.Hilti_rt.Iosrc.data mod shards)
+          ~init:(fun sid -> sid)
+          ~process:(fun _sid ~seq:_ p ->
+            let i = int_of_string p.Hilti_rt.Iosrc.data in
+            if i land 1 = 0 then Some i else None)
+          ~before:(fun ~seq ~ts:_ -> before_seqs := seq :: !before_seqs)
+          ~consume:(fun ~seq out -> consumed := (seq, out) :: !consumed)
+          (Hilti_rt.Iosrc.of_list packets)
+      in
+      let at what = Printf.sprintf "%s at %d shards" what shards in
+      Alcotest.(check int) (at "every packet observed") n
+        stats.Hilti_par.Shard_plane.packets;
+      Alcotest.(check (list int)) (at "before runs in global sequence order")
+        (List.init n Fun.id) (List.rev !before_seqs);
+      Alcotest.(check (list (pair int int)))
+        (at "results consumed in sequence order")
+        (List.filter_map (fun i -> if i land 1 = 0 then Some (i, i) else None)
+           (List.init n Fun.id))
+        (List.rev !consumed))
+    [ 0; 3 ]
 
 (* ---- Byte-identical logs: DNS ------------------------------------------------ *)
 
@@ -195,6 +198,21 @@ let test_dns_identical_idle_timeout () =
   ;
   Alcotest.(check string) "dns.log identical with eviction at 2 shards" serial
     (dns_log ~jobs:2 ~idle_timeout Driver.Dns_std)
+
+(* The Fig. 9/10 breakdown does not depend on the shard count: workers
+   charge their parse passes to the parse profiler and the collector its
+   event replay to the script profiler. *)
+let test_dns_sharded_breakdown () =
+  let r =
+    Driver.evaluate_src ~proto:(`Dns Driver.Dns_std)
+      ~engine_mode:Mini_bro.Bro_engine.Interpreted ~scripts:(Lazy.force scripts)
+      ~jobs:2
+      (Pcap.iosrc_of_records (Lazy.force dns_records))
+  in
+  Alcotest.(check bool) "parse time recorded at 2 shards" true
+    (r.Driver.parse_ns > 0L);
+  Alcotest.(check bool) "script time recorded at 2 shards" true
+    (r.Driver.script_ns > 0L)
 
 (* The batched zero-copy loop against the pre-batching per-packet loop:
    without eviction timers the batch-granular epoch placement must not
@@ -313,7 +331,7 @@ let test_plane_error_propagates () =
   Alcotest.check_raises "shard exception re-raised on the dispatcher" Boom
     (fun () ->
       ignore
-        (Hilti_par.Shard_plane.run ~shards:2 ~batch:8 ~ring:2
+        (Hilti_par.Shard_plane.run ~shards:2 ~batch:8 ~ring:2 ~timing:Untimed
            ~shard_of:(fun p -> int_of_string p.Hilti_rt.Iosrc.data mod 2)
            ~init:(fun sid -> sid)
            ~process:(fun sid ~seq (_ : Hilti_rt.Iosrc.packet) ->
@@ -337,6 +355,8 @@ let suite =
       test_dns_identical_std;
     Alcotest.test_case "DNS logs byte-identical (BinPAC++)" `Quick
       test_dns_identical_pac;
+    Alcotest.test_case "DNS parse/script breakdown at 2 shards" `Quick
+      test_dns_sharded_breakdown;
     Alcotest.test_case "DNS batched loop identical to unbatched oracle" `Quick
       test_dns_batched_vs_unbatched;
     Alcotest.test_case "DNS logs byte-identical under eviction" `Quick

@@ -231,15 +231,6 @@ let test_bitset () =
   | exception Bitset.Unknown_label _ -> ()
   | _ -> Alcotest.fail "unknown label accepted"
 
-let test_enum () =
-  let d = Henum.declare ~name:"Color" [ ("Red", Some 1); ("Green", None); ("Blue", None) ] in
-  let g = Henum.of_label d "Green" in
-  Alcotest.(check int) "auto value" 2 (Henum.value g);
-  Alcotest.(check string) "print" "Color::Green" (Henum.to_string g);
-  let u = Henum.of_value d 99 in
-  Alcotest.(check bool) "unknown is undef" true (Henum.is_undef u);
-  Alcotest.(check bool) "undef < defined" true (Henum.compare u g < 0)
-
 (* ---- Bytes: the incremental-parsing substrate ---------------------------------------- *)
 
 let test_hbytes_basics () =
@@ -464,7 +455,6 @@ let suite =
     Alcotest.test_case "render IPv4 == Printf, IPv6 unchanged" `Quick test_render_addrs;
     Alcotest.test_case "render ports == Printf" `Quick test_render_ports;
     Alcotest.test_case "bitset" `Quick test_bitset;
-    Alcotest.test_case "enum" `Quick test_enum;
     Alcotest.test_case "hbytes basics" `Quick test_hbytes_basics;
     Alcotest.test_case "hbytes blocking/freeze" `Quick test_hbytes_blocking_and_freeze;
     Alcotest.test_case "hbytes trim" `Quick test_hbytes_trim;

@@ -66,42 +66,33 @@ let run ?(quick = false) ?datagrams () =
       trace.Hilti_traces.Dns_gen.records
   in
   let dns_m = Codegen.compile (Grammars.parse_dns ()) in
-  (* [domains = 0]: the cooperative scheduler; otherwise Hilti_par with
-     that many worker domains. *)
-  let run_with ?(domains = 0) nthreads =
+  (* The cooperative scheduler over [nthreads] virtual threads. *)
+  let run_with nthreads =
     let api = Hilti_vm.Host_api.compile [ dns_m; wrapper_module () ] in
-    let engine =
-      if domains = 0 then None
-      else Some (Hilti_par.Engine.attach api.Hilti_vm.Host_api.ctx ~domains)
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Hilti_par.Engine.detach engine)
-      (fun () ->
-        let lock = Mutex.create () in
-        let recorded = ref [] in
-        Hilti_vm.Host_api.register_ctx api "Bench::record" (fun ctx args ->
-            (match args with
-            | [ Hilti_vm.Value.Int id ] ->
-                let tid = ctx.Hilti_vm.Vm.current_thread in
-                Mutex.protect lock (fun () -> recorded := (tid, id) :: !recorded)
-            | _ -> ());
-            Hilti_vm.Value.Null);
-        (* Thread-local state: each virtual thread compiles its own regexps. *)
-        for tid = 0 to nthreads - 1 do
-          Hilti_vm.Host_api.schedule api (Int64.of_int tid) "DNS::init" []
-        done;
-        List.iter
-          (fun (hash, payload) ->
-            let tid = Hilti_rt.Scheduler.thread_for_hash ~threads:nthreads hash in
-            let b = Hilti_types.Hbytes.of_string payload in
-            Hilti_types.Hbytes.freeze b;
-            Hilti_vm.Host_api.schedule api tid "Bench::parse_one" [ Hilti_vm.Value.Bytes b ])
-          datagrams;
-        let (), ns = Bench_util.time_ns (fun () -> Hilti_vm.Host_api.run_scheduler api) in
-        let stats = Hilti_vm.Host_api.scheduler_stats api in
-        (List.sort compare (List.map snd !recorded),
-         List.sort_uniq compare (List.map fst !recorded),
-         stats, ns))
+    let recorded = ref [] in
+    Hilti_vm.Host_api.register_ctx api "Bench::record" (fun ctx args ->
+        (match args with
+        | [ Hilti_vm.Value.Int id ] ->
+            let tid = ctx.Hilti_vm.Vm.current_thread in
+            recorded := (tid, id) :: !recorded
+        | _ -> ());
+        Hilti_vm.Value.Null);
+    (* Thread-local state: each virtual thread compiles its own regexps. *)
+    for tid = 0 to nthreads - 1 do
+      Hilti_vm.Host_api.schedule api (Int64.of_int tid) "DNS::init" []
+    done;
+    List.iter
+      (fun (hash, payload) ->
+        let tid = Hilti_rt.Scheduler.thread_for_hash ~threads:nthreads hash in
+        let b = Hilti_types.Hbytes.of_string payload in
+        Hilti_types.Hbytes.freeze b;
+        Hilti_vm.Host_api.schedule api tid "Bench::parse_one" [ Hilti_vm.Value.Bytes b ])
+      datagrams;
+    let (), ns = Bench_util.time_ns (fun () -> Hilti_vm.Host_api.run_scheduler api) in
+    let stats = Hilti_vm.Host_api.scheduler_stats api in
+    (List.sort compare (List.map snd !recorded),
+     List.sort_uniq compare (List.map fst !recorded),
+     stats, ns)
   in
   let baseline_ids, _, _, _ = run_with 1 in
   Printf.printf "%d datagrams, %d parsed on a single virtual thread\n"

@@ -30,6 +30,18 @@ done
 diff -r "$tcp_std" "$tcp_pac"
 rm -rf "$tcp_std" "$tcp_pac"
 
+echo "== interpreted == compiled scripts via mini-bro: DNS/HTTP/MQTT/FTP logs, std and pac parsers"
+for p in dns:300 http:40 mqtt:40 ftp:40; do
+  for parsers in std pac; do
+    int=$(mktemp -d)
+    comp=$(mktemp -d)
+    dune exec bin/mini_bro_cli.exe -- -g "$p" -parsers $parsers -w "$int" > /dev/null
+    dune exec bin/mini_bro_cli.exe -- -g "$p" -parsers $parsers -compile-scripts -w "$comp" > /dev/null
+    diff -r "$int" "$comp"
+    rm -rf "$int" "$comp"
+  done
+done
+
 echo "== -j 2 vs serial via mini-bro: identical dns.log, parse/script breakdown kept"
 for mode in "-parsers std" "-parsers pac -compile-scripts"; do
   ser=$(mktemp -d)
@@ -112,7 +124,7 @@ grep -q '"disabled_alloc_words_per_100k"' BENCH_obs.json
 echo "== analysis suite (dataflow, lint, verifier, verification as the VM's precondition)"
 dune exec test/test_main.exe -- test analysis
 
-echo "== escape suite (summaries, escape classes, race detector, frame arena)"
+echo "== escape suite (summaries, race detector, frame arena)"
 dune exec test/test_main.exe -- test escape
 
 echo "== vmopt suite (typing export, specialized-opcode verification, generic-vs-specialized differential)"

@@ -5,8 +5,11 @@
     For the compiled engine, every event dispatch converts Bro values into
     HILTI values and runs the corresponding HILTI hook; script callouts
     (print/fmt/logging/event queuing) come back through registered host
-    functions.  Both conversion directions run under the "bro/glue"
-    profiler — the glue-code cost Figures 9/10 single out. *)
+    functions, which convert values with {!Bro_val.of_hilti_raw} and
+    {!Bro_val.to_hilti_raw} and call the interpreter's runtime library
+    ({!Bro_interp.apply_builtin}, {!Bro_val}'s renderers), so both engines
+    print, format and log alike.  Event-argument conversions run under the
+    "bro/glue" profiler — the glue-code cost Figures 9/10 single out. *)
 
 open Bro_ast
 
@@ -33,40 +36,10 @@ and log_map = {
 
 type t = Interp of Bro_interp.t | Comp of compiled
 
-(* ---- Bro-style rendering of HILTI values (must mirror Bro_val.to_string) --- *)
+(* ---- Loading ------------------------------------------------------------------- *)
 
-let rec hl_render (v : Hilti_vm.Value.t) : string =
-  let module V = Hilti_vm.Value in
-  match v with
-  | V.Bool b -> if b then "T" else "F"
-  | V.Int i -> Hilti_types.Digits.int64_to_string i
-  | V.Double d -> Printf.sprintf "%g" d
-  | V.String s -> s
-  | V.Bytes b -> Hilti_types.Hbytes.to_string b
-  | V.Addr a -> Hilti_types.Addr.to_string a
-  | V.Port p -> Hilti_types.Port.to_string p
-  | V.Net n -> Hilti_types.Network.to_string n
-  | V.Time t -> Hilti_types.Time_ns.to_string t
-  | V.Interval i -> Hilti_types.Interval_ns.to_string i
-  | V.List d ->
-      "[" ^ String.concat "," (List.map hl_render (Hilti_vm.Deque.to_list d)) ^ "]"
-  | V.Set s ->
-      let elems = Hilti_rt.Exp_map.fold (fun _ e acc -> hl_render e :: acc) s [] in
-      "{" ^ String.concat "," (List.sort compare elems) ^ "}"
-  | V.Map m ->
-      let elems =
-        Hilti_rt.Exp_map.fold
-          (fun _ (k, value) acc -> (hl_render k ^ "->" ^ hl_render value) :: acc)
-          m []
-      in
-      "{" ^ String.concat "," (List.sort compare elems) ^ "}"
-  | V.Struct s ->
-      let fields = List.map (fun (n, v) -> n ^ "=" ^ hl_render v) (V.struct_fields s) in
-      "[" ^ String.concat "," (List.sort compare fields) ^ "]"
-  | V.Null -> "<void>"
-  | other -> V.to_string other
-
-(* Append [v] as a log field: as [hl_render], scalars in place. *)
+(* Append [v] as a log field, as [Bro_val.add_log_field] of its Bro value;
+   the scalars compiled records carry most render in place. *)
 let hl_add_field b (v : Hilti_vm.Value.t) =
   let module V = Hilti_vm.Value in
   match v with
@@ -75,45 +48,7 @@ let hl_add_field b (v : Hilti_vm.Value.t) =
   | V.Addr a -> Hilti_types.Addr.add_to_buffer b a
   | V.Port p -> Hilti_types.Port.add_to_buffer b p
   | V.Time t -> Hilti_types.Time_ns.add_to_buffer b t
-  | v -> Bro_log.add_field b (hl_render v)
-
-let hl_num = function
-  | Hilti_vm.Value.Int i -> i
-  | v -> raise (Bro_val.Bro_error ("expected int, got " ^ Hilti_vm.Value.to_string v))
-
-let fmt_hilti fmtstr args =
-  let buf = Buffer.create (String.length fmtstr + 16) in
-  let args = ref args in
-  let nextv () =
-    match !args with
-    | [] -> raise (Bro_val.Bro_error "fmt: not enough arguments")
-    | a :: rest ->
-        args := rest;
-        a
-  in
-  let n = String.length fmtstr in
-  let i = ref 0 in
-  while !i < n do
-    if fmtstr.[!i] = '%' && !i + 1 < n then begin
-      (match fmtstr.[!i + 1] with
-      | 's' -> Buffer.add_string buf (hl_render (nextv ()))
-      | 'd' -> Buffer.add_string buf (Int64.to_string (hl_num (nextv ())))
-      | 'f' ->
-          Buffer.add_string buf
-            (Printf.sprintf "%f" (Hilti_vm.Value.as_double (nextv ())))
-      | 'x' -> Buffer.add_string buf (Printf.sprintf "%Lx" (hl_num (nextv ())))
-      | '%' -> Buffer.add_char buf '%'
-      | c -> raise (Bro_val.Bro_error (Printf.sprintf "fmt: unsupported %%%c" c)));
-      i := !i + 2
-    end
-    else begin
-      Buffer.add_char buf fmtstr.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
-
-(* ---- Loading ------------------------------------------------------------------- *)
+  | v -> Bro_val.add_log_field b (Bro_val.of_hilti_raw v)
 
 let log_map c stream layout =
   let m =
@@ -154,59 +89,26 @@ let load ?(logger = Bro_log.create ()) ?(optimize = true) mode (script : script)
       in
       let module V = Hilti_vm.Value in
       let reg name fn = Hilti_vm.Host_api.register api name fn in
+      let render v = Bro_val.to_string (Bro_val.of_hilti_raw v) in
       reg "Bro::print" (fun args ->
-          c.cprint (String.concat ", " (List.map hl_render args));
+          c.cprint (String.concat ", " (List.map render args));
           V.Null);
-      reg "Bro::fmt" (fun args ->
-          match args with
-          | fmt :: rest ->
-              let f =
-                match fmt with
-                | V.Bytes b -> Hilti_types.Hbytes.to_string b
-                | V.String s -> s
-                | v -> hl_render v
-              in
-              let b = Hilti_types.Hbytes.of_string (fmt_hilti f rest) in
-              Hilti_types.Hbytes.freeze b;
-              V.Bytes b
-          | [] -> raise (Bro_val.Bro_error "fmt: no format"));
-      reg "Bro::cat" (fun args ->
-          let b =
-            Hilti_types.Hbytes.of_string (String.concat "" (List.map hl_render args))
-          in
-          Hilti_types.Hbytes.freeze b;
-          V.Bytes b);
-      reg "Bro::to_count" (fun args ->
-          match args with
-          | [ v ] -> (
-              let s = String.trim (hl_render v) in
-              match Int64.of_string_opt s with
-              | Some x -> V.Int x
-              | None -> V.Int 0L)
-          | _ -> raise (Bro_val.Bro_error "to_count arity"));
-      reg "Bro::sha1" (fun args ->
-          match args with
-          | [ v ] ->
-              let b = Hilti_types.Hbytes.of_string (Sha1.digest (hl_render v)) in
-              Hilti_types.Hbytes.freeze b;
-              V.Bytes b
-          | _ -> raise (Bro_val.Bro_error "sha1 arity"));
-      reg "Bro::join" (fun args ->
-          match args with
-          | [ V.List d; sep ] ->
-              let s =
-                String.concat (hl_render sep)
-                  (List.map hl_render (Hilti_vm.Deque.to_list d))
-              in
-              let b = Hilti_types.Hbytes.of_string s in
-              Hilti_types.Hbytes.freeze b;
-              V.Bytes b
-          | _ -> raise (Bro_val.Bro_error "join arity"));
+      (* The builtins compiled scripts call through the host; [Bro_compile]
+         inlines the others. *)
+      let scratch = Buffer.create 64 in
+      List.iter
+        (fun name ->
+          let b = Option.get (Bro_interp.builtin_of_name name) in
+          reg ("Bro::" ^ name) (fun args ->
+              Bro_val.to_hilti_raw ~layout_of:(fun _ -> None)
+                (Bro_interp.apply_builtin scratch b (List.map Bro_val.of_hilti_raw args))))
+        [ "fmt"; "cat"; "to_count"; "sha1"; "join" ];
       reg "Bro::network_time" (fun _ -> V.Time c.cnetwork_time);
       reg "Bro::log_write" (fun args ->
           match args with
-          | [ stream; V.Struct s ] ->
-              let m = log_map c (Bro_log.stream c.clogger (hl_render stream)) s.V.layout in
+          | [ V.Bytes stream; V.Struct s ] ->
+              let stream = Bro_log.stream c.clogger (Hilti_types.Hbytes.to_string stream) in
+              let m = log_map c stream s.V.layout in
               Bro_log.write_row c.clogger m.stream (fun b i ->
                   match m.slot_of_col.(i) with
                   | -1 -> ()
@@ -217,10 +119,10 @@ let load ?(logger = Bro_log.create ()) ?(optimize = true) mode (script : script)
           | _ -> raise (Bro_val.Bro_error "log_write arity"));
       reg "Bro::queue_event" (fun args ->
           match args with
-          | name :: rest ->
-              Queue.add (hl_render name, List.map Bro_val.of_hilti rest) c.cqueue;
+          | V.String name :: rest ->
+              Queue.add (name, List.map Bro_val.of_hilti rest) c.cqueue;
               V.Null
-          | [] -> raise (Bro_val.Bro_error "queue_event arity"));
+          | _ -> raise (Bro_val.Bro_error "queue_event arity"));
       ignore (Hilti_vm.Host_api.call api "bro::init_globals" []);
       Comp c
 

@@ -285,6 +285,59 @@ let fmt_run b segs args =
   fmt_segs b segs 0 args;
   Buffer.contents b
 
+(** The builtins by script name: the interpreter resolves calls through
+    this table, and {!Bro_engine} registers the compiled engine's
+    [Bro::] host functions from it. *)
+let builtin_of_name = function
+  | "fmt" -> Some B_fmt
+  | "cat" -> Some B_cat
+  | "to_lower" | "lower" -> Some B_lower
+  | "to_upper" -> Some B_upper
+  | "to_count" -> Some B_to_count
+  | "sha1" -> Some B_sha1
+  | "push" -> Some B_push
+  | "shift" -> Some B_shift
+  | "join" -> Some B_join
+  | _ -> None
+
+(** Apply builtin [b] to evaluated arguments; [fmt] and [join] build their
+    result in [buf]. *)
+let apply_builtin buf b vals =
+  match (b, vals) with
+  | B_fmt, Vstring f :: rest -> Vstring (fmt_run buf (fmt_compile f) rest)
+  | B_fmt, _ -> error "fmt: first argument must be a string"
+  | B_cat, vs -> Vstring (String.concat "" (List.map to_string vs))
+  | B_lower, [ Vstring s ] -> Vstring (String.lowercase_ascii s)
+  | B_lower, _ -> error "to_lower: bad arguments"
+  | B_upper, [ Vstring s ] -> Vstring (String.uppercase_ascii s)
+  | B_upper, _ -> error "to_upper: bad arguments"
+  | B_to_count, [ Vstring s ] -> (
+      match Int64.of_string_opt (String.trim s) with
+      | Some v -> Vcount v
+      | None -> Vcount 0L)
+  | B_to_count, _ -> error "to_count: bad arguments"
+  | B_sha1, [ Vstring s ] -> Vstring (Sha1.digest s)
+  | B_sha1, _ -> error "sha1: bad arguments"
+  | B_push, [ Vvector v; x ] ->
+      Hilti_vm.Deque.push_back v x;
+      Vvoid
+  | B_push, _ -> error "push: bad arguments"
+  | B_shift, [ Vvector v ] -> (
+      match Hilti_vm.Deque.pop_front v with
+      | Some x -> x
+      | None -> error "shift: empty vector")
+  | B_shift, _ -> error "shift: bad arguments"
+  | B_join, [ Vvector v; Vstring sep ] ->
+      Buffer.clear buf;
+      let first = ref true in
+      Hilti_vm.Deque.iter
+        (fun x ->
+          if !first then first := false else Buffer.add_string buf sep;
+          add_rendered buf x)
+        v;
+      Vstring (Buffer.contents buf)
+  | B_join, _ -> error "join: bad arguments"
+
 (* ---- Resolution -------------------------------------------------------------------- *)
 
 (* Per function: the next free frame slot and the frame size so far.  A
@@ -339,40 +392,27 @@ let rec resolve t env (e : expr) : rexpr =
       R_record (Array.of_list (List.map fst fields), Array.of_list (List.map (fun (_, e) -> res e) fields))
   | E_vector_ctor es -> R_vector (List.map res es)
   | E_call (fn, args) -> (
-      let builtin b = R_builtin (b, List.map res args) in
-      match fn with
-      | "fmt" -> (
-          match args with
-          | E_string f :: rest -> R_fmt (fmt_compile f, List.map res rest)
-          | _ -> builtin B_fmt)
-      | "cat" -> builtin B_cat
-      | "to_lower" | "lower" -> builtin B_lower
-      | "to_upper" -> builtin B_upper
-      | "to_count" -> builtin B_to_count
-      | "sha1" -> builtin B_sha1
-      | "push" -> builtin B_push
-      | "shift" -> builtin B_shift
-      | "join" -> builtin B_join
-      | "network_time" -> R_network_time
-      | "Log::write" -> (
-          match args with
-          | [ E_string stream; E_record_ctor fields ] ->
-              R_log
-                {
-                  lstream_name = stream;
-                  lfields = Array.of_list (List.map fst fields);
-                  lexprs = Array.of_list (List.map (fun (_, e) -> res e) fields);
-                  lstream = None;
-                  lcols = [||];
-                  lfrom = [||];
-                }
-          | [ stream; record ] -> R_log_dyn (res stream, res record)
-          | _ -> R_log_arity)
+      match (fn, args) with
+      | "fmt", E_string f :: rest -> R_fmt (fmt_compile f, List.map res rest)
+      | "network_time", _ -> R_network_time
+      | "Log::write", [ E_string stream; E_record_ctor fields ] ->
+          R_log
+            {
+              lstream_name = stream;
+              lfields = Array.of_list (List.map fst fields);
+              lexprs = Array.of_list (List.map (fun (_, e) -> res e) fields);
+              lstream = None;
+              lcols = [||];
+              lfrom = [||];
+            }
+      | "Log::write", [ stream; record ] -> R_log_dyn (res stream, res record)
+      | "Log::write", _ -> R_log_arity
       | _ -> (
-          match Hashtbl.find_opt t.functions fn with
-          | Some f when List.length args = f.nparams -> R_call (f, List.map res args)
-          | Some f -> R_call_arity (f, List.map res args)
-          | None -> R_unknown_fn fn))
+          match (builtin_of_name fn, Hashtbl.find_opt t.functions fn) with
+          | Some b, _ -> R_builtin (b, List.map res args)
+          | None, Some f when List.length args = f.nparams -> R_call (f, List.map res args)
+          | None, Some f -> R_call_arity (f, List.map res args)
+          | None, None -> R_unknown_fn fn))
 
 (* A block: its locals are visible to the statements after them, and its
    slots are free again when it ends. *)
@@ -647,7 +687,7 @@ let rec eval t (fr : Bro_val.t array) (e : rexpr) : Bro_val.t =
   | R_vector es -> Vvector (Hilti_vm.Deque.of_list (eval_list t fr es))
   | R_network_time -> t.now
   | R_fmt (segs, args) -> Vstring (fmt_run t.scratch segs (eval_list t fr args))
-  | R_builtin (b, args) -> builtin t b (eval_list t fr args)
+  | R_builtin (b, args) -> apply_builtin t.scratch b (eval_list t fr args)
   | R_call (f, args) ->
       let callee = Array.make f.nslots Vvoid in
       bind_args t fr callee 0 args;
@@ -714,43 +754,6 @@ and invoke t f frame =
     exec_list t frame f.body;
     Vvoid
   with Return_exc v -> v
-
-and builtin t b vals =
-  match (b, vals) with
-  | B_fmt, Vstring f :: rest -> Vstring (fmt_run t.scratch (fmt_compile f) rest)
-  | B_fmt, _ -> error "fmt: first argument must be a string"
-  | B_cat, vs -> Vstring (String.concat "" (List.map to_string vs))
-  | B_lower, [ Vstring s ] -> Vstring (String.lowercase_ascii s)
-  | B_lower, _ -> error "to_lower: bad arguments"
-  | B_upper, [ Vstring s ] -> Vstring (String.uppercase_ascii s)
-  | B_upper, _ -> error "to_upper: bad arguments"
-  | B_to_count, [ Vstring s ] -> (
-      match Int64.of_string_opt (String.trim s) with
-      | Some v -> Vcount v
-      | None -> Vcount 0L)
-  | B_to_count, _ -> error "to_count: bad arguments"
-  | B_sha1, [ Vstring s ] -> Vstring (Sha1.digest s)
-  | B_sha1, _ -> error "sha1: bad arguments"
-  | B_push, [ Vvector v; x ] ->
-      Hilti_vm.Deque.push_back v x;
-      Vvoid
-  | B_push, _ -> error "push: bad arguments"
-  | B_shift, [ Vvector v ] -> (
-      match Hilti_vm.Deque.pop_front v with
-      | Some x -> x
-      | None -> error "shift: empty vector")
-  | B_shift, _ -> error "shift: bad arguments"
-  | B_join, [ Vvector v; Vstring sep ] ->
-      let b = t.scratch in
-      Buffer.clear b;
-      let first = ref true in
-      Hilti_vm.Deque.iter
-        (fun x ->
-          if !first then first := false else Buffer.add_string b sep;
-          add_rendered b x)
-        v;
-      Vstring (Buffer.contents b)
-  | B_join, _ -> error "join: bad arguments"
 
 (* ---- Statement execution --------------------------------------------------------- *)
 

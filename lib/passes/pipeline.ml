@@ -16,8 +16,11 @@ let empty_stats () =
 
 let total s = s.constfold + s.cse + s.simplify + s.dce + s.deadstore
 
+(** The bound on rewrite rounds. *)
+let max_iterations = 8
+
 (** Optimize [m] in place; returns rewrite statistics. *)
-let optimize ?(max_iterations = 8) (m : Module_ir.t) : stats =
+let optimize (m : Module_ir.t) : stats =
   let s = empty_stats () in
   let rec go n =
     if n >= max_iterations then ()

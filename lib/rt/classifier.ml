@@ -57,7 +57,7 @@ type 'a t = {
   mutable rules : 'a rule list;  (* insertion order, newest first *)
   mutable compiled : 'a rule list option;  (* sorted by priority, List engine *)
   mutable root : 'a level option;  (* Trie engine *)
-  mutable engine : engine;
+  engine : engine;
   mutable next_seq : int;
   mutable lookups : int;
   mutable field_tests : int;  (* work metric for the ablation bench *)
@@ -75,11 +75,6 @@ let create ?(engine = List_scan) nfields =
     lookups = 0;
     field_tests = 0;
   }
-
-let set_engine t engine =
-  t.engine <- engine;
-  t.compiled <- None;
-  t.root <- None
 
 exception Not_compiled
 exception Already_compiled

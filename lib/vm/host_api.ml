@@ -19,7 +19,6 @@ exception Compile_error of string list
     programs it rejects raise [Compile_error].
 
     @param optimize run the HILTI-level optimization pipeline (default on)
-    @param validate reject invalid IR (default on)
     @param specialize rewrite the verified bytecode onto unboxed int/float
       register banks and fuse hot instruction pairs (default on).  Off, the
       same dispatch loop runs the generic opcodes: the reference
@@ -29,16 +28,14 @@ exception Compile_error of string list
       arena frame for every function the analysis proves safe (default
       on; the reuse contract leans on the verifier's defined-before-use
       proof) *)
-let compile ?(optimize = true) ?(validate = true) ?(specialize = true)
+let compile ?(optimize = true) ?(specialize = true)
     ?(frame_reuse = true) (modules : Module_ir.t list) : t =
   let linked = Hilti_passes.Linker.link modules in
   (* Validation runs on the linked unit, where cross-module references
      (functions, hooks, globals) are all visible. *)
-  if validate then begin
-    match Validate.check_module linked with
-    | [] -> ()
-    | errors -> raise (Compile_error errors)
-  end;
+  (match Validate.check_module linked with
+  | [] -> ()
+  | errors -> raise (Compile_error errors));
   let opt_stats =
     if optimize then Some (Hilti_passes.Pipeline.optimize linked) else None
   in

@@ -17,7 +17,6 @@
 
     Consumers:
     - the static shard-race detector ([Hilti_analysis.Racecheck]);
-    - the escape analysis ({!Escape}), for host-API sink classification;
     - {!license_frame_reuse}, which marks the functions whose activation
       frames the VM may recycle from a per-worker arena. *)
 

@@ -175,17 +175,28 @@ let test_builtins () =
   let out =
     run_both
       {|
+global v: vector of count;
+
 event go() {
     print fmt("%s:%d", "host", 8080);
     print to_lower("MiXeD");
     print to_count("123");
     print cat("a", 1, T);
     print sha1("abc");
+    print fmt("%d", 3.7), fmt("%f", 3), fmt("%x", 255);
+    push(v, 1);
+    push(v, 22);
+    push(v, 333);
+    print join(v, "-");
+    print to_count(" 42 ");
+    print cat(1.5, 8.8.8.8);
 }
 |}
   in
   Alcotest.(check string) "builtins"
-    "host:8080\nmixed\n123\na1T\na9993e364706816aba3e25717850c26c9cd0d89d\n" out
+    "host:8080\nmixed\n123\na1T\na9993e364706816aba3e25717850c26c9cd0d89d\n\
+     3, 3.000000, ff\n1-22-333\n42\n1.58.8.8.8\n"
+    out
 
 (* The interpreter alone, for behaviour the compiled engine does not
    share (it rejects the script at load). *)

@@ -1,11 +1,10 @@
-(* Interprocedural effect summaries, the escape analysis, the
-   analysis-licensed frame arena, and the static shard-race detector. *)
+(* Interprocedural effect summaries, the analysis-licensed frame arena,
+   and the static shard-race detector. *)
 
 module Bc = Hilti_vm.Bytecode
 module Value = Hilti_vm.Value
 module Vm = Hilti_vm.Vm
 module Summary = Hilti_vm.Summary
-module Escape = Hilti_vm.Escape
 module Racecheck = Hilti_analysis.Racecheck
 module Metrics = Hilti_obs.Metrics
 
@@ -21,17 +20,6 @@ let fidx p name =
   match Bc.find_func p name with
   | Some i -> i
   | None -> Alcotest.failf "function %s not found" name
-
-(* The [P_new] pcs of a function, in code order. *)
-let alloc_pcs (p : Bc.program) fi =
-  let pcs = ref [] in
-  Array.iteri
-    (fun pc instr ->
-      match instr with
-      | Bc.Prim (Bc.P_new _, _, _) -> pcs := pc :: !pcs
-      | _ -> ())
-    p.Bc.funcs.(fi).Bc.code;
-  List.rev !pcs
 
 (* ---- Effect summaries --------------------------------------------------- *)
 
@@ -195,136 +183,6 @@ let test_reuse_licence_rules () =
         false
         (p.Bc.reuse.(i) && p.Bc.reuse_susp.(i)))
     p.Bc.funcs
-
-(* ---- Escape classification ----------------------------------------------- *)
-
-let check_site p r name cls =
-  let fi = fidx p name in
-  match alloc_pcs p fi with
-  | [ pc ] ->
-      let got = Escape.site_cls r ~func:fi ~pc in
-      Alcotest.(check string)
-        (Printf.sprintf "%s alloc site" name)
-        (Escape.cls_name cls)
-        (match got with
-        | Some c -> Escape.cls_name c
-        | None -> "<unclassified>")
-  | pcs -> Alcotest.failf "%s: expected one alloc site, found %d" name (List.length pcs)
-
-let test_escape_classes () =
-  let src =
-    {|module E
-
-global ref<list<int<64>>> sink
-
-ref<list<int<64>>> mk_ret () {
-    local ref<list<int<64>>> x
-    x = new list<int<64>>
-    return x
-}
-
-void mk_glob () {
-    local ref<list<int<64>>> x
-    x = new list<int<64>>
-    sink = assign x
-}
-
-int<64> mk_local () {
-    local ref<list<int<64>>> x
-    x = new list<int<64>>
-    list.append x 7
-    return 3
-}
-|}
-  in
-  let p = program (compile src) in
-  let r = Escape.analyze p in
-  check_site p r "E::mk_ret" Escape.Flow_local;
-  check_site p r "E::mk_glob" Escape.Escaping;
-  check_site p r "E::mk_local" Escape.Local
-
-let test_escape_interprocedural () =
-  (* The callee only returns its allocation; the caller stores it to a
-     global — the verdict must travel back up into the callee's site. *)
-  let src =
-    {|module I
-
-global ref<list<int<64>>> sink
-
-ref<list<int<64>>> mk () {
-    local ref<list<int<64>>> x
-    x = new list<int<64>>
-    return x
-}
-
-void steal () {
-    local ref<list<int<64>>> y
-    y = call I::mk ()
-    sink = assign y
-}
-|}
-  in
-  let p = program (compile src) in
-  let r = Escape.analyze p in
-  check_site p r "I::mk" Escape.Escaping;
-  (* ...and down into an escaping parameter. *)
-  let src2 =
-    {|module I2
-
-global ref<list<int<64>>> sink
-
-void stash (ref<list<int<64>>> v) {
-    sink = assign v
-}
-
-void mk_and_pass () {
-    local ref<list<int<64>>> x
-    x = new list<int<64>>
-    call I2::stash (x)
-}
-|}
-  in
-  let p2 = program (compile src2) in
-  let r2 = Escape.analyze p2 in
-  check_site p2 r2 "I2::mk_and_pass" Escape.Escaping;
-  Alcotest.(check bool) "stash's parameter escapes" true
-    r2.Escape.param_escapes.(fidx p2 "I2::stash").(0)
-
-let test_escape_container_closure () =
-  (* Inserting into a container that itself escapes shares the value. *)
-  let src =
-    {|module C
-
-global ref<map<int<64>, ref<list<int<64>>>>> tbl
-
-void keep () {
-    local ref<list<int<64>>> x
-    local ref<map<int<64>, ref<list<int<64>>>>> m
-    x = new list<int<64>>
-    m = new map<int<64>, ref<list<int<64>>>>
-    map.insert m 1 x
-}
-
-void leak () {
-    local ref<list<int<64>>> x
-    x = new list<int<64>>
-    map.insert tbl 1 x
-}
-|}
-  in
-  let p = program (compile src) in
-  let r = Escape.analyze p in
-  (* keep: both allocs stay in the activation. *)
-  List.iter
-    (fun pc ->
-      match Escape.site_cls r ~func:(fidx p "C::keep") ~pc with
-      | Some Escape.Local -> ()
-      | c ->
-          Alcotest.failf "C::keep@%d: expected local, got %s" pc
-            (match c with Some c -> Escape.cls_name c | None -> "<none>"))
-    (alloc_pcs p (fidx p "C::keep"));
-  (* leak: inserted into a global-reachable map. *)
-  check_site p r "C::leak" Escape.Escaping
 
 (* ---- Static shard-race detector ------------------------------------------- *)
 
@@ -559,133 +417,13 @@ int<64> f (int<64> x) {
           (run () <> Ok 10L)
       done)
 
-(* ---- QCheck: Local verdicts are never observed escaping -------------------- *)
-
-(* Random straight-line programs: k tagged list allocations, each either
-   kept, stored to a global, returned, or passed to a helper that stores
-   its argument.  Running the program and walking every value that left
-   the activation (the return value plus all globals) yields the set of
-   runtime-escaped tags; none of them may belong to a site the analysis
-   called activation-local.  Fates are also checked exactly — the
-   construction makes the intended class of every site deterministic. *)
-
-type fate = Keep | Glob | Ret | Pass
-
-let gen_fates =
-  QCheck.Gen.(
-    list_size (int_range 1 4)
-      (oneofl [ Keep; Glob; Ret; Pass ]))
-
-let src_of_fates fates =
-  let b = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "module Q\n\n";
-  add "global ref<list<int<64>>> stash\n";
-  List.iteri (fun i _ -> add "global ref<list<int<64>>> g%d\n" i) fates;
-  add "\nvoid keep_it (ref<list<int<64>>> v) {\n";
-  add "    stash = assign v\n}\n\n";
-  add "ref<list<int<64>>> f () {\n";
-  List.iteri (fun i _ -> add "    local ref<list<int<64>>> x%d\n" i) fates;
-  add "    local ref<list<int<64>>> s\n";
-  List.iteri
-    (fun i _ ->
-      add "    x%d = new list<int<64>>\n" i;
-      add "    list.append x%d %d\n" i (100 + i))
-    fates;
-  List.iteri
-    (fun i fate ->
-      match fate with
-      | Keep -> ()
-      | Glob -> add "    g%d = assign x%d\n" i i
-      | Pass -> add "    call Q::keep_it (x%d)\n" i
-      | Ret -> ())
-    fates;
-  (match
-     List.find_index (fun f -> f = Ret) fates
-   with
-  | Some i -> add "    return x%d\n" i
-  | None ->
-      add "    s = new list<int<64>>\n";
-      add "    list.append s 99\n";
-      add "    return s\n");
-  add "}\n\n";
-  add "ref<list<int<64>>> get_stash () {\n    return stash\n}\n";
-  List.iteri
-    (fun i _ ->
-      add "\nref<list<int<64>>> get%d () {\n    return g%d\n}\n" i i)
-    fates;
-  Buffer.contents b
-
-(* Every int reachable inside a value (tags live in lists here, but walk
-   the general shape anyway). *)
-let rec observed_tags acc (v : Value.t) =
-  match v with
-  | Value.Int i -> Int64.to_int i :: acc
-  | Value.List d -> List.fold_left observed_tags acc (Hilti_vm.Deque.to_list d)
-  | Value.Vector d ->
-      List.fold_left observed_tags acc (Hilti_vm.Dynarray.to_list d)
-  | Value.Tuple t -> Array.fold_left observed_tags acc t
-  | _ -> acc
-
-let prop_local_never_escapes =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"escape: Local sites never observed escaping"
-       ~count:40
-       (QCheck.make gen_fates ~print:(fun fs ->
-            String.concat ""
-              (List.map
-                 (function
-                   | Keep -> "K" | Glob -> "G" | Ret -> "R" | Pass -> "P")
-                 fs)))
-       (fun fates ->
-         QCheck.assume (fates <> []);
-         let api = compile (src_of_fates fates) in
-         let p = program api in
-         let r = Escape.analyze p in
-         let fi = fidx p "Q::f" in
-         let pcs = Array.of_list (alloc_pcs p fi) in
-         (* Run, then collect every tag that left the activation. *)
-         let escaped = ref [] in
-         let observe v = escaped := observed_tags !escaped v in
-         observe (Hilti_vm.Host_api.call api "Q::f" []);
-         observe (Hilti_vm.Host_api.call api "Q::get_stash" []);
-         List.iteri
-           (fun i _ ->
-             observe
-               (Hilti_vm.Host_api.call api (Printf.sprintf "Q::get%d" i) []))
-           fates;
-         List.for_all
-           (fun i ->
-             let cls =
-               Option.get (Escape.site_cls r ~func:fi ~pc:pcs.(i))
-             in
-             let runtime_escaped = List.mem (100 + i) !escaped in
-             (* Soundness: observed escape implies not Local. *)
-             (if runtime_escaped && cls = Escape.Local then false
-              else
-                (* Precision (deterministic by construction). *)
-                match List.nth fates i with
-                | Keep -> cls = Escape.Local
-                | Glob | Pass -> cls = Escape.Escaping
-                | Ret ->
-                    (* Only the first Ret is returned; later ones are kept. *)
-                    if
-                      List.find_index (fun f -> f = Ret) fates = Some i
-                    then cls = Escape.Flow_local
-                    else cls = Escape.Local))
-           (List.init (List.length fates) Fun.id)))
-
 let suite =
   [ Alcotest.test_case "summary: effect vectors" `Quick test_summary_effects;
     Alcotest.test_case "summary: recursion" `Quick test_summary_recursion;
     Alcotest.test_case "summary: reuse licence rules" `Quick test_reuse_licence_rules;
-    Alcotest.test_case "escape: three classes" `Quick test_escape_classes;
-    Alcotest.test_case "escape: interprocedural" `Quick test_escape_interprocedural;
-    Alcotest.test_case "escape: container closure" `Quick test_escape_container_closure;
     Alcotest.test_case "racecheck: racy fixture" `Quick test_racecheck_flags_races;
     Alcotest.test_case "racecheck: flow-keyed exemption" `Quick test_racecheck_flow_keyed_clean;
     Alcotest.test_case "frame reuse: differential" `Quick test_frame_reuse_differential;
     Alcotest.test_case "frame reuse: suspend overlap copies" `Quick
       test_frame_reuse_suspend_overlap;
-    Alcotest.test_case "frame reuse: poison detection fires" `Quick test_frame_reuse_poison_fires;
-    prop_local_never_escapes ]
+    Alcotest.test_case "frame reuse: poison detection fires" `Quick test_frame_reuse_poison_fires ]

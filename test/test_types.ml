@@ -216,21 +216,6 @@ let test_render_ports () =
         [ 0; 1; 53; 80; 443; 9999; 10000; 65535 ])
     [ Port.TCP; Port.UDP; Port.ICMP ]
 
-(* ---- Bitsets and enums ------------------------------------------------------------- *)
-
-let test_bitset () =
-  let d = Bitset.declare ~name:"Flags" [ ("A", None); ("B", None); ("C", Some 7) ] in
-  let v = Bitset.set d Bitset.empty "A" in
-  let v = Bitset.set d v "C" in
-  Alcotest.(check bool) "has A" true (Bitset.has d v "A");
-  Alcotest.(check bool) "no B" false (Bitset.has d v "B");
-  Alcotest.(check string) "print" "Flags(A|C)" (Bitset.to_string d v);
-  let v = Bitset.clear d v "A" in
-  Alcotest.(check bool) "cleared" false (Bitset.has d v "A");
-  match Bitset.bit_of d "Z" with
-  | exception Bitset.Unknown_label _ -> ()
-  | _ -> Alcotest.fail "unknown label accepted"
-
 (* ---- Bytes: the incremental-parsing substrate ---------------------------------------- *)
 
 let test_hbytes_basics () =
@@ -454,7 +439,6 @@ let suite =
     Alcotest.test_case "render times == Printf" `Quick test_render_times;
     Alcotest.test_case "render IPv4 == Printf, IPv6 unchanged" `Quick test_render_addrs;
     Alcotest.test_case "render ports == Printf" `Quick test_render_ports;
-    Alcotest.test_case "bitset" `Quick test_bitset;
     Alcotest.test_case "hbytes basics" `Quick test_hbytes_basics;
     Alcotest.test_case "hbytes blocking/freeze" `Quick test_hbytes_blocking_and_freeze;
     Alcotest.test_case "hbytes trim" `Quick test_hbytes_trim;

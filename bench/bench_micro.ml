@@ -299,6 +299,47 @@ let dns_script_bench () =
     (Int64.to_float ns /. float_of_int (reps * txns));
   bytes
 
+(* ---- Firewall fast path: container keys and decision lines ---------------- *)
+
+(* ns and allocated bytes per call of [Value.key_string] on the key shapes
+   the firewall and the DNS scripts hash, and of [Driver.fw_line].  Bytes
+   come from [Gc.minor_words] over [n] calls, so they repeat exactly. *)
+let key_fw_bench () =
+  Bench_util.header "firewall fast path: key_string and fw_line per call";
+  let module V = Hilti_vm.Value in
+  let module T = Hilti_types in
+  let n = 200_000 in
+  let per_call f =
+    f ();
+    let before = Gc.minor_words () in
+    for _ = 1 to n do f () done;
+    let bytes =
+      (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) /. float_of_int n
+    in
+    let (), ns =
+      Bench_util.time_ns (fun () ->
+          for _ = 1 to n do f () done)
+    in
+    (Int64.to_float ns /. float_of_int n, bytes)
+  in
+  let src = T.Addr.of_string "10.1.2.3" and dst = T.Addr.of_string "192.168.100.200" in
+  let pair = V.Tuple [| V.Addr src; V.Addr dst |] in
+  let int = V.Int 28L in
+  let bytes = V.Bytes (T.Hbytes.of_string "www.example.com") in
+  let ts = T.Time_ns.of_ns 1_400_000_123_456_789L in
+  let rows =
+    [ ("key_tuple_addr", fun () -> V.key_string pair);
+      ("key_int", fun () -> V.key_string int);
+      ("key_bytes", fun () -> V.key_string bytes);
+      ("fw_line", fun () -> Hilti_analyzers.Driver.fw_line ~ts ~src ~dst true) ]
+  in
+  List.map
+    (fun (name, f) ->
+      let ns, b = per_call (fun () -> ignore (Sys.opaque_identity (f ()))) in
+      Printf.printf "  %-16s %8.1f ns/call %8.1f bytes/call\n" name ns b;
+      (name, ns, b))
+    rows
+
 (* ---- Zero-copy parse-path allocation: HTTP -------------------------------- *)
 
 (* The HTTP extraction layer the views replaced: header lines used to be
@@ -486,7 +527,14 @@ let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
       dns_e2e_before,
       dns_e2e_after )
     (http_before, http_after, http_reduction)
-    (susp_arena, susp_copy, susp_copies) (pac_bytes, pac_instrs) script_bytes =
+    (susp_arena, susp_copy, susp_copies) (pac_bytes, pac_instrs) script_bytes keys =
+  let keys =
+    String.concat ""
+      (List.map
+         (fun (name, ns, b) ->
+           Printf.sprintf ",\n  \"%s_ns\": %.1f,\n  \"%s_bytes\": %.1f" name ns name b)
+         keys)
+  in
   let json =
     Printf.sprintf
       "{\n  \"experiment\": \"frame_arena_and_alloc\",\n  \
@@ -508,11 +556,11 @@ let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
        \"dns_pac_alloc_bytes_per_packet\": %.1f,\n  \
        \"dns_pac_instrs_per_packet\": %.1f,\n  \
        \"dns_script_alloc_bytes_per_txn_before\": %.1f,\n  \
-       \"dns_script_alloc_bytes_per_txn\": %.1f\n}\n"
+       \"dns_script_alloc_bytes_per_txn\": %.1f%s\n}\n"
       alloc_copy alloc_reuse alloc_reduction dns_before dns_after dns_reduction
       dns_parse_before dns_parse_after dns_e2e_before dns_e2e_after http_before
       http_after http_reduction susp_arena susp_copy susp_copies pac_bytes
-      pac_instrs dns_script_alloc_before script_bytes
+      pac_instrs dns_script_alloc_before script_bytes keys
   in
   Bench_util.write_file_atomic "BENCH_micro.json" json;
   print_endline "frame-arena + allocation data written to BENCH_micro.json"
@@ -619,4 +667,6 @@ let run () =
   print_newline ();
   let script = dns_script_bench () in
   print_newline ();
-  write_micro_json arena dns http susp pac script
+  let keys = key_fw_bench () in
+  print_newline ();
+  write_micro_json arena dns http susp pac script keys

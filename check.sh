@@ -155,6 +155,13 @@ grep -q '"dns_script_alloc_bytes_per_txn"' BENCH_micro.json
 # allocated bytes per transaction (a deterministic count; ~1,570
 # measured, 11,240 before frame slots and column-ordered log rows).
 awk -F': ' '/"dns_script_alloc_bytes_per_txn"/ { if ($2+0 > 5000) exit 1 }' BENCH_micro.json
+grep -q '"key_tuple_addr_bytes"' BENCH_micro.json
+grep -q '"fw_line_bytes"' BENCH_micro.json
+# The firewall's per-packet formatting: a binary tuple<addr,addr> set key
+# and one decision line, in allocated bytes per call (deterministic
+# counts; 48 and 200 measured, 1,240 and ~920 with text keys and Printf).
+awk -F': ' '/"key_tuple_addr_bytes"/ { if ($2+0 > 64) exit 1 }' BENCH_micro.json
+awk -F': ' '/"fw_line_bytes"/ { if ($2+0 > 256) exit 1 }' BENCH_micro.json
 
 echo "== bench vmopt (writes BENCH_vmopt.json)"
 dune exec bench/main.exe -- vmopt --quick

@@ -676,12 +676,17 @@ let run_dns_src ~(kind : dns_kind) ~(sink : Events.sink) ?idle_timeout
    shard owning that pair's state, and per-shard trace clocks advance
    independently without changing any decision. *)
 
+(** One decision line, ["<ns> <src> > <dst> allow|deny"], built in one
+    buffer. *)
 let fw_line ~ts ~src ~dst allowed =
-  Printf.sprintf "%Ld %s > %s %s"
-    (Hilti_types.Time_ns.to_ns ts)
-    (Hilti_types.Addr.to_string src)
-    (Hilti_types.Addr.to_string dst)
-    (if allowed then "allow" else "deny")
+  let b = Buffer.create 64 in
+  Hilti_types.Digits.add_int64 b (Hilti_types.Time_ns.to_ns ts);
+  Buffer.add_char b ' ';
+  Hilti_types.Addr.add_to_buffer b src;
+  Buffer.add_string b " > ";
+  Hilti_types.Addr.add_to_buffer b dst;
+  Buffer.add_string b (if allowed then " allow" else " deny");
+  Buffer.contents b
 
 (** Run every frame of [src] through a firewall, emitting one decision
     line per IP packet via [emit], in trace order.  [mk_fw] builds each

@@ -27,11 +27,6 @@ let read_addr s off =
   done;
   Addr.of_ipv6_int64s !hi !lo
 
-let write_addr b off a =
-  let hi, lo = Addr.halves a in
-  Bytes.set_int64_be b off hi;
-  Bytes.set_int64_be b (off + 8) lo
-
 let decode s =
   Wire.need s 0 header_len "ipv6";
   let w0 = Wire.get_u32 s 0 in
@@ -56,7 +51,7 @@ let encode ?(hop_limit = 64) ~next_header ~src ~dst payload =
   Wire.set_u16 b 4 (String.length payload);
   Wire.set_u8 b 6 next_header;
   Wire.set_u8 b 7 hop_limit;
-  write_addr b 8 src;
-  write_addr b 24 dst;
+  Addr.write_be b 8 src;
+  Addr.write_be b 24 dst;
   Bytes.blit_string payload 0 b header_len (String.length payload);
   Bytes.to_string b

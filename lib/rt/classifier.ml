@@ -202,16 +202,14 @@ open Hilti_types
 
 (** Encode an address as a 16-byte big-endian field (IPv4 mapped). *)
 let field_of_addr ?plen a =
-  let hi, lo = Addr.halves a in
   let b = Bytes.create 16 in
-  Bytes.set_int64_be b 0 hi;
-  Bytes.set_int64_be b 8 lo;
+  Addr.write_be b 0 a;
   let plen =
     match plen with
     | Some p -> if Addr.is_ipv4 a then 96 + p else p
     | None -> 128
   in
-  field_of_string ~plen (Bytes.to_string b)
+  field_of_string ~plen (Bytes.unsafe_to_string b)
 
 let field_of_network n =
   field_of_addr ~plen:(Network.length n) (Network.prefix n)
@@ -219,7 +217,7 @@ let field_of_network n =
 let field_of_port p =
   let b = Bytes.create 2 in
   Bytes.set_uint16_be b 0 (Port.number p);
-  field_of_string (Bytes.to_string b)
+  field_of_string (Bytes.unsafe_to_string b)
 
 let key_of_addr a = (field_of_addr a).data
 let key_of_port p = (field_of_port p).data

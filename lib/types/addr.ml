@@ -34,7 +34,11 @@ let is_ipv4 t = t.family = IPv4
 (** Low 32 bits as an unsigned int; meaningful for IPv4 addresses. *)
 let to_ipv4_int t = Int64.to_int (Int64.logand t.lo 0xffff_ffffL)
 
-let halves t = (t.hi, t.lo)
+(** Write the 128 bits as 16 big-endian bytes at [off] of [b]: the binary
+    form of classifier fields and container keys. *)
+let write_be b off t =
+  Bytes.set_int64_be b off t.hi;
+  Bytes.set_int64_be b (off + 8) t.lo
 
 let compare a b =
   let c = Int64.unsigned_compare a.hi b.hi in

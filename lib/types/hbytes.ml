@@ -80,6 +80,10 @@ let frozen_of_string s =
   }
 
 let length t = t.len
+
+(** Copy the retained window into [dst] at [pos]. *)
+let blit_to_bytes t dst pos = Bytes.blit t.buf t.off dst pos t.len
+
 let start_offset t = t.base
 let end_offset t = t.base + t.len
 let is_frozen t = t.frozen

@@ -6,7 +6,10 @@
     (ints, addresses, tuples, ...) are immutable.
 
     Map and set keys are canonicalized through {!key_string}, giving the
-    hash-of-value semantics HILTI requires for its containers. *)
+    hash-of-value semantics HILTI requires for its containers.  Keys are
+    binary and self-delimiting (a type tag, then fixed-width or
+    length-prefixed fields), and two values share a key exactly when they
+    are {!equal}. *)
 
 open Hilti_types
 
@@ -206,29 +209,125 @@ let rec to_string = function
 
 exception Not_hashable of string
 
-(** Canonical byte encoding of a hashable value, used as map/set key. *)
-let rec key_string v =
+(* Keys are binary.  Each starts with a one-byte tag; fixed-width fields
+   follow big-endian, and strings, bytes and type names carry a varint
+   length, so every key is self-delimiting and a tuple is its arity
+   followed by its elements' keys.  [key_size] sizes a key and [put_key]
+   writes it, so a key costs exactly one string allocation. *)
+
+let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
+
+let rec put_varint b off n =
+  if n < 0x80 then begin
+    Bytes.unsafe_set b off (Char.unsafe_chr n);
+    off + 1
+  end
+  else begin
+    Bytes.unsafe_set b off (Char.unsafe_chr (n land 0x7f lor 0x80));
+    put_varint b (off + 1) (n lsr 7)
+  end
+
+let put_tag b off c =
+  Bytes.unsafe_set b off c;
+  off + 1
+
+let put_int64 b off tag i =
+  Bytes.unsafe_set b off tag;
+  Bytes.set_int64_be b (off + 1) i;
+  off + 9
+
+let put_string b off tag s =
+  let n = String.length s in
+  let off = put_varint b (put_tag b off tag) n in
+  Bytes.blit_string s 0 b off n;
+  off + n
+
+let sized_string_size s = varint_size (String.length s) + String.length s
+
+(* [-0.0] is [equal] to [0.0], so both key as [0.0]; every NaN keys as the
+   one canonical NaN. *)
+let double_bits d =
+  if d = 0.0 then 0L
+  else if Float.is_nan d then Int64.bits_of_float Float.nan
+  else Int64.bits_of_float d
+
+let rec key_size v =
   match v with
-  | Bool b -> if b then "b1" else "b0"
-  | Int i -> "i" ^ Int64.to_string i
-  | Double d -> "d" ^ string_of_float d
-  | String s -> "s" ^ s
-  | Bytes b -> "y" ^ Hbytes.to_string b
-  | Addr a ->
-      let hi, lo = Addr.halves a in
-      Printf.sprintf "a%Lx.%Lx" hi lo
-  | Port p -> "p" ^ Port.to_string p
-  | Net n -> "n" ^ Network.to_string n
-  | Time t -> "t" ^ Int64.to_string (Time_ns.to_ns t)
-  | Interval i -> "v" ^ Int64.to_string (Interval_ns.to_ns i)
-  | Enum (n, x, u) -> Printf.sprintf "e%s:%d:%b" n x u
-  | Bitset (n, bits) -> Printf.sprintf "B%s:%Lx" n bits
+  | Null -> 1
+  | Bool _ -> 2
+  | Int _ | Double _ | Time _ | Interval _ -> 9
+  | String s -> 1 + sized_string_size s
+  | Bytes b -> 1 + varint_size (Hbytes.length b) + Hbytes.length b
+  | Addr _ -> 17
+  | Port _ -> 4
+  | Net _ -> 18
+  | Enum (n, _, _) -> 1 + sized_string_size n + 9
+  | Bitset (n, _) -> 1 + sized_string_size n + 8
   | Tuple vs ->
-      "("
-      ^ String.concat "\x00" (Array.to_list (Array.map key_string vs))
-      ^ ")"
-  | Null -> "0"
+      let size = ref (1 + varint_size (Array.length vs)) in
+      for i = 0 to Array.length vs - 1 do
+        size := !size + key_size (Array.unsafe_get vs i)
+      done;
+      !size
   | _ -> raise (Not_hashable (to_string v))
+
+(* The family picks the tag: [Addr.equal] tells an IPv4 address from its
+   [::ffff:] IPv6 spelling, so their keys differ too. *)
+let addr_tag a = if Addr.is_ipv4 a then 'a' else 'A'
+
+let port_proto_byte p =
+  match Port.proto p with Port.TCP -> '\000' | Port.UDP -> '\001' | Port.ICMP -> '\002'
+
+let rec put_key b off v =
+  match v with
+  | Null -> put_tag b off '0'
+  | Bool x -> put_tag b (put_tag b off 'b') (if x then '\001' else '\000')
+  | Int i -> put_int64 b off 'i' i
+  | Double d -> put_int64 b off 'd' (double_bits d)
+  | Time t -> put_int64 b off 't' (Time_ns.to_ns t)
+  | Interval i -> put_int64 b off 'v' (Interval_ns.to_ns i)
+  | String s -> put_string b off 's' s
+  | Bytes x ->
+      let n = Hbytes.length x in
+      let off = put_varint b (put_tag b off 'y') n in
+      Hbytes.blit_to_bytes x b off;
+      off + n
+  | Addr a ->
+      Addr.write_be b (put_tag b off (addr_tag a)) a;
+      off + 17
+  | Port p ->
+      let off = put_tag b off 'p' in
+      Bytes.set_uint16_be b off (Port.number p);
+      put_tag b (off + 2) (port_proto_byte p)
+  | Net n ->
+      let a = Network.prefix n in
+      Addr.write_be b (put_tag b off (if Addr.is_ipv4 a then 'n' else 'N')) a;
+      Bytes.unsafe_set b (off + 17) (Char.unsafe_chr (Network.length n));
+      off + 18
+  | Enum (n, x, undef) ->
+      let off = put_string b off 'e' n in
+      Bytes.set_int64_be b off (Int64.of_int x);
+      put_tag b (off + 8) (if undef then '\001' else '\000')
+  | Bitset (n, bits) ->
+      let off = put_string b off 'B' n in
+      Bytes.set_int64_be b off bits;
+      off + 8
+  | Tuple vs ->
+      let off = ref (put_varint b (put_tag b off '(') (Array.length vs)) in
+      for i = 0 to Array.length vs - 1 do
+        off := put_key b !off (Array.unsafe_get vs i)
+      done;
+      !off
+  | _ -> raise (Not_hashable (to_string v))
+
+(** Canonical binary key of a hashable value, used as map/set key.  For
+    hashable values other than NaN, [key_string a = key_string b] exactly
+    when [equal a b]; all NaNs share one key, although NaN is [equal] to
+    nothing.  Raises [Not_hashable] on heap values. *)
+let key_string v =
+  let b = Bytes.create (key_size v) in
+  ignore (put_key b 0 v : int);
+  Bytes.unsafe_to_string b
 
 (* ---- Equality -------------------------------------------------------------------- *)
 

@@ -1158,7 +1158,7 @@ and classifier_field_of_value (v : Value.t) : Hilti_rt.Classifier.field =
   | Value.Int i ->
       let b = Bytes.create 8 in
       Bytes.set_int64_be b 0 i;
-      Hilti_rt.Classifier.field_of_string (Bytes.to_string b)
+      Hilti_rt.Classifier.field_of_string (Bytes.unsafe_to_string b)
   | Value.Bool b_ ->
       Hilti_rt.Classifier.field_of_string (if b_ then "\x01" else "\x00")
   | Value.Bytes b -> Hilti_rt.Classifier.field_of_string (Hbytes.to_string b)

@@ -80,9 +80,151 @@ let test_value_key_string () =
   let k3 = key_string (Tuple [| Addr (Hilti_types.Addr.of_string "1.2.3.5"); Int 80L |]) in
   Alcotest.(check string) "stable" k1 k2;
   Alcotest.(check bool) "distinct" true (k1 <> k3);
+  let bytes s = Bytes (Hilti_types.Hbytes.of_string s) in
+  Alcotest.(check bool) "bytes elements are length-delimited" true
+    (key_string (Tuple [| bytes "x\000yz"; bytes "w" |])
+    <> key_string (Tuple [| bytes "x"; bytes "z\000yw" |]));
+  Alcotest.(check bool) "0.1 + 0.2 and 0.3 differ" true
+    (key_string (Double (0.1 +. 0.2)) <> key_string (Double 0.3));
+  Alcotest.(check string) "-0.0 keys as 0.0" (key_string (Double 0.0))
+    (key_string (Double (-0.0)));
+  Alcotest.(check string) "all NaNs share one key" (key_string (Double Float.nan))
+    (key_string (Double (-.Float.nan)));
+  Alcotest.(check int) "tuple<addr,addr> key size" 36
+    (String.length
+       (key_string
+          (Tuple
+             [| Addr (Hilti_types.Addr.of_string "1.2.3.4");
+                Addr (Hilti_types.Addr.of_string "::1") |])));
   match key_string (List (Deque.create ())) with
   | exception Value.Not_hashable _ -> ()
   | _ -> Alcotest.fail "list used as key"
+
+(* The same two tuples as container keys in a compiled program: the set
+   must hold them as two elements. *)
+let test_value_keys_in_set () =
+  let src =
+    {|
+module M
+
+global ref<set<tuple<ref<bytes>, ref<bytes>>>> s
+
+void init () {
+    s = new set<tuple<ref<bytes>, ref<bytes>>>
+}
+
+void add (ref<bytes> a, ref<bytes> b) {
+    set.insert s (a, b)
+}
+
+bool has (ref<bytes> a, ref<bytes> b) {
+    local bool r
+    r = set.exists s (a, b)
+    return r
+}
+|}
+  in
+  let module H = Hilti_vm.Host_api in
+  let api = H.compile [ Hilti_lang.Parser.parse_module src ] in
+  let bytes s = Value.Bytes (Hilti_types.Hbytes.of_string s) in
+  ignore (H.call api "M::init" []);
+  ignore (H.call api "M::add" [ bytes "x\000yz"; bytes "w" ]);
+  let has a b = Value.as_bool (H.call api "M::has" [ bytes a; bytes b ]) in
+  Alcotest.(check bool) "inserted pair" true (has "x\000yz" "w");
+  Alcotest.(check bool) "colliding pair absent" false (has "x" "z\000yw")
+
+(* Keys agree with [Value.equal] on every hashable kind but NaN.  Each
+   kind draws from a small domain, and most pairs put values of the same
+   kind at the same place, so equal pairs and near misses (-0.0 and 0.0,
+   an IPv4 address and its ::ffff: spelling) are common.  Strings hold
+   NULs and the string and bytes tags, so unprefixed elements would
+   collide. *)
+let key_chars = QCheck.Gen.oneofl [ '\000'; 's'; 'y' ]
+
+let key_kinds =
+  let open QCheck.Gen in
+  let module T = Hilti_types in
+  let str = string_size ~gen:key_chars (int_bound 2) in
+  let trimmed s =
+    (* A window that does not start at offset 0 of its buffer. *)
+    let h = T.Hbytes.of_string ("zz" ^ s) in
+    T.Hbytes.trim_front h 2;
+    h
+  in
+  let addr =
+    oneof
+      [ map (fun d -> T.Addr.of_ipv4_octets 10 0 0 d) (int_bound 1);
+        map (fun lo -> T.Addr.of_ipv6_int64s 0L lo)
+          (oneofl [ 1L; 0xffff_0a00_0000L; 0xffff_0a00_0001L ]) ]
+  in
+  let double =
+    oneofl
+      [ 0.0; -0.0; 0.1 +. 0.2; 0.3; 1.0; Float.succ 1.0; Float.pred 1.0;
+        Float.min_float; infinity; neg_infinity ]
+  in
+  let i64 = map Int64.of_int (int_range (-1) 1) in
+  [| return Value.Null;
+     map (fun b -> Value.Bool b) bool;
+     map (fun i -> Value.Int i) i64;
+     map (fun i -> Value.Time (T.Time_ns.of_ns i)) i64;
+     map (fun i -> Value.Interval (T.Interval_ns.of_ns i)) i64;
+     map (fun d -> Value.Double d) double;
+     map (fun s -> Value.String s) str;
+     map2 (fun trim s -> Value.Bytes (if trim then trimmed s else T.Hbytes.of_string s)) bool str;
+     map (fun a -> Value.Addr a) addr;
+     map2
+       (fun n p -> Value.Port (T.Port.make n p))
+       (oneofl [ 53; 65535 ])
+       (oneofl [ T.Port.TCP; T.Port.UDP; T.Port.ICMP ]);
+     map2 (fun a l -> Value.Net (T.Network.make a l)) addr (oneofl [ 0; 32 ]);
+     map3 (fun n v u -> Value.Enum (n, v, u)) (oneofl [ "E"; "E2" ]) (int_bound 1) bool;
+     map2 (fun n b -> Value.Bitset (n, b)) (oneofl [ "B"; "B2" ]) i64 |]
+
+(* A pair of values of one shape: tuples of equal arity, with scalars of
+   one kind at each leaf. *)
+let rec gen_key_twins depth =
+  let open QCheck.Gen in
+  let leaf = int_bound (Array.length key_kinds - 1) >>= fun k -> pair key_kinds.(k) key_kinds.(k) in
+  if depth = 0 then leaf
+  else
+    frequency
+      [ (2, leaf);
+        ( 1,
+          list_size (int_bound 3) (gen_key_twins (depth - 1)) >|= fun l ->
+          let tuple f = Value.Tuple (Array.of_list (List.map f l)) in
+          (tuple fst, tuple snd) ) ]
+
+let prop_key_string_agrees_with_equal =
+  let open QCheck in
+  let any = Gen.map fst (gen_key_twins 2) in
+  (* The same elements grouped into different tuples. *)
+  let regrouped =
+    Gen.map
+      (fun (x, y) -> Value.(Tuple [| Tuple [| x |]; y |], Tuple [| Tuple [| x; y |] |]))
+      (Gen.pair any any)
+  in
+  (* The same characters split differently between two elements. *)
+  let resplit =
+    Gen.(
+      map3
+        (fun (bytes, c) i j ->
+          let mk s = if bytes then Value.Bytes (Hilti_types.Hbytes.of_string s) else Value.String s in
+          let split k =
+            let k = k mod (String.length c + 1) in
+            Value.Tuple [| mk (String.sub c 0 k); mk (String.sub c k (String.length c - k)) |]
+          in
+          (split i, split j))
+        (pair bool (string_size ~gen:key_chars (int_bound 5)))
+        small_nat small_nat)
+  in
+  let gen =
+    Gen.frequency
+      [ (6, gen_key_twins 2); (2, Gen.pair any any); (1, regrouped); (1, resplit) ]
+  in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~name:"value: key_string a = key_string b <=> equal a b" ~count:2000
+       (make ~print:(fun (a, b) -> Value.to_string a ^ " / " ^ Value.to_string b) gen)
+       (fun (a, b) -> Value.key_string a = Value.key_string b = Value.equal a b))
 
 let test_value_deep_copy () =
   let open Value in
@@ -236,6 +378,8 @@ let suite =
     Alcotest.test_case "dynarray" `Quick test_dynarray;
     Alcotest.test_case "value equality" `Quick test_value_equality;
     Alcotest.test_case "value canonical keys" `Quick test_value_key_string;
+    Alcotest.test_case "value keys in a compiled set" `Quick test_value_keys_in_set;
+    prop_key_string_agrees_with_equal;
     Alcotest.test_case "value deep copy" `Quick test_value_deep_copy;
     Alcotest.test_case "value struct layout" `Quick test_value_struct_layout;
     Alcotest.test_case "log columns" `Quick test_log_columns_and_missing;

@@ -237,22 +237,27 @@ let dns_pac_bench () =
     (Int64.to_float ns /. float_of_int (reps * n));
   (bytes, instrs)
 
-(* ---- Interpreted DNS scripts: allocation per transaction ------------------ *)
+(* ---- DNS scripts: allocation per transaction ------------------------------- *)
 
-(* The bundled [Bro_scripts.dns] handlers under the standard interpreter,
-   replaying a fixed dns_request/dns_reply stream recorded once from the
-   1,500-transaction trace.  The event arguments are built before the
-   measurement, so the count covers network-time updates, handler
-   dispatch and the log rows only.  Allocation is a count, not a time, so
-   it is deterministic for a given tree. *)
+(* The bundled [Bro_scripts.dns] handlers under [mode] (the standard
+   interpreter or the scripts compiled to HILTI), replaying a fixed
+   dns_request/dns_reply stream recorded once from the 1,500-transaction
+   trace.  The event arguments are built before the measurement, so the
+   count covers network-time updates, handler dispatch (for compiled
+   scripts, the Bro-to-HILTI argument glue too) and the log rows only.
+   Allocation is a count, not a time, so it is deterministic for a given
+   tree. *)
 (* The same measurement on the interpreter before scripts were resolved at
    load (per-call [Hashtbl] scopes, name lookup, [Printf] renderers and an
    intermediate record per [Log::write]); that interpreter no longer
    exists, so its figure is recorded here. *)
 let dns_script_alloc_before = 11239.6
 
-let dns_script_bench () =
-  Bench_util.header "interpreted DNS scripts: bytes per transaction";
+let dns_script_bench mode =
+  Bench_util.header
+    (match mode with
+    | Mini_bro.Bro_engine.Interpreted -> "interpreted DNS scripts: bytes per transaction"
+    | Compiled -> "compiled DNS scripts: bytes per transaction");
   let module D = Hilti_analyzers.Driver in
   let cfg = { Hilti_traces.Dns_gen.default with transactions = 1500; seed = 7 } in
   let records = (Hilti_traces.Dns_gen.generate cfg).Hilti_traces.Dns_gen.records in
@@ -273,7 +278,7 @@ let dns_script_bench () =
   let load () =
     let logger = Mini_bro.Bro_log.create () in
     Mini_bro.Bro_scripts.setup_logs logger;
-    let e = Mini_bro.Bro_engine.load ~logger Mini_bro.Bro_engine.Interpreted script in
+    let e = Mini_bro.Bro_engine.load ~logger mode script in
     Mini_bro.Bro_engine.dispatch e "bro_init" [];
     (e, logger)
   in
@@ -301,44 +306,70 @@ let dns_script_bench () =
 
 (* ---- Firewall fast path: container keys and decision lines ---------------- *)
 
-(* ns and allocated bytes per call of [Value.key_string] on the key shapes
-   the firewall and the DNS scripts hash, and of [Driver.fw_line].  Bytes
-   come from [Gc.minor_words] over [n] calls, so they repeat exactly. *)
+(* ns and allocated bytes per call of [f] over 200k calls, as a bench
+   row.  Bytes come from [Gc.minor_words], so they repeat exactly. *)
+let per_call_row name f =
+  let n = 200_000 in
+  let f () = ignore (Sys.opaque_identity (f ())) in
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do f () done;
+  let bytes =
+    (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) /. float_of_int n
+  in
+  let (), ns =
+    Bench_util.time_ns (fun () ->
+        for _ = 1 to n do f () done)
+  in
+  let ns = Int64.to_float ns /. float_of_int n in
+  Printf.printf "  %-16s %8.1f ns/call %8.1f bytes/call\n" name ns bytes;
+  (name, ns, bytes)
+
+(* [Value.key_string] on the key shapes the firewall and the DNS scripts
+   hash, and [Driver.fw_line], per call. *)
 let key_fw_bench () =
   Bench_util.header "firewall fast path: key_string and fw_line per call";
   let module V = Hilti_vm.Value in
   let module T = Hilti_types in
-  let n = 200_000 in
-  let per_call f =
-    f ();
-    let before = Gc.minor_words () in
-    for _ = 1 to n do f () done;
-    let bytes =
-      (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) /. float_of_int n
-    in
-    let (), ns =
-      Bench_util.time_ns (fun () ->
-          for _ = 1 to n do f () done)
-    in
-    (Int64.to_float ns /. float_of_int n, bytes)
-  in
   let src = T.Addr.of_string "10.1.2.3" and dst = T.Addr.of_string "192.168.100.200" in
   let pair = V.Tuple [| V.Addr src; V.Addr dst |] in
   let int = V.Int 28L in
   let bytes = V.Bytes (T.Hbytes.of_string "www.example.com") in
   let ts = T.Time_ns.of_ns 1_400_000_123_456_789L in
-  let rows =
+  List.map
+    (fun (name, f) -> per_call_row name f)
     [ ("key_tuple_addr", fun () -> V.key_string pair);
       ("key_int", fun () -> V.key_string int);
       ("key_bytes", fun () -> V.key_string bytes);
       ("fw_line", fun () -> Hilti_analyzers.Driver.fw_line ~ts ~src ~dst true) ]
+
+(* ---- Compiled-script glue: one event argument ----------------------------- *)
+
+(* The [connection] argument of every event, converted to its HILTI struct
+   by the converter the compiled engine resolved at load for
+   [dns_request]'s first parameter. *)
+let glue_bench () =
+  Bench_util.header "compiled-script glue: one typed connection conversion per call";
+  let module T = Hilti_types in
+  let conv =
+    match
+      Mini_bro.Bro_engine.load Mini_bro.Bro_engine.Compiled
+        (Mini_bro.Bro_scripts.parse_dns ())
+    with
+    | Mini_bro.Bro_engine.Comp c ->
+        (Hashtbl.find c.Mini_bro.Bro_engine.handled "dns_request").Mini_bro.Bro_engine.convs.(0)
+    | Mini_bro.Bro_engine.Interp _ -> assert false
   in
-  List.map
-    (fun (name, f) ->
-      let ns, b = per_call (fun () -> ignore (Sys.opaque_identity (f ()))) in
-      Printf.printf "  %-16s %8.1f ns/call %8.1f bytes/call\n" name ns b;
-      (name, ns, b))
-    rows
+  let flow =
+    Hilti_net.Flow.make ~src:(T.Addr.of_string "10.1.2.3")
+      ~dst:(T.Addr.of_string "192.168.100.200") ~src_port:(T.Port.udp 40000)
+      ~dst_port:(T.Port.udp 53)
+  in
+  let c =
+    Hilti_analyzers.Events.connection_val ~uid:"CHhAvVGS1DHFjwGM9" ~flow
+      ~start_time:(T.Time_ns.of_ns 1_400_000_123_456_789L)
+  in
+  [ per_call_row "glue_connection" (fun () -> conv c) ]
 
 (* ---- Zero-copy parse-path allocation: HTTP -------------------------------- *)
 
@@ -527,13 +558,14 @@ let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
       dns_e2e_before,
       dns_e2e_after )
     (http_before, http_after, http_reduction)
-    (susp_arena, susp_copy, susp_copies) (pac_bytes, pac_instrs) script_bytes keys =
-  let keys =
+    (susp_arena, susp_copy, susp_copies) (pac_bytes, pac_instrs) script_bytes
+    compiled_script_bytes rows =
+  let rows =
     String.concat ""
       (List.map
          (fun (name, ns, b) ->
            Printf.sprintf ",\n  \"%s_ns\": %.1f,\n  \"%s_bytes\": %.1f" name ns name b)
-         keys)
+         rows)
   in
   let json =
     Printf.sprintf
@@ -556,11 +588,12 @@ let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
        \"dns_pac_alloc_bytes_per_packet\": %.1f,\n  \
        \"dns_pac_instrs_per_packet\": %.1f,\n  \
        \"dns_script_alloc_bytes_per_txn_before\": %.1f,\n  \
-       \"dns_script_alloc_bytes_per_txn\": %.1f%s\n}\n"
+       \"dns_script_alloc_bytes_per_txn\": %.1f,\n  \
+       \"dns_compiled_script_alloc_bytes_per_txn\": %.1f%s\n}\n"
       alloc_copy alloc_reuse alloc_reduction dns_before dns_after dns_reduction
       dns_parse_before dns_parse_after dns_e2e_before dns_e2e_after http_before
       http_after http_reduction susp_arena susp_copy susp_copies pac_bytes
-      pac_instrs dns_script_alloc_before script_bytes keys
+      pac_instrs dns_script_alloc_before script_bytes compiled_script_bytes rows
   in
   Bench_util.write_file_atomic "BENCH_micro.json" json;
   print_endline "frame-arena + allocation data written to BENCH_micro.json"
@@ -665,8 +698,12 @@ let run () =
   print_newline ();
   let pac = dns_pac_bench () in
   print_newline ();
-  let script = dns_script_bench () in
+  let script = dns_script_bench Mini_bro.Bro_engine.Interpreted in
+  print_newline ();
+  let compiled_script = dns_script_bench Mini_bro.Bro_engine.Compiled in
   print_newline ();
   let keys = key_fw_bench () in
   print_newline ();
-  write_micro_json arena dns http susp pac script keys
+  let glue = glue_bench () in
+  print_newline ();
+  write_micro_json arena dns http susp pac script compiled_script (keys @ glue)

@@ -162,6 +162,14 @@ grep -q '"fw_line_bytes"' BENCH_micro.json
 # counts; 48 and 200 measured, 1,240 and ~920 with text keys and Printf).
 awk -F': ' '/"key_tuple_addr_bytes"/ { if ($2+0 > 64) exit 1 }' BENCH_micro.json
 awk -F': ' '/"fw_line_bytes"/ { if ($2+0 > 256) exit 1 }' BENCH_micro.json
+grep -q '"glue_connection_bytes"' BENCH_micro.json
+grep -q '"dns_compiled_script_alloc_bytes_per_txn"' BENCH_micro.json
+# Compiled-script glue resolved at load: one typed `connection` argument
+# conversion and the compiled DNS handlers per transaction, in allocated
+# bytes (deterministic counts; 328 and ~5,770 measured, 2,152 and ~12,680
+# when each record was rebuilt by name in its own profiler window).
+awk -F': ' '/"glue_connection_bytes"/ { if ($2+0 > 512) exit 1 }' BENCH_micro.json
+awk -F': ' '/"dns_compiled_script_alloc_bytes_per_txn"/ { if ($2+0 > 8000) exit 1 }' BENCH_micro.json
 
 echo "== bench vmopt (writes BENCH_vmopt.json)"
 dune exec bench/main.exe -- vmopt --quick

@@ -7,14 +7,78 @@
 open Binpacxx
 module V = Hilti_vm.Value
 
-type t = { parser : Runtime.t }
+(* A unit field resolved at load: its unit's layout in the parser's
+   program and its slot there (-1 when the grammar lacks it). *)
+type field = { layout : V.layout; slot : int }
+
+type fields = {
+  id : field;
+  flags : field;
+  questions : field;
+  answers : field;
+  qname : field;
+  qtype : field;
+  rtype : field;
+  ttl : field;
+  rdlength : field;
+  rdata_a : field;
+  rdata_name : field;
+  rdata_mx_pref : field;
+  rdata_mx_name : field;
+  rdata_txt : field;
+}
+
+(* One per loaded parser, so a [t] belongs to one domain, as its parser
+   does: sharded runs load one per shard. *)
+type t = {
+  parser : Runtime.t;
+  fields : fields;
+  buf : Buffer.t;  (** scratch for A-record text *)
+}
 
 let load ?(specialize = true) () : t =
-  { parser = Runtime.load ~specialize (Grammars.parse_dns ()) }
+  let parser = Runtime.load ~specialize (Grammars.parse_dns ()) in
+  let field unit =
+    match Hilti_vm.Host_api.struct_layout parser.Runtime.api ("DNS::" ^ unit) with
+    | Some layout -> fun name -> { layout; slot = V.field_index layout name }
+    | None -> invalid_arg ("Dns_pac.load: the DNS grammar has no unit " ^ unit)
+  in
+  let m = field "Message" and q = field "Question" and rr = field "RR" in
+  let fields =
+    {
+      id = m "id";
+      flags = m "flags";
+      questions = m "questions";
+      answers = m "answers";
+      qname = q "qname";
+      qtype = q "qtype";
+      rtype = rr "rtype";
+      ttl = rr "ttl";
+      rdlength = rr "rdlength";
+      rdata_a = rr "rdata_a";
+      rdata_name = rr "rdata_name";
+      rdata_mx_pref = rr "rdata_mx_pref";
+      rdata_mx_name = rr "rdata_mx_name";
+      rdata_txt = rr "rdata_txt";
+    }
+  in
+  { parser; fields; buf = Buffer.create 16 }
 
-let sint = Runtime.int_or_zero
-let sbytes = Runtime.bytes_or_empty
-let slist = Runtime.list_or_empty
+(* Field [f] of unit value [v], read from its slot; {!V.unset} when the
+   field is missing or unset, or [v] is not a struct of [f]'s unit. *)
+let get f v =
+  match v with
+  | V.Struct s when s.V.layout == f.layout && f.slot >= 0 -> Array.unsafe_get s.V.slots f.slot
+  | _ -> V.unset
+
+(* Lenient reads for event glue, as {!Runtime.int_or_zero} and friends: a
+   missing, unset or mistyped field reads as empty or zero. *)
+let sint f v = match get f v with V.Int i -> Int64.to_int i | _ -> 0
+
+let sbytes f v =
+  match get f v with V.Bytes b -> Hilti_types.Hbytes.to_string b | _ -> ""
+
+let slist f v = match get f v with V.List d -> Hilti_vm.Deque.to_list d | _ -> []
 
 (* Decode all character-strings of a raw TXT rdata. *)
 let txt_strings raw =
@@ -27,22 +91,31 @@ let txt_strings raw =
   in
   go 0 []
 
-let render_rr st =
-  let rtype = sint st "rtype" in
-  match rtype with
+(* An A record's address as "a.b.c.d", rendered in [b]. *)
+let dotted_quad b a =
+  Buffer.clear b;
+  Hilti_types.Digits.add_int b ((a lsr 24) land 0xff);
+  Buffer.add_char b '.';
+  Hilti_types.Digits.add_int b ((a lsr 16) land 0xff);
+  Buffer.add_char b '.';
+  Hilti_types.Digits.add_int b ((a lsr 8) land 0xff);
+  Buffer.add_char b '.';
+  Hilti_types.Digits.add_int b (a land 0xff);
+  Buffer.contents b
+
+let render_rr t rr =
+  let f = t.fields in
+  match sint f.rtype rr with
   | 1 -> (
-      match V.field st "rdata_a" with
-      | Some (V.Int a) ->
-          let a = Int64.to_int a in
-          Printf.sprintf "%d.%d.%d.%d" ((a lsr 24) land 0xff) ((a lsr 16) land 0xff)
-            ((a lsr 8) land 0xff) (a land 0xff)
-      | _ -> Printf.sprintf "<rd:%d bytes>" (sint st "rdlength"))
-  | 2 | 5 | 12 -> sbytes st "rdata_name"
-  | 15 -> Printf.sprintf "%d %s" (sint st "rdata_mx_pref") (sbytes st "rdata_mx_name")
+      match get f.rdata_a rr with
+      | V.Int a -> dotted_quad t.buf (Int64.to_int a)
+      | _ -> Printf.sprintf "<rd:%d bytes>" (sint f.rdlength rr))
+  | 2 | 5 | 12 -> sbytes f.rdata_name rr
+  | 15 -> Printf.sprintf "%d %s" (sint f.rdata_mx_pref rr) (sbytes f.rdata_mx_name rr)
   | 16 ->
       (* All strings, space-joined — more than the standard parser. *)
-      String.concat " " (txt_strings (sbytes st "rdata_txt"))
-  | _ -> Printf.sprintf "<rd:%d bytes>" (sint st "rdlength")
+      String.concat " " (txt_strings (sbytes f.rdata_txt rr))
+  | _ -> Printf.sprintf "<rd:%d bytes>" (sint f.rdlength rr)
 
 type parsed =
   | Request of Events.dns_request
@@ -55,32 +128,32 @@ let rec parse_view (t : t) (v : Hilti_types.Hbytes.view) : parsed =
   | st ->
       (* Struct-to-event-argument conversion is HILTI-to-Bro glue. *)
       Hilti_rt.Profiler.time_exclusive Mini_bro.Bro_val.glue_profiler (fun () ->
-          convert st)
+          convert t st)
   | exception Runtime.Parse_failed _ -> Not_dns
 
-and convert st =
-      let id = sint st "id" in
-      let flags = sint st "flags" in
-      let is_response = flags land 0x8000 <> 0 in
-      if is_response then
-        let answers = slist st "answers" in
-        Reply
-          {
-            Events.r_id = id;
-            rcode = flags land 0xf;
-            answers = List.map render_rr answers;
-            ttls = List.map (fun rr -> sint rr "ttl") answers;
-          }
-      else
-        let q =
-          match slist st "questions" with q :: _ -> Some q | [] -> None
-        in
-        Request
-          {
-            Events.q_id = id;
-            query = (match q with Some q -> sbytes q "qname" | None -> "");
-            qtype = (match q with Some q -> sint q "qtype" | None -> 0);
-          }
+and convert t st =
+  let f = t.fields in
+  let id = sint f.id st in
+  let flags = sint f.flags st in
+  if flags land 0x8000 <> 0 then
+    let answers = slist f.answers st in
+    Reply
+      {
+        Events.r_id = id;
+        rcode = flags land 0xf;
+        answers = List.map (render_rr t) answers;
+        ttls = List.map (sint f.ttl) answers;
+      }
+  else
+    let q =
+      match get f.questions st with V.List d -> Hilti_vm.Deque.peek_front d | _ -> None
+    in
+    Request
+      {
+        Events.q_id = id;
+        query = (match q with Some q -> sbytes f.qname q | None -> "");
+        qtype = (match q with Some q -> sint f.qtype q | None -> 0);
+      }
 
 (** Parse one UDP payload given as a string (fuzzer oracle, tests). *)
 let parse (t : t) (payload : string) : parsed =

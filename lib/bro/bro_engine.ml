@@ -2,14 +2,18 @@
     either the standard script interpreter or the scripts compiled to
     HILTI (the [compile_scripts=T] switch of Fig. 8(c)).
 
-    For the compiled engine, every event dispatch converts Bro values into
-    HILTI values and runs the corresponding HILTI hook; script callouts
-    (print/fmt/logging/event queuing) come back through registered host
-    functions, which convert values with {!Bro_val.of_hilti_raw} and
-    {!Bro_val.to_hilti_raw} and call the interpreter's runtime library
-    ({!Bro_interp.apply_builtin}, {!Bro_val}'s renderers), so both engines
-    print, format and log alike.  Event-argument conversions run under the
-    "bro/glue" profiler — the glue-code cost Figures 9/10 single out. *)
+    For the compiled engine, the Bro-to-HILTI glue is resolved at load:
+    each handled event gets its HILTI hook name and one
+    {!Bro_val.converter} per declared parameter, with record layouts and
+    per-slot converters looked up once.  A dispatch is one table lookup,
+    the argument conversions under one "bro/glue" profiler window (the
+    glue-code cost Figures 9/10 single out), and the hook.  Script
+    callouts (print/fmt/logging/event queuing) come back through
+    registered host functions, which convert values with
+    {!Bro_val.of_hilti_raw} and {!Bro_val.to_hilti_raw} and call the
+    interpreter's runtime library ({!Bro_interp.apply_builtin},
+    {!Bro_val}'s renderers), so both engines print, format and log
+    alike. *)
 
 open Bro_ast
 
@@ -17,13 +21,18 @@ type mode = Interpreted | Compiled
 
 type compiled = {
   api : Hilti_vm.Host_api.t;
-  handled : (string, unit) Hashtbl.t;  (** events with at least one handler *)
+  handled : (string, entry) Hashtbl.t;  (** events with at least one handler *)
+  any : Bro_val.t -> Hilti_vm.Value.t;  (** the [T_any] converter *)
   clogger : Bro_log.t;
   mutable log_maps : log_map list;  (** per struct layout and stream *)
   mutable cprint : string -> unit;
   cqueue : (string * Bro_val.t list) Queue.t;
   mutable cnetwork_time : Hilti_types.Time_ns.t;
 }
+
+(* What a dispatch needs, resolved at load: the HILTI hook name and the
+   converters for the declared parameters of the first handler. *)
+and entry = { hook : string; convs : (Bro_val.t -> Hilti_vm.Value.t) array }
 
 (* The slots of [layout] in [stream]'s column order (-1: no such field),
    built for the column array [cols]. *)
@@ -74,12 +83,30 @@ let load ?(logger = Bro_log.create ()) ?(optimize = true) mode (script : script)
   | Compiled ->
       let m = Bro_compile.compile script in
       let api = Hilti_vm.Host_api.compile ~optimize [ m ] in
+      (* The compiled program's layout for a Bro record type: declared
+         types are [bro::<name>]; records converted back from HILTI already
+         carry the struct type's own name. *)
+      let layout_of rtype =
+        match Hilti_vm.Host_api.struct_layout api (Bro_compile.record_type rtype) with
+        | Some l -> Some l
+        | None -> Hilti_vm.Host_api.struct_layout api rtype
+      in
+      let conv (_, ty) =
+        Bro_val.converter ~layout_of ~record_fields:(find_record script) ty
+      in
       let handled = Hashtbl.create 16 in
-      List.iter (function D_event (n, _, _) -> Hashtbl.replace handled n () | _ -> ()) script;
+      List.iter
+        (function
+          | D_event (n, params, _) when not (Hashtbl.mem handled n) ->
+              let convs = Array.of_list (List.map conv params) in
+              Hashtbl.replace handled n { hook = Bro_compile.event_hook n; convs }
+          | _ -> ())
+        script;
       let c =
         {
           api;
           handled;
+          any = Bro_val.to_hilti_raw ~layout_of;
           clogger = logger;
           log_maps = [];
           cprint = print_endline;
@@ -120,7 +147,11 @@ let load ?(logger = Bro_log.create ()) ?(optimize = true) mode (script : script)
       reg "Bro::queue_event" (fun args ->
           match args with
           | V.String name :: rest ->
-              Queue.add (name, List.map Bro_val.of_hilti rest) c.cqueue;
+              let args =
+                Hilti_rt.Profiler.time_exclusive Bro_val.glue_profiler (fun () ->
+                    List.map Bro_val.of_hilti_raw rest)
+              in
+              Queue.add (name, args) c.cqueue;
               V.Null
           | _ -> raise (Bro_val.Bro_error "queue_event arity"));
       ignore (Hilti_vm.Host_api.call api "bro::init_globals" []);
@@ -128,22 +159,20 @@ let load ?(logger = Bro_log.create ()) ?(optimize = true) mode (script : script)
 
 (* ---- Dispatch -------------------------------------------------------------------- *)
 
-(* The compiled program's layout for a Bro record type: declared types are
-   [bro::<name>]; records converted back from HILTI already carry the
-   struct type's own name. *)
-let layout_of c rtype =
-  match Hilti_vm.Host_api.struct_layout c.api (Bro_compile.record_type rtype) with
-  | Some l -> Some l
-  | None -> Hilti_vm.Host_api.struct_layout c.api rtype
+(* [args] as HILTI values for [e], in one glue window; arguments beyond
+   the declared parameters take the [T_any] converter. *)
+let convert_args c e args =
+  Hilti_rt.Profiler.time_exclusive Bro_val.glue_profiler (fun () ->
+      let n = Array.length e.convs in
+      List.mapi (fun i a -> if i < n then (Array.unsafe_get e.convs i) a else c.any a) args)
 
 let rec dispatch (t : t) name (args : Bro_val.t list) =
   match t with
   | Interp i -> Bro_interp.dispatch i name args
   | Comp c ->
-      if Hashtbl.mem c.handled name then begin
-        let hargs = List.map (Bro_val.to_hilti ~layout_of:(layout_of c)) args in
-        Hilti_vm.Host_api.run_hook c.api (Bro_compile.event_hook name) hargs
-      end;
+      (match Hashtbl.find_opt c.handled name with
+      | Some e -> Hilti_vm.Host_api.run_hook c.api e.hook (convert_args c e args)
+      | None -> ());
       while not (Queue.is_empty c.cqueue) do
         let n, a = Queue.take c.cqueue in
         dispatch t n a
@@ -170,9 +199,13 @@ let call_function t name (args : Bro_val.t list) : Bro_val.t =
   match t with
   | Interp i -> Bro_interp.call_value i name args
   | Comp c ->
-      let hargs = List.map (Bro_val.to_hilti ~layout_of:(layout_of c)) args in
-      Bro_val.of_hilti
-        (Hilti_vm.Host_api.call c.api (Bro_compile.func_name name) hargs)
+      let hargs =
+        Hilti_rt.Profiler.time_exclusive Bro_val.glue_profiler (fun () ->
+            List.map c.any args)
+      in
+      let result = Hilti_vm.Host_api.call c.api (Bro_compile.func_name name) hargs in
+      Hilti_rt.Profiler.time_exclusive Bro_val.glue_profiler (fun () ->
+          Bro_val.of_hilti_raw result)
 
 (** Abstract cycles executed by the compiled engine (0 for interpreted). *)
 let cycles = function

@@ -208,83 +208,130 @@ let record_field r name =
 
 let glue_profiler = Hilti_rt.Profiler.create "bro/glue"
 
-(** Convert a Bro value to its HILTI representation.  Bro strings become
-    HILTI bytes (as in the real plugin, where script strings carry raw
-    payload data).  Records become structs of the layout [layout_of]
-    gives their record type — compiled code can only read a struct built
-    with its program's layout; without one (or when the record carries a
-    field the layout lacks) the struct gets its own layout of the sorted
-    field names, which only the host can read. *)
-let rec to_hilti ?(layout_of = fun _ -> None) (v : t) : Hilti_vm.Value.t =
-  Hilti_rt.Profiler.time_exclusive glue_profiler (fun () -> to_hilti_raw ~layout_of v)
+module Hval = Hilti_vm.Value
 
-and to_hilti_raw ~layout_of (v : t) : Hilti_vm.Value.t =
-  let module V = Hilti_vm.Value in
-  let to_hilti_raw = to_hilti_raw ~layout_of in
+exception Misfit
+
+(* A struct of [layout] holding [r]'s fields: the value for slot [i]
+   converted by [conv i], a [Vvoid] left unset.  Each field's slot is
+   found by name once; a field [layout] lacks raises [Misfit].  Walking the
+   fields last to first lets the first of duplicate names win, as in
+   {!record_find}. *)
+let hilti_struct layout conv r =
+  let s = Hval.new_struct layout in
+  let fields = r.rfields in
+  for j = Array.length fields - 1 downto 0 do
+    let name, cell = Array.unsafe_get fields j in
+    let i = Hval.field_index layout name in
+    if i < 0 then raise_notrace Misfit;
+    s.Hval.slots.(i) <- (match !cell with Vvoid -> Hval.unset | v -> conv i v)
+  done;
+  Hval.Struct s
+
+(* A struct of [r]'s own layout: its sorted field names, which only the
+   host can read. *)
+let own_struct conv r =
+  let names = List.sort compare (Array.to_list (Array.map fst r.rfields)) in
+  hilti_struct (Hval.make_layout r.rtype names) conv r
+
+(** Convert a Bro value to its HILTI representation by the value's own
+    shape: the [T_any] {!converter}, the one definition of the conversion.
+    Bro strings become frozen HILTI bytes (as in the real plugin, where
+    script strings carry raw payload data).  Records become structs of the
+    layout [layout_of] gives their record type — compiled code can only
+    read a struct built with its program's layout; without one (or when
+    the record carries a field the layout lacks) the struct gets its own
+    layout. *)
+let rec to_hilti_raw ~layout_of (v : t) : Hval.t =
   match v with
-  | Vbool b -> V.Bool b
-  | Vcount c | Vint c -> V.Int c
-  | Vdouble d -> V.Double d
-  | Vstring s ->
-      let b = Hbytes.of_string s in
-      Hbytes.freeze b;
-      V.Bytes b
-  | Vaddr a -> V.Addr a
-  | Vport p -> V.Port p
-  | Vsubnet n -> V.Net n
-  | Vtime t -> V.Time t
-  | Vinterval i -> V.Interval i
-  | Vpattern (_, re) -> V.Regexp re
+  | Vbool b -> Hval.Bool b
+  | Vcount c | Vint c -> Hval.Int c
+  | Vdouble d -> Hval.Double d
+  | Vstring s -> Hval.Bytes (Hbytes.frozen_of_string s)
+  | Vaddr a -> Hval.Addr a
+  | Vport p -> Hval.Port p
+  | Vsubnet n -> Hval.Net n
+  | Vtime t -> Hval.Time t
+  | Vinterval i -> Hval.Interval i
+  | Vpattern (_, re) -> Hval.Regexp re
   | Vset s ->
+      let conv = to_hilti_raw ~layout_of in
       let out = Hilti_rt.Exp_map.create () in
       Hashtbl.iter
         (fun _ elem ->
-          let h = to_hilti_raw elem in
-          Hilti_rt.Exp_map.insert out (V.key_string h) h)
+          let h = conv elem in
+          Hilti_rt.Exp_map.insert out (Hval.key_string h) h)
         s;
-      V.Set out
+      Hval.Set out
   | Vtable t ->
+      let conv = to_hilti_raw ~layout_of in
       let out = Hilti_rt.Exp_map.create () in
       Hashtbl.iter
         (fun _ (k, value) ->
-          let hk = to_hilti_raw k in
-          Hilti_rt.Exp_map.insert out (V.key_string hk) (hk, to_hilti_raw value))
+          let hk = conv k in
+          Hilti_rt.Exp_map.insert out (Hval.key_string hk) (hk, conv value))
         t.entries;
       (match t.default with
       | Some d ->
-          let hd = to_hilti_raw d in
-          Hilti_rt.Exp_map.set_default out (fun _ ->
-              (V.Null, Hilti_vm.Value.deep_copy hd))
+          let hd = conv d in
+          Hilti_rt.Exp_map.set_default out (fun _ -> (Hval.Null, Hval.deep_copy hd))
       | None -> ());
-      V.Map out
+      Hval.Map out
   | Vvector dv ->
+      let conv = to_hilti_raw ~layout_of in
       let d = Hilti_vm.Deque.create () in
-      List.iter (fun x -> Hilti_vm.Deque.push_back d (to_hilti_raw x))
-        (Hilti_vm.Deque.to_list dv);
-      V.List d
-  | Vrecord r ->
-      let names = Array.fold_left (fun acc (k, _) -> k :: acc) [] r.rfields in
-      let layout =
-        match layout_of r.rtype with
-        | Some l when List.for_all (fun n -> V.field_index l n >= 0) names -> l
-        | _ -> V.make_layout r.rtype (List.sort compare names)
-      in
-      let s = V.new_struct layout in
-      List.iter
-        (fun n ->
-          match record_find r n with
-          | Some { contents = Vvoid } | None -> ()
-          | Some v -> V.set_field s n (to_hilti_raw !v))
-        names;
-      V.Struct s
-  | Vvoid -> V.Null
+      Hilti_vm.Deque.iter (fun x -> Hilti_vm.Deque.push_back d (conv x)) dv;
+      Hval.List d
+  | Vrecord r -> (
+      let conv _ x = to_hilti_raw ~layout_of x in
+      match layout_of r.rtype with
+      | Some l -> ( try hilti_struct l conv r with Misfit -> own_struct conv r)
+      | None -> own_struct conv r)
+  | Vvoid -> Hval.Null
+
+(** The converter for values declared [ty].  Only records gain from
+    knowing their type: for [T_record n] the program's layout ([layout_of])
+    and one converter per slot (from the declaration [record_fields]
+    returns) are resolved when the converter is built, and each value's
+    fields are matched to slots by name, one lookup per field.  Every
+    other type, and every value whose shape differs from [ty] — a record
+    of another type, or one carrying a field the layout lacks — takes the
+    [T_any] converter {!to_hilti_raw}, so every converter agrees with it
+    on every input. *)
+let converter ~layout_of ~record_fields (ty : Bro_ast.btype) : t -> Hval.t =
+  let any v = to_hilti_raw ~layout_of v in
+  let records = Hashtbl.create 8 in
+  let rec conv : Bro_ast.btype -> t -> Hval.t = function
+    | T_record n -> record n
+    | _ -> any
+  and record n =
+    match Hashtbl.find_opt records n with
+    | Some c -> c
+    | None -> (
+        match (layout_of n, record_fields n) with
+        | Some layout, Some fields ->
+            (* Registered before its fields' converters are built, so a
+               record type reaching itself resolves. *)
+            let convs = Array.make (Array.length layout.Hval.lfields) any in
+            let slot_conv i x = (Array.unsafe_get convs i) x in
+            let c = function
+              | Vrecord r as v when String.equal r.rtype n -> (
+                  try hilti_struct layout slot_conv r with Misfit -> any v)
+              | v -> any v
+            in
+            Hashtbl.replace records n c;
+            Array.iteri
+              (fun i f ->
+                Option.iter (fun ft -> convs.(i) <- conv ft) (List.assoc_opt f fields))
+              layout.Hval.lfields;
+            c
+        | _ -> any)
+  in
+  conv ty
 
 (** Convert a HILTI value back to a Bro value (for event arguments coming
     out of BinPAC++ parsers and for reading compiled-script state). *)
-let rec of_hilti (v : Hilti_vm.Value.t) : t =
-  Hilti_rt.Profiler.time_exclusive glue_profiler (fun () -> of_hilti_raw v)
-
-and of_hilti_raw (v : Hilti_vm.Value.t) : t =
+let rec of_hilti_raw (v : Hilti_vm.Value.t) : t =
   let module V = Hilti_vm.Value in
   match v with
   | V.Bool b -> Vbool b

@@ -111,15 +111,15 @@ let make_layout lname fields = { lname; lfields = Array.of_list fields }
 let new_struct layout =
   { layout; slots = Array.make (Array.length layout.lfields) unset }
 
+(* Index of [name] in [fs] from [i] on, or -1; closure-free, so a lookup
+   allocates nothing. *)
+let rec find_field fs name i =
+  if i >= Array.length fs then -1
+  else if String.equal (Array.unsafe_get fs i) name then i
+  else find_field fs name (i + 1)
+
 (** Slot of field [name] in [layout], or -1 when the type does not declare it. *)
-let field_index layout name =
-  let fs = layout.lfields in
-  let rec go i =
-    if i >= Array.length fs then -1
-    else if String.equal fs.(i) name then i
-    else go (i + 1)
-  in
-  go 0
+let field_index layout name = find_field layout.lfields name 0
 
 (** The set fields of [s] in declaration order. *)
 let struct_fields s =

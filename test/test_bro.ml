@@ -215,6 +215,205 @@ let test_sha1_allocation () =
   if bytes >= 2048. then
     Alcotest.failf "digest of 1 MiB allocated %.0f bytes" bytes
 
+(* ---- Typed converters == the [T_any] converter (QCheck) --------------------- *)
+
+module Hv = Hilti_vm.Value
+
+(* Structural equality of converted values: containers and structs compare
+   element-wise, not by identity as [Hv.equal] does.  A struct of a
+   program's layout must carry the physically same layout; a host-only
+   layout (fresh per conversion) must match by name and fields. *)
+let rec hilti_equal api a b =
+  let program l =
+    match Hilti_vm.Host_api.struct_layout api l.Hv.lname with
+    | Some p -> p == l
+    | None -> false
+  in
+  let slot_equal x y =
+    if x == Hv.unset || y == Hv.unset then x == y else hilti_equal api x y
+  in
+  let entries m =
+    List.sort (fun (k1, _) (k2, _) -> compare k1 k2) (Hilti_rt.Exp_map.to_list m)
+  in
+  match (a, b) with
+  | Hv.Struct x, Hv.Struct y ->
+      (x.Hv.layout == y.Hv.layout
+      || ((not (program x.Hv.layout)) && (not (program y.Hv.layout))
+         && x.Hv.layout.Hv.lname = y.Hv.layout.Hv.lname
+         && x.Hv.layout.Hv.lfields = y.Hv.layout.Hv.lfields))
+      && Array.for_all2 slot_equal x.Hv.slots y.Hv.slots
+  | Hv.List x, Hv.List y ->
+      let xs = Hilti_vm.Deque.to_list x and ys = Hilti_vm.Deque.to_list y in
+      List.length xs = List.length ys && List.for_all2 (hilti_equal api) xs ys
+  | Hv.Set x, Hv.Set y ->
+      let xs = entries x and ys = entries y in
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k1, v1) (k2, v2) -> k1 = k2 && hilti_equal api v1 v2) xs ys
+  | Hv.Map x, Hv.Map y ->
+      let xs = entries x and ys = entries y in
+      List.length xs = List.length ys
+      && List.for_all2
+           (fun (k1, (a1, v1)) (k2, (a2, v2)) ->
+             k1 = k2 && hilti_equal api a1 a2 && hilti_equal api v1 v2)
+           xs ys
+      && (match (x.Hilti_rt.Exp_map.default, y.Hilti_rt.Exp_map.default) with
+         | None, None -> true
+         | Some f, Some g -> hilti_equal api (snd (f "")) (snd (g ""))
+         | _ -> false)
+  | Hv.Double x, Hv.Double y -> Float.equal x y
+  | Hv.Regexp x, Hv.Regexp y -> x == y
+  | _ -> Hv.equal a b
+
+module G = QCheck.Gen
+
+(* Strings with the bytes that trip text encodings: NUL and tab. *)
+let gen_string = G.(string_size ~gen:(oneofl [ 'a'; 'z'; '\000'; '\t'; '-' ]) (0 -- 6))
+
+let gen_addr =
+  G.(
+    oneof
+      [ map (fun i -> Addr.of_ipv4_int32 (Int32.of_int i)) (0 -- 0xffffff);
+        map2 (fun h l -> Addr.of_ipv6_int64s (Int64.of_int h) (Int64.of_int l)) nat nat ])
+
+let gen_scalar =
+  G.(
+    oneof
+      [ map (fun b -> Bro_val.Vbool b) bool;
+        map (fun i -> Bro_val.Vcount (Int64.of_int i)) nat;
+        map (fun i -> Bro_val.Vint (Int64.of_int i)) int;
+        map (fun d -> Bro_val.Vdouble d) float;
+        map (fun s -> Bro_val.Vstring s) gen_string;
+        map (fun a -> Bro_val.Vaddr a) gen_addr;
+        map (fun n -> Bro_val.Vport (Port.udp n)) (0 -- 65535);
+        map (fun a -> Bro_val.Vsubnet (Network.make a 24)) gen_addr;
+        map (fun t -> Bro_val.Vtime (Time_ns.of_ns (Int64.of_int t))) nat;
+        map (fun t -> Bro_val.Vinterval (Interval_ns.of_ns (Int64.of_int t))) nat;
+        return Bro_val.Vvoid ])
+
+(* Set and table entries under their canonical keys, dropping the values
+   that cannot be keys ([Vvoid], records holding one). *)
+let keyed key_of elems =
+  List.filter_map
+    (fun e ->
+      match Bro_val.key_string (key_of e) with
+      | k -> Some (k, e)
+      | exception Bro_val.Bro_error _ -> None)
+    elems
+
+(* A value declared [ty]: well typed most of the time; otherwise off-type
+   ([Vint] for [count], a record with an extra field, of a foreign type,
+   or with fields missing), which the typed converter hands to [T_any]. *)
+let rec gen_value script depth (ty : Bro_ast.btype) : Bro_val.t G.t =
+  let open G in
+  let sub = gen_value script (depth - 1) in
+  let list_of g = if depth <= 0 then return [] else list_size (0 -- 3) g in
+  let typed =
+    match ty with
+    | T_bool -> map (fun b -> Bro_val.Vbool b) bool
+    | T_count -> map (fun i -> Bro_val.Vcount (Int64.of_int i)) nat
+    | T_int -> map (fun i -> Bro_val.Vint (Int64.of_int i)) int
+    | T_double -> map (fun d -> Bro_val.Vdouble d) float
+    | T_string -> map (fun s -> Bro_val.Vstring s) gen_string
+    | T_addr -> map (fun a -> Bro_val.Vaddr a) gen_addr
+    | T_port -> map (fun n -> Bro_val.Vport (Port.tcp n)) (0 -- 65535)
+    | T_subnet -> map (fun a -> Bro_val.Vsubnet (Network.make a 16)) gen_addr
+    | T_time -> map (fun t -> Bro_val.Vtime (Time_ns.of_ns (Int64.of_int t))) nat
+    | T_interval -> map (fun t -> Bro_val.Vinterval (Interval_ns.of_ns (Int64.of_int t))) nat
+    | T_pattern ->
+        return (Bro_val.Vpattern ("a+", Hilti_rt.Regexp.compile_one "a+"))
+    | T_void | T_any -> gen_scalar
+    | T_set [ k ] ->
+        map
+          (fun elems -> Bro_val.Vset (Hashtbl.of_seq (List.to_seq (keyed Fun.id elems))))
+          (list_of (sub k))
+    | T_table ([ k ], v) ->
+        map2
+          (fun kvs default ->
+            let entries = Hashtbl.of_seq (List.to_seq (keyed fst kvs)) in
+            Bro_val.Vtable { entries; default })
+          (list_of (pair (sub k) (sub v)))
+          (opt (sub v))
+    | T_set _ | T_table _ -> gen_scalar
+    | T_vector t ->
+        map (fun xs -> Bro_val.Vvector (Hilti_vm.Deque.of_list xs)) (list_of (sub t))
+    | T_record n ->
+        let fields = Option.value ~default:[] (Bro_ast.find_record script n) in
+        let field (name, ft) =
+          map2
+            (fun keep v -> if keep then [ (name, v) ] else [])
+            (frequency [ (5, return true); (1, return false) ])
+            (frequency [ (5, sub ft); (1, return Bro_val.Vvoid) ])
+        in
+        map2
+          (fun fs shuffle -> Bro_val.new_record n (if shuffle then List.rev fs else fs))
+          (map List.concat (flatten_l (List.map field fields)))
+          bool
+  in
+  let off_type =
+    match ty with
+    | T_count -> map (fun i -> Bro_val.Vint (Int64.of_int i)) nat
+    | T_record _ ->
+        oneof
+          [ (* an extra field the layout lacks *)
+            map2
+              (fun r v ->
+                match r with
+                | Bro_val.Vrecord r ->
+                    Bro_val.Vrecord
+                      { r with rfields = Array.append r.rfields [| ("extra", ref v) |] }
+                | v -> v)
+              typed gen_scalar;
+            (* the same fields under a foreign record type *)
+            map
+              (function
+                | Bro_val.Vrecord r -> Bro_val.Vrecord { r with rtype = "conn_id" }
+                | v -> v)
+              typed;
+            gen_scalar ]
+    | T_vector _ -> return (Bro_val.Vvector (Hilti_vm.Deque.create ()))
+    | _ -> gen_scalar
+  in
+  frequency [ (4, typed); (1, off_type) ]
+
+(* Every declared parameter of every handler in the bundled scripts: the
+   engine's typed converter (first handler's signature) and its [T_any]
+   converter build equal HILTI values. *)
+let converter_cases =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun script ->
+            match Bro_engine.load Bro_engine.Compiled script with
+            | Bro_engine.Interp _ -> []
+            | Bro_engine.Comp c ->
+                let case (e : Bro_engine.entry) params =
+                  List.mapi (fun i (_, ty) -> (script, c, ty, e.convs.(i))) params
+                in
+                let seen = Hashtbl.create 16 in
+                List.concat_map
+                  (function
+                    | Bro_ast.D_event (n, params, _) when not (Hashtbl.mem seen n) ->
+                        Hashtbl.replace seen n ();
+                        case (Hashtbl.find c.handled n) params
+                    | _ -> [])
+                  script)
+          [ Bro_scripts.parse_all (); Bro_scripts.parse_fib () ]))
+
+let test_converters_agree =
+  let gen st =
+    let cases = Lazy.force converter_cases in
+    let i = G.int_bound (Array.length cases - 1) st in
+    let script, _, ty, _ = cases.(i) in
+    (i, gen_value script 2 ty st)
+  in
+  QCheck.Test.make ~count:1000 ~name:"typed converters == T_any converter"
+    (QCheck.make gen ~print:(fun (i, v) ->
+         let _, _, ty, _ = (Lazy.force converter_cases).(i) in
+         Bro_ast.btype_to_string ty ^ ": " ^ Bro_val.to_string v))
+    (fun (i, v) ->
+      let _, c, _, conv = (Lazy.force converter_cases).(i) in
+      hilti_equal c.Bro_engine.api (conv v) (c.Bro_engine.any v))
+
 let suite =
   [ Alcotest.test_case "track.bro interpreted (Fig. 8)" `Quick test_track_interp;
     Alcotest.test_case "track.bro compiled (Fig. 8)" `Quick test_track_compiled;
@@ -224,4 +423,5 @@ let suite =
     Alcotest.test_case "Log::write both engines" `Quick test_log_write;
     Alcotest.test_case "sha1 vectors" `Quick test_sha1;
     Alcotest.test_case "sha1 streaming = one-shot" `Quick test_sha1_streaming;
-    Alcotest.test_case "sha1 allocation" `Quick test_sha1_allocation ]
+    Alcotest.test_case "sha1 allocation" `Quick test_sha1_allocation;
+    QCheck_alcotest.to_alcotest test_converters_agree ]

@@ -246,18 +246,20 @@ let dns_pac_bench () =
    count covers network-time updates, handler dispatch (for compiled
    scripts, the Bro-to-HILTI argument glue too) and the log rows only.
    Allocation is a count, not a time, so it is deterministic for a given
-   tree. *)
+   tree.  With [~all_scripts] the replay runs every bundled script
+   ([Bro_scripts.parse_all], as mini-bro and the pipeline load them) and
+   includes [connection_established], which the scan script handles. *)
 (* The same measurement on the interpreter before scripts were resolved at
    load (per-call [Hashtbl] scopes, name lookup, [Printf] renderers and an
    intermediate record per [Log::write]); that interpreter no longer
    exists, so its figure is recorded here. *)
 let dns_script_alloc_before = 11239.6
 
-let dns_script_bench mode =
+let dns_script_bench ?(all_scripts = false) mode =
   Bench_util.header
-    (match mode with
-    | Mini_bro.Bro_engine.Interpreted -> "interpreted DNS scripts: bytes per transaction"
-    | Compiled -> "compiled DNS scripts: bytes per transaction");
+    (Printf.sprintf "%s %s: bytes per transaction"
+       (match mode with Mini_bro.Bro_engine.Interpreted -> "interpreted" | Compiled -> "compiled")
+       (if all_scripts then "bundled scripts on DNS" else "DNS scripts"));
   let module D = Hilti_analyzers.Driver in
   let cfg = { Hilti_traces.Dns_gen.default with transactions = 1500; seed = 7 } in
   let records = (Hilti_traces.Dns_gen.generate cfg).Hilti_traces.Dns_gen.records in
@@ -265,7 +267,10 @@ let dns_script_bench mode =
   let sink =
     { Hilti_analyzers.Events.raise_event =
         (fun name args ->
-          if name = "dns_request" || name = "dns_reply" then
+          if
+            name = "dns_request" || name = "dns_reply"
+            || (all_scripts && name = "connection_established")
+          then
             events := (!ts, name, args) :: !events);
       set_time = (fun t -> ts := t) }
   in
@@ -274,7 +279,9 @@ let dns_script_bench mode =
   let txns =
     Array.fold_left (fun n (_, name, _) -> if name = "dns_reply" then n + 1 else n) 0 events
   in
-  let script = Mini_bro.Bro_scripts.parse_dns () in
+  let script =
+    if all_scripts then Mini_bro.Bro_scripts.parse_all () else Mini_bro.Bro_scripts.parse_dns ()
+  in
   let load () =
     let logger = Mini_bro.Bro_log.create () in
     Mini_bro.Bro_scripts.setup_logs logger;
@@ -343,13 +350,14 @@ let key_fw_bench () =
       ("key_bytes", fun () -> V.key_string bytes);
       ("fw_line", fun () -> Hilti_analyzers.Driver.fw_line ~ts ~src ~dst true) ]
 
-(* ---- Compiled-script glue: one event argument ----------------------------- *)
+(* ---- Connection records: one build, one glue conversion ------------------- *)
 
-(* The [connection] argument of every event, converted to its HILTI struct
-   by the converter the compiled engine resolved at load for
-   [dns_request]'s first parameter. *)
+(* The [connection] argument of every event: built by
+   [Events.connection_val], and converted to its HILTI struct by the
+   converter the compiled engine resolved at load for [dns_request]'s
+   first parameter. *)
 let glue_bench () =
-  Bench_util.header "compiled-script glue: one typed connection conversion per call";
+  Bench_util.header "connection records: one build and one typed conversion per call";
   let module T = Hilti_types in
   let conv =
     match
@@ -365,11 +373,13 @@ let glue_bench () =
       ~dst:(T.Addr.of_string "192.168.100.200") ~src_port:(T.Port.udp 40000)
       ~dst_port:(T.Port.udp 53)
   in
-  let c =
-    Hilti_analyzers.Events.connection_val ~uid:"CHhAvVGS1DHFjwGM9" ~flow
-      ~start_time:(T.Time_ns.of_ns 1_400_000_123_456_789L)
+  let start_time = T.Time_ns.of_ns 1_400_000_123_456_789L in
+  let connection () =
+    Hilti_analyzers.Events.connection_val ~uid:"CHhAvVGS1DHFjwGM9" ~flow ~start_time
   in
-  [ per_call_row "glue_connection" (fun () -> conv c) ]
+  let c = connection () in
+  [ per_call_row "connection_val" connection;
+    per_call_row "glue_connection" (fun () -> conv c) ]
 
 (* ---- Zero-copy parse-path allocation: HTTP -------------------------------- *)
 
@@ -559,7 +569,7 @@ let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
       dns_e2e_after )
     (http_before, http_after, http_reduction)
     (susp_arena, susp_copy, susp_copies) (pac_bytes, pac_instrs) script_bytes
-    compiled_script_bytes rows =
+    all_scripts_bytes compiled_script_bytes rows =
   let rows =
     String.concat ""
       (List.map
@@ -589,11 +599,13 @@ let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
        \"dns_pac_instrs_per_packet\": %.1f,\n  \
        \"dns_script_alloc_bytes_per_txn_before\": %.1f,\n  \
        \"dns_script_alloc_bytes_per_txn\": %.1f,\n  \
+       \"dns_all_scripts_alloc_bytes_per_txn\": %.1f,\n  \
        \"dns_compiled_script_alloc_bytes_per_txn\": %.1f%s\n}\n"
       alloc_copy alloc_reuse alloc_reduction dns_before dns_after dns_reduction
       dns_parse_before dns_parse_after dns_e2e_before dns_e2e_after http_before
       http_after http_reduction susp_arena susp_copy susp_copies pac_bytes
-      pac_instrs dns_script_alloc_before script_bytes compiled_script_bytes rows
+      pac_instrs dns_script_alloc_before script_bytes all_scripts_bytes compiled_script_bytes
+      rows
   in
   Bench_util.write_file_atomic "BENCH_micro.json" json;
   print_endline "frame-arena + allocation data written to BENCH_micro.json"
@@ -700,10 +712,12 @@ let run () =
   print_newline ();
   let script = dns_script_bench Mini_bro.Bro_engine.Interpreted in
   print_newline ();
+  let all_scripts = dns_script_bench ~all_scripts:true Mini_bro.Bro_engine.Interpreted in
+  print_newline ();
   let compiled_script = dns_script_bench Mini_bro.Bro_engine.Compiled in
   print_newline ();
   let keys = key_fw_bench () in
   print_newline ();
   let glue = glue_bench () in
   print_newline ();
-  write_micro_json arena dns http susp pac script compiled_script (keys @ glue)
+  write_micro_json arena dns http susp pac script all_scripts compiled_script (keys @ glue)

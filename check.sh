@@ -170,6 +170,15 @@ grep -q '"dns_compiled_script_alloc_bytes_per_txn"' BENCH_micro.json
 # when each record was rebuilt by name in its own profiler window).
 awk -F': ' '/"glue_connection_bytes"/ { if ($2+0 > 512) exit 1 }' BENCH_micro.json
 awk -F': ' '/"dns_compiled_script_alloc_bytes_per_txn"/ { if ($2+0 > 8000) exit 1 }' BENCH_micro.json
+grep -q '"connection_val_bytes"' BENCH_micro.json
+grep -q '"dns_all_scripts_alloc_bytes_per_txn"' BENCH_micro.json
+# Interpreter state without strings or cells: one `connection` record
+# (shared field-name arrays, no per-field ref cells) and every bundled
+# script over the DNS event stream with `connection_established`, in
+# allocated bytes (deterministic counts; 264 and ~1,560 measured, 1,112
+# and ~2,920 with string-built keys and (name, ref) record fields).
+awk -F': ' '/"connection_val_bytes"/ { if ($2+0 > 384) exit 1 }' BENCH_micro.json
+awk -F': ' '/"dns_all_scripts_alloc_bytes_per_txn"/ { if ($2+0 > 2400) exit 1 }' BENCH_micro.json
 
 echo "== bench vmopt (writes BENCH_vmopt.json)"
 dune exec bench/main.exe -- vmopt --quick

@@ -5,17 +5,30 @@
 open Hilti_types
 open Mini_bro
 
-(** The Bro [connection] record value for a flow. *)
+let connection_names = [| "uid"; "start_time"; "id" |]
+let conn_id_names = [| "orig_h"; "orig_p"; "resp_h"; "resp_p" |]
+
+(** The Bro [connection] record value for a flow.  Its records share the
+    static name arrays above, which are never written in place. *)
 let connection_val ~uid ~(flow : Hilti_net.Flow.t) ~start_time : Bro_val.t =
-  Bro_val.new_record "connection"
-    [ ("uid", Bro_val.Vstring uid);
-      ("start_time", Bro_val.Vtime start_time);
-      ( "id",
-        Bro_val.new_record "conn_id"
-          [ ("orig_h", Bro_val.Vaddr flow.Hilti_net.Flow.src);
-            ("orig_p", Bro_val.Vport flow.Hilti_net.Flow.src_port);
-            ("resp_h", Bro_val.Vaddr flow.Hilti_net.Flow.dst);
-            ("resp_p", Bro_val.Vport flow.Hilti_net.Flow.dst_port) ] ) ]
+  let id =
+    Bro_val.Vrecord
+      {
+        rtype = "conn_id";
+        rnames = conn_id_names;
+        rvals =
+          [| Bro_val.Vaddr flow.Hilti_net.Flow.src;
+             Bro_val.Vport flow.Hilti_net.Flow.src_port;
+             Bro_val.Vaddr flow.Hilti_net.Flow.dst;
+             Bro_val.Vport flow.Hilti_net.Flow.dst_port |];
+      }
+  in
+  Bro_val.Vrecord
+    {
+      rtype = "connection";
+      rnames = connection_names;
+      rvals = [| Bro_val.Vstring uid; Bro_val.Vtime start_time; id |];
+    }
 
 (** Run a BinPAC++ unit-to-event conversion under the HILTI-to-Bro glue
     profiler (§6.4). *)

@@ -9,9 +9,10 @@
     user functions are direct references, and constants are built once.
     [Log::write] of a record literal to a constant stream renders its
     fields straight into the stream's column order.  Lookups by name that
-    remain: event dispatch by event name, record fields and table keys
-    (records and tables are dynamic values), and record types when a
-    local or global is default-constructed. *)
+    remain: event dispatch by event name, record fields (records are
+    dynamic values), and record types when a local or global is
+    default-constructed.  Sets and tables are keyed by the values
+    themselves ({!Bro_val.Key}). *)
 
 open Bro_ast
 open Bro_val
@@ -129,8 +130,8 @@ let rec default_of_type t (ty : btype) : Bro_val.t =
   | T_time -> Vtime Hilti_types.Time_ns.epoch
   | T_interval -> Vinterval Hilti_types.Interval_ns.zero
   | T_pattern -> Vpattern ("", Hilti_rt.Regexp.compile_one "")
-  | T_set _ -> Vset (Hashtbl.create 16)
-  | T_table _ -> Vtable { entries = Hashtbl.create 16; default = None }
+  | T_set _ -> Vset (Keytbl.create 16)
+  | T_table _ -> Vtable { entries = Keytbl.create 16; default = None }
   | T_vector _ -> Vvector (Hilti_vm.Deque.create ())
   | T_record name ->
       let fields =
@@ -539,9 +540,6 @@ let load ?(logger = Bro_log.create ()) (script : script) : t =
 
 (* ---- Evaluation ------------------------------------------------------------------------ *)
 
-let key_of = function [ k ] -> key_string k | ks -> keys_string ks
-let key_value = function [ k ] -> k | ks -> Vvector (Hilti_vm.Deque.of_list ks)
-
 (* [needle] occurs in [hay] at [i]. *)
 let occurs_at hay needle i =
   let rec go j = j >= String.length needle || (hay.[i + j] = needle.[j] && go (j + 1)) in
@@ -563,16 +561,14 @@ let rec log_value site vals k =
 
 (* The same rule for a record value. *)
 let record_log_value r col =
-  let fs = r.rfields in
   let rec go k =
     if k < 0 then Vvoid
     else
-      let n, v = fs.(k) in
-      match !v with
+      match r.rvals.(k) with
       | Vvoid -> go (k - 1)
-      | v -> if String.equal n col then v else go (k - 1)
+      | v -> if String.equal r.rnames.(k) col then v else go (k - 1)
   in
-  go (Array.length fs - 1)
+  go (Array.length r.rnames - 1)
 
 let bind_log_site t site =
   let s =
@@ -604,7 +600,7 @@ let rec eval t (fr : Bro_val.t array) (e : rexpr) : Bro_val.t =
           match record_index r f with
           | -1 -> error "field %s not set" f
           | i -> (
-              match !(snd r.rfields.(i)) with
+              match r.rvals.(i) with
               | Vvoid -> error "field %s not set" f
               | v -> v))
       | v -> error "$%s on non-record %s" f (to_debug v))
@@ -612,14 +608,14 @@ let rec eval t (fr : Bro_val.t array) (e : rexpr) : Bro_val.t =
       let kv = eval_list t fr keys in
       match eval t fr e with
       | Vtable tbl -> (
-          let key = key_of kv in
-          match Hashtbl.find_opt tbl.entries key with
-          | Some (_, v) -> v
+          let key = index_key kv in
+          match Keytbl.find_opt tbl.entries key with
+          | Some v -> v
           | None -> (
               match tbl.default with
               | Some d ->
                   let v = deep_copy d in
-                  Hashtbl.replace tbl.entries key (key_value kv, v);
+                  Keytbl.replace tbl.entries (stored_key key) v;
                   v
               | None -> error "no such index"))
       | Vvector vec -> (
@@ -677,13 +673,16 @@ let rec eval t (fr : Bro_val.t array) (e : rexpr) : Bro_val.t =
   | R_size e -> (
       match eval t fr e with
       | Vstring s -> Vcount (Int64.of_int (String.length s))
-      | Vset s -> Vcount (Int64.of_int (Hashtbl.length s))
-      | Vtable tbl -> Vcount (Int64.of_int (Hashtbl.length tbl.entries))
+      | Vset s -> Vcount (Int64.of_int (Keytbl.length s))
+      | Vtable tbl -> Vcount (Int64.of_int (Keytbl.length tbl.entries))
       | Vvector v -> Vcount (Int64.of_int (Hilti_vm.Deque.size v))
       | v -> error "|..| on %s" (to_debug v))
   | R_record (names, es) ->
-      Vrecord
-        { rtype = "<anon>"; rfields = Array.mapi (fun i n -> (n, ref (eval t fr es.(i)))) names }
+      let vals = Array.make (Array.length es) Vvoid in
+      for i = 0 to Array.length es - 1 do
+        vals.(i) <- eval t fr es.(i)
+      done;
+      Vrecord { rtype = "<anon>"; rnames = names; rvals = vals }
   | R_vector es -> Vvector (Hilti_vm.Deque.of_list (eval_list t fr es))
   | R_network_time -> t.now
   | R_fmt (segs, args) -> Vstring (fmt_run t.scratch segs (eval_list t fr args))
@@ -732,8 +731,8 @@ and eval_list t fr = function
 and eval_in t fr k c =
   let kv = eval t fr k in
   match eval t fr c with
-  | Vset s -> Hashtbl.mem s (key_string kv)
-  | Vtable tbl -> Hashtbl.mem tbl.entries (key_string kv)
+  | Vset s -> Keytbl.mem s (single_key kv)
+  | Vtable tbl -> Keytbl.mem tbl.entries (single_key kv)
   | Vstring hay -> (
       match kv with
       | Vstring needle ->
@@ -779,13 +778,13 @@ and exec t fr (s : rstmt) =
   | X_set_field (re, f, e) -> (
       let v = eval t fr e in
       match eval t fr re with
-      | Vrecord r -> record_field r f := v
+      | Vrecord r -> record_set r f v
       | x -> error "$%s on %s" f (to_debug x))
   | X_set_index (ce, keys, e) -> (
       let v = eval t fr e in
       let kv = eval_list t fr keys in
       match eval t fr ce with
-      | Vtable tbl -> Hashtbl.replace tbl.entries (key_of kv) (key_value kv, v)
+      | Vtable tbl -> Keytbl.replace tbl.entries (stored_key (index_key kv)) v
       | x -> error "index-assign on %s" (to_debug x))
   | X_bad_assign e ->
       ignore (eval t fr e);
@@ -793,13 +792,13 @@ and exec t fr (s : rstmt) =
   | X_add (se, keys) -> (
       let kv = eval_list t fr keys in
       match eval t fr se with
-      | Vset s -> Hashtbl.replace s (key_of kv) (key_value kv)
+      | Vset s -> Keytbl.replace s (stored_key (index_key kv)) ()
       | x -> error "add on %s" (to_debug x))
   | X_delete (se, keys) -> (
       let kv = eval_list t fr keys in
       match eval t fr se with
-      | Vset s -> Hashtbl.remove s (key_of kv)
-      | Vtable tbl -> Hashtbl.remove tbl.entries (key_of kv)
+      | Vset s -> Keytbl.remove s (index_key kv)
+      | Vtable tbl -> Keytbl.remove tbl.entries (index_key kv)
       | x -> error "delete on %s" (to_debug x))
   | X_error msg -> error "%s" msg
   | X_print args ->
@@ -813,8 +812,8 @@ and exec t fr (s : rstmt) =
   | X_for (slot, e, body) ->
       let items =
         match eval t fr e with
-        | Vset s -> Hashtbl.fold (fun _ v acc -> v :: acc) s []
-        | Vtable tbl -> Hashtbl.fold (fun _ (k, _) acc -> k :: acc) tbl.entries []
+        | Vset s -> Keytbl.fold (fun k () acc -> k :: acc) s []
+        | Vtable tbl -> Keytbl.fold (fun k _ acc -> k :: acc) tbl.entries []
         | Vvector v -> Hilti_vm.Deque.to_list v
         | v -> error "for over %s" (to_debug v)
       in
@@ -844,22 +843,31 @@ let init t =
       g.bound <- true)
     t.inits
 
+(* Fill [f]'s parameter slots [i..] of [frame] from [args]. *)
+let rec fill_params (f : func) what frame i = function
+  | [] -> if i <> f.nparams then error "%s %s: arity mismatch" what f.fname
+  | v :: rest ->
+      if i >= f.nparams then error "%s %s: arity mismatch" what f.fname;
+      frame.(i) <- v;
+      fill_params f what frame (i + 1) rest
+
 (* A frame holding [args] in its parameter slots. *)
 let frame_of (f : func) what (args : Bro_val.t list) =
-  if List.length args <> f.nparams then error "%s %s: arity mismatch" what f.fname;
   let frame = Array.make f.nslots Vvoid in
-  List.iteri (fun i v -> frame.(i) <- v) args;
+  fill_params f what frame 0 args;
   frame
+
+let rec run_handlers t args = function
+  | [] -> ()
+  | h :: hs ->
+      (let frame = frame_of h "event" args in
+       try exec_list t frame h.body with Return_exc _ -> ());
+      run_handlers t args hs
 
 (** Run all handlers for [name], then drain any events they queued. *)
 let rec dispatch t name (args : Bro_val.t list) =
   (match Hashtbl.find_opt t.handlers name with
-  | Some handlers ->
-      List.iter
-        (fun h ->
-          let frame = frame_of h "event" args in
-          try exec_list t frame h.body with Return_exc _ -> ())
-        handlers
+  | Some handlers -> run_handlers t args handlers
   | None -> ());
   drain t
 

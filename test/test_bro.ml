@@ -290,15 +290,17 @@ let gen_scalar =
         map (fun t -> Bro_val.Vinterval (Interval_ns.of_ns (Int64.of_int t))) nat;
         return Bro_val.Vvoid ])
 
-(* Set and table entries under their canonical keys, dropping the values
-   that cannot be keys ([Vvoid], records holding one). *)
-let keyed key_of elems =
-  List.filter_map
+(* A container of the [elems] that can be keys (not [Vvoid], nor a
+   record holding one), each stored by [add]. *)
+let keyed key_of add elems =
+  let tbl = Bro_val.Keytbl.create 8 in
+  List.iter
     (fun e ->
-      match Bro_val.key_string (key_of e) with
-      | k -> Some (k, e)
-      | exception Bro_val.Bro_error _ -> None)
-    elems
+      match Bro_val.Key.hash (key_of e) with
+      | _ -> add tbl e
+      | exception Bro_val.Bro_error _ -> ())
+    elems;
+  tbl
 
 (* A value declared [ty]: well typed most of the time; otherwise off-type
    ([Vint] for [count], a record with an extra field, of a foreign type,
@@ -324,12 +326,13 @@ let rec gen_value script depth (ty : Bro_ast.btype) : Bro_val.t G.t =
     | T_void | T_any -> gen_scalar
     | T_set [ k ] ->
         map
-          (fun elems -> Bro_val.Vset (Hashtbl.of_seq (List.to_seq (keyed Fun.id elems))))
+          (fun elems ->
+            Bro_val.Vset (keyed Fun.id (fun s k -> Bro_val.Keytbl.replace s k ()) elems))
           (list_of (sub k))
     | T_table ([ k ], v) ->
         map2
           (fun kvs default ->
-            let entries = Hashtbl.of_seq (List.to_seq (keyed fst kvs)) in
+            let entries = keyed fst (fun t (k, v) -> Bro_val.Keytbl.replace t k v) kvs in
             Bro_val.Vtable { entries; default })
           (list_of (pair (sub k) (sub v)))
           (opt (sub v))
@@ -360,7 +363,11 @@ let rec gen_value script depth (ty : Bro_ast.btype) : Bro_val.t G.t =
                 match r with
                 | Bro_val.Vrecord r ->
                     Bro_val.Vrecord
-                      { r with rfields = Array.append r.rfields [| ("extra", ref v) |] }
+                      {
+                        r with
+                        rnames = Array.append r.rnames [| "extra" |];
+                        rvals = Array.append r.rvals [| v |];
+                      }
                 | v -> v)
               typed gen_scalar;
             (* the same fields under a foreign record type *)
@@ -414,6 +421,282 @@ let test_converters_agree =
       let _, c, _, conv = (Lazy.force converter_cases).(i) in
       hilti_equal c.Bro_engine.api (conv v) (c.Bro_engine.any v))
 
+(* ---- Structural set/table keys ([Bro_val.Key]) -------------------------------- *)
+
+(* Keys from small domains, so that equal keys come up often: every kind
+   that can be a key, composites of 2-3 of them, and records whose fields
+   come in any order. *)
+let gen_key_scalar =
+  G.(
+    oneof
+      [ map (fun b -> Bro_val.Vbool b) bool;
+        map (fun i -> Bro_val.Vcount (Int64.of_int i)) (0 -- 3);
+        map (fun i -> Bro_val.Vint (Int64.of_int i)) (-1 -- 3);
+        map
+          (fun d -> Bro_val.Vdouble d)
+          (oneofl
+             [ 0.0; -0.0; 1.0; 0.1 +. 0.2; 0.3; Float.nan; -.Float.nan;
+               Int64.float_of_bits 0x7ff0000000000001L ]);
+        map (fun s -> Bro_val.Vstring s) (string_size ~gen:(oneofl [ 'a'; '\000' ]) (0 -- 2));
+        map
+          (fun (v6, i) ->
+            Bro_val.Vaddr
+              (if v6 then Addr.of_ipv6_int64s 0L (Int64.of_int i)
+               else Addr.of_ipv4_int32 (Int32.of_int i)))
+          (pair bool (0 -- 2));
+        map2
+          (fun tcp n -> Bro_val.Vport (if tcp then Port.tcp n else Port.udp n))
+          bool (0 -- 2);
+        map2
+          (fun i l -> Bro_val.Vsubnet (Network.make (Addr.of_ipv4_int32 (Int32.of_int i)) l))
+          (0 -- 2) (oneofl [ 24; 32 ]);
+        map (fun t -> Bro_val.Vtime (Time_ns.of_ns (Int64.of_int t))) (0 -- 2);
+        map (fun t -> Bro_val.Vinterval (Interval_ns.of_ns (Int64.of_int t))) (0 -- 2) ])
+
+let rec gen_key_record depth =
+  G.(
+    let value = if depth <= 0 then gen_key_scalar else gen_key_elem (depth - 1) in
+    map3
+      (fun keep vals order ->
+        let fields =
+          List.filteri (fun i _ -> List.nth keep i) (List.combine [ "a"; "b"; "c" ] vals)
+        in
+        let order = List.filteri (fun i _ -> i < List.length fields) order in
+        let fields = List.map snd (List.sort compare (List.combine order fields)) in
+        Bro_val.new_record "r" fields)
+      (list_repeat 3 bool) (list_repeat 3 value) (list_repeat 3 nat))
+
+and gen_key_elem depth =
+  G.(frequency [ (4, gen_key_scalar); (1, gen_key_record depth) ])
+
+let gen_key =
+  G.(
+    frequency
+      [ (5, gen_key_elem 1);
+        ( 2,
+          map
+            (fun es -> Bro_val.Vvector (Hilti_vm.Deque.of_list es))
+            (list_size (2 -- 3) (gen_key_elem 0)) ) ])
+
+let vec es = Bro_val.Vvector (Hilti_vm.Deque.of_list es)
+
+let arb_keys n = QCheck.make ~print:(QCheck.Print.list Bro_val.to_string) G.(list_repeat n gen_key)
+
+(* An equal key of another shape: record fields reversed, [-0.0] for
+   [0.0], another NaN. *)
+let rec twin = function
+  | Bro_val.Vrecord r ->
+      Bro_val.new_record r.rtype
+        (List.rev (List.combine (Array.to_list r.rnames) (List.map twin (Array.to_list r.rvals))))
+  | Bro_val.Vvector d -> vec (List.map twin (Hilti_vm.Deque.to_list d))
+  | Bro_val.Vdouble 0.0 -> Bro_val.Vdouble (-0.0)
+  | Bro_val.Vdouble d when Float.is_nan d ->
+      Bro_val.Vdouble (Int64.float_of_bits 0x7ff8000000000badL)
+  | v -> v
+
+let test_key_hash_consistent =
+  QCheck.Test.make ~count:500 ~name:"Key.equal a b ==> Key.hash a = Key.hash b" (arb_keys 12)
+    (fun keys ->
+      let keys = keys @ List.map twin keys in
+      List.for_all (fun k -> Bro_val.Key.equal k (twin k)) keys
+      && List.for_all
+        (fun a ->
+          List.for_all
+            (fun b -> (not (Bro_val.Key.equal a b)) || Bro_val.Key.hash a = Bro_val.Key.hash b)
+            keys)
+        keys)
+
+(* A table driven by a script through insert, delete, [in] and index
+   agrees with an association list under [Key.equal].  A composite key
+   reaches the script as its elements, indexed as [t[a, b]]; [in] takes
+   one value, so composites are probed by index instead. *)
+type key_op = Put of Bro_val.t * int | Del of Bro_val.t | Has of Bro_val.t | Get of Bro_val.t
+
+let key_ops_script =
+  Bro_parse.parse
+    {|
+global t: table[count] of count;
+
+event put(k: count, v: count) { t[k] = v; }
+event put2(a: count, b: count, v: count) { t[a, b] = v; }
+event put3(a: count, b: count, c: count, v: count) { t[a, b, c] = v; }
+event del(k: count) { delete t[k]; }
+event del2(a: count, b: count) { delete t[a, b]; }
+event del3(a: count, b: count, c: count) { delete t[a, b, c]; }
+event get(k: count) { print t[k]; }
+event get2(a: count, b: count) { print t[a, b]; }
+event get3(a: count, b: count, c: count) { print t[a, b, c]; }
+event has(k: count) { print k in t; }
+event size() { print |t|; }
+|}
+
+let test_key_table_model =
+  let gen_op =
+    G.(
+      oneof
+        [ map2 (fun k v -> Put (k, v)) gen_key (0 -- 9);
+          map (fun k -> Del k) gen_key;
+          map (fun k -> Has k) gen_key;
+          map (fun k -> Get k) gen_key ])
+  in
+  let print_op = function
+    | Put (k, v) -> Printf.sprintf "put %s %d" (Bro_val.to_string k) v
+    | Del k -> "del " ^ Bro_val.to_string k
+    | Has k -> "has " ^ Bro_val.to_string k
+    | Get k -> "get " ^ Bro_val.to_string k
+  in
+  QCheck.Test.make ~count:300 ~name:"script table == association list under Key.equal"
+    (QCheck.make ~print:(QCheck.Print.list print_op) G.(list_size (0 -- 40) gen_op))
+    (fun ops ->
+      let engine = Bro_engine.load Bro_engine.Interpreted key_ops_script in
+      let out = ref "" in
+      Bro_engine.set_print_sink engine (fun s -> out := s);
+      let run name ?(extra = []) k =
+        let name, args =
+          match k with
+          | Some (Bro_val.Vvector d) ->
+              (name ^ string_of_int (Hilti_vm.Deque.size d), Hilti_vm.Deque.to_list d)
+          | Some k -> (name, [ k ])
+          | None -> (name, [])
+        in
+        out := "";
+        match Bro_engine.dispatch engine name (args @ extra) with
+        | () -> !out
+        | exception Bro_val.Bro_error msg -> "error: " ^ msg
+      in
+      let remove k = List.filter (fun (k', _) -> not (Bro_val.Key.equal k k')) in
+      let find k = List.find_opt (fun (k', _) -> Bro_val.Key.equal k k') in
+      let model =
+        List.fold_left
+          (fun model op ->
+            match op with
+            | Put (k, v) ->
+                ignore (run "put" (Some k) ~extra:[ Bro_val.Vcount (Int64.of_int v) ]);
+                (k, v) :: remove k model
+            | Del k ->
+                ignore (run "del" (Some k));
+                remove k model
+            | Has k ->
+                let has =
+                  match k with
+                  | Bro_val.Vvector _ -> run "get" (Some k) <> "error: no such index"
+                  | _ -> run "has" (Some k) = "T"
+                in
+                if has <> (find k model <> None) then
+                  QCheck.Test.fail_reportf "has %s" (Bro_val.to_string k);
+                model
+            | Get k ->
+                let want =
+                  match find k model with
+                  | Some (_, v) -> string_of_int v
+                  | None -> "error: no such index"
+                in
+                let got = run "get" (Some k) in
+                if got <> want then
+                  QCheck.Test.fail_reportf "get %s: %s, want %s" (Bro_val.to_string k) got want;
+                model)
+          [] ops
+      in
+      run "size" None = string_of_int (List.length model))
+
+let distinct_keys a b =
+  let t = Bro_val.Keytbl.create 4 in
+  Bro_val.Keytbl.replace t a ();
+  Bro_val.Keytbl.replace t b ();
+  Bro_val.Keytbl.length t = 2
+
+let test_key_cases () =
+  let check name want a b = Alcotest.(check bool) name want (distinct_keys a b) in
+  check "count 1 and int 1 are two keys" true (Bro_val.Vcount 1L) (Bro_val.Vint 1L);
+  check "0.1 + 0.2 and 0.3 are two keys" true (Bro_val.Vdouble (0.1 +. 0.2)) (Bro_val.Vdouble 0.3);
+  check "-0.0 and 0.0 are one key" false (Bro_val.Vdouble (-0.0)) (Bro_val.Vdouble 0.0);
+  check "NaNs are one key" false (Bro_val.Vdouble Float.nan)
+    (Bro_val.Vdouble (Int64.float_of_bits 0xfff0000000000123L));
+  check "NUL composites are two keys" true
+    (vec [ Bro_val.Vstring "x\000yz"; Bro_val.Vstring "w" ])
+    (vec [ Bro_val.Vstring "x"; Bro_val.Vstring "z\000yw" ]);
+  check "record field order does not matter" false
+    (Bro_val.new_record "r" [ ("a", Bro_val.Vcount 1L); ("b", Bro_val.Vstring "x") ])
+    (Bro_val.new_record "r" [ ("b", Bro_val.Vstring "x"); ("a", Bro_val.Vcount 1L) ])
+
+(* Key hashing allocates nothing: 1,000 rounds over every kind of key,
+   against a few words of measurement overhead. *)
+let test_key_hash_no_alloc () =
+  let keys =
+    [ Bro_val.Vbool true; Bro_val.Vcount 7L; Bro_val.Vint (-3L); Bro_val.Vdouble 0.5;
+      Bro_val.Vstring "www.example.com"; Bro_val.Vaddr (Addr.of_string "10.1.2.3");
+      Bro_val.Vport (Port.udp 53); Bro_val.Vsubnet (Network.of_string "10.0.0.0/8");
+      Bro_val.Vtime (Time_ns.of_ns 5L); Bro_val.Vinterval (Interval_ns.of_ns 6L);
+      vec [ Bro_val.Vstring "a"; Bro_val.Vcount 1L ];
+      Bro_val.new_record "r" [ ("a", Bro_val.Vcount 1L); ("b", Bro_val.Vstring "x") ] ]
+  in
+  let round () = List.iter (fun k -> ignore (Sys.opaque_identity (Bro_val.Key.hash k))) keys in
+  round ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    round ()
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 16. then Alcotest.failf "hashing allocated %.0f words" words
+
+(* A record key mutated after insert is still found under the value it
+   was inserted with, and not under its new one. *)
+let test_record_key_copied () =
+  let script =
+    Bro_parse.parse
+      {|
+type point: record {
+    x: count;
+};
+
+global s: set[point];
+
+event go() {
+    local p = [$x = 1];
+    add s[p];
+    p$x = 2;
+    print [$x = 1] in s, p in s, |s|;
+    for (q in s)
+        print q$x;
+}
+|}
+  in
+  let _, out = with_engine Bro_engine.Interpreted script (fun e -> Bro_engine.dispatch e "go" []) in
+  Alcotest.(check string) "stored key unmoved" "T, F, 1\n1\n" out
+
+let test_non_keys_raise () =
+  let script =
+    Bro_parse.parse
+      {|
+global s: set[count];
+global t: table[count] of count;
+
+event add_key(k: count) { add s[k]; }
+event set_key(k: count) { t[k] = 1; }
+event has_key(k: count) { print k in s; }
+|}
+  in
+  let engine = Bro_engine.load Bro_engine.Interpreted script in
+  let bad =
+    [ ("pattern", Bro_val.Vpattern ("a", Hilti_rt.Regexp.compile_one "a"));
+      ("set", Bro_val.Vset (Bro_val.Keytbl.create 1));
+      ("table", Bro_val.Vtable { entries = Bro_val.Keytbl.create 1; default = None });
+      ("void", Bro_val.Vvoid);
+      ("vector", vec [ Bro_val.Vcount 1L; Bro_val.Vcount 2L ]);
+      ("vector", vec [ vec [ Bro_val.Vcount 1L ]; Bro_val.Vcount 2L ]);
+      ("void", Bro_val.new_record "r" [ ("a", Bro_val.Vvoid) ]) ]
+  in
+  List.iter
+    (fun (kind, v) ->
+      List.iter
+        (fun ev ->
+          match Bro_engine.dispatch engine ev [ v ] with
+          | () -> Alcotest.failf "%s %s: no error" ev kind
+          | exception Bro_val.Bro_error msg ->
+              Alcotest.(check string) (ev ^ " " ^ kind) ("value not usable as key: " ^ kind) msg)
+        [ "add_key"; "set_key"; "has_key" ])
+    bad
+
 let suite =
   [ Alcotest.test_case "track.bro interpreted (Fig. 8)" `Quick test_track_interp;
     Alcotest.test_case "track.bro compiled (Fig. 8)" `Quick test_track_compiled;
@@ -424,4 +707,10 @@ let suite =
     Alcotest.test_case "sha1 vectors" `Quick test_sha1;
     Alcotest.test_case "sha1 streaming = one-shot" `Quick test_sha1_streaming;
     Alcotest.test_case "sha1 allocation" `Quick test_sha1_allocation;
-    QCheck_alcotest.to_alcotest test_converters_agree ]
+    QCheck_alcotest.to_alcotest test_converters_agree;
+    Alcotest.test_case "keys: kinds, doubles, composites" `Quick test_key_cases;
+    Alcotest.test_case "keys: hashing allocates nothing" `Quick test_key_hash_no_alloc;
+    Alcotest.test_case "keys: record keys are copied" `Quick test_record_key_copied;
+    Alcotest.test_case "keys: non-keys raise" `Quick test_non_keys_raise;
+    QCheck_alcotest.to_alcotest test_key_hash_consistent;
+    QCheck_alcotest.to_alcotest test_key_table_model ]

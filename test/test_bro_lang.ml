@@ -150,6 +150,23 @@ event go() {
   in
   Alcotest.(check string) "fold over set" "6\n" out
 
+(* Doubles key by value: [0.1 + 0.2] is not [0.3], though both print as
+   0.3 and their old canonical key strings were equal. *)
+let test_double_keys () =
+  let out =
+    run_both
+      {|
+global t: table[double] of count;
+
+event go() {
+    t[0.1 + 0.2] = 1;
+    t[0.3] = 2;
+    print |t| == 2;
+}
+|}
+  in
+  Alcotest.(check string) "two keys" "T\n" out
+
 let test_queued_events () =
   let out =
     run_both
@@ -238,6 +255,28 @@ event at(i: int) {
         (Printf.sprintf "v[%Ld]" i) "vector index out of range"
         (bro_error (fun () -> Bro_engine.dispatch engine "at" [ Bro_val.Vint i ])))
     [ -1L; 3L; Int64.min_int ]
+
+(* Interpreter-only: [for] visits a set in canonical key-string order
+   ("c1" < "c10" < "c2"), whatever order it was filled in.  The compiled
+   engine visits a HILTI set in its own order. *)
+let test_for_order () =
+  let _, out =
+    run_interp ~events:[ ("go", []) ]
+      {|
+global seen: set[count];
+
+event go() {
+    add seen[33];
+    add seen[2];
+    add seen[10];
+    add seen[1];
+    add seen[200];
+    for (x in seen)
+        print x;
+}
+|}
+  in
+  Alcotest.(check string) "key_string order" "1\n10\n2\n200\n33\n" (Buffer.contents out)
 
 let test_branch_local_not_visible_after () =
   let out =
@@ -415,6 +454,8 @@ let suite =
     Alcotest.test_case "records" `Quick test_records;
     Alcotest.test_case "functions and recursion" `Quick test_functions_and_recursion;
     Alcotest.test_case "for loops" `Quick test_for_loops;
+    Alcotest.test_case "double keys by value" `Quick test_double_keys;
+    Alcotest.test_case "for order: canonical keys (interpreter)" `Quick test_for_order;
     Alcotest.test_case "queued events" `Quick test_queued_events;
     Alcotest.test_case "builtins" `Quick test_builtins;
     Alcotest.test_case "parse error positions" `Quick test_parse_error_position;

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Repo check: full build, the test suite (which includes the 1/2/4-domain
-# determinism tests of test/test_par.ml), and the §6.6 threads benchmark,
-# which writes BENCH_threads.json with per-domain-count throughput.
+# Repo check: full build, the test suite (which includes the 1/2/4-shard
+# log-identity tests of test/test_shard.ml), and the §6.6 threads benchmark,
+# which writes BENCH_threads.json with per-shard-count throughput.
 set -e
 cd "$(dirname "$0")"
 
@@ -11,10 +11,7 @@ dune build @all
 echo "== dune runtest"
 dune runtest
 
-echo "== parallel determinism (test_par, incl. 1/2/4-domain runs)"
-dune exec test/test_main.exe -- test par
-
-echo "== sharded data plane suite (test_shard: ring, shard hash, byte-identical logs)"
+echo "== parallel determinism (test_shard: ring, shard hash, byte-identical logs at 1/2/4 shards)"
 dune exec test/test_main.exe -- test shard
 
 echo "== streaming pipeline suite (test_stream)"

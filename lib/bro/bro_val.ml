@@ -211,6 +211,20 @@ let rec key_string = function
       Array.iteri (fun i k -> fields := (k, key_string r.rvals.(i)) :: !fields) r.rnames;
       let fields = List.sort compare !fields in
       "r{" ^ String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) fields) ^ "}"
+  | Vvector d ->
+      (* A composite key orders element by element: each element's text
+         has NUL escaped to "\000\001" and ends in "\000\000", so the
+         first differing element decides and a prefix sorts first. *)
+      let b = Buffer.create 32 in
+      Buffer.add_char b 'V';
+      Hilti_vm.Deque.iter
+        (fun e ->
+          String.iter
+            (fun c -> if c = '\000' then Buffer.add_string b "\000\001" else Buffer.add_char b c)
+            (key_string e);
+          Buffer.add_string b "\000\000")
+        d;
+      Buffer.contents b
   | v -> error "value not usable as key: %s" (to_debug v)
 
 (* ---- Rendering (print and log output, Bro formatting) -------------------------- *)

@@ -9,104 +9,56 @@
 
     This scheduler executes jobs first-come first-served per virtual
     thread, with round-robin service across threads holding pending work —
-    deterministic, which the tests rely on.  Each virtual thread owns a
-    context: its job queue, its own {!Timer_mgr}, and a scratch table of
-    thread-local variables managed by the VM.
+    deterministic, which the tests rely on.  Each virtual thread owns its
+    job queue and its own {!Timer_mgr}; the VM keeps its globals.
 
-    A {!backend} can replace the cooperative loop with a different
-    execution strategy behind the same interface; [Hilti_par] uses this to
-    run virtual threads on a pool of OCaml 5 domains (the paper's native
-    hardware threads). *)
+    Virtual threads are cooperative: they all run on the calling domain.
+    Hardware parallelism comes from flow sharding ([Hilti_par.Shard_plane]),
+    which places each flow on a worker domain by its symmetric flow hash,
+    just as {!thread_for_hash} places it on a virtual thread (§6.6). *)
 
 type job = { fn : unit -> unit; label : string }
 
-type vthread = {
-  id : int64;
-  queue : job Queue.t;
-  timers : Timer_mgr.t;
-  locals : (string, Obj.t) Hashtbl.t;  (* thread-local slots, managed by VM *)
-  mutable jobs_run : int;
-}
+type vthread = { queue : job Queue.t; timers : Timer_mgr.t }
 
 type stats = { vthreads : int; total_jobs : int }
 
-(** A pluggable execution backend.  When installed, the public scheduling
-    operations delegate to it instead of the built-in cooperative loop —
-    this is how {b Hilti_par} maps virtual threads onto OCaml domains while
-    the VM, [Mini_bro] and the analyzers keep calling the same [Scheduler]
-    interface.  The command queue stays local: serialized operations (file
-    writes, ...) always run on whichever domain drains them, under the
-    scheduler's own lock. *)
-type backend = {
-  b_schedule : int64 -> label:string -> (unit -> unit) -> unit;
-  b_run : unit -> unit;
-  b_advance : Hilti_types.Time_ns.t -> unit;
-  b_timers : int64 -> Timer_mgr.t;
-  b_stats : unit -> stats;
-  b_pending : unit -> int;
-}
-
 type t = {
   threads : (int64, vthread) Hashtbl.t;
-  mutable vthread_count : int;  (* stable stat *)
   mutable total_jobs : int;
   mutable running : bool;
   command_queue : job Queue.t;
       (** serialized operations executed between job steps, standing in for
           HILTI's dedicated manager thread (§5 "Runtime Library") *)
-  cmd_lock : Mutex.t;
-      (** commands may be submitted from any domain in parallel mode *)
-  mutable backend : backend option;
+  cmd_lock : Mutex.t;  (** commands may be submitted from any domain *)
 }
 
 let create () =
   {
     threads = Hashtbl.create 64;
-    vthread_count = 0;
     total_jobs = 0;
     running = false;
     command_queue = Queue.create ();
     cmd_lock = Mutex.create ();
-    backend = None;
   }
-
-let set_backend t b = t.backend <- Some b
-let clear_backend t = t.backend <- None
-let backend t = t.backend
 
 let vthread t id =
   match Hashtbl.find_opt t.threads id with
   | Some vt -> vt
   | None ->
-      let vt =
-        {
-          id;
-          queue = Queue.create ();
-          timers = Timer_mgr.create ();
-          locals = Hashtbl.create 8;
-          jobs_run = 0;
-        }
-      in
+      let vt = { queue = Queue.create (); timers = Timer_mgr.create () } in
       Hashtbl.add t.threads id vt;
-      t.vthread_count <- t.vthread_count + 1;
       vt
 
 (** Schedule [fn] for asynchronous execution on virtual thread [id]
     ([thread.schedule]).  FIFO within a thread. *)
 let schedule t id ?(label = "") fn =
-  match t.backend with
-  | Some b -> b.b_schedule id ~label fn
-  | None ->
-      let vt = vthread t id in
-      Queue.add { fn; label } vt.queue;
-      t.total_jobs <- t.total_jobs + 1
+  let vt = vthread t id in
+  Queue.add { fn; label } vt.queue;
+  t.total_jobs <- t.total_jobs + 1
 
-(** The timer manager of virtual thread [id] (per-domain in parallel
-    mode — timers always fire on the domain owning the thread). *)
-let timers_for t id =
-  match t.backend with
-  | Some b -> b.b_timers id
-  | None -> (vthread t id).timers
+(** The timer manager of virtual thread [id]. *)
+let timers_for t id = (vthread t id).timers
 
 (** Submit a serialized command (e.g. a file write) to the manager queue.
     Safe to call from any domain. *)
@@ -118,11 +70,8 @@ let commands_pending t =
   Mutex.protect t.cmd_lock (fun () -> Queue.length t.command_queue)
 
 let pending t =
-  match t.backend with
-  | Some b -> b.b_pending ()
-  | None ->
-      Hashtbl.fold (fun _ vt acc -> acc + Queue.length vt.queue) t.threads 0
-      + Mutex.protect t.cmd_lock (fun () -> Queue.length t.command_queue)
+  Hashtbl.fold (fun _ vt acc -> acc + Queue.length vt.queue) t.threads 0
+  + commands_pending t
 
 (** Pop-and-run every queued command.  Commands run outside the lock (they
     may submit further commands). *)
@@ -136,12 +85,6 @@ let drain_commands t =
   in
   go ()
 
-(** Run until all queues are empty.  Jobs may schedule further jobs.  Every
-    job runs with its virtual thread's context current (see {!current}). *)
-let current_vthread : vthread option ref = ref None
-
-let current () = !current_vthread
-
 let m_jobs_run =
   Hilti_obs.Metrics.counter "sched_jobs_run"
     ~help:"Jobs executed by the cooperative scheduler"
@@ -150,21 +93,12 @@ let run_one_job vt =
   match Queue.take_opt vt.queue with
   | None -> false
   | Some job ->
-      let saved = !current_vthread in
-      current_vthread := Some vt;
-      Fun.protect
-        ~finally:(fun () -> current_vthread := saved)
-        (fun () -> job.fn ());
-      vt.jobs_run <- vt.jobs_run + 1;
+      job.fn ();
       Hilti_obs.Metrics.incr m_jobs_run;
       true
 
-let rec run t =
-  match t.backend with
-  | Some b -> b.b_run ()
-  | None -> run_cooperative t
-
-and run_cooperative t =
+(** Run until all queues are empty.  Jobs may schedule further jobs. *)
+let run t =
   if t.running then invalid_arg "Scheduler.run: reentrant";
   t.running <- true;
   Fun.protect
@@ -190,17 +124,9 @@ and run_cooperative t =
 (** Advance every virtual thread's timer manager to [time] (global time
     advance broadcast). *)
 let advance_time t time =
-  match t.backend with
-  | Some b -> b.b_advance time
-  | None ->
-      Hashtbl.iter
-        (fun _ vt -> ignore (Timer_mgr.advance vt.timers time))
-        t.threads
+  Hashtbl.iter (fun _ vt -> ignore (Timer_mgr.advance vt.timers time)) t.threads
 
-let stats t =
-  match t.backend with
-  | Some b -> b.b_stats ()
-  | None -> { vthreads = t.vthread_count; total_jobs = t.total_jobs }
+let stats t = { vthreads = Hashtbl.length t.threads; total_jobs = t.total_jobs }
 
 (** The hash-based load-balancing helper the paper describes: map a flow
     key to a virtual thread id in [0, n). *)

@@ -248,8 +248,7 @@ type instr =
 
 (** Per-function register-bank layout, attached by {!Specialize}.  The
     templates are immutable after specialization: every activation copies
-    them into fresh per-frame banks (so banks clone exactly like frames do
-    under the multicore engine — nothing mutable is shared). *)
+    them into fresh per-frame banks, so no two frames share one. *)
 type spec = {
   n_int : int;                (** int-bank slots, incl. scratch *)
   n_float : int;

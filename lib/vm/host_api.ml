@@ -136,12 +136,11 @@ let schedule t tid name args =
       Vm.schedule_job t.ctx tid idx args
   | None -> raise (Vm.Runtime_error ("unknown function " ^ name))
 
-(** Schedule an arbitrary host-side closure on virtual thread [tid].  Under
-    [Hilti_par] it runs on whichever domain owns the thread; [fn] receives
-    that domain's execution context with [current_thread] set to [tid]. *)
+(** Schedule an arbitrary host-side closure on virtual thread [tid].  [fn]
+    receives the execution context with [current_thread] set to [tid]. *)
 let schedule_host t tid ~label fn =
   Hilti_rt.Scheduler.schedule t.ctx.Vm.scheduler tid ~label (fun () ->
-      let ctx = Vm.exec_context t.ctx in
+      let ctx = t.ctx in
       let saved = ctx.Vm.current_thread in
       ctx.Vm.current_thread <- tid;
       Fun.protect
@@ -149,7 +148,7 @@ let schedule_host t tid ~label fn =
         (fun () -> fn ctx))
 
 (** The virtual thread currently executing (for host callbacks). *)
-let current_thread t = (Vm.exec_context t.ctx).Vm.current_thread
+let current_thread t = t.ctx.Vm.current_thread
 
 (** Drain all scheduled virtual-thread jobs. *)
 let run_scheduler t = Vm.run_scheduler t.ctx

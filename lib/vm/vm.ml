@@ -80,8 +80,8 @@ let m_regbank_transfers =
   Hilti_obs.Metrics.counter "vm_regbank_transfers"
     ~help:"Box/unbox bridge crossings between unboxed register banks and the boxed frame"
 
-(* One recyclable activation frame per function, per context (and contexts
-   are per-domain under [Hilti_par], so arena slots are never shared
+(* One recyclable activation frame per function, per context (each
+   [Shard_plane] shard builds its own context, so no arena slot is shared
    between domains).  Only functions carrying the interprocedural
    frame-reuse licence ([Bytecode.program.reuse], stamped by [Summary])
    ever get a slot; the [a_busy] bit is the runtime safety net — any
@@ -101,7 +101,7 @@ type arena_slot = {
 type context = {
   program : Bytecode.program;
   host_slots : (context -> Value.t list -> Value.t) option array;
-      (* by host slot ([program.host_names]); shared with domain clones *)
+      (* by host slot ([program.host_names]) *)
   scheduler : Hilti_rt.Scheduler.t;
   vthread_globals : (int64, Value.t array) Hashtbl.t;
   mutable current_thread : int64;
@@ -112,14 +112,10 @@ type context = {
   mutable charged : int;
       (* [instrs] already credited to the profilers' shared cycle clock *)
   mutable step_kill : int;             (* raise once [instrs] reaches this; max_int = off *)
-  mutable clone_instrs : int;
-      (* root only: instructions the parallel engine collected from the
-         per-domain clones *)
   mutable debug_sink : string -> unit;
   mutable arena : arena_slot option array;
       (* frame arena, indexed by func idx; [[||]] until first licensed
-         activation.  Never shared: each domain clone owns its own. *)
-  parent : context option;             (* Some root for per-domain clones *)
+         activation *)
 }
 
 let main_thread_id = 0L
@@ -140,10 +136,8 @@ let create (program : Bytecode.program) =
     instrs = ref 0;
     charged = 0;
     step_kill = max_int;
-    clone_instrs = 0;
     debug_sink = (fun s -> print_endline s);
     arena = [||];
-    parent = None;
   }
 
 (** Bind host function [name] to its slot.  A name the program never calls
@@ -153,9 +147,8 @@ let register_host ctx name fn =
     (fun i n -> if String.equal n name then ctx.host_slots.(i) <- Some fn)
     ctx.program.host_names
 
-(** Instructions retired, including those run on the parallel engine's
-    per-domain clones. *)
-let instr_count ctx = Int64.of_int (!(ctx.instrs) + ctx.clone_instrs)
+(** Instructions retired on [ctx]. *)
+let instr_count ctx = Int64.of_int !(ctx.instrs)
 
 (** Credit the instructions retired since the last credit to the cycle
     clock ({!Hilti_rt.Profiler.cycle_clock}): one add per activation, made
@@ -168,53 +161,6 @@ let credit ctx =
     r := !r + (n - ctx.charged);
     ctx.charged <- n
   end
-
-(* ---- Per-domain execution contexts (the parallel engine) --------------------- *)
-
-(* A domain clone shares the immutable program, the host-function slots and
-   the scheduler, but owns the mutable execution state (current thread,
-   globals table/cache, instruction counter).  [Hilti_par] makes one clone
-   per worker domain and registers it in domain-local storage; every VM
-   entry point then resolves the context it was handed to the clone of the
-   domain it is actually executing on, so jobs, callables and fibers can
-   migrate between domains without sharing mutable state. *)
-
-let clone_for_domain ctx =
-  if ctx.parent <> None then invalid_arg "Vm.clone_for_domain: already a clone";
-  {
-    ctx with
-    vthread_globals = Hashtbl.create 8;
-    current_thread = main_thread_id;
-    cached_tid = Int64.min_int;
-    cached_globals = [||];
-    instrs = ref 0;
-    charged = 0;
-    step_kill = max_int;
-    clone_instrs = 0;
-    arena = [||];
-    parent = Some ctx;
-  }
-
-let domain_contexts : (context * context) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-(** Register [clone] as the executing domain's context for [root]
-    (called once per worker domain by the parallel engine). *)
-let set_domain_context ~root ~clone =
-  let l = Domain.DLS.get domain_contexts in
-  l := (root, clone) :: List.filter (fun (r, _) -> r != root) !l
-
-(** Resolve [ctx] (root or any clone of it) to the context owned by the
-    executing domain: the registered clone on an engine worker, the root
-    everywhere else. *)
-let exec_context ctx =
-  let root = match ctx.parent with Some r -> r | None -> ctx in
-  match !(Domain.DLS.get domain_contexts) with
-  | [] -> root
-  | l -> (
-      match List.find_opt (fun (r, _) -> r == root) l with
-      | Some (_, clone) -> clone
-      | None -> root)
 
 (** The executing virtual thread's globals array (created on demand). *)
 let globals_for ctx tid =
@@ -1360,11 +1306,10 @@ and exec_file ctx op rg ar =
    proven in range by {!Verify} and the accesses skip their bounds checks.
    Functions rewritten by {!Specialize} carry unboxed int/float register
    banks; each activation copies the immutable bank templates, exactly as
-   [regs] copies [reg_defaults] — so under [Hilti_par] banks clone per
-   frame and nothing mutable is shared between domains.  Functions without
-   bank metadata (the generic [~specialize:false] configuration) run with
-   empty banks: the verifier rejects bank opcodes there, so none can
-   execute.  The bank arithmetic is written out inline (not via
+   [regs] copies [reg_defaults], so no two frames share a bank.  Functions
+   without bank metadata (the generic [~specialize:false] configuration)
+   run with empty banks: the verifier rejects bank opcodes there, so none
+   can execute.  The bank arithmetic is written out inline (not via
    [int_arith]/[exec_prim]): without flambda a helper call re-boxes its
    int64/float arguments, which is precisely the allocation the banks
    exist to remove. *)
@@ -1503,7 +1448,7 @@ and run_frame ctx (f : Bytecode.func) slot (regs : Value.t array) : Value.t =
              (Value.Callable
                 {
                   description = name;
-                  invoke = (fun () -> exec_func (exec_context ctx) callee args);
+                  invoke = (fun () -> exec_func ctx callee args);
                 });
            frame.pc <- next
        | Prim (P_struct (op, layout, slot), arg_regs, dst) ->
@@ -1748,22 +1693,18 @@ and run_hook ctx name args =
 
 (** Schedule bytecode function [callee] on virtual thread [tid]
     ([thread.schedule]).  The caller must have deep-copied [args] already.
-    The job resolves its execution context when it runs: under [Hilti_par]
-    that is the clone owned by whichever domain the thread landed on. *)
+    The job runs on [ctx] with [current_thread] set to [tid]. *)
 and schedule_job ctx tid callee (args : Value.t list) =
   let label = ctx.program.funcs.(callee).name in
   Hilti_rt.Scheduler.schedule ctx.scheduler tid ~label (fun () ->
-      let ctx = exec_context ctx in
       let saved = ctx.current_thread in
       ctx.current_thread <- tid;
       Fun.protect
         ~finally:(fun () -> ctx.current_thread <- saved)
         (fun () -> ignore (exec_func ctx callee args)))
 
-(** Call a HILTI function by name (the generated C-stub entry point).
-    Runs on the current domain's execution context. *)
+(** Call a HILTI function by name (the generated C-stub entry point). *)
 let call ctx name args =
-  let ctx = exec_context ctx in
   match Bytecode.find_func ctx.program name with
   | Some idx -> exec_func ctx idx args
   | None -> fail "unknown function %s" name

@@ -446,11 +446,42 @@ let test_parse_error_position () =
       Alcotest.(check int) "line 1" 1 line
   | _ -> Alcotest.fail "bad script parsed"
 
+(* A [for] over a composite-keyed table visits every key in both engines.
+   Their orders still differ, so the lines compare as sorted sets; the
+   interpreter's own order is element by element ("sa" < "sab" < "sb"),
+   not by the joined text, which would put [ab, 1] before [a, 2]. *)
+let test_for_composite_keys () =
+  let src =
+    {|
+global t: table[string, count] of count;
+
+event go() {
+    t["b", 0] = 1;
+    t["ab", 1] = 2;
+    t["a", 2] = 3;
+    for (k in t)
+        print k;
+}
+|}
+  in
+  let lines mode =
+    let engine = Bro_engine.load mode (Bro_parse.parse src) in
+    let out = ref [] in
+    Bro_engine.set_print_sink engine (fun s -> out := s :: !out);
+    Bro_engine.dispatch engine "go" [];
+    List.rev !out
+  in
+  let i = lines Bro_engine.Interpreted and c = lines Bro_engine.Compiled in
+  Alcotest.(check (list string)) "same keys" (List.sort compare i) (List.sort compare c);
+  Alcotest.(check int) "every key visited" 3 (List.length i);
+  Alcotest.(check (list string)) "interpreter order" [ "[a,2]"; "[ab,1]"; "[b,0]" ] i
+
 let suite =
   [ Alcotest.test_case "literals" `Quick test_literals;
     Alcotest.test_case "arithmetic/comparison" `Quick test_arith_and_compare;
     Alcotest.test_case "sets/tables/vectors" `Quick test_sets_tables_vectors;
     Alcotest.test_case "multi-key tables" `Quick test_multi_key_table;
+    Alcotest.test_case "for over composite keys" `Quick test_for_composite_keys;
     Alcotest.test_case "records" `Quick test_records;
     Alcotest.test_case "functions and recursion" `Quick test_functions_and_recursion;
     Alcotest.test_case "for loops" `Quick test_for_loops;

@@ -240,6 +240,172 @@ let test_tampered_image_rejected () =
       Alcotest.(check bool) "hilti-build -x reports the verifier error" true
         (Astring_contains.contains msg "out of range"))
 
+(* ---- Virtual threads: same results threaded and unthreaded (§6.6) ------------ *)
+
+(* Each workload runs once on 1 virtual thread and once hashed over 4.
+   Virtual threads share no state, and the hash keeps all of one flow's
+   state on one thread, so the results must agree once the thread id is
+   dropped. *)
+
+let fw_rules =
+  Hilti_firewall.Fw_rules.parse_rules
+    {|
+10.3.2.1/32 10.1.0.0/16 allow
+10.12.0.0/16 10.1.0.0/16 deny
+10.1.6.0/24 * allow
+10.1.7.0/24 * allow
+|}
+
+(* A reproducible packet mix: rule hits, dynamic reverse traffic, misses;
+   timestamps strictly increasing so per-thread time stays monotonic. *)
+let fw_packets =
+  let t0 = Hilti_types.Time_ns.of_secs 1_400_000_000 in
+  let rng = Random.State.make [| 4711 |] in
+  let pool =
+    [|
+      "10.3.2.1"; "10.1.44.1"; "10.12.9.9"; "10.1.6.20"; "10.1.6.21";
+      "10.1.7.7"; "99.99.99.99"; "88.88.88.88"; "10.1.50.2"; "172.16.0.9";
+    |]
+  in
+  List.init 300 (fun i ->
+      let pick () = Hilti_types.Addr.of_string pool.(Random.State.int rng (Array.length pool)) in
+      let ts = Hilti_types.Time_ns.add t0 (Int64.of_int (i * 2_000_000_000)) in
+      let src = pick () in
+      (ts, src, pick ()))
+
+(* Flow affinity: both directions of a pair land on the same virtual
+   thread (the paper's hash-scheduling scheme), so dynamic reverse rules
+   stay visible to the thread that installed them. *)
+let fw_thread ~threads src dst =
+  let a = Hilti_types.Addr.to_string src and b = Hilti_types.Addr.to_string dst in
+  let key = if a <= b then (a, b) else (b, a) in
+  Hilti_rt.Scheduler.thread_for_hash ~threads (Hashtbl.hash key)
+
+(* The sorted (src, dst, verdict) triples of the firewall over [threads]
+   virtual threads. *)
+let run_firewall ~threads =
+  let m = Hilti_firewall.Fw_hilti.compile_module fw_rules in
+  let api = Host_api.compile [ m ] in
+  for tid = 0 to threads - 1 do
+    Host_api.schedule api (Int64.of_int tid) "Firewall::init_classifier" []
+  done;
+  Host_api.run_scheduler api;
+  let verdicts = ref [] in
+  List.iter
+    (fun (ts, src, dst) ->
+      let tid = fw_thread ~threads src dst in
+      Host_api.schedule_host api tid ~label:"match" (fun ctx ->
+          assert (ctx.Vm.current_thread = tid);
+          let v =
+            Vm.call ctx "Firewall::match_packet"
+              [ Value.Time ts; Value.Addr src; Value.Addr dst ]
+          in
+          verdicts :=
+            (Hilti_types.Addr.to_string src, Hilti_types.Addr.to_string dst, Value.as_bool v)
+            :: !verdicts))
+    fw_packets;
+  Host_api.run_scheduler api;
+  List.sort compare !verdicts
+
+let test_firewall_threads () =
+  let one = run_firewall ~threads:1 in
+  Alcotest.(check int) "all packets got a verdict" (List.length fw_packets) (List.length one);
+  Alcotest.(check bool) "some packets allowed, some denied" true
+    (List.exists (fun (_, _, v) -> v) one && List.exists (fun (_, _, v) -> not v) one);
+  Alcotest.(check bool) "4-thread verdicts match 1 thread" true (run_firewall ~threads:4 = one)
+
+(* Parse one datagram and report the DNS id back to the host (same shape
+   as the §6.6 bench harness). *)
+let dns_wrapper_module () =
+  let m = Module_ir.create "Par" in
+  Module_ir.add_func m
+    {
+      Module_ir.fname = "Par::record";
+      params = [ ("id", Htype.Int 64) ];
+      result = Htype.Void;
+      locals = [];
+      blocks = [];
+      cc = Module_ir.Cc_c;
+      hook_priority = 0;
+      exported = true;
+    };
+  let b =
+    Builder.func m "Par::parse_one" ~exported:true
+      ~params:[ ("pkt", Htype.Ref Htype.Bytes) ]
+      ~result:Htype.Void
+  in
+  let exc = Builder.local b "e" Htype.Exception in
+  Builder.instr b "try.push" [ Instr.Label "bad"; Instr.Local exc ];
+  let it = Builder.emit b (Htype.Iter Htype.Bytes) "iter.begin" [ Instr.Local "pkt" ] in
+  let itl = Builder.local b "it" (Htype.Iter Htype.Bytes) in
+  Builder.instr b ~target:itl "assign" [ it ];
+  let t =
+    Builder.emit b
+      (Htype.Tuple [ Htype.Any; Htype.Iter Htype.Bytes ])
+      "call"
+      [ Instr.Fname "DNS::parse_Message";
+        Instr.Tuple_op [ Instr.Local itl; Instr.Local itl ] ]
+  in
+  let st =
+    Builder.emit b (Htype.Ref (Htype.Struct "DNS::Message")) "tuple.get"
+      [ t; Builder.const_int 0 ]
+  in
+  let id = Builder.emit b (Htype.Int 64) "struct.get" [ st; Instr.Member "id" ] in
+  Builder.call b "Par::record" [ id ];
+  Builder.return_ b;
+  Builder.set_block b "bad";
+  Builder.return_ b;
+  m
+
+let dns_datagrams =
+  lazy
+    (let cfg =
+       { Hilti_traces.Dns_gen.default with transactions = 150; seed = 31337 }
+     in
+     let trace = Hilti_traces.Dns_gen.generate cfg in
+     List.filter_map
+       (fun (r : Hilti_net.Pcap.record) ->
+         match
+           Hilti_net.Packet.decode_opt ~ts:r.Hilti_net.Pcap.ts
+             r.Hilti_net.Pcap.data
+         with
+         | Some pkt -> (
+             match
+               (Hilti_net.Packet.flow pkt, pkt.Hilti_net.Packet.transport)
+             with
+             | Some flow, Hilti_net.Packet.UDP (_, payload) ->
+                 Some (Hilti_net.Flow.hash flow, payload)
+             | _ -> None)
+         | None -> None)
+       trace.Hilti_traces.Dns_gen.records)
+
+(* The sorted DNS transaction ids BinPAC++ DNS parses on the VM with the
+   trace hashed over [threads] virtual threads. *)
+let run_dns ~threads =
+  let dns_m = Binpacxx.Codegen.compile (Binpacxx.Grammars.parse_dns ()) in
+  let api = Host_api.compile [ dns_m; dns_wrapper_module () ] in
+  let recorded = ref [] in
+  Host_api.register api "Par::record" (fun args ->
+      (match args with [ Value.Int id ] -> recorded := id :: !recorded | _ -> ());
+      Value.Null);
+  for tid = 0 to threads - 1 do
+    Host_api.schedule api (Int64.of_int tid) "DNS::init" []
+  done;
+  List.iter
+    (fun (hash, payload) ->
+      let tid = Hilti_rt.Scheduler.thread_for_hash ~threads hash in
+      let b = Hilti_types.Hbytes.of_string payload in
+      Hilti_types.Hbytes.freeze b;
+      Host_api.schedule api tid "Par::parse_one" [ Value.Bytes b ])
+    (Lazy.force dns_datagrams);
+  Host_api.run_scheduler api;
+  List.sort compare !recorded
+
+let test_dns_threads () =
+  let one = run_dns ~threads:1 in
+  Alcotest.(check bool) "1-thread run parsed messages" true (one <> []);
+  Alcotest.(check (list int64)) "4-thread DNS ids match 1 thread" one (run_dns ~threads:4)
+
 let suite =
   [ Alcotest.test_case "HILTI calls host function" `Quick test_hilti_calls_host;
     Alcotest.test_case "unregistered host function" `Quick test_unregistered_host_function;
@@ -249,4 +415,6 @@ let suite =
     Alcotest.test_case "file output via VM" `Quick test_file_via_vm;
     Alcotest.test_case "iosrc via VM" `Quick test_iosrc_via_vm;
     Alcotest.test_case "program image marshals" `Quick test_program_marshals;
-    Alcotest.test_case "tampered image rejected" `Quick test_tampered_image_rejected ]
+    Alcotest.test_case "tampered image rejected" `Quick test_tampered_image_rejected;
+    Alcotest.test_case "virtual threads: firewall verdicts" `Quick test_firewall_threads;
+    Alcotest.test_case "virtual threads: DNS ids on the VM" `Quick test_dns_threads ]

@@ -380,6 +380,58 @@ let test_scheduler_command_queue () =
   (* Commands are serialized ahead of per-thread work in each round. *)
   Alcotest.(check (list string)) "command first" [ "cmd"; "job" ] (List.rev !log)
 
+(* ---- QCheck: Channel under real domains ------------------------------------- *)
+
+let channel_stress =
+  QCheck.Test.make ~count:15 ~name:"channel: no lost or duplicated messages across domains"
+    QCheck.(
+      quad (int_range 1 3) (int_range 1 3) (int_range 1 8) (int_range 0 60))
+    (fun (producers, consumers, capacity, per_producer) ->
+      let chan = Hilti_rt.Channel.create ~capacity () in
+      let total = producers * per_producer in
+      let consumed = Atomic.make 0 in
+      let over_capacity = Atomic.make false in
+      let prod p =
+        Domain.spawn (fun () ->
+            for i = 0 to per_producer - 1 do
+              while not (Hilti_rt.Channel.try_write chan (p, i)) do
+                Domain.cpu_relax ()
+              done
+            done)
+      in
+      let cons _ =
+        Domain.spawn (fun () ->
+            let got = ref [] in
+            let rec loop () =
+              if Hilti_rt.Channel.size chan > capacity then
+                Atomic.set over_capacity true;
+              match Hilti_rt.Channel.try_read chan with
+              | Some v ->
+                  got := v :: !got;
+                  Atomic.incr consumed;
+                  loop ()
+              | None ->
+                  if Atomic.get consumed < total then begin
+                    Domain.cpu_relax ();
+                    loop ()
+                  end
+            in
+            loop ();
+            !got)
+      in
+      let ps = List.init producers prod in
+      let cs = List.init consumers cons in
+      List.iter Domain.join ps;
+      let received = List.concat_map Domain.join cs in
+      let expected =
+        List.concat_map
+          (fun p -> List.init per_producer (fun i -> (p, i)))
+          (List.init producers Fun.id)
+      in
+      List.sort compare received = List.sort compare expected
+      && (not (Atomic.get over_capacity))
+      && Hilti_rt.Channel.is_empty chan)
+
 (* ---- Profiler exclusive accounting -------------------------------------------------------------- *)
 
 let test_profiler_exclusive () =
@@ -435,4 +487,5 @@ let suite =
     Alcotest.test_case "scheduler fifo" `Quick test_scheduler_fifo_per_thread;
     Alcotest.test_case "scheduler spawned jobs" `Quick test_scheduler_jobs_spawn_jobs;
     Alcotest.test_case "scheduler command queue" `Quick test_scheduler_command_queue;
-    Alcotest.test_case "profiler exclusive accounting" `Quick test_profiler_exclusive ]
+    Alcotest.test_case "profiler exclusive accounting" `Quick test_profiler_exclusive;
+    QCheck_alcotest.to_alcotest channel_stress ]

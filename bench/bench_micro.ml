@@ -38,14 +38,13 @@ let fiber_cycle_rate () =
   in
   float_of_int n /. (Int64.to_float ns /. 1e9)
 
-(* ---- Frame-arena allocation micro-benchmark -------------------------------- *)
+(* ---- Frame allocation micro-benchmarks ------------------------------------ *)
 
 (* A per-packet-shaped call path: a driver loop making one direct call per
    iteration into a leaf with a wide frame — the activation pattern of the
-   DNS parse path's helper calls.  With the interprocedural licence on,
-   every leaf activation reuses the per-worker arena frame instead of
-   copying its register bank; the allocation delta per activation is the
-   payoff being measured. *)
+   DNS parse path's helper calls.  Every leaf activation runs in a frame
+   recycled from the leaf's free list, so what remains per activation is
+   the dispatch loop's own allocation. *)
 let call_leaf_module () =
   let m = Module_ir.create "Act" in
   (* The leaf: enough locals that its frame copy is visible in the
@@ -88,34 +87,41 @@ let call_leaf_module () =
   m
 
 (* Allocated bytes per leaf activation, amortized over [n] calls. *)
-let frame_arena_bench () =
-  Bench_util.header "frame arena: allocated bytes per activation, copy vs reuse";
+let frame_bytes_bench () =
+  Bench_util.header "frames: allocated bytes per activation";
   let module H = Hilti_vm.Host_api in
   let n = 200_000 in
-  let bytes_per_activation ~frame_reuse =
-    let api = H.compile ~frame_reuse [ call_leaf_module () ] in
-    let drive () =
-      Hilti_vm.Value.as_int
-        (H.call api "Act::drive" [ Hilti_vm.Value.Int (Int64.of_int n) ])
-    in
-    let r = drive () in
-    (* warm-up: arena slots exist, code paths jitted into the caches *)
-    Bench_util.gc_normalize ();
-    let before = Gc.allocated_bytes () in
-    let r' = drive () in
-    let per = (Gc.allocated_bytes () -. before) /. float_of_int n in
-    assert (r = r');
-    (r, per)
+  let api = H.compile [ call_leaf_module () ] in
+  let drive () =
+    Hilti_vm.Value.as_int (H.call api "Act::drive" [ Hilti_vm.Value.Int (Int64.of_int n) ])
   in
-  let r_copy, alloc_copy = bytes_per_activation ~frame_reuse:false in
-  let r_reuse, alloc_reuse = bytes_per_activation ~frame_reuse:true in
-  assert (r_copy = r_reuse);
-  let reduction = 1.0 -. (alloc_reuse /. alloc_copy) in
-  Printf.printf "%d leaf activations per run:\n" n;
-  Printf.printf "  bank copy  (frame_reuse=false): %8.1f bytes/activation\n" alloc_copy;
-  Printf.printf "  arena slot (frame_reuse=true):  %8.1f bytes/activation\n" alloc_reuse;
-  Printf.printf "  reduction: %.1f%%\n" (100.0 *. reduction);
-  (alloc_copy, alloc_reuse, reduction)
+  let r = drive () in
+  (* warm-up: free lists filled, code paths in the caches *)
+  Bench_util.gc_normalize ();
+  let before = Gc.allocated_bytes () in
+  let r' = drive () in
+  let per = (Gc.allocated_bytes () -. before) /. float_of_int n in
+  assert (r = r');
+  Printf.printf "%d leaf activations per run: %8.1f bytes/activation\n" n per;
+  per
+
+(* Minor words per activation of the compiled Bro [fib(21)]: a recursive
+   function, so every level of the recursion needs a frame of its own and
+   the free list serves the next descent. *)
+let fib_words_bench () =
+  Bench_util.header "frames: minor words per activation, compiled fib(21)";
+  let engine =
+    Mini_bro.Bro_engine.load Mini_bro.Bro_engine.Compiled (Mini_bro.Bro_scripts.parse_fib ())
+  in
+  let arg = [ Mini_bro.Bro_val.Vcount 21L ] in
+  let rec activations n = if n < 2 then 1 else 1 + activations (n - 1) + activations (n - 2) in
+  let n = activations 21 in
+  ignore (Mini_bro.Bro_engine.call_function engine "fib" arg);
+  let before = Gc.minor_words () in
+  ignore (Mini_bro.Bro_engine.call_function engine "fib" arg);
+  let per = (Gc.minor_words () -. before) /. float_of_int n in
+  Printf.printf "%d activations per call: %8.1f minor words/activation\n" n per;
+  per
 
 (* ---- Zero-copy parse-path allocation: DNS --------------------------------- *)
 
@@ -478,88 +484,7 @@ let http_alloc_bench () =
   Printf.printf "  reduction: %.1f%%\n" (100.0 *. reduction);
   (before_per, after_per, reduction)
 
-(* ---- Suspend-path frame copies -------------------------------------------- *)
-
-(* Head-room measurement for the suspend-tolerant reuse licence: a
-   may-suspend leaf is served from the arena when activations do not
-   overlap; while one activation is parked at its yield, every further
-   activation must copy its bank templates (metered as
-   [vm_frame_suspend_copies]).  The allocation delta between the two
-   regimes is the per-activation copy cost the licence removes. *)
-let susp_module () =
-  let m = Module_ir.create "Susp" in
-  let b =
-    Builder.func m "Susp::leaf" ~params:[ ("x", Htype.Int 64) ]
-      ~result:(Htype.Int 64)
-  in
-  let acc = ref (Instr.Local "x") in
-  for k = 1 to 12 do
-    acc := Builder.emit b (Htype.Int 64) "int.add" [ !acc; Builder.const_int k ]
-  done;
-  Builder.instr b "yield" [];
-  let r = Builder.emit b (Htype.Int 64) "int.xor" [ !acc; Instr.Local "x" ] in
-  Builder.return_result b r;
-  let b =
-    Builder.func m "Susp::drive" ~params:[ ("x", Htype.Int 64) ]
-      ~result:(Htype.Int 64)
-  in
-  let t = Builder.tmp b (Htype.Int 64) in
-  Builder.call b ~target:t "Susp::leaf" [ Instr.Local "x" ];
-  Builder.return_result b (Instr.Local t);
-  m
-
-let suspend_copy_bench () =
-  Bench_util.header "frame arena: suspend-path copies (parked slot head-room)";
-  let module H = Hilti_vm.Host_api in
-  let api = H.compile ~optimize:false [ susp_module () ] in
-  let n = 50_000 in
-  let activations parked =
-    (* Optionally park one activation inside the leaf first, then run [n]
-       complete activations; each parks at the yield and finishes on
-       resume.  With the blocker parked, all [n] hit the busy fallback. *)
-    let blocker =
-      if parked then Some (H.call_fiber api "Susp::drive" [ Hilti_vm.Value.Int 1L ])
-      else None
-    in
-    let acc = ref 0L in
-    for i = 1 to n do
-      let run = H.call_fiber api "Susp::drive" [ Hilti_vm.Value.Int (Int64.of_int i) ] in
-      ignore (H.resume run);
-      acc := Int64.add !acc (Hilti_vm.Value.as_int (H.result_exn run))
-    done;
-    Option.iter (fun r -> ignore (H.resume r)) blocker;
-    !acc
-  in
-  let measure parked =
-    ignore (activations parked);
-    Bench_util.gc_normalize ();
-    let before = Gc.allocated_bytes () in
-    let r = activations parked in
-    ((Gc.allocated_bytes () -. before) /. float_of_int n, r)
-  in
-  Hilti_obs.Metrics.with_enabled true @@ fun () ->
-  let copies_before = Hilti_obs.Metrics.counter_value Hilti_vm.Vm.m_frame_suspend_copies in
-  let arena_per, r_arena = measure false in
-  let copies_mid = Hilti_obs.Metrics.counter_value Hilti_vm.Vm.m_frame_suspend_copies in
-  let copy_per, r_copy = measure true in
-  let copies_after = Hilti_obs.Metrics.counter_value Hilti_vm.Vm.m_frame_suspend_copies in
-  assert (r_arena = r_copy);
-  (* Non-overlapped activations reuse the slot; overlapped ones all copy. *)
-  assert (copies_after - copies_mid >= 2 * n);
-  let headroom = copy_per -. arena_per in
-  Printf.printf "%d may-suspend leaf activations per run:\n" n;
-  Printf.printf "  slot available (no overlap):   %8.1f bytes/activation\n"
-    arena_per;
-  Printf.printf "  slot parked (busy fallback):   %8.1f bytes/activation\n"
-    copy_per;
-  Printf.printf
-    "  suspend-path copy head-room: %.1f bytes/activation (%d copies metered, %d arena-served)\n"
-    headroom
-    (copies_after - copies_mid)
-    (copies_mid - copies_before);
-  (arena_per, copy_per, copies_after - copies_mid)
-
-let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
+let write_micro_json (frame_bytes, fib_words)
     ( dns_before,
       dns_after,
       dns_reduction,
@@ -568,7 +493,7 @@ let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
       dns_e2e_before,
       dns_e2e_after )
     (http_before, http_after, http_reduction)
-    (susp_arena, susp_copy, susp_copies) (pac_bytes, pac_instrs) script_bytes
+    (pac_bytes, pac_instrs) script_bytes
     all_scripts_bytes compiled_script_bytes rows =
   let rows =
     String.concat ""
@@ -579,9 +504,9 @@ let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
   in
   let json =
     Printf.sprintf
-      "{\n  \"experiment\": \"frame_arena_and_alloc\",\n  \
-       \"alloc_bytes_copy\": %.1f,\n  \"alloc_bytes_reuse\": %.1f,\n  \
-       \"alloc_reduction\": %.3f,\n  \
+      "{\n  \"experiment\": \"frames_and_alloc\",\n  \
+       \"frame_bytes_per_activation\": %.1f,\n  \
+       \"fib_words_per_activation\": %.1f,\n  \
        \"dns_alloc_bytes_per_packet_before\": %.1f,\n  \
        \"dns_alloc_bytes_per_packet_after\": %.1f,\n  \
        \"dns_alloc_reduction\": %.3f,\n  \
@@ -592,23 +517,20 @@ let write_micro_json (alloc_copy, alloc_reuse, alloc_reduction)
        \"http_alloc_bytes_per_packet_before\": %.1f,\n  \
        \"http_alloc_bytes_per_packet_after\": %.1f,\n  \
        \"http_alloc_reduction\": %.3f,\n  \
-       \"suspend_arena_bytes_per_activation\": %.1f,\n  \
-       \"suspend_copy_bytes_per_activation\": %.1f,\n  \
-       \"suspend_copies\": %d,\n  \
        \"dns_pac_alloc_bytes_per_packet\": %.1f,\n  \
        \"dns_pac_instrs_per_packet\": %.1f,\n  \
        \"dns_script_alloc_bytes_per_txn_before\": %.1f,\n  \
        \"dns_script_alloc_bytes_per_txn\": %.1f,\n  \
        \"dns_all_scripts_alloc_bytes_per_txn\": %.1f,\n  \
        \"dns_compiled_script_alloc_bytes_per_txn\": %.1f%s\n}\n"
-      alloc_copy alloc_reuse alloc_reduction dns_before dns_after dns_reduction
+      frame_bytes fib_words dns_before dns_after dns_reduction
       dns_parse_before dns_parse_after dns_e2e_before dns_e2e_after http_before
-      http_after http_reduction susp_arena susp_copy susp_copies pac_bytes
+      http_after http_reduction pac_bytes
       pac_instrs dns_script_alloc_before script_bytes all_scripts_bytes compiled_script_bytes
       rows
   in
   Bench_util.write_file_atomic "BENCH_micro.json" json;
-  print_endline "frame-arena + allocation data written to BENCH_micro.json"
+  print_endline "frame + allocation data written to BENCH_micro.json"
 
 (* ---- Hbytes allocation micro-benchmark ----------------------------------- *)
 
@@ -700,13 +622,13 @@ let run () =
   print_newline ();
   hbytes_alloc_bench ();
   print_newline ();
-  let arena = frame_arena_bench () in
+  let frames = frame_bytes_bench () in
+  print_newline ();
+  let fib = fib_words_bench () in
   print_newline ();
   let dns = dns_alloc_bench () in
   print_newline ();
   let http = http_alloc_bench () in
-  print_newline ();
-  let susp = suspend_copy_bench () in
   print_newline ();
   let pac = dns_pac_bench () in
   print_newline ();
@@ -720,4 +642,4 @@ let run () =
   print_newline ();
   let glue = glue_bench () in
   print_newline ();
-  write_micro_json arena dns http susp pac script all_scripts compiled_script (keys @ glue)
+  write_micro_json (frames, fib) dns http pac script all_scripts compiled_script (keys @ glue)

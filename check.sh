@@ -121,19 +121,23 @@ grep -q '"disabled_alloc_words_per_100k"' BENCH_obs.json
 echo "== analysis suite (dataflow, lint, verifier, verification as the VM's precondition)"
 dune exec test/test_main.exe -- test analysis
 
-echo "== escape suite (summaries, race detector, frame arena)"
+echo "== escape suite (summaries, race detector, recycled frames)"
 dune exec test/test_main.exe -- test escape
 
 echo "== vmopt suite (typing export, specialized-opcode verification, generic-vs-specialized differential)"
 dune exec test/test_main.exe -- test vmopt
 
-echo "== bench micro (writes BENCH_micro.json: frame arena + allocation per packet)"
+echo "== bench micro (writes BENCH_micro.json: frames + allocation per packet)"
 dune exec bench/main.exe -- micro --quick
-grep -q '"alloc_bytes_copy"' BENCH_micro.json
-grep -q '"alloc_bytes_reuse"' BENCH_micro.json
-# Analysis-licensed frame reuse must cut per-activation allocation by
-# >= 50% on the call-heavy micro path (measured runs land ~60%).
-awk -F': ' '/"alloc_reduction"/ { if ($2+0 < 0.5) exit 1 }' BENCH_micro.json
+grep -q '"frame_bytes_per_activation"' BENCH_micro.json
+grep -q '"fib_words_per_activation"' BENCH_micro.json
+# Every activation runs in a recycled frame: allocated bytes per leaf
+# activation on the call-heavy micro path, and minor words per
+# activation of the recursive compiled fib(21) (deterministic counts;
+# 126 B and ~30 words when only analysis-licensed, non-recursive
+# functions recycled frames and the rest copied theirs).
+awk -F': ' '/"frame_bytes_per_activation"/ { if ($2+0 > 96) exit 1 }' BENCH_micro.json
+awk -F': ' '/"fib_words_per_activation"/ { if ($2+0 > 10) exit 1 }' BENCH_micro.json
 grep -q '"dns_alloc_bytes_per_packet_before"' BENCH_micro.json
 grep -q '"dns_alloc_bytes_per_packet_after"' BENCH_micro.json
 grep -q '"http_alloc_reduction"' BENCH_micro.json

@@ -247,8 +247,9 @@ type instr =
   | FBrCmp_u of cmp * int * int * int * int
 
 (** Per-function register-bank layout, attached by {!Specialize}.  The
-    templates are immutable after specialization: every activation copies
-    them into fresh per-frame banks, so no two frames share one. *)
+    templates are immutable after specialization: every activation starts
+    from them, blitted over its frame's own banks ([Vm.acquire_frame]), so
+    no two live activations share a bank. *)
 type spec = {
   n_int : int;                (** int-bank slots, incl. scratch *)
   n_float : int;
@@ -300,22 +301,6 @@ type program = {
   mutable specialized : bool;
   (** set (only) by {!Specialize} after rewriting every function onto the
       unboxed register banks *)
-  mutable reuse : bool array;
-  (** per-function frame-reuse licence, set (only) by
-      [Summary.license_frame_reuse]: [reuse.(i)] means the interprocedural
-      analysis proved no two activations of function [i] can be live on
-      one domain at once, so the VM may recycle a per-worker arena frame
-      instead of copying the bank templates per activation.  Empty ([[||]])
-      until the analysis runs — the VM treats missing entries as [false]. *)
-  mutable reuse_susp : bool array;
-  (** the suspend-tolerant licence class, stamped together with [reuse]:
-      [reuse_susp.(i)] means function [i] meets every frame-reuse
-      condition {e except} that its synchronous closure may suspend.  The
-      VM serves these activations from the arena too — a parked fiber
-      keeps its slot's busy bit set, so an overlapping activation falls
-      back to copying (counted as [vm_frame_suspend_copies]); the licence
-      removes the per-activation copy for the common non-overlapping
-      case.  Disjoint from [reuse]. *)
 }
 
 let find_func p name = Hashtbl.find_opt p.func_index name

@@ -22,14 +22,8 @@ exception Compile_error of string list
     @param specialize rewrite the verified bytecode onto unboxed int/float
       register banks and fuse hot instruction pairs (default on).  Off, the
       same dispatch loop runs the generic opcodes: the reference
-      configuration the differential tests compare specialization against.
-    @param frame_reuse run the interprocedural summary analysis
-      ({!Summary.license_frame_reuse}) and let the VM recycle a per-worker
-      arena frame for every function the analysis proves safe (default
-      on; the reuse contract leans on the verifier's defined-before-use
-      proof) *)
-let compile ?(optimize = true) ?(specialize = true)
-    ?(frame_reuse = true) (modules : Module_ir.t list) : t =
+      configuration the differential tests compare specialization against. *)
+let compile ?(optimize = true) ?(specialize = true) (modules : Module_ir.t list) : t =
   let linked = Hilti_passes.Linker.link modules in
   (* Validation runs on the linked unit, where cross-module references
      (functions, hooks, globals) are all visible. *)
@@ -43,7 +37,6 @@ let compile ?(optimize = true) ?(specialize = true)
   (try ignore (Verify.verify_exn program)
    with Verify.Verify_error errors -> raise (Compile_error errors));
   if specialize then ignore (Specialize.specialize program);
-  if frame_reuse then ignore (Summary.license_frame_reuse program);
   let ctx = Vm.create program in
   (* The standard library surface host applications always get. *)
   Vm.register_host ctx "Hilti::print" (fun c args ->

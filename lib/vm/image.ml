@@ -4,7 +4,11 @@
     runs the verifier on it again instead of trusting the [verified] and
     [specialized] flags stored in the file. *)
 
-let magic = "HILTI-IMAGE-1"
+(* An image is a [Marshal]led {!Bytecode.program}, and [Marshal] is not
+   type-safe: a binary reading a record of another shape indexes past its
+   end.  Change the magic whenever the shape of [Bytecode.program] (or of
+   anything it holds) changes. *)
+let magic = "HILTI-IMAGE-2"
 
 exception Not_an_image of string
 

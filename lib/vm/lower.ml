@@ -1037,4 +1037,4 @@ let lower_module (m : Module_ir.t) : Bytecode.program =
   let host_names = Array.make (Hashtbl.length hosts) "" in
   Hashtbl.iter (fun n i -> host_names.(i) <- n) hosts;
   { funcs; func_index; globals; global_defaults; global_index; hooks; layouts;
-    host_names; verified = false; specialized = false; reuse = [||]; reuse_susp = [||] }
+    host_names; verified = false; specialized = false }

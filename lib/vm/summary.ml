@@ -13,12 +13,11 @@
     recursion converges without special casing.  Asynchronous edges
     ([Bind], [Schedule], timer callables) are kept separate: their
     targets run in a later activation, which is exactly the distinction
-    the shard-race rules and the frame-reuse licence need.
+    the static shard-race detector ([Hilti_analysis.Racecheck]) needs.
 
-    Consumers:
-    - the static shard-race detector ([Hilti_analysis.Racecheck]);
-    - {!license_frame_reuse}, which marks the functions whose activation
-      frames the VM may recycle from a per-worker arena. *)
+    {!reset_regs}, a per-function analysis, serves the VM: which
+    registers a recycled frame must restore before an activation runs in
+    it. *)
 
 module IntSet = Set.Make (Int)
 module StrSet = Set.Make (String)
@@ -286,65 +285,18 @@ let reachable_from (s : program_summary) (entries : int list) : bool array =
     ~succs:(fun i -> s.cg.sync_succs.(i))
     entries
 
-(* ---- The frame-reuse licence ---------------------------------------------- *)
-
-(** Can the VM hand activations of function [i] a recycled per-worker
-    frame instead of copying the bank templates?  Safe exactly when no
-    two activations of [i] can be live on one domain at the same time:
-
-    - [i] must not (transitively, synchronously) reach itself — no direct
-      or mutual recursion;
-    - nothing [i] runs may suspend: a parked fiber keeps its frame live
-      while another activation starts;
-    - nothing [i] runs may re-enter the VM through a statically unknown
-      edge: [callable.call], a timer-manager advance (expired timers run
-      their callables inline), or a host function that is either audited
-      as re-entering or missing from the audit table entirely.
-
-    The summary is transitive, so one check of [total] covers the whole
-    synchronous closure.  (The VM additionally keeps a per-slot busy bit
-    and falls back to copying, so a hole in this licence degrades
-    performance, not correctness — and the VM's arena poison mode makes
-    a stale read fail or diverge under the reuse-on/off differential.) *)
-let reusable (s : program_summary) (i : int) : bool =
-  let t = s.total.(i) in
-  (not s.recursive.(i))
-  && (not t.may_suspend)
-  && (not t.calls_indirect)
-  && (not t.advances_timers)
-  && not t.unknown_host
-
-(** The suspend-tolerant licence class: every {!reusable} condition holds
-    {e except} that the synchronous closure may suspend.  Safe because a
-    parked fiber's activation keeps its arena slot's busy bit set (effect
-    suspension captures — does not unwind — the VM's release handler), so
-    an overlapping activation observes busy and takes the copy fallback;
-    the VM counts those fallbacks as [vm_frame_suspend_copies].  Kept
-    disjoint from {!reusable} so the two populations can be metered
-    separately. *)
-let reusable_susp (s : program_summary) (i : int) : bool =
-  let t = s.total.(i) in
-  (not s.recursive.(i))
-  && t.may_suspend
-  && (not t.calls_indirect)
-  && (not t.advances_timers)
-  && not t.unknown_host
-
-(** Compute summaries and stamp the per-function reuse licences into the
-    program ({!Bytecode.program.reuse} and [reuse_susp]), enabling the
-    VM's frame-arena path.  Returns the summary for further consumers. *)
 (* ---- Frame reset sets ------------------------------------------------------ *)
 
-(** [(reset, stale)] for a reused arena frame of [f].  [reset]: the
-    registers it must restore from [reg_defaults] — the parameters (a host
-    call may pass fewer arguments) and every register some instruction
-    writes whose entry value an activation can observe, read on some path
-    from entry before any write.  [stale]: the other written registers,
-    which every activation writes before reading them, so they may keep a
-    previous activation's value.  Registers no instruction writes keep
-    their default in the slot.  A forward must-analysis over the
-    instructions; an exception edge carries the state at its [TryPush],
-    as in {!Verify}. *)
+(** [(reset, stale)] for a recycled frame of [f].  [reset]: the
+    registers it must restore from [reg_defaults] — every register some
+    instruction writes whose entry value an activation can observe, read
+    on some path from entry before any write.  [stale]: the other written
+    registers, which every activation writes before reading them, so they
+    may keep a previous activation's value.  Registers no instruction
+    writes keep their default in the frame.  Parameters are in neither:
+    every call binds each one, to its argument or to its default.  A
+    forward must-analysis over the instructions; an exception edge
+    carries the state at its [TryPush], as in {!Verify}. *)
 let reset_regs (f : Bytecode.func) : int array * int array =
   let n = max f.Bytecode.nregs 1 in
   let code = f.Bytecode.code in
@@ -397,7 +349,6 @@ let reset_regs (f : Bytecode.func) : int array * int array =
     | _ -> flow (pc + 1) st
   done;
   let reset = Array.make n false in
-  for r = 0 to min f.Bytecode.nparams n - 1 do reset.(r) <- true done;
   Array.iteri
     (fun pc i ->
       match states.(pc) with
@@ -408,47 +359,7 @@ let reset_regs (f : Bytecode.func) : int array * int array =
             (Specialize.boxed_reads i)
       | None -> ())
     code;
-  let pick keep = Array.of_list (List.filter keep (List.init n Fun.id)) in
+  let pick keep =
+    Array.of_list (List.filter (fun r -> r >= f.Bytecode.nparams && keep r) (List.init n Fun.id))
+  in
   (pick (fun r -> reset.(r)), pick (fun r -> written.(r) && not reset.(r)))
-
-let license_frame_reuse (p : Bytecode.program) : program_summary =
-  let s = compute p in
-  let n = Array.length p.Bytecode.funcs in
-  p.Bytecode.reuse <- Array.init n (reusable s);
-  p.Bytecode.reuse_susp <- Array.init n (reusable_susp s);
-  s
-
-(* ---- Debug rendering ------------------------------------------------------ *)
-
-let to_string (s : program_summary) (i : int) : string =
-  let t = s.total.(i) in
-  let flag name b = if b then [ name ] else [] in
-  let slots set =
-    IntSet.elements set
-    |> List.map (fun g -> s.prog.Bytecode.globals.(g))
-    |> String.concat ","
-  in
-  let parts =
-    (if IntSet.is_empty t.reads_globals then []
-     else [ "reads{" ^ slots t.reads_globals ^ "}" ])
-    @ (if IntSet.is_empty t.writes_globals then []
-       else [ "writes{" ^ slots t.writes_globals ^ "}" ])
-    @ (if StrSet.is_empty t.host_calls then []
-       else [ "host{" ^ String.concat "," (StrSet.elements t.host_calls) ^ "}" ])
-    @ (if SiteSet.is_empty t.allocs then []
-       else [ Printf.sprintf "allocs:%d" (SiteSet.cardinal t.allocs) ])
-    @ flag "emits-event" t.emits_events
-    @ flag "io" t.does_io
-    @ flag "unknown-host" t.unknown_host
-    @ flag "hooks" t.runs_hooks
-    @ flag "timers" t.registers_timers
-    @ flag "advances-timers" t.advances_timers
-    @ flag "schedules" t.schedules
-    @ flag "binds" t.binds
-    @ flag "indirect" t.calls_indirect
-    @ flag "suspends" t.may_suspend
-    @ flag "recursive" s.recursive.(i)
-    @ flag "reusable" (reusable s i)
-  in
-  Printf.sprintf "%s: %s" s.prog.Bytecode.funcs.(i).Bytecode.name
-    (if parts = [] then "pure" else String.concat " " parts)

@@ -3,9 +3,10 @@
     Executes lowered bytecode that {!Verify} has accepted — verification
     is a precondition of execution, as in the eBPF model, and {!create}
     refuses anything else — in a single dispatch loop, with:
-    - per-function register frames and an explicit per-frame handler stack
-      for exceptions (HILTI propagates exceptions with explicit checks
-      after calls, §5 "Runtime Model");
+    - per-function register frames, recycled through a per-function free
+      list so a call allocates no frame, each with an explicit handler
+      stack for exceptions (HILTI propagates exceptions with explicit
+      checks after calls, §5 "Runtime Model");
     - fiber integration: the [yield] instruction and all blocking
       operations suspend the enclosing {!Hilti_rt.Fiber}, giving the
       transparent incremental processing of §3.2 — a parser simply blocks
@@ -80,23 +81,40 @@ let m_regbank_transfers =
   Hilti_obs.Metrics.counter "vm_regbank_transfers"
     ~help:"Box/unbox bridge crossings between unboxed register banks and the boxed frame"
 
-(* One recyclable activation frame per function, per context (each
-   [Shard_plane] shard builds its own context, so no arena slot is shared
-   between domains).  Only functions carrying the interprocedural
-   frame-reuse licence ([Bytecode.program.reuse], stamped by [Summary])
-   ever get a slot; the [a_busy] bit is the runtime safety net — any
-   activation that finds its slot taken (an edge the analysis did not see)
-   silently falls back to the copying path, so a licence hole can cost
-   performance but never correctness. *)
-type arena_slot = {
-  a_regs : Value.t array;
-  a_code : Bytecode.instr array;  (** the code [a_reset]/[a_stale] were computed for *)
-  a_reset : int array;   (** registers restored per activation ({!Summary.reset_regs}) *)
-  a_stale : int array;   (** written registers left as the last activation left them *)
-  a_ibank : Bytes.t;      (** empty when the function has no bank layout *)
-  a_fbank : float array;
-  mutable a_busy : bool;
+(* ---- Frames --------------------------------------------------------------------- *)
+
+(* An activation frame: the boxed registers, the unboxed register banks
+   ({!Specialize}; empty without them) and the dispatch state.  Every
+   activation pops a frame from its function's free list ({!pool}), or
+   builds one, and pushes it back when it returns or raises.  A parked
+   fiber keeps its frame off the list; an abandoned one's is garbage. *)
+type frame = {
+  regs : Value.t array;
+  ibank : Bytes.t;
+  fbank : float array;
+  mutable pc : int;
+  mutable tries : (int * int) list;  (* handler pc, exception register *)
 }
+
+(* One function's free frames on one context (each [Shard_plane] shard
+   builds its own context).  Valid for the code and bank layout it was
+   built for: {!Specialize} may rewrite a function after its first
+   activation. *)
+type pool = {
+  p_code : Bytecode.instr array;
+  p_spec : Bytecode.spec option;
+  reset : int array;   (* registers restored per activation ({!Summary.reset_regs}) *)
+  stale : int array;   (* written registers left as the last activation left them *)
+  free : frame array;  (* [free.(0 .. n_free - 1)] are free *)
+  mutable n_free : int;
+}
+
+let no_frame = { regs = [||]; ibank = Bytes.empty; fbank = [||]; pc = 0; tries = [] }
+
+(* The placeholder pool of a function not yet activated: its code matches
+   no function's. *)
+let no_pool =
+  { p_code = [| Nop |]; p_spec = None; reset = [||]; stale = [||]; free = [||]; n_free = 0 }
 
 type context = {
   program : Bytecode.program;
@@ -113,9 +131,7 @@ type context = {
       (* [instrs] already credited to the profilers' shared cycle clock *)
   mutable step_kill : int;             (* raise once [instrs] reaches this; max_int = off *)
   mutable debug_sink : string -> unit;
-  mutable arena : arena_slot option array;
-      (* frame arena, indexed by func idx; [[||]] until first licensed
-         activation *)
+  pools : pool array;  (* frame free lists, by func idx *)
 }
 
 let main_thread_id = 0L
@@ -137,7 +153,7 @@ let create (program : Bytecode.program) =
     charged = 0;
     step_kill = max_int;
     debug_sink = (fun s -> print_endline s);
-    arena = [||];
+    pools = Array.make (Array.length program.funcs) no_pool;
   }
 
 (** Bind host function [name] to its slot.  A name the program never calls
@@ -269,25 +285,17 @@ let compare_by op c =
   | C_leq -> c <= 0
   | C_geq -> c >= 0
 
-(* ---- Frames --------------------------------------------------------------------- *)
-
-type frame = {
-  regs : Value.t array;
-  mutable pc : int;
-  mutable tries : (int * int) list;  (* handler pc, exception register *)
-}
-
-(* Debug mode for the frame arena: on acquire, every register the frame
+(* Debug mode for the frame pools: on acquire, every register the frame
    contract does not initialize ([entry_init] false — lowering
    temporaries the verifier proved defined-before-used) and every register
-   a reused frame does not restore ([a_stale]: written before read, by
+   a recycled frame does not restore ([stale]: written before read, by
    {!Summary.reset_regs}) is filled with a physically-unique sentinel (a
-   string) instead of its default.  The
-   dispatch loop does not look for it — a per-read compare would tax every
-   instruction — but any computation that consumes a stale slot then
-   fails its type check or returns a different result, so a reuse-on vs
-   reuse-off differential run with this flag set turns "reuse never
-   observes a leftover value" into an executable assertion. *)
+   string) instead of its default.  The dispatch loop does not look for
+   it — a per-read compare would tax every instruction — but any
+   computation that consumes a stale slot then fails its type check or
+   returns a different result, so a poison-on vs poison-off differential
+   run turns "a recycled frame never observes a leftover value" into an
+   executable assertion. *)
 let arena_debug = ref false
 
 let arena_poison : Value.t = Value.String "\xffhilti-arena-poison\xff"
@@ -300,106 +308,96 @@ let reg frame i = Array.unsafe_get frame.regs i
 
 let setreg frame i v = if i >= 0 then Array.unsafe_set frame.regs i v
 
-(* ---- The frame arena ------------------------------------------------------------ *)
+(* ---- Frame pools ------------------------------------------------------------------ *)
 
 let m_frames_reused =
   Hilti_obs.Metrics.counter "frames_reused"
-    ~help:
-      "Activations served from the per-worker frame arena instead of copying bank templates"
+    ~help:"Activations served a recycled frame from their function's free list"
 
-let m_frame_suspend_copies =
-  Hilti_obs.Metrics.counter "vm_frame_suspend_copies"
-    ~help:
-      "Activations of may-suspend functions that copied bank templates because their arena slot was parked busy by a suspended activation"
+(* Free frames kept per function and context, a fixed cap so that a burst
+   of parked fibers cannot pin memory once it drains.  The compiled
+   [fib(21)] of [bench micro] allocates as little at 16 as at 64 (7.5
+   minor words per activation; 10.5 at 4). *)
+let max_free_frames = 16
 
-let poison_uninit (f : Bytecode.func) (s : arena_slot) =
-  if !arena_debug then begin
-    Array.iteri (fun i init -> if not init then s.a_regs.(i) <- arena_poison) f.entry_init;
-    Array.iter (fun r -> s.a_regs.(r) <- arena_poison) s.a_stale
-  end
-
-(* A cached slot is only reusable while its shapes and code still match
-   the function: {!Specialize} may rewrite the code and attach banks after
-   a slot was first created. *)
-let slot_fits (f : Bytecode.func) (s : arena_slot) =
-  s.a_code == f.code
-  && Array.length s.a_regs = Array.length f.reg_defaults
-  && (match f.spec with
-     | Some sp ->
-         Bytes.length s.a_ibank = Bytes.length sp.ibank_init
-         && Array.length s.a_fbank = Array.length sp.fbank_init
-     | None -> true)
-
-(** Hand out the per-context arena frame for function [fidx], or [None]
-    when the activation must copy: no licence
-    ({!Bytecode.program.reuse} / [reuse_susp]), or the slot is busy (a
-    nested or parked activation — correctness is preserved by falling
-    back).  For the suspend-tolerant class the busy fallback is the
-    expected steady-state cost of overlapping parked fibers, so it is
-    metered separately as [vm_frame_suspend_copies].  On reuse the bank
-    templates are blitted over the slot in place and the registers whose
-    entry value is observable are restored, so the activation computes
-    exactly what it would from a fresh copy. *)
-let acquire_frame ctx (fidx : int) (f : Bytecode.func) : arena_slot option =
-  let lic = ctx.program.reuse in
-  let lic_s = ctx.program.reuse_susp in
-  let strict = fidx < Array.length lic && Array.unsafe_get lic fidx in
-  let susp = fidx < Array.length lic_s && Array.unsafe_get lic_s fidx in
-  if not (strict || susp) then None
+(** The frame pool of function [fidx], rebuilt when the function's code or
+    bank layout is no longer the one the pool was built for. *)
+let pool_for ctx (fidx : int) (f : Bytecode.func) : pool =
+  let p = Array.unsafe_get ctx.pools fidx in
+  if p.p_code == f.code && p.p_spec == f.spec then p
   else begin
-    if Array.length ctx.arena = 0 then
-      ctx.arena <- Array.make (Array.length ctx.program.funcs) None;
-    match ctx.arena.(fidx) with
-    | Some s when (not s.a_busy) && slot_fits f s ->
-        s.a_busy <- true;
-        (* Only the observable registers: a whole-frame blit into an old
-           array pays the write barrier on every slot. *)
-        let rs = s.a_reset in
-        for k = 0 to Array.length rs - 1 do
-          let r = Array.unsafe_get rs k in
-          Array.unsafe_set s.a_regs r (Array.unsafe_get f.reg_defaults r)
-        done;
-        (match f.spec with
-        | Some sp ->
-            Bytes.blit sp.ibank_init 0 s.a_ibank 0 (Bytes.length sp.ibank_init);
-            Array.blit sp.fbank_init 0 s.a_fbank 0 (Array.length sp.fbank_init)
-        | None -> ());
-        poison_uninit f s;
-        if Hilti_obs.Metrics.enabled () then Hilti_obs.Metrics.incr m_frames_reused;
-        Some s
-    | Some s when s.a_busy ->
-        (* Parked-fiber overlap: a suspended activation still owns the
-           slot.  Copy, and meter the cost for the suspend class. *)
-        if susp && Hilti_obs.Metrics.enabled () then
-          Hilti_obs.Metrics.incr m_frame_suspend_copies;
-        None
-    | _ ->
-        (* First licensed activation (or a stale-shaped slot): build the
-           slot from the templates; later activations reuse it. *)
-        let reset, stale = Summary.reset_regs f in
-        let s =
-          {
-            a_regs = Array.copy f.reg_defaults;
-            a_code = f.code;
-            a_reset = reset;
-            a_stale = stale;
-            a_ibank =
-              (match f.spec with
-              | Some sp -> Bytes.copy sp.ibank_init
-              | None -> Bytes.empty);
-            a_fbank =
-              (match f.spec with
-              | Some sp -> Array.copy sp.fbank_init
-              | None -> [||]);
-            a_busy = true;
-          }
-        in
-        poison_uninit f s;
-        ctx.arena.(fidx) <- Some s;
-        Some s
+    let reset, stale = Summary.reset_regs f in
+    let p =
+      { p_code = f.code; p_spec = f.spec; reset; stale;
+        free = Array.make max_free_frames no_frame; n_free = 0 }
+    in
+    ctx.pools.(fidx) <- p;
+    p
   end
 
-let release_frame = function Some s -> s.a_busy <- false | None -> ()
+let poison_uninit (f : Bytecode.func) (p : pool) (fr : frame) =
+  if !arena_debug then begin
+    Array.iteri (fun i init -> if not init then fr.regs.(i) <- arena_poison) f.entry_init;
+    Array.iter (fun r -> fr.regs.(r) <- arena_poison) p.stale
+  end
+
+(** A frame for an activation of [f]: a free one from [p] with the
+    observable registers restored and the bank templates blitted over its
+    banks, so it computes exactly what a fresh copy would; or, when the
+    free list is empty, a new one copied from the templates. *)
+let acquire_frame (p : pool) (f : Bytecode.func) : frame =
+  let n = p.n_free in
+  let fr =
+    if n > 0 then begin
+      let fr = Array.unsafe_get p.free (n - 1) in
+      p.n_free <- n - 1;
+      (* Only the observable registers, and only those no longer at their
+         default: a recycled frame is usually in the major heap, where
+         every store pays the write barrier. *)
+      let rs = p.reset in
+      for k = 0 to Array.length rs - 1 do
+        let r = Array.unsafe_get rs k in
+        let d = Array.unsafe_get f.reg_defaults r in
+        if Array.unsafe_get fr.regs r != d then Array.unsafe_set fr.regs r d
+      done;
+      (match f.spec with
+      | Some sp ->
+          Bytes.blit sp.ibank_init 0 fr.ibank 0 (Bytes.length sp.ibank_init);
+          Array.blit sp.fbank_init 0 fr.fbank 0 (Array.length sp.fbank_init)
+      | None -> ());
+      fr.pc <- 0;
+      fr.tries <- [];
+      if Hilti_obs.Metrics.enabled () then Hilti_obs.Metrics.incr m_frames_reused;
+      fr
+    end
+    else
+      match f.spec with
+      | Some sp ->
+          { regs = Array.copy f.reg_defaults; ibank = Bytes.copy sp.ibank_init;
+            fbank = Array.copy sp.fbank_init; pc = 0; tries = [] }
+      | None ->
+          { regs = Array.copy f.reg_defaults; ibank = Bytes.empty; fbank = [||];
+            pc = 0; tries = [] }
+  in
+  poison_uninit f p fr;
+  fr
+
+(* Bind parameters [i ..] that the call passed no argument for to their
+   defaults: {!Summary.reset_regs} leaves every parameter to the call. *)
+let default_params (f : Bytecode.func) (fr : frame) i =
+  for r = i to f.nparams - 1 do
+    fr.regs.(r) <- f.reg_defaults.(r)
+  done
+
+(* Return [fr] to the pool it came from; past [max_free_frames] it is
+   left to the GC. *)
+let release_frame (p : pool) (fr : frame) =
+  let n = p.n_free in
+  if n < Array.length p.free then begin
+    (* A frame popped and pushed back in turn is still in its slot. *)
+    if Array.unsafe_get p.free n != fr then Array.unsafe_set p.free n fr;
+    p.n_free <- n + 1
+  end
 
 (* Unchecked 64-bit bank accesses for the specialized opcodes:
    {!Verify} type-checks every specialized opcode's slot against the bank
@@ -1305,53 +1303,39 @@ and exec_file ctx op rg ar =
    every register field, code fetch, global slot and bank slot below was
    proven in range by {!Verify} and the accesses skip their bounds checks.
    Functions rewritten by {!Specialize} carry unboxed int/float register
-   banks; each activation copies the immutable bank templates, exactly as
-   [regs] copies [reg_defaults], so no two frames share a bank.  Functions
-   without bank metadata (the generic [~specialize:false] configuration)
-   run with empty banks: the verifier rejects bank opcodes there, so none
-   can execute.  The bank arithmetic is written out inline (not via
-   [int_arith]/[exec_prim]): without flambda a helper call re-boxes its
-   int64/float arguments, which is precisely the allocation the banks
-   exist to remove. *)
+   banks; {!acquire_frame} starts every activation from the immutable bank
+   templates, exactly as from [reg_defaults], and no two live activations
+   share a frame.  Functions without bank metadata (the generic
+   [~specialize:false] configuration) run with empty banks: the verifier
+   rejects bank opcodes there, so none can execute.  The bank arithmetic
+   is written out inline (not via [int_arith]/[exec_prim]): without
+   flambda a helper call re-boxes its int64/float arguments, which is
+   precisely the allocation the banks exist to remove. *)
 and exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
   let f = ctx.program.funcs.(fidx) in
-  let slot = acquire_frame ctx fidx f in
-  let regs =
-    match slot with Some s -> s.a_regs | None -> Array.copy f.reg_defaults
-  in
-  List.iteri (fun i v -> if i < f.nparams then regs.(i) <- v) args;
-  run_frame ctx f slot regs
+  let pool = pool_for ctx fidx f in
+  let frame = acquire_frame pool f in
+  List.iteri (fun i v -> if i < f.nparams then frame.regs.(i) <- v) args;
+  default_params f frame (List.length args);
+  run_frame ctx f pool frame
 
 (* A call from bytecode: the arguments go straight from the caller's
    registers [rg] (at [ar]) into the callee's parameters.  Arguments past
    the parameters are dropped (only a hook body can be run with more). *)
 and call_regs ctx (fidx : int) (rg : Value.t array) (ar : int array) : Value.t =
   let f = Array.unsafe_get ctx.program.funcs fidx in
-  let slot = acquire_frame ctx fidx f in
-  let regs =
-    match slot with Some s -> s.a_regs | None -> Array.copy f.reg_defaults
-  in
-  for i = 0 to min (Array.length ar) f.nparams - 1 do
+  let pool = pool_for ctx fidx f in
+  let frame = acquire_frame pool f in
+  let regs = frame.regs in
+  let k = min (Array.length ar) f.nparams in
+  for i = 0 to k - 1 do
     Array.unsafe_set regs i (Array.unsafe_get rg (Array.unsafe_get ar i))
   done;
-  run_frame ctx f slot regs
+  default_params f frame k;
+  run_frame ctx f pool frame
 
-and run_frame ctx (f : Bytecode.func) slot (regs : Value.t array) : Value.t =
-  let frame = { regs; pc = 0; tries = [] } in
-  (* [acquire_frame] already blitted the bank templates over a reused
-     slot's banks, so both paths start from the template state. *)
-  let ibank =
-    match (slot, f.spec) with
-    | Some s, _ -> s.a_ibank
-    | None, Some sp -> Bytes.copy sp.ibank_init
-    | None, None -> Bytes.empty
-  in
-  let fbank =
-    match (slot, f.spec) with
-    | Some s, _ -> s.a_fbank
-    | None, Some sp -> Array.copy sp.fbank_init
-    | None, None -> [||]
-  in
+and run_frame ctx (f : Bytecode.func) pool (frame : frame) : Value.t =
+  let ibank = frame.ibank and fbank = frame.fbank in
   let code = f.code in
   let result = ref Value.Null in
   let running = ref true in
@@ -1666,10 +1650,10 @@ and run_frame ctx (f : Bytecode.func) slot (regs : Value.t array) : Value.t =
        frame.pc <- handler)
      done
    with e ->
-     release_frame slot;
+     release_frame pool frame;
      credit ctx;
      raise e);
-  release_frame slot;
+  release_frame pool frame;
   credit ctx;
   (match obs with
   | Some ops ->

@@ -245,8 +245,6 @@ let mk_prog ?(globals = [||]) funcs =
     host_names = [||];
     verified = false;
     specialized = false;
-    reuse = [||];
-    reuse_susp = [||];
   }
 
 let expect_reject what p needle =

@@ -1,5 +1,5 @@
-(* Interprocedural effect summaries, the analysis-licensed frame arena,
-   and the static shard-race detector. *)
+(* Interprocedural effect summaries, the VM's recycled frames, and the
+   static shard-race detector. *)
 
 module Bc = Hilti_vm.Bytecode
 module Value = Hilti_vm.Value
@@ -10,9 +10,8 @@ module Metrics = Hilti_obs.Metrics
 
 (* Compile a source module as the runtime would, but without the
    optimizer, so bytecode pcs line up with the program as written. *)
-let compile ?(frame_reuse = true) src =
-  Hilti_vm.Host_api.compile ~optimize:false ~frame_reuse
-    [ Hilti_lang.Parser.parse_module src ]
+let compile src =
+  Hilti_vm.Host_api.compile ~optimize:false [ Hilti_lang.Parser.parse_module src ]
 
 let program api = api.Hilti_vm.Host_api.ctx.Vm.program
 
@@ -22,6 +21,43 @@ let fidx p name =
   | None -> Alcotest.failf "function %s not found" name
 
 (* ---- Effect summaries --------------------------------------------------- *)
+
+(* Hand-built bytecode, for instructions the surface language cannot write. *)
+let mk_func ?(name = "t") ?(nparams = 0) ?(nregs = 4) code =
+  let n = max nregs 1 in
+  let init = Array.make n false in
+  for i = 0 to nparams - 1 do
+    init.(i) <- true
+  done;
+  {
+    Bc.name;
+    nparams;
+    nregs;
+    code = Array.of_list code;
+    returns_value = true;
+    exported = false;
+    reg_defaults = Array.make n Value.Null;
+    entry_init = init;
+    typing = [||];
+    spec = None;
+  }
+
+let mk_prog funcs =
+  let funcs = Array.of_list funcs in
+  let func_index = Hashtbl.create 8 in
+  Array.iteri (fun i (f : Bc.func) -> Hashtbl.replace func_index f.Bc.name i) funcs;
+  {
+    Bc.funcs;
+    func_index;
+    globals = [||];
+    global_defaults = [||];
+    global_index = Hashtbl.create 8;
+    hooks = Hashtbl.create 8;
+    layouts = Hashtbl.create 8;
+    host_names = [||];
+    verified = false;
+    specialized = false;
+  }
 
 let summary_src =
   {|module S
@@ -67,7 +103,20 @@ let test_summary_effects () =
     (Summary.IntSet.is_empty (total "S::rd").Summary.writes_globals);
   let pr = total "S::printer" in
   Alcotest.(check bool) "print audited as io" true pr.Summary.does_io;
-  Alcotest.(check bool) "print is in the audit table" false pr.Summary.unknown_host
+  Alcotest.(check bool) "print is in the audit table" false pr.Summary.unknown_host;
+  (* Suspension, on hand-built bytecode: the surface language has no
+     yield statement. *)
+  let p =
+    mk_prog
+      [ mk_func ~name:"yields" [ Bc.Yield; Bc.Const (0, Value.Int 1L); Bc.Ret 0 ];
+        mk_func ~name:"calls_yielder" [ Bc.Call (0, [||], 0); Bc.Ret 0 ];
+        mk_func ~name:"pure" [ Bc.Const (0, Value.Int 1L); Bc.Ret 0 ] ]
+  in
+  let s = Summary.compute p in
+  let suspends name = s.Summary.total.(fidx p name).Summary.may_suspend in
+  Alcotest.(check bool) "summary reports yields as suspending" true (suspends "yields");
+  Alcotest.(check bool) "suspension is transitive" true (suspends "calls_yielder");
+  Alcotest.(check bool) "pure does not suspend" false (suspends "pure")
 
 let test_summary_recursion () =
   let src =
@@ -94,95 +143,7 @@ void leaf () {
   Alcotest.(check bool) "b is (mutually) recursive" true
     s.Summary.recursive.(fidx p "R::b");
   Alcotest.(check bool) "leaf is not recursive" false
-    s.Summary.recursive.(fidx p "R::leaf");
-  Alcotest.(check bool) "recursive functions get no reuse licence" false
-    (Summary.reusable s (fidx p "R::a"));
-  Alcotest.(check bool) "leaf gets a reuse licence" true
-    (Summary.reusable s (fidx p "R::leaf"))
-
-(* ---- The frame-reuse licence on hand-built bytecode ---------------------- *)
-
-let mk_func ?(name = "t") ?(nparams = 0) ?(nregs = 4) code =
-  let n = max nregs 1 in
-  let init = Array.make n false in
-  for i = 0 to nparams - 1 do
-    init.(i) <- true
-  done;
-  {
-    Bc.name;
-    nparams;
-    nregs;
-    code = Array.of_list code;
-    returns_value = true;
-    exported = false;
-    reg_defaults = Array.make n Value.Null;
-    entry_init = init;
-    typing = [||];
-    spec = None;
-  }
-
-let mk_prog funcs =
-  let funcs = Array.of_list funcs in
-  let func_index = Hashtbl.create 8 in
-  Array.iteri (fun i (f : Bc.func) -> Hashtbl.replace func_index f.Bc.name i) funcs;
-  {
-    Bc.funcs;
-    func_index;
-    globals = [||];
-    global_defaults = [||];
-    global_index = Hashtbl.create 8;
-    hooks = Hashtbl.create 8;
-    layouts = Hashtbl.create 8;
-    host_names = [||];
-    verified = false;
-    specialized = false;
-    reuse = [||];
-    reuse_susp = [||];
-  }
-
-let test_reuse_licence_rules () =
-  (* Index order below: 0 pure, 1 self-recursive, 2 yielding, 3 calls the
-     yielder, 4 indirect call. *)
-  let p =
-    mk_prog
-      [ mk_func ~name:"pure" [ Bc.Const (0, Value.Int 1L); Bc.Ret 0 ];
-        mk_func ~name:"self" [ Bc.Call (1, [||], 0); Bc.Ret 0 ];
-        mk_func ~name:"yields"
-          [ Bc.Yield; Bc.Const (0, Value.Int 1L); Bc.Ret 0 ];
-        mk_func ~name:"calls_yielder" [ Bc.Call (2, [||], 0); Bc.Ret 0 ];
-        mk_func ~name:"indirect"
-          [ Bc.Const (0, Value.Null); Bc.Prim (Bc.P_callable_call, [| 0 |], 1);
-            Bc.Ret 1 ] ]
-  in
-  let s = Summary.license_frame_reuse p in
-  let lic name = p.Bc.reuse.(fidx p name) in
-  Alcotest.(check bool) "pure function licensed" true (lic "pure");
-  Alcotest.(check bool) "self-recursion refused" false (lic "self");
-  Alcotest.(check bool) "suspension refused" false (lic "yields");
-  Alcotest.(check bool) "suspension refused transitively" false
-    (lic "calls_yielder");
-  Alcotest.(check bool) "indirect call refused" false (lic "indirect");
-  Alcotest.(check bool) "summary reports yields as suspending" true
-    s.Summary.total.(fidx p "yields").Summary.may_suspend;
-  (* The suspend-tolerant class: exactly the yielders that meet every
-     other condition, and disjoint from the strict licence. *)
-  let lic_s name = p.Bc.reuse_susp.(fidx p name) in
-  Alcotest.(check bool) "yielder gets the suspend licence" true (lic_s "yields");
-  Alcotest.(check bool) "transitive yielder gets the suspend licence" true
-    (lic_s "calls_yielder");
-  Alcotest.(check bool) "pure function not in the suspend class" false
-    (lic_s "pure");
-  Alcotest.(check bool) "self-recursion refused in the suspend class" false
-    (lic_s "self");
-  Alcotest.(check bool) "indirect call refused in the suspend class" false
-    (lic_s "indirect");
-  Array.iteri
-    (fun i f ->
-      Alcotest.(check bool)
-        (Printf.sprintf "licence classes disjoint for %s" f.Bc.name)
-        false
-        (p.Bc.reuse.(i) && p.Bc.reuse_susp.(i)))
-    p.Bc.funcs
+    s.Summary.recursive.(fidx p "R::leaf")
 
 (* ---- Static shard-race detector ------------------------------------------- *)
 
@@ -266,7 +227,7 @@ bool bad_packet (addr src) {
        (fun (r : Racecheck.race) -> r.Racecheck.r_rule = "race/global-write")
        races)
 
-(* ---- Frame reuse: differential + counters --------------------------------- *)
+(* ---- Recycled frames: differentials + counters ---------------------------- *)
 
 let reuse_src =
   {|module W
@@ -286,47 +247,150 @@ int<64> f (int<64> x) {
     c = int.add a b
     return c
 }
+
+int<64> acc (int<64> x) {
+    local int<64> s
+    local bool big
+    big = int.gt x 10
+    if.else big add done
+add:
+    s = int.add s x
+done:
+    return s
+}
+
+int<64> lookup (int<64> key, bool guarded) {
+    local ref<map<int<64>, int<64>>> m
+    local int<64> v
+    m = new map<int<64>, int<64>>
+    map.insert m 1 100
+    if.else guarded g u
+g:
+    try {
+        v = map.get m key
+        return v
+    }
+    catch ( ref<exception> e ) {
+        return -1
+    }
+u:
+    v = map.get m key
+    return v
+}
 |}
 
-(* Run [f] with the frame arena's debug poisoning on: every reused frame
-   starts with the sentinel in each register not initialized at entry. *)
+(* Run [f] with the frame pools' debug poisoning on: every acquired frame
+   starts with the sentinel in each register not initialized at entry and
+   each register a recycled frame does not restore. *)
 let with_arena_debug f =
   let saved = !Vm.arena_debug in
   Vm.arena_debug := true;
   Fun.protect ~finally:(fun () -> Vm.arena_debug := saved) f
 
-let test_frame_reuse_differential () =
-  (* Reuse runs poisoned: a stale register that reuse exposed would fail
-     its type check or change the result. *)
-  let run frame_reuse x =
-    let api = compile ~frame_reuse reuse_src in
-    let call () = Value.as_int (Hilti_vm.Host_api.call api "W::f" [ Value.Int x ]) in
-    if frame_reuse then with_arena_debug call else call ()
-  in
+let test_frames_differential () =
+  (* One program, poisoned and clean calls interleaved so each run starts
+     from the frames the previous one left: a stale register that
+     recycling exposed would fail its type check or change the result. *)
+  let api = compile reuse_src in
+  let call x = Value.as_int (Hilti_vm.Host_api.call api "W::f" [ Value.Int x ]) in
   List.iter
     (fun x ->
       Alcotest.(check int64)
-        (Printf.sprintf "f(%Ld) identical with and without reuse" x)
-        (run false x) (run true x))
+        (Printf.sprintf "f(%Ld) identical with and without poisoning" x)
+        (call x) (with_arena_debug (fun () -> call x)))
     [ 0L; 3L; 5L; -7L ];
-  (* The licence is actually granted and exercised. *)
-  let api = compile reuse_src in
-  let p = program api in
-  Alcotest.(check bool) "leaf licensed" true (p.Bc.reuse.(fidx p "W::leaf"));
+  (* [W::acc] reads its local [s] before writing it, so a recycled frame
+     must restore [s] to its default, and the poison must leave it be.
+     Specialized, [s] lives in the int bank, which the bank template
+     restores; generic, it is a boxed register in the reset set. *)
+  List.iter
+    (fun api ->
+      let acc x = Value.as_int (Hilti_vm.Host_api.call api "W::acc" [ Value.Int x ]) in
+      List.iter
+        (fun (x, want) ->
+          Alcotest.(check int64) (Printf.sprintf "acc(%Ld)" x) want (acc x);
+          Alcotest.(check int64)
+            (Printf.sprintf "acc(%Ld) poisoned" x)
+            want
+            (with_arena_debug (fun () -> acc x)))
+        [ (20L, 20L); (30L, 30L); (5L, 0L); (11L, 11L) ])
+    [ api;
+      Hilti_vm.Host_api.compile ~optimize:false ~specialize:false
+        [ Hilti_lang.Parser.parse_module reuse_src ] ];
+  (* A host call passing no argument binds the parameter to its default,
+     not to the previous activation's argument. *)
+  let leaf args = Value.as_int (Hilti_vm.Host_api.call api "W::leaf" args) in
+  Alcotest.(check int64) "leaf(7)" 49L (leaf [ Value.Int 7L ]);
+  Alcotest.(check int64) "leaf() sees the default" 0L (leaf []);
+    (* [W::lookup] returns from inside a [try]: the next activation, in the
+     same recycled frame, must not inherit its handler. *)
+  let lookup key guarded =
+    match Hilti_vm.Host_api.call api "W::lookup" [ Value.Int key; Value.Bool guarded ] with
+    | v -> Ok (Value.as_int v)
+    | exception Value.Hilti_error e -> Error e.Value.ename
+  in
+  Alcotest.(check bool) "return from inside try" true (lookup 1L true = Ok 100L);
+  Alcotest.(check bool) "unguarded miss raises" true (Result.is_error (lookup 2L false));
+  Alcotest.(check bool) "guarded miss is caught" true (lookup 2L true = Ok (-1L));
   Metrics.with_enabled true (fun () ->
       let before = Metrics.counter_value Vm.m_frames_reused in
       for _ = 1 to 4 do
-        ignore (Hilti_vm.Host_api.call api "W::f" [ Value.Int 5L ])
+        ignore (call 5L)
       done;
       let after = Metrics.counter_value Vm.m_frames_reused in
       Alcotest.(check bool) "frames_reused counter advanced" true
         (after > before))
 
-(* Suspend-tolerant reuse: a yielding callee is served from the arena;
-   while one activation is parked at its yield, a second activation of the
-   same function observes the busy slot, copies, and the copy is metered
-   by [vm_frame_suspend_copies].  Built through the IR builder because the
-   surface language has no yield statement. *)
+(* A recursive function: every level of the recursion is live at once, so
+   each needs its own frame, and the frames it leaves on the free list
+   serve the next descent. *)
+let rec_src =
+  {|module Rec
+
+int<64> fib (int<64> n) {
+    local bool small
+    local int<64> m
+    local int<64> a
+    local int<64> b
+    local int<64> r
+    small = int.lt n 2
+    if.else small base step
+base:
+    return n
+step:
+    m = int.sub n 1
+    a = call Rec::fib (m)
+    m = int.sub n 2
+    b = call Rec::fib (m)
+    r = int.add a b
+    return r
+}
+|}
+
+let test_frames_recursion () =
+  let api = compile rec_src in
+  let fib n = Value.as_int (Hilti_vm.Host_api.call api "Rec::fib" [ Value.Int n ]) in
+  let rec expect n = if n < 2L then n else Int64.add (expect (Int64.sub n 1L)) (expect (Int64.sub n 2L)) in
+  List.iter
+    (fun n ->
+      Alcotest.(check int64) (Printf.sprintf "fib(%Ld) clean" n) (expect n) (fib n);
+      Alcotest.(check int64)
+        (Printf.sprintf "fib(%Ld) poisoned" n)
+        (expect n)
+        (with_arena_debug (fun () -> fib n)))
+    [ 0L; 1L; 2L; 7L; 15L ];
+  Metrics.with_enabled true (fun () ->
+      let before = Metrics.counter_value Vm.m_frames_reused in
+      ignore (fib 10L);
+      let after = Metrics.counter_value Vm.m_frames_reused in
+      (* fib(10) makes 177 activations; all but the first descent's ten
+         fresh frames could be recycled. *)
+      Alcotest.(check bool) "recursive calls recycle frames" true (after - before >= 150))
+
+(* A yielding callee: while one activation is parked at its yield, it
+   keeps its frames off the free lists, so an overlapping activation runs
+   in other frames.  Built through the IR builder because the surface
+   language has no yield statement. *)
 let build_susp_module () =
   let m = Module_ir.create "S" in
   let b =
@@ -347,35 +411,59 @@ let build_susp_module () =
   Builder.return_result b2 (Instr.Local t);
   m
 
-let test_frame_reuse_suspend_overlap () =
-  let api = Hilti_vm.Host_api.compile ~optimize:false [ build_susp_module () ] in
-  let p = program api in
-  Alcotest.(check bool) "yielding callee in the suspend class" true
-    (p.Bc.reuse_susp.(fidx p "S::slow"));
-  Alcotest.(check bool) "yielding callee not strictly licensed" false
-    (p.Bc.reuse.(fidx p "S::slow"));
-  Metrics.with_enabled true (fun () ->
-      let before = Metrics.counter_value Vm.m_frame_suspend_copies in
-      (* run1 parks inside S::slow holding the arena slot busy... *)
-      let run1 = Hilti_vm.Host_api.call_fiber api "S::drive" [ Value.Int 3L ] in
-      Alcotest.(check bool) "run1 parked" false (Hilti_vm.Host_api.finished run1);
-      (* ...so run2's overlapping activation must take the copy path. *)
-      let run2 = Hilti_vm.Host_api.call_fiber api "S::drive" [ Value.Int 4L ] in
-      Alcotest.(check bool) "run2 parked" false (Hilti_vm.Host_api.finished run2);
-      let after = Metrics.counter_value Vm.m_frame_suspend_copies in
-      Alcotest.(check bool) "suspend-copy fallback metered" true (after > before);
-      ignore (Hilti_vm.Host_api.resume run1);
-      ignore (Hilti_vm.Host_api.resume run2);
-      Alcotest.(check int64) "run1 result intact across overlap" 9L
-        (Value.as_int (Hilti_vm.Host_api.result_exn run1));
-      Alcotest.(check int64) "run2 result intact across overlap" 16L
-        (Value.as_int (Hilti_vm.Host_api.result_exn run2)))
+let test_frames_suspend_overlap () =
+  let module H = Hilti_vm.Host_api in
+  let api = H.compile ~optimize:false [ build_susp_module () ] in
+  let drive x =
+    let run = H.call_fiber api "S::drive" [ Value.Int x ] in
+    ignore (H.resume run);
+    Value.as_int (H.result_exn run)
+  in
+  (* run1 parks inside S::slow holding its frames... *)
+  let run1 = H.call_fiber api "S::drive" [ Value.Int 3L ] in
+  Alcotest.(check bool) "run1 parked" false (H.finished run1);
+  (* ...while run2's overlapping activation runs in frames of its own. *)
+  let run2 = H.call_fiber api "S::drive" [ Value.Int 4L ] in
+  Alcotest.(check bool) "run2 parked" false (H.finished run2);
+  ignore (H.resume run1);
+  ignore (H.resume run2);
+  Alcotest.(check int64) "run1 result intact across overlap" 9L
+    (Value.as_int (H.result_exn run1));
+  Alcotest.(check int64) "run2 result intact across overlap" 16L
+    (Value.as_int (H.result_exn run2));
+  (* A parked activation costs later ones no allocation: they recycle
+     frames exactly as they would with nothing parked. *)
+  let n = 200 in
+  let words_per_activation () =
+    ignore (drive 1L);
+    let before = Gc.minor_words () in
+    for x = 1 to n do
+      ignore (drive (Int64.of_int x))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int n
+  in
+  let unparked = words_per_activation () in
+  let blocker = H.call_fiber api "S::drive" [ Value.Int 6L ] in
+  let parked = words_per_activation () in
+  ignore (H.resume blocker);
+  Alcotest.(check int64) "blocker result" 36L (Value.as_int (H.result_exn blocker));
+  if parked > unparked then
+    Alcotest.failf "parked overlap allocates %.1f words/activation, unparked %.1f" parked
+      unparked;
+  (* A fiber dropped while parked never returns its frames; later
+     activations build or recycle others and stay correct. *)
+  (let dropped = H.call_fiber api "S::drive" [ Value.Int 5L ] in
+   Alcotest.(check bool) "dropped run parked" false (H.finished dropped));
+  for x = 1 to 20 do
+    Alcotest.(check int64) "activation after a dropped fiber" (Int64.of_int (x * x))
+      (with_arena_debug (fun () -> drive (Int64.of_int x)))
+  done
 
-let test_frame_reuse_poison_fires () =
-  (* The differential above only means something if poisoning is
+let test_frames_poison_fires () =
+  (* The differentials above only mean something if poisoning is
      observable.  Take a constant-pool register — initialized at entry,
      read by the call below — and pretend the verifier had proven it a
-     temporary ([entry_init] false): a reused frame then hands the
+     temporary ([entry_init] false): a poisoned frame then hands the
      poison to the callee, which must fail or compute something else. *)
   let src =
     {|module K
@@ -398,7 +486,6 @@ int<64> f (int<64> x) {
   let api = compile src in
   let p = program api in
   let f = p.Bc.funcs.(fidx p "K::f") in
-  Alcotest.(check bool) "K::f licensed" true p.Bc.reuse.(fidx p "K::f");
   let r = ref (-1) in
   Array.iteri
     (fun i v -> if i >= f.Bc.nparams && v = Value.Int 3L then r := i)
@@ -420,10 +507,9 @@ int<64> f (int<64> x) {
 let suite =
   [ Alcotest.test_case "summary: effect vectors" `Quick test_summary_effects;
     Alcotest.test_case "summary: recursion" `Quick test_summary_recursion;
-    Alcotest.test_case "summary: reuse licence rules" `Quick test_reuse_licence_rules;
     Alcotest.test_case "racecheck: racy fixture" `Quick test_racecheck_flags_races;
     Alcotest.test_case "racecheck: flow-keyed exemption" `Quick test_racecheck_flow_keyed_clean;
-    Alcotest.test_case "frame reuse: differential" `Quick test_frame_reuse_differential;
-    Alcotest.test_case "frame reuse: suspend overlap copies" `Quick
-      test_frame_reuse_suspend_overlap;
-    Alcotest.test_case "frame reuse: poison detection fires" `Quick test_frame_reuse_poison_fires ]
+    Alcotest.test_case "frame reuse: differential" `Quick test_frames_differential;
+    Alcotest.test_case "frame reuse: recursion" `Quick test_frames_recursion;
+    Alcotest.test_case "frame reuse: suspend overlap" `Quick test_frames_suspend_overlap;
+    Alcotest.test_case "frame reuse: poison detection fires" `Quick test_frames_poison_fires ]

@@ -240,6 +240,21 @@ let test_tampered_image_rejected () =
       Alcotest.(check bool) "hilti-build -x reports the verifier error" true
         (Astring_contains.contains msg "out of range"))
 
+(* An image of another program shape must be refused by its magic before
+   [Marshal] reads it: the reader would index past the record's end. *)
+let test_old_image_rejected () =
+  let program = (Host_api.compile [ times_six_module () ]).Host_api.ctx.Vm.program in
+  let path = Filename.temp_file "hilti-image" ".hbc" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc "HILTI-IMAGE-1";
+          Marshal.to_channel oc program []);
+      match Image.load path with
+      | _ -> Alcotest.fail "an HILTI-IMAGE-1 file was loaded"
+      | exception Image.Not_an_image p -> Alcotest.(check string) "names the file" path p)
+
 (* ---- Virtual threads: same results threaded and unthreaded (§6.6) ------------ *)
 
 (* Each workload runs once on 1 virtual thread and once hashed over 4.
@@ -417,4 +432,5 @@ let suite =
     Alcotest.test_case "program image marshals" `Quick test_program_marshals;
     Alcotest.test_case "tampered image rejected" `Quick test_tampered_image_rejected;
     Alcotest.test_case "virtual threads: firewall verdicts" `Quick test_firewall_threads;
-    Alcotest.test_case "virtual threads: DNS ids on the VM" `Quick test_dns_threads ]
+    Alcotest.test_case "virtual threads: DNS ids on the VM" `Quick test_dns_threads;
+    Alcotest.test_case "old image format rejected" `Quick test_old_image_rejected ]

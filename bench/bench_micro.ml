@@ -356,6 +356,64 @@ let key_fw_bench () =
       ("key_bytes", fun () -> V.key_string bytes);
       ("fw_line", fun () -> Hilti_analyzers.Driver.fw_line ~ts ~src ~dst true) ]
 
+(* ---- Expiring state: refresh cost and timers per entry -------------------- *)
+
+(* Minor words per access refresh of an armed [Exp_map] entry, and the
+   firewall's pending timers per live dynamic-rule entry after a mixed
+   DNS + HTTP trace.  Both are exact counts: a refresh only moves the
+   entry's deadline, and each live entry owns at most one timer. *)
+let exp_state_bench () =
+  Bench_util.header "expiring state: refresh allocation and pending timers per entry";
+  let module T = Hilti_types in
+  let mgr = Timer_mgr.create () in
+  let m : (string, int) Exp_map.t = Exp_map.create () in
+  Exp_map.set_timeout m (Expire.Access (T.Interval_ns.of_secs 300)) mgr;
+  Exp_map.insert m "k" 1;
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Exp_map.mem_touch m "k"))
+  done;
+  let refresh_words = (Gc.minor_words () -. before) /. float_of_int n in
+  Printf.printf "  minor words per access refresh: %.2f (%d pending timer(s) after %d refreshes)\n"
+    refresh_words (Timer_mgr.pending mgr) n;
+  let fw =
+    Hilti_firewall.Fw_hilti.load
+      (Hilti_firewall.Fw_rules.parse_rules Bench_firewall.rules_text)
+  in
+  let records =
+    Hilti_traces.Mix.generate
+      { Hilti_traces.Mix.http =
+          Some
+            { Hilti_traces.Http_gen.default with
+              sessions = 1_500;
+              start_ts = Hilti_traces.Dns_gen.default.start_ts };
+        dns = Some { Hilti_traces.Dns_gen.default with transactions = 20_000 };
+        ssh = None }
+  in
+  List.iter
+    (fun (r : Hilti_net.Pcap.record) ->
+      let ts = r.Hilti_net.Pcap.ts in
+      match Hilti_net.Packet.decode_opt ~ts r.Hilti_net.Pcap.data with
+      | Some pkt ->
+          ignore
+            (Hilti_firewall.Fw_hilti.match_packet fw ~ts ~src:(Hilti_net.Packet.src pkt)
+               ~dst:(Hilti_net.Packet.dst pkt))
+      | None -> ())
+    records;
+  let ctx = fw.Hilti_firewall.Fw_hilti.api.Hilti_vm.Host_api.ctx in
+  let pending = Timer_mgr.pending (Hilti_vm.Vm.current_timer_mgr ctx) in
+  let entries =
+    let slot = Hashtbl.find ctx.Hilti_vm.Vm.program.Hilti_vm.Bytecode.global_index "dyn" in
+    match (Hilti_vm.Vm.current_globals ctx).(slot) with
+    | Hilti_vm.Value.Set s -> Exp_map.size s
+    | v -> failwith ("the firewall's dyn global holds " ^ Hilti_vm.Value.to_string v)
+  in
+  let per_entry = float_of_int pending /. float_of_int (max 1 entries) in
+  Printf.printf "  firewall over %d packets: %d pending timers for %d dynamic entries (%.2f per entry)\n"
+    (List.length records) pending entries per_entry;
+  (refresh_words, per_entry)
+
 (* ---- Connection records: one build, one glue conversion ------------------- *)
 
 (* The [connection] argument of every event: built by
@@ -484,7 +542,7 @@ let http_alloc_bench () =
   Printf.printf "  reduction: %.1f%%\n" (100.0 *. reduction);
   (before_per, after_per, reduction)
 
-let write_micro_json (frame_bytes, fib_words)
+let write_micro_json (frame_bytes, fib_words) (refresh_words, fw_timers_per_entry)
     ( dns_before,
       dns_after,
       dns_reduction,
@@ -507,6 +565,8 @@ let write_micro_json (frame_bytes, fib_words)
       "{\n  \"experiment\": \"frames_and_alloc\",\n  \
        \"frame_bytes_per_activation\": %.1f,\n  \
        \"fib_words_per_activation\": %.1f,\n  \
+       \"exp_map_refresh_words\": %.2f,\n  \
+       \"fw_pending_timers_per_entry\": %.2f,\n  \
        \"dns_alloc_bytes_per_packet_before\": %.1f,\n  \
        \"dns_alloc_bytes_per_packet_after\": %.1f,\n  \
        \"dns_alloc_reduction\": %.3f,\n  \
@@ -523,7 +583,7 @@ let write_micro_json (frame_bytes, fib_words)
        \"dns_script_alloc_bytes_per_txn\": %.1f,\n  \
        \"dns_all_scripts_alloc_bytes_per_txn\": %.1f,\n  \
        \"dns_compiled_script_alloc_bytes_per_txn\": %.1f%s\n}\n"
-      frame_bytes fib_words dns_before dns_after dns_reduction
+      frame_bytes fib_words refresh_words fw_timers_per_entry dns_before dns_after dns_reduction
       dns_parse_before dns_parse_after dns_e2e_before dns_e2e_after http_before
       http_after http_reduction pac_bytes
       pac_instrs dns_script_alloc_before script_bytes all_scripts_bytes compiled_script_bytes
@@ -638,8 +698,10 @@ let run () =
   print_newline ();
   let compiled_script = dns_script_bench Mini_bro.Bro_engine.Compiled in
   print_newline ();
+  let exp_state = exp_state_bench () in
+  print_newline ();
   let keys = key_fw_bench () in
   print_newline ();
   let glue = glue_bench () in
   print_newline ();
-  write_micro_json (frames, fib) dns http pac script all_scripts compiled_script (keys @ glue)
+  write_micro_json (frames, fib) exp_state dns http pac script all_scripts compiled_script (keys @ glue)

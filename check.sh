@@ -138,6 +138,15 @@ grep -q '"fib_words_per_activation"' BENCH_micro.json
 # functions recycled frames and the rest copied theirs).
 awk -F': ' '/"frame_bytes_per_activation"/ { if ($2+0 > 96) exit 1 }' BENCH_micro.json
 awk -F': ' '/"fib_words_per_activation"/ { if ($2+0 > 10) exit 1 }' BENCH_micro.json
+grep -q '"exp_map_refresh_words"' BENCH_micro.json
+grep -q '"fw_pending_timers_per_entry"' BENCH_micro.json
+# Expiring state keeps one timer per live entry: an access refresh only
+# moves the entry's deadline (0 minor words; 20 when every refresh armed
+# a new timer), and after a 61k-packet DNS + HTTP mix the firewall holds
+# one pending timer per dynamic-rule entry (20.4 when stale timers stayed
+# queued until their deadline).
+awk -F': ' '/"exp_map_refresh_words"/ { if ($2+0 > 0) exit 1 }' BENCH_micro.json
+awk -F': ' '/"fw_pending_timers_per_entry"/ { if ($2+0 > 1.1) exit 1 }' BENCH_micro.json
 grep -q '"dns_alloc_bytes_per_packet_before"' BENCH_micro.json
 grep -q '"dns_alloc_bytes_per_packet_after"' BENCH_micro.json
 grep -q '"http_alloc_reduction"' BENCH_micro.json

@@ -84,6 +84,7 @@ let compile_module ?(idle_timeout_secs = 300) (rules : Fw_rules.rule list) :
 
 type t = {
   api : Hilti_vm.Host_api.t;
+  match_fn : Hilti_vm.Host_api.func;  (* [Firewall::match_packet] *)
   mutable matches : int;
   mutable denials : int;
 }
@@ -94,13 +95,13 @@ let load ?(optimize = true) ?(specialize = true) ?idle_timeout_secs rules : t =
   let m = compile_module ?idle_timeout_secs rules in
   let api = Hilti_vm.Host_api.compile ~optimize ~specialize [ m ] in
   ignore (Hilti_vm.Host_api.call api "Firewall::init_classifier" []);
-  { api; matches = 0; denials = 0 }
+  { api; match_fn = Hilti_vm.Host_api.func api "Firewall::match_packet"; matches = 0;
+    denials = 0 }
 
 let match_packet t ~ts ~src ~dst =
   let open Hilti_vm in
   let r =
-    Host_api.call t.api "Firewall::match_packet"
-      [ Value.Time ts; Value.Addr src; Value.Addr dst ]
+    Host_api.call_func t.api t.match_fn [ Value.Time ts; Value.Addr src; Value.Addr dst ]
   in
   let allowed = Value.as_bool r in
   if allowed then t.matches <- t.matches + 1 else t.denials <- t.denials + 1;

@@ -7,7 +7,6 @@
 open Hilti_types
 
 type t = {
-  id : int;
   mutable fire_at : Time_ns.t;
   callback : unit -> unit;
   mutable canceled : bool;
@@ -15,12 +14,8 @@ type t = {
   mutable heap_index : int;  (* position inside the manager's heap, or -1 *)
 }
 
-let next_id = ref 0
-
 let create callback =
-  incr next_id;
   {
-    id = !next_id;
     fire_at = Time_ns.epoch;
     callback;
     canceled = false;

@@ -15,8 +15,12 @@ type t = {
   mutable fired_total : int;
 }
 
-let create () =
-  { now = Time_ns.epoch; heap = Array.make 16 (Timer.create (fun () -> ())); size = 0; fired_total = 0 }
+(* Fills heap slots no timer occupies, so a slot the queue has vacated
+   does not keep a fired or canceled timer (and whatever its callback
+   holds) reachable. *)
+let vacant = Timer.create (fun () -> ())
+
+let create () = { now = Time_ns.epoch; heap = Array.make 16 vacant; size = 0; fired_total = 0 }
 
 let current t = t.now
 let pending t = t.size
@@ -57,7 +61,7 @@ let rec sift_down t i =
 
 let push t (timer : Timer.t) =
   if t.size = Array.length t.heap then begin
-    let nheap = Array.make (2 * t.size) t.heap.(0) in
+    let nheap = Array.make (2 * t.size) vacant in
     Array.blit t.heap 0 nheap 0 t.size;
     t.heap <- nheap
   end;
@@ -66,16 +70,23 @@ let push t (timer : Timer.t) =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let pop_min t =
-  let min = t.heap.(0) in
+(* Take the timer at heap position [i] out of the queue: the last timer
+   fills the hole and moves up or down to its place. *)
+let remove_at t i =
+  let timer = t.heap.(i) in
   t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.heap.(0) <- t.heap.(t.size);
-    t.heap.(0).Timer.heap_index <- 0;
-    sift_down t 0
+  let last = t.heap.(t.size) in
+  t.heap.(t.size) <- vacant;
+  if i < t.size then begin
+    t.heap.(i) <- last;
+    last.Timer.heap_index <- i;
+    sift_up t i;
+    sift_down t last.Timer.heap_index
   end;
-  min.Timer.heap_index <- -1;
-  min
+  timer.Timer.heap_index <- -1;
+  timer
+
+let pop_min t = remove_at t 0
 
 (* Public operations ------------------------------------------------------- *)
 
@@ -90,6 +101,14 @@ let schedule t (timer : Timer.t) at =
   timer.Timer.attached <- true;
   push t timer
 
+(** Cancel [timer].  When it is queued here it leaves the queue at once,
+    so a canceled timer holds no slot until its fire time; a timer queued
+    on another manager is only marked, and skipped when it surfaces. *)
+let cancel t (timer : Timer.t) =
+  let i = timer.Timer.heap_index in
+  if i >= 0 && i < t.size && t.heap.(i) == timer then ignore (remove_at t i);
+  Timer.cancel timer
+
 (** Convenience: schedule a fresh timer [ival] into the future. *)
 let schedule_in t callback ival =
   let timer = Timer.create callback in
@@ -97,7 +116,10 @@ let schedule_in t callback ival =
   timer
 
 (** Move the clock to [time], firing every due timer in fire-time order.
-    Returns the number of timers fired. *)
+    Returns the number of timers fired.  A callback may [schedule] its own
+    timer again (it is detached once it fires); if the new time is
+    already due, the timer fires again later in the same call, at its
+    sorted position. *)
 let advance t time =
   if Time_ns.compare time t.now > 0 then t.now <- time;
   let fired = ref 0 in

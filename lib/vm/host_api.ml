@@ -55,8 +55,19 @@ let register t name fn = Vm.register_host t.ctx name (fun _ args -> fn args)
 (** Register a host function that also receives the VM context. *)
 let register_ctx t name fn = Vm.register_host t.ctx name fn
 
-(** Call an exported HILTI function synchronously. *)
-let call t name args = Vm.call t.ctx name args
+(** An exported HILTI function resolved once, for hosts that call it per
+    packet: [call_func] skips the by-name lookup [call] makes. *)
+type func = Func of int [@@unboxed]
+
+(** Resolve [name]; raises [Vm.Runtime_error] if the program has no such
+    function. *)
+let func t name = Func (Vm.resolve t.ctx name)
+
+(** Call a resolved function synchronously. *)
+let call_func t (Func idx) args = Vm.exec_func t.ctx idx args
+
+(** Call an exported HILTI function by name, synchronously. *)
+let call t name args = call_func t (func t name) args
 
 (** The layout of declared struct type [name]: structs the host builds for
     HILTI code must use it (see {!Value.new_struct}). *)
@@ -121,13 +132,10 @@ let cancel (run : parse_run) = Hilti_rt.Fiber.cancel run.fiber
     thread [tid] ([thread.schedule] from the host side).  Arguments are
     deep-copied, preserving the isolation model of §3.2. *)
 let schedule t tid name args =
-  match Bytecode.find_func t.ctx.Vm.program name with
-  | Some idx ->
-      (* Copy at schedule time, as [thread.schedule] does: the sender can
-         keep mutating its own data afterwards. *)
-      let args = List.map Value.deep_copy args in
-      Vm.schedule_job t.ctx tid idx args
-  | None -> raise (Vm.Runtime_error ("unknown function " ^ name))
+  let (Func idx) = func t name in
+  (* Copy at schedule time, as [thread.schedule] does: the sender can keep
+     mutating its own data afterwards. *)
+  Vm.schedule_job t.ctx tid idx (List.map Value.deep_copy args)
 
 (** Schedule an arbitrary host-side closure on virtual thread [tid].  [fn]
     receives the execution context with [current_thread] set to [tid]. *)

@@ -1687,11 +1687,15 @@ and schedule_job ctx tid callee (args : Value.t list) =
         ~finally:(fun () -> ctx.current_thread <- saved)
         (fun () -> ignore (exec_func ctx callee args)))
 
-(** Call a HILTI function by name (the generated C-stub entry point). *)
-let call ctx name args =
+(** The index of the HILTI function [name]; raises [Runtime_error] if the
+    program has none. *)
+let resolve ctx name =
   match Bytecode.find_func ctx.program name with
-  | Some idx -> exec_func ctx idx args
+  | Some idx -> idx
   | None -> fail "unknown function %s" name
+
+(** Call a HILTI function by name (the generated C-stub entry point). *)
+let call ctx name args = exec_func ctx (resolve ctx name) args
 
 (** Run the scheduler until all queued virtual-thread jobs are drained. *)
 let run_scheduler ctx = Hilti_rt.Scheduler.run ctx.scheduler

@@ -133,11 +133,53 @@ let test_dns_packets_read_exact () =
   Alcotest.(check int)
     "jobs=4: events_raised == serial events_raised" events_s events_p
 
+(* A session table fed the packets of [src] directly, on its own timer
+   manager: every fire of one of its timers either evicts the entry or
+   re-arms the timer at the entry's moved deadline, so the manager's own
+   fire count is the ground truth for the two [Exp_map] counters. *)
+let check_session_table_timers name src =
+  Metrics.reset ();
+  Metrics.with_enabled true (fun () ->
+      let module Ft = Hilti_net.Flow_table in
+      let mgr = Hilti_rt.Timer_mgr.create () in
+      let table = Ft.create ~timeout:(Interval_ns.of_msecs 5) ~timer_mgr:mgr (fun _ _ -> ()) in
+      let rec go () =
+        match Hilti_rt.Iosrc.read src with
+        | Some p ->
+            let ts = p.Hilti_rt.Iosrc.ts in
+            ignore (Hilti_rt.Timer_mgr.advance mgr ts);
+            (match Option.bind (Hilti_net.Packet.decode_opt ~ts p.Hilti_rt.Iosrc.data)
+                     Hilti_net.Packet.flow with
+            | Some flow -> ignore (Ft.lookup table ~ts flow)
+            | None -> ());
+            go ()
+        | None -> ()
+      in
+      go ();
+      let rearmed = scraped_counter "exp_map_timers_rearmed" in
+      Alcotest.(check bool) (name ^ ": timers re-armed") true (rearmed > 0);
+      Alcotest.(check int)
+        (name ^ ": exp_map_timers_rearmed == timer fires - evictions")
+        (Hilti_rt.Timer_mgr.fired_total mgr - Ft.expired table)
+        rearmed;
+      Alcotest.(check int)
+        (name ^ ": exp_map_expired == table evictions")
+        (Ft.expired table)
+        (scraped_counter "exp_map_expired");
+      Alcotest.(check int)
+        (name ^ ": exp_map_timers_scheduled == connections created")
+        (Ft.created table)
+        (scraped_counter "exp_map_timers_scheduled");
+      Alcotest.(check int)
+        (name ^ ": one pending timer per live connection")
+        (Ft.size table)
+        (Hilti_rt.Timer_mgr.pending mgr))
+
 let test_tcp_evictions_exact () =
-  let check_proto name proto src =
+  let check_proto name proto mk_src =
     Metrics.reset ();
     Metrics.with_enabled true (fun () ->
-        let r = evaluate ~proto ~idle_timeout:(Interval_ns.of_msecs 5) src in
+        let r = evaluate ~proto ~idle_timeout:(Interval_ns.of_msecs 5) (mk_src ()) in
         let stats = r.Hilti_analyzers.Driver.stats in
         Alcotest.(check bool)
           (name ^ ": eviction fired") true
@@ -147,20 +189,25 @@ let test_tcp_evictions_exact () =
           stats.Hilti_analyzers.Driver.evicted
           (scraped_counter "connections_evicted");
         Alcotest.(check int)
+          (name ^ ": exp_map_expired == driver stats")
+          stats.Hilti_analyzers.Driver.evicted
+          (scraped_counter "exp_map_expired");
+        Alcotest.(check int)
           (name ^ ": flow_connections_created == driver stats")
           stats.Hilti_analyzers.Driver.connections
           (scraped_counter "flow_connections_created");
         Alcotest.(check int)
           (name ^ ": events_raised == driver stats")
           stats.Hilti_analyzers.Driver.events
-          (scraped_counter "events_raised"))
+          (scraped_counter "events_raised"));
+    check_session_table_timers name (mk_src ())
   in
-  check_proto "http" (`Http Hilti_analyzers.Driver.Http_std)
-    (Hilti_traces.Http_gen.iosrc { Hilti_traces.Http_gen.default with sessions = 60 });
-  check_proto "mqtt" (`Mqtt Hilti_analyzers.Driver.Mqtt_std)
-    (Hilti_traces.Mqtt_gen.iosrc { Hilti_traces.Mqtt_gen.default with sessions = 60 });
-  check_proto "ftp" (`Ftp Hilti_analyzers.Driver.Ftp_std)
-    (Hilti_traces.Ftp_gen.iosrc { Hilti_traces.Ftp_gen.default with sessions = 60 })
+  check_proto "http" (`Http Hilti_analyzers.Driver.Http_std) (fun () ->
+      Hilti_traces.Http_gen.iosrc { Hilti_traces.Http_gen.default with sessions = 60 });
+  check_proto "mqtt" (`Mqtt Hilti_analyzers.Driver.Mqtt_std) (fun () ->
+      Hilti_traces.Mqtt_gen.iosrc { Hilti_traces.Mqtt_gen.default with sessions = 60 });
+  check_proto "ftp" (`Ftp Hilti_analyzers.Driver.Ftp_std) (fun () ->
+      Hilti_traces.Ftp_gen.iosrc { Hilti_traces.Ftp_gen.default with sessions = 60 })
 
 let test_vm_instruction_groups () =
   (* Any compiled-script run must retire instructions in the data and

@@ -150,6 +150,234 @@ let test_exp_map_default () =
   | None -> Alcotest.fail "entry vanished");
   Alcotest.(check int) "size" 1 (Exp_map.size m)
 
+(* A key removed (or cleared) and inserted again must not inherit the old
+   entry's timer: the new entry lives its own full lifetime, and eviction
+   reports the new value. *)
+let stale_timer_case strategy ~drop () =
+  let mgr = Timer_mgr.create () in
+  let m : (string, string) Exp_map.t = Exp_map.create () in
+  Exp_map.set_timeout m (strategy (Interval_ns.of_secs 10)) mgr;
+  let expired = ref [] in
+  Exp_map.set_on_expire m (fun k v -> expired := (k, v) :: !expired);
+  Exp_map.insert m "k" "old";
+  drop m;
+  ignore (Timer_mgr.advance mgr (Time_ns.of_secs 5));
+  Exp_map.insert m "k" "new";
+  ignore (Timer_mgr.advance mgr (Time_ns.of_secs 10));
+  Alcotest.(check bool) "re-inserted entry alive at 10" true (Exp_map.mem m "k");
+  Alcotest.(check (list (pair string string))) "nothing evicted at 10" [] !expired;
+  ignore (Timer_mgr.advance mgr (Time_ns.of_secs 15));
+  Alcotest.(check bool) "re-inserted entry gone at 15" false (Exp_map.mem m "k");
+  Alcotest.(check (list (pair string string)))
+    "eviction reports the new value" [ ("k", "new") ] !expired;
+  Alcotest.(check int) "no timer left" 0 (Timer_mgr.pending mgr)
+
+let test_exp_map_stale_timer () =
+  List.iter
+    (fun (name, strategy) ->
+      List.iter
+        (fun (how, drop) ->
+          try stale_timer_case strategy ~drop ()
+          with e ->
+            Alcotest.failf "%s after %s: %s" name how (Printexc.to_string e))
+        [ ("remove", fun m -> Exp_map.remove m "k"); ("clear", Exp_map.clear) ])
+    [ ("access", fun i -> Expire.Access i);
+      ("write", fun i -> Expire.Write i);
+      ("create", fun i -> Expire.Create i) ]
+
+(* Refreshing moves a deadline: one key refreshed 100k times keeps one
+   timer, and a refresh allocates nothing. *)
+let test_exp_map_bounded_refresh () =
+  let mgr = Timer_mgr.create () in
+  let m : (string, int) Exp_map.t = Exp_map.create () in
+  Exp_map.set_timeout m (Expire.Access (Interval_ns.of_secs 10)) mgr;
+  Exp_map.insert m "k" 1;
+  ignore (Exp_map.mem_touch m "k");
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    ignore (Sys.opaque_identity (Exp_map.mem_touch m "k"))
+  done;
+  Alcotest.(check (float 0.)) "minor words over 100k refreshes" 0.
+    (Gc.minor_words () -. w0);
+  Alcotest.(check int) "one pending timer" 1 (Timer_mgr.pending mgr);
+  (* With the clock moving 1 ms per refresh the timer fires early every
+     10 s and re-arms; the entry stays, still with one timer. *)
+  for i = 1 to 100_000 do
+    ignore (Timer_mgr.advance mgr (Time_ns.of_ns (Int64.of_int (i * 1_000_000))));
+    ignore (Exp_map.find_opt m "k")
+  done;
+  Alcotest.(check int) "one pending timer after 100 s" 1 (Timer_mgr.pending mgr);
+  Alcotest.(check bool) "entry alive" true (Exp_map.mem m "k");
+  ignore (Timer_mgr.advance mgr (Time_ns.of_secs 110));
+  Alcotest.(check bool) "entry gone 10 s after the last refresh" false (Exp_map.mem m "k");
+  Alcotest.(check int) "no timer left" 0 (Timer_mgr.pending mgr)
+
+(* Every operation of [Exp_map] against a naive model that keeps one
+   deadline per key and expires, on each advance, every key whose
+   deadline has passed, in deadline order. *)
+type exp_op =
+  | Insert of int * int
+  | Add_fresh of int * int
+  | Find of int
+  | Touch of int
+  | Remove of int
+  | Clear
+  | Advance of int
+
+let show_exp_op = function
+  | Insert (k, v) -> Printf.sprintf "insert %d %d" k v
+  | Add_fresh (k, v) -> Printf.sprintf "add_fresh %d %d" k v
+  | Find k -> Printf.sprintf "find %d" k
+  | Touch k -> Printf.sprintf "touch %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Clear -> "clear"
+  | Advance d -> Printf.sprintf "advance %d" d
+
+let exp_op_gen =
+  let open QCheck.Gen in
+  let key = int_range 0 4 and value = int_range 0 99 in
+  frequency
+    [ (4, map2 (fun k v -> Insert (k, v)) key value);
+      (2, map2 (fun k v -> Add_fresh (k, v)) key value);
+      (3, map (fun k -> Find k) key);
+      (3, map (fun k -> Touch k) key);
+      (2, map (fun k -> Remove k) key);
+      (1, return Clear);
+      (5, map (fun d -> Advance d) (int_range 0 7)) ]
+
+let timeout = 5
+
+let run_exp_model (strategy : Expire.strategy) ops =
+  let ns s = Int64.mul (Int64.of_int s) 1_000_000_000L in
+  let mgr = Timer_mgr.create () in
+  let m : (int, int) Exp_map.t = Exp_map.create () in
+  if strategy <> Expire.Never then Exp_map.set_timeout m strategy mgr;
+  let got = ref [] in
+  Exp_map.set_on_expire m (fun k v -> got := (k, v) :: !got);
+  (* The model: key -> (value, deadline in seconds). *)
+  let model : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
+  let now = ref 0 in
+  let expires = strategy <> Expire.Never in
+  let fresh k v = Hashtbl.replace model k (v, !now + timeout) in
+  let refresh k by =
+    match Hashtbl.find_opt model k with
+    | Some (v, _) when by strategy -> Hashtbl.replace model k (v, !now + timeout)
+    | _ -> ()
+  in
+  let fail op fmt = Printf.ksprintf (fun s -> failwith (show_exp_op op ^ ": " ^ s)) fmt in
+  List.iter
+    (fun op ->
+      (match op with
+      | Insert (k, v) ->
+          Exp_map.insert m k v;
+          if Hashtbl.mem model k then begin
+            let _, d = Hashtbl.find model k in
+            Hashtbl.replace model k (v, d);
+            refresh k Expire.refreshed_by_write
+          end
+          else fresh k v
+      | Add_fresh (k, v) ->
+          (* Precondition: the key is absent; present keys go through
+             [insert]'s write path instead. *)
+          if Hashtbl.mem model k then begin
+            Exp_map.insert m k v;
+            let _, d = Hashtbl.find model k in
+            Hashtbl.replace model k (v, d);
+            refresh k Expire.refreshed_by_write
+          end
+          else begin
+            Exp_map.add_fresh m k v;
+            fresh k v
+          end
+      | Find k ->
+          let r = Exp_map.find_opt m k in
+          let expect = Option.map fst (Hashtbl.find_opt model k) in
+          if r <> expect then fail op "find_opt disagrees";
+          refresh k Expire.refreshed_by_read
+      | Touch k ->
+          let r = Exp_map.mem_touch m k in
+          if r <> Hashtbl.mem model k then fail op "mem_touch disagrees";
+          refresh k Expire.refreshed_by_read
+      | Remove k ->
+          Exp_map.remove m k;
+          Hashtbl.remove model k
+      | Clear ->
+          Exp_map.clear m;
+          Hashtbl.reset model
+      | Advance d ->
+          now := !now + d;
+          got := [];
+          ignore (Timer_mgr.advance mgr (Time_ns.of_ns (ns !now)));
+          let due =
+            if expires then
+              Hashtbl.fold
+                (fun k (v, dl) acc -> if dl <= !now then (dl, (k, v)) :: acc else acc)
+                model []
+            else []
+          in
+          List.iter (fun (_, (k, _)) -> Hashtbl.remove model k) due;
+          (* Compare deadline by deadline; a tie is compared as a set. *)
+          let rec check got = function
+            | [] -> if got <> [] then fail op "extra evictions"
+            | (dl, _) :: _ as due ->
+                let same, rest = List.partition (fun (d, _) -> d = dl) due in
+                let n = List.length same in
+                if List.length got < n then fail op "missing evictions at %d" dl;
+                let head = List.filteri (fun i _ -> i < n) got
+                and tail = List.filteri (fun i _ -> i >= n) got in
+                if List.sort compare head <> List.sort compare (List.map snd same) then
+                  fail op "evictions at %d disagree" dl;
+                check tail rest
+          in
+          check (List.rev !got) (List.sort compare due));
+      for k = 0 to 4 do
+        if Exp_map.mem m k <> Hashtbl.mem model k then
+          fail op "membership of %d disagrees" k
+      done;
+      if Exp_map.size m <> Hashtbl.length model then fail op "size disagrees";
+      let timers = if expires then Hashtbl.length model else 0 in
+      if Timer_mgr.pending mgr <> timers then
+        fail op "%d pending timers for %d entries" (Timer_mgr.pending mgr) timers)
+    ops;
+  true
+
+let prop_exp_map_model =
+  let strategies =
+    [ Expire.Never;
+      Expire.Create (Interval_ns.of_secs timeout);
+      Expire.Access (Interval_ns.of_secs timeout);
+      Expire.Write (Interval_ns.of_secs timeout) ]
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"exp_map == one-deadline-per-key model, all strategies" ~count:300
+       (QCheck.make
+          ~print:(fun (s, ops) ->
+            Expire.to_string s ^ ": " ^ String.concat "; " (List.map show_exp_op ops))
+          QCheck.Gen.(pair (oneofl strategies) (list_size (int_range 1 60) exp_op_gen)))
+       (fun (s, ops) -> run_exp_model s ops))
+
+(* [Timer_mgr.cancel] takes a timer out of the queue at once; the others
+   still fire in time order. *)
+let prop_timer_cancel_eager =
+  qt "canceled timers leave the queue, the rest fire in order"
+    QCheck.(small_list (pair (int_range 1 1000) bool))
+    (fun specs ->
+      let mgr = Timer_mgr.create () in
+      let log = ref [] in
+      let timers =
+        List.map
+          (fun (t, cancel) ->
+            let timer = Timer.create (fun () -> log := t :: !log) in
+            Timer_mgr.schedule mgr timer (Time_ns.of_secs t);
+            (timer, cancel))
+          specs
+      in
+      List.iter (fun (timer, cancel) -> if cancel then Timer_mgr.cancel mgr timer) timers;
+      let kept = List.filter_map (fun (t, c) -> if c then None else Some t) specs in
+      Timer_mgr.pending mgr = List.length kept
+      && (ignore (Timer_mgr.advance mgr (Time_ns.of_secs 10_000));
+          List.rev !log = List.stable_sort compare kept))
+
 (* ---- Channels ---------------------------------------------------------------------- *)
 
 let test_channel_fifo () =
@@ -488,4 +716,10 @@ let suite =
     Alcotest.test_case "scheduler spawned jobs" `Quick test_scheduler_jobs_spawn_jobs;
     Alcotest.test_case "scheduler command queue" `Quick test_scheduler_command_queue;
     Alcotest.test_case "profiler exclusive accounting" `Quick test_profiler_exclusive;
-    QCheck_alcotest.to_alcotest channel_stress ]
+    QCheck_alcotest.to_alcotest channel_stress;
+    Alcotest.test_case "exp_map: re-inserted key does not inherit the old timer" `Quick
+      test_exp_map_stale_timer;
+    Alcotest.test_case "exp_map: refreshes keep one timer and allocate nothing" `Quick
+      test_exp_map_bounded_refresh;
+    prop_exp_map_model;
+    prop_timer_cancel_eager ]

@@ -1,5 +1,4 @@
 (** Ablations of the design choices the paper calls out:
-    - classifier linked-list vs hierarchical trie (§5 "Runtime Library");
     - container expiration strategies (§2/§3.2);
     - the HILTI-level optimization pipeline on/off (§6.6 notes its absence
       in the prototype);
@@ -9,50 +8,6 @@
       time" optimization BinPAC++ lacks (§6.4). *)
 
 open Hilti_rt
-
-(* ---- Classifier engines ---------------------------------------------------------- *)
-
-let classifier_bench () =
-  Bench_util.header "Ablation: classifier linked-list vs trie";
-  Printf.printf "%8s %14s %14s %10s\n" "#rules" "list ns/get" "trie ns/get" "speedup";
-  List.iter
-    (fun nrules ->
-      let build engine =
-        let c = Classifier.create ~engine 2 in
-        for i = 0 to nrules - 1 do
-          let net =
-            Hilti_types.Network.of_string
-              (Printf.sprintf "10.%d.%d.0/24" (i mod 250) (i / 250))
-          in
-          Classifier.add c [| Classifier.field_of_network net; Classifier.wildcard |] i
-        done;
-        Classifier.compile c;
-        c
-      in
-      let list_c = build Classifier.List_scan in
-      let trie_c = build Classifier.Trie in
-      let keys =
-        Array.init 64 (fun i ->
-            [| Classifier.key_of_addr
-                 (Hilti_types.Addr.of_string (Printf.sprintf "10.%d.%d.9" (i * 3 mod 250) (i mod 4)));
-               Classifier.key_of_addr (Hilti_types.Addr.of_string "10.0.0.1") |])
-      in
-      let iters = 2000 in
-      let run c =
-        let hits = ref 0 in
-        let (), ns =
-          Bench_util.time_ns (fun () ->
-              for k = 0 to iters - 1 do
-                if Classifier.get c keys.(k mod 64) <> None then incr hits
-              done)
-        in
-        (!hits, Int64.to_float ns /. float_of_int iters)
-      in
-      let hits_l, ns_l = run list_c in
-      let hits_t, ns_t = run trie_c in
-      assert (hits_l = hits_t);
-      Printf.printf "%8d %14.0f %14.0f %9.1fx\n" nrules ns_l ns_t (ns_l /. ns_t))
-    [ 10; 100; 1000 ]
 
 (* ---- Expiration strategies --------------------------------------------------------- *)
 
@@ -218,7 +173,6 @@ let fiber_vs_direct_bench () =
   Printf.printf "cost BinPAC++ always pays, though UDP sees whole PDUs; §6.4)\n"
 
 let run () =
-  classifier_bench ();
   expiration_bench ();
   optimization_bench ();
   exception_bench ();

@@ -3,8 +3,8 @@
     DESIGN.md calls out.
 
     Usage:  dune exec bench/main.exe [-- experiment ...]
-    Experiments: table1 micro bpf firewall parsers scripts threads
-    ablations (default: all).  Sizes scale down with --quick. *)
+    Experiments: table1 micro bpf firewall parsers scripts threads stream
+    obs vmopt fuzz ablations (default: all).  Sizes scale down with --quick. *)
 
 let experiments =
   [ ("table1", "Table 1: instruction-set inventory");
@@ -17,7 +17,6 @@ let experiments =
     ("stream", "streaming pipeline: peak heap vs trace size");
     ("obs", "observability: instrumentation overhead off vs on");
     ("vmopt", "register-bank specialization + superinstruction fusion");
-    ("classifier", "decision-diagram rule matching at 1k/10k/100k rules");
     ("fuzz", "differential fuzzing: execs/sec through paired oracles");
     ("ablations", "design-choice ablations") ]
 
@@ -52,7 +51,6 @@ let () =
       | "stream" -> ignore (Bench_stream.run ~base:(if quick then 40 else 150) ())
       | "obs" -> ignore (Bench_obs.run ~dns_transactions ())
       | "vmopt" -> ignore (Bench_vmopt.run ~quick ())
-      | "classifier" -> ignore (Bench_classifier.run ~quick ())
       | "fuzz" -> ignore (Bench_fuzz.run ~quick ())
       | "ablations" -> Bench_ablations.run ()
       | other ->

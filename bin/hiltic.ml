@@ -35,11 +35,6 @@ options:
              call-graph closure; repeatable
   -format FMT
              lint output format: tsv (default) or json (stable key order)
-  -classifier FILE
-             compile the firewall rules in FILE (one "src dst action" per
-             line) into a hash-consed decision diagram and print its
-             statistics; combine with -d to disassemble the HILTI
-             bytecode the diagram lowers to
 |}
 
 (* ---- Lint mode (-analyze / -analyze-bundled) --------------------------- *)
@@ -121,7 +116,6 @@ let () =
   let entry = ref None in
   let analyze = ref false in
   let analyze_bundled = ref false in
-  let classifier = ref None in
   let no_warnings = ref false in
   let format = ref `Tsv in
   let shard_entries = ref [] in
@@ -135,7 +129,6 @@ let () =
     | "-e" :: name :: rest -> entry := Some name; parse_args rest
     | "-analyze" :: rest -> analyze := true; parse_args rest
     | "-analyze-bundled" :: rest -> analyze_bundled := true; parse_args rest
-    | "-classifier" :: file :: rest -> classifier := Some file; parse_args rest
     | "-no-warnings" :: rest -> no_warnings := true; parse_args rest
     | "-format" :: "json" :: rest -> format := `Json; parse_args rest
     | "-format" :: "tsv" :: rest -> format := `Tsv; parse_args rest
@@ -178,39 +171,6 @@ let () =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  (match !classifier with
-  | Some f -> (
-      try
-        let rules = Hilti_firewall.Fw_rules.parse_rules (read_file f) in
-        let kept = Hilti_firewall.Fw_rules.normalize rules in
-        let shadowed = List.length rules - List.length kept in
-        let mgr = Hilti_classifier.Fdd.create_mgr () in
-        let fdd = Hilti_classifier.Compile.of_fw mgr kept in
-        Printf.printf "rules:      %d (%d shadowed, dropped)\n"
-          (List.length rules) shadowed;
-        Printf.printf "fdd nodes:  %d (depth %d of %d, %d allocated in manager)\n"
-          (Hilti_classifier.Fdd.size fdd)
-          (Hilti_classifier.Fdd.depth fdd)
-          Hilti_classifier.Fdd.nvars
-          (Hilti_classifier.Fdd.live_nodes mgr);
-        Printf.printf "hash-cons:  %d hits / %d misses\n"
-          (Hilti_classifier.Fdd.cache_hits mgr)
-          (Hilti_classifier.Fdd.cache_misses mgr);
-        if !disasm then begin
-          let m = Hilti_classifier.Lower_fdd.compile_module fdd in
-          let api = Hilti_vm.Host_api.compile ~optimize:false [ m ] in
-          print_string
-            (Hilti_vm.Bytecode.disassemble api.Hilti_vm.Host_api.ctx.Hilti_vm.Vm.program)
-        end;
-        exit 0
-      with
-      | Hilti_firewall.Fw_rules.Parse_error msg ->
-          Printf.eprintf "rule parse error: %s\n" msg;
-          exit 1
-      | Hilti_classifier.Acl.Unsupported msg ->
-          Printf.eprintf "unsupported rule: %s\n" msg;
-          exit 1)
-  | None -> ());
   if files = [] then begin
     print_string usage;
     exit 1

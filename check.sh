@@ -201,18 +201,6 @@ awk -F': ' '/"speedup_spec_over_generic"/ { if ($2+0 < 1.5) exit 1 }' BENCH_vmop
 awk -F': ' '/"firewall_speedup"/ { if ($2+0 < 0.9) exit 1 }' BENCH_vmopt.json
 awk -F': ' '/"dns_speedup"/ { if ($2+0 < 0.9) exit 1 }' BENCH_vmopt.json
 
-echo "== classifier suite (FDD sharing, differential vs linear, lowered bytecode)"
-dune exec test/test_main.exe -- test classifier
-
-echo "== bench classifier (writes BENCH_classifier.json, 1k+10k rules)"
-dune exec bench/main.exe -- classifier --quick
-grep -q '"speedup_fdd_1k"' BENCH_classifier.json
-grep -q '"speedup_fdd_10k"' BENCH_classifier.json
-grep -q '"differential_ok": true' BENCH_classifier.json
-# The decision diagram must beat the linear first-match scan by >= 10x at
-# 10k rules (the acceptance floor; measured runs land far above it).
-awk -F': ' '/"speedup_fdd_10k"/ { if ($2+0 < 10) exit 1 }' BENCH_classifier.json
-
 echo "== fuzz suite (test_fuzz: shape scanners, replayable findings, clean pairs)"
 dune exec test/test_main.exe -- test fuzz
 

@@ -13,15 +13,8 @@
     For a packet [(src, dst)] the static verdict is the [action] of the
     {e earliest} rule in the list whose [src] and [dst] constraints both
     cover the packet ([None] covers everything); if no rule matches, the
-    verdict is [Deny].  Consequently a rule whose match key [(src, dst)]
-    is {e identical} to an earlier rule's can never fire — it is
-    {e shadowed}, whatever its action.  {!normalize} drops such rules.
-    Every matcher built from a rule list — the linear reference here,
-    the HILTI classifier of {!Fw_hilti}, and the decision-diagram
-    backend in [Hilti_classifier] — implements exactly this contract,
-    so they may be compared verdict-for-verdict on normalized or
-    unnormalized input alike (normalization never changes verdicts; it
-    only removes dead rules). *)
+    verdict is [Deny].  The HILTI classifier of {!Fw_hilti} implements
+    exactly this contract, so the two are compared verdict-for-verdict. *)
 
 open Hilti_types
 
@@ -59,33 +52,6 @@ let rule_to_string r =
   let net = function None -> "*" | Some n -> Network.to_string n in
   Printf.sprintf "%s %s %s" (net r.src) (net r.dst)
     (match r.action with Allow -> "allow" | Deny -> "deny")
-
-(* ---- Normalization ----------------------------------------------------------- *)
-
-let m_shadowed =
-  Hilti_obs.Metrics.counter
-    ~help:"rules dropped by Fw_rules.normalize as shadowed by an earlier identical match key"
-    "fw_rules_shadowed_total"
-
-(** Drop rules shadowed by an earlier rule with an {e identical}
-    [(src, dst)] match key (first match wins, so they can never fire —
-    even when their action differs).  Order of the surviving rules is
-    preserved and verdicts are unchanged for every packet.  Each dropped
-    rule bumps the [fw_rules_shadowed_total] counter. *)
-let normalize rules =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun r ->
-      let key = (r.src, r.dst) in
-      if Hashtbl.mem seen key then begin
-        Hilti_obs.Metrics.incr m_shadowed;
-        false
-      end
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    rules
 
 (* ---- Reference matcher -------------------------------------------------------- *)
 

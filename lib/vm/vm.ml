@@ -1449,6 +1449,10 @@ and run_frame ctx (f : Bytecode.func) pool (frame : frame) : Value.t =
              | Hilti_types.Hbytes.Frozen ->
                  raise (Value.value_error "bytes: frozen")
              | Hilti_rt.Regexp.Parse_error msg -> raise (Value.value_error msg)
+             | Hilti_rt.Classifier.Not_compiled ->
+                 raise (Value.value_error "classifier: not compiled")
+             | Hilti_rt.Classifier.Already_compiled ->
+                 raise (Value.value_error "classifier: already compiled")
              | Invalid_argument msg ->
                  (* Hostile field values (e.g. a lying length that goes
                     negative) reach substrate primitives; surface them as a

@@ -397,8 +397,8 @@ let test_channel_capacity () =
 
 (* ---- Classifier ---------------------------------------------------------------------- *)
 
-let mk_rules engine rules =
-  let c = Classifier.create ~engine 2 in
+let mk_rules rules =
+  let c = Classifier.create 2 in
   List.iteri
     (fun i (src, dst, v) ->
       let field = function
@@ -422,60 +422,85 @@ let fig5_rules =
     ("10.1.7.0/24", "*", "allow") ]
 
 let test_classifier_first_match () =
-  List.iter
-    (fun engine ->
-      let c = mk_rules engine fig5_rules in
-      Alcotest.(check (option string)) "rule 1" (Some "allow") (lookup c "10.3.2.1" "10.1.5.5");
-      Alcotest.(check (option string)) "rule 2" (Some "deny") (lookup c "10.12.0.1" "10.1.5.5");
-      Alcotest.(check (option string)) "wildcard dst" (Some "allow") (lookup c "10.1.7.9" "99.9.9.9");
-      Alcotest.(check (option string)) "no match" None (lookup c "8.8.8.8" "9.9.9.9"))
-    [ Classifier.List_scan; Classifier.Trie ]
+  let c = mk_rules fig5_rules in
+  Alcotest.(check (option string)) "rule 1" (Some "allow") (lookup c "10.3.2.1" "10.1.5.5");
+  Alcotest.(check (option string)) "rule 2" (Some "deny") (lookup c "10.12.0.1" "10.1.5.5");
+  Alcotest.(check (option string)) "wildcard dst" (Some "allow") (lookup c "10.1.7.9" "99.9.9.9");
+  Alcotest.(check (option string)) "no match" None (lookup c "8.8.8.8" "9.9.9.9")
 
 let test_classifier_priority_overlap () =
-  (* Overlapping rules: the most recently... no — highest priority wins,
-     ties to earlier insertion (first-match). *)
-  List.iter
-    (fun engine ->
-      let c = Classifier.create ~engine 1 in
-      let f s = [| Classifier.field_of_network (Network.of_string s) |] in
-      Classifier.add c ~priority:0 (f "10.0.0.0/8") "broad";
-      Classifier.add c ~priority:1 (f "10.1.0.0/16") "specific";
-      Classifier.compile c;
-      Alcotest.(check (option string)) "priority wins" (Some "specific")
-        (Classifier.get c [| Classifier.key_of_addr (Addr.of_string "10.1.2.3") |]);
-      Alcotest.(check (option string)) "fallback" (Some "broad")
-        (Classifier.get c [| Classifier.key_of_addr (Addr.of_string "10.9.2.3") |]))
-    [ Classifier.List_scan; Classifier.Trie ]
+  (* Overlapping rules: the highest priority wins, ties to earlier
+     insertion (first-match). *)
+  let c = Classifier.create 1 in
+  let f s = [| Classifier.field_of_network (Network.of_string s) |] in
+  Classifier.add c ~priority:0 (f "10.0.0.0/8") "broad";
+  Classifier.add c ~priority:1 (f "10.1.0.0/16") "specific";
+  Classifier.compile c;
+  Alcotest.(check (option string)) "priority wins" (Some "specific")
+    (Classifier.get c [| Classifier.key_of_addr (Addr.of_string "10.1.2.3") |]);
+  Alcotest.(check (option string)) "fallback" (Some "broad")
+    (Classifier.get c [| Classifier.key_of_addr (Addr.of_string "10.9.2.3") |])
 
-(* Property: both engines agree on random rule sets and keys. *)
-let prop_classifier_engines_agree =
-  let octet = QCheck.Gen.int_range 0 255 in
-  let gen =
-    QCheck.Gen.(
-      pair
-        (list_size (int_range 1 20)
-           (pair (pair octet (int_range 0 24)) (pair octet (int_range 0 24))))
-        (list_size (int_range 1 30) (pair octet octet)))
+(* Property: the classifier agrees with a reference model written against
+   [Network.contains], not the engine's bit-prefix [field_matches]: the
+   answer is the highest-priority rule covering both keys, and among equal
+   priorities the one added first.  Addresses come from a 128-address
+   universe so that /0-/32 prefixes, wildcards and priority ties overlap. *)
+let prop_classifier_reference_model =
+  let open QCheck.Gen in
+  let addr =
+    map
+      (fun (a, (b, c, d)) -> Addr.of_ipv4_octets a b c d)
+      (pair (oneofl [ 10; 192 ]) (triple (int_range 0 3) (int_range 0 3) (int_range 0 3)))
   in
-  qt "classifier: list and trie engines agree" (QCheck.make gen)
+  let net =
+    frequency
+      [ (1, return None);
+        (3, map (fun (a, l) -> Some (Network.make a l)) (pair addr (int_range 0 32))) ]
+  in
+  let rule = triple net net (int_range 0 2) in
+  let gen =
+    pair (list_size (int_range 1 12) rule) (list_size (int_range 1 20) (pair addr addr))
+  in
+  let print (rules, keys) =
+    let net = function None -> "*" | Some n -> Network.to_string n in
+    String.concat "; "
+      (List.map (fun (s, d, p) -> Printf.sprintf "%s %s pri %d" (net s) (net d) p) rules)
+    ^ " | keys "
+    ^ String.concat ", "
+        (List.map (fun (a, b) -> Addr.to_string a ^ ">" ^ Addr.to_string b) keys)
+  in
+  qt "classifier: first match == reference model" (QCheck.make ~print gen)
     (fun (rules, keys) ->
-      let build engine =
-        let c = Classifier.create ~engine 2 in
-        List.iteri
-          (fun i ((o1, l1), (o2, l2)) ->
-            let net o l = Classifier.field_of_network
-                (Network.make (Addr.of_ipv4_octets 10 o 0 0) (min 32 (8 + l)))
-            in
-            Classifier.add c ~priority:(-i) [| net o1 l1; net o2 l2 |] i)
-          rules;
-        Classifier.compile c;
-        c
+      let c = Classifier.create 2 in
+      let field = function
+        | None -> Classifier.wildcard
+        | Some n -> Classifier.field_of_network n
       in
-      let cl = build Classifier.List_scan and ct = build Classifier.Trie in
+      List.iteri
+        (fun i (s, d, priority) -> Classifier.add c ~priority [| field s; field d |] i)
+        rules;
+      Classifier.compile c;
+      let model a b =
+        let covers n x = match n with None -> true | Some n -> Network.contains n x in
+        let best, _ =
+          List.fold_left
+            (fun (best, i) (s, d, p) ->
+              let best =
+                match best with
+                | Some (_, bp) when p <= bp -> best
+                | _ when covers s a && covers d b -> Some (i, p)
+                | _ -> best
+              in
+              (best, i + 1))
+            (None, 0) rules
+        in
+        Option.map fst best
+      in
       List.for_all
         (fun (a, b) ->
-          let key o = Classifier.key_of_addr (Addr.of_ipv4_octets 10 o 3 4) in
-          Classifier.get cl [| key a; key b |] = Classifier.get ct [| key a; key b |])
+          Classifier.get c [| Classifier.key_of_addr a; Classifier.key_of_addr b |]
+          = model a b)
         keys)
 
 (* ---- Regexp engine ----------------------------------------------------------------------- *)
@@ -706,7 +731,7 @@ let suite =
     Alcotest.test_case "channel capacity" `Quick test_channel_capacity;
     Alcotest.test_case "classifier first match (Fig. 5 rules)" `Quick test_classifier_first_match;
     Alcotest.test_case "classifier priority" `Quick test_classifier_priority_overlap;
-    prop_classifier_engines_agree;
+    prop_classifier_reference_model;
     Alcotest.test_case "regexp syntax" `Quick test_regexp_syntax;
     Alcotest.test_case "regexp longest match" `Quick test_regexp_longest_match;
     Alcotest.test_case "regexp multi-pattern ids" `Quick test_regexp_multi_pattern;

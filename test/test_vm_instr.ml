@@ -345,6 +345,57 @@ let test_match_token_via_vm () =
   | Value.Tuple [| Value.Int 0L; Value.Int 3L |] -> ()
   | v -> Alcotest.failf "got %s" (Value.to_string v)
 
+(* ---- Classifier misuse ------------------------------------------------------------------ *)
+
+(* Looking up before [classifier.compile] and adding after it are
+   program errors; both must reach the program's own handler as a HILTI
+   ValueError rather than escape the VM as an OCaml exception. *)
+let test_classifier_misuse_catchable () =
+  let src =
+    {|module T
+
+type Rule = struct { net src, net dst }
+
+string get_uncompiled () {
+    local ref<classifier<Rule, bool>> c
+    local bool b
+    local string n
+    c = new classifier<Rule, bool>
+    classifier.add c (10.0.0.0/8, *) True
+    try {
+        b = classifier.get c (10.1.2.3, 10.4.5.6)
+    }
+    catch ( ref<exception> e ) {
+        n = exception.name e
+        return n
+    }
+    return "no exception"
+}
+
+string add_after_compile () {
+    local ref<classifier<Rule, bool>> c
+    local string n
+    c = new classifier<Rule, bool>
+    classifier.add c (10.0.0.0/8, *) True
+    classifier.compile c
+    try {
+        classifier.add c (10.1.0.0/16, *) False
+    }
+    catch ( ref<exception> e ) {
+        n = exception.name e
+        return n
+    }
+    return "no exception"
+}
+|}
+  in
+  let api = Host_api.compile [ Hilti_lang.Parser.parse_module src ] in
+  List.iter
+    (fun f ->
+      Alcotest.(check string) f "Hilti::ValueError"
+        (Value.as_string (Host_api.call api ("T::" ^ f) [])))
+    [ "get_uncompiled"; "add_after_compile" ]
+
 let suite =
   [ Alcotest.test_case "int ops" `Quick test_int_ops;
     Alcotest.test_case "int<8> wrapping" `Quick test_int_width_wrapping;
@@ -366,4 +417,6 @@ let suite =
     Alcotest.test_case "thread deep-copy isolation" `Quick test_thread_isolation;
     Alcotest.test_case "nested try/rethrow" `Quick test_nested_try;
     Alcotest.test_case "exceptions cross frames" `Quick test_exception_crosses_calls;
-    Alcotest.test_case "regexp.match_token via VM" `Quick test_match_token_via_vm ]
+    Alcotest.test_case "regexp.match_token via VM" `Quick test_match_token_via_vm;
+    Alcotest.test_case "classifier misuse is catchable" `Quick
+      test_classifier_misuse_catchable ]

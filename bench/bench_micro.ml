@@ -542,6 +542,42 @@ let http_alloc_bench () =
   Printf.printf "  reduction: %.1f%%\n" (100.0 *. reduction);
   (before_per, after_per, reduction)
 
+(* ---- SHA-1 kernel --------------------------------------------------------- *)
+
+(* Both HTTP parsers hash every reply body as it is reassembled, so the
+   kernel's rate bounds http-std's [parse] layer.  One 8 MiB message, fed
+   in 1,460-byte segments the way TCP payloads arrive (not block-aligned,
+   so the partial-block path runs too), then finished.  Throughput is the
+   best of several runs and depends on the host; minor words per MiB are a
+   deterministic count (the 40-character digest is the only allocation). *)
+let sha1_bench () =
+  Bench_util.header "sha1: streaming kernel throughput and allocation";
+  let module S = Mini_bro.Sha1 in
+  let mib = 8 and seg = 1460 in
+  let n = mib lsl 20 in
+  let msg = Bytes.init n (fun i -> Char.unsafe_chr (((i * 7) + 3) land 255)) in
+  let c = S.init () in
+  let hash () =
+    S.reset c;
+    let pos = ref 0 in
+    while !pos < n do
+      let k = min seg (n - !pos) in
+      S.feed_bytes c msg !pos k;
+      pos := !pos + k
+    done;
+    S.finish c
+  in
+  let digest = hash () in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (hash ()));
+  let words_per_mib = (Gc.minor_words () -. before) /. float_of_int mib in
+  let _, ns = Bench_util.best_of ~n:5 hash in
+  let mb_per_s = float_of_int n /. 1e6 /. (Int64.to_float ns /. 1e9) in
+  Printf.printf "%d MiB in %d-byte segments (digest %s):\n" mib seg digest;
+  Printf.printf "  throughput:        %8.1f MB/s (best of 5)\n" mb_per_s;
+  Printf.printf "  minor words / MiB: %8.2f\n" words_per_mib;
+  (mb_per_s, words_per_mib)
+
 let write_micro_json (frame_bytes, fib_words) (refresh_words, fw_timers_per_entry)
     ( dns_before,
       dns_after,
@@ -552,7 +588,7 @@ let write_micro_json (frame_bytes, fib_words) (refresh_words, fw_timers_per_entr
       dns_e2e_after )
     (http_before, http_after, http_reduction)
     (pac_bytes, pac_instrs) script_bytes
-    all_scripts_bytes compiled_script_bytes rows =
+    all_scripts_bytes compiled_script_bytes (sha1_mb_per_s, sha1_words) rows =
   let rows =
     String.concat ""
       (List.map
@@ -582,12 +618,14 @@ let write_micro_json (frame_bytes, fib_words) (refresh_words, fw_timers_per_entr
        \"dns_script_alloc_bytes_per_txn_before\": %.1f,\n  \
        \"dns_script_alloc_bytes_per_txn\": %.1f,\n  \
        \"dns_all_scripts_alloc_bytes_per_txn\": %.1f,\n  \
-       \"dns_compiled_script_alloc_bytes_per_txn\": %.1f%s\n}\n"
+       \"dns_compiled_script_alloc_bytes_per_txn\": %.1f,\n  \
+       \"sha1_mb_per_s\": %.1f,\n  \
+       \"sha1_minor_words_per_mib\": %.2f%s\n}\n"
       frame_bytes fib_words refresh_words fw_timers_per_entry dns_before dns_after dns_reduction
       dns_parse_before dns_parse_after dns_e2e_before dns_e2e_after http_before
       http_after http_reduction pac_bytes
       pac_instrs dns_script_alloc_before script_bytes all_scripts_bytes compiled_script_bytes
-      rows
+      sha1_mb_per_s sha1_words rows
   in
   Bench_util.write_file_atomic "BENCH_micro.json" json;
   print_endline "frame + allocation data written to BENCH_micro.json"
@@ -704,4 +742,7 @@ let run () =
   print_newline ();
   let glue = glue_bench () in
   print_newline ();
-  write_micro_json (frames, fib) exp_state dns http pac script all_scripts compiled_script (keys @ glue)
+  let sha1 = sha1_bench () in
+  print_newline ();
+  write_micro_json (frames, fib) exp_state dns http pac script all_scripts compiled_script sha1
+    (keys @ glue)

@@ -82,15 +82,28 @@ let get t keys =
 
 open Hilti_types
 
-(** Encode an address as a 16-byte big-endian field (IPv4 mapped). *)
+(** Encode an address as a family tag byte, then its bits: 4 bytes for
+    IPv4, 16 for IPv6.  The tag is part of every prefix, so a rule of one
+    family never matches a key of the other, as in [Network.contains]: an
+    IPv4 [10.0.0.0/8] does not cover [::ffff:10.1.2.3], and [::/0] covers
+    no IPv4 address.  [plen] counts address bits; it defaults to the whole
+    address. *)
 let field_of_addr ?plen a =
-  let b = Bytes.create 16 in
-  Addr.write_be b 0 a;
-  let plen =
-    match plen with
-    | Some p -> if Addr.is_ipv4 a then 96 + p else p
-    | None -> 128
+  let b =
+    if Addr.is_ipv4 a then begin
+      let b = Bytes.create 5 in
+      Bytes.set b 0 '\004';
+      Bytes.set_int32_be b 1 (Int32.of_int (Addr.to_ipv4_int a));
+      b
+    end
+    else begin
+      let b = Bytes.create 17 in
+      Bytes.set b 0 '\006';
+      Addr.write_be b 1 a;
+      b
+    end
   in
+  let plen = match plen with Some p -> 8 + p | None -> 8 * Bytes.length b in
   field_of_string ~plen (Bytes.unsafe_to_string b)
 
 let field_of_network n =

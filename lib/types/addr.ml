@@ -35,7 +35,7 @@ let is_ipv4 t = t.family = IPv4
 let to_ipv4_int t = Int64.to_int (Int64.logand t.lo 0xffff_ffffL)
 
 (** Write the 128 bits as 16 big-endian bytes at [off] of [b]: the binary
-    form of classifier fields and container keys. *)
+    form of container keys and of IPv6 classifier fields. *)
 let write_be b off t =
   Bytes.set_int64_be b off t.hi;
   Bytes.set_int64_be b (off + 8) t.lo

@@ -215,6 +215,36 @@ let test_sha1_allocation () =
   if bytes >= 2048. then
     Alcotest.failf "digest of 1 MiB allocated %.0f bytes" bytes
 
+let test_sha1_high_bytes () =
+  (* Every byte value occurs, so a kernel that loads message bytes through
+     a signed [char] hashes this differently from the ASCII vectors above.
+     Fed from odd offsets inside a larger buffer, in chunks that straddle
+     block boundaries, so one kernel call covers several blocks that start
+     off a 64-byte boundary.  Expected value from sha1sum. *)
+  let n = 1000 in
+  let msg = String.init n (fun i -> Char.chr (((i * 7) + 3) land 255)) in
+  let expected = "4231a8a50a10fa9758db8ec71fdef855b751048a" in
+  Alcotest.(check string) "one-shot" expected (Sha1.digest msg);
+  let c = Sha1.init () in
+  List.iter
+    (fun base ->
+      let buf = Bytes.make (base + n + 5) '\xff' in
+      Bytes.blit_string msg 0 buf base n;
+      List.iter
+        (fun chunk ->
+          Sha1.reset c;
+          let pos = ref 0 in
+          while !pos < n do
+            let k = min chunk (n - !pos) in
+            Sha1.feed_bytes c buf (base + !pos) k;
+            pos := !pos + k
+          done;
+          Alcotest.(check string)
+            (Printf.sprintf "offset %d chunk %d" base chunk)
+            expected (Sha1.finish c))
+        [ 1; 63; 64; 65; 130; 1000 ])
+    [ 1; 3; 13; 61 ]
+
 (* ---- Typed converters == the [T_any] converter (QCheck) --------------------- *)
 
 module Hv = Hilti_vm.Value
@@ -713,4 +743,5 @@ let suite =
     Alcotest.test_case "keys: record keys are copied" `Quick test_record_key_copied;
     Alcotest.test_case "keys: non-keys raise" `Quick test_non_keys_raise;
     QCheck_alcotest.to_alcotest test_key_hash_consistent;
-    QCheck_alcotest.to_alcotest test_key_table_model ]
+    QCheck_alcotest.to_alcotest test_key_table_model;
+    Alcotest.test_case "sha1 high bytes + unaligned blocks" `Quick test_sha1_high_bytes ]

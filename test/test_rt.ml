@@ -445,18 +445,28 @@ let test_classifier_priority_overlap () =
    [Network.contains], not the engine's bit-prefix [field_matches]: the
    answer is the highest-priority rule covering both keys, and among equal
    priorities the one added first.  Addresses come from a 128-address
-   universe so that /0-/32 prefixes, wildcards and priority ties overlap. *)
+   universe so that /0-/32 prefixes, wildcards and priority ties overlap.
+   Each also appears in its IPv6 spelling [::ffff:a.b.c.d], with IPv6
+   rules up to [::/0]: a rule of one family never covers a key of the
+   other. *)
 let prop_classifier_reference_model =
   let open QCheck.Gen in
-  let addr =
+  let v4 =
     map
       (fun (a, (b, c, d)) -> Addr.of_ipv4_octets a b c d)
       (pair (oneofl [ 10; 192 ]) (triple (int_range 0 3) (int_range 0 3) (int_range 0 3)))
   in
+  let mapped a =
+    Addr.of_ipv6_int64s 0L
+      (Int64.logor 0xffff_0000_0000L (Int64.of_int (Addr.to_ipv4_int a)))
+  in
+  let addr = frequency [ (3, v4); (1, map mapped v4) ] in
   let net =
     frequency
-      [ (1, return None);
-        (3, map (fun (a, l) -> Some (Network.make a l)) (pair addr (int_range 0 32))) ]
+      [ (2, return None);
+        (4, map (fun (a, l) -> Some (Network.make a l)) (pair v4 (int_range 0 32)));
+        (1, map (fun (a, l) -> Some (Network.make (mapped a) (96 + l))) (pair v4 (int_range 0 32)));
+        (1, map (fun l -> Some (Network.make (Addr.of_string "::") l)) (oneofl [ 0; 8; 64 ])) ]
   in
   let rule = triple net net (int_range 0 2) in
   let gen =

@@ -1,15 +1,15 @@
 (** Static shard-race detector.
 
-    The sharded data plane (PR 7) promises byte-identical output to serial
+    The sharded data plane promises byte-identical output to serial
     execution, which holds only if nothing a packet-path activation does
     can be observed by an activation on another shard.  This pass turns
     that promise from convention into a checked property: given the
     program's {e sharded entry points} (the functions the dispatcher calls
     once per packet, e.g. a grammar's exported [parse_*] or a firewall's
     [match_packet]), it walks their synchronous call-graph closure — the
-    {e packet path} — using the interprocedural summaries
-    ([Hilti_vm.Summary]) and flags every operation whose effect can cross
-    a shard boundary:
+    {e packet path}: direct [Call]s plus [HookRun] bodies, which run
+    inside the caller's activation — and flags every operation whose
+    effect can cross a shard boundary:
 
     - [race/global-write]: a direct global store on the packet path, or a
       mutation of a global-reachable container that is not {e flow-keyed}
@@ -19,21 +19,20 @@
       during setup (functions not reachable from any sharded entry) are
       fine.
     - [race/timer-cross-shard]: the packet path binds or schedules a
-      callable whose target (transitively) writes globals — when the
-      timer fires or the job runs, it may execute on a different domain
-      than the one that created it.
+      callable from whose target a {e local writer} is synchronously
+      reachable — a function that stores a global or calls a host
+      function missing from the audit list.  When the timer fires or the
+      job runs, it may execute on a different domain than the one that
+      created it.
     - [race/hostapi-shared]: the packet path calls a host-API function
-      audited as writing host-global state, or one missing from the audit
-      table entirely.  Event emission and I/O are fine: the collector
-      replays per-flow event logs serially.
+      missing from {!audited_hosts}.  Event emission and I/O are fine:
+      the collector replays per-flow event logs serially.
 
     Reads are never flagged — read-only-after-setup globals (compiled
     regexps, classifier rule tables) are exactly the sharing the paper's
     model permits. *)
 
 module Bytecode = Hilti_vm.Bytecode
-module Summary = Hilti_vm.Summary
-module Effects = Hilti_passes.Effects
 
 type race = {
   r_rule : string;   (** [race/global-write] etc. *)
@@ -211,6 +210,69 @@ let global_derived (f : Bytecode.func) : bool array =
   done;
   g
 
+(* ---- Host audit ------------------------------------------------------------- *)
+
+(** The host functions a shipped component registers, each audited by
+    hand as writing no state shared between shards.  Test- and bench-only
+    helpers (the Host::, Par:: and Bench:: families) are left out
+    deliberately: a call to any host function not listed here is assumed
+    to write shared state. *)
+let audited_hosts =
+  [ "Hilti::print";        (* writes the terminal *)
+    "Hilti::abort";        (* raises Hilti::Abort; retains nothing *)
+    "Bro::print";          (* writes the terminal *)
+    "Bro::fmt";            (* pure in its arguments *)
+    "Bro::cat";            (* pure in its arguments *)
+    "Bro::to_count";       (* pure in its arguments *)
+    "Bro::sha1";           (* pure in its arguments *)
+    "Bro::join";           (* pure in its arguments *)
+    "Bro::network_time";   (* reads the network clock; writes nothing *)
+    "Bro::log_write";      (* appends to the per-flow log, replayed serially *)
+    "Bro::queue_event";    (* appends to the per-flow event queue *)
+    (* The BinPAC++ hook bridge: every analyzer's unit hooks call it, and
+       the session's handler turns the unit into events. *)
+    "BinPAC::hook" ]
+
+(* ---- Call graph ------------------------------------------------------------ *)
+
+(* Each function's synchronous callees: [Call] targets plus [HookRun]
+   hook bodies, which run inside the caller's activation. *)
+let sync_succs (p : Bytecode.program) : int list array =
+  Array.map
+    (fun (f : Bytecode.func) ->
+      Array.fold_left
+        (fun acc instr ->
+          match instr with
+          | Bytecode.Call (callee, _, _) -> callee :: acc
+          | Bytecode.HookRun (bodies, _) -> Array.to_list bodies @ acc
+          | _ -> acc)
+        [] f.Bytecode.code)
+    p.Bytecode.funcs
+
+(* Every function reachable from [roots] over [succs] (roots included). *)
+let reachable (succs : int list array) (roots : int list) : bool array =
+  let n = Array.length succs in
+  let seen = Array.make n false in
+  let rec go i =
+    if i >= 0 && i < n && not seen.(i) then begin
+      seen.(i) <- true;
+      List.iter go succs.(i)
+    end
+  in
+  List.iter go roots;
+  seen
+
+(* A function whose own code stores a global or calls an unaudited host
+   function. *)
+let local_writer (p : Bytecode.program) (f : Bytecode.func) : bool =
+  Array.exists
+    (function
+      | Bytecode.StoreGlobal _ -> true
+      | Bytecode.CallC (h, _, _) ->
+          not (List.mem p.Bytecode.host_names.(h) audited_hosts)
+      | _ -> false)
+    f.Bytecode.code
+
 (* ---- The detector ----------------------------------------------------------- *)
 
 (** Run the detector.  [shard_entries] names the functions the sharded
@@ -223,8 +285,13 @@ let check (p : Bytecode.program) ~(shard_entries : string list) : race list =
   in
   if entries = [] then []
   else begin
-    let s = Summary.compute p in
-    let on_path = Summary.reachable_from s entries in
+    let succs = sync_succs p in
+    let on_path = reachable succs entries in
+    let writer = Array.map (local_writer p) p.Bytecode.funcs in
+    let writes_shared callee =
+      let r = reachable succs [ callee ] in
+      Array.exists2 ( && ) r writer
+    in
     let races = ref [] in
     let flag rule fi pc msg =
       races :=
@@ -262,32 +329,20 @@ let check (p : Bytecode.program) ~(shard_entries : string list) : race list =
                        the flow parameters"
               | Bytecode.Bind (callee, _, _) | Bytecode.Schedule (callee, _, _)
                 ->
-                  let ct = s.Summary.total.(callee) in
-                  if
-                    (not (Summary.IntSet.is_empty ct.Summary.writes_globals))
-                    || ct.Summary.writes_host_state
-                  then
+                  if writes_shared callee then
                     flag "race/timer-cross-shard" fi pc
                       (Printf.sprintf
                          "deferred call to '%s' writes globals; it may fire \
                           on a different shard"
                          p.Bytecode.funcs.(callee).Bytecode.name)
-              | Bytecode.CallC (h, _, _) -> (
+              | Bytecode.CallC (h, _, _) ->
                   let name = p.Bytecode.host_names.(h) in
-                  match Effects.host_effects name with
-                  | None ->
-                      flag "race/hostapi-shared" fi pc
-                        (Printf.sprintf
-                           "host function '%s' is not in the audited effect \
-                            table"
-                           name)
-                  | Some h ->
-                      if List.mem Effects.Writes_global h.Effects.hf_effects
-                      then
-                        flag "race/hostapi-shared" fi pc
-                          (Printf.sprintf
-                             "host function '%s' writes shared host state"
-                             name))
+                  if not (List.mem name audited_hosts) then
+                    flag "race/hostapi-shared" fi pc
+                      (Printf.sprintf
+                         "host function '%s' is not in the audited effect \
+                          table"
+                         name)
               | _ -> ())
             f.Bytecode.code
         end)

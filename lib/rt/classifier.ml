@@ -23,15 +23,18 @@ let field_of_string ?plen data =
     invalid_arg "Classifier.field_of_string"
   else { data; plen }
 
-let bit s i = (Char.code s.[i / 8] lsr (7 - (i mod 8))) land 1
+(* [a] and [b] agree on bytes [i .. n - 1]. *)
+let rec bytes_equal a b i n = i >= n || (a.[i] = b.[i] && bytes_equal a b (i + 1) n)
 
 (** [field_matches f key] tests the first [f.plen] bits of [key] against
-    [f.data].  A key shorter than the prefix cannot match. *)
+    [f.data]: [f.plen / 8] whole bytes, then the [f.plen mod 8] leading
+    bits of one more byte.  A key shorter than the prefix cannot match. *)
 let field_matches f key =
+  let whole = f.plen lsr 3 and rest = f.plen land 7 in
   8 * String.length key >= f.plen
-  &&
-  let rec go i = i >= f.plen || (bit f.data i = bit key i && go (i + 1)) in
-  go 0
+  && bytes_equal f.data key 0 whole
+  && (rest = 0
+     || (Char.code f.data.[whole] lxor Char.code key.[whole]) lsr (8 - rest) = 0)
 
 type 'a rule = { fields : field array; priority : int; value : 'a }
 

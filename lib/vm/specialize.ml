@@ -32,7 +32,11 @@
     per-opcode-group retirement counters on the firewall/DNS workloads:
     compare+branch, arith+move, and the increment+jump loop backedge.
     Fusion iterates to a fixpoint so [arith; mov; jump] latches cascade
-    into a single [IIncrJ_u]. *)
+    into a single [IIncrJ_u].
+
+    {!reset_regs}, built from the same instruction shape helpers, serves
+    the VM's recycled frames: which registers a frame must restore before
+    an activation runs in it. *)
 
 open Bytecode
 
@@ -120,6 +124,85 @@ let retarget (f : int -> int) (i : instr) : instr =
 let double_arith_ok = function
   | A_add | A_sub | A_mul | A_div -> true
   | _ -> false
+
+(* ---- Frame reset sets ------------------------------------------------------ *)
+
+(** [(reset, stale)] for a recycled frame of [f].  [reset]: the
+    registers it must restore from [reg_defaults] — every register some
+    instruction writes whose entry value an activation can observe, read
+    on some path from entry before any write.  [stale]: the other written
+    registers, which every activation writes before reading them, so they
+    may keep a previous activation's value.  Registers no instruction
+    writes keep their default in the frame.  Parameters are in neither:
+    every call binds each one, to its argument or to its default.  A
+    forward must-analysis over the instructions; an exception edge
+    carries the state at its [TryPush], as in {!Verify}. *)
+let reset_regs (f : func) : int array * int array =
+  let n = max f.nregs 1 in
+  let code = f.code in
+  let len = Array.length code in
+  let writes (i : instr) =
+    match i with
+    | TryPush (_, r) -> [ r ]
+    | i -> boxed_defs i
+  in
+  let written = Array.make n false in
+  Array.iter (fun i -> List.iter (fun d -> if d >= 0 && d < n then written.(d) <- true) (writes i)) code;
+  let states : Bytes.t option array = Array.make len None in
+  let work = Queue.create () in
+  let flow pc st =
+    if pc >= 0 && pc < len then
+      match states.(pc) with
+      | None ->
+          states.(pc) <- Some (Bytes.copy st);
+          Queue.add pc work
+      | Some cur ->
+          let changed = ref false in
+          Bytes.iteri
+            (fun r c ->
+              if c = '\001' && Bytes.get st r = '\000' then begin
+                Bytes.set cur r '\000';
+                changed := true
+              end)
+            cur;
+          if !changed then Queue.add pc work
+  in
+  let set st r = if r >= 0 && r < n then Bytes.set st r '\001' in
+  if len > 0 then flow 0 (Bytes.make n '\000');
+  while not (Queue.is_empty work) do
+    let pc = Queue.pop work in
+    let st = Bytes.copy (Option.get states.(pc)) in
+    let i = code.(pc) in
+    (match i with
+    | TryPush (h, r) ->
+        (* [r] is written on the exception edge only. *)
+        let hs = Bytes.copy st in
+        set hs r;
+        flow h hs
+    | _ ->
+        List.iter (set st) (writes i);
+        List.iter (fun t -> flow t st) (targets_of i));
+    match i with
+    | Jump _ | Br _ | Switch _ | Ret _ | Throw _
+    | IIncrJ_u _ | IBrCmp_u _ | IBrCmpK_u _ | FBrCmp_u _ ->
+        ()
+    | _ -> flow (pc + 1) st
+  done;
+  let reset = Array.make n false in
+  Array.iteri
+    (fun pc i ->
+      match states.(pc) with
+      | Some st ->
+          List.iter
+            (fun r ->
+              if r >= 0 && r < n && written.(r) && Bytes.get st r = '\000' then reset.(r) <- true)
+            (boxed_reads i)
+      | None -> ())
+    code;
+  let pick keep =
+    Array.of_list (List.filter (fun r -> r >= f.nparams && keep r) (List.init n Fun.id))
+  in
+  (pick (fun r -> reset.(r)), pick (fun r -> written.(r) && not reset.(r)))
 
 (* ---- Per-function rewrite -------------------------------------------------- *)
 

@@ -103,7 +103,7 @@ type frame = {
 type pool = {
   p_code : Bytecode.instr array;
   p_spec : Bytecode.spec option;
-  reset : int array;   (* registers restored per activation ({!Summary.reset_regs}) *)
+  reset : int array;   (* registers restored per activation ({!Specialize.reset_regs}) *)
   stale : int array;   (* written registers left as the last activation left them *)
   free : frame array;  (* [free.(0 .. n_free - 1)] are free *)
   mutable n_free : int;
@@ -289,7 +289,7 @@ let compare_by op c =
    contract does not initialize ([entry_init] false — lowering
    temporaries the verifier proved defined-before-used) and every register
    a recycled frame does not restore ([stale]: written before read, by
-   {!Summary.reset_regs}) is filled with a physically-unique sentinel (a
+   {!Specialize.reset_regs}) is filled with a physically-unique sentinel (a
    string) instead of its default.  The dispatch loop does not look for
    it — a per-read compare would tax every instruction — but any
    computation that consumes a stale slot then fails its type check or
@@ -326,7 +326,7 @@ let pool_for ctx (fidx : int) (f : Bytecode.func) : pool =
   let p = Array.unsafe_get ctx.pools fidx in
   if p.p_code == f.code && p.p_spec == f.spec then p
   else begin
-    let reset, stale = Summary.reset_regs f in
+    let reset, stale = Specialize.reset_regs f in
     let p =
       { p_code = f.code; p_spec = f.spec; reset; stale;
         free = Array.make max_free_frames no_frame; n_free = 0 }
@@ -383,7 +383,7 @@ let acquire_frame (p : pool) (f : Bytecode.func) : frame =
   fr
 
 (* Bind parameters [i ..] that the call passed no argument for to their
-   defaults: {!Summary.reset_regs} leaves every parameter to the call. *)
+   defaults: {!Specialize.reset_regs} leaves every parameter to the call. *)
 let default_params (f : Bytecode.func) (fr : frame) i =
   for r = i to f.nparams - 1 do
     fr.regs.(r) <- f.reg_defaults.(r)

@@ -1,10 +1,8 @@
-(* Interprocedural effect summaries, the VM's recycled frames, and the
-   static shard-race detector. *)
+(* The static shard-race detector and the VM's recycled frames. *)
 
 module Bc = Hilti_vm.Bytecode
 module Value = Hilti_vm.Value
 module Vm = Hilti_vm.Vm
-module Summary = Hilti_vm.Summary
 module Racecheck = Hilti_analysis.Racecheck
 module Metrics = Hilti_obs.Metrics
 
@@ -19,131 +17,6 @@ let fidx p name =
   match Bc.find_func p name with
   | Some i -> i
   | None -> Alcotest.failf "function %s not found" name
-
-(* ---- Effect summaries --------------------------------------------------- *)
-
-(* Hand-built bytecode, for instructions the surface language cannot write. *)
-let mk_func ?(name = "t") ?(nparams = 0) ?(nregs = 4) code =
-  let n = max nregs 1 in
-  let init = Array.make n false in
-  for i = 0 to nparams - 1 do
-    init.(i) <- true
-  done;
-  {
-    Bc.name;
-    nparams;
-    nregs;
-    code = Array.of_list code;
-    returns_value = true;
-    exported = false;
-    reg_defaults = Array.make n Value.Null;
-    entry_init = init;
-    typing = [||];
-    spec = None;
-  }
-
-let mk_prog funcs =
-  let funcs = Array.of_list funcs in
-  let func_index = Hashtbl.create 8 in
-  Array.iteri (fun i (f : Bc.func) -> Hashtbl.replace func_index f.Bc.name i) funcs;
-  {
-    Bc.funcs;
-    func_index;
-    globals = [||];
-    global_defaults = [||];
-    global_index = Hashtbl.create 8;
-    hooks = Hashtbl.create 8;
-    layouts = Hashtbl.create 8;
-    host_names = [||];
-    verified = false;
-    specialized = false;
-  }
-
-let summary_src =
-  {|module S
-
-import Hilti
-
-global int<64> g
-
-void wr () {
-    g = assign 1
-}
-
-void caller () {
-    call S::wr ()
-}
-
-int<64> rd () {
-    local int<64> x
-    x = int.add g 0
-    return x
-}
-
-void printer () {
-    call Hilti::print ("hi")
-}
-|}
-
-let test_summary_effects () =
-  let p = program (compile summary_src) in
-  let s = Summary.compute p in
-  let total name = s.Summary.total.(fidx p name) in
-  Alcotest.(check bool) "wr writes g" false
-    (Summary.IntSet.is_empty (total "S::wr").Summary.writes_globals);
-  (* The write is transitive through the call, but not local to caller. *)
-  Alcotest.(check bool) "caller inherits the write" false
-    (Summary.IntSet.is_empty (total "S::caller").Summary.writes_globals);
-  Alcotest.(check bool) "caller's own effects are clean" true
-    (Summary.IntSet.is_empty
-       s.Summary.local.(fidx p "S::caller").Summary.writes_globals);
-  Alcotest.(check bool) "rd reads g" false
-    (Summary.IntSet.is_empty (total "S::rd").Summary.reads_globals);
-  Alcotest.(check bool) "rd writes nothing" true
-    (Summary.IntSet.is_empty (total "S::rd").Summary.writes_globals);
-  let pr = total "S::printer" in
-  Alcotest.(check bool) "print audited as io" true pr.Summary.does_io;
-  Alcotest.(check bool) "print is in the audit table" false pr.Summary.unknown_host;
-  (* Suspension, on hand-built bytecode: the surface language has no
-     yield statement. *)
-  let p =
-    mk_prog
-      [ mk_func ~name:"yields" [ Bc.Yield; Bc.Const (0, Value.Int 1L); Bc.Ret 0 ];
-        mk_func ~name:"calls_yielder" [ Bc.Call (0, [||], 0); Bc.Ret 0 ];
-        mk_func ~name:"pure" [ Bc.Const (0, Value.Int 1L); Bc.Ret 0 ] ]
-  in
-  let s = Summary.compute p in
-  let suspends name = s.Summary.total.(fidx p name).Summary.may_suspend in
-  Alcotest.(check bool) "summary reports yields as suspending" true (suspends "yields");
-  Alcotest.(check bool) "suspension is transitive" true (suspends "calls_yielder");
-  Alcotest.(check bool) "pure does not suspend" false (suspends "pure")
-
-let test_summary_recursion () =
-  let src =
-    {|module R
-
-void a () {
-    call R::b ()
-}
-
-void b () {
-    call R::a ()
-}
-
-void leaf () {
-    local int<64> x
-    x = assign 1
-}
-|}
-  in
-  let p = program (compile src) in
-  let s = Summary.compute p in
-  Alcotest.(check bool) "a is (mutually) recursive" true
-    s.Summary.recursive.(fidx p "R::a");
-  Alcotest.(check bool) "b is (mutually) recursive" true
-    s.Summary.recursive.(fidx p "R::b");
-  Alcotest.(check bool) "leaf is not recursive" false
-    s.Summary.recursive.(fidx p "R::leaf")
 
 (* ---- Static shard-race detector ------------------------------------------- *)
 
@@ -226,6 +99,113 @@ bool bad_packet (addr src) {
     (List.exists
        (fun (r : Racecheck.race) -> r.Racecheck.r_rule = "race/global-write")
        races)
+
+(* Deferred calls: [race/timer-cross-shard] asks whether a function that
+   stores a global or calls an unaudited host function is synchronously
+   reachable from the bound callee. *)
+let timer_src =
+  {|module T
+
+import Hilti
+
+global int<64> g
+
+void wr () {
+    g = assign 1
+}
+
+void calls_wr () {
+    call T::wr ()
+}
+
+void rd () {
+    local int<64> x
+    x = int.add g 1
+    call Hilti::print (x)
+}
+
+void ping () {
+    call T::pong ()
+}
+
+void pong () {
+    g = assign 2
+    call T::ping ()
+}
+
+hook void on_fire () {
+    g = assign 3
+}
+
+void runs_hook () {
+    hook.run T::on_fire ()
+}
+
+void shares () {
+    call Hilti::update_shared_table (1)
+}
+
+bool bind_calls_wr () {
+    local ref<callable<void>> c
+    c = callable.bind T::calls_wr ()
+    return True
+}
+
+bool bind_rd () {
+    local ref<callable<void>> c
+    c = callable.bind T::rd ()
+    return True
+}
+
+bool bind_ping () {
+    local ref<callable<void>> c
+    c = callable.bind T::ping ()
+    return True
+}
+
+bool bind_runs_hook () {
+    local ref<callable<void>> c
+    c = callable.bind T::runs_hook ()
+    return True
+}
+
+bool bind_shares () {
+    local ref<callable<void>> c
+    c = callable.bind T::shares ()
+    return True
+}
+|}
+
+let timer_rules entry =
+  let p = program (compile timer_src) in
+  List.map
+    (fun (r : Racecheck.race) -> (r.Racecheck.r_rule, r.Racecheck.r_func))
+    (Racecheck.check p ~shard_entries:[ entry ])
+
+let timer_flagged entry = [ ("race/timer-cross-shard", entry) ]
+
+let test_racecheck_timer_transitive () =
+  Alcotest.(check (list (pair string string)))
+    "binding a caller of a global writer" (timer_flagged "T::bind_calls_wr")
+    (timer_rules "T::bind_calls_wr");
+  Alcotest.(check (list (pair string string)))
+    "binding a function whose hook body writes" (timer_flagged "T::bind_runs_hook")
+    (timer_rules "T::bind_runs_hook");
+  Alcotest.(check (list (pair string string)))
+    "binding a global reader that prints" [] (timer_rules "T::bind_rd")
+
+let test_racecheck_timer_recursive () =
+  Alcotest.(check (list (pair string string)))
+    "binding into a writing recursive pair" (timer_flagged "T::bind_ping")
+    (timer_rules "T::bind_ping")
+
+let test_racecheck_timer_unaudited_host () =
+  (* The callee writes no global itself, but calls a host function
+     missing from the audit list, which may write shared host state. *)
+  Alcotest.(check (list (pair string string)))
+    "binding a caller of an unaudited host function"
+    (timer_flagged "T::bind_shares")
+    (timer_rules "T::bind_shares")
 
 (* ---- Recycled frames: differentials + counters ---------------------------- *)
 
@@ -505,10 +485,12 @@ int<64> f (int<64> x) {
       done)
 
 let suite =
-  [ Alcotest.test_case "summary: effect vectors" `Quick test_summary_effects;
-    Alcotest.test_case "summary: recursion" `Quick test_summary_recursion;
-    Alcotest.test_case "racecheck: racy fixture" `Quick test_racecheck_flags_races;
+  [ Alcotest.test_case "racecheck: racy fixture" `Quick test_racecheck_flags_races;
     Alcotest.test_case "racecheck: flow-keyed exemption" `Quick test_racecheck_flow_keyed_clean;
+    Alcotest.test_case "racecheck: transitive timer write" `Quick test_racecheck_timer_transitive;
+    Alcotest.test_case "racecheck: recursive timer target" `Quick test_racecheck_timer_recursive;
+    Alcotest.test_case "racecheck: unaudited host in timer target" `Quick
+      test_racecheck_timer_unaudited_host;
     Alcotest.test_case "frame reuse: differential" `Quick test_frames_differential;
     Alcotest.test_case "frame reuse: recursion" `Quick test_frames_recursion;
     Alcotest.test_case "frame reuse: suspend overlap" `Quick test_frames_suspend_overlap;

@@ -469,19 +469,58 @@ let prop_classifier_reference_model =
         (1, map (fun l -> Some (Network.make (Addr.of_string "::") l)) (oneofl [ 0; 8; 64 ])) ]
   in
   let rule = triple net net (int_range 0 2) in
-  let gen =
-    pair (list_size (int_range 1 12) rule) (list_size (int_range 1 20) (pair addr addr))
+  (* Raw prefix fields: any [plen] from 0 to the data's whole length, and
+     keys of every length, mostly sharing the data's leading bytes and
+     differing from them in at most one bit. *)
+  let byte = oneofl [ '\x00'; '\x0f'; '\x80'; '\xa5'; '\xff' ] in
+  let raw =
+    int_range 0 5 >>= fun len ->
+    string_size ~gen:byte (return len) >>= fun data ->
+    int_range 0 (8 * len) >>= fun plen ->
+    int_range 0 6 >>= fun klen ->
+    string_size ~gen:char (return klen) >>= fun tail ->
+    opt (int_range 0 (max 0 ((8 * klen) - 1))) >|= fun flip ->
+    let key = Bytes.init klen (fun i -> if i < len then data.[i] else tail.[i]) in
+    (match flip with
+    | Some b when klen > 0 ->
+        let c = Char.code (Bytes.get key (b / 8)) lxor (0x80 lsr (b mod 8)) in
+        Bytes.set key (b / 8) (Char.chr c)
+    | _ -> ());
+    (data, plen, Bytes.to_string key)
   in
-  let print (rules, keys) =
+  let gen =
+    triple
+      (list_size (int_range 1 12) rule)
+      (list_size (int_range 1 20) (pair addr addr))
+      (list_size (int_range 1 20) raw)
+  in
+  let print (rules, keys, raws) =
     let net = function None -> "*" | Some n -> Network.to_string n in
     String.concat "; "
       (List.map (fun (s, d, p) -> Printf.sprintf "%s %s pri %d" (net s) (net d) p) rules)
     ^ " | keys "
     ^ String.concat ", "
         (List.map (fun (a, b) -> Addr.to_string a ^ ">" ^ Addr.to_string b) keys)
+    ^ " | raw "
+    ^ String.concat ", "
+        (List.map
+           (fun (data, plen, key) -> Printf.sprintf "%S/%d ~ %S" data plen key)
+           raws)
+  in
+  (* Bit by bit: the first [plen] bits of [key] equal those of [data]. *)
+  let bit s i = (Char.code s.[i / 8] lsr (7 - (i mod 8))) land 1 in
+  let prefix_matches data plen key =
+    8 * String.length key >= plen
+    && List.for_all (fun i -> bit data i = bit key i) (List.init plen Fun.id)
   in
   qt "classifier: first match == reference model" (QCheck.make ~print gen)
-    (fun (rules, keys) ->
+    (fun (rules, keys, raws) ->
+      List.for_all
+        (fun (data, plen, key) ->
+          Classifier.field_matches (Classifier.field_of_string ~plen data) key
+          = prefix_matches data plen key)
+        raws
+      &&
       let c = Classifier.create 2 in
       let field = function
         | None -> Classifier.wildcard

@@ -14,16 +14,17 @@
     - [race/global-write]: a direct global store on the packet path, or a
       mutation of a global-reachable container that is not {e flow-keyed}
       (every key/value operand derived from the enclosing function's
-      parameters — shard dispatch hashes the flow key, so flow-keyed
-      entries are only ever touched by one shard).  Globals written only
-      during setup (functions not reachable from any sharded entry) are
-      fine.
+      parameters and constants, at least one from a parameter — shard
+      dispatch hashes the flow key, so flow-keyed entries are only ever
+      touched by one shard).  Globals written only during setup
+      (functions not reachable from any sharded entry) are fine.
     - [race/timer-cross-shard]: the packet path binds or schedules a
       callable from whose target a {e local writer} is synchronously
-      reachable — a function that stores a global or calls a host
-      function missing from the audit list.  When the timer fires or the
-      job runs, it may execute on a different domain than the one that
-      created it.
+      reachable — a function that stores a global, mutates a
+      global-reachable container as the previous rule flags, or calls a
+      host function missing from the audit list.  When the timer fires or
+      the job runs, it may execute on a different domain than the one
+      that created it.
     - [race/hostapi-shared]: the packet path calls a host-API function
       missing from {!audited_hosts}.  Event emission and I/O are fine:
       the collector replays per-flow event logs serially.
@@ -43,110 +44,90 @@ type race = {
 
 (* ---- Flow-key taint -------------------------------------------------------- *)
 
-(* Registers of [f] whose value is derived only from [f]'s parameters and
-   constants — the operands a shard-symmetric flow key can be built from.
-   Fixpoint over the instruction array (flow-insensitive, which
-   over-approximates reachability of definitions and therefore
-   under-approximates taint only when a register is reused for both a
-   param-derived and a global-derived value — in that case it correctly
-   drops out of the taint set). *)
-let param_derived (f : Bytecode.func) : bool array =
+(* What a register's value may be derived from, ordered so that a register
+   written from several sources takes the [max]: nothing yet, constants,
+   [f]'s parameters (and constants), or anything else. *)
+let unwritten = 0
+let constant = 1
+let from_params = 2
+let poisoned = 3
+
+(* The level of every register of [f] — a shard-symmetric flow key is
+   built from the parameters.  Fixpoint over the instruction array
+   (flow-insensitive: a register reused for a param-derived and a
+   global-derived value is poisoned). *)
+let param_levels (f : Bytecode.func) : int array =
   let n = Array.length f.reg_defaults in
-  let derived = Array.make n false in
-  let poisoned = Array.make n false in
   (* Seed: parameters, plus every register initialized at entry — those
      hold constants (the lowering's constant pool and typed local
-     defaults); a later write from a non-derived source poisons them. *)
-  for i = 0 to n - 1 do
-    if i < f.Bytecode.nparams || (i < Array.length f.Bytecode.entry_init && f.Bytecode.entry_init.(i))
-    then derived.(i) <- true
-  done;
-  let changed = ref true in
-  let ok r = r < 0 || (r < n && derived.(r) && not (poisoned.(r))) in
-  let set d v =
-    if d >= 0 && d < n then begin
-      if v then begin
-        if (not poisoned.(d)) && not derived.(d) then begin
-          derived.(d) <- true;
-          changed := true
-        end
-      end
-      else if not poisoned.(d) then begin
-        poisoned.(d) <- true;
-        if derived.(d) then derived.(d) <- false;
-        changed := true
-      end
-    end
+     defaults). *)
+  let regs =
+    Array.init n (fun i ->
+        if i < f.Bytecode.nparams then from_params
+        else if i < Array.length f.Bytecode.entry_init && f.Bytecode.entry_init.(i) then constant
+        else unwritten)
   in
-  (* Specialized code moves scalars through the unboxed int/float banks;
-     track them with the same seed (bank templates hold constants) and
-     poison semantics so derivedness survives an unbox/box round trip. *)
+  (* Specialized code moves scalars through the unboxed int/float banks,
+     whose templates hold constants; tracking them lets a level survive
+     an unbox/box round trip. *)
   let ni, nf =
     match f.Bytecode.spec with
     | Some sp -> (sp.Bytecode.n_int, sp.Bytecode.n_float)
     | None -> (0, 0)
   in
-  let mk_bank k = (Array.make (max k 1) true, Array.make (max k 1) false) in
-  let ib, ibp = mk_bank ni and fb, fbp = mk_bank nf in
-  let bok (b, bp) i = i >= 0 && i < Array.length b && b.(i) && not bp.(i) in
-  let bset (b, bp) d v =
-    if d >= 0 && d < Array.length b then begin
-      if v then begin
-        if (not bp.(d)) && not b.(d) then begin
-          b.(d) <- true;
-          changed := true
-        end
-      end
-      else if not bp.(d) then begin
-        bp.(d) <- true;
-        if b.(d) then b.(d) <- false;
-        changed := true
-      end
+  let ib = Array.make (max ni 1) constant and fb = Array.make (max nf 1) constant in
+  let changed = ref true in
+  let get bank r = if r < 0 then constant else if r < Array.length bank then bank.(r) else poisoned in
+  let set bank d l =
+    if d >= 0 && d < Array.length bank && l > bank.(d) then begin
+      bank.(d) <- l;
+      changed := true
     end
   in
-  let iok = bok (ib, ibp) and iset = bset (ib, ibp) in
-  let fok = bok (fb, fbp) and fset = bset (fb, fbp) in
+  let r = get regs and i = get ib and fl = get fb in
+  let set_r = set regs and set_i = set ib and set_f = set fb in
   while !changed do
     changed := false;
     Array.iter
       (fun instr ->
         match instr with
-        | Bytecode.Const (d, _) -> set d true
-        | Bytecode.Mov (d, s) -> set d (ok s)
-        | Bytecode.LoadGlobal (d, _) -> set d false
-        | Bytecode.Call (_, _, d) | Bytecode.CallC (_, _, d) -> set d false
-        | Bytecode.Bind (_, _, d) -> set d false
-        | Bytecode.Prim (p, args, d) -> (
-            match p with
-            | Bytecode.P_new _ -> set d false
-            | _ -> set d (Array.for_all ok args))
+        | Bytecode.Const (d, _) -> set_r d constant
+        | Bytecode.Mov (d, s) -> set_r d (r s)
+        | Bytecode.LoadGlobal (d, _)
+        | Bytecode.Call (_, _, d)
+        | Bytecode.CallC (_, _, d)
+        | Bytecode.Bind (_, _, d)
+        | Bytecode.Prim (Bytecode.P_new _, _, d) ->
+            set_r d poisoned
+        | Bytecode.Prim (_, args, d) ->
+            set_r d (Array.fold_left (fun l a -> max l (r a)) constant args)
         | Bytecode.Unpack (_, s, v, it) ->
-            set v (ok s);
-            set it (ok s)
+            set_r v (r s);
+            set_r it (r s)
         | Bytecode.Read (s, n, v, it) ->
-            set v (ok s && ok n);
-            set it (ok s && ok n)
+            set_r v (max (r s) (r n));
+            set_r it (max (r s) (r n))
         | Bytecode.UnpackI_u (_, s, v, it) ->
-            iset v (ok s);
-            set it (ok s)
-        | Bytecode.IConst_u (d, _) -> iset d true
-        | Bytecode.IMov_u (d, s) -> iset d (iok s)
-        | Bytecode.UnboxI (d, s) -> iset d (ok s)
-        | Bytecode.BoxI (d, s) -> set d (iok s)
-        | Bytecode.IArith_u (_, _, d, a, b) -> iset d (iok a && iok b)
-        | Bytecode.IArithK_u (_, _, d, a, _) -> iset d (iok a)
-        | Bytecode.ICmp_u (_, d, a, b) -> set d (iok a && iok b)
-        | Bytecode.ICmpK_u (_, d, a, _) -> set d (iok a)
-        | Bytecode.FConst_u (d, _) -> fset d true
-        | Bytecode.FMov_u (d, s) -> fset d (fok s)
-        | Bytecode.UnboxF (d, s) -> fset d (ok s)
-        | Bytecode.BoxF (d, s) -> set d (fok s)
-        | Bytecode.FArith_u (_, d, a, b) -> fset d (fok a && fok b)
-        | Bytecode.FCmp_u (_, d, a, b) -> set d (fok a && fok b)
+            set_i v (r s);
+            set_r it (r s)
+        | Bytecode.IConst_u (d, _) -> set_i d constant
+        | Bytecode.IMov_u (d, s) -> set_i d (i s)
+        | Bytecode.UnboxI (d, s) -> set_i d (r s)
+        | Bytecode.BoxI (d, s) -> set_r d (i s)
+        | Bytecode.IArith_u (_, _, d, a, b) -> set_i d (max (i a) (i b))
+        | Bytecode.IArithK_u (_, _, d, a, _) -> set_i d (i a)
+        | Bytecode.ICmp_u (_, d, a, b) -> set_r d (max (i a) (i b))
+        | Bytecode.ICmpK_u (_, d, a, _) -> set_r d (i a)
+        | Bytecode.FConst_u (d, _) -> set_f d constant
+        | Bytecode.FMov_u (d, s) -> set_f d (fl s)
+        | Bytecode.UnboxF (d, s) -> set_f d (r s)
+        | Bytecode.BoxF (d, s) -> set_r d (fl s)
+        | Bytecode.FArith_u (_, d, a, b) -> set_f d (max (fl a) (fl b))
+        | Bytecode.FCmp_u (_, d, a, b) -> set_r d (max (fl a) (fl b))
         | _ -> ())
       f.Bytecode.code
   done;
-  derived
+  regs
 
 (* Mutating container primitives: the packet path may apply them to a
    global-reachable container only flow-keyed. *)
@@ -210,6 +191,35 @@ let global_derived (f : Bytecode.func) : bool array =
   done;
   g
 
+(* The pcs at which [f] mutates a global-reachable container under a key
+   that is not flow-keyed.  A flow key is derived from [f]'s parameters
+   and constants, with at least one parameter in it: shard dispatch
+   hashes the flow key, so a flow-keyed entry is only ever touched by one
+   shard, while a constant key names the same entry on every shard. *)
+let unkeyed_container_writes (f : Bytecode.func) : int list =
+  let levels = lazy (param_levels f) and globalish = lazy (global_derived f) in
+  let level r =
+    let l = Lazy.force levels in
+    if r >= 0 && r < Array.length l then l.(r) else poisoned
+  in
+  let flow_keyed keys =
+    Array.exists (fun r -> level r = from_params) keys
+    && Array.for_all (fun r -> level r <= from_params && level r >= constant) keys
+  in
+  let pcs = ref [] in
+  Array.iteri
+    (fun pc instr ->
+      match instr with
+      | Bytecode.Prim (prim, args, _)
+        when mutates_container prim
+             && Array.length args > 0
+             && (Lazy.force globalish).(args.(0))
+             && not (flow_keyed (Array.sub args 1 (Array.length args - 1))) ->
+          pcs := pc :: !pcs
+      | _ -> ())
+    f.Bytecode.code;
+  List.rev !pcs
+
 (* ---- Host audit ------------------------------------------------------------- *)
 
 (** The host functions a shipped component registers, each audited by
@@ -262,15 +272,35 @@ let reachable (succs : int list array) (roots : int list) : bool array =
   List.iter go roots;
   seen
 
-(* A function whose own code stores a global or calls an unaudited host
-   function. *)
-let local_writer (p : Bytecode.program) (f : Bytecode.func) : bool =
-  Array.exists
-    (function
-      | Bytecode.StoreGlobal _ -> true
-      | Bytecode.CallC (h, _, _) ->
-          not (List.mem p.Bytecode.host_names.(h) audited_hosts)
-      | _ -> false)
+(* The first function reachable from [root] over [succs] (depth first,
+   [root] included) for which [hit] gives [Some x], with [x]. *)
+let find_reachable (succs : int list array) hit root =
+  let seen = Array.make (Array.length succs) false in
+  let rec go i =
+    if i < 0 || i >= Array.length succs || seen.(i) then None
+    else begin
+      seen.(i) <- true;
+      match hit i with Some x -> Some (i, x) | None -> List.find_map go succs.(i)
+    end
+  in
+  go root
+
+let audited name = List.mem name audited_hosts
+
+(* Why [f]'s own code may write state another shard sees, if it does: its
+   first global store, unaudited host call, or container mutation that
+   the packet-path rule flags (the pcs [unkeyed]). *)
+let write_reason (p : Bytecode.program) (f : Bytecode.func) ~unkeyed : string option =
+  Array.find_mapi
+    (fun pc instr ->
+      match instr with
+      | Bytecode.StoreGlobal (slot, _) ->
+          Some (Printf.sprintf "stores global '%s'" p.Bytecode.globals.(slot))
+      | Bytecode.CallC (h, _, _) when not (audited p.Bytecode.host_names.(h)) ->
+          Some (Printf.sprintf "calls unaudited host function '%s'" p.Bytecode.host_names.(h))
+      | _ when List.mem pc unkeyed ->
+          Some "mutates a global container under a key not derived from its parameters"
+      | _ -> None)
     f.Bytecode.code
 
 (* ---- The detector ----------------------------------------------------------- *)
@@ -287,10 +317,9 @@ let check (p : Bytecode.program) ~(shard_entries : string list) : race list =
   else begin
     let succs = sync_succs p in
     let on_path = reachable succs entries in
-    let writer = Array.map (local_writer p) p.Bytecode.funcs in
-    let writes_shared callee =
-      let r = reachable succs [ callee ] in
-      Array.exists2 ( && ) r writer
+    let unkeyed = Array.map unkeyed_container_writes p.Bytecode.funcs in
+    let reasons =
+      Array.mapi (fun fi f -> write_reason p f ~unkeyed:unkeyed.(fi)) p.Bytecode.funcs
     in
     let races = ref [] in
     let flag rule fi pc msg =
@@ -301,8 +330,11 @@ let check (p : Bytecode.program) ~(shard_entries : string list) : race list =
     Array.iteri
       (fun fi (f : Bytecode.func) ->
         if on_path.(fi) then begin
-          let derived = lazy (param_derived f) in
-          let globalish = lazy (global_derived f) in
+          List.iter
+            (fun pc ->
+              flag "race/global-write" fi pc
+                "global container mutated with a key not derived from the flow parameters")
+            unkeyed.(fi);
           Array.iteri
             (fun pc instr ->
               match instr with
@@ -311,37 +343,20 @@ let check (p : Bytecode.program) ~(shard_entries : string list) : race list =
                     (Printf.sprintf
                        "global '%s' is written on the sharded packet path"
                        p.Bytecode.globals.(slot))
-              | Bytecode.Prim (prim, args, _)
-                when mutates_container prim
-                     && Array.length args > 0
-                     && (Lazy.force globalish).(args.(0)) ->
-                  let keys = Array.sub args 1 (Array.length args - 1) in
-                  let flow_keyed =
-                    Array.for_all
-                      (fun r ->
-                        r < Array.length (Lazy.force derived)
-                        && (Lazy.force derived).(r))
-                      keys
-                  in
-                  if not flow_keyed then
-                    flag "race/global-write" fi pc
-                      "global container mutated with a key not derived from \
-                       the flow parameters"
-              | Bytecode.Bind (callee, _, _) | Bytecode.Schedule (callee, _, _)
-                ->
-                  if writes_shared callee then
-                    flag "race/timer-cross-shard" fi pc
-                      (Printf.sprintf
-                         "deferred call to '%s' writes globals; it may fire \
-                          on a different shard"
-                         p.Bytecode.funcs.(callee).Bytecode.name)
+              | Bytecode.Bind (callee, _, _) | Bytecode.Schedule (callee, _, _) -> (
+                  match find_reachable succs (fun i -> reasons.(i)) callee with
+                  | Some (wi, why) ->
+                      flag "race/timer-cross-shard" fi pc
+                        (Printf.sprintf
+                           "deferred call to '%s' may fire on a different shard, and '%s' %s"
+                           p.Bytecode.funcs.(callee).Bytecode.name
+                           p.Bytecode.funcs.(wi).Bytecode.name why)
+                  | None -> ())
               | Bytecode.CallC (h, _, _) ->
                   let name = p.Bytecode.host_names.(h) in
-                  if not (List.mem name audited_hosts) then
+                  if not (audited name) then
                     flag "race/hostapi-shared" fi pc
-                      (Printf.sprintf
-                         "host function '%s' is not in the audited effect \
-                          table"
+                      (Printf.sprintf "host function '%s' is not in Racecheck.audited_hosts"
                          name)
               | _ -> ())
             f.Bytecode.code

@@ -812,13 +812,11 @@ and exec t fr (s : rstmt) =
   | X_for (slot, e, body) ->
       let items =
         match eval t fr e with
-        | Vset s -> Keytbl.fold (fun k () acc -> k :: acc) s []
-        | Vtable tbl -> Keytbl.fold (fun k _ acc -> k :: acc) tbl.entries []
+        | Vset s -> sort_keys (Keytbl.fold (fun k () acc -> k :: acc) s [])
+        | Vtable tbl -> sort_keys (Keytbl.fold (fun k _ acc -> k :: acc) tbl.entries [])
         | Vvector v -> Hilti_vm.Deque.to_list v
         | v -> error "for over %s" (to_debug v)
       in
-      (* Deterministic iteration order for reproducible output. *)
-      let items = List.sort (fun a b -> String.compare (key_string a) (key_string b)) items in
       List.iter
         (fun item ->
           fr.(slot) <- item;

@@ -65,7 +65,8 @@ end =
     by name in any order (their type name aside), and composites element
     by element.  Patterns, sets, tables, void and vectors below the top
     level are no keys: hashing one raises [Bro_error].  Hashing allocates
-    nothing. *)
+    nothing.  A [for] loop orders keys by their HILTI form instead
+    ({!sort_keys}), as compiled code does. *)
 and Key : sig
   type t = V.t
 
@@ -188,44 +189,6 @@ let to_debug = Key.to_debug
 
 (** Index of the first field [name] in [r], or -1. *)
 let record_index r name = name_index r.rnames name
-
-(* ---- Canonical key strings ---------------------------------------------------- *)
-
-(** A key's canonical text.  It survives only to order the interpreter's
-    [for] loops, which visit keys sorted by it; containers hash and
-    compare keys structurally ({!Key}). *)
-let rec key_string = function
-  | Vbool b -> if b then "T" else "F"
-  | Vcount c -> "c" ^ Digits.int64_to_string c
-  | Vint i -> "i" ^ Digits.int64_to_string i
-  | Vdouble d -> "d" ^ string_of_float d
-  | Vstring s -> "s" ^ s
-  | Vaddr a -> "a" ^ Addr.to_string a
-  | Vport p -> "p" ^ Port.to_string p
-  | Vsubnet n -> "n" ^ Network.to_string n
-  | Vtime t -> "t" ^ Digits.int64_to_string (Time_ns.to_ns t)
-  | Vinterval i -> "v" ^ Digits.int64_to_string (Interval_ns.to_ns i)
-  | Vrecord r ->
-      (* records as keys: field-sorted canonical form *)
-      let fields = ref [] in
-      Array.iteri (fun i k -> fields := (k, key_string r.rvals.(i)) :: !fields) r.rnames;
-      let fields = List.sort compare !fields in
-      "r{" ^ String.concat ";" (List.map (fun (k, v) -> k ^ "=" ^ v) fields) ^ "}"
-  | Vvector d ->
-      (* A composite key orders element by element: each element's text
-         has NUL escaped to "\000\001" and ends in "\000\000", so the
-         first differing element decides and a prefix sorts first. *)
-      let b = Buffer.create 32 in
-      Buffer.add_char b 'V';
-      Hilti_vm.Deque.iter
-        (fun e ->
-          String.iter
-            (fun c -> if c = '\000' then Buffer.add_string b "\000\001" else Buffer.add_char b c)
-            (key_string e);
-          Buffer.add_string b "\000\000")
-        d;
-      Buffer.contents b
-  | v -> error "value not usable as key: %s" (to_debug v)
 
 (* ---- Rendering (print and log output, Bro formatting) -------------------------- *)
 
@@ -508,3 +471,28 @@ let rec of_hilti_raw (v : Hilti_vm.Value.t) : t =
           }
   | V.Null -> Vvoid
   | other -> error "cannot convert HILTI value %s" (V.to_string other)
+
+(* ---- Iteration order ------------------------------------------------------------ *)
+
+(* [k] in the HILTI form whose canonical key orders it: its {!to_hilti_raw}
+   value, except that a composite key is the tuple of its elements, as
+   compiled code builds it, and a record key — which the VM cannot hash —
+   is the tuple of its field values sorted by field name. *)
+let rec hilti_key = function
+  | Vvector d -> Hval.Tuple (Array.of_list (List.map hilti_key (Hilti_vm.Deque.to_list d)))
+  | Vrecord r ->
+      let fields = ref [] in
+      Array.iteri
+        (fun i name -> if record_index r name = i then fields := (name, r.rvals.(i)) :: !fields)
+        r.rnames;
+      let fields = List.sort (fun (a, _) (b, _) -> String.compare a b) !fields in
+      Hval.Tuple (Array.of_list (List.map (fun (_, v) -> hilti_key v) fields))
+  | k -> to_hilti_raw ~layout_of:(fun _ -> None) k
+
+(** [keys] in the one [for] order of both engines: by the bytes of each
+    key's canonical HILTI key ({!Hilti_vm.Value.key_string}), the order in
+    which [iter.begin] walks a HILTI set or map. *)
+let sort_keys keys =
+  List.map (fun k -> (Hval.key_string (hilti_key k), k)) keys
+  |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map snd

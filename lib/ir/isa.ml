@@ -125,7 +125,7 @@ let entries : entry list =
     r "bytes.to_lower" 1 1 "ASCII lowercase copy";
 
     (* ---- Iterators (bytes and containers) ----------------------------------- *)
-    r "iter.begin" 1 1 "iterator at the start";
+    r "iter.begin" 1 1 "iterator at the start; sets and maps walk in canonical-key byte order";
     r "iter.end" 1 1 "iterator at the current end";
     r "iter.incr" 1 1 "advance by one element";
     r "iter.advance" 2 2 "advance by N elements";

@@ -170,7 +170,7 @@ let render_response t ~keep_alive =
 
 (* ---- TCP session assembly --------------------------------------------------- *)
 
-type endpoints = {
+type endpoints = Tcp_session.endpoints = {
   client : Addr.t;
   server : Addr.t;
   cport : int;
@@ -179,112 +179,30 @@ type endpoints = {
 
 type session_packets = Pcap.record list
 
-(* Build data segments for one direction, chopping [data] at MSS. *)
-let data_segments rng cfg ~ts_ref ~ep ~from_client ~seq ~ack data =
-  let src, dst, sp, dp =
-    if from_client then (ep.client, ep.server, ep.cport, ep.sport)
-    else (ep.server, ep.client, ep.sport, ep.cport)
-  in
-  let n = String.length data in
-  let segs = ref [] in
-  let off = ref 0 in
-  while !off < n do
-    let len = min cfg.mss (n - !off) in
-    let frame =
-      Packet.encode_tcp ~src ~dst ~src_port:sp ~dst_port:dp
-        ~seq:(Int32.add seq (Int32.of_int !off))
-        ~ack
-        ~flags:(Tcp.flag_ack lor Tcp.flag_psh)
-        (String.sub data !off len)
-    in
-    ts_ref := Time_ns.add !ts_ref (Int64.of_int (50_000 + Rng.int rng 400_000));
-    segs := { Pcap.ts = !ts_ref; orig_len = String.length frame; data = frame } :: !segs;
-    off := !off + len
-  done;
-  let segs = List.rev !segs in
-  (* Optionally reorder a flight to exercise reassembly: the two leading
-     segments swap contents but keep ascending capture timestamps, so the
-     later-sequenced data genuinely arrives first on the wire. *)
-  if List.length segs > 1 && Rng.chance rng cfg.reorder_prob then
-    match segs with
-    | a :: b :: rest ->
-        { b with Pcap.ts = a.Pcap.ts } :: { a with Pcap.ts = b.Pcap.ts } :: rest
-    | _ -> segs
-  else segs
-
-let bare_segment ~ts ~ep ~from_client ~seq ~ack ~flags =
-  let src, dst, sp, dp =
-    if from_client then (ep.client, ep.server, ep.cport, ep.sport)
-    else (ep.server, ep.client, ep.sport, ep.cport)
-  in
-  let frame =
-    Packet.encode_tcp ~src ~dst ~src_port:sp ~dst_port:dp ~seq ~ack ~flags ""
-  in
-  { Pcap.ts; orig_len = String.length frame; data = frame }
-
 (** Generate one complete HTTP connection; returns packets and the
     transactions it carried (ground truth for validation). *)
 let gen_session rng cfg ~ts_ref ~ep : session_packets * transaction list =
-  let step ival = ts_ref := Time_ns.add !ts_ref (Int64.of_int ival) in
   let host = Printf.sprintf "%s.example.com" (Rng.label rng ~lo:3 ~hi:10) in
   let nreq = 1 + Rng.int rng cfg.max_requests in
   let txs = List.init nreq (fun _ -> gen_transaction rng ~host) in
-  let cseq0 = Int32.of_int (1000 + Rng.int rng 1_000_000) in
-  let sseq0 = Int32.of_int (5000 + Rng.int rng 1_000_000) in
-  let packets = ref [] in
-  let emit p = packets := p :: !packets in
-  (* Handshake. *)
-  step 100_000;
-  emit (bare_segment ~ts:!ts_ref ~ep ~from_client:true ~seq:cseq0 ~ack:0l ~flags:Tcp.flag_syn);
-  step 80_000;
-  emit
-    (bare_segment ~ts:!ts_ref ~ep ~from_client:false ~seq:sseq0
-       ~ack:(Int32.add cseq0 1l)
-       ~flags:(Tcp.flag_syn lor Tcp.flag_ack));
-  step 60_000;
-  emit
-    (bare_segment ~ts:!ts_ref ~ep ~from_client:true ~seq:(Int32.add cseq0 1l)
-       ~ack:(Int32.add sseq0 1l) ~flags:Tcp.flag_ack);
-  let cseq = ref (Int32.add cseq0 1l) and sseq = ref (Int32.add sseq0 1l) in
+  let s = Tcp_session.create rng ~mss:cfg.mss ~reorder_prob:cfg.reorder_prob ~ts_ref ~ep in
+  Tcp_session.handshake s;
   List.iteri
     (fun i tx ->
-      let keep_alive = i < nreq - 1 in
-      let req = render_request tx in
-      List.iter emit
-        (data_segments rng cfg ~ts_ref ~ep ~from_client:true ~seq:!cseq ~ack:!sseq req);
-      cseq := Int32.add !cseq (Int32.of_int (String.length req));
-      let resp = render_response tx ~keep_alive in
-      List.iter emit
-        (data_segments rng cfg ~ts_ref ~ep ~from_client:false ~seq:!sseq ~ack:!cseq resp);
-      sseq := Int32.add !sseq (Int32.of_int (String.length resp)))
+      Tcp_session.send s ~from_client:true (render_request tx);
+      Tcp_session.send s ~from_client:false (render_response tx ~keep_alive:(i < nreq - 1)))
     txs;
-  (* Teardown. *)
-  step 120_000;
-  emit (bare_segment ~ts:!ts_ref ~ep ~from_client:true ~seq:!cseq ~ack:!sseq
-          ~flags:(Tcp.flag_fin lor Tcp.flag_ack));
-  step 60_000;
-  emit (bare_segment ~ts:!ts_ref ~ep ~from_client:false ~seq:!sseq
-          ~ack:(Int32.add !cseq 1l)
-          ~flags:(Tcp.flag_fin lor Tcp.flag_ack));
-  step 40_000;
-  emit (bare_segment ~ts:!ts_ref ~ep ~from_client:true ~seq:(Int32.add !cseq 1l)
-          ~ack:(Int32.add !sseq 1l) ~flags:Tcp.flag_ack);
-  (List.rev !packets, txs)
+  Tcp_session.teardown s;
+  (Tcp_session.packets s, txs)
 
 (* A connection on port 80 that is not HTTP ("crud", §2). *)
 let gen_crud_session rng cfg ~ts_ref ~ep : session_packets =
   let junk = Rng.label rng ~lo:20 ~hi:200 ^ "\x00\x01\x02\xff" in
-  let cseq0 = Int32.of_int (1000 + Rng.int rng 1_000_000) in
-  let pkts, _ =
-    ( [ bare_segment ~ts:!ts_ref ~ep ~from_client:true ~seq:cseq0 ~ack:0l
-          ~flags:Tcp.flag_syn ],
-      () )
+  let s =
+    Tcp_session.create_unanswered rng ~mss:cfg.mss ~reorder_prob:cfg.reorder_prob ~ts_ref ~ep
   in
-  let data =
-    data_segments rng cfg ~ts_ref ~ep ~from_client:true
-      ~seq:(Int32.add cseq0 1l) ~ack:1l junk
-  in
-  pkts @ data
+  Tcp_session.send s ~from_client:true junk;
+  Tcp_session.packets s
 
 type trace = {
   records : Pcap.record list;

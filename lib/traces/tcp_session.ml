@@ -1,8 +1,6 @@
-(** Shared TCP-connection assembly for the synthetic protocol generators:
-    handshake, MSS-chopped data flights with optional reordering, teardown.
-    {!Http_gen} predates this module and keeps its own (behaviorally
-    identical) copy so its seeded traces stay byte-stable; the MQTT and FTP
-    generators build on this one. *)
+(** Shared TCP-connection assembly for the synthetic protocol generators
+    (HTTP, MQTT, FTP): handshake, MSS-chopped data flights with optional
+    reordering, teardown. *)
 
 open Hilti_types
 open Hilti_net
@@ -27,8 +25,10 @@ type t = {
   mutable packets : Pcap.record list;  (* reversed *)
 }
 
+let client_isn rng = Int32.of_int (1000 + Rng.int rng 1_000_000)
+
 let create rng ~mss ~reorder_prob ~ts_ref ~ep =
-  let cseq = Int32.of_int (1000 + Rng.int rng 1_000_000) in
+  let cseq = client_isn rng in
   let sseq = Int32.of_int (5000 + Rng.int rng 1_000_000) in
   { rng; mss; reorder_prob; ep; ts_ref; cseq; sseq; packets = [] }
 
@@ -58,6 +58,17 @@ let handshake t =
     ~ack:(Int32.add t.sseq 1l) ~flags:Tcp.flag_ack;
   t.cseq <- Int32.add t.cseq 1l;
   t.sseq <- Int32.add t.sseq 1l
+
+(** A connection whose client sends a SYN at the current time and then
+    data that nothing answers, as junk on a server port does: only the
+    client's sequence number is drawn, and the client's data acks 1. *)
+let create_unanswered rng ~mss ~reorder_prob ~ts_ref ~ep =
+  let isn = client_isn rng in
+  let t =
+    { rng; mss; reorder_prob; ep; ts_ref; cseq = Int32.add isn 1l; sseq = 1l; packets = [] }
+  in
+  bare t ~from_client:true ~seq:isn ~ack:0l ~flags:Tcp.flag_syn;
+  t
 
 (** Send [data] in one direction, chopped at MSS; a flight is occasionally
     reordered (contents swapped, capture timestamps kept ascending) to

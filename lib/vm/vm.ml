@@ -436,6 +436,12 @@ let rec args_from rg ar i =
 
 let args_list rg ar = args_from rg ar 0
 
+(* The entries of [m] sorted by their stored keys, each passed through [f]. *)
+let key_ordered f m =
+  Hilti_rt.Exp_map.fold (fun k v acc -> (k, v) :: acc) m []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map (fun (_, v) -> f v)
+
 (* Printf-lite formatting for string.format: %s %d %f %%. *)
 let format_string fmt args =
   let buf = Buffer.create (String.length fmt + 16) in
@@ -816,16 +822,11 @@ and exec_iter ctx op rg ar =
       | Value.Bytes b -> Value.Iter (Value.Ibytes (Hbytes.begin_ b))
       | Value.List d -> Value.Iter (Value.Isnapshot (ref (Deque.to_list d)))
       | Value.Vector v -> Value.Iter (Value.Ivector (v, 0))
-      | Value.Set s ->
-          let elems = Hilti_rt.Exp_map.fold (fun _ v acc -> v :: acc) s [] in
-          Value.Iter (Value.Isnapshot (ref (List.rev elems)))
+      (* A set or map is walked in its one iteration order: by the bytes
+         of each entry's canonical key ({!Value.key_string}), as stored. *)
+      | Value.Set s -> Value.Iter (Value.Isnapshot (ref (key_ordered (fun v -> v) s)))
       | Value.Map m ->
-          let elems =
-            Hilti_rt.Exp_map.fold
-              (fun _ (k, v) acc -> Value.Tuple [| k; v |] :: acc)
-              m []
-          in
-          Value.Iter (Value.Isnapshot (ref (List.rev elems)))
+          Value.Iter (Value.Isnapshot (ref (key_ordered (fun (k, v) -> Value.Tuple [| k; v |]) m)))
       | v -> raise (Value.type_error ("iter.begin: " ^ Value.to_string v)))
   | I_end -> (
       match arg rg ar 0 with

@@ -37,18 +37,17 @@ let run_track mode =
             ("C4", "10.0.0.4", "208.80.152.2") ];
         Bro_engine.dispatch engine "bro_done" [])
   in
-  List.sort compare
-    (List.filter (fun s -> s <> "") (String.split_on_char '\n' out))
+  out
 
+(* Both engines print the set in address order, line for line. *)
 let test_track_interp () =
-  Alcotest.(check (list string)) "3 servers"
-    [ "208.80.152.118"; "208.80.152.2"; "208.80.152.3" ]
+  Alcotest.(check string) "3 servers"
+    "208.80.152.2\n208.80.152.3\n208.80.152.118\n"
     (run_track Bro_engine.Interpreted)
 
 let test_track_compiled () =
-  Alcotest.(check (list string)) "same output as Fig. 8(c)"
-    [ "208.80.152.118"; "208.80.152.2"; "208.80.152.3" ]
-    (run_track Bro_engine.Compiled)
+  Alcotest.(check string) "same output as Fig. 8(c)"
+    (run_track Bro_engine.Interpreted) (run_track Bro_engine.Compiled)
 
 (* fib: both engines compute the same values (§6.5's baseline bench). *)
 let test_fib_agreement () =
@@ -67,7 +66,8 @@ let test_fib_agreement () =
     [ 0; 1; 2; 10; 15 ];
   Alcotest.(check int) "fib(15)" 610 (fib Bro_engine.Compiled 15)
 
-(* The scan detector (§7): threshold crossing in both engines. *)
+(* The scan detector (§7): threshold crossing in both engines.  10.10.0.1
+   sorts after 10.7.7.7 as an address but before it as text. *)
 let run_scan mode =
   let script = Bro_scripts.parse_scan () in
   let _, out =
@@ -76,6 +76,11 @@ let run_scan mode =
           Bro_engine.dispatch engine "connection_established"
             [ conn ~uid:(Printf.sprintf "S%d" i) ~orig:"10.7.7.7"
                 ~resp:(Printf.sprintf "10.1.0.%d" i) ]
+        done;
+        for i = 1 to 20 do
+          Bro_engine.dispatch engine "connection_established"
+            [ conn ~uid:(Printf.sprintf "U%d" i) ~orig:"10.10.0.1"
+                ~resp:(Printf.sprintf "10.3.0.%d" i) ]
         done;
         for i = 1 to 5 do
           Bro_engine.dispatch engine "connection_established"
@@ -89,8 +94,9 @@ let run_scan mode =
 let test_scan_detector () =
   let interp = run_scan Bro_engine.Interpreted in
   let compiled = run_scan Bro_engine.Compiled in
-  Alcotest.(check string) "both engines flag the scanner" interp compiled;
-  Alcotest.(check string) "only 10.7.7.7 flagged" "scanner: 10.7.7.7\n" interp
+  Alcotest.(check string) "both engines flag the scanners" interp compiled;
+  Alcotest.(check string) "10.8.8.8 not flagged, address order"
+    "scanner: 10.7.7.7\nscanner: 10.10.0.1\n" interp
 
 (* Language details exercised across both engines. *)
 let semantics_script =

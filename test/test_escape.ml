@@ -207,6 +207,57 @@ let test_racecheck_timer_unaudited_host () =
     (timer_flagged "T::bind_shares")
     (timer_rules "T::bind_shares")
 
+(* A deferred callee that mutates a global container is a writer under the
+   packet-path container rule, flow-keyed exemption included: a constant
+   key names the same entry on every shard, a parameter key one flow's. *)
+let gap_src =
+  {|module Gap
+
+global ref<map<int<64>, int<64>>> tbl
+
+void setup () {
+    tbl = new map<int<64>, int<64>>
+}
+
+void expire () {
+    map.insert tbl 1 2
+}
+
+void expire_flow (int<64> k) {
+    map.insert tbl k 2
+}
+
+bool per_packet (addr src) {
+    local ref<callable<void>> c
+    c = callable.bind Gap::expire ()
+    return True
+}
+
+bool per_flow (int<64> k) {
+    local ref<callable<void>> c
+    c = callable.bind Gap::expire_flow (k)
+    return True
+}
+|}
+
+let test_racecheck_timer_container () =
+  let p = program (compile gap_src) in
+  let rules entry =
+    List.map
+      (fun (r : Racecheck.race) -> (r.Racecheck.r_rule, r.Racecheck.r_func))
+      (Racecheck.check p ~shard_entries:[ entry ])
+  in
+  Alcotest.(check (list (pair string string)))
+    "binding a constant-keyed map.insert on a global"
+    [ ("race/timer-cross-shard", "Gap::per_packet") ]
+    (rules "Gap::per_packet");
+  Alcotest.(check (list (pair string string)))
+    "binding a parameter-keyed map.insert on a global" [] (rules "Gap::per_flow");
+  Alcotest.(check (list (pair string string)))
+    "a constant-keyed map.insert on the packet path"
+    [ ("race/global-write", "Gap::expire") ]
+    (rules "Gap::expire")
+
 (* ---- Recycled frames: differentials + counters ---------------------------- *)
 
 let reuse_src =
@@ -491,6 +542,8 @@ let suite =
     Alcotest.test_case "racecheck: recursive timer target" `Quick test_racecheck_timer_recursive;
     Alcotest.test_case "racecheck: unaudited host in timer target" `Quick
       test_racecheck_timer_unaudited_host;
+    Alcotest.test_case "racecheck: container write in timer target" `Quick
+      test_racecheck_timer_container;
     Alcotest.test_case "frame reuse: differential" `Quick test_frames_differential;
     Alcotest.test_case "frame reuse: recursion" `Quick test_frames_recursion;
     Alcotest.test_case "frame reuse: suspend overlap" `Quick test_frames_suspend_overlap;

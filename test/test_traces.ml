@@ -106,10 +106,29 @@ let test_rng_weighted () =
   let common = Option.value ~default:0 (Hashtbl.find_opt counts "common") in
   Alcotest.(check bool) "roughly weighted" true (common > 8500 && common < 9500)
 
+(* The generator's exact bytes: timestamps, lengths and frames of every
+   record, for the default trace and for one where half the sessions are
+   crud. *)
+let records_digest cfg =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (r : Hilti_net.Pcap.record) ->
+      Printf.bprintf b "%Ld %d " (Hilti_types.Time_ns.to_ns r.Hilti_net.Pcap.ts) r.orig_len;
+      Buffer.add_string b r.data)
+    (Hilti_traces.Http_gen.generate cfg).Hilti_traces.Http_gen.records;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_http_pinned_digest () =
+  let open Hilti_traces.Http_gen in
+  Alcotest.(check string) "default trace" "f0efbbe759a135b56cbd47d3c25cb2de" (records_digest default);
+  Alcotest.(check string) "crud-heavy trace" "92b2c8dd2133189b8a688a99da8e379b"
+    (records_digest { default with sessions = 40; crud_prob = 0.5 })
+
 let suite =
   [ Alcotest.test_case "http deterministic" `Quick test_http_deterministic;
     Alcotest.test_case "http ordered and decodable" `Quick test_http_decodes_and_is_ordered;
     Alcotest.test_case "http ground truth recovered" `Quick test_http_ground_truth_matches_parse;
     Alcotest.test_case "dns decodable" `Quick test_dns_decodes;
     Alcotest.test_case "dns ground truth" `Quick test_dns_ground_truth;
-    Alcotest.test_case "rng weighted choice" `Quick test_rng_weighted ]
+    Alcotest.test_case "rng weighted choice" `Quick test_rng_weighted;
+    Alcotest.test_case "http records pinned" `Quick test_http_pinned_digest ]

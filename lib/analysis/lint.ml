@@ -156,21 +156,6 @@ let analyze ?(optimize = false) ?(shard_entries = []) (modules : Module_ir.t lis
   in
   List.sort compare_finding findings
 
-(** Render a full report: one {!to_line} per finding plus a trailing
-    summary line [# errors=N warnings=M]. *)
-let report_to_string findings =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun f ->
-      Buffer.add_string buf (to_line f);
-      Buffer.add_char buf '\n')
-    findings;
-  let nerr = List.length (errors findings) in
-  Buffer.add_string buf
-    (Printf.sprintf "# errors=%d warnings=%d\n" nerr
-       (List.length findings - nerr));
-  Buffer.contents buf
-
 (* ---- JSON rendering ----------------------------------------------------- *)
 
 let json_escape s =

@@ -74,28 +74,8 @@ type grammar = { gname : string; decls : decl list }
 
 (* ---- Helpers ----------------------------------------------------------------- *)
 
-let find_unit g name =
-  List.find_map
-    (function Unit u when u.uname = name -> Some u | _ -> None)
-    g.decls
-
-let find_const g name =
-  List.find_map
-    (function Const (n, re) when n = name -> Some re | _ -> None)
-    g.decls
-
 let unit_fields u =
   List.filter_map (function Field f -> Some f | _ -> None) u.items
 
 let unit_vars u =
   List.filter_map (function Var (n, t, i) -> Some (n, t, i) | _ -> None) u.items
-
-let unit_hooks u name =
-  List.concat_map
-    (function Hook (n, stmts) when n = name -> stmts | _ -> [])
-    u.items
-
-(** Struct fields a unit compiles to: named parse fields then vars. *)
-let storage_fields u =
-  List.filter_map (fun f -> f.fname) (unit_fields u)
-  @ List.map (fun (n, _, _) -> n) (unit_vars u)

@@ -100,5 +100,3 @@ let match_packet t ~ts ~src ~dst =
   in
   if allowed then t.matches <- t.matches + 1 else t.denials <- t.denials + 1;
   allowed
-
-let dynamic_entries t = Hashtbl.length t.dyn

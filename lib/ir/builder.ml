@@ -47,24 +47,6 @@ let new_block b label =
       b.func.blocks <- b.func.blocks @ [ blk ];
       blk
 
-(** Bulk-create blocks in order with a single list append.  Generators
-    emitting many thousands of blocks (the classifier lowering) need this:
-    per-block [new_block] appends are quadratic in the block count.
-    Labels that already exist are skipped. *)
-let declare_blocks b labels =
-  let fresh =
-    List.filter_map
-      (fun label ->
-        if Hashtbl.mem b.block_index label then None
-        else begin
-          let blk = { label; instrs = [] } in
-          Hashtbl.add b.block_index label blk;
-          Some blk
-        end)
-      labels
-  in
-  b.func.blocks <- b.func.blocks @ fresh
-
 (** Switch emission to the given block, creating it if necessary. *)
 let set_block b label = b.current <- new_block b label
 

@@ -83,8 +83,6 @@ let rec to_string = function
     container or a reference to one. *)
 let deref = function Ref t -> t | t -> t
 
-let is_ref = function Ref _ -> true | _ -> false
-
 (** Structural equality with [Any] acting as a wildcard on either side
     (used when checking operands against instruction signatures). *)
 let rec compatible a b =

@@ -61,13 +61,8 @@ let add_global m name ty = m.globals <- m.globals @ [ (name, ty) ]
 let add_func m f = m.funcs <- m.funcs @ [ f ]
 let add_hook m f = m.hooks <- m.hooks @ [ f ]
 
-let find_type m name = List.assoc_opt name m.types
-
 let find_func m name = List.find_opt (fun f -> f.fname = name) m.funcs
 
 let find_global m name = List.assoc_opt name m.globals
-
-(** All instructions of a function in block order. *)
-let func_instrs f = List.concat_map (fun b -> b.instrs) f.blocks
 
 let find_block f label = List.find_opt (fun b -> b.label = label) f.blocks

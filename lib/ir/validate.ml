@@ -213,9 +213,3 @@ let check_module (m : t) =
   dup_funcs
   @ List.concat_map (check_func m) m.funcs
   @ List.concat_map (check_func m) m.hooks
-
-exception Invalid of string list
-
-(** Validate, raising {!Invalid} on any error. *)
-let check_module_exn m =
-  match check_module m with [] -> () | errors -> raise (Invalid errors)

@@ -9,7 +9,6 @@ type t = {
 let header_len = 14
 let ethertype_ipv4 = 0x0800
 let ethertype_ipv6 = 0x86dd
-let ethertype_arp = 0x0806
 
 let default_src = "\x02\x00\x00\x00\x00\x01"
 let default_dst = "\x02\x00\x00\x00\x00\x02"
@@ -36,6 +35,3 @@ let encode ?(dst = default_dst) ?(src = default_src) ~ethertype payload =
   Wire.set_u16 b 12 ethertype;
   Bytes.blit_string payload 0 b header_len (String.length payload);
   Bytes.to_string b
-
-let mac_to_string m =
-  String.concat ":" (List.init 6 (fun i -> Printf.sprintf "%02x" (Char.code m.[i])))

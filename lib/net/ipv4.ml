@@ -18,7 +18,6 @@ type t = {
 }
 
 let min_header_len = 20
-let proto_icmp = 1
 let proto_tcp = 6
 let proto_udp = 17
 

@@ -75,9 +75,6 @@ let writer_of_sink ?(snaplen = 65535) ?(close = fun () -> ()) emit =
   emit (encode_global_header ~snaplen ());
   { emit; w_close = close; w_snaplen = snaplen; written = 0 }
 
-let writer_of_channel ?snaplen oc =
-  writer_of_sink ?snaplen (fun s -> output_string oc s)
-
 let open_writer ?snaplen path =
   let oc = open_out_bin path in
   writer_of_sink ?snaplen ~close:(fun () -> close_out oc) (fun s ->

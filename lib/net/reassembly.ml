@@ -37,7 +37,6 @@ let create ?(on_eof = fun () -> ()) deliver =
 let delivered_bytes t = t.delivered_bytes
 let out_of_order t = t.out_of_order
 let overlaps t = t.overlaps
-let pending_segments t = List.length t.pending
 
 (* Sequence-number arithmetic modulo 2^32. *)
 let seq_add (s : int32) n = Int32.add s (Int32.of_int n)

@@ -7,13 +7,6 @@ let get_u16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
 let get_u32 s off =
   (get_u16 s off lsl 16) lor get_u16 s (off + 2)
 
-let get_u32l s off =
-  (* little-endian, for pcap headers *)
-  Char.code s.[off]
-  lor (Char.code s.[off + 1] lsl 8)
-  lor (Char.code s.[off + 2] lsl 16)
-  lor (Char.code s.[off + 3] lsl 24)
-
 let set_u8 b off v = Bytes.set b off (Char.chr (v land 0xff))
 
 let set_u16 b off v =

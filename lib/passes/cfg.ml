@@ -75,16 +75,3 @@ let reachable (f : func) : (string, unit) Hashtbl.t =
   in
   (match f.blocks with [] -> () | b :: _ -> go b.label);
   seen
-
-(** Predecessor counts per label (normal edges only). *)
-let predecessor_counts (f : func) : (string, int) Hashtbl.t =
-  let counts = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
-      List.iter
-        (fun succ ->
-          Hashtbl.replace counts succ
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts succ)))
-        (successors b @ exceptional_successors b))
-    f.blocks;
-  counts

@@ -84,8 +84,6 @@ let resume (t : 'r t) : 'r outcome =
       decr live;
       Failed e
 
-let is_finished t = match t.state with Finished -> true | _ -> false
-
 (** Abandon a suspended fiber, discarding its continuation. *)
 let cancel (t : 'r t) =
   match t.state with

@@ -42,8 +42,6 @@ let write t s =
   | Some sched -> Scheduler.command sched ~label:("write " ^ t.path) (fun () -> do_write t s)
   | None -> do_write t s
 
-let write_line t s = write t (s ^ "\n")
-
 (** Contents so far (memory sinks only). *)
 let contents t =
   match t.sink with

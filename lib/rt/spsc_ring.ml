@@ -60,7 +60,6 @@ let create ?(capacity = 8) () =
 
 let capacity t = t.capacity
 let length t = Atomic.get t.tail - Atomic.get t.head
-let is_closed t = Atomic.get t.closed
 
 (* Wake the peer iff it is parked (or committed to parking: it increments
    [waiters] before re-checking under the lock, so a positive count here

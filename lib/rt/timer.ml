@@ -24,7 +24,6 @@ let create callback =
   }
 
 let fire_at t = t.fire_at
-let is_canceled t = t.canceled
 let is_attached t = t.attached
 
 (** Cancel a pending timer; a canceled timer is skipped when it surfaces in

@@ -56,10 +56,6 @@ let mime_types =
      "application/json"; "application/javascript"; "text/css";
      "application/octet-stream" |]
 
-let user_agents =
-  [| "Mozilla/5.0 (X11; Linux x86_64)"; "curl/7.30.0"; "Wget/1.14";
-     "Mozilla/5.0 (Macintosh; Intel Mac OS X 10_9)" |]
-
 let path_segments = [| "index"; "img"; "api"; "static"; "data"; "download"; "page" |]
 
 let extensions = [| ".html"; ".png"; ".js"; ".css"; ".json"; "" |]

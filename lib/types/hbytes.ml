@@ -115,8 +115,6 @@ let append t s =
     t.gen <- t.gen + 1
   end
 
-let append_bytes t b = append t (Bytes.to_string b)
-
 let freeze t = t.frozen <- true
 
 (* Observation hook for trims.  This layer sits below the metrics library,
@@ -180,7 +178,6 @@ let advance (it : iter) n : iter =
 let distance (a : iter) (b : iter) = b.pos - a.pos
 
 let iter_equal (a : iter) (b : iter) = a.bytes == b.bytes && a.pos = b.pos
-let iter_compare (a : iter) (b : iter) = Int.compare a.pos b.pos
 
 (** All currently retained data as a string, memoized until the window
     changes.  When the object is frozen and the window spans the whole
@@ -378,12 +375,6 @@ let view_sub (v : view) off len : view =
 
 let view_length v = v.vlen
 let view_offset v = v.vabs
-
-(** Iterator at relative offset [i] of the view (for handing a slice
-    position back to iterator-based code). *)
-let view_iter (v : view) i : iter =
-  check_view v;
-  { bytes = v.vt; pos = v.vabs + i }
 
 let get_u8 (v : view) i =
   check_view v;

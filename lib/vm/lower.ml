@@ -191,11 +191,7 @@ let operand_htype ctx (op : Instr.operand) : Htype.t option =
   | Instr.Local n | Instr.Global n -> var_type ctx n
   | _ -> None
 
-let int_width ctx op =
-  match operand_htype ctx op with
-  | Some (Htype.Int w) -> w
-  | Some (Htype.Ref (Htype.Int w)) -> w
-  | _ -> 64
+let int_width ctx op = Int_arith.width_of_type (operand_htype ctx op)
 
 (* Store the instruction result into its target (local register or global
    slot). *)
@@ -216,11 +212,8 @@ let store_target ctx (target : string option) (compute : int -> unit) : unit =
           | None -> fail "unknown target %s" name))
 
 (* Helpers shared by families of mnemonics. *)
-let int_arith_of = function
-  | "add" -> A_add | "sub" -> A_sub | "mul" -> A_mul | "div" -> A_div
-  | "mod" -> A_mod | "shl" -> A_shl | "shr" -> A_shr | "and" -> A_and
-  | "or" -> A_or | "xor" -> A_xor | "min" -> A_min | "max" -> A_max
-  | op -> fail "unknown arith op %s" op
+let int_arith_of op =
+  match Int_arith.of_name op with Some a -> a | None -> fail "unknown arith op %s" op
 
 let cmp_of = function
   | "eq" -> C_eq | "lt" -> C_lt | "gt" -> C_gt | "leq" -> C_leq | "geq" -> C_geq
@@ -446,7 +439,7 @@ let lower_instr ctx (i : Instr.t) =
       prim (P_int_arith (int_arith_of sub, int_width ctx (op 0)))
   | "int", ("eq" | "lt" | "gt" | "leq" | "geq") -> prim (P_int_cmp (cmp_of sub))
   | "int", "neg" -> prim (P_int_neg (int_width ctx (op 0)))
-  | "int", "abs" -> prim P_int_abs
+  | "int", "abs" -> prim (P_int_abs (int_width ctx (op 0)))
   | "int", "to_double" -> prim P_int_to_double
   | "int", "to_time" -> prim P_int_to_time
   | "int", "to_interval" -> prim P_int_to_interval

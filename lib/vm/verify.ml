@@ -77,7 +77,7 @@ let prim_sig (p : prim) : tag option array option * tag =
   | P_bool_not -> sig_ (a1 Tbool) Tbool
   | P_int_arith _ -> sig_ (a2 Tint Tint) Tint
   | P_int_cmp _ -> sig_ (a2 Tint Tint) Tbool
-  | P_int_neg _ | P_int_abs -> sig_ (a1 Tint) Tint
+  | P_int_neg _ | P_int_abs _ -> sig_ (a1 Tint) Tint
   | P_int_to_double -> sig_ (a1 Tint) Tdouble
   | P_int_to_time -> sig_ (a1 Tint) Ttime
   | P_int_to_interval -> sig_ (a1 Tint) Tinterval

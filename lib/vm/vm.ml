@@ -252,30 +252,10 @@ let[@inline] unpack_value (it : Hilti_types.Hbytes.iter) (fmt : unpack_fmt) : in
 
 (* ---- Int semantics ------------------------------------------------------------ *)
 
-let wrap width v =
-  if width >= 64 then v
-  else
-    (* Sign-extended wrap-around at the declared width. *)
-    let shift = 64 - width in
-    Int64.shift_right (Int64.shift_left v shift) shift
-
 let int_arith op width a b =
-  let r =
-    match op with
-    | A_add -> Int64.add a b
-    | A_sub -> Int64.sub a b
-    | A_mul -> Int64.mul a b
-    | A_div -> if b = 0L then raise (Value.division_by_zero ()) else Int64.div a b
-    | A_mod -> if b = 0L then raise (Value.division_by_zero ()) else Int64.rem a b
-    | A_shl -> Int64.shift_left a (Int64.to_int b land 63)
-    | A_shr -> Int64.shift_right_logical a (Int64.to_int b land 63)
-    | A_and -> Int64.logand a b
-    | A_or -> Int64.logor a b
-    | A_xor -> Int64.logxor a b
-    | A_min -> if Int64.compare a b <= 0 then a else b
-    | A_max -> if Int64.compare a b >= 0 then a else b
-  in
-  wrap width r
+  match op with
+  | (A_div | A_mod) when b = 0L -> raise (Value.division_by_zero ())
+  | _ -> Int_arith.apply op width a b
 
 let compare_by op c =
   match op with
@@ -487,8 +467,8 @@ let rec exec_prim ctx (p : prim) (rg : Value.t array) (ar : int array) : Value.t
   | P_bool_not -> vbool (not (Value.as_bool (arg rg ar 0)))
   | P_int_arith (op, w) -> Value.Int (int_arith op w (Value.as_int (arg rg ar 0)) (Value.as_int (arg rg ar 1)))
   | P_int_cmp c -> vbool (compare_by c (Int64.compare (Value.as_int (arg rg ar 0)) (Value.as_int (arg rg ar 1))))
-  | P_int_neg w -> Value.Int (wrap w (Int64.neg (Value.as_int (arg rg ar 0))))
-  | P_int_abs -> Value.Int (Int64.abs (Value.as_int (arg rg ar 0)))
+  | P_int_neg w -> Value.Int (Int_arith.neg w (Value.as_int (arg rg ar 0)))
+  | P_int_abs w -> Value.Int (Int_arith.abs w (Value.as_int (arg rg ar 0)))
   | P_int_to_double -> Value.Double (Int64.to_float (Value.as_int (arg rg ar 0)))
   | P_int_to_time -> Value.Time (Hilti_types.Time_ns.of_secs (Value.as_int_i (arg rg ar 0)))
   | P_int_to_interval -> Value.Interval (Hilti_types.Interval_ns.of_secs (Value.as_int_i (arg rg ar 0)))

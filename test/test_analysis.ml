@@ -270,7 +270,7 @@ let test_verifier_rejects_use_before_init () =
   (* r1 is a lowering temporary (entry_init false) read before any write. *)
   expect_reject "use before init"
     (mk_prog
-       [ mk_func [ Bc.Prim (Bc.P_int_abs, [| 1 |], 0); Bc.Ret 0 ] ])
+       [ mk_func [ Bc.Prim (Bc.P_int_abs 64, [| 1 |], 0); Bc.Ret 0 ] ])
     "used before definition"
 
 let test_verifier_rejects_wrong_tag () =

@@ -76,46 +76,91 @@ let test_constfold_div_by_zero_preserved () =
   | v -> Alcotest.failf "folded to %s" (Hilti_vm.Value.to_string v)
 
 (* Property: random arithmetic expressions evaluate identically with and
-   without the optimization pipeline. *)
+   without the optimization pipeline, and as a reference model says.  Every
+   leaf is a local of a drawn width (8/16/32/64) and every node's result
+   lands in a temporary of a drawn width, so constant propagation carries
+   narrow constants into instructions that compute at the width of their
+   first operand's declared type.  A local holds whatever was stored into
+   it; only arithmetic wraps. *)
 let prop_optimize_random_arith =
   let module G = QCheck.Gen in
-  (* expression tree over x and small constants *)
+  let width = G.oneofl [ 8; 16; 32; 64 ] in
   let rec expr_gen depth =
-    if depth = 0 then G.oneof [ G.return `X; G.map (fun i -> `C i) (G.int_range (-20) 20) ]
+    let leaf =
+      G.oneof
+        [ G.map (fun w -> `X w) width;
+          G.map2 (fun i w -> `C (i, w)) (G.int_range (-200) 200) width ]
+    in
+    if depth = 0 then leaf
     else
       G.oneof
-        [ G.return `X;
-          G.map (fun i -> `C i) (G.int_range (-20) 20);
-          G.map3 (fun op l r -> `Bin (op, l, r))
-            (G.oneofl [ "add"; "sub"; "mul"; "and"; "or"; "xor"; "min"; "max" ])
+        [ leaf;
+          G.map3 (fun op w e -> `Un (op, w, e)) (G.oneofl [ "neg"; "abs" ]) width
+            (expr_gen (depth - 1));
+          G.map3
+            (fun (op, w) l r -> `Bin (op, w, l, r))
+            (G.pair
+               (G.oneofl
+                  [ "add"; "sub"; "mul"; "div"; "mod"; "shl"; "shr"; "and"; "or"; "xor";
+                    "min"; "max" ])
+               width)
             (expr_gen (depth - 1)) (expr_gen (depth - 1)) ]
   in
+  let wrap w v =
+    if w = 64 then v else Int64.shift_right (Int64.shift_left v (64 - w)) (64 - w)
+  in
+  (* (value, declared width of the register holding it); [None] once a
+     division by zero is reached. *)
   let rec eval x = function
-    | `X -> x
-    | `C i -> Int64.of_int i
-    | `Bin (op, l, r) ->
-        let a = eval x l and b = eval x r in
-        (match op with
-        | "add" -> Int64.add a b
-        | "sub" -> Int64.sub a b
-        | "mul" -> Int64.mul a b
-        | "and" -> Int64.logand a b
-        | "or" -> Int64.logor a b
-        | "xor" -> Int64.logxor a b
-        | "min" -> if a <= b then a else b
-        | _ -> if a >= b then a else b)
+    | `X w -> Some (x, w)
+    | `C (i, w) -> Some (Int64.of_int i, w)
+    | `Un (op, w, e) ->
+        Option.map
+          (fun (a, wa) -> (wrap wa (if op = "neg" then Int64.neg a else Int64.abs a), w))
+          (eval x e)
+    | `Bin (op, w, l, r) -> (
+        match (eval x l, eval x r) with
+        | Some (a, wa), Some (b, _) ->
+            let shift = Int64.to_int b land 63 in
+            let v =
+              match op with
+              | ("div" | "mod") when b = 0L -> None
+              | "add" -> Some (Int64.add a b)
+              | "sub" -> Some (Int64.sub a b)
+              | "mul" -> Some (Int64.mul a b)
+              | "div" -> Some (Int64.div a b)
+              | "mod" -> Some (Int64.rem a b)
+              | "shl" -> Some (Int64.shift_left a shift)
+              | "shr" -> Some (Int64.shift_right_logical a shift)
+              | "and" -> Some (Int64.logand a b)
+              | "or" -> Some (Int64.logor a b)
+              | "xor" -> Some (Int64.logxor a b)
+              | "min" -> Some (if a <= b then a else b)
+              | _ -> Some (if a >= b then a else b)
+            in
+            Option.map (fun v -> (wrap wa v, w)) v
+        | _ -> None)
   in
   let rec build b = function
-    | `X -> Instr.Local "x"
-    | `C i -> Builder.const_int i
-    | `Bin (op, l, r) ->
+    | `X w ->
+        let l = Builder.tmp b (Htype.Int w) in
+        Builder.assign b ~target:l (Instr.Local "x");
+        Instr.Local l
+    | `C (i, w) ->
+        let l = Builder.tmp b (Htype.Int w) in
+        Builder.assign b ~target:l (Builder.const_int i);
+        Instr.Local l
+    | `Un (op, w, e) ->
+        let v = build b e in
+        Builder.emit b (Htype.Int w) ("int." ^ op) [ v ]
+    | `Bin (op, w, l, r) ->
         let lo = build b l in
         let ro = build b r in
-        Builder.emit b (Htype.Int 64) ("int." ^ op) [ lo; ro ]
+        Builder.emit b (Htype.Int w) ("int." ^ op) [ lo; ro ]
   in
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"optimizer preserves random arithmetic" ~count:60
-       (QCheck.make (QCheck.Gen.pair (expr_gen 4) (QCheck.Gen.int_range (-100) 100)))
+    (QCheck.Test.make ~name:"optimizer preserves random arithmetic" ~count:200
+       (QCheck.make (QCheck.Gen.pair (expr_gen 4) (QCheck.Gen.int_range (-300) 300)))
        (fun (e, x) ->
          let mk () =
            let m = Module_ir.create "R" in
@@ -125,11 +170,40 @@ let prop_optimize_random_arith =
            m
          in
          let run optimize =
-           Hilti_vm.Value.as_int
-             (compile_and_call ~optimize (mk ()) "R::f" [ Hilti_vm.Value.Int (Int64.of_int x) ])
+           match compile_and_call ~optimize (mk ()) "R::f" [ Hilti_vm.Value.Int (Int64.of_int x) ] with
+           | v -> Some (Hilti_vm.Value.as_int v)
+           | exception Hilti_vm.Value.Hilti_error { Hilti_vm.Value.ename = "Hilti::DivisionByZero"; _ } ->
+               None
          in
-         let expected = eval (Int64.of_int x) e in
+         let expected = Option.map fst (eval (Int64.of_int x) e) in
          run true = expected && run false = expected))
+
+(* The narrow-width cases the property is built to reach, pinned: an
+   [int<8>] local set to 100 or -128, optimized and at -O0. *)
+let test_narrow_width_folding () =
+  List.iter
+    (fun (what, x, op, args, expected) ->
+      let mk () =
+        let m = Module_ir.create "N" in
+        let b = Builder.func m "N::f" ~params:[] ~result:(Htype.Int 64) in
+        let l = Builder.local b "x" (Htype.Int 8) in
+        Builder.assign b ~target:l (Builder.const_int x);
+        let r = Builder.emit b (Htype.Int 8) ("int." ^ op) (Instr.Local l :: args l) in
+        Builder.return_result b r;
+        m
+      in
+      List.iter
+        (fun optimize ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%s (optimize %b)" what optimize)
+            expected
+            (Hilti_vm.Value.as_int (compile_and_call ~optimize (mk ()) "N::f" [])))
+        [ true; false ])
+    [ ("100 + 100", 100, "add", (fun l -> [ Instr.Local l ]), -56L);
+      ("neg -128", -128, "neg", (fun _ -> []), -128L);
+      ("-128 >> 1", -128, "shr", (fun _ -> [ Builder.const_int 1 ]), -64L);
+      ("-128 / -1", -128, "div", (fun _ -> [ Builder.const_int (-1) ]), -128L);
+      ("abs -128", -128, "abs", (fun _ -> []), -128L) ]
 
 (* ---- Linker --------------------------------------------------------------------------- *)
 
@@ -184,6 +258,7 @@ let suite =
     Alcotest.test_case "optimization preserves semantics" `Quick test_optimization_preserves_semantics;
     Alcotest.test_case "constfold keeps div-by-zero" `Quick test_constfold_div_by_zero_preserved;
     prop_optimize_random_arith;
+    Alcotest.test_case "narrow-width folding matches the VM" `Quick test_narrow_width_folding;
     Alcotest.test_case "linker merges hooks/globals" `Quick test_linker_merges_hooks_and_globals;
     Alcotest.test_case "linker detects conflicts" `Quick test_linker_detects_conflicts;
     Alcotest.test_case "link-time global pruning" `Quick test_linker_prunes_globals ]

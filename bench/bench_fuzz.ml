@@ -11,31 +11,45 @@ let run_pairs ~execs pairs =
   Bench_util.gc_normalize ();
   Bench_util.time_ns (fun () -> Fz.Engine.run ~pairs cfg)
 
+let gates =
+  Bench_util.Report.
+    [ ("execs_per_sec", Recorded);
+      ("corpus_cases", Recorded);
+      (* The shipped parsers must stay divergence-free under the seeded run. *)
+      ("findings", Equals (Num 0.)) ]
+
 let run ?(quick = false) () =
   Bench_util.header "differential fuzzing: execs/sec through paired oracles";
+  let module R = Bench_util.Report in
+  let r = R.create "fuzz" ~gates in
   let execs = if quick then 150 else 600 in
+  R.int r ~unit_:"" "seed" 7;
+  R.int r ~unit_:"execs" "execs_per_pair" execs;
   (* Warm the lazily-built corpora and compiled grammars off the clock. *)
   List.iter
     (fun p -> ignore (Fz.Corpus.for_proto p))
     [ Fz.Shape.Mqtt; Fz.Shape.Ftp; Fz.Shape.Dns ];
   let all_pairs = Fz.Oracle.pairs () in
-  let per_proto =
-    List.map
-      (fun proto ->
-        let pairs = Fz.Oracle.pairs_for proto in
-        let report, ns = run_pairs ~execs pairs in
-        let rate =
-          Int64.to_float ns /. 1e9 |> fun s ->
-          if s > 0.0 then float_of_int report.Fz.Engine.r_execs /. s else 0.0
-        in
-        let name = Fz.Shape.proto_to_string proto in
-        Printf.printf "%-6s %2d pairs %6d execs %8.1f ms %9.0f execs/s  findings %d\n"
-          name (List.length pairs) report.Fz.Engine.r_execs (Bench_util.ms ns)
-          rate
-          (List.length report.Fz.Engine.r_findings);
-        (name, report, ns, rate))
-      [ Fz.Shape.Mqtt; Fz.Shape.Ftp; Fz.Shape.Dns ]
-  in
+  List.iter
+    (fun proto ->
+      let pairs = Fz.Oracle.pairs_for proto in
+      let report, ns = run_pairs ~execs pairs in
+      let rate =
+        Int64.to_float ns /. 1e9 |> fun s ->
+        if s > 0.0 then float_of_int report.Fz.Engine.r_execs /. s else 0.0
+      in
+      let name = Fz.Shape.proto_to_string proto in
+      Printf.printf "%-6s %2d pairs %6d execs %8.1f ms %9.0f execs/s  findings %d\n"
+        name (List.length pairs) report.Fz.Engine.r_execs (Bench_util.ms ns)
+        rate
+        (List.length report.Fz.Engine.r_findings);
+      let labels = [ ("proto", R.Text name) ] in
+      R.int r ~labels ~unit_:"execs" "execs" report.Fz.Engine.r_execs;
+      R.num r ~labels ~unit_:"ms" "ms" (Bench_util.ms ns);
+      R.num r ~labels ~unit_:"execs/s" "execs_per_sec" rate;
+      R.int r ~labels ~unit_:"findings" "findings" (List.length report.Fz.Engine.r_findings);
+      R.int r ~labels ~unit_:"cases" "corpus_cases" report.Fz.Engine.r_corpus)
+    [ Fz.Shape.Mqtt; Fz.Shape.Ftp; Fz.Shape.Dns ];
   let total_report, total_ns = run_pairs ~execs all_pairs in
   let total_rate =
     float_of_int total_report.Fz.Engine.r_execs
@@ -45,29 +59,9 @@ let run ?(quick = false) () =
   Printf.printf "%-6s %2d pairs %6d execs %8.1f ms %9.0f execs/s  findings %d\n"
     "all" (List.length all_pairs) total_report.Fz.Engine.r_execs
     (Bench_util.ms total_ns) total_rate findings;
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\n";
-  Printf.bprintf json "  \"experiment\": \"fuzz\",\n";
-  Printf.bprintf json "  \"seed\": 7,\n";
-  Printf.bprintf json "  \"execs_per_pair\": %d,\n" execs;
-  Printf.bprintf json "  \"corpus_cases\": %d,\n" total_report.Fz.Engine.r_corpus;
-  Printf.bprintf json "  \"pairs\": %d,\n" (List.length all_pairs);
-  Printf.bprintf json "  \"total_execs\": %d,\n" total_report.Fz.Engine.r_execs;
-  Printf.bprintf json "  \"execs_per_sec\": %.1f,\n" total_rate;
-  Printf.bprintf json "  \"findings\": %d,\n" findings;
-  Buffer.add_string json "  \"protocols\": [\n";
-  List.iteri
-    (fun i (name, report, ns, rate) ->
-      Printf.bprintf json
-        "    {\"proto\": \"%s\", \"execs\": %d, \"ms\": %.3f, \"execs_per_sec\": \
-         %.1f, \"findings\": %d, \"corpus_cases\": %d}%s\n"
-        name report.Fz.Engine.r_execs (Bench_util.ms ns) rate
-        (List.length report.Fz.Engine.r_findings)
-        report.Fz.Engine.r_corpus
-        (if i = List.length per_proto - 1 then "" else ","))
-    per_proto;
-  Buffer.add_string json "  ]\n}\n";
-  let path = "BENCH_fuzz.json" in
-  Bench_util.write_file_atomic path (Buffer.contents json);
-  Printf.printf "fuzzing data written to %s\n" path;
-  findings = 0
+  R.int r ~unit_:"cases" "corpus_cases" total_report.Fz.Engine.r_corpus;
+  R.int r ~unit_:"pairs" "pairs" (List.length all_pairs);
+  R.int r ~unit_:"execs" "total_execs" total_report.Fz.Engine.r_execs;
+  R.num r ~unit_:"execs/s" "execs_per_sec" total_rate;
+  R.int r ~unit_:"findings" "findings" findings;
+  r

@@ -19,8 +19,15 @@ let eval ~transactions ~jobs () =
     ~engine_mode:Mini_bro.Bro_engine.Interpreted ~scripts:(Lazy.force scripts)
     ~logging:false ?jobs src
 
+let gates =
+  Bench_util.Report.
+    [ ("overhead_pct_1", Recorded);
+      ("overhead_pct_4", Recorded);
+      ("disabled_alloc_words_per_100k", Recorded) ]
+
 let run ?(dns_transactions = 2500) () =
   Bench_util.header "observability: instrumentation overhead (off vs on)";
+  let r = Bench_util.Report.create "obs" ~gates in
   (* Warm up shared lazies (scripts, generator tables) outside the clock. *)
   ignore (eval ~transactions:50 ~jobs:None ());
   (* The real overhead is percent-level, far below run-to-run noise on a
@@ -60,16 +67,21 @@ let run ?(dns_transactions = 2500) () =
     let median = List.nth sorted (List.length sorted / 2) in
     (best.(0), best.(1), median)
   in
-  let configs =
-    List.map
-      (fun (label, jobs) ->
-        let off, on, median = time_config ~jobs in
-        let pct = 100.0 *. (median -. 1.0) in
-        Printf.printf "%-10s off %8.1f ms   on %8.1f ms   overhead %+.2f%%\n" label
-          (Bench_util.ms off) (Bench_util.ms on) pct;
-        (label, jobs, off, on, pct))
-      [ ("serial", None); ("domains=4", Some 4) ]
-  in
+  let module R = Bench_util.Report in
+  R.int r ~unit_:"txns" "dns_transactions" dns_transactions;
+  List.iter
+    (fun (label, jobs) ->
+      let off, on, median = time_config ~jobs in
+      let pct = 100.0 *. (median -. 1.0) in
+      Printf.printf "%-10s off %8.1f ms   on %8.1f ms   overhead %+.2f%%\n" label
+        (Bench_util.ms off) (Bench_util.ms on) pct;
+      let domains = Option.value ~default:1 jobs in
+      R.num r ~unit_:"%" (Printf.sprintf "overhead_pct_%d" domains) pct;
+      let labels = [ ("config", R.Text label); ("domains", R.Num (float_of_int domains)) ] in
+      R.num r ~labels ~unit_:"ms" "off_ms" (Bench_util.ms off);
+      R.num r ~labels ~unit_:"ms" "on_ms" (Bench_util.ms on);
+      R.num r ~labels ~unit_:"%" "overhead_pct" pct)
+    [ ("serial", None); ("domains=4", Some 4) ];
   (* The disabled fast path must not allocate: a counter hit is one load
      and a branch.  Minor words are sampled around 100k increments. *)
   let c = Hilti_obs.Metrics.counter "bench_obs_probe" in
@@ -81,31 +93,5 @@ let run ?(dns_transactions = 2500) () =
   let disabled_alloc = Gc.minor_words () -. w0 in
   Printf.printf "disabled fast path: %.0f minor words per 100k increments\n"
     disabled_alloc;
-  let overhead_of label =
-    match List.find_opt (fun (l, _, _, _, _) -> l = label) configs with
-    | Some (_, _, _, _, pct) -> pct
-    | None -> nan
-  in
-  let json = Buffer.create 1024 in
-  Buffer.add_string json "{\n";
-  Printf.bprintf json "  \"experiment\": \"obs_overhead\",\n";
-  Printf.bprintf json "  \"dns_transactions\": %d,\n" dns_transactions;
-  Printf.bprintf json "  \"disabled_alloc_words_per_100k\": %.0f,\n" disabled_alloc;
-  Printf.bprintf json "  \"overhead_pct_1\": %.3f,\n" (overhead_of "serial");
-  Printf.bprintf json "  \"overhead_pct_4\": %.3f,\n" (overhead_of "domains=4");
-  Buffer.add_string json "  \"runs\": [\n";
-  List.iteri
-    (fun i (label, jobs, off, on, pct) ->
-      Printf.bprintf json
-        "    {\"config\": \"%s\", \"domains\": %d, \"off_ms\": %.3f, \"on_ms\": \
-         %.3f, \"overhead_pct\": %.3f}%s\n"
-        label
-        (Option.value ~default:1 jobs)
-        (Bench_util.ms off) (Bench_util.ms on) pct
-        (if i = List.length configs - 1 then "" else ","))
-    configs;
-  Buffer.add_string json "  ]\n}\n";
-  let path = "BENCH_obs.json" in
-  Bench_util.write_file_atomic path (Buffer.contents json);
-  Printf.printf "overhead data written to %s\n" path;
-  disabled_alloc = 0.0
+  R.num r ~unit_:"words" "disabled_alloc_words_per_100k" disabled_alloc;
+  r

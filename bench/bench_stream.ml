@@ -99,7 +99,7 @@ let best_pair ~rounds f g =
    loop.  Both raise the identical event stream (test_shard's differential
    oracle); only the decode representation and the per-packet obs/timer
    cadence differ. *)
-let dns_throughput () =
+let dns_throughput r =
   let module D = Hilti_analyzers.Driver in
   let cfg = { Hilti_traces.Dns_gen.default with transactions = 4000; seed = 7 } in
   let records = (Hilti_traces.Dns_gen.generate cfg).Hilti_traces.Dns_gen.records in
@@ -121,12 +121,14 @@ let dns_throughput () =
     \  zero-copy batched loop:   %10.0f pkts/s\n\
     \  speedup: %.2fx\n"
     packets pps_un pps_zc (pps_zc /. pps_un);
-  (pps_un, pps_zc, pps_zc /. pps_un)
+  Bench_util.Report.num r ~unit_:"pkt/s" "dns_pps_unbatched" pps_un;
+  Bench_util.Report.num r ~unit_:"pkt/s" "dns_pps_zero_copy" pps_zc;
+  Bench_util.Report.num r ~unit_:"x" "dns_speedup_zero_copy" (pps_zc /. pps_un)
 
 (* Firewall: batch=1 degenerates the batched loop to the pre-PR per-packet
    accounting; the default batch amortizes it.  The gate is a guardrail —
    batching must not cost the firewall path anything. *)
-let firewall_throughput () =
+let firewall_throughput r =
   let rules =
     Hilti_firewall.Fw_rules.parse_rules
       {|
@@ -156,10 +158,24 @@ let firewall_throughput () =
     (float_of_int packets /. t_1)
     (float_of_int packets /. t_b)
     speedup;
-  speedup
+  Bench_util.Report.num r ~unit_:"x" "firewall_batch_speedup" speedup
+
+(* The zero-copy batched DNS loop must hold >= 1.5x over the pre-PR
+   per-packet string loop (both measured in the same interleaved run and
+   recorded), and batching must not cost the firewall path anything (0.95
+   allows measurement noise). *)
+let gates =
+  Bench_util.Report.
+    [ ("dns_pps_unbatched", Recorded);
+      ("dns_pps_zero_copy", Recorded);
+      ("dns_speedup_zero_copy", At_least 1.5);
+      ("firewall_batch_speedup", At_least 0.95) ]
 
 let run ?(base = 150) () =
   Bench_util.header "Streaming pipeline: peak heap vs trace size";
+  let module R = Bench_util.Report in
+  let r = R.create "stream" ~gates in
+  R.int r ~unit_:"sessions" "base_sessions" base;
   Printf.printf "%-10s %6s %9s %12s %12s %12s\n" "mode" "scale" "packets"
     "peak MiB" "ms" "pkts/s";
   let no_tap src = src in
@@ -173,66 +189,31 @@ let run ?(base = 150) () =
     Printf.printf "%-10s %6dx %9d %12.2f %12.1f %12.0f\n%!" mode scale packets
       (mib peak) (Bench_util.ms ns)
       (float_of_int packets /. secs);
-    (packets, peak, ns)
+    let labels = [ ("mode", R.Text mode); ("scale", R.Num (float_of_int scale)) ] in
+    R.int r ~labels ~unit_:"pkts" "packets" packets;
+    R.num r ~labels ~unit_:"MiB" "peak_mib" (mib peak);
+    R.num r ~labels ~unit_:"ms" "ms" (Bench_util.ms ns);
+    peak
   in
-  let scales = [ 1; 4; 16 ] in
   let stream =
-    List.map
-      (fun s -> (s, measure "stream" s (fun ~tap -> run_streaming ~tap (base * s))))
-      scales
+    List.map (fun s -> (s, measure "stream" s (fun ~tap -> run_streaming ~tap (base * s)))) [ 1; 4; 16 ]
   in
   (* The list path only needs the endpoints to show the contrast. *)
   let listed =
-    List.map
-      (fun s -> (s, measure "list" s (fun ~tap -> run_list ~tap (base * s))))
-      [ 1; 16 ]
+    List.map (fun s -> (s, measure "list" s (fun ~tap -> run_list ~tap (base * s)))) [ 1; 16 ]
   in
-  let peak_of results s =
-    let _, (_, peak, _) = List.find (fun (s', _) -> s' = s) results in
-    peak
-  in
-  let stream_growth =
-    float_of_int (peak_of stream 16) /. float_of_int (peak_of stream 1)
-  in
-  let list_growth =
-    float_of_int (peak_of listed 16) /. float_of_int (peak_of listed 1)
-  in
+  let growth results = float_of_int (List.assoc 16 results) /. float_of_int (List.assoc 1 results) in
+  let stream_growth = growth stream and list_growth = growth listed in
   let bounded = stream_growth < 2.0 in
   Printf.printf
     "peak heap growth at 16x trace: streaming %.2fx, list %.2fx -> %s\n"
     stream_growth list_growth
     (if bounded then "bounded" else "NOT BOUNDED");
+  R.num r ~unit_:"x" "stream_peak_growth_16x" stream_growth;
+  R.num r ~unit_:"x" "list_peak_growth_16x" list_growth;
+  R.flag r "bounded" bounded;
   print_newline ();
   Bench_util.header "Zero-copy batched loops: end-to-end throughput";
-  let dns_pps_un, dns_pps_zc, dns_speedup = dns_throughput () in
-  let fw_speedup = firewall_throughput () in
-  (* Record the trajectory for CI. *)
-  let json = Buffer.create 256 in
-  Buffer.add_string json "{\n";
-  Buffer.add_string json "  \"experiment\": \"stream\",\n";
-  Printf.bprintf json "  \"base_sessions\": %d,\n" base;
-  Printf.bprintf json "  \"stream_peak_growth_16x\": %.3f,\n" stream_growth;
-  Printf.bprintf json "  \"list_peak_growth_16x\": %.3f,\n" list_growth;
-  Printf.bprintf json "  \"bounded\": %b,\n" bounded;
-  Printf.bprintf json "  \"dns_pps_unbatched\": %.0f,\n" dns_pps_un;
-  Printf.bprintf json "  \"dns_pps_zero_copy\": %.0f,\n" dns_pps_zc;
-  Printf.bprintf json "  \"dns_speedup_zero_copy\": %.3f,\n" dns_speedup;
-  Printf.bprintf json "  \"firewall_batch_speedup\": %.3f,\n" fw_speedup;
-  Buffer.add_string json "  \"runs\": [\n";
-  let entries =
-    List.map (fun (s, m) -> ("stream", s, m)) stream
-    @ List.map (fun (s, m) -> ("list", s, m)) listed
-  in
-  List.iteri
-    (fun i (mode, scale, (packets, peak, ns)) ->
-      Printf.bprintf json
-        "    {\"mode\": \"%s\", \"scale\": %d, \"packets\": %d, \"peak_mib\": \
-         %.3f, \"ms\": %.3f}%s\n"
-        mode scale packets (mib peak) (Bench_util.ms ns)
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  Buffer.add_string json "  ]\n}\n";
-  let path = "BENCH_stream.json" in
-  Bench_util.write_file_atomic path (Buffer.contents json);
-  Printf.printf "memory trajectory written to %s\n" path;
-  bounded
+  dns_throughput r;
+  firewall_throughput r;
+  r

@@ -47,9 +47,22 @@ let wrapper_module () =
   Builder.return_ b;
   m
 
+(* Serial and sharded runs must produce byte-identical event streams.  On
+   multi-core hardware, 2 shards must hold >= 0.9x the cooperative
+   throughput (the old engine regressed to ~0.45x); a 1-core box can only
+   measure overhead, so the gate is skipped there (the report carries a
+   warning instead). *)
+let gates ~cores =
+  let open Bench_util.Report in
+  [ ("identical_output", Equals (Flag true)); ("cores_available", Recorded) ]
+  @ if cores >= 2 then [ ("shards_2_vs_cooperative", At_least 0.9) ] else [ ("warning", Recorded) ]
+
 let run ?(quick = false) ?datagrams () =
   let datagrams_override = datagrams in
   Bench_util.header "§6.6 load-balancing DNS across virtual threads";
+  let module R = Bench_util.Report in
+  let cores = Domain.recommended_domain_count () in
+  let r = R.create "threads" ~gates:(gates ~cores) in
   let cfg = { Hilti_traces.Dns_gen.default with transactions = 800; seed = 606 } in
   let trace = Hilti_traces.Dns_gen.generate cfg in
   (* Pre-extract (flow-hash, payload) pairs. *)
@@ -203,33 +216,21 @@ let run ?(quick = false) ?datagrams () =
         (shards, ns))
       shard_counts
   in
-  (* Record the scaling trajectory for CI. *)
-  let json = Buffer.create 256 in
-  Buffer.add_string json "{\n";
-  Buffer.add_string json "  \"experiment\": \"threads\",\n";
-  Printf.bprintf json "  \"datagrams\": %d,\n" dgrams;
-  Printf.bprintf json "  \"flows\": %d,\n" flows;
-  Printf.bprintf json "  \"cores_available\": %d,\n" cores;
+  R.int r ~unit_:"datagrams" "datagrams" dgrams;
+  R.int r ~unit_:"flows" "flows" flows;
+  R.int r ~unit_:"cores" "cores_available" cores;
   let max_shards = List.fold_left max 1 shard_counts in
   if cores < max_shards then
-    Printf.bprintf json
-      "  \"warning\": \"only %d core(s) available for %d shards; sharded timings measure overhead, not scaling\",\n"
-      cores max_shards;
-  Printf.bprintf json "  \"identical_output\": %b,\n" !ok;
-  Buffer.add_string json "  \"configs\": [\n";
-  let entries =
-    ("cooperative", 0, serial_ns)
-    :: List.map (fun (s, ns) -> ("sharded", s, ns)) shard_results
-  in
-  List.iteri
-    (fun i (mode, shards, ns) ->
-      Printf.bprintf json
-        "    {\"mode\": \"%s\", \"shards\": %d, \"ms\": %.3f, \"datagrams_per_sec\": %.0f}%s\n"
-        mode shards (Bench_util.ms ns) (dps ns)
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  Buffer.add_string json "  ]\n}\n";
-  let path = "BENCH_threads.json" in
-  Bench_util.write_file_atomic path (Buffer.contents json);
-  Printf.printf "scaling data written to %s\n" path;
-  !ok
+    R.text r "warning"
+      (Printf.sprintf
+         "only %d core(s) available for %d shards; sharded timings measure overhead, not scaling"
+         cores max_shards);
+  R.flag r "identical_output" !ok;
+  List.iter
+    (fun (mode, shards, ns) ->
+      let labels = [ ("mode", R.Text mode); ("shards", R.Num (float_of_int shards)) ] in
+      R.num r ~labels ~unit_:"ms" "ms" (Bench_util.ms ns);
+      R.num r ~labels ~unit_:"datagrams/s" "datagrams_per_sec" (dps ns))
+    (("cooperative", 0, serial_ns) :: List.map (fun (s, ns) -> ("sharded", s, ns)) shard_results);
+  R.num r ~unit_:"x" "shards_2_vs_cooperative" (dps (List.assoc 2 shard_results) /. dps serial_ns);
+  r

@@ -13,6 +13,14 @@
 
     Writes BENCH_vmopt.json. *)
 
+(* Specialized opcodes must beat the generic ones on the hot loop and must
+   not regress the end-to-end workloads (0.9 allows measurement noise). *)
+let gates =
+  Bench_util.Report.
+    [ ("speedup_spec_over_generic", At_least 1.5);
+      ("firewall_speedup", At_least 0.9);
+      ("dns_speedup", At_least 0.9) ]
+
 (* A hot arithmetic/branch loop: register reads/writes, compares and
    branches over int locals — the shape the register banks and the fused
    compare+branch / increment+jump superinstructions target. *)
@@ -54,6 +62,8 @@ let hot_loop_module () =
 
 let run ?(quick = false) () =
   Bench_util.header "hot loop: generic vs specialized opcodes";
+  let module R = Bench_util.Report in
+  let r = R.create "vmopt" ~gates in
   let iters = if quick then 120_000L else 400_000L in
   let module H = Hilti_vm.Host_api in
   let api_generic = H.compile ~specialize:false [ hot_loop_module () ] in
@@ -73,6 +83,10 @@ let run ?(quick = false) () =
   Printf.printf "  generic opcodes:     %8.2f ms\n" (Bench_util.ms ns_generic);
   Printf.printf "  specialized opcodes: %8.2f ms\n" (Bench_util.ms ns_spec);
   Printf.printf "  specialized/generic speedup: %.2fx (target >= 1.5x)\n" sg;
+  R.num r ~unit_:"iters" "iters" (Int64.to_float iters);
+  R.num r ~unit_:"ms" "generic_ms" (Bench_util.ms ns_generic);
+  R.num r ~unit_:"ms" "specialized_ms" (Bench_util.ms ns_spec);
+  R.num r ~unit_:"x" "speedup_spec_over_generic" sg;
 
   (* ---- Firewall end-to-end ------------------------------------------------ *)
   Bench_util.header "firewall end-to-end: specialization on vs off";
@@ -142,6 +156,11 @@ let run ?(quick = false) () =
      %.2f ms, specialized %.2f ms (%.2fx)\n"
     (List.length stream) passes fw_rounds
     (Bench_util.ms fw_ns_generic) (Bench_util.ms fw_ns_spec) fw_speedup;
+  R.int r ~unit_:"pkts" "firewall_packets" (List.length stream);
+  R.int r ~unit_:"passes" "firewall_passes" passes;
+  R.num r ~unit_:"ms" "firewall_generic_ms" (Bench_util.ms fw_ns_generic);
+  R.num r ~unit_:"ms" "firewall_specialized_ms" (Bench_util.ms fw_ns_spec);
+  R.num r ~unit_:"x" "firewall_speedup" fw_speedup;
 
   (* ---- DNS parser end-to-end ---------------------------------------------- *)
   Bench_util.header "BinPAC++ DNS parser: specialization on vs off";
@@ -177,30 +196,8 @@ let run ?(quick = false) () =
     (List.length payloads) n_spec
     (Bench_util.ms dns_ns_generic) (Bench_util.ms dns_ns_spec) dns_speedup;
 
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"experiment\": \"vm_specialization\",\n\
-      \  \"iters\": %Ld,\n\
-      \  \"generic_ms\": %.3f,\n\
-      \  \"specialized_ms\": %.3f,\n\
-      \  \"speedup_spec_over_generic\": %.3f,\n\
-      \  \"firewall_packets\": %d,\n\
-      \  \"firewall_passes\": %d,\n\
-      \  \"firewall_generic_ms\": %.3f,\n\
-      \  \"firewall_specialized_ms\": %.3f,\n\
-      \  \"firewall_speedup\": %.3f,\n\
-      \  \"dns_datagrams\": %d,\n\
-      \  \"dns_generic_ms\": %.3f,\n\
-      \  \"dns_specialized_ms\": %.3f,\n\
-      \  \"dns_speedup\": %.3f\n\
-       }\n"
-      iters (Bench_util.ms ns_generic) (Bench_util.ms ns_spec) sg
-      (List.length stream) passes
-      (Bench_util.ms fw_ns_generic) (Bench_util.ms fw_ns_spec) fw_speedup
-      (List.length payloads) (Bench_util.ms dns_ns_generic)
-      (Bench_util.ms dns_ns_spec) dns_speedup
-  in
-  Bench_util.write_file_atomic "BENCH_vmopt.json" json;
-  print_endline "specialization data written to BENCH_vmopt.json";
-  sg
+  R.int r ~unit_:"datagrams" "dns_datagrams" (List.length payloads);
+  R.num r ~unit_:"ms" "dns_generic_ms" (Bench_util.ms dns_ns_generic);
+  R.num r ~unit_:"ms" "dns_specialized_ms" (Bench_util.ms dns_ns_spec);
+  R.num r ~unit_:"x" "dns_speedup" dns_speedup;
+  r

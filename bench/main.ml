@@ -4,7 +4,13 @@
 
     Usage:  dune exec bench/main.exe [-- experiment ...]
     Experiments: table1 micro bpf firewall parsers scripts threads stream
-    obs vmopt fuzz ablations (default: all).  Sizes scale down with --quick. *)
+    obs vmopt fuzz ablations (default: all).  Sizes scale down with --quick.
+
+    Six experiments (micro threads stream obs vmopt fuzz) write their
+    results to BENCH_<experiment>.json through {!Bench_util.Report} and
+    carry their own gates.  Every selected experiment runs; the harness
+    then exits 1 if any gate of any of them failed (each failure is
+    printed as a [GATE FAILED] line). *)
 
 let experiments =
   [ ("table1", "Table 1: instruction-set inventory");
@@ -38,24 +44,30 @@ let () =
   let dns_transactions = if quick then 500 else 2500 in
   Printf.printf "HILTI evaluation harness (workload: %d HTTP sessions, %d DNS transactions)\n"
     http_sessions dns_transactions;
+  let failed = ref 0 in
+  let report r = failed := !failed + Bench_util.Report.finish r in
   List.iter
     (fun name ->
       match name with
       | "table1" -> Bench_table1.run ()
-      | "micro" -> Bench_micro.run ()
+      | "micro" -> report (Bench_micro.run ())
       | "bpf" -> ignore (Bench_bpf.run ())
       | "firewall" -> ignore (Bench_firewall.run ())
       | "parsers" -> ignore (Bench_parsers.run ~http_sessions ~dns_transactions ())
       | "scripts" -> ignore (Bench_scripts.run ~http_sessions ~dns_transactions ())
-      | "threads" -> ignore (Bench_threads.run ~quick ?datagrams ())
-      | "stream" -> ignore (Bench_stream.run ~base:(if quick then 40 else 150) ())
-      | "obs" -> ignore (Bench_obs.run ~dns_transactions ())
-      | "vmopt" -> ignore (Bench_vmopt.run ~quick ())
-      | "fuzz" -> ignore (Bench_fuzz.run ~quick ())
+      | "threads" -> report (Bench_threads.run ~quick ?datagrams ())
+      | "stream" -> report (Bench_stream.run ~base:(if quick then 40 else 150) ())
+      | "obs" -> report (Bench_obs.run ~dns_transactions ())
+      | "vmopt" -> report (Bench_vmopt.run ~quick ())
+      | "fuzz" -> report (Bench_fuzz.run ~quick ())
       | "ablations" -> Bench_ablations.run ()
       | other ->
           Printf.eprintf "unknown experiment %s; known:\n" other;
           List.iter (fun (n, d) -> Printf.eprintf "  %-10s %s\n" n d) experiments;
           exit 1)
     selected;
-  Printf.printf "\nAll selected experiments complete.\n"
+  Printf.printf "\nAll selected experiments complete.\n";
+  if !failed > 0 then begin
+    Printf.printf "%d gate(s) failed\n" !failed;
+    exit 1
+  end

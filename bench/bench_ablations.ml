@@ -44,7 +44,7 @@ let expiration_bench () =
 let optimization_bench () =
   Bench_util.header "Ablation: HILTI-level optimization pipeline (§6.6)";
   let script = Mini_bro.Bro_scripts.parse_fib () in
-  let m_opt = Mini_bro.Bro_compile.compile script in
+  let m_opt, _ = Mini_bro.Bro_compile.compile script in
   let stats = Hilti_passes.Pipeline.optimize m_opt in
   Printf.printf "pipeline rewrites on fib.bro: %s\n"
     (Hilti_passes.Pipeline.stats_to_string stats);
@@ -150,18 +150,18 @@ let fiber_vs_direct_bench () =
     let it = Hilti_vm.Value.Iter (Hilti_vm.Value.Ibytes (Hilti_types.Hbytes.begin_ b)) in
     [ it; it ]
   in
+  let api = parser.Binpacxx.Runtime.api in
+  let parse = Hilti_vm.Host_api.func api "DNS::parse_Message" in
   let (), direct_ns =
     Bench_util.time_ns (fun () ->
         for _ = 1 to n do
-          ignore (Hilti_vm.Host_api.call parser.Binpacxx.Runtime.api "DNS::parse_Message" (args ()))
+          ignore (Hilti_vm.Host_api.call_func api parse (args ()))
         done)
   in
   let (), fiber_ns =
     Bench_util.time_ns (fun () ->
         for _ = 1 to n do
-          let run =
-            Hilti_vm.Host_api.call_fiber parser.Binpacxx.Runtime.api "DNS::parse_Message" (args ())
-          in
+          let run = Hilti_vm.Host_api.call_fiber api parse (args ()) in
           ignore (Hilti_vm.Host_api.result_exn run)
         done)
   in

@@ -474,12 +474,13 @@ let exp_state_bench r =
 
 (* Compiled-script glue resolved at load: one typed `connection` argument
    conversion and the compiled DNS handlers per transaction, in allocated
-   bytes (deterministic counts; 328 and ~5,770 measured, 2,152 and ~12,680
-   when each record was rebuilt by name in its own profiler window). *)
+   bytes (deterministic counts; 328 and ~2,870 measured, 2,152 and ~12,680
+   when each record was rebuilt by name in its own profiler window, ~5,760
+   when [fmt], [cat] and [join] converted every value to its Bro form). *)
 let glue_gates =
   R.
     [ ("glue_connection_bytes", At_most 512.);
-      ("dns_compiled_script_alloc_bytes_per_txn", At_most 8000.) ]
+      ("dns_compiled_script_alloc_bytes_per_txn", At_most 4600.) ]
 
 (* Interpreter state without strings or cells: one `connection` record
    (shared field-name arrays, no per-field ref cells) and every bundled
@@ -519,6 +520,41 @@ let glue_bench r =
   let c = connection () in
   per_call_row r "connection_val" connection;
   per_call_row r "glue_connection" (fun () -> conv c)
+
+(* ---- Profiler windows --------------------------------------------------- *)
+
+(* One exclusive profiler window inside a running block, with the timed
+   closure allocated once: minor words per window (a deterministic count;
+   7 measured: the frame and its list cell.  ~21 when a window paused and
+   resumed its outer block with clock reads of their own, through
+   [Fun.protect] and per-call closures). *)
+let profiler_window_gates = R.[ ("profiler_window_words", At_most 8.) ]
+
+let profiler_window_bench r =
+  Bench_util.header "profiler: one exclusive window inside a running block";
+  let outer = Profiler.create "bench/window_outer" and inner = Profiler.create "bench/window" in
+  let f () = () in
+  let n = 200_000 in
+  let words =
+    Profiler.time outer (fun () ->
+        Profiler.time_exclusive inner f;
+        let before = Gc.minor_words () in
+        for _ = 1 to n do
+          Profiler.time_exclusive inner f
+        done;
+        (Gc.minor_words () -. before) /. float_of_int n)
+  in
+  let (), ns =
+    Bench_util.time_ns (fun () ->
+        Profiler.time outer (fun () ->
+            for _ = 1 to n do
+              Profiler.time_exclusive inner f
+            done))
+  in
+  let ns = Int64.to_float ns /. float_of_int n in
+  Printf.printf "  %.1f minor words, %.0f ns per window\n" words ns;
+  R.num r ~unit_:"words" "profiler_window_words" words;
+  R.num r ~unit_:"ns" "profiler_window_ns" ns
 
 (* ---- Zero-copy parse-path allocation: HTTP -------------------------------- *)
 
@@ -757,7 +793,8 @@ let run () =
     R.create "micro"
       ~gates:
         (frame_gates @ dns_alloc_gates @ http_alloc_gates @ dns_pac_gates @ dns_script_gates
-       @ glue_gates @ interp_state_gates @ exp_state_gates @ key_fw_gates @ sha1_gates)
+       @ glue_gates @ interp_state_gates @ exp_state_gates @ key_fw_gates @ sha1_gates
+       @ profiler_window_gates)
   in
   R.num r ~unit_:"B/txn" "dns_script_alloc_bytes_per_txn_before" dns_script_alloc_before;
   List.iter
@@ -775,5 +812,6 @@ let run () =
       exp_state_bench;
       key_fw_bench;
       glue_bench;
+      profiler_window_bench;
       sha1_bench ];
   r

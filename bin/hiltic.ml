@@ -93,7 +93,7 @@ let bundled_units () =
   let bro name src =
     ( "bro:" ^ name,
       `No_entries,
-      fun () -> [ Mini_bro.Bro_compile.compile (Mini_bro.Bro_parse.parse src) ] )
+      fun () -> [ fst (Mini_bro.Bro_compile.compile (Mini_bro.Bro_parse.parse src)) ] )
   in
   [
     grammar "ssh" Binpacxx.Grammars.parse_ssh;

@@ -28,41 +28,19 @@ type fields = {
   rdata_txt : field;
 }
 
+type parsed =
+  | Request of Events.dns_request
+  | Reply of Events.dns_reply
+  | Not_dns
+
 (* One per loaded parser, so a [t] belongs to one domain, as its parser
    does: sharded runs load one per shard. *)
 type t = {
   parser : Runtime.t;
   fields : fields;
   buf : Buffer.t;  (** scratch for A-record text *)
+  glue : V.t -> parsed;  (** [convert t], built once for the glue window *)
 }
-
-let load ?(specialize = true) () : t =
-  let parser = Runtime.load ~specialize (Grammars.parse_dns ()) in
-  let field unit =
-    match Hilti_vm.Host_api.struct_layout parser.Runtime.api ("DNS::" ^ unit) with
-    | Some layout -> fun name -> { layout; slot = V.field_index layout name }
-    | None -> invalid_arg ("Dns_pac.load: the DNS grammar has no unit " ^ unit)
-  in
-  let m = field "Message" and q = field "Question" and rr = field "RR" in
-  let fields =
-    {
-      id = m "id";
-      flags = m "flags";
-      questions = m "questions";
-      answers = m "answers";
-      qname = q "qname";
-      qtype = q "qtype";
-      rtype = rr "rtype";
-      ttl = rr "ttl";
-      rdlength = rr "rdlength";
-      rdata_a = rr "rdata_a";
-      rdata_name = rr "rdata_name";
-      rdata_mx_pref = rr "rdata_mx_pref";
-      rdata_mx_name = rr "rdata_mx_name";
-      rdata_txt = rr "rdata_txt";
-    }
-  in
-  { parser; fields; buf = Buffer.create 16 }
 
 (* Field [f] of unit value [v], read from its slot; {!V.unset} when the
    field is missing or unset, or [v] is not a struct of [f]'s unit. *)
@@ -117,21 +95,7 @@ let render_rr t rr =
       String.concat " " (txt_strings (sbytes f.rdata_txt rr))
   | _ -> Printf.sprintf "<rd:%d bytes>" (sint f.rdlength rr)
 
-type parsed =
-  | Request of Events.dns_request
-  | Reply of Events.dns_reply
-  | Not_dns
-
-(** Parse one UDP payload slice in place (zero-copy for frozen views). *)
-let rec parse_view (t : t) (v : Hilti_types.Hbytes.view) : parsed =
-  match Runtime.parse_view t.parser ~unit_name:"Message" v with
-  | st ->
-      (* Struct-to-event-argument conversion is HILTI-to-Bro glue. *)
-      Hilti_rt.Profiler.time_exclusive Mini_bro.Bro_val.glue_profiler (fun () ->
-          convert t st)
-  | exception Runtime.Parse_failed _ -> Not_dns
-
-and convert t st =
+let convert t st =
   let f = t.fields in
   let id = sint f.id st in
   let flags = sint f.flags st in
@@ -154,6 +118,43 @@ and convert t st =
         query = (match q with Some q -> sbytes f.qname q | None -> "");
         qtype = (match q with Some q -> sint f.qtype q | None -> 0);
       }
+
+let load ?(specialize = true) () : t =
+  let parser = Runtime.load ~specialize (Grammars.parse_dns ()) in
+  let field unit =
+    match Hilti_vm.Host_api.struct_layout parser.Runtime.api ("DNS::" ^ unit) with
+    | Some layout -> fun name -> { layout; slot = V.field_index layout name }
+    | None -> invalid_arg ("Dns_pac.load: the DNS grammar has no unit " ^ unit)
+  in
+  let m = field "Message" and q = field "Question" and rr = field "RR" in
+  let fields =
+    {
+      id = m "id";
+      flags = m "flags";
+      questions = m "questions";
+      answers = m "answers";
+      qname = q "qname";
+      qtype = q "qtype";
+      rtype = rr "rtype";
+      ttl = rr "ttl";
+      rdlength = rr "rdlength";
+      rdata_a = rr "rdata_a";
+      rdata_name = rr "rdata_name";
+      rdata_mx_pref = rr "rdata_mx_pref";
+      rdata_mx_name = rr "rdata_mx_name";
+      rdata_txt = rr "rdata_txt";
+    }
+  in
+  let rec t = { parser; fields; buf = Buffer.create 16; glue = (fun st -> convert t st) } in
+  t
+
+(** Parse one UDP payload slice in place (zero-copy for frozen views). *)
+let parse_view (t : t) (v : Hilti_types.Hbytes.view) : parsed =
+  match Runtime.parse_view t.parser ~unit_name:"Message" v with
+  | st ->
+      (* Struct-to-event-argument conversion is HILTI-to-Bro glue. *)
+      Hilti_rt.Profiler.apply_exclusive Mini_bro.Bro_val.glue_profiler t.glue st
+  | exception Runtime.Parse_failed _ -> Not_dns
 
 (** Parse one UDP payload given as a string (fuzzer oracle, tests). *)
 let parse (t : t) (payload : string) : parsed =

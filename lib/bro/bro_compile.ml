@@ -51,7 +51,17 @@ type ctx = {
   (* static types for globals/params/locals where declared *)
   global_types : (string, btype) Hashtbl.t;
   func_results : (string, btype) Hashtbl.t;
+  formats : (string, int) Hashtbl.t;  (** literal [fmt] formats, by index *)
 }
+
+(* The index of the literal [fmt] format [f]; equal formats share one. *)
+let format_index ctx f =
+  match Hashtbl.find_opt ctx.formats f with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length ctx.formats in
+      Hashtbl.add ctx.formats f i;
+      i
 
 let fresh ctx prefix =
   ctx.label_counter <- ctx.label_counter + 1;
@@ -314,7 +324,14 @@ and compile_membership ctx b tenv k c =
 and compile_call ctx b tenv fn args : Instr.operand =
   let vals () = List.map (compile_expr ctx b tenv) args in
   match fn with
-  | "fmt" -> host_call b ~result:Htype.Bytes "Bro::fmt" (vals ())
+  | "fmt" -> (
+      (* The first argument is the index of the format's plan, which the
+         engine builds once at load; a computed format follows index -1. *)
+      match args with
+      | E_string f :: rest ->
+          host_call b ~result:Htype.Bytes "Bro::fmt"
+            (Builder.const_int (format_index ctx f) :: List.map (compile_expr ctx b tenv) rest)
+      | _ -> host_call b ~result:Htype.Bytes "Bro::fmt" (Builder.const_int (-1) :: vals ()))
   | "cat" -> host_call b ~result:Htype.Bytes "Bro::cat" (vals ())
   | "lower" | "to_lower" -> (
       match vals () with
@@ -532,8 +549,10 @@ let compile_body ctx name ~cc params result body =
         in
         Builder.instr b "throw" [ e ]
 
-(** Compile a script into a HILTI module. *)
-let compile (script : script) : Module_ir.t =
+(** Compile a script into a HILTI module.  Also returns the script's
+    literal [fmt] formats, in the order of the plan indices the module's
+    [Bro::fmt] calls carry. *)
+let compile (script : script) : Module_ir.t * string array =
   let m = Module_ir.create "BroScripts" in
   let ctx =
     {
@@ -543,6 +562,7 @@ let compile (script : script) : Module_ir.t =
       anon_counter = 0;
       global_types = Hashtbl.create 16;
       func_results = Hashtbl.create 16;
+      formats = Hashtbl.create 8;
     }
   in
   (* Declare the engine's C-level API (the host-application functions the
@@ -633,4 +653,6 @@ let compile (script : script) : Module_ir.t =
           compile_body ctx (event_hook n) ~cc:Module_ir.Cc_hook params T_void body
       | _ -> ())
     script;
-  m
+  let formats = Array.make (Hashtbl.length ctx.formats) "" in
+  Hashtbl.iter (fun f i -> formats.(i) <- f) ctx.formats;
+  (m, formats)

@@ -267,23 +267,39 @@ let add_directive b seg v =
       | `D _ -> error "fmt: %%x on double")
   | F_lit _ | F_bad _ -> assert false
 
-let rec fmt_segs b segs i args =
+(* [add_directive] of a HILTI value, as of its {!Bro_val.of_hilti_raw}
+   form: [%s] and [%d] of an int render in place. *)
+let add_hilti_directive b seg (v : Hilti_vm.Value.t) =
+  match (seg, v) with
+  | F_s, v -> add_hilti b v
+  | F_d, Hilti_vm.Value.Int x -> Hilti_types.Digits.add_int64 b x
+  | seg, v -> add_directive b seg (of_hilti_raw v)
+
+(* Run [segs] over [args], each directive's argument appended by [add]. *)
+let rec fmt_segs add b segs i args =
   if i < Array.length segs then
     match segs.(i) with
     | F_lit s ->
         Buffer.add_string b s;
-        fmt_segs b segs (i + 1) args
+        fmt_segs add b segs (i + 1) args
     | F_bad c -> error "fmt: unsupported %%%c" c
     | seg -> (
         match args with
         | [] -> error "fmt: not enough arguments"
         | v :: rest ->
-            add_directive b seg v;
-            fmt_segs b segs (i + 1) rest)
+            add b seg v;
+            fmt_segs add b segs (i + 1) rest)
 
 let fmt_run b segs args =
   Buffer.clear b;
-  fmt_segs b segs 0 args;
+  fmt_segs add_directive b segs 0 args;
+  Buffer.contents b
+
+(** [fmt_run] over HILTI values, for the compiled engine: the same plan
+    renders the same text as over the values' Bro forms. *)
+let fmt_run_hilti b segs args =
+  Buffer.clear b;
+  fmt_segs add_hilti_directive b segs 0 args;
   Buffer.contents b
 
 (** The builtins by script name: the interpreter resolves calls through

@@ -23,9 +23,9 @@ let create () = { streams = Hashtbl.create 8; enabled = true; row = Buffer.creat
 let set_enabled t flag = t.enabled <- flag
 
 let stream t name =
-  match Hashtbl.find_opt t.streams name with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.streams name with
+  | s -> s
+  | exception Not_found ->
       let s = { name; columns = [||]; rows = []; count = 0 } in
       Hashtbl.add t.streams name s;
       s
@@ -51,10 +51,15 @@ let column s name =
 
 let needs_escape c = c = '\t' || c = '\n'
 
+(* Does [s] hold a separator at or after [i]?  No closure: every string
+   field of every row is scanned. *)
+let rec has_separator s i =
+  i < String.length s && (needs_escape (String.unsafe_get s i) || has_separator s (i + 1))
+
 (** Append one field, TSV-escaping embedded separators as Bro does; the
     value is copied only when it contains one. *)
 let add_field b s =
-  if String.exists needs_escape s then
+  if has_separator s 0 then
     Buffer.add_string b (String.map (fun c -> if needs_escape c then ' ' else c) s)
   else Buffer.add_string b s
 

@@ -310,20 +310,25 @@ module Hval = Hilti_vm.Value
 
 exception Misfit
 
-(* A struct of [layout] holding [r]'s fields: the value for slot [i]
-   converted by [conv i], a [Vvoid] left unset.  Each field's slot is
-   found by name once; a field [layout] lacks raises [Misfit].  Walking the
-   fields last to first lets the first of duplicate names win, as in
-   {!record_index}. *)
-let hilti_struct layout conv r =
+(* The slot in [layout] of each of [names], -1 for a field it lacks. *)
+let slot_map layout names = Array.map (Hval.field_index layout) names
+
+(* A struct of [layout] holding [r]'s fields: field [j] goes to slot
+   [slots.(j)] ({!slot_map} of [r.rnames]), its value converted by
+   [conv slot], a [Vvoid] left unset.  A field [layout] lacks raises
+   [Misfit].  Walking the fields last to first lets the first of duplicate
+   names win, as in {!record_index}. *)
+let hilti_struct_at layout slots conv r =
   let s = Hval.new_struct layout in
-  let names = r.rnames and vals = r.rvals in
-  for j = Array.length names - 1 downto 0 do
-    let i = Hval.field_index layout (Array.unsafe_get names j) in
+  let vals = r.rvals in
+  for j = Array.length slots - 1 downto 0 do
+    let i = Array.unsafe_get slots j in
     if i < 0 then raise_notrace Misfit;
     s.Hval.slots.(i) <- (match Array.unsafe_get vals j with Vvoid -> Hval.unset | v -> conv i v)
   done;
   Hval.Struct s
+
+let hilti_struct layout conv r = hilti_struct_at layout (slot_map layout r.rnames) conv r
 
 (* A struct of [r]'s own layout: its sorted field names, which only the
    host can read. *)
@@ -394,7 +399,10 @@ let rec to_hilti_raw ~layout_of (v : t) : Hval.t =
     other type, and every value whose shape differs from [ty] — a record
     of another type, or one carrying a field the layout lacks — takes the
     [T_any] converter {!to_hilti_raw}, so every converter agrees with it
-    on every input. *)
+    on every input.  A record converter keeps the slot map of the last
+    [rnames] array it saw: records built at one site share that array
+    ({!Events.connection_val} a static one), so a conversion usually finds
+    its slots with one physical-equality test. *)
 let converter ~layout_of ~record_fields (ty : Bro_ast.btype) : t -> Hval.t =
   let any v = to_hilti_raw ~layout_of v in
   let records = Hashtbl.create 8 in
@@ -411,9 +419,21 @@ let converter ~layout_of ~record_fields (ty : Bro_ast.btype) : t -> Hval.t =
                record type reaching itself resolves. *)
             let convs = Array.make (Array.length layout.Hval.lfields) any in
             let slot_conv i x = (Array.unsafe_get convs i) x in
+            (* One immutable pair, so a reader never sees the names of one
+               array with the slots of another. *)
+            let last = ref ([||], [||]) in
+            let slots_of names =
+              let seen, slots = !last in
+              if names == seen then slots
+              else
+                let slots = slot_map layout names in
+                last := (names, slots);
+                slots
+            in
             let c = function
               | Vrecord r as v when String.equal r.rtype n -> (
-                  try hilti_struct layout slot_conv r with Misfit -> any v)
+                  try hilti_struct_at layout (slots_of r.rnames) slot_conv r
+                  with Misfit -> any v)
               | v -> any v
             in
             Hashtbl.replace records n c;
@@ -471,6 +491,30 @@ let rec of_hilti_raw (v : Hilti_vm.Value.t) : t =
           }
   | V.Null -> Vvoid
   | other -> error "cannot convert HILTI value %s" (V.to_string other)
+
+(* ---- Rendering HILTI values ------------------------------------------------------ *)
+
+(** Append [v] as {!add_rendered} appends its {!of_hilti_raw} form: the
+    scalars compiled code passes most render in place, other values go
+    through their Bro form.  The one renderer of HILTI values that
+    [print], [fmt]'s [%s], [cat], [join] and log fields share. *)
+let add_hilti b (v : Hval.t) =
+  match v with
+  | Hval.Int i -> Digits.add_int64 b i
+  | Hval.Bytes x -> Hbytes.add_to_buffer b x
+  | Hval.Addr a -> Addr.add_to_buffer b a
+  | Hval.Port p -> Port.add_to_buffer b p
+  | Hval.Time t -> Time_ns.add_to_buffer b t
+  | Hval.Bool x -> Buffer.add_char b (if x then 'T' else 'F')
+  | v -> add_rendered b (of_hilti_raw v)
+
+(** Append [v] as a log field, as {!add_log_field} appends its
+    {!of_hilti_raw} form. *)
+let add_hilti_log_field b (v : Hval.t) =
+  match v with
+  | Hval.Bytes x -> Bro_log.add_field b (Hbytes.to_string x)
+  | Hval.Int _ | Hval.Addr _ | Hval.Port _ | Hval.Time _ | Hval.Bool _ -> add_hilti b v
+  | v -> add_log_field b (of_hilti_raw v)
 
 (* ---- Iteration order ------------------------------------------------------------ *)
 

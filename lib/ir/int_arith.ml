@@ -21,6 +21,12 @@ let width_of_type : Htype.t option -> int = function
   | Some (Htype.Int w) | Some (Htype.Ref (Htype.Int w)) -> w
   | _ -> 64
 
+(** The width an [assign] into a variable of static type [t] wraps at: a
+    narrow [int<N>]'s N. *)
+let store_width : Htype.t option -> int option = function
+  | (Some (Htype.Int w) | Some (Htype.Ref (Htype.Int w))) when w < 64 -> Some w
+  | _ -> None
+
 (** Sign-extended wrap-around at [width]. *)
 let wrap width v =
   if width >= 64 then v

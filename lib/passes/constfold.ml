@@ -68,7 +68,10 @@ let fold_block ~local_type (b : block) : int =
   let changes = ref 0 in
   let known : (string, Constant.t) Hashtbl.t = Hashtbl.create 16 in
   (* A propagated int keeps the local's declared width, which is the width
-     lowering gives an instruction whose first operand is that local. *)
+     lowering gives an instruction whose first operand is that local.  Its
+     value is what the local's register holds: an [assign] wraps at a
+     narrow local's width, an instruction's result does not. *)
+  let width n = Int_arith.width_of_type (local_type n) in
   let subst (op : Instr.operand) =
     match op with
     | Instr.Local n -> (
@@ -77,7 +80,7 @@ let fold_block ~local_type (b : block) : int =
             incr changes;
             Instr.Const
               (match c with
-              | Constant.Int (v, _) -> Constant.Int (v, Int_arith.width_of_type (local_type n))
+              | Constant.Int (v, _) -> Constant.Int (v, width n)
               | c -> c)
         | None -> op)
     | _ -> op
@@ -99,7 +102,10 @@ let fold_block ~local_type (b : block) : int =
         | "assign" -> (
             match (i.Instr.target, operands) with
             | Some t, [ Instr.Const c ] when is_local t ->
-                Hashtbl.replace known t c;
+                Hashtbl.replace known t
+                  (match c with
+                  | Constant.Int (v, w) -> Constant.Int (Int_arith.wrap (width t) v, w)
+                  | c -> c);
                 i
             | _ -> i)
         | "if.else" -> (
@@ -117,11 +123,17 @@ let fold_block ~local_type (b : block) : int =
                   operands
               in
               if List.length consts = List.length operands then
+                let t = Option.get i.Instr.target in
                 match eval i consts with
                 | Some c ->
-                    incr changes;
-                    Hashtbl.replace known (Option.get i.Instr.target) c;
-                    Instr.make ?target:i.Instr.target "assign" [ Instr.Const c ]
+                    Hashtbl.replace known t c;
+                    (* Stored by an [assign], a result too wide for a narrow
+                       local would wrap. *)
+                    (match c with
+                    | Constant.Int (v, _) when Int_arith.wrap (width t) v <> v -> i
+                    | c ->
+                        incr changes;
+                        Instr.make ?target:i.Instr.target "assign" [ Instr.Const c ])
                 | None -> i
               else i
             end

@@ -29,7 +29,9 @@ let rec mentions name (op : Instr.operand) =
   | Instr.Tuple_op ops -> List.exists (mentions name) ops
   | _ -> false
 
-let cse_block (b : block) : int =
+(* [narrow t]: [t] is a narrow [int<N>] local, which an [assign] would
+   wrap, so an instruction storing into it is never replaced by one. *)
+let cse_block ~narrow (b : block) : int =
   let changes = ref 0 in
   (* available: expression key -> local holding its value *)
   let available : (string, string) Hashtbl.t = Hashtbl.create 16 in
@@ -79,7 +81,7 @@ let cse_block (b : block) : int =
         then begin
           let key = instr_key i in
           match Hashtbl.find_opt available key with
-          | Some holder when Some holder <> i.Instr.target ->
+          | Some holder when Some holder <> i.Instr.target && not (narrow (Option.get i.Instr.target)) ->
               incr changes;
               Instr.make ?target:i.Instr.target "assign" [ Instr.Local holder ]
           | _ ->
@@ -99,5 +101,6 @@ let cse_block (b : block) : int =
 let run (m : t) : int =
   List.fold_left
     (fun acc (f : func) ->
-      List.fold_left (fun acc b -> acc + cse_block b) acc f.blocks)
+      let narrow n = Int_arith.store_width (List.assoc_opt n (f.params @ f.locals)) <> None in
+      List.fold_left (fun acc b -> acc + cse_block ~narrow b) acc f.blocks)
     0 (m.funcs @ m.hooks)

@@ -43,7 +43,7 @@ let bump c n = let r = M.shard c in r := !r + n
 let clock () = !(M.shard cycle_clock)
 
 (* A block running on this domain.  An exclusive window pauses it and
-   later resumes it from fresh start readings. *)
+   later resumes it at the window's own readings. *)
 type frame = { p : t; mutable t0 : int; mutable c0 : int }
 
 (* The running blocks, innermost first.  Per domain: exclusive windows on
@@ -52,26 +52,37 @@ let running_key : frame list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> 
 
 let running () = Domain.DLS.get running_key
 
-let resume f =
-  f.t0 <- Hilti_obs.Clock.now_ns ();
-  f.c0 <- clock ()
+(* Charge [f] up to the readings [t] (wall) and [c] (cycles). *)
+let pause_at f t c =
+  bump f.p.wall (t - f.t0);
+  bump f.p.cyc (c - f.c0)
 
-let pause f =
-  bump f.p.wall (Hilti_obs.Clock.now_ns () - f.t0);
-  bump f.p.cyc (clock () - f.c0)
+let rec pause_all t c = function
+  | [] -> ()
+  | f :: rest ->
+      pause_at f t c;
+      pause_all t c rest
+
+let rec resume_all t c = function
+  | [] -> ()
+  | f :: rest ->
+      f.t0 <- t;
+      f.c0 <- c;
+      resume_all t c rest
 
 let enter p =
   bump p.calls 1;
-  let f = { p; t0 = 0; c0 = 0 } in
-  resume f;
+  let f = { p; t0 = Hilti_obs.Clock.now_ns (); c0 = clock () } in
   let r = running () in
   r := f :: !r;
   f
 
 let leave f =
-  pause f;
+  pause_at f (Hilti_obs.Clock.now_ns ()) (clock ());
   let r = running () in
-  r := List.filter (fun g -> g != f) !r
+  match !r with
+  | g :: rest when g == f -> r := rest
+  | l -> r := List.filter (fun g -> g != f) l
 
 let start p = ignore (enter p)
 
@@ -81,22 +92,47 @@ let stop p = Option.iter leave (List.find_opt (fun f -> f.p.name = p.name) !(run
 (** Time a function under profiler [p]. *)
 let time p f =
   let fr = enter p in
-  Fun.protect ~finally:(fun () -> leave fr) f
+  match f () with
+  | r ->
+      leave fr;
+      r
+  | exception e ->
+      leave fr;
+      raise e
+
+(* End exclusive window [fr]: one reading charges it and resumes the
+   blocks it paused. *)
+let close_window running saved fr =
+  let t = Hilti_obs.Clock.now_ns () and c = clock () in
+  pause_at fr t c;
+  running := saved;
+  resume_all t c saved
 
 (** Time a function under [p] while {e pausing} every profiler that is
     currently running: components measured this way are mutually
     exclusive, so they can be summed into a breakdown (the Figure 9/10
-    accounting). *)
-let time_exclusive p f =
+    accounting).  The window reads the clocks twice: its opening reading
+    pauses the running blocks, and its closing reading resumes them, so
+    what it charges is exactly what they miss.  It allocates its frame
+    only.  [apply_exclusive p f x] times [f x] the same way, so a caller
+    that keeps [f] allocates no closure per window. *)
+let apply_exclusive p f x =
   let running = running () in
   let saved = !running in
-  List.iter pause saved;
-  let fr = enter p in
+  let t0 = Hilti_obs.Clock.now_ns () and c0 = clock () in
+  pause_all t0 c0 saved;
+  bump p.calls 1;
+  let fr = { p; t0; c0 } in
   running := [ fr ];
-  Fun.protect f ~finally:(fun () ->
-      pause fr;
-      running := saved;
-      List.iter resume saved)
+  match f x with
+  | r ->
+      close_window running saved fr;
+      r
+  | exception e ->
+      close_window running saved fr;
+      raise e
+
+let time_exclusive p f = apply_exclusive p f ()
 
 (** Snapshot history bound: only the newest [max_snapshots] per profiler
     are retained, so periodic snapshotting on a streaming workload uses

@@ -19,12 +19,13 @@
 
 type job = { fn : unit -> unit; label : string }
 
-type vthread = { queue : job Queue.t; timers : Timer_mgr.t }
+type vthread = { id : int64; queue : job Queue.t; timers : Timer_mgr.t }
 
 type stats = { vthreads : int; total_jobs : int }
 
 type t = {
   threads : (int64, vthread) Hashtbl.t;
+  mutable live : vthread array;  (** every virtual thread, in id order *)
   mutable total_jobs : int;
   mutable running : bool;
   command_queue : job Queue.t;
@@ -36,6 +37,7 @@ type t = {
 let create () =
   {
     threads = Hashtbl.create 64;
+    live = [||];
     total_jobs = 0;
     running = false;
     command_queue = Queue.create ();
@@ -46,8 +48,11 @@ let vthread t id =
   match Hashtbl.find_opt t.threads id with
   | Some vt -> vt
   | None ->
-      let vt = { queue = Queue.create (); timers = Timer_mgr.create () } in
+      let vt = { id; queue = Queue.create (); timers = Timer_mgr.create () } in
       Hashtbl.add t.threads id vt;
+      let live = Array.append t.live [| vt |] in
+      Array.stable_sort (fun a b -> Int64.compare a.id b.id) live;
+      t.live <- live;
       vt
 
 (** Schedule [fn] for asynchronous execution on virtual thread [id]
@@ -70,7 +75,7 @@ let commands_pending t =
   Mutex.protect t.cmd_lock (fun () -> Queue.length t.command_queue)
 
 let pending t =
-  Hashtbl.fold (fun _ vt acc -> acc + Queue.length vt.queue) t.threads 0
+  Array.fold_left (fun acc vt -> acc + Queue.length vt.queue) 0 t.live
   + commands_pending t
 
 (** Pop-and-run every queued command.  Commands run outside the lock (they
@@ -108,23 +113,21 @@ let run t =
       while !progressed do
         progressed := false;
         drain_commands t;
-        (* Deterministic round-robin: visit threads in id order. *)
-        let ids =
-          List.sort Int64.compare
-            (Hashtbl.fold (fun id _ acc -> id :: acc) t.threads [])
-        in
-        List.iter
-          (fun id ->
-            let vt = Hashtbl.find t.threads id in
-            if run_one_job vt then progressed := true)
-          ids
+        (* Deterministic round-robin: visit threads in id order.  A
+           thread created by a job joins in the next round. *)
+        Array.iter (fun vt -> if run_one_job vt then progressed := true) t.live
       done;
       drain_commands t)
 
 (** Advance every virtual thread's timer manager to [time] (global time
-    advance broadcast). *)
+    advance broadcast), in thread-id order: due timers fire thread by
+    thread, and by deadline within a thread.  A thread created by a firing
+    timer is advanced from the next call on. *)
 let advance_time t time =
-  Hashtbl.iter (fun _ vt -> ignore (Timer_mgr.advance vt.timers time)) t.threads
+  let live = t.live in
+  for i = 0 to Array.length live - 1 do
+    ignore (Timer_mgr.advance (Array.unsafe_get live i).timers time)
+  done
 
 let stats t = { vthreads = Hashtbl.length t.threads; total_jobs = t.total_jobs }
 

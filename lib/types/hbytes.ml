@@ -36,19 +36,24 @@ type t = {
       (* memo generation: bumped on every mutation of the window (append,
          trim).  Views capture it at creation and refuse to read once it
          moved on — stale data can never leak through a slice. *)
-  mutable cached : string option;
-      (* memoized [to_string] of the current window; invalidated whenever
-         the window changes (append, trim).  Token matching and equality
-         call [to_string] on the same frozen payload repeatedly, so this
-         turns the per-call copy into a single one. *)
+  mutable cached : string;
+      (* memoized [to_string] of the current window, or [no_cache];
+         invalidated whenever the window changes (append, trim).  Token
+         matching and equality call [to_string] on the same frozen payload
+         repeatedly, so this turns the per-call copy into a single one. *)
 }
+
+(* The [cached] of an object with no memoized string.  A memo is valid
+   exactly when its length is the window's: every change to the window
+   resets it to this, and for an empty window it is the answer itself. *)
+let no_cache = ""
 
 type iter = { bytes : t; pos : int }
 (** Iterators are immutable values holding an absolute stream offset. *)
 
 let create () =
   { buf = Bytes.create 64; off = 0; base = 0; len = 0; frozen = false; gen = 0;
-    cached = None }
+    cached = no_cache }
 
 let of_string s =
   {
@@ -58,7 +63,7 @@ let of_string s =
     len = String.length s;
     frozen = false;
     gen = 0;
-    cached = Some s;
+    cached = s;
   }
 
 (** Wrap [s] as an already-frozen bytes object {e without copying}: the
@@ -76,13 +81,16 @@ let frozen_of_string s =
     len = String.length s;
     frozen = true;
     gen = 0;
-    cached = Some s;
+    cached = s;
   }
 
 let length t = t.len
 
 (** Copy the retained window into [dst] at [pos]. *)
 let blit_to_bytes t dst pos = Bytes.blit t.buf t.off dst pos t.len
+
+(** Append the retained window to [b], without an intermediate string. *)
+let add_to_buffer b t = Buffer.add_subbytes b t.buf t.off t.len
 
 let start_offset t = t.base
 let end_offset t = t.base + t.len
@@ -111,7 +119,7 @@ let append t s =
   Bytes.blit_string s 0 t.buf (t.off + t.len) n;
   t.len <- t.len + n;
   if n > 0 then begin
-    t.cached <- None;
+    t.cached <- no_cache;
     t.gen <- t.gen + 1
   end
 
@@ -134,7 +142,7 @@ let trim t (it : iter) =
     t.base <- upto;
     t.len <- t.len - drop;
     if drop > 0 then begin
-      t.cached <- None;
+      t.cached <- no_cache;
       t.gen <- t.gen + 1;
       !on_trim drop
     end
@@ -186,16 +194,14 @@ let iter_equal (a : iter) (b : iter) = a.bytes == b.bytes && a.pos = b.pos
     invalidates the cache), so the backing bytes can never change under
     the returned string. *)
 let to_string t =
-  match t.cached with
-  | Some s -> s
-  | None ->
-      let s =
-        if t.frozen && t.off = 0 && t.len = Bytes.length t.buf then
-          Bytes.unsafe_to_string t.buf
-        else Bytes.sub_string t.buf t.off t.len
-      in
-      t.cached <- Some s;
-      s
+  if String.length t.cached = t.len then t.cached
+  else
+    let s =
+      if t.frozen && t.off = 0 && t.len = Bytes.length t.buf then Bytes.unsafe_to_string t.buf
+      else Bytes.sub_string t.buf t.off t.len
+    in
+    t.cached <- s;
+    s
 
 (** Extract the bytes in [\[a, b)] as a string.  Both iterators must point
     into retained, available data.  A whole-window extraction reuses the
@@ -445,7 +451,7 @@ let of_view (v : view) : t =
   check_view v;
   if v.vt.frozen then
     { buf = v.vt.buf; off = v.vphys; base = 0; len = v.vlen; frozen = true;
-      gen = 0; cached = None }
+      gen = 0; cached = no_cache }
   else of_string (view_sub_string v 0 v.vlen)
 
 (** Zero-copy view over [len] bytes of [s] starting at [off]: wraps [s]

@@ -73,8 +73,15 @@ let call t name args = call_func t (func t name) args
     HILTI code must use it (see {!Value.new_struct}). *)
 let struct_layout t name = Hashtbl.find_opt t.ctx.Vm.program.Bytecode.layouts name
 
-(** Run a hook by name. *)
-let run_hook t name args = Vm.run_hook t.ctx name args
+(** A hook resolved once, for hosts that run it per event: its bodies in
+    priority order (none if the program has no body for it). *)
+type hook = Hook of int array [@@unboxed]
+
+(** Resolve hook [name]. *)
+let hook t name = Hook (Vm.hook_bodies t.ctx name)
+
+(** Run a resolved hook. *)
+let run_hook t (Hook bodies) args = Vm.run_hook t.ctx bodies args
 
 (** Abstract-cycle counter (the PAPI stand-in). *)
 let cycles t = Vm.instr_count t.ctx
@@ -93,10 +100,11 @@ type parse_run = {
   mutable outcome : Value.t Hilti_rt.Fiber.outcome option;
 }
 
-(** Start [name] inside a fresh fiber.  The call runs until it returns,
-    fails, or suspends waiting for input (any blocking operation). *)
-let call_fiber t name args : parse_run =
-  let fiber = Hilti_rt.Fiber.create (fun () -> Vm.call t.ctx name args) in
+(** Start resolved function [f] inside a fresh fiber.  The call runs
+    until it returns, fails, or suspends waiting for input (any blocking
+    operation). *)
+let call_fiber t f args : parse_run =
+  let fiber = Hilti_rt.Fiber.create (fun () -> call_func t f args) in
   let run = { fiber; outcome = None } in
   run.outcome <- Some (Hilti_rt.Fiber.resume fiber);
   run

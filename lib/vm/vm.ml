@@ -1651,14 +1651,19 @@ and run_frame ctx (f : Bytecode.func) pool (frame : frame) : Value.t =
   | None -> ());
   !result
 
-(** Run hook [name] from the host ([hook.run] in bytecode carries the body
-    indices instead). *)
-and run_hook ctx name args =
-  match Hashtbl.find_opt ctx.program.hooks name with
-  | None -> ()
-  | Some bodies -> (
-      try Array.iter (fun idx -> ignore (exec_func ctx idx args)) bodies
-      with Value.Hilti_error e when e.Value.ename = "Hilti::HookStop" -> ())
+(** The body indices of hook [name], in priority order; none if the
+    program has no body for it. *)
+and hook_bodies ctx name =
+  match Hashtbl.find_opt ctx.program.hooks name with Some bodies -> bodies | None -> [||]
+
+(** Run the hook whose [bodies] {!hook_bodies} resolved, from the host
+    ([hook.run] in bytecode carries the same indices). *)
+and run_hook ctx bodies args =
+  try
+    for i = 0 to Array.length bodies - 1 do
+      ignore (exec_func ctx (Array.unsafe_get bodies i) args)
+    done
+  with Value.Hilti_error e when e.Value.ename = "Hilti::HookStop" -> ()
 
 (** Schedule bytecode function [callee] on virtual thread [tid]
     ([thread.schedule]).  The caller must have deep-copied [args] already.

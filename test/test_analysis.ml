@@ -503,7 +503,7 @@ let test_verifier_accepts_all_bundled_programs () =
       Alcotest.(check (list string)) (name ^ " verifies") [] r.Verify.errors)
     [ ("binpac:http", [ Binpacxx.Codegen.compile (Binpacxx.Grammars.parse_http ()) ]);
       ("bro:scan",
-       [ Mini_bro.Bro_compile.compile (Mini_bro.Bro_parse.parse Mini_bro.Bro_scripts.scan) ]) ]
+       [ fst (Mini_bro.Bro_compile.compile (Mini_bro.Bro_parse.parse Mini_bro.Bro_scripts.scan)) ]) ]
 
 (* ---- Verified dispatch -------------------------------------------------- *)
 

@@ -215,6 +215,99 @@ event go() {
      3, 3.000000, ff\n1-22-333\n42\n1.58.8.8.8\n"
     out
 
+(* ---- Both engines format alike (QCheck) ------------------------------------- *)
+
+(* One random [fmt], [cat], [join] or [print] over event arguments of
+   every scalar type and vectors of them, run under both engines: the
+   printed lines are equal, or both engines raise.  Formats mix literal
+   text with [%s %d %f %x], an unsupported directive and more directives
+   than arguments; doubles, intervals and vectors render through the
+   compiled engine's [of_hilti_raw] fallback. *)
+module G = QCheck.Gen
+
+let scalar_gens =
+  let open Hilti_types in
+  [ ("count", G.map (fun n -> Bro_val.Vcount (Int64.of_int n)) (G.oneof [ G.int_range 0 70000; G.return max_int ]));
+    ("int", G.map (fun n -> Bro_val.Vint (Int64.of_int n)) (G.int_range (-1000) 1000));
+    ("double", G.map (fun d -> Bro_val.Vdouble d) (G.oneofl [ 0.5; -2.25; 3.0; 1e10; 0.1 ]));
+    ("bool", G.map (fun b -> Bro_val.Vbool b) G.bool);
+    ("string", G.map (fun s -> Bro_val.Vstring s) (G.oneofl [ ""; "a"; "x\ty"; "dns.example.com" ]));
+    ( "addr",
+      G.map (fun a -> Bro_val.Vaddr (Addr.of_string a))
+        (G.oneofl [ "10.1.2.3"; "192.168.100.200"; "2001:db8::1"; "::" ]) );
+    ( "port",
+      G.map (fun p -> Bro_val.Vport p) (G.oneofl [ Port.tcp 80; Port.udp 53; Port.tcp 0 ]) );
+    ( "time",
+      G.map (fun ns -> Bro_val.Vtime (Time_ns.of_ns ns))
+        (G.oneofl [ 0L; 1_400_000_123_456_789L; 1_000_000_000L ]) );
+    ( "interval",
+      G.map (fun ns -> Bro_val.Vinterval (Interval_ns.of_ns ns)) (G.oneofl [ 0L; 1_500_000_000L; 60_000_000_000L ]) ) ]
+
+(* A declared parameter type and a value of it. *)
+let gen_arg =
+  let scalar = G.oneofl scalar_gens in
+  G.oneof
+    [ G.(scalar >>= fun (ty, g) -> map (fun v -> (ty, v)) g);
+      G.(scalar >>= fun (ty, g) ->
+         map (fun vs -> ("vector of " ^ ty, Bro_val.Vvector (Hilti_vm.Deque.of_list vs))) (list_size (0 -- 3) g)) ]
+
+let gen_format =
+  let piece = G.oneofl [ "%s"; "%d"; "%f"; "%x"; "%q"; "%%"; "-"; "ab"; " "; ":" ] in
+  G.map (String.concat "") (G.list_size (G.int_range 0 5) piece)
+
+type call = Fmt_literal of string | Fmt_var of string | Cat | Join | Print
+
+let gen_case =
+  G.(
+    triple
+      (oneof
+         [ map (fun f -> Fmt_literal f) gen_format; map (fun f -> Fmt_var f) gen_format;
+           return Cat; return Join; return Print ])
+      (list_size (0 -- 4) gen_arg)
+      (oneofl [ ","; ", "; "" ]))
+
+let case_script (call, args, sep) =
+  let names = List.mapi (fun i _ -> Printf.sprintf "a%d" i) args in
+  let params = List.map2 (fun n (ty, _) -> n ^ ": " ^ ty) names args in
+  let arglist = String.concat ", " names in
+  let with_args first = String.concat ", " (first :: names) in
+  let body =
+    match call with
+    | Fmt_literal f -> Printf.sprintf "print fmt(%s);" (with_args ("\"" ^ f ^ "\""))
+    | Fmt_var _ -> Printf.sprintf "print fmt(%s);" (with_args "f")
+    | Cat -> Printf.sprintf "print cat(%s);" arglist
+    | Join ->
+        Printf.sprintf "print join(%s, \"%s\");"
+          (match names with n :: _ -> n | [] -> "vector()") sep
+    | Print -> if names = [] then "print \"\";" else Printf.sprintf "print %s;" arglist
+  in
+  Printf.sprintf "event go(%s) {\n    %s\n}\n" (String.concat ", " ("f: string" :: params)) body
+
+let print_case ((call, args, _) as c) =
+  let fmt = match call with Fmt_literal f | Fmt_var f -> f | _ -> "" in
+  Printf.sprintf "%s\nf = %S; args = %s" (case_script c) fmt
+    (String.concat ", " (List.map (fun (_, v) -> Bro_val.to_string v) args))
+
+let prop_engines_format_alike =
+  QCheck.Test.make ~count:300 ~name:"fmt/cat/join/print: both engines print alike or both raise"
+    (QCheck.make ~print:print_case gen_case)
+    (fun ((call, args, _) as c) ->
+      let script = Bro_parse.parse (case_script c) in
+      let fmt = match call with Fmt_var f -> f | _ -> "unused" in
+      let run mode =
+        let engine = Bro_engine.load mode script in
+        let out = Buffer.create 64 in
+        Bro_engine.set_print_sink engine (fun s -> Buffer.add_string out (s ^ "\n"));
+        match Bro_engine.dispatch engine "go" (Bro_val.Vstring fmt :: List.map snd args) with
+        | () -> Ok (Buffer.contents out)
+        | exception Bro_val.Bro_error _ -> Error ()
+      in
+      match (run Bro_engine.Interpreted, run Bro_engine.Compiled) with
+      | Ok i, Ok c -> i = c || QCheck.Test.fail_reportf "interpreted %S, compiled %S" i c
+      | Error (), Error () -> true
+      | Ok i, Error () -> QCheck.Test.fail_reportf "only the compiled engine raised (interpreted %S)" i
+      | Error (), Ok c -> QCheck.Test.fail_reportf "only the interpreter raised (compiled %S)" c)
+
 (* The interpreter alone, for behaviour the compiled engine does not
    share (it rejects the script at load). *)
 let run_interp ?(events = []) src =
@@ -535,6 +628,7 @@ let suite =
     Alcotest.test_case "for order: record keys (interpreter)" `Quick test_for_record_keys;
     Alcotest.test_case "queued events" `Quick test_queued_events;
     Alcotest.test_case "builtins" `Quick test_builtins;
+    QCheck_alcotest.to_alcotest prop_engines_format_alike;
     Alcotest.test_case "parse error positions" `Quick test_parse_error_position;
     Alcotest.test_case "vector indexing (interpreter)" `Quick test_vector_index;
     Alcotest.test_case "scope: branch local not visible after" `Quick

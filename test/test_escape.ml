@@ -446,15 +446,15 @@ let test_frames_suspend_overlap () =
   let module H = Hilti_vm.Host_api in
   let api = H.compile ~optimize:false [ build_susp_module () ] in
   let drive x =
-    let run = H.call_fiber api "S::drive" [ Value.Int x ] in
+    let run = H.call_fiber api (H.func api "S::drive") [ Value.Int x ] in
     ignore (H.resume run);
     Value.as_int (H.result_exn run)
   in
   (* run1 parks inside S::slow holding its frames... *)
-  let run1 = H.call_fiber api "S::drive" [ Value.Int 3L ] in
+  let run1 = H.call_fiber api (H.func api "S::drive") [ Value.Int 3L ] in
   Alcotest.(check bool) "run1 parked" false (H.finished run1);
   (* ...while run2's overlapping activation runs in frames of its own. *)
-  let run2 = H.call_fiber api "S::drive" [ Value.Int 4L ] in
+  let run2 = H.call_fiber api (H.func api "S::drive") [ Value.Int 4L ] in
   Alcotest.(check bool) "run2 parked" false (H.finished run2);
   ignore (H.resume run1);
   ignore (H.resume run2);
@@ -474,7 +474,7 @@ let test_frames_suspend_overlap () =
     (Gc.minor_words () -. before) /. float_of_int n
   in
   let unparked = words_per_activation () in
-  let blocker = H.call_fiber api "S::drive" [ Value.Int 6L ] in
+  let blocker = H.call_fiber api (H.func api "S::drive") [ Value.Int 6L ] in
   let parked = words_per_activation () in
   ignore (H.resume blocker);
   Alcotest.(check int64) "blocker result" 36L (Value.as_int (H.result_exn blocker));
@@ -483,7 +483,7 @@ let test_frames_suspend_overlap () =
       unparked;
   (* A fiber dropped while parked never returns its frames; later
      activations build or recycle others and stay correct. *)
-  (let dropped = H.call_fiber api "S::drive" [ Value.Int 5L ] in
+  (let dropped = H.call_fiber api (H.func api "S::drive") [ Value.Int 5L ] in
    Alcotest.(check bool) "dropped run parked" false (H.finished dropped));
   for x = 1 to 20 do
     Alcotest.(check int64) "activation after a dropped fiber" (Int64.of_int (x * x))

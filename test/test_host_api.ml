@@ -72,7 +72,7 @@ let incremental_consumer_module () =
 let test_fiber_driven_stream () =
   let api = Host_api.compile [ incremental_consumer_module () ] in
   let data = Hilti_types.Hbytes.create () in
-  let run = Host_api.call_fiber api "T::consume" [ Value.Bytes data ] in
+  let run = Host_api.call_fiber api (Host_api.func api "T::consume") [ Value.Bytes data ] in
   Alcotest.(check bool) "waiting" false (Host_api.finished run);
   Hilti_types.Hbytes.append data "\x01\x02";
   ignore (Host_api.resume run);
@@ -133,8 +133,8 @@ let test_channel_across_fibers () =
   let api = Host_api.compile [ m ] in
   (* Capacity 2 forces the producer to block repeatedly. *)
   let ch = Value.Channel (Hilti_rt.Channel.create ~capacity:2 ()) in
-  let producer = Host_api.call_fiber api "T::produce" [ ch; Value.Int 10L ] in
-  let consumer = Host_api.call_fiber api "T::consume" [ ch; Value.Int 10L ] in
+  let producer = Host_api.call_fiber api (Host_api.func api "T::produce") [ ch; Value.Int 10L ] in
+  let consumer = Host_api.call_fiber api (Host_api.func api "T::consume") [ ch; Value.Int 10L ] in
   let rounds = ref 0 in
   while (not (Host_api.finished consumer)) && !rounds < 100 do
     incr rounds;

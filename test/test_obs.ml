@@ -555,6 +555,52 @@ let test_profiler_snapshot_cap () =
     (List.filteri (fun i _ -> i >= 300 - Profiler.max_snapshots) walls)
     (List.map fst snaps)
 
+(* Exclusive windows on the deterministic cycle clock: each block is
+   charged exactly the cycles run while it was innermost, so nested
+   windows add up to the total, also when a window raises. *)
+let test_profiler_windows_additive () =
+  Profiler.reset_all ();
+  let outer = Profiler.create "test_obs/win_outer"
+  and mid = Profiler.create "test_obs/win_mid"
+  and inner = Profiler.create "test_obs/win_inner" in
+  let tick n = Profiler.bump Profiler.cycle_clock n in
+  let c0 = Profiler.clock () in
+  Profiler.time outer (fun () ->
+      tick 3;
+      Profiler.time_exclusive mid (fun () ->
+          tick 5;
+          Profiler.time_exclusive inner (fun () -> tick 7);
+          tick 11);
+      tick 13);
+  let total = Int64.of_int (Profiler.clock () - c0) in
+  Alcotest.(check (list int64))
+    "outer, mid, inner" [ 16L; 16L; 7L ]
+    (List.map Profiler.cycles [ outer; mid; inner ]);
+  Alcotest.(check int64) "outer + mid + inner = total" total
+    (List.fold_left (fun a p -> Int64.add a (Profiler.cycles p)) 0L [ outer; mid; inner ]);
+  Alcotest.(check int) "nothing left running" 0 (List.length !(Profiler.running ()));
+  Profiler.reset_all ()
+
+let test_profiler_window_raises () =
+  Profiler.reset_all ();
+  let outer = Profiler.create "test_obs/raise_outer"
+  and inner = Profiler.create "test_obs/raise_inner" in
+  let tick n = Profiler.bump Profiler.cycle_clock n in
+  Profiler.time outer (fun () ->
+      tick 2;
+      (match Profiler.time_exclusive inner (fun () -> tick 4; failwith "boom") with
+      | () -> Alcotest.fail "the window did not raise"
+      | exception Failure _ -> ());
+      (match !(Profiler.running ()) with
+      | [ f ] -> Alcotest.(check string) "outer block restored" "test_obs/raise_outer" f.Profiler.p.Profiler.name
+      | l -> Alcotest.failf "%d blocks running after the window raised" (List.length l));
+      tick 8);
+  Alcotest.(check (list int64))
+    "outer charged before and after, inner until it raised" [ 10L; 4L ]
+    (List.map Profiler.cycles [ outer; inner ]);
+  Alcotest.(check int) "one call each" 2 (Profiler.invocations outer + Profiler.invocations inner);
+  Profiler.reset_all ()
+
 let suite =
   [
     Alcotest.test_case "counter sharding exact under domains" `Quick
@@ -586,4 +632,8 @@ let suite =
       test_profiler_scraped_when_disabled;
     Alcotest.test_case "profiler snapshot history capped" `Quick
       test_profiler_snapshot_cap;
+    Alcotest.test_case "profiler: nested exclusive windows add up" `Quick
+      test_profiler_windows_additive;
+    Alcotest.test_case "profiler: a raising window restores the outer block" `Quick
+      test_profiler_window_raises;
   ]

@@ -682,6 +682,30 @@ let test_scheduler_command_queue () =
   (* Commands are serialized ahead of per-thread work in each round. *)
   Alcotest.(check (list string)) "command first" [ "cmd"; "job" ] (List.rev !log)
 
+(* A time advance fires the due timers of every virtual thread, thread by
+   thread in id order and by deadline within a thread, whatever order the
+   threads were created in; a timer not yet due waits. *)
+let test_scheduler_timer_order () =
+  let s = Scheduler.create () in
+  let log = ref [] in
+  let at tid ns name =
+    Timer_mgr.schedule (Scheduler.timers_for s tid)
+      (Timer.create (fun () -> log := name :: !log))
+      (Hilti_types.Time_ns.of_ns ns)
+  in
+  at 7L 30L "7a";
+  at 7L 10L "7b";
+  at 2L 20L "2a";
+  at 40L 5L "40a";
+  at 40L 25L "40b";
+  at 2L 100L "2b";
+  Scheduler.advance_time s (Hilti_types.Time_ns.of_ns 50L);
+  Alcotest.(check (list string))
+    "due timers, by thread id then deadline" [ "2a"; "7b"; "7a"; "40a"; "40b" ] (List.rev !log);
+  log := [];
+  Scheduler.advance_time s (Hilti_types.Time_ns.of_ns 100L);
+  Alcotest.(check (list string)) "the late timer" [ "2b" ] !log
+
 (* ---- QCheck: Channel under real domains ------------------------------------- *)
 
 let channel_stress =
@@ -789,6 +813,8 @@ let suite =
     Alcotest.test_case "scheduler fifo" `Quick test_scheduler_fifo_per_thread;
     Alcotest.test_case "scheduler spawned jobs" `Quick test_scheduler_jobs_spawn_jobs;
     Alcotest.test_case "scheduler command queue" `Quick test_scheduler_command_queue;
+    Alcotest.test_case "scheduler fires due timers in thread-id order" `Quick
+      test_scheduler_timer_order;
     Alcotest.test_case "profiler exclusive accounting" `Quick test_profiler_exclusive;
     QCheck_alcotest.to_alcotest channel_stress;
     Alcotest.test_case "exp_map: re-inserted key does not inherit the old timer" `Quick

@@ -70,7 +70,7 @@ let test_fiber_yield () =
   let api = Host_api.compile [ m ] in
   let out = Buffer.create 16 in
   Host_api.set_output api (fun s -> Buffer.add_string out (s ^ ";"));
-  let run = Host_api.call_fiber api "Smoke::stepper" [] in
+  let run = Host_api.call_fiber api (Host_api.func api "Smoke::stepper") [] in
   Alcotest.(check bool) "suspended after yield" false (Host_api.finished run);
   Alcotest.(check string) "first half" "one;" (Buffer.contents out);
   ignore (Host_api.resume run);

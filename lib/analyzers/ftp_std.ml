@@ -96,12 +96,15 @@ let drain t =
   in
   go ()
 
-(** Feed reassembled stream data. *)
-let feed t chunk =
+(** Feed the reassembled stream slice [s.[off, off + len)]. *)
+let feed_sub t s off len =
   if t.failed = None then begin
-    Hbytes.append t.buf chunk;
+    Hbytes.append_sub t.buf s off len;
     drain t
   end
+
+(** Feed reassembled stream data. *)
+let feed t chunk = feed_sub t chunk 0 (String.length chunk)
 
 (** The stream is over; a partial line still buffered is a truncation. *)
 let eof t =

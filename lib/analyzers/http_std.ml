@@ -290,13 +290,16 @@ and drain t = if step t then drain t
 (* Drop consumed input so retention is bounded by the message in flight. *)
 let trim t = Hilti_types.Hbytes.trim t.buf (cursor t)
 
-(** Feed reassembled stream data. *)
-let feed t data =
+(** Feed the reassembled stream slice [s.[off, off + len)]. *)
+let feed_sub t s off len =
   if t.phase <> Failed then begin
-    Hilti_types.Hbytes.append t.buf data;
+    Hilti_types.Hbytes.append_sub t.buf s off len;
     drain t;
     trim t
   end
+
+(** Feed reassembled stream data. *)
+let feed t data = feed_sub t data 0 (String.length data)
 
 (** The stream is over (FIN/RST/trace end). *)
 let eof t =

@@ -168,12 +168,15 @@ let drain t =
     done
   with Bad msg -> t.failed <- Some msg
 
-(** Feed reassembled stream data. *)
-let feed t chunk =
+(** Feed the reassembled stream slice [s.[off, off + len)]. *)
+let feed_sub t s off len =
   if t.failed = None then begin
-    Hbytes.append t.data chunk;
+    Hbytes.append_sub t.data s off len;
     drain t
   end
+
+(** Feed reassembled stream data. *)
+let feed t chunk = feed_sub t chunk 0 (String.length chunk)
 
 (** The stream is over; a packet still in flight is a truncation error. *)
 let eof t =

@@ -182,16 +182,19 @@ let status s = status_of_run s.run
 let resume s =
   with_handler s.parser s.on_hook (fun () -> ignore (Host_api.resume s.run))
 
-(** Append network data and resume the suspended parser.  A session that
-    is already done or failed takes nothing more: the chunk is dropped and
-    the status returned unchanged. *)
-let feed s chunk : status =
+(** Append the network data [data.[off, off + len)] and resume the
+    suspended parser.  A session that is already done or failed takes
+    nothing more: the chunk is dropped and the status returned unchanged. *)
+let feed_sub s data off len : status =
   if Host_api.finished s.run then status s
   else begin
-    Hilti_types.Hbytes.append s.data chunk;
+    Hilti_types.Hbytes.append_sub s.data data off len;
     resume s;
     status s
   end
+
+(** {!feed_sub} over a whole chunk. *)
+let feed s chunk = feed_sub s chunk 0 (String.length chunk)
 
 (** Declare end-of-input and resume; the parser must now finish or fail.
     A finished session keeps its status. *)

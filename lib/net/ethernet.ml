@@ -14,17 +14,12 @@ let default_src = "\x02\x00\x00\x00\x00\x01"
 let default_dst = "\x02\x00\x00\x00\x00\x02"
 
 let decode frame =
-  Wire.need frame 0 header_len "ethernet";
+  Wire.need (String.length frame) 0 header_len "ethernet";
   {
     dst = String.sub frame 0 6;
     src = String.sub frame 6 6;
     ethertype = Wire.get_u16 frame 12;
   }
-
-(** Payload (everything after the 14-byte header). *)
-let payload frame =
-  Wire.need frame 0 header_len "ethernet";
-  String.sub frame header_len (String.length frame - header_len)
 
 let encode ?(dst = default_dst) ?(src = default_src) ~ethertype payload =
   if String.length dst <> 6 || String.length src <> 6 then

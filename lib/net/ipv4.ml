@@ -23,37 +23,46 @@ let proto_udp = 17
 
 exception Bad_header of string
 
-let decode s =
-  Wire.need s 0 min_header_len "ipv4";
-  let b0 = Wire.get_u8 s 0 in
+(** Decode the header at [off] of the packet in [s.[off, limit)]. *)
+let decode_at s off limit =
+  Wire.need limit off min_header_len "ipv4";
+  let b0 = Wire.get_u8 s off in
   let version = b0 lsr 4 and ihl = b0 land 0xf in
   if version <> 4 then raise (Bad_header "version");
   if ihl < 5 then raise (Bad_header "ihl");
-  Wire.need s 0 (ihl * 4) "ipv4 options";
-  let flags_frag = Wire.get_u16 s 6 in
+  Wire.need limit off (ihl * 4) "ipv4 options";
+  let flags_frag = Wire.get_u16 s (off + 6) in
   {
     version;
     ihl;
-    dscp = Wire.get_u8 s 1;
-    total_length = Wire.get_u16 s 2;
-    ident = Wire.get_u16 s 4;
+    dscp = Wire.get_u8 s (off + 1);
+    total_length = Wire.get_u16 s (off + 2);
+    ident = Wire.get_u16 s (off + 4);
     flags = flags_frag lsr 13;
     frag_offset = flags_frag land 0x1fff;
-    ttl = Wire.get_u8 s 8;
-    protocol = Wire.get_u8 s 9;
-    checksum_field = Wire.get_u16 s 10;
-    src = Addr.of_ipv4_int32 (Int32.of_int (Wire.get_u32 s 12));
-    dst = Addr.of_ipv4_int32 (Int32.of_int (Wire.get_u32 s 16));
+    ttl = Wire.get_u8 s (off + 8);
+    protocol = Wire.get_u8 s (off + 9);
+    checksum_field = Wire.get_u16 s (off + 10);
+    src = Addr.of_ipv4_int32 (Int32.of_int (Wire.get_u32 s (off + 12)));
+    dst = Addr.of_ipv4_int32 (Int32.of_int (Wire.get_u32 s (off + 16)));
   }
 
+let decode s = decode_at s 0 (String.length s)
+
 let header_len t = t.ihl * 4
+
+(** End of the payload of the packet at [off] in [s.[off, limit)]: bounded
+    by [total_length] and by [limit]. *)
+let payload_end t off limit =
+  let hl = header_len t in
+  let plen = min (t.total_length - hl) (limit - off - hl) in
+  if plen < 0 then raise (Bad_header "length");
+  off + hl + plen
 
 (** Payload of an IPv4 packet [s], bounded by [total_length]. *)
 let payload t s =
   let hl = header_len t in
-  let plen = min (t.total_length - hl) (String.length s - hl) in
-  if plen < 0 then raise (Bad_header "length");
-  String.sub s hl plen
+  String.sub s hl (payload_end t 0 (String.length s) - hl)
 
 let checksum_valid s ihl = Checksum.valid s 0 (ihl * 4)
 

@@ -27,23 +27,26 @@ let read_addr s off =
   done;
   Addr.of_ipv6_int64s !hi !lo
 
-let decode s =
-  Wire.need s 0 header_len "ipv6";
-  let w0 = Wire.get_u32 s 0 in
+(** Decode the fixed header at [off] of the packet in [s.[off, limit)]. *)
+let decode_at s off limit =
+  Wire.need limit off header_len "ipv6";
+  let w0 = Wire.get_u32 s off in
   if w0 lsr 28 <> 6 then raise (Bad_header "version");
   {
     traffic_class = (w0 lsr 20) land 0xff;
     flow_label = w0 land 0xfffff;
-    payload_length = Wire.get_u16 s 4;
-    next_header = Wire.get_u8 s 6;
-    hop_limit = Wire.get_u8 s 7;
-    src = read_addr s 8;
-    dst = read_addr s 24;
+    payload_length = Wire.get_u16 s (off + 4);
+    next_header = Wire.get_u8 s (off + 6);
+    hop_limit = Wire.get_u8 s (off + 7);
+    src = read_addr s (off + 8);
+    dst = read_addr s (off + 24);
   }
 
-let payload t s =
-  let plen = min t.payload_length (String.length s - header_len) in
-  String.sub s header_len plen
+let decode s = decode_at s 0 (String.length s)
+
+(** End of the payload of the packet at [off] in [s.[off, limit)]: bounded
+    by [payload_length] and by [limit]. *)
+let payload_end t off limit = off + header_len + min t.payload_length (limit - off - header_len)
 
 let encode ?(hop_limit = 64) ~next_header ~src ~dst payload =
   let b = Bytes.create (header_len + String.length payload) in

@@ -18,8 +18,10 @@ type t = {
 
 exception Unsupported of string
 
-let src t = match t.ip with V4 h -> h.Ipv4.src | V6 h -> h.Ipv6.src
-let dst t = match t.ip with V4 h -> h.Ipv4.dst | V6 h -> h.Ipv6.dst
+let ip_src = function V4 h -> h.Ipv4.src | V6 h -> h.Ipv6.src
+let ip_dst = function V4 h -> h.Ipv4.dst | V6 h -> h.Ipv6.dst
+let src t = ip_src t.ip
+let dst t = ip_dst t.ip
 
 let ports t =
   match t.transport with
@@ -36,30 +38,49 @@ let flow t =
 let payload t =
   match t.transport with TCP (_, p) | UDP (_, p) | Other (_, p) -> p
 
-let decode_transport protocol data =
+(* Every decoder below reads its header at an offset into the captured
+   frame and bounds it by [limit], the end of the enclosing layer's
+   payload; the transport payload is the only bytes [decode] copies. *)
+
+(* The IP header of [frame], whose Ethernet header carries [ethertype]. *)
+let ip_layer frame ethertype =
+  let off = Ethernet.header_len and flen = String.length frame in
+  if ethertype = Ethernet.ethertype_ipv4 then V4 (Ipv4.decode_at frame off flen)
+  else if ethertype = Ethernet.ethertype_ipv6 then V6 (Ipv6.decode_at frame off flen)
+  else raise (Unsupported (Printf.sprintf "ethertype 0x%04x" ethertype))
+
+let ip_protocol = function V4 h -> h.Ipv4.protocol | V6 h -> h.Ipv6.next_header
+
+(* The bounds [transport_off ip, transport_limit ip frame) of the IP
+   payload in [frame]. *)
+let transport_off = function
+  | V4 h -> Ethernet.header_len + Ipv4.header_len h
+  | V6 _ -> Ethernet.header_len + Ipv6.header_len
+
+let transport_limit ip frame =
+  match ip with
+  | V4 h -> Ipv4.payload_end h Ethernet.header_len (String.length frame)
+  | V6 h -> Ipv6.payload_end h Ethernet.header_len (String.length frame)
+
+let decode_transport frame protocol off limit =
   if protocol = Ipv4.proto_tcp then
-    let h = Tcp.decode data in
-    TCP (h, Tcp.payload h data)
+    let h = Tcp.decode_at frame off limit in
+    let p = off + Tcp.header_len h in
+    TCP (h, String.sub frame p (limit - p))
   else if protocol = Ipv4.proto_udp then
-    let h = Udp.decode data in
-    UDP (h, Udp.payload h data)
-  else Other (protocol, data)
+    let h = Udp.decode_at frame off limit in
+    let p = off + Udp.header_len in
+    UDP (h, String.sub frame p (Udp.payload_end h off limit - p))
+  else Other (protocol, String.sub frame off (limit - off))
 
 (** Decode an Ethernet frame into a packet.  Raises {!Wire.Truncated},
     {!Ipv4.Bad_header} etc. on malformed input, and {!Unsupported} for
     non-IP ethertypes — analyzers treat those as "crud" to skip. *)
 let decode ~ts frame =
   let eth = Ethernet.decode frame in
-  let body = Ethernet.payload frame in
-  if eth.Ethernet.ethertype = Ethernet.ethertype_ipv4 then
-    let ih = Ipv4.decode body in
-    let transport = decode_transport ih.Ipv4.protocol (Ipv4.payload ih body) in
-    { ts; eth; ip = V4 ih; transport }
-  else if eth.Ethernet.ethertype = Ethernet.ethertype_ipv6 then
-    let ih = Ipv6.decode body in
-    let transport = decode_transport ih.Ipv6.next_header (Ipv6.payload ih body) in
-    { ts; eth; ip = V6 ih; transport }
-  else raise (Unsupported (Printf.sprintf "ethertype 0x%04x" eth.Ethernet.ethertype))
+  let ip = ip_layer frame eth.Ethernet.ethertype in
+  let limit = transport_limit ip frame in
+  { ts; eth; ip; transport = decode_transport frame (ip_protocol ip) (transport_off ip) limit }
 
 let decode_opt ~ts frame =
   match decode ~ts frame with
@@ -150,6 +171,32 @@ let peek_udp frame =
           in
           Some (fl, toff + Udp.header_len, plen)
   | _ -> None
+
+(** [peek_tcp frame] is the flow, the TCP header and the payload's
+    (offset, length) within [frame]: the TCP runner's zero-copy fast
+    path.  It walks the same layers as {!decode}, so it is [Some] exactly
+    when [decode_opt] yields a TCP packet, with the same flow, header and
+    payload bytes, and it copies nothing. *)
+let peek_tcp frame =
+  match
+    if String.length frame < Ethernet.header_len then None
+    else
+      let ip = ip_layer frame (Wire.get_u16 frame 12) in
+      if ip_protocol ip <> Ipv4.proto_tcp then None
+      else
+        let off = transport_off ip and limit = transport_limit ip frame in
+        let h = Tcp.decode_at frame off limit in
+        let p = off + Tcp.header_len h in
+        let flow =
+          Flow.make ~src:(ip_src ip) ~dst:(ip_dst ip)
+            ~src_port:(Port.tcp h.Tcp.src_port) ~dst_port:(Port.tcp h.Tcp.dst_port)
+        in
+        Some (flow, h, p, limit - p)
+  with
+  | seg -> seg
+  | exception (Wire.Truncated _ | Ipv4.Bad_header _ | Ipv6.Bad_header _
+              | Tcp.Bad_header _ | Unsupported _) ->
+      None
 
 (* Encoding helpers used by the trace generator ---------------------------- *)
 

@@ -7,69 +7,89 @@
     marks end-of-stream and triggers the [on_eof] callback once all data up
     to the FIN has been delivered. *)
 
-type seg = { seq : int32; data : string }
+(* Sequence numbers are native ints modulo 2^32, so tracking them
+   allocates nothing; [unset] marks "no SYN / first segment yet" and "no
+   FIN yet". *)
+let unset = -1
+
+type seg = { seq : int; data : string }  (* a buffered out-of-order copy *)
 
 type t = {
-  deliver : string -> unit;
+  deliver : string -> int -> int -> unit;  (* a slice of the stream *)
   on_eof : unit -> unit;
-  mutable next_seq : int32 option;  (* None until SYN / first segment *)
+  mutable next_seq : int;           (* [unset] until SYN / first segment *)
   mutable pending : seg list;       (* out-of-order, sorted by seq *)
-  mutable fin_seq : int32 option;   (* sequence number *after* last byte *)
+  mutable fin_seq : int;            (* sequence number *after* last byte *)
   mutable eof_signaled : bool;
   mutable delivered_bytes : int;
   mutable out_of_order : int;       (* stat: segments buffered *)
   mutable overlaps : int;           (* stat: overlapping bytes trimmed *)
 }
 
-let create ?(on_eof = fun () -> ()) deliver =
+(** A reassembler that hands [deliver s off len] each contiguous slice of
+    the stream, in order.  The slice may lie inside a segment's captured
+    frame, so a callback that keeps the bytes copies them. *)
+let create_sub ?(on_eof = fun () -> ()) deliver =
   {
     deliver;
     on_eof;
-    next_seq = None;
+    next_seq = unset;
     pending = [];
-    fin_seq = None;
+    fin_seq = unset;
     eof_signaled = false;
     delivered_bytes = 0;
     out_of_order = 0;
     overlaps = 0;
   }
 
+(* [s.[off, off + len)] as a string of its own, copied unless it is all of [s]. *)
+let own_string s off len = if off = 0 && len = String.length s then s else String.sub s off len
+
+(** {!create_sub} for a callback that takes each slice as a string of its
+    own. *)
+let create ?on_eof deliver = create_sub ?on_eof (fun s off len -> deliver (own_string s off len))
+
 let delivered_bytes t = t.delivered_bytes
 let out_of_order t = t.out_of_order
 let overlaps t = t.overlaps
 
-(* Sequence-number arithmetic modulo 2^32. *)
-let seq_add (s : int32) n = Int32.add s (Int32.of_int n)
-let seq_diff (a : int32) (b : int32) = Int32.to_int (Int32.sub a b)
+(* Sequence-number arithmetic modulo 2^32; [seq_diff] is the signed 32-bit
+   distance from [b] to [a]. *)
+let seq_add s n = (s + n) land 0xffffffff
+
+let seq_diff a b =
+  let d = (a - b) land 0xffffffff in
+  if d land 0x80000000 <> 0 then d - 0x100000000 else d
 
 let maybe_eof t =
-  if not t.eof_signaled then
-    match (t.fin_seq, t.next_seq) with
-    | Some f, Some n when seq_diff n f >= 0 ->
-        t.eof_signaled <- true;
-        t.on_eof ()
-    | _ -> ()
+  if
+    (not t.eof_signaled) && t.fin_seq <> unset && t.next_seq <> unset
+    && seq_diff t.next_seq t.fin_seq >= 0
+  then begin
+    t.eof_signaled <- true;
+    t.on_eof ()
+  end
+
+(* Deliver the part of the segment [s.[off, off + len)] at [seq] that lies
+   past [next_seq]; [seq] is at or before [next_seq].  Bytes already
+   delivered are trimmed and counted as overlap (first arrival wins). *)
+let deliver_from t seq s off len =
+  let skip = - seq_diff seq t.next_seq in
+  if skip < len then begin
+    if skip > 0 then t.overlaps <- t.overlaps + skip;
+    t.next_seq <- seq_add seq len;
+    t.delivered_bytes <- t.delivered_bytes + (len - skip);
+    t.deliver s (off + skip) (len - skip)
+  end
+  else if len > 0 then t.overlaps <- t.overlaps + len
 
 let rec flush t =
-  match (t.pending, t.next_seq) with
-  | seg :: rest, Some next ->
-      let gap = seq_diff seg.seq next in
-      if gap > 0 then ()  (* still a hole *)
-      else begin
-        t.pending <- rest;
-        let skip = -gap in
-        if skip < String.length seg.data then begin
-          let fresh = String.sub seg.data skip (String.length seg.data - skip) in
-          if skip > 0 then t.overlaps <- t.overlaps + skip;
-          t.next_seq <- Some (seq_add seg.seq (String.length seg.data));
-          t.delivered_bytes <- t.delivered_bytes + String.length fresh;
-          t.deliver fresh
-        end
-        else if String.length seg.data > 0 then
-          t.overlaps <- t.overlaps + String.length seg.data;
-        flush t
-      end
-  | _ -> ()
+  match t.pending with
+  | seg :: rest when seq_diff seg.seq t.next_seq <= 0 ->
+      t.pending <- rest;
+      deliver_from t seg.seq seg.data 0 (String.length seg.data);
+      flush t
+  | _ -> ()  (* empty, or still a hole *)
 
 let insert_sorted t seg =
   let rec go = function
@@ -79,27 +99,31 @@ let insert_sorted t seg =
   in
   t.pending <- go t.pending
 
-(** Feed one TCP segment (header flags + payload at absolute [seq]). *)
-let segment t ~(seq : int32) ~syn ~fin data =
-  (* Establish the initial sequence number. *)
-  (match t.next_seq with
-  | None -> t.next_seq <- Some (if syn then seq_add seq 1 else seq)
-  | Some _ -> ());
+(* Whether a segment at [seq] would sort ahead of every buffered one. *)
+let sorts_first t seq =
+  match t.pending with [] -> true | s :: _ -> seq_diff seq s.seq < 0
+
+(** Feed one TCP segment (header flags + payload at absolute [seq]) whose
+    payload is [s.[off, off + len)].  A segment that reaches the stream's
+    edge is delivered in place (no copy, no allocation); one that arrives
+    ahead of a hole is copied once and buffered. *)
+let segment_sub t ~(seq : int32) ~syn ~fin s off len =
+  let seq = Int32.to_int seq land 0xffffffff in
   let payload_seq = if syn then seq_add seq 1 else seq in
-  if fin then begin
-    let fin_at = seq_add payload_seq (String.length data) in
-    match t.fin_seq with
-    | None -> t.fin_seq <- Some fin_at
-    | Some _ -> ()
-  end;
-  if String.length data > 0 then begin
-    (match t.next_seq with
-    | Some next when seq_diff payload_seq next > 0 -> t.out_of_order <- t.out_of_order + 1
-    | _ -> ());
-    insert_sorted t { seq = payload_seq; data }
+  (* Establish the initial sequence number. *)
+  if t.next_seq = unset then t.next_seq <- payload_seq;
+  if fin && t.fin_seq = unset then t.fin_seq <- seq_add payload_seq len;
+  if len > 0 then begin
+    let gap = seq_diff payload_seq t.next_seq in
+    if gap > 0 then t.out_of_order <- t.out_of_order + 1;
+    if gap <= 0 && sorts_first t payload_seq then deliver_from t payload_seq s off len
+    else insert_sorted t { seq = payload_seq; data = own_string s off len }
   end;
   flush t;
   maybe_eof t
+
+(** {!segment_sub} over a whole payload string. *)
+let segment t ~seq ~syn ~fin data = segment_sub t ~seq ~syn ~fin data 0 (String.length data)
 
 (** Declare the stream over regardless of FIN (e.g. RST or trace end). *)
 let finish t =

@@ -24,23 +24,27 @@ let has_flag t f = t.flags land f <> 0
 
 exception Bad_header of string
 
-let decode s =
-  Wire.need s 0 min_header_len "tcp";
-  let off_flags = Wire.get_u16 s 12 in
+(** Decode the header at [off] of the segment in [s.[off, limit)]; its
+    payload is [s.[off + header_len t, limit)]. *)
+let decode_at s off limit =
+  Wire.need limit off min_header_len "tcp";
+  let off_flags = Wire.get_u16 s (off + 12) in
   let data_offset = off_flags lsr 12 in
   if data_offset < 5 then raise (Bad_header "data offset");
-  Wire.need s 0 (data_offset * 4) "tcp options";
+  Wire.need limit off (data_offset * 4) "tcp options";
   {
-    src_port = Wire.get_u16 s 0;
-    dst_port = Wire.get_u16 s 2;
-    seq = Int32.of_int (Wire.get_u32 s 4);
-    ack = Int32.of_int (Wire.get_u32 s 8);
+    src_port = Wire.get_u16 s off;
+    dst_port = Wire.get_u16 s (off + 2);
+    seq = Int32.of_int (Wire.get_u32 s (off + 4));
+    ack = Int32.of_int (Wire.get_u32 s (off + 8));
     data_offset;
     flags = off_flags land 0x1ff;
-    window = Wire.get_u16 s 14;
-    checksum_field = Wire.get_u16 s 16;
-    urgent = Wire.get_u16 s 18;
+    window = Wire.get_u16 s (off + 14);
+    checksum_field = Wire.get_u16 s (off + 16);
+    urgent = Wire.get_u16 s (off + 18);
   }
+
+let decode s = decode_at s 0 (String.length s)
 
 let header_len t = t.data_offset * 4
 

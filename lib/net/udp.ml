@@ -6,20 +6,25 @@ let header_len = 8
 
 exception Bad_header of string
 
-let decode s =
-  Wire.need s 0 header_len "udp";
-  let length = Wire.get_u16 s 4 in
+(** Decode the header at [off] of the datagram in [s.[off, limit)]. *)
+let decode_at s off limit =
+  Wire.need limit off header_len "udp";
+  let length = Wire.get_u16 s (off + 4) in
   if length < header_len then raise (Bad_header "length");
   {
-    src_port = Wire.get_u16 s 0;
-    dst_port = Wire.get_u16 s 2;
+    src_port = Wire.get_u16 s off;
+    dst_port = Wire.get_u16 s (off + 2);
     length;
-    checksum_field = Wire.get_u16 s 6;
+    checksum_field = Wire.get_u16 s (off + 6);
   }
 
-let payload t s =
-  let plen = min (t.length - header_len) (String.length s - header_len) in
-  String.sub s header_len plen
+let decode s = decode_at s 0 (String.length s)
+
+(** End of the payload of the datagram at [off] in [s.[off, limit)]:
+    bounded by [length] and by [limit]. *)
+let payload_end t off limit = off + header_len + min (t.length - header_len) (limit - off - header_len)
+
+let payload t s = String.sub s header_len (payload_end t 0 (String.length s) - header_len)
 
 let encode ~src_port ~dst_port ~src ~dst payload =
   let total = header_len + String.length payload in

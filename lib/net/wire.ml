@@ -26,5 +26,7 @@ let set_u32l b off v =
 exception Truncated of string
 (** Raised when a frame is too short for the header being decoded. *)
 
-let need s off len what =
-  if off + len > String.length s then raise (Truncated what)
+(** [need limit off len what] raises {!Truncated} unless [len] bytes from
+    [off] fit below [limit], the end of the region being decoded. *)
+let need limit off len what =
+  if off + len > limit then raise (Truncated what)

@@ -112,16 +112,19 @@ let ensure_room t extra =
     end
   end
 
-let append t s =
+(** Append the slice [s.[off, off + n)]: the one copy of stream data into
+    the buffer. *)
+let append_sub t s off n =
   if t.frozen then raise Frozen;
-  let n = String.length s in
   ensure_room t n;
-  Bytes.blit_string s 0 t.buf (t.off + t.len) n;
+  Bytes.blit_string s off t.buf (t.off + t.len) n;
   t.len <- t.len + n;
   if n > 0 then begin
     t.cached <- no_cache;
     t.gen <- t.gen + 1
   end
+
+let append t s = append_sub t s 0 (String.length s)
 
 let freeze t = t.frozen <- true
 

@@ -71,6 +71,29 @@ let test_full_packet_decode () =
         (Flow.to_string flow)
   | _ -> Alcotest.fail "bad decode"
 
+(* Link-layer trailer bytes (Ethernet padding) past the IP length are not
+   payload, for IPv4 ([total_length]) and IPv6 ([payload_length]) alike;
+   the zero-copy peek reads the same bounds. *)
+let test_ip_length_bounds_payload () =
+  let seg =
+    Tcp.encode ~src_port:5555 ~dst_port:80 ~seq:7l ~ack:0l ~flags:Tcp.flag_ack
+      ~src:(a "10.0.0.1") ~dst:(a "10.0.0.2") "data"
+  in
+  let v4 = Ipv4.encode ~protocol:Ipv4.proto_tcp ~src:(a "10.0.0.1") ~dst:(a "10.0.0.2") seg in
+  let v6 = Ipv6.encode ~next_header:Ipv4.proto_tcp ~src:(a "2001:db8::1") ~dst:(a "2001:db8::2") seg in
+  List.iter
+    (fun (name, ethertype, ip) ->
+      let frame = Ethernet.encode ~ethertype ip ^ "\x00\x00\x00\x00" in
+      (match Packet.decode_opt ~ts:Time_ns.epoch frame with
+      | Some { Packet.transport = Packet.TCP (_, payload); _ } ->
+          Alcotest.(check string) (name ^ " decoded payload") "data" payload
+      | _ -> Alcotest.failf "%s: no TCP decode" name);
+      match Packet.peek_tcp frame with
+      | Some (_, _, off, len) ->
+          Alcotest.(check string) (name ^ " peeked payload") "data" (String.sub frame off len)
+      | None -> Alcotest.failf "%s: no TCP peek" name)
+    [ ("ipv4", Ethernet.ethertype_ipv4, v4); ("ipv6", Ethernet.ethertype_ipv6, v6) ]
+
 let test_truncated_frames () =
   List.iter
     (fun s ->
@@ -210,6 +233,233 @@ let prop_reassembly_any_order =
          List.iter (fun (seq, data) -> Reassembly.segment rs ~seq ~syn:false ~fin:false data) shuffled;
          Buffer.contents out = stream))
 
+(* Sequence numbers wrap past 2^32: the SYN sits 8 below the wrap, so the
+   second data segment straddles it and the rest lie above 0. *)
+let wrap_segments () =
+  let isn = 0xffff_fff8 in
+  let at n = Int32.of_int ((isn + n) land 0xffff_ffff) in
+  let data = [ "01234"; "56789"; "abcde"; "fghij" ] in
+  ( (at 0, true, false, ""),
+    List.mapi (fun k d -> (at (1 + (5 * k)), false, false, d)) data,
+    (at 21, false, true, "") )
+
+let test_reassembly_seq_wrap () =
+  let syn, data, fin = wrap_segments () in
+  let out, eof, rs = deliver_all ((syn :: data) @ [ fin ]) in
+  Alcotest.(check string) "in order across the wrap" "0123456789abcdefghij" out;
+  Alcotest.(check bool) "eof past the wrap" true eof;
+  Alcotest.(check int) "delivered" 20 (Reassembly.delivered_bytes rs);
+  Alcotest.(check int) "none buffered" 0 (Reassembly.out_of_order rs);
+  (* The FIN first, then the data backwards: nothing is delivered, and the
+     stream does not end, before the segment at the edge arrives. *)
+  let out, eof, rs = deliver_all ((syn :: fin :: List.rev data)) in
+  Alcotest.(check string) "reversed across the wrap" "0123456789abcdefghij" out;
+  Alcotest.(check bool) "eof once complete" true eof;
+  Alcotest.(check int) "three buffered" 3 (Reassembly.out_of_order rs);
+  let out, eof, _ = deliver_all [ syn; fin; List.nth data 1; List.nth data 2 ] in
+  Alcotest.(check string) "hole before the wrap" "" out;
+  Alcotest.(check bool) "no eof with a hole" false eof
+
+(* Property: slices fed through [segment_sub], each at a random offset
+   inside padding, reassemble exactly as the same payloads fed through the
+   string API — stream and counters alike — with duplicate and overlapping
+   retransmits mixed in, from sequence bases below and across the wrap. *)
+let prop_reassembly_slices =
+  let gen =
+    QCheck.Gen.(
+      string_size ~gen:(char_range 'a' 'z') (int_range 1 60) >>= fun stream ->
+      int_range 1 7 >>= fun chunk ->
+      let n = String.length stream in
+      let chunks = List.init ((n + chunk - 1) / chunk) (fun k -> (k * chunk, min chunk (n - (k * chunk)))) in
+      list_size (int_bound 6)
+        (int_bound (n - 1) >>= fun i -> int_range 1 (n - i) >|= fun l -> (i, l))
+      >>= fun retransmits ->
+      shuffle_l (chunks @ retransmits) >>= fun order ->
+      list_repeat (List.length order) (pair (int_bound 9) (int_bound 9)) >>= fun pads ->
+      oneofl [ 999; 0xffff_ffe0 ] >|= fun base ->
+      (stream, base, List.combine order pads))
+  in
+  let print (stream, base, segs) =
+    Printf.sprintf "%S base=%d segs=[%s]" stream base
+      (String.concat "; "
+         (List.map (fun ((i, l), (p, q)) -> Printf.sprintf "%d+%d pad %d/%d" i l p q) segs))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"reassembly: slices == strings, with retransmits" ~count:300
+       (QCheck.make ~print gen)
+       (fun (stream, base, segs) ->
+         let seq i = Int32.of_int ((base + 1 + i) land 0xffff_ffff) in
+         let syn = Int32.of_int base in
+         let a = Buffer.create 64 and b = Buffer.create 64 in
+         let ra = Reassembly.create (Buffer.add_string a) in
+         let rb = Reassembly.create_sub (Buffer.add_substring b) in
+         Reassembly.segment ra ~seq:syn ~syn:true ~fin:false "";
+         Reassembly.segment_sub rb ~seq:syn ~syn:true ~fin:false "pad" 1 0;
+         List.iter
+           (fun ((i, l), (p, q)) ->
+             let data = String.sub stream i l in
+             Reassembly.segment ra ~seq:(seq i) ~syn:false ~fin:false data;
+             let padded = String.make p '#' ^ data ^ String.make q '#' in
+             Reassembly.segment_sub rb ~seq:(seq i) ~syn:false ~fin:false padded p l)
+           segs;
+         Buffer.contents a = stream
+         && Buffer.contents b = stream
+         && Reassembly.delivered_bytes ra = Reassembly.delivered_bytes rb
+         && Reassembly.overlaps ra = Reassembly.overlaps rb
+         && Reassembly.out_of_order ra = Reassembly.out_of_order rb))
+
+(* An in-order segment with nothing buffered is handed on in place:
+   sequence tracking is unboxed, so no record, list cell or copy. *)
+let test_reassembly_in_order_no_alloc () =
+  let n = 1000 and len = 100 and hdr = 54 in
+  let frame = String.make (hdr + len) 'x' in
+  let total = ref 0 in
+  let rs = Reassembly.create_sub (fun _ _ l -> total := !total + l) in
+  let seqs = Array.init (n + 1) (fun i -> Int32.of_int (0xffff_0000 + (i * len))) in
+  Reassembly.segment_sub rs ~seq:seqs.(0) ~syn:false ~fin:false frame hdr len;
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    Reassembly.segment_sub rs ~seq:seqs.(i) ~syn:false ~fin:false frame hdr len
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 1,000 in-order segments" 0. words;
+  Alcotest.(check int) "all delivered" ((n + 1) * len) !total
+
+(* ---- Header peeks agree with the decoder ------------------------------------------------ *)
+
+let sample_frames =
+  lazy
+    (let http =
+       Hilti_traces.Http_gen.generate
+         { Hilti_traces.Http_gen.default with sessions = 6; seed = 11 }
+     in
+     let dns =
+       Hilti_traces.Dns_gen.generate
+         { Hilti_traces.Dns_gen.default with transactions = 30; seed = 12 }
+     in
+     Array.of_list
+       (List.map (fun (r : Pcap.record) -> r.Pcap.data)
+          (http.Hilti_traces.Http_gen.records @ dns.Hilti_traces.Dns_gen.records)))
+
+type mutation =
+  | Keep
+  | Total_length of int  (** IPv4 [total_length] this far off the frame's *)
+  | Ihl of int  (** an IPv4 header length below 5 words *)
+  | Tcp_offset of int  (** a TCP data offset, below 5 or up to 60 bytes *)
+  | Ipv6 of int  (** re-framed as IPv6, [payload_length] this far off *)
+  | Ethertype of int
+  | Byte of int * int  (** one header byte overwritten *)
+
+let mutation_to_string = function
+  | Keep -> "keep"
+  | Total_length d -> Printf.sprintf "total_length%+d" d
+  | Ihl v -> Printf.sprintf "ihl=%d" v
+  | Tcp_offset v -> Printf.sprintf "tcp data offset=%d" v
+  | Ipv6 d -> Printf.sprintf "ipv6 payload_length%+d" d
+  | Ethertype e -> Printf.sprintf "ethertype=0x%04x" e
+  | Byte (i, v) -> Printf.sprintf "byte %d=0x%02x" i v
+
+let set_u8 s i v =
+  if i >= String.length s then s
+  else begin
+    let b = Bytes.of_string s in
+    Bytes.set b i (Char.chr (v land 0xff));
+    Bytes.to_string b
+  end
+
+let set_u16 s i v = set_u8 (set_u8 s i (v lsr 8)) (i + 1) v
+
+(* The generated frames are well-formed IPv4: read their header directly,
+   not through the decoder under test. *)
+let ipv4_header_len f = (Char.code f.[14] land 0xf) * 4
+
+let to_ipv6 f d =
+  let ihl = ipv4_header_len f in
+  let body_len = min (Wire.get_u16 f 16 - ihl) (String.length f - 14 - ihl) in
+  let body = String.sub f (14 + ihl) body_len in
+  let v6 off = Addr.of_ipv6_int64s 0x2001_0db8_0000_0000L (Int64.of_int (Wire.get_u32 f off)) in
+  let ip = Ipv6.encode ~next_header:(Char.code f.[23]) ~src:(v6 26) ~dst:(v6 30) body in
+  set_u16
+    (Ethernet.encode ~ethertype:Ethernet.ethertype_ipv6 ip)
+    18 (max 0 (body_len + d))
+
+let mutate f = function
+  | Keep -> f
+  | Total_length d -> set_u16 f 16 (max 0 (String.length f - 14 + d))
+  | Ihl v -> set_u8 f 14 (0x40 lor v)
+  | Tcp_offset v ->
+      let o = 14 + ipv4_header_len f + 12 in
+      if o >= String.length f then f
+      else set_u8 f o ((v lsl 4) lor (Char.code f.[o] land 0x0f))
+  | Ipv6 d -> to_ipv6 f d
+  | Ethertype e -> set_u16 f 12 e
+  | Byte (i, v) -> set_u8 f i v
+
+let gen_mutation =
+  QCheck.Gen.(
+    frequency
+      [ (1, return Keep);
+        (2, map (fun d -> Total_length d) (int_range (-40) 40));
+        (1, map (fun v -> Ihl v) (int_bound 4));
+        (2, map (fun v -> Tcp_offset v) (oneof [ int_bound 4; int_range 6 15 ]));
+        (2, map (fun d -> Ipv6 d) (int_range (-30) 30));
+        (1, map (fun e -> Ethertype e) (oneofl [ 0x0806; 0x8100; 0x88cc; 0 ]));
+        (2, map2 (fun i v -> Byte (i, v)) (int_bound 60) (int_bound 255)) ])
+
+(* Where [peek_tcp], [peek_udp] or [peek_flow] disagrees with [decode_opt]
+   on [f], if anywhere. *)
+let peek_disagreement f =
+  let pkt = Packet.decode_opt ~ts:Time_ns.epoch f in
+  let flow_is fl p = Option.equal Flow.equal (Some fl) (Packet.flow p) in
+  let tcp =
+    match (pkt, Packet.peek_tcp f) with
+    | Some ({ Packet.transport = Packet.TCP (h, payload); _ } as p), Some (fl, h', off, len) ->
+        flow_is fl p && h = h' && String.sub f off len = payload
+    | Some { Packet.transport = Packet.TCP _; _ }, None -> false
+    | _, Some _ -> false
+    | _, None -> true
+  in
+  let udp =
+    match (Packet.peek_udp f, pkt) with
+    | Some (fl, off, len), Some ({ Packet.transport = Packet.UDP (_, payload); _ } as p) ->
+        flow_is fl p && String.sub f off len = payload
+    | Some _, _ -> false
+    | None, Some { Packet.ip = Packet.V4 _; transport = Packet.UDP _; _ } -> false
+    | None, _ -> true
+  in
+  let flow =
+    match (Packet.peek_flow f, Option.bind pkt Packet.flow) with
+    | Some a, Some b -> Flow.equal a b
+    | None, Some _ -> false
+    | _, None -> true
+  in
+  if not tcp then Some "peek_tcp"
+  else if not udp then Some "peek_udp"
+  else if not flow then Some "peek_flow"
+  else None
+
+(* Property: on generated HTTP and DNS frames, mutated and then truncated
+   at every length, [peek_tcp] is [Some] exactly when the decoder yields
+   TCP, with the same flow, header and payload bytes; [peek_udp] is [Some]
+   for every IPv4/UDP decode and agrees with it; [peek_flow] is the
+   decoded packet's flow. *)
+let prop_peeks_agree_with_decode =
+  let frames = Lazy.force sample_frames in
+  let gen = QCheck.Gen.(pair (int_bound (Array.length frames - 1)) gen_mutation) in
+  let print (i, m) = Printf.sprintf "frame %d, %s" i (mutation_to_string m) in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"packet: peek_tcp/udp/flow agree with decode_opt" ~count:200
+       (QCheck.make ~print gen)
+       (fun (i, m) ->
+         let f = mutate frames.(i) m in
+         for len = String.length f downto 0 do
+           match peek_disagreement (String.sub f 0 len) with
+           | Some what ->
+               QCheck.Test.fail_reportf "%s disagrees on the %d-byte prefix" what len
+           | None -> ()
+         done;
+         true))
+
 let suite =
   [ Alcotest.test_case "internet checksum" `Quick test_checksum;
     Alcotest.test_case "ipv4 roundtrip" `Quick test_ipv4_roundtrip;
@@ -217,6 +467,7 @@ let suite =
     Alcotest.test_case "udp roundtrip" `Quick test_udp_roundtrip;
     Alcotest.test_case "full packet decode" `Quick test_full_packet_decode;
     Alcotest.test_case "truncated frames rejected" `Quick test_truncated_frames;
+    Alcotest.test_case "ip length bounds the payload" `Quick test_ip_length_bounds_payload;
     Alcotest.test_case "pcap roundtrip" `Quick test_pcap_roundtrip;
     Alcotest.test_case "pcap rejects junk" `Quick test_pcap_rejects_junk;
     Alcotest.test_case "flow canonicalization" `Quick test_flow_canonical;
@@ -225,4 +476,9 @@ let suite =
     Alcotest.test_case "reassembly out of order" `Quick test_reassembly_out_of_order;
     Alcotest.test_case "reassembly overlap" `Quick test_reassembly_overlap;
     Alcotest.test_case "reassembly duplicate" `Quick test_reassembly_duplicate;
-    prop_reassembly_any_order ]
+    prop_reassembly_any_order;
+    Alcotest.test_case "reassembly seq wrap" `Quick test_reassembly_seq_wrap;
+    prop_reassembly_slices;
+    Alcotest.test_case "reassembly in order allocates nothing" `Quick
+      test_reassembly_in_order_no_alloc;
+    prop_peeks_agree_with_decode ]

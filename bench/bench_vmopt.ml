@@ -170,6 +170,18 @@ let run ?(quick = false) () =
   R.num r ~unit_:"ms" "firewall_generic_ms" (Bench_util.ms fw_ns_generic);
   R.num r ~unit_:"ms" "firewall_specialized_ms" (Bench_util.ms fw_ns_spec);
   R.num r ~unit_:"x" "firewall_speedup" fw_speedup;
+  (* Functions [Specialize] left generic (nothing to bank) run exactly the
+     generic code, with no bank blits per activation. *)
+  let spec_counts (api : H.t) =
+    match api.H.spec_stats with
+    | Some st -> (st.Hilti_vm.Specialize.s_funcs, st.Hilti_vm.Specialize.s_generic)
+    | None -> (0, 0)
+  in
+  let fw_spec_funcs, fw_generic_funcs = spec_counts fw_spec.Hilti_firewall.Fw_hilti.api in
+  Printf.printf "firewall functions: %d specialized, %d left generic\n" fw_spec_funcs
+    fw_generic_funcs;
+  R.int r ~unit_:"funcs" "firewall_funcs_specialized" fw_spec_funcs;
+  R.int r ~unit_:"funcs" "firewall_funcs_generic" fw_generic_funcs;
 
   (* ---- DNS parser end-to-end ---------------------------------------------- *)
   Bench_util.header "BinPAC++ DNS parser: specialization on vs off";
@@ -211,4 +223,11 @@ let run ?(quick = false) () =
   R.num r ~unit_:"ms" "dns_generic_ms" (Bench_util.ms dns_ns_generic);
   R.num r ~unit_:"ms" "dns_specialized_ms" (Bench_util.ms dns_ns_spec);
   R.num r ~unit_:"x" "dns_speedup" dns_speedup;
+  let dns_spec_funcs, dns_generic_funcs =
+    spec_counts pac_spec.Hilti_analyzers.Dns_pac.parser.Binpacxx.Runtime.api
+  in
+  Printf.printf "DNS parser functions: %d specialized, %d left generic\n" dns_spec_funcs
+    dns_generic_funcs;
+  R.int r ~unit_:"funcs" "dns_funcs_specialized" dns_spec_funcs;
+  R.int r ~unit_:"funcs" "dns_funcs_generic" dns_generic_funcs;
   r

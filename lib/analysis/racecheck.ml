@@ -124,6 +124,32 @@ let param_levels (f : Bytecode.func) : int array =
         | Bytecode.BoxF (d, s) -> set_r d (fl s)
         | Bytecode.FArith_u (_, d, a, b) -> set_f d (max (fl a) (fl b))
         | Bytecode.FCmp_u (_, d, a, b) -> set_r d (max (fl a) (fl b))
+        (* Split iterators: a base register plus a position slot. *)
+        | Bytecode.IPos_u (p, s) -> set_i p (r s)
+        | Bytecode.IterBox_u (s, p) -> set_r s (max (r s) (i p))
+        | Bytecode.PUnpack_u (_, s, ps, v, d, pd) | Bytecode.PUnpackI_u (_, s, ps, v, d, pd) ->
+            let l = max (r s) (i ps) in
+            (match instr with Bytecode.PUnpackI_u _ -> set_i v l | _ -> set_r v l);
+            set_r d l;
+            set_i pd l
+        | Bytecode.PRead_u (s, ps, n, v, d, pd) | Bytecode.PReadR_u (s, ps, n, v, d, pd) ->
+            let ln = match instr with Bytecode.PRead_u _ -> i n | _ -> r n in
+            let l = max (max (r s) (i ps)) ln in
+            set_r v l;
+            set_r d l;
+            set_i pd l
+        | Bytecode.PAdvance_u (d, pd, s, ps, n) ->
+            let l = max (max (r s) (i ps)) (i n) in
+            set_r d l;
+            set_i pd l
+        | Bytecode.PAtEnd_u (d, s, ps) -> set_r d (max (r s) (i ps))
+        | Bytecode.PDistance_u (d, a, pa, b, pb) ->
+            set_i d (max (max (r a) (i pa)) (max (r b) (i pb)))
+        | Bytecode.BLength_u (d, s) -> set_i d (r s)
+        | Bytecode.CallP_u (_, _, _, v, d, pd) ->
+            set_r v poisoned;
+            set_r d poisoned;
+            set_i pd poisoned
         | _ -> ())
       f.Bytecode.code
   done;
@@ -174,6 +200,14 @@ let global_derived (f : Bytecode.func) : bool array =
             mark v (is s || is n);
             mark it (is s || is n)
         | Bytecode.UnpackI_u (_, s, _, it) -> mark it (is s)
+        | Bytecode.PUnpack_u (_, s, _, v, it, _) | Bytecode.PRead_u (s, _, _, v, it, _) ->
+            mark v (is s);
+            mark it (is s)
+        | Bytecode.PReadR_u (s, _, n, v, it, _) ->
+            mark v (is s || is n);
+            mark it (is s || is n)
+        | Bytecode.PUnpackI_u (_, s, _, _, it, _) | Bytecode.PAdvance_u (it, _, s, _, _) ->
+            mark it (is s)
         | Bytecode.Prim (p, args, d) -> (
             match p with
             | Bytecode.P_list (Bytecode.L_front | Bytecode.L_back)
@@ -245,15 +279,16 @@ let audited_hosts =
 
 (* ---- Call graph ------------------------------------------------------------ *)
 
-(* Each function's synchronous callees: [Call] targets plus [HookRun]
-   hook bodies, which run inside the caller's activation. *)
+(* Each function's synchronous callees: [Call] and [CallP_u] targets plus
+   [HookRun] hook bodies, which run inside the caller's activation. *)
 let sync_succs (p : Bytecode.program) : int list array =
   Array.map
     (fun (f : Bytecode.func) ->
       Array.fold_left
         (fun acc instr ->
           match instr with
-          | Bytecode.Call (callee, _, _) -> callee :: acc
+          | Bytecode.Call (callee, _, _) | Bytecode.CallP_u (callee, _, _, _, _, _) ->
+              callee :: acc
           | Bytecode.HookRun (bodies, _) -> Array.to_list bodies @ acc
           | _ -> acc)
         [] f.Bytecode.code)

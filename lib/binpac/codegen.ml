@@ -99,12 +99,44 @@ let struct_name = function
 
 (* ---- Expressions -------------------------------------------------------------- *)
 
+(* Whether [e] is statically an integer: its comparisons then compile to
+   [int.*] instructions, which the VM runs on its int bank, instead of the
+   generic [equal]. *)
+let rec is_int ctx ?elem (e : expr) =
+  match e with
+  | E_int _ -> true
+  | E_field f -> field_type ctx ctx.self_type f = Htype.Int 64
+  | E_elem_field f -> (
+      match elem with
+      | Some (_, elem_ty) -> field_type ctx (struct_name elem_ty) f = Htype.Int 64
+      | None -> false)
+  | E_binop (("+" | "-" | "*"), l, r) -> is_int ctx ?elem l && is_int ctx ?elem r
+  | E_call (("to_int" | "to_int16" | "len" | "offset" | "band" | "shr"), _) -> true
+  | _ -> false
+
 (* Compile an expression to an operand.  [self] is the unit struct under
    construction; [elem] (when in a &until_elem context) is the
    just-parsed list element and its type.  Evaluating an expression
    writes no field, so each field it names is read once. *)
 let rec compile_expr ctx b ?elem (e : expr) : Instr.operand =
   compile_expr_in ctx b ?elem (Hashtbl.create 4) e
+
+(* Compile a condition as a branch to [then_] or [else_]: [&&] and [||]
+   short-circuit and [!]/[!=] swap the targets, so an operand is evaluated
+   only when the ones before it have not decided.  A right operand runs
+   conditionally, so the fields it reads are not reused after it. *)
+and compile_cond ctx b ?elem reads (e : expr) ~then_ ~else_ =
+  match e with
+  | E_not e -> compile_cond ctx b ?elem reads e ~then_:else_ ~else_:then_
+  | E_binop ("!=", l, r) ->
+      compile_cond ctx b ?elem reads (E_binop ("==", l, r)) ~then_:else_ ~else_:then_
+  | E_binop ((("&&" | "||") as op), l, r) ->
+      let mid = fresh ctx (if op = "&&" then "and" else "or") in
+      if op = "&&" then compile_cond ctx b ?elem reads l ~then_:mid ~else_
+      else compile_cond ctx b ?elem reads l ~then_ ~else_:mid;
+      Builder.set_block b mid;
+      compile_cond ctx b ?elem (Hashtbl.copy reads) r ~then_ ~else_
+  | e -> Builder.if_else b (compile_expr_in ctx b ?elem reads e) ~then_ ~else_
 
 and compile_expr_in ctx b ?elem reads (e : expr) : Instr.operand =
   let recur e = compile_expr_in ctx b ?elem reads e in
@@ -132,12 +164,28 @@ and compile_expr_in ctx b ?elem reads (e : expr) : Instr.operand =
                 [ elem_op; Instr.Member f ])
       | None -> fail "$$ used outside &until_elem")
   | E_not e -> Builder.emit b Htype.Bool "bool.not" [ recur e ]
+  | E_binop (("&&" | "||"), _, _) ->
+      let v = Builder.tmp b Htype.Bool in
+      let yes = fresh ctx "true" and no = fresh ctx "false" and join = fresh ctx "bool" in
+      compile_cond ctx b ?elem reads e ~then_:yes ~else_:no;
+      List.iter
+        (fun (l, k) ->
+          Builder.set_block b l;
+          Builder.instr b ~target:v "assign" [ Builder.const_bool k ];
+          Builder.jump b join)
+        [ (yes, true); (no, false) ];
+      Builder.set_block b join;
+      Instr.Local v
   | E_binop (op, l, r) -> (
       let lo = recur l and ro = recur r in
+      let int_cmp = is_int ctx ?elem l && is_int ctx ?elem r in
       match op with
+      | "==" when int_cmp -> Builder.emit b Htype.Bool "int.eq" [ lo; ro ]
       | "==" -> Builder.emit b Htype.Bool "equal" [ lo; ro ]
       | "!=" ->
-          let eq = Builder.emit b Htype.Bool "equal" [ lo; ro ] in
+          let eq =
+            Builder.emit b Htype.Bool (if int_cmp then "int.eq" else "equal") [ lo; ro ]
+          in
           Builder.emit b Htype.Bool "bool.not" [ eq ]
       | "<" -> Builder.emit b Htype.Bool "int.lt" [ lo; ro ]
       | ">" -> Builder.emit b Htype.Bool "int.gt" [ lo; ro ]
@@ -146,8 +194,6 @@ and compile_expr_in ctx b ?elem reads (e : expr) : Instr.operand =
       | "+" -> Builder.emit b (Htype.Int 64) "int.add" [ lo; ro ]
       | "-" -> Builder.emit b (Htype.Int 64) "int.sub" [ lo; ro ]
       | "*" -> Builder.emit b (Htype.Int 64) "int.mul" [ lo; ro ]
-      | "&&" -> Builder.emit b Htype.Bool "bool.and" [ lo; ro ]
-      | "||" -> Builder.emit b Htype.Bool "bool.or" [ lo; ro ]
       | op -> fail "unknown operator %s" op)
   | E_call ("to_int", [ a ]) ->
       Builder.emit b (Htype.Int 64) "bytes.to_int" [ recur a ]
@@ -193,9 +239,8 @@ let rec compile_stmt ctx b (s : stmt) =
       let v = compile_expr ctx b e in
       Builder.instr b "struct.set" [ Instr.Local "self"; Instr.Member f; v ]
   | S_if (c, thens, elses) ->
-      let cond = compile_expr ctx b c in
       let lt = fresh ctx "then" and le = fresh ctx "else" and la = fresh ctx "fi" in
-      Builder.if_else b cond ~then_:lt ~else_:le;
+      compile_cond ctx b (Hashtbl.create 4) c ~then_:lt ~else_:le;
       Builder.set_block b lt;
       List.iter (compile_stmt ctx b) thens;
       Builder.jump b la;
@@ -515,8 +560,8 @@ let rec emit_parse ctx b (u : unit_decl) ~cur (spec : parse_spec) : Instr.operan
       Builder.instr b ~target:counter "assign" [ one ];
       (match stop with
       | Stop_until_elem e ->
-          let c = compile_expr ctx b ~elem:(Instr.Local ev_local, elem_ty) e in
-          Builder.if_else b c ~then_:done_l ~else_:head
+          compile_cond ctx b ~elem:(Instr.Local ev_local, elem_ty) (Hashtbl.create 4) e
+            ~then_:done_l ~else_:head
       | _ -> Builder.jump b head);
       Builder.set_block b done_l;
       Instr.Local lst_local
@@ -571,9 +616,8 @@ let compile_unit ctx (u : unit_decl) =
       match f.cond with
       | None -> parse_one ()
       | Some c ->
-          let cond = compile_expr ctx b c in
           let yes = fresh ctx "cond" and no = fresh ctx "condskip" in
-          Builder.if_else b cond ~then_:yes ~else_:no;
+          compile_cond ctx b (Hashtbl.create 4) c ~then_:yes ~else_:no;
           Builder.set_block b yes;
           parse_one ();
           Builder.jump b no;

@@ -206,25 +206,31 @@ let to_string t =
     t.cached <- s;
     s
 
-(** Extract the bytes in [\[a, b)] as a string.  Both iterators must point
-    into retained, available data.  A whole-window extraction reuses the
-    [to_string] cache instead of copying again. *)
-let sub (a : iter) (b : iter) =
-  let t = a.bytes in
-  if a.pos < t.base || b.pos > end_offset t || a.pos > b.pos then
-    raise Out_of_range;
-  if a.pos = t.base && b.pos = end_offset t then to_string t
-  else Bytes.sub_string t.buf (t.off + a.pos - t.base) (b.pos - a.pos)
+(** Extract the bytes of [t] at absolute offsets [\[a, b)] as a string.
+    Both must point into retained, available data.  A whole-window
+    extraction reuses the [to_string] cache instead of copying again. *)
+let sub_at t a b =
+  if a < t.base || b > end_offset t || a > b then raise Out_of_range;
+  if a = t.base && b = end_offset t then to_string t
+  else Bytes.sub_string t.buf (t.off + a - t.base) (b - a)
+
+(** {!sub_at} between two iterators into the same object. *)
+let sub (a : iter) (b : iter) = sub_at a.bytes a.pos b.pos
 
 (** [available it] is the number of bytes readable from [it] right now. *)
 let available (it : iter) = Stdlib.max 0 (end_offset it.bytes - it.pos)
 
-(** [require it n] checks that [n] bytes can be read from [it]; raises
-    [Would_block] (or [Out_of_range] when frozen) otherwise. *)
-let require (it : iter) n =
-  if it.pos < it.bytes.base then raise Out_of_range;
-  if available it < n then
-    if it.bytes.frozen then raise Out_of_range else raise Would_block
+(** [require_at t pos n] checks that [n] bytes can be read from [t] at
+    absolute offset [pos]; raises [Would_block] (or [Out_of_range] when
+    frozen) otherwise.  The position-based forms below serve callers that
+    keep a position without an {!iter} record around it. *)
+let require_at t pos n =
+  if pos < t.base then raise Out_of_range;
+  if Stdlib.max 0 (end_offset t - pos) < n then
+    if t.frozen then raise Out_of_range else raise Would_block
+
+(** [require it n] is [require_at] at [it]. *)
+let require (it : iter) n = require_at it.bytes it.pos n
 
 (** Read exactly [n] bytes starting at [it]; returns data and new iterator. *)
 let read (it : iter) n =
@@ -313,11 +319,10 @@ let read_uint (it : iter) ~width ~order =
   (!v, advance it width)
 
 (** The unsigned [len]-byte integer ([len] <= 7) starting [k] bytes past
-    [it], big-endian if [big]; allocation-free.  The caller must first
-    {!require} the bytes. *)
-let uint_at (it : iter) ~k ~len ~big =
-  let t = it.bytes in
-  let base = t.off + it.pos - t.base + k in
+    absolute offset [pos] of [t], big-endian if [big]; allocation-free.
+    The caller must first {!require_at} the bytes. *)
+let uint_at_pos t pos ~k ~len ~big =
+  let base = t.off + pos - t.base + k in
   let v = ref 0 in
   if big then
     for j = 0 to len - 1 do

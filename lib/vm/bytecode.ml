@@ -151,6 +151,7 @@ type tag =
   | Ttuple
   | Texception
   | Tcallable
+  | Titer  (** an iterator over bytes *)
 
 let tag_name = function
   | Any -> "any"
@@ -170,6 +171,7 @@ let tag_name = function
   | Ttuple -> "tuple"
   | Texception -> "exception"
   | Tcallable -> "callable"
+  | Titer -> "iter<bytes>"
 
 let tag_of_value (v : Value.t) : tag =
   match v with
@@ -189,6 +191,7 @@ let tag_of_value (v : Value.t) : tag =
   | Value.Tuple _ -> Ttuple
   | Value.Exception _ -> Texception
   | Value.Callable _ -> Tcallable
+  | Value.Iter (Value.Ibytes _) -> Titer
   | _ -> Any
 
 let join_tag a b = if a = b then a else Any
@@ -246,6 +249,43 @@ type instr =
   | FArith_u of int_arith * int * int * int   (** op, dst, a, b — float-bank slots *)
   | FCmp_u of cmp * int * int * int   (** regs[d] <- Bool (fbank[a] ? fbank[b]) *)
   | FBrCmp_u of cmp * int * int * int * int
+  (* Bank-resident bytes iterators ({!Specialize}).  A split iterator
+     register [r] keeps its bytes object in the boxed frame (regs[r] holds
+     some iterator into it, the {e base}) and its position in int-bank slot
+     [p]: the bank is authoritative, the base's own position goes stale.
+     When regs[r] holds no bytes iterator (a parameter of another type, a
+     never-written local's default) it is itself the register's value and
+     the slot is unused.  Operands below are written [r@p]. *)
+  | IPos_u of int * int
+      (** ibank[p] <- position of regs[r]; 0 when it is no bytes
+          iterator (rebase bridge, after a boxed write of [r]) *)
+  | IterBox_u of int * int
+      (** regs[r] <- its base moved to ibank[p] (escape bridge: builds an
+          iterator only when the position moved) *)
+  | PUnpack_u of unpack_fmt * int * int * int * int * int
+      (** [Unpack] on a split iterator: src r@p, value dst (boxed),
+          iterator dst r@p *)
+  | PUnpackI_u of unpack_fmt * int * int * int * int * int
+      (** the same with the value into ibank[d] *)
+  | PRead_u of int * int * int * int * int * int
+      (** [Read] on a split iterator: src r@p, length ibank slot, bytes
+          dst, iterator dst r@p *)
+  | PReadR_u of int * int * int * int * int * int
+      (** the same with the length in a boxed register *)
+  | PAdvance_u of int * int * int * int * int
+      (** [iter.advance]: dst r@p, src r@p, offset ibank slot *)
+  | PAtEnd_u of int * int * int       (** regs[d] <- [iter.at_end] r@p *)
+  | PDistance_u of int * int * int * int * int
+      (** ibank[d] <- [iter.distance] a@pa b@pb *)
+  | BLength_u of int * int            (** ibank[d] <- [bytes.length] regs[s] *)
+  | CallP_u of int * int array * int array * int * int * int
+      (** parse call: func idx, arg regs, their caller position slots (-1:
+          the callee reads the position off the boxed argument), value dst,
+          iterator dst r@p.  The callee enters past its prologue and
+          returns with [RetP_u]. *)
+  | RetP_u of int * int * int
+      (** return the pair (regs[v], r@p): to a [CallP_u] as a value plus a
+          base and position, to any other caller as the tuple *)
 
 (** Per-function register-bank layout, attached by {!Specialize}.  The
     templates are immutable after specialization: every activation starts
@@ -258,6 +298,13 @@ type spec = {
   fbank_init : float array;
   int_slot : int array;       (** boxed reg -> int-bank slot, -1 if unbanked *)
   float_slot : int array;     (** boxed reg -> float-bank slot, -1 if unbanked *)
+  iter_slot : int array;
+      (** boxed reg -> int-bank slot of its position, -1 if not split *)
+  entry_pc : int;
+      (** first instruction past the prologue that reads split parameters'
+          positions off their boxed values; [CallP_u] enters here, having
+          passed the positions in the bank *)
+  pair_ret : bool;  (** every return is a [RetP_u]: a [CallP_u] target *)
 }
 
 type func = {
@@ -320,6 +367,157 @@ let cmp_name = function
 let unpack_name fmt =
   (if fmt.u_signed then "s" else "u") ^ if fmt.u_big then "be" else "le"
 
+let string_op_name = function
+  | S_concat -> "concat" | S_length -> "length" | S_eq -> "eq" | S_lt -> "lt"
+  | S_find -> "find" | S_substr -> "substr" | S_to_bytes -> "to_bytes"
+  | S_upper -> "to_upper" | S_lower -> "to_lower" | S_starts_with -> "starts_with"
+  | S_contains -> "contains" | S_split1 -> "split1" | S_format -> "format"
+
+let bytes_op_name = function
+  | B_new -> "new" | B_length -> "length" | B_append -> "append" | B_freeze -> "freeze"
+  | B_is_frozen -> "is_frozen" | B_trim -> "trim" | B_sub -> "sub" | B_find -> "find"
+  | B_match_prefix -> "match_prefix" | B_can_read -> "can_read"
+  | B_to_string -> "to_string" | B_to_int -> "to_int" | B_eq -> "eq"
+  | B_starts_with -> "starts_with" | B_contains -> "contains" | B_offset -> "offset"
+  | B_upper -> "to_upper" | B_lower -> "to_lower"
+
+let iter_op_name = function
+  | I_begin -> "begin" | I_end -> "end" | I_incr -> "incr" | I_advance -> "advance"
+  | I_deref -> "deref" | I_eq -> "eq" | I_distance -> "distance" | I_at_end -> "at_end"
+  | I_is_eod -> "is_eod" | I_is_frozen -> "is_frozen"
+
+let new_name = function
+  | New_struct l -> l.Value.lname
+  | New_list -> "list" | New_vector -> "vector" | New_set -> "set" | New_map -> "map"
+  | New_channel _ -> "channel" | New_bytes -> "bytes" | New_timer_mgr -> "timer_mgr"
+  | New_classifier _ -> "classifier" | New_match_state -> "match_state"
+
+(** A primitive's HILTI mnemonic, with the operands lowering resolved into
+    it (struct fields by name, widths, masks). *)
+let prim_name (p : prim) =
+  let field (l : Value.layout) slot =
+    if slot >= 0 && slot < Array.length l.Value.lfields then l.Value.lfields.(slot)
+    else string_of_int slot
+  in
+  match p with
+  | P_select -> "select"
+  | P_equal -> "equal"
+  | P_make_tuple -> "tuple.make"
+  | P_new spec -> "new " ^ new_name spec
+  | P_bool_and -> "bool.and"
+  | P_bool_or -> "bool.or"
+  | P_bool_not -> "bool.not"
+  | P_int_arith (op, w) -> Printf.sprintf "int.%s.%d" (Int_arith.name op) w
+  | P_int_cmp c -> "int." ^ cmp_name c
+  | P_int_neg w -> Printf.sprintf "int.neg.%d" w
+  | P_int_abs w -> Printf.sprintf "int.abs.%d" w
+  | P_int_to_double -> "int.to_double"
+  | P_int_to_time -> "int.to_time"
+  | P_int_to_interval -> "int.to_interval"
+  | P_int_to_string -> "int.to_string"
+  | P_double_arith op -> "double." ^ Int_arith.name op
+  | P_double_cmp c -> "double." ^ cmp_name c
+  | P_double_neg -> "double.neg"
+  | P_double_abs -> "double.abs"
+  | P_double_to_int -> "double.to_int"
+  | P_string op -> "string." ^ string_op_name op
+  | P_bytes op -> "bytes." ^ bytes_op_name op
+  | P_iter op -> "iter." ^ iter_op_name op
+  | P_addr op ->
+      "addr." ^ (match op with
+                 | AD_family -> "family" | AD_eq -> "eq" | AD_mask -> "mask"
+                 | AD_to_string -> "to_string")
+  | P_port op ->
+      "port." ^ (match op with PO_protocol -> "protocol" | PO_number -> "number" | PO_eq -> "eq")
+  | P_net op ->
+      "net." ^ (match op with
+                | NE_contains -> "contains" | NE_prefix -> "prefix" | NE_length -> "length"
+                | NE_eq -> "eq")
+  | P_time op ->
+      "time." ^ (match op with
+                 | TI_add -> "add" | TI_sub -> "sub" | TI_cmp c -> cmp_name c | TI_wall -> "wall"
+                 | TI_to_double -> "to_double" | TI_nsecs -> "nsecs")
+  | P_interval op ->
+      "interval." ^ (match op with
+                     | IV_add -> "add" | IV_sub -> "sub" | IV_mul -> "mul" | IV_eq -> "eq"
+                     | IV_lt -> "lt" | IV_to_double -> "to_double" | IV_nsecs -> "nsecs")
+  | P_tuple_get i -> Printf.sprintf "tuple.get %d" i
+  | P_tuple_length -> "tuple.length"
+  | P_tuple_eq -> "tuple.eq"
+  | P_struct (op, l, slot) ->
+      Printf.sprintf "struct.%s .%s"
+        (match op with
+         | ST_get -> "get" | ST_get_default -> "get_default" | ST_set -> "set"
+         | ST_unset -> "unset" | ST_is_set -> "is_set")
+        (field l slot)
+  | P_enum_from_int (n, _) -> "enum.from_int " ^ n
+  | P_enum_value -> "enum.value"
+  | P_enum_eq -> "enum.eq"
+  | P_bitset_set m -> Printf.sprintf "bitset.set 0x%Lx" m
+  | P_bitset_clear m -> Printf.sprintf "bitset.clear 0x%Lx" m
+  | P_bitset_has m -> Printf.sprintf "bitset.has 0x%Lx" m
+  | P_bitset_eq -> "bitset.eq"
+  | P_list op ->
+      "list." ^ (match op with
+                 | L_append -> "append" | L_push_front -> "push_front"
+                 | L_pop_front -> "pop_front" | L_front -> "front" | L_back -> "back"
+                 | L_size -> "size" | L_clear -> "clear")
+  | P_vector op ->
+      "vector." ^ (match op with
+                   | V_push_back -> "push_back" | V_get -> "get" | V_set -> "set"
+                   | V_size -> "size" | V_reserve -> "reserve" | V_clear -> "clear"
+                   | V_pop_back -> "pop_back")
+  | P_set op ->
+      "set." ^ (match op with
+                | SE_insert -> "insert" | SE_exists -> "exists" | SE_remove -> "remove"
+                | SE_size -> "size" | SE_clear -> "clear" | SE_timeout -> "timeout")
+  | P_map op ->
+      "map." ^ (match op with
+                | M_insert -> "insert" | M_get -> "get" | M_get_default -> "get_default"
+                | M_exists -> "exists" | M_remove -> "remove" | M_size -> "size"
+                | M_clear -> "clear" | M_default -> "default" | M_timeout -> "timeout")
+  | P_channel op ->
+      "channel." ^ (match op with
+                    | CH_write -> "write" | CH_read -> "read" | CH_try_read -> "try_read"
+                    | CH_size -> "size")
+  | P_classifier op ->
+      "classifier." ^ (match op with
+                       | CL_add -> "add" | CL_compile -> "compile" | CL_get -> "get"
+                       | CL_matches -> "matches")
+  | P_regexp op ->
+      "regexp." ^ (match op with
+                   | RE_compile -> "compile" | RE_find -> "find"
+                   | RE_match_token -> "match_token" | RE_span -> "span"
+                   | RE_groups -> "groups")
+  | P_overlay_get o -> Printf.sprintf "overlay.get @%d" o.ov_offset
+  | P_timer_new -> "timer.new"
+  | P_timer_cancel -> "timer.cancel"
+  | P_timer_mgr_schedule -> "timer_mgr.schedule"
+  | P_timer_mgr_advance -> "timer_mgr.advance"
+  | P_timer_mgr_advance_global -> "timer_mgr.advance_global"
+  | P_timer_mgr_current -> "timer_mgr.current"
+  | P_timer_mgr_expire_all -> "timer_mgr.expire_all"
+  | P_thread_id -> "thread.id"
+  | P_exc_new -> "exception.new"
+  | P_exc_data -> "exception.data"
+  | P_exc_name -> "exception.name"
+  | P_file op ->
+      "file." ^ (match op with F_open -> "open" | F_write -> "write" | F_close -> "close")
+  | P_iosrc_read -> "iosrc.read"
+  | P_iosrc_close -> "iosrc.close"
+  | P_profiler op ->
+      "profiler." ^ (match op with
+                     | PR_start -> "start" | PR_stop -> "stop" | PR_snapshot -> "snapshot")
+  | P_debug op ->
+      "debug." ^ (match op with
+                  | D_msg -> "msg" | D_assert -> "assert" | D_internal_error -> "internal_error")
+  | P_callable_call -> "callable.call"
+
+(* A split iterator operand: base register and position slot. *)
+let split r p = Printf.sprintf "r%d@i%d" r p
+
+let dst d = if d < 0 then "_" else Printf.sprintf "r%d" d
+
 let instr_to_string (i : instr) =
   match i with
   | Const (d, v) -> Printf.sprintf "r%d <- const %s" d (Value.to_string v)
@@ -347,7 +545,9 @@ let instr_to_string (i : instr) =
         (regs args)
   | Schedule (f, args, tid) -> Printf.sprintf "schedule #%d (%s) -> thread r%d" f (regs args) tid
   | Bind (f, args, d) -> Printf.sprintf "r%d <- bind #%d (%s)" d f (regs args)
-  | Prim (_, args, d) -> Printf.sprintf "r%d <- prim (%s)" d (regs args)
+  | Prim (p, args, d) ->
+      let ops = if args = [||] then "" else " " ^ regs args in
+      if d < 0 then prim_name p ^ ops else Printf.sprintf "r%d <- %s%s" d (prim_name p) ops
   | Unpack (fmt, s, v, i) ->
       Printf.sprintf "r%d, r%d <- unpack.%s%d r%d" v i (unpack_name fmt) fmt.u_width s
   | Read (s, n, v, i) -> Printf.sprintf "r%d, r%d <- read r%d r%d" v i s n
@@ -378,6 +578,31 @@ let instr_to_string (i : instr) =
   | FCmp_u (c, d, a, b) -> Printf.sprintf "r%d <- %s f%d f%d" d (cmp_name c) a b
   | FBrCmp_u (c, a, b, t, e) ->
       Printf.sprintf "br (%s f%d f%d) ? %d : %d" (cmp_name c) a b t e
+  | IPos_u (p, r) -> Printf.sprintf "i%d <- pos r%d" p r
+  | IterBox_u (r, p) -> Printf.sprintf "r%d <- iter %s" r (split r p)
+  | PUnpack_u (fmt, s, ps, v, d, pd) ->
+      Printf.sprintf "%s, %s <- unpack.%s%d %s" (dst v) (split d pd) (unpack_name fmt)
+        fmt.u_width (split s ps)
+  | PUnpackI_u (fmt, s, ps, v, d, pd) ->
+      Printf.sprintf "i%d, %s <- unpack.%s%d %s" v (split d pd) (unpack_name fmt)
+        fmt.u_width (split s ps)
+  | PRead_u (s, ps, n, v, d, pd) ->
+      Printf.sprintf "%s, %s <- read %s i%d" (dst v) (split d pd) (split s ps) n
+  | PReadR_u (s, ps, n, v, d, pd) ->
+      Printf.sprintf "%s, %s <- read %s r%d" (dst v) (split d pd) (split s ps) n
+  | PAdvance_u (d, pd, s, ps, n) ->
+      Printf.sprintf "%s <- iter.advance %s i%d" (split d pd) (split s ps) n
+  | PAtEnd_u (d, s, ps) -> Printf.sprintf "%s <- iter.at_end %s" (dst d) (split s ps)
+  | PDistance_u (d, a, pa, b, pb) ->
+      Printf.sprintf "i%d <- iter.distance %s %s" d (split a pa) (split b pb)
+  | BLength_u (d, s) -> Printf.sprintf "i%d <- bytes.length r%d" d s
+  | CallP_u (f, args, apos, v, d, pd) ->
+      Printf.sprintf "%s, %s <- call #%d (%s)" (dst v) (split d pd) f
+        (String.concat " "
+           (List.mapi
+              (fun k r -> if apos.(k) >= 0 then split r apos.(k) else Printf.sprintf "r%d" r)
+              (Array.to_list args)))
+  | RetP_u (v, r, p) -> Printf.sprintf "ret r%d, %s" v (split r p)
 
 let disassemble_func (f : func) =
   let buf = Buffer.create 256 in

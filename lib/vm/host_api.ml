@@ -9,6 +9,7 @@
 type t = {
   ctx : Vm.context;
   opt_stats : Hilti_passes.Pipeline.stats option;
+  spec_stats : Specialize.stats option;  (** [None] with [~specialize:false] *)
   linked : Module_ir.t;
 }
 
@@ -36,7 +37,7 @@ let compile ?(optimize = true) ?(specialize = true) (modules : Module_ir.t list)
   let program = Lower.lower_module linked in
   (try ignore (Verify.verify_exn program)
    with Verify.Verify_error errors -> raise (Compile_error errors));
-  if specialize then ignore (Specialize.specialize program);
+  let spec_stats = if specialize then Some (Specialize.specialize program) else None in
   let ctx = Vm.create program in
   (* The standard library surface host applications always get. *)
   Vm.register_host ctx "Hilti::print" (fun c args ->
@@ -44,7 +45,7 @@ let compile ?(optimize = true) ?(specialize = true) (modules : Module_ir.t list)
       Value.Null);
   Vm.register_host ctx "Hilti::abort" (fun _ _ ->
       raise (Value.hilti_exception "Hilti::Abort" Value.Null));
-  { ctx; opt_stats; linked }
+  { ctx; opt_stats; spec_stats; linked }
 
 (** Redirect [Hilti::print] / [debug.msg] output (e.g. into a buffer). *)
 let set_output t sink = t.ctx.Vm.debug_sink <- sink

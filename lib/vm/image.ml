@@ -8,7 +8,7 @@
    type-safe: a binary reading a record of another shape indexes past its
    end.  Change the magic whenever the shape of [Bytecode.program] (or of
    anything it holds) changes. *)
-let magic = "HILTI-IMAGE-4"
+let magic = "HILTI-IMAGE-5"
 
 exception Not_an_image of string
 

@@ -109,7 +109,11 @@ let prim_sig (p : prim) : tag option array option * tag =
       | B_new | B_sub -> (None, Tbytes)
       | B_find -> (None, Ttuple)  (* (found, iterator) pair *)
       | _ -> (None, Any))
-  | P_iter _ -> (None, Any)
+  | P_iter op -> (
+      match op with
+      | I_distance -> (None, Tint)
+      | I_eq | I_at_end | I_is_eod | I_is_frozen -> (None, Tbool)
+      | _ -> (None, Any))
   | P_addr op -> (
       match op with
       | AD_family -> sig_ (a1 Taddr) Tenum
@@ -211,6 +215,14 @@ let verify_func (p : program) (f : func) : int * string list =
     when Bytes.length sp.ibank_init <> 8 * sp.n_int
          || Array.length sp.fbank_init <> sp.n_float ->
       err (-1) "register-bank templates do not match the bank sizes"
+  | Some sp
+    when Array.length sp.iter_slot < f.nregs
+         || Array.exists (fun p -> p < -1 || p >= sp.n_int) sp.iter_slot ->
+      (* A [CallP_u] writes the callee's parameter positions through
+         these slots. *)
+      err (-1) "iterator position slots outside the int bank"
+  | Some sp when sp.entry_pc < 0 || sp.entry_pc >= max len 1 ->
+      err (-1) "entry pc %d out of range" sp.entry_pc
   | _ -> ());
   if !errors <> [] then (0, List.rev !errors)
   else begin
@@ -434,18 +446,18 @@ let verify_func (p : program) (f : func) : int * string list =
           unpack_width pc fmt;
           ignore (use st pc s "unpack source");
           def st pc v Tint;
-          def st pc it Any
+          def st pc it Titer
       | Read (s, n, v, it) ->
           ignore (use st pc s "read source");
           let nt = use st pc n "read length" in
           require pc "read length" ~expected:Tint ~actual:nt;
           def st pc v Tbytes;
-          def st pc it Any
+          def st pc it Titer
       | UnpackI_u (fmt, s, v, it) ->
           unpack_width pc fmt;
           ignore (use st pc s "unpack source");
           islot pc v "unpack dst";
-          def st pc it Any
+          def st pc it Titer
       | Nop -> ()
       | IConst_u (d, _) -> islot pc d "iconst"
       | IMov_u (d, s) ->
@@ -518,6 +530,82 @@ let verify_func (p : program) (f : func) : int * string list =
           check_target pc e "br-cmp-else";
           flow t st;
           flow e st;
+          fallthrough := false
+      (* Split iterators: the base register is a boxed operand, the
+         position an int-bank slot. *)
+      | IPos_u (p, r) ->
+          islot pc p "iter.pos dst";
+          ignore (use st pc r "iter.pos source")
+      | IterBox_u (r, p) ->
+          islot pc p "iter.box position";
+          def st pc r (use st pc r "iter.box base")
+      | PUnpack_u (fmt, s, ps, v, d, pd) | PUnpackI_u (fmt, s, ps, v, d, pd) ->
+          unpack_width pc fmt;
+          ignore (use st pc s "unpack source");
+          islot pc ps "unpack source position";
+          islot pc pd "unpack iterator position";
+          (match f.code.(pc) with
+          | PUnpackI_u _ -> islot pc v "unpack dst"
+          | _ -> def st pc v Tint);
+          def st pc d Titer
+      | PRead_u (s, ps, n, v, d, pd) | PReadR_u (s, ps, n, v, d, pd) ->
+          ignore (use st pc s "read source");
+          islot pc ps "read source position";
+          islot pc pd "read iterator position";
+          (match f.code.(pc) with
+          | PRead_u _ -> islot pc n "read length"
+          | _ ->
+              let nt = use st pc n "read length" in
+              require pc "read length" ~expected:Tint ~actual:nt);
+          def st pc v Tbytes;
+          def st pc d Titer
+      | PAdvance_u (d, pd, s, ps, n) ->
+          ignore (use st pc s "advance source");
+          islot pc ps "advance source position";
+          islot pc n "advance offset";
+          islot pc pd "advance position";
+          def st pc d Any
+      | PAtEnd_u (d, s, ps) ->
+          ignore (use st pc s "at_end operand");
+          islot pc ps "at_end position";
+          def st pc d Tbool
+      | PDistance_u (d, a, pa, b, pb) ->
+          ignore (use st pc a "distance operand");
+          ignore (use st pc b "distance operand");
+          islot pc pa "distance position";
+          islot pc pb "distance position";
+          islot pc d "distance dst"
+      | BLength_u (d, s) ->
+          ignore (use st pc s "bytes.length operand");
+          islot pc d "bytes.length dst"
+      | CallP_u (fi, args, apos, v, d, pd) ->
+          incr checks;
+          if fi < 0 || fi >= nfuncs then
+            err pc "callee index %d out of range [0,%d)" fi nfuncs
+          else begin
+            let callee = p.funcs.(fi) in
+            incr checks;
+            if Array.length args <> callee.nparams then
+              err pc "call to %s passes %d args, expects %d" callee.name
+                (Array.length args) callee.nparams;
+            incr checks;
+            match callee.spec with
+            | Some sp when sp.pair_ret -> ()
+            | _ -> err pc "parse call to %s, which returns no position pair" callee.name
+          end;
+          incr checks;
+          if Array.length apos <> Array.length args then
+            err pc "parse call: %d position slots for %d args" (Array.length apos)
+              (Array.length args);
+          Array.iteri (fun i r -> ignore (use st pc r (Printf.sprintf "call arg %d" i))) args;
+          Array.iter (fun ap -> if ap >= 0 then islot pc ap "call arg position") apos;
+          islot pc pd "call iterator position";
+          def st pc v Any;
+          def st pc d Any
+      | RetP_u (v, r, ps) ->
+          ignore (use st pc v "return value");
+          ignore (use st pc r "return iterator");
+          islot pc ps "return position";
           fallthrough := false);
       if !fallthrough then begin
         incr checks;
@@ -567,11 +655,20 @@ let compute_typing (f : func) : tag array =
       | Prim (p, _, d) -> contribute d (snd (prim_sig p))
       | Unpack (_, _, v, it) ->
           contribute v Tint;
-          contribute it Any
-      | UnpackI_u (_, _, _, it) -> contribute it Any
-      | Read (_, _, v, it) ->
+          contribute it Titer
+      | UnpackI_u (_, _, _, it) -> contribute it Titer
+      | Read (_, _, v, it) | PRead_u (_, _, _, v, it, _) | PReadR_u (_, _, _, v, it, _) ->
           contribute v Tbytes;
-          contribute it Any
+          contribute it Titer
+      | PUnpack_u (_, _, _, v, it, _) ->
+          contribute v Tint;
+          contribute it Titer
+      | PUnpackI_u (_, _, _, _, it, _) -> contribute it Titer
+      | PAdvance_u (d, _, _, _, _) -> contribute d Any
+      | PAtEnd_u (d, _, _) -> contribute d Tbool
+      | CallP_u (_, _, _, v, d, _) ->
+          contribute v Any;
+          contribute d Any
       | BoxI (d, _) -> contribute d Tint
       | BoxF (d, _) -> contribute d Tdouble
       | ICmp_u (_, d, _, _) | ICmpK_u (_, d, _, _) | FCmp_u (_, d, _, _) ->

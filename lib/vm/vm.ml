@@ -53,18 +53,19 @@ let opgroup_of (i : Bytecode.instr) =
   match i with
   | Const _ | Mov _ -> 0
   | Jump _ | Br _ | Switch _ -> 1
-  | Call _ | CallC _ | Ret _ | Bind _ -> 2
+  | Call _ | CallC _ | Ret _ | Bind _ | CallP_u _ | RetP_u _ -> 2
   | TryPush _ | TryPop | Throw _ -> 3
   | Yield | HookRun _ | Schedule _ -> 4
   | LoadGlobal _ | StoreGlobal _ -> 5
   | Prim _ | Unpack _ | Read _ -> 6
   | Nop -> 7
   | IConst_u _ | IMov_u _ | IArith_u _ | IArithK_u _ | ICmp_u _ | ICmpK_u _
-  | UnpackI_u _ ->
+  | UnpackI_u _ | PUnpack_u _ | PUnpackI_u _ | PRead_u _ | PReadR_u _ | PAdvance_u _
+  | PAtEnd_u _ | PDistance_u _ | BLength_u _ ->
       8
   | FConst_u _ | FMov_u _ | FArith_u _ | FCmp_u _ -> 9
   | IBrCmp_u _ | IBrCmpK_u _ | IIncrJ_u _ | FBrCmp_u _ -> 10
-  | UnboxI _ | BoxI _ | UnboxF _ | BoxF _ -> bridge_group
+  | UnboxI _ | BoxI _ | UnboxF _ | BoxF _ | IPos_u _ | IterBox_u _ -> bridge_group
 
 let m_opgroup =
   Array.map
@@ -132,6 +133,10 @@ type context = {
   mutable step_kill : int;             (* raise once [instrs] reaches this; max_int = off *)
   mutable debug_sink : string -> unit;
   pools : pool array;  (* frame free lists, by func idx *)
+  mutable ret_base : Value.t;
+  mutable ret_pos : int;
+      (* the iterator half of the last [RetP_u] to a [CallP_u]: base and
+         position, read back by the caller as soon as the callee returns *)
 }
 
 let main_thread_id = 0L
@@ -154,6 +159,8 @@ let create (program : Bytecode.program) =
     step_kill = max_int;
     debug_sink = (fun s -> print_endline s);
     pools = Array.make (Array.length program.funcs) no_pool;
+    ret_base = Value.Null;
+    ret_pos = 0;
   }
 
 (** Bind host function [name] to its slot.  A name the program never calls
@@ -221,34 +228,72 @@ let blocking ctx f =
   in
   go ()
 
-(** Wait until [w] bytes are readable at [it], suspending while the stream
-    may still grow. *)
-let rec await_bytes ctx it w =
-  match Hilti_types.Hbytes.require it w with
+(** Wait until [w] bytes are readable at absolute offset [pos] of [b],
+    suspending while the stream may still grow. *)
+let rec await_bytes ctx b pos w =
+  match Hilti_types.Hbytes.require_at b pos w with
   | () -> ()
   | exception Hilti_types.Hbytes.Would_block ->
       suspend ctx;
-      await_bytes ctx it w
+      await_bytes ctx b pos w
   | exception Hilti_types.Hbytes.Out_of_range ->
       raise (Value.value_error "bytes: out of range")
 
-(** The integer [bytes.unpack_*] reads at [it] (after {!await_bytes}).
-    Inlined, so the int-bank path never boxes it. *)
-let[@inline] unpack_value (it : Hilti_types.Hbytes.iter) (fmt : unpack_fmt) : int64 =
+(** The integer [bytes.unpack_*] reads at offset [pos] of [b] (after
+    {!await_bytes}).  Inlined, so the int-bank path never boxes it. *)
+let[@inline] unpack_value b pos (fmt : unpack_fmt) : int64 =
   let module H = Hilti_types.Hbytes in
   let w = fmt.u_width and big = fmt.u_big in
   let x =
-    if w <= 7 then Int64.of_int (H.uint_at it ~k:0 ~len:w ~big)
+    if w <= 7 then Int64.of_int (H.uint_at_pos b pos ~k:0 ~len:w ~big)
     else
       (* Eight bytes: two 4-byte halves, so the native ints never overflow. *)
-      let hi = H.uint_at it ~k:(if big then 0 else 4) ~len:4 ~big
-      and lo = H.uint_at it ~k:(if big then 4 else 0) ~len:4 ~big in
+      let hi = H.uint_at_pos b pos ~k:(if big then 0 else 4) ~len:4 ~big
+      and lo = H.uint_at_pos b pos ~k:(if big then 4 else 0) ~len:4 ~big in
       Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
   in
   if fmt.u_signed && w < 8 then
     let sh = 64 - (8 * w) in
     Int64.shift_right (Int64.shift_left x sh) sh
   else x
+
+(* ---- Iterator values ------------------------------------------------------------ *)
+
+(* [iter.advance], [iter.at_end] and [iter.distance] on iterator values:
+   the generic primitives, and the split forms' fallback when a base holds
+   no bytes iterator. *)
+let advance_value (v : Value.t) n : Value.t =
+  match Value.as_iter v with
+  | Value.Ibytes it -> Value.Iter (Value.Ibytes (Hilti_types.Hbytes.advance it n))
+  | Value.Isnapshot l ->
+      let rec drop k lst = if k <= 0 then lst else match lst with [] -> [] | _ :: r -> drop (k - 1) r in
+      Value.Iter (Value.Isnapshot (ref (drop n !l)))
+  | Value.Ivector (vec, i) -> Value.Iter (Value.Ivector (vec, i + n))
+
+let at_end_value (v : Value.t) : bool =
+  match Value.as_iter v with
+  | Value.Ibytes it -> Hilti_types.Hbytes.at_end it
+  | Value.Isnapshot l -> !l = []
+  | Value.Ivector (vec, i) -> i >= Dynarray.size vec
+
+let distance_value (a : Value.t) (b : Value.t) : int =
+  match (Value.as_iter a, Value.as_iter b) with
+  | Value.Ibytes x, Value.Ibytes y -> Hilti_types.Hbytes.distance x y
+  | Value.Ivector (_, i), Value.Ivector (_, j) -> j - i
+  | _ -> raise (Value.type_error "iter.distance")
+
+(* Split iterators ({!Bytecode.IPos_u}): a base register plus an int-bank
+   position.  [iter_pos]: the position a base carries, 0 when it holds no
+   bytes iterator.  [iter_value]: the register's value, the base moved to
+   [pos] — built only when the position moved. *)
+let iter_pos (v : Value.t) =
+  match v with Value.Iter (Value.Ibytes it) -> it.Hilti_types.Hbytes.pos | _ -> 0
+
+let iter_value (v : Value.t) pos =
+  match v with
+  | Value.Iter (Value.Ibytes it) when it.Hilti_types.Hbytes.pos <> pos ->
+      Value.Iter (Value.Ibytes (Hilti_types.Hbytes.iter_at it.Hilti_types.Hbytes.bytes pos))
+  | v -> v
 
 (* ---- Int semantics ------------------------------------------------------------ *)
 
@@ -826,14 +871,9 @@ and exec_iter ctx op rg ar =
           | [] -> raise (Value.index_error ())
           | _ :: rest -> Value.Iter (Value.Isnapshot (ref rest)))
       | Value.Ivector (v, i) -> Value.Iter (Value.Ivector (v, i + 1)))
-  | I_advance -> (
+  | I_advance ->
       let n = Value.as_int_i (arg rg ar 1) in
-      match Value.as_iter (arg rg ar 0) with
-      | Value.Ibytes it -> Value.Iter (Value.Ibytes (Hbytes.advance it n))
-      | Value.Isnapshot l ->
-          let rec drop k lst = if k <= 0 then lst else match lst with [] -> [] | _ :: r -> drop (k - 1) r in
-          Value.Iter (Value.Isnapshot (ref (drop n !l)))
-      | Value.Ivector (v, i) -> Value.Iter (Value.Ivector (v, i + n)))
+      advance_value (arg rg ar 0) n
   | I_deref -> (
       match Value.as_iter (arg rg ar 0) with
       | Value.Ibytes it -> Value.Int (Int64.of_int (blocking ctx (fun () -> Hbytes.get it)))
@@ -850,16 +890,8 @@ and exec_iter ctx op rg ar =
           vbool (List.length !x = List.length !y)
       | Value.Ivector (_, i), Value.Ivector (_, j) -> vbool (i = j)
       | _ -> Value.Bool false)
-  | I_distance -> (
-      match (Value.as_iter (arg rg ar 0), Value.as_iter (arg rg ar 1)) with
-      | Value.Ibytes x, Value.Ibytes y -> Value.Int (Int64.of_int (Hbytes.distance x y))
-      | Value.Ivector (_, i), Value.Ivector (_, j) -> Value.Int (Int64.of_int (j - i))
-      | _ -> raise (Value.type_error "iter.distance"))
-  | I_at_end -> (
-      match Value.as_iter (arg rg ar 0) with
-      | Value.Ibytes it -> vbool (Hbytes.at_end it)
-      | Value.Isnapshot l -> vbool (!l = [])
-      | Value.Ivector (v, i) -> vbool (i >= Dynarray.size v))
+  | I_distance -> Value.Int (Int64.of_int (distance_value (arg rg ar 0) (arg rg ar 1)))
+  | I_at_end -> vbool (at_end_value (arg rg ar 0))
   | I_is_eod -> (
       match Value.as_iter (arg rg ar 0) with
       | Value.Ibytes it -> vbool (Hbytes.is_eod it)
@@ -1298,7 +1330,7 @@ and exec_func ctx (fidx : int) (args : Value.t list) : Value.t =
   let frame = acquire_frame pool f in
   List.iteri (fun i v -> if i < f.nparams then frame.regs.(i) <- v) args;
   default_params f frame (List.length args);
-  run_frame ctx f pool frame
+  run_frame ctx f pool frame false
 
 (* A call from bytecode: the arguments go straight from the caller's
    registers [rg] (at [ar]) into the callee's parameters.  Arguments past
@@ -1313,9 +1345,11 @@ and call_regs ctx (fidx : int) (rg : Value.t array) (ar : int array) : Value.t =
     Array.unsafe_set regs i (Array.unsafe_get rg (Array.unsafe_get ar i))
   done;
   default_params f frame k;
-  run_frame ctx f pool frame
+  run_frame ctx f pool frame false
 
-and run_frame ctx (f : Bytecode.func) pool (frame : frame) : Value.t =
+(* [pcall]: the activation is a [CallP_u]'s, so its [RetP_u] hands the
+   iterator back in [ctx.ret_base]/[ctx.ret_pos] instead of a tuple. *)
+and run_frame ctx (f : Bytecode.func) pool (frame : frame) (pcall : bool) : Value.t =
   let ibank = frame.ibank and fbank = frame.fbank in
   let code = f.code in
   let result = ref Value.Null in
@@ -1325,7 +1359,12 @@ and run_frame ctx (f : Bytecode.func) pool (frame : frame) : Value.t =
   in
   let instrs = ctx.instrs in
   let instrs_at_entry = !instrs in
+  (* One exception handler per activation, not per instruction: a HILTI
+     exception with a [try] handler on the frame's stack jumps there, and
+     the outer loop enters the dispatch loop again. *)
   (try
+     while !running do
+     try
      while !running do
     let i = Array.unsafe_get code frame.pc in
     let n = !instrs + 1 in
@@ -1337,7 +1376,6 @@ and run_frame ctx (f : Bytecode.func) pool (frame : frame) : Value.t =
         ops.(g) <- ops.(g) + 1
     | None -> ());
     let next = frame.pc + 1 in
-    (try
        match i with
        | Const (dst, v) ->
            setreg frame dst v;
@@ -1444,8 +1482,9 @@ and run_frame ctx (f : Bytecode.func) pool (frame : frame) : Value.t =
            frame.pc <- next
        | Unpack (fmt, s, vd, itd) ->
            let it = Value.as_bytes_iter (reg frame s) in
-           await_bytes ctx it fmt.u_width;
-           setreg frame vd (Value.Int (unpack_value it fmt));
+           let b = it.Hilti_types.Hbytes.bytes and pos = it.Hilti_types.Hbytes.pos in
+           await_bytes ctx b pos fmt.u_width;
+           setreg frame vd (Value.Int (unpack_value b pos fmt));
            setreg frame itd
              (Value.Iter (Value.Ibytes (Hilti_types.Hbytes.advance it fmt.u_width)));
            frame.pc <- next
@@ -1453,7 +1492,7 @@ and run_frame ctx (f : Bytecode.func) pool (frame : frame) : Value.t =
            let it = Value.as_bytes_iter (reg frame s) in
            let k = Value.as_int_i (reg frame n) in
            if k < 0 then raise (Value.value_error "bytes.read: negative length");
-           await_bytes ctx it k;
+           await_bytes ctx it.Hilti_types.Hbytes.bytes it.Hilti_types.Hbytes.pos k;
            let it' = Hilti_types.Hbytes.advance it k in
            setreg frame vd
              (Value.Bytes (Hilti_types.Hbytes.frozen_of_string (Hilti_types.Hbytes.sub it it')));
@@ -1571,8 +1610,9 @@ and run_frame ctx (f : Bytecode.func) pool (frame : frame) : Value.t =
            frame.pc <- (if r then t else e)
        | UnpackI_u (fmt, s, d, itd) ->
            let it = Value.as_bytes_iter (reg frame s) in
-           await_bytes ctx it fmt.u_width;
-           ibank_set ibank (d lsl 3) (unpack_value it fmt);
+           let b = it.Hilti_types.Hbytes.bytes and pos = it.Hilti_types.Hbytes.pos in
+           await_bytes ctx b pos fmt.u_width;
+           ibank_set ibank (d lsl 3) (unpack_value b pos fmt);
            setreg frame itd
              (Value.Iter (Value.Ibytes (Hilti_types.Hbytes.advance it fmt.u_width)));
            frame.pc <- next
@@ -1628,11 +1668,105 @@ and run_frame ctx (f : Bytecode.func) pool (frame : frame) : Value.t =
                (Float.compare (Array.unsafe_get fbank a) (Array.unsafe_get fbank b))
            in
            frame.pc <- (if r then t else e)
+       (* ---- Split iterators: positions in the int bank ---- *)
+       | IPos_u (p, r) ->
+           ibank_set ibank (p lsl 3) (Int64.of_int (iter_pos (reg frame r)));
+           frame.pc <- next
+       | IterBox_u (r, p) ->
+           let v = reg frame r in
+           let v' = iter_value v (Int64.to_int (ibank_get ibank (p lsl 3))) in
+           if v' != v then setreg frame r v';
+           frame.pc <- next
+       | PUnpack_u (fmt, s, ps, vd, d, pd) ->
+           let base = reg frame s in
+           let b = (Value.as_bytes_iter base).Hilti_types.Hbytes.bytes in
+           let pos = Int64.to_int (ibank_get ibank (ps lsl 3)) in
+           await_bytes ctx b pos fmt.u_width;
+           setreg frame vd (Value.Int (unpack_value b pos fmt));
+           if d <> s then setreg frame d base;
+           ibank_set ibank (pd lsl 3) (Int64.of_int (pos + fmt.u_width));
+           frame.pc <- next
+       | PUnpackI_u (fmt, s, ps, vd, d, pd) ->
+           let base = reg frame s in
+           let b = (Value.as_bytes_iter base).Hilti_types.Hbytes.bytes in
+           let pos = Int64.to_int (ibank_get ibank (ps lsl 3)) in
+           await_bytes ctx b pos fmt.u_width;
+           ibank_set ibank (vd lsl 3) (unpack_value b pos fmt);
+           if d <> s then setreg frame d base;
+           ibank_set ibank (pd lsl 3) (Int64.of_int (pos + fmt.u_width));
+           frame.pc <- next
+       | PRead_u (s, ps, n, vd, d, pd) ->
+           let base = reg frame s in
+           let b = (Value.as_bytes_iter base).Hilti_types.Hbytes.bytes in
+           read_at ctx frame base b (Int64.to_int (ibank_get ibank (ps lsl 3)))
+             (Int64.to_int (ibank_get ibank (n lsl 3))) vd s d pd;
+           frame.pc <- next
+       | PReadR_u (s, ps, n, vd, d, pd) ->
+           let base = reg frame s in
+           let b = (Value.as_bytes_iter base).Hilti_types.Hbytes.bytes in
+           read_at ctx frame base b (Int64.to_int (ibank_get ibank (ps lsl 3)))
+             (Value.as_int_i (reg frame n)) vd s d pd;
+           frame.pc <- next
+       | PAdvance_u (d, pd, s, ps, n) ->
+           let k = Int64.to_int (ibank_get ibank (n lsl 3)) in
+           (match reg frame s with
+           | Value.Iter (Value.Ibytes _) as base ->
+               (* What [Prim] makes of [Hbytes.advance]'s [Invalid_argument]. *)
+               if k < 0 then raise (Value.value_error "prim: Hbytes.advance");
+               if d <> s then setreg frame d base;
+               ibank_set ibank (pd lsl 3)
+                 (Int64.of_int (Int64.to_int (ibank_get ibank (ps lsl 3)) + k))
+           | v ->
+               let r = advance_value v k in
+               setreg frame d r;
+               ibank_set ibank (pd lsl 3) (Int64.of_int (iter_pos r)));
+           frame.pc <- next
+       | PAtEnd_u (d, s, ps) ->
+           let r =
+             match reg frame s with
+             | Value.Iter (Value.Ibytes it) ->
+                 Int64.to_int (ibank_get ibank (ps lsl 3))
+                 >= Hilti_types.Hbytes.end_offset it.Hilti_types.Hbytes.bytes
+             | v -> at_end_value v
+           in
+           setreg frame d (if r then vtrue else vfalse);
+           frame.pc <- next
+       | PDistance_u (d, a, pa, b, pb) ->
+           let pa = Int64.to_int (ibank_get ibank (pa lsl 3))
+           and pb = Int64.to_int (ibank_get ibank (pb lsl 3)) in
+           let r =
+             match (reg frame a, reg frame b) with
+             | Value.Iter (Value.Ibytes _), Value.Iter (Value.Ibytes _) -> pb - pa
+             | va, vb -> distance_value (iter_value va pa) (iter_value vb pb)
+           in
+           ibank_set ibank (d lsl 3) (Int64.of_int r);
+           frame.pc <- next
+       | BLength_u (d, s) ->
+           ibank_set ibank (d lsl 3)
+             (Int64.of_int (Hilti_types.Hbytes.length (Value.as_bytes (reg frame s))));
+           frame.pc <- next
+       | CallP_u (callee, arg_regs, apos, vd, d, pd) ->
+           let r = call_pos ctx callee frame arg_regs apos in
+           setreg frame vd r;
+           let base = ctx.ret_base in
+           if reg frame d != base then setreg frame d base;
+           ibank_set ibank (pd lsl 3) (Int64.of_int ctx.ret_pos);
+           frame.pc <- next
+       | RetP_u (v, r, p) ->
+           let pos = Int64.to_int (ibank_get ibank (p lsl 3)) in
+           if pcall then begin
+             result := reg frame v;
+             ctx.ret_base <- reg frame r;
+             ctx.ret_pos <- pos
+           end
+           else result := Value.Tuple [| reg frame v; iter_value (reg frame r) pos |];
+           running := false
+     done
      with Value.Hilti_error e when frame.tries <> [] && e.Value.ename <> "Hilti::HookStop" ->
        let handler, exc_reg = List.hd frame.tries in
        frame.tries <- List.tl frame.tries;
        setreg frame exc_reg (Value.Exception e);
-       frame.pc <- handler)
+       frame.pc <- handler
      done
    with e ->
      release_frame pool frame;
@@ -1650,6 +1784,46 @@ and run_frame ctx (f : Bytecode.func) pool (frame : frame) : Value.t =
       Hilti_obs.Metrics.observe m_func_instrs (!instrs - instrs_at_entry)
   | None -> ());
   !result
+
+(* [Read] on a split iterator at offset [pos] of [b], [k] bytes: the bytes
+   into [vd], the iterator (base [base], from register [s]) into [d@pd]. *)
+and read_at ctx frame base b pos k vd s d pd =
+  if k < 0 then raise (Value.value_error "bytes.read: negative length");
+  await_bytes ctx b pos k;
+  setreg frame vd
+    (Value.Bytes (Hilti_types.Hbytes.frozen_of_string (Hilti_types.Hbytes.sub_at b pos (pos + k))));
+  if d <> s then setreg frame d base;
+  ibank_set frame.ibank (pd lsl 3) (Int64.of_int (pos + k))
+
+(* A parse call ([CallP_u]): as [call_regs], plus each split parameter's
+   position straight into the callee's bank — from the caller's bank slot
+   in [apos], or read off the boxed argument — entering past the prologue
+   that would read them all off the boxed arguments. *)
+and call_pos ctx (fidx : int) (caller : frame) (ar : int array) (apos : int array) : Value.t =
+  let f = Array.unsafe_get ctx.program.funcs fidx in
+  let pool = pool_for ctx fidx f in
+  let frame = acquire_frame pool f in
+  let regs = frame.regs in
+  let k = min (Array.length ar) f.nparams in
+  for i = 0 to k - 1 do
+    Array.unsafe_set regs i (Array.unsafe_get caller.regs (Array.unsafe_get ar i))
+  done;
+  default_params f frame k;
+  (match f.spec with
+  | Some sp ->
+      let slots = sp.iter_slot in
+      for i = 0 to k - 1 do
+        let p = Array.unsafe_get slots i in
+        if p >= 0 then begin
+          let ap = Array.unsafe_get apos i in
+          ibank_set frame.ibank (p lsl 3)
+            (if ap >= 0 then ibank_get caller.ibank (ap lsl 3)
+             else Int64.of_int (iter_pos (Array.unsafe_get regs i)))
+        end
+      done;
+      frame.pc <- sp.entry_pc
+  | None -> ());
+  run_frame ctx f pool frame true
 
 (** The body indices of hook [name], in priority order; none if the
     program has no body for it. *)

@@ -187,8 +187,48 @@ let test_grammar_ast () =
   Alcotest.(check bool) "has Request unit" true (List.mem "Request" units);
   Alcotest.(check bool) "has Chunk unit" true (List.mem "Chunk" units)
 
+(* [&&] and [||] decide left to right: a right operand runs only when the
+   left one has not decided.  Field [b] is unset unless [a] is 1, and
+   reading an unset field fails the parse, so each condition below parses
+   only if the operand reading [b] is skipped whenever [a] is not 1 — in a
+   field condition and in a hook's value context alike. *)
+let short_circuit_grammar =
+  {|
+module SC;
+
+type U = unit {
+    a: uint8;
+    b: uint8 if (self.a == 1);
+    c: uint8 if (self.a != 1 || self.b == 7);
+    d: uint8 if (self.a == 1 && self.b == 7);
+    var either: bool;
+    on c { self.either = self.a != 1 || self.b == 7; }
+};
+|}
+
+let test_short_circuit () =
+  List.iter
+    (fun specialize ->
+      let p = Runtime.load ~specialize (Grammar_parser.parse short_circuit_grammar) in
+      let parse input =
+        let st = Runtime.parse_string p ~unit_name:"U" input in
+        List.map
+          (fun f -> match Runtime.field st f with Some v -> Hilti_vm.Value.to_string v | None -> "-")
+          [ "a"; "b"; "c"; "d"; "either" ]
+      in
+      let check input expected =
+        Alcotest.(check (list string))
+          (Printf.sprintf "%S (specialize=%b)" input specialize)
+          expected (parse input)
+      in
+      check "\x00\x05" [ "0"; "-"; "5"; "-"; "True" ];
+      check "\x01\x07\x09\x0a" [ "1"; "7"; "9"; "10"; "True" ];
+      check "\x01\x08" [ "1"; "8"; "-"; "-"; "False" ])
+    [ false; true ]
+
 let suite =
   [ Alcotest.test_case "grammar AST" `Quick test_grammar_ast;
+    Alcotest.test_case "conditions short-circuit" `Quick test_short_circuit;
     Alcotest.test_case "SSH banner (Fig. 7)" `Quick test_ssh_banner;
     Alcotest.test_case "SSH incremental feeding" `Quick test_ssh_incremental;
     Alcotest.test_case "SSH parse error on junk" `Quick test_ssh_parse_error;

@@ -535,6 +535,71 @@ int<64> f (int<64> x) {
           (run () <> Ok 10L)
       done)
 
+(* ---- Parses parked mid-unpack ------------------------------------------------ *)
+
+(* Feed every input to its own incremental session of [unit_name], one
+   byte per session per round, then finish them all: each [unpack] and
+   [read] short of input parks its fiber with the parse position in its
+   frame's int bank, while the other sessions' activations run.  The units,
+   rendered field by field. *)
+let parse_bytewise parser ~unit_name inputs =
+  let module R = Binpacxx.Runtime in
+  let sessions = List.map (fun input -> (R.session parser ~unit_name, input)) inputs in
+  let longest = List.fold_left (fun m i -> max m (String.length i)) 0 inputs in
+  for k = 0 to longest - 1 do
+    List.iter
+      (fun (s, input) -> if k < String.length input then ignore (R.feed_sub s input k 1))
+      sessions
+  done;
+  List.map
+    (fun (s, _) ->
+      match R.finish s with
+      | R.Done v -> Value.to_string v
+      | R.Blocked -> "blocked"
+      | R.Failed m -> "failed: " ^ m)
+    sessions
+
+let dns_messages () =
+  let cfg = { Hilti_traces.Dns_gen.default with transactions = 12; seed = 5 } in
+  List.filter_map
+    (fun (r : Hilti_net.Pcap.record) ->
+      match Hilti_net.Packet.decode_opt ~ts:r.Hilti_net.Pcap.ts r.Hilti_net.Pcap.data with
+      | Some pkt -> Some (Hilti_net.Packet.payload pkt)
+      | None -> None)
+    (Hilti_traces.Dns_gen.generate cfg).Hilti_traces.Dns_gen.records
+
+let mqtt_streams () =
+  let module M = Hilti_traces.Mqtt_gen in
+  [ M.connect ~client_id:"sensor-7" ~keepalive:60
+    ^ M.subscribe ~msgid:3 [ ("home/temp", 1); ("factory/#", 0) ]
+    ^ M.publish ~topic:"home/temp" ~qos:1 ~msgid:9 "21.5"
+    ^ M.puback ~msgid:4 ^ M.pingreq ^ M.disconnect;
+    M.connack ~retcode:0 ^ M.suback ~msgid:3 [ 1; 0 ]
+    ^ M.publish ~topic:"factory/line1" ~qos:0 ~msgid:0 (String.make 300 'x')
+    ^ M.pingresp ]
+
+let test_parse_suspends_mid_unpack () =
+  let module R = Binpacxx.Runtime in
+  List.iter
+    (fun (name, grammar, unit_name, inputs) ->
+      let generic = R.load ~specialize:false grammar and spec = R.load grammar in
+      let whole =
+        List.map (fun i -> Value.to_string (R.parse_string generic ~unit_name i)) inputs
+      in
+      let check what got =
+        List.iteri
+          (fun k (w, g) ->
+            Alcotest.(check string) (Printf.sprintf "%s #%d: %s" name k what) w g)
+          (List.combine whole got)
+      in
+      check "generic, bytewise" (parse_bytewise generic ~unit_name inputs);
+      check "specialized, bytewise" (parse_bytewise spec ~unit_name inputs);
+      check "specialized, bytewise, poisoned frames"
+        (with_arena_debug (fun () -> parse_bytewise spec ~unit_name inputs));
+      check "specialized, bytewise, after poisoning" (parse_bytewise spec ~unit_name inputs))
+    [ ("dns", Binpacxx.Grammars.parse_dns (), "Message", dns_messages ());
+      ("mqtt", Binpacxx.Grammars.parse_mqtt (), "Packets", mqtt_streams ()) ]
+
 let suite =
   [ Alcotest.test_case "racecheck: racy fixture" `Quick test_racecheck_flags_races;
     Alcotest.test_case "racecheck: flow-keyed exemption" `Quick test_racecheck_flow_keyed_clean;
@@ -547,4 +612,6 @@ let suite =
     Alcotest.test_case "frame reuse: differential" `Quick test_frames_differential;
     Alcotest.test_case "frame reuse: recursion" `Quick test_frames_recursion;
     Alcotest.test_case "frame reuse: suspend overlap" `Quick test_frames_suspend_overlap;
-    Alcotest.test_case "frame reuse: poison detection fires" `Quick test_frames_poison_fires ]
+    Alcotest.test_case "frame reuse: poison detection fires" `Quick test_frames_poison_fires;
+    Alcotest.test_case "frame reuse: parses parked mid-unpack" `Quick
+      test_parse_suspends_mid_unpack ]

@@ -188,6 +188,21 @@ let test_shipped_pairs_clean () =
   Alcotest.(check bool) "executed" true (report.Engine.r_execs > 0);
   Alcotest.(check bool) "corpus loaded" true (report.Engine.r_corpus > 0)
 
+let test_std_pac_corpus_clean () =
+  (* The hand-written and the BinPAC++ parsers agree on the DNS and MQTT
+     corpora (chunked cases included) and a short mutation run: their
+     grammars' field conditions short-circuit, and their parse positions
+     live in the VM's int bank. *)
+  let pairs =
+    List.filter
+      (fun p -> Filename.check_suffix p.Oracle.pname "std-pac")
+      (Oracle.pairs_for Shape.Dns @ Oracle.pairs_for Shape.Mqtt)
+  in
+  Alcotest.(check int) "two std-pac pairs" 2 (List.length pairs);
+  let report = Engine.run ~pairs { quick_cfg with Engine.seed = 5 } in
+  Alcotest.(check int) "no findings" 0 (List.length report.Engine.r_findings);
+  Alcotest.(check bool) "corpus loaded" true (report.Engine.r_corpus > 0)
+
 let test_dispatch_pairs_clean () =
   (* The acceptance-pinned subset: MQTT and FTP under the
      generic-vs-specialized VM dispatch differential. *)
@@ -401,6 +416,8 @@ let suite =
       test_mutate_deterministic;
     Alcotest.test_case "corpus: all protocols yield two-flow cases" `Quick
       test_corpus_shapes;
+    Alcotest.test_case "engine: dns/mqtt std-pac pairs agree on the corpus" `Quick
+      test_std_pac_corpus_clean;
     Alcotest.test_case "engine: shipped pairs produce zero findings" `Quick
       test_shipped_pairs_clean;
     Alcotest.test_case "engine: mqtt/ftp dispatch pairs stay clean" `Quick

@@ -69,6 +69,9 @@ let test_verifier_rejects_malformed_spec () =
           fbank_init = Array.make n_float 0.0;
           int_slot = Array.make f.Bc.nregs (-1);
           float_slot = Array.make f.Bc.nregs (-1);
+          iter_slot = Array.make f.Bc.nregs (-1);
+          entry_pc = 0;
+          pair_ret = false;
         };
     Test_analysis.mk_prog [ f ]
   in
@@ -89,7 +92,19 @@ let test_verifier_rejects_malformed_spec () =
   | Some sp -> p.Bc.funcs.(0).Bc.spec <- Some { sp with Bc.n_int = 4 }
   | None -> ());
   Test_analysis.expect_reject "bank template shorter than the bank" p
-    "bank templates do not match"
+    "bank templates do not match";
+  (* Split iterators: a position slot outside the bank, and a parse call
+     to a function that returns no position pair. *)
+  let p = with_spec ~n_int:1 ~n_float:0 [ Bc.Ret (-1) ] in
+  (match p.Bc.funcs.(0).Bc.spec with
+  | Some sp -> sp.Bc.iter_slot.(0) <- 3
+  | None -> ());
+  Test_analysis.expect_reject "iterator position past the bank" p
+    "iterator position slots outside the int bank";
+  Test_analysis.expect_reject "parse call to a plain function"
+    (with_spec ~n_int:1 ~n_float:0
+       [ Bc.CallP_u (0, [||], [||], 0, 1, 0); Bc.Ret (-1) ])
+    "returns no position pair"
 
 (* ---- Specialization smoke: fusion happened, obs counters move ----------- *)
 
@@ -267,8 +282,88 @@ let prop_differential_generic_spec =
          run (fun m -> H.compile ~specialize:false [ m ])
          = run (fun m -> H.compile [ m ])))
 
+(* ---- Specialize only where it pays -------------------------------------- *)
+
+let fw_rules =
+  Hilti_firewall.Fw_rules.parse_rules
+    {|
+10.3.2.1/32 10.1.0.0/16 allow
+10.1.6.0/24 * allow
+|}
+
+let test_nothing_to_bank_stays_generic () =
+  (* The firewall's functions bank nothing: they keep [spec = None] and
+     their generic code, so an activation blits no bank templates. *)
+  let fw_spec = Hilti_firewall.Fw_hilti.load fw_rules in
+  let fw_generic = Hilti_firewall.Fw_hilti.load ~specialize:false fw_rules in
+  let api = fw_spec.Hilti_firewall.Fw_hilti.api in
+  let p = api.H.ctx.Hilti_vm.Vm.program in
+  Array.iter
+    (fun (f : Bc.func) ->
+      Alcotest.(check bool) (f.Bc.name ^ " left generic") true (f.Bc.spec = None))
+    p.Bc.funcs;
+  (match api.H.spec_stats with
+  | Some st ->
+      Alcotest.(check int) "every function counted generic" (Array.length p.Bc.funcs)
+        st.Hilti_vm.Specialize.s_generic;
+      Alcotest.(check int) "none specialized" 0 st.Hilti_vm.Specialize.s_funcs
+  | None -> Alcotest.fail "no specialization stats");
+  Alcotest.(check bool) "program marked specialized" true p.Bc.specialized;
+  let t0 = Hilti_types.Time_ns.of_secs 1_400_000_000 in
+  let decide fw =
+    List.map
+      (fun (s, d) ->
+        Hilti_firewall.Fw_hilti.match_packet fw ~ts:t0 ~src:(Hilti_types.Addr.of_string s)
+          ~dst:(Hilti_types.Addr.of_string d))
+      [ ("10.3.2.1", "10.1.2.3"); ("10.1.2.3", "10.3.2.1"); ("10.1.6.9", "8.8.8.8");
+        ("10.9.9.9", "10.1.0.1") ]
+  in
+  Alcotest.(check (list bool)) "same decisions" (decide fw_generic) (decide fw_spec)
+
+(* ---- Split parse positions ---------------------------------------------- *)
+
+let test_dns_positions_in_bank () =
+  (* The specialized DNS parser keeps every parse position in the int
+     bank: no [unpack]/[read] writes a boxed iterator register, every
+     parse function returns its position as a pair and is called with the
+     position-passing convention, and the rewritten code verifies. *)
+  let pac = Binpacxx.Runtime.load (Binpacxx.Grammars.parse_dns ()) in
+  let p = pac.Binpacxx.Runtime.api.H.ctx.Hilti_vm.Vm.program in
+  let parse_funcs =
+    List.filter
+      (fun (f : Bc.func) -> String.starts_with ~prefix:"DNS::parse_" f.Bc.name)
+      (Array.to_list p.Bc.funcs)
+  in
+  Alcotest.(check int) "four parse functions" 4 (List.length parse_funcs);
+  List.iter
+    (fun (f : Bc.func) ->
+      Array.iteri
+        (fun pc i ->
+          match i with
+          | Bc.Unpack _ | Bc.UnpackI_u _ | Bc.Read _ ->
+              Alcotest.failf "%s@%d writes a boxed iterator: %s" f.Bc.name pc
+                (Bc.instr_to_string i)
+          | _ -> ())
+        f.Bc.code;
+      Alcotest.(check bool) (f.Bc.name ^ " returns a position pair") true
+        (match f.Bc.spec with Some sp -> sp.Bc.pair_ret | None -> false))
+    parse_funcs;
+  let text = Bc.disassemble p in
+  let has needle = Astring_contains.contains text needle in
+  List.iter
+    (fun needle -> Alcotest.(check bool) ("disassembly shows " ^ needle) true (has needle))
+    [ "struct.set .qname"; "<- new DNS::RR"; "<- unpack.ube2 r2@"; "<- call #";
+      "<- iter.advance r1@"; "<- bytes.length r3" ];
+  Alcotest.(check bool) "no unnamed primitive" false (has "prim (");
+  Alcotest.(check (list string)) "specialized code verifies" []
+    (Verify.verify p).Verify.errors
+
 let suite =
   [ Alcotest.test_case "typing export" `Quick test_typing_export;
+    Alcotest.test_case "nothing to bank: functions stay generic" `Quick
+      test_nothing_to_bank_stays_generic;
+    Alcotest.test_case "DNS parse positions live in the int bank" `Quick
+      test_dns_positions_in_bank;
     Alcotest.test_case "verifier rejects malformed specialized opcodes" `Quick
       test_verifier_rejects_malformed_spec;
     Alcotest.test_case "specialization smoke: fusion + obs" `Quick

@@ -474,9 +474,9 @@ let dns_datagram (p : Hilti_rt.Iosrc.packet) : (Flow.t * string) option =
   | None -> None
 
 (* The zero-copy variant of [dns_datagram]: the payload stays a slice of
-   the captured frame.  Plain IPv4/UDP frames go through the header peek
-   (no decode, no payload substring); anything else falls back to the
-   full decoder and wraps the materialized payload in a frozen view. *)
+   the captured frame.  [Packet.peek_udp] runs the header walk that
+   [dns_datagram]'s decode runs, so both accept the same frames, IPv6
+   included. *)
 let dns_slice (p : Hilti_rt.Iosrc.packet) :
     (Flow.t * Hilti_types.Hbytes.view) option =
   let data = p.Hilti_rt.Iosrc.data in
@@ -485,11 +485,7 @@ let dns_slice (p : Hilti_rt.Iosrc.packet) :
       let from_client = Hilti_types.Port.number flow.Flow.dst_port = 53 in
       let oriented = if from_client then flow else Flow.reverse flow in
       Some (oriented, Hilti_types.Hbytes.view_of_string ~off ~len data)
-  | None -> (
-      match dns_datagram p with
-      | Some (oriented, payload) ->
-          Some (oriented, Hilti_types.Hbytes.view_of_string payload)
-      | None -> None)
+  | None -> None
 
 (* Parse one datagram with the given parser kind.  Also pure per-packet
    work (parser state is per-kind instance, owned by whoever holds it).

@@ -1,11 +1,5 @@
 (** Ethernet II framing. *)
 
-type t = {
-  dst : string;  (** 6 bytes *)
-  src : string;  (** 6 bytes *)
-  ethertype : int;
-}
-
 let header_len = 14
 let ethertype_ipv4 = 0x0800
 let ethertype_ipv6 = 0x86dd
@@ -13,13 +7,11 @@ let ethertype_ipv6 = 0x86dd
 let default_src = "\x02\x00\x00\x00\x00\x01"
 let default_dst = "\x02\x00\x00\x00\x00\x02"
 
-let decode frame =
-  Wire.need (String.length frame) 0 header_len "ethernet";
-  {
-    dst = String.sub frame 0 6;
-    src = String.sub frame 6 6;
-    ethertype = Wire.get_u16 frame 12;
-  }
+(** The ethertype of [frame]; raises {!Wire.Truncated} unless it holds a
+    whole Ethernet header. *)
+let ethertype frame =
+  if String.length frame < header_len then raise (Wire.Truncated "ethernet");
+  String.get_uint16_be frame 12
 
 let encode ?(dst = default_dst) ?(src = default_src) ~ethertype payload =
   if String.length dst <> 6 || String.length src <> 6 then

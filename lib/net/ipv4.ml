@@ -23,46 +23,51 @@ let proto_udp = 17
 
 exception Bad_header of string
 
+(** Check the header at [off] of the packet in [s.[off, limit)]; returns
+    its length in bytes. *)
+let check_at s off limit =
+  if off + min_header_len > limit then raise (Wire.Truncated "ipv4");
+  let b0 = String.get_uint8 s off in
+  if b0 lsr 4 <> 4 then raise (Bad_header "version");
+  let hl = (b0 land 0xf) * 4 in
+  if hl < min_header_len then raise (Bad_header "ihl");
+  if off + hl > limit then raise (Wire.Truncated "ipv4 options");
+  hl
+
+(* Fields of a header [check_at] accepted, read by offset. *)
+let protocol_at s off = String.get_uint8 s (off + 9)
+let src_at s off = Addr.of_ipv4_int32 (String.get_int32_be s (off + 12))
+let dst_at s off = Addr.of_ipv4_int32 (String.get_int32_be s (off + 16))
+
+(* A fragment but the first: no transport header opens its payload. *)
+let later_fragment_at s off = String.get_uint16_be s (off + 6) land 0x1fff <> 0
+
 (** Decode the header at [off] of the packet in [s.[off, limit)]. *)
 let decode_at s off limit =
-  Wire.need limit off min_header_len "ipv4";
-  let b0 = Wire.get_u8 s off in
-  let version = b0 lsr 4 and ihl = b0 land 0xf in
-  if version <> 4 then raise (Bad_header "version");
-  if ihl < 5 then raise (Bad_header "ihl");
-  Wire.need limit off (ihl * 4) "ipv4 options";
-  let flags_frag = Wire.get_u16 s (off + 6) in
+  let ihl = check_at s off limit / 4 in
+  let flags_frag = String.get_uint16_be s (off + 6) in
   {
-    version;
+    version = 4;
     ihl;
-    dscp = Wire.get_u8 s (off + 1);
-    total_length = Wire.get_u16 s (off + 2);
-    ident = Wire.get_u16 s (off + 4);
+    dscp = String.get_uint8 s (off + 1);
+    total_length = String.get_uint16_be s (off + 2);
+    ident = String.get_uint16_be s (off + 4);
     flags = flags_frag lsr 13;
     frag_offset = flags_frag land 0x1fff;
-    ttl = Wire.get_u8 s (off + 8);
-    protocol = Wire.get_u8 s (off + 9);
-    checksum_field = Wire.get_u16 s (off + 10);
-    src = Addr.of_ipv4_int32 (Int32.of_int (Wire.get_u32 s (off + 12)));
-    dst = Addr.of_ipv4_int32 (Int32.of_int (Wire.get_u32 s (off + 16)));
+    ttl = String.get_uint8 s (off + 8);
+    protocol = protocol_at s off;
+    checksum_field = String.get_uint16_be s (off + 10);
+    src = src_at s off;
+    dst = dst_at s off;
   }
 
-let decode s = decode_at s 0 (String.length s)
-
-let header_len t = t.ihl * 4
-
-(** End of the payload of the packet at [off] in [s.[off, limit)]: bounded
-    by [total_length] and by [limit]. *)
-let payload_end t off limit =
-  let hl = header_len t in
-  let plen = min (t.total_length - hl) (limit - off - hl) in
+(** End of the payload of the packet at [off] in [s.[off, limit)], whose
+    header [check_at] accepted: bounded by [total_length] and by [limit]. *)
+let payload_end s off limit =
+  let hl = (String.get_uint8 s off land 0xf) * 4 in
+  let plen = min (String.get_uint16_be s (off + 2) - hl) (limit - off - hl) in
   if plen < 0 then raise (Bad_header "length");
   off + hl + plen
-
-(** Payload of an IPv4 packet [s], bounded by [total_length]. *)
-let payload t s =
-  let hl = header_len t in
-  String.sub s hl (payload_end t 0 (String.length s) - hl)
 
 let checksum_valid s ihl = Checksum.valid s 0 (ihl * 4)
 

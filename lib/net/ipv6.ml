@@ -18,35 +18,38 @@ let header_len = 40
 exception Bad_header of string
 
 let read_addr s off =
-  let hi = ref 0L and lo = ref 0L in
-  for i = 0 to 7 do
-    hi := Int64.logor (Int64.shift_left !hi 8) (Int64.of_int (Wire.get_u8 s (off + i)))
-  done;
-  for i = 8 to 15 do
-    lo := Int64.logor (Int64.shift_left !lo 8) (Int64.of_int (Wire.get_u8 s (off + i)))
-  done;
-  Addr.of_ipv6_int64s !hi !lo
+  Addr.of_ipv6_int64s (String.get_int64_be s off) (String.get_int64_be s (off + 8))
+
+(** Check the fixed header at [off] of the packet in [s.[off, limit)];
+    returns its length in bytes. *)
+let check_at s off limit =
+  if off + header_len > limit then raise (Wire.Truncated "ipv6");
+  if String.get_uint8 s off lsr 4 <> 6 then raise (Bad_header "version");
+  header_len
+
+(* Fields of a header [check_at] accepted, read by offset. *)
+let next_header_at s off = String.get_uint8 s (off + 6)
+let src_at s off = read_addr s (off + 8)
+let dst_at s off = read_addr s (off + 24)
 
 (** Decode the fixed header at [off] of the packet in [s.[off, limit)]. *)
 let decode_at s off limit =
-  Wire.need limit off header_len "ipv6";
-  let w0 = Wire.get_u32 s off in
-  if w0 lsr 28 <> 6 then raise (Bad_header "version");
+  ignore (check_at s off limit);
+  let w0 = Int32.to_int (String.get_int32_be s off) in
   {
     traffic_class = (w0 lsr 20) land 0xff;
     flow_label = w0 land 0xfffff;
-    payload_length = Wire.get_u16 s (off + 4);
-    next_header = Wire.get_u8 s (off + 6);
-    hop_limit = Wire.get_u8 s (off + 7);
-    src = read_addr s (off + 8);
-    dst = read_addr s (off + 24);
+    payload_length = String.get_uint16_be s (off + 4);
+    next_header = next_header_at s off;
+    hop_limit = String.get_uint8 s (off + 7);
+    src = src_at s off;
+    dst = dst_at s off;
   }
 
-let decode s = decode_at s 0 (String.length s)
-
-(** End of the payload of the packet at [off] in [s.[off, limit)]: bounded
-    by [payload_length] and by [limit]. *)
-let payload_end t off limit = off + header_len + min t.payload_length (limit - off - header_len)
+(** End of the payload of the packet at [off] in [s.[off, limit)], whose
+    header [check_at] accepted: bounded by [payload_length] and [limit]. *)
+let payload_end s off limit =
+  off + header_len + min (String.get_uint16_be s (off + 4)) (limit - off - header_len)
 
 let encode ?(hop_limit = 64) ~next_header ~src ~dst payload =
   let b = Bytes.create (header_len + String.length payload) in

@@ -24,31 +24,32 @@ let has_flag t f = t.flags land f <> 0
 
 exception Bad_header of string
 
+(** Check the header at [off] of the segment in [s.[off, limit)]; returns
+    its length in bytes. *)
+let check_at s off limit =
+  if off + min_header_len > limit then raise (Wire.Truncated "tcp");
+  let hl = (String.get_uint8 s (off + 12) lsr 4) * 4 in
+  if hl < min_header_len then raise (Bad_header "data offset");
+  if off + hl > limit then raise (Wire.Truncated "tcp options");
+  hl
+
 (** Decode the header at [off] of the segment in [s.[off, limit)]; its
     payload is [s.[off + header_len t, limit)]. *)
 let decode_at s off limit =
-  Wire.need limit off min_header_len "tcp";
-  let off_flags = Wire.get_u16 s (off + 12) in
-  let data_offset = off_flags lsr 12 in
-  if data_offset < 5 then raise (Bad_header "data offset");
-  Wire.need limit off (data_offset * 4) "tcp options";
+  let data_offset = check_at s off limit / 4 in
   {
-    src_port = Wire.get_u16 s off;
-    dst_port = Wire.get_u16 s (off + 2);
-    seq = Int32.of_int (Wire.get_u32 s (off + 4));
-    ack = Int32.of_int (Wire.get_u32 s (off + 8));
+    src_port = String.get_uint16_be s off;
+    dst_port = String.get_uint16_be s (off + 2);
+    seq = String.get_int32_be s (off + 4);
+    ack = String.get_int32_be s (off + 8);
     data_offset;
-    flags = off_flags land 0x1ff;
-    window = Wire.get_u16 s (off + 14);
-    checksum_field = Wire.get_u16 s (off + 16);
-    urgent = Wire.get_u16 s (off + 18);
+    flags = String.get_uint16_be s (off + 12) land 0x1ff;
+    window = String.get_uint16_be s (off + 14);
+    checksum_field = String.get_uint16_be s (off + 16);
+    urgent = String.get_uint16_be s (off + 18);
   }
 
-let decode s = decode_at s 0 (String.length s)
-
 let header_len t = t.data_offset * 4
-
-let payload t s = String.sub s (header_len t) (String.length s - header_len t)
 
 let encode ?(window = 65535) ~src_port ~dst_port ~seq ~ack ~flags ~src ~dst payload =
   let total = min_header_len + String.length payload in

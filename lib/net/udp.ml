@@ -6,25 +6,27 @@ let header_len = 8
 
 exception Bad_header of string
 
+(** Check the header at [off] of the datagram in [s.[off, limit)]; returns
+    its length in bytes. *)
+let check_at s off limit =
+  if off + header_len > limit then raise (Wire.Truncated "udp");
+  if String.get_uint16_be s (off + 4) < header_len then raise (Bad_header "length");
+  header_len
+
 (** Decode the header at [off] of the datagram in [s.[off, limit)]. *)
 let decode_at s off limit =
-  Wire.need limit off header_len "udp";
-  let length = Wire.get_u16 s (off + 4) in
-  if length < header_len then raise (Bad_header "length");
+  ignore (check_at s off limit);
   {
-    src_port = Wire.get_u16 s off;
-    dst_port = Wire.get_u16 s (off + 2);
-    length;
-    checksum_field = Wire.get_u16 s (off + 6);
+    src_port = String.get_uint16_be s off;
+    dst_port = String.get_uint16_be s (off + 2);
+    length = String.get_uint16_be s (off + 4);
+    checksum_field = String.get_uint16_be s (off + 6);
   }
 
-let decode s = decode_at s 0 (String.length s)
-
-(** End of the payload of the datagram at [off] in [s.[off, limit)]:
-    bounded by [length] and by [limit]. *)
-let payload_end t off limit = off + header_len + min (t.length - header_len) (limit - off - header_len)
-
-let payload t s = String.sub s header_len (payload_end t 0 (String.length s) - header_len)
+(** End of the payload of the datagram at [off] in [s.[off, limit)], whose
+    header [check_at] accepted: bounded by [length] and by [limit]. *)
+let payload_end s off limit =
+  off + header_len + min (String.get_uint16_be s (off + 4) - header_len) (limit - off - header_len)
 
 let encode ~src_port ~dst_port ~src ~dst payload =
   let total = header_len + String.length payload in

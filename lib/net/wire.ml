@@ -1,11 +1,9 @@
-(** Low-level big-endian encode/decode helpers shared by the protocol
-    layers.  All offsets are byte offsets into plain strings/bytes. *)
-
-let get_u8 s off = Char.code s.[off]
-let get_u16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
-
-let get_u32 s off =
-  (get_u16 s off lsl 16) lor get_u16 s (off + 2)
+(** Low-level big-endian encode helpers shared by the protocol layers.  All
+    offsets are byte offsets into plain strings/bytes.  The decoders read
+    with the stdlib's [String.get_uint8], [String.get_uint16_be] and
+    [String.get_int32_be] and check their bounds in place: those compile
+    inline, where a call into another module of this library would not in
+    dune's default (dev) profile. *)
 
 let set_u8 b off v = Bytes.set b off (Char.chr (v land 0xff))
 
@@ -25,8 +23,3 @@ let set_u32l b off v =
 
 exception Truncated of string
 (** Raised when a frame is too short for the header being decoded. *)
-
-(** [need limit off len what] raises {!Truncated} unless [len] bytes from
-    [off] fit below [limit], the end of the region being decoded. *)
-let need limit off len what =
-  if off + len > limit then raise (Truncated what)

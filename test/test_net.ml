@@ -27,12 +27,15 @@ let test_checksum () =
 let test_ipv4_roundtrip () =
   let payload = "some payload" in
   let pkt = Ipv4.encode ~ttl:33 ~protocol:6 ~src:(a "1.2.3.4") ~dst:(a "5.6.7.8") payload in
-  let h = Ipv4.decode pkt in
+  let len = String.length pkt in
+  let h = Ipv4.decode_at pkt 0 len in
   Alcotest.(check string) "src" "1.2.3.4" (Addr.to_string h.Ipv4.src);
   Alcotest.(check string) "dst" "5.6.7.8" (Addr.to_string h.Ipv4.dst);
   Alcotest.(check int) "ttl" 33 h.Ipv4.ttl;
   Alcotest.(check int) "proto" 6 h.Ipv4.protocol;
-  Alcotest.(check string) "payload" payload (Ipv4.payload h pkt);
+  let hl = h.Ipv4.ihl * 4 in
+  Alcotest.(check string) "payload" payload
+    (String.sub pkt hl (Ipv4.payload_end pkt 0 len - hl));
   Alcotest.(check bool) "header checksum" true (Ipv4.checksum_valid pkt h.Ipv4.ihl)
 
 let test_tcp_roundtrip () =
@@ -41,20 +44,23 @@ let test_tcp_roundtrip () =
       ~flags:(Tcp.flag_syn lor Tcp.flag_ack) ~src:(a "1.1.1.1") ~dst:(a "2.2.2.2")
       "hello"
   in
-  let h = Tcp.decode seg in
+  let h = Tcp.decode_at seg 0 (String.length seg) in
   Alcotest.(check int) "sport" 1234 h.Tcp.src_port;
   Alcotest.(check int) "dport" 80 h.Tcp.dst_port;
   Alcotest.(check int32) "seq" 1000l h.Tcp.seq;
   Alcotest.(check bool) "syn" true (Tcp.has_flag h Tcp.flag_syn);
   Alcotest.(check bool) "no fin" false (Tcp.has_flag h Tcp.flag_fin);
   Alcotest.(check string) "flags string" "SA" (Tcp.flags_to_string h);
-  Alcotest.(check string) "payload" "hello" (Tcp.payload h seg)
+  Alcotest.(check string) "payload" "hello"
+    (String.sub seg (Tcp.header_len h) (String.length seg - Tcp.header_len h))
 
 let test_udp_roundtrip () =
   let dgram = Udp.encode ~src_port:53 ~dst_port:9999 ~src:(a "1.1.1.1") ~dst:(a "2.2.2.2") "dns" in
-  let h = Udp.decode dgram in
+  let len = String.length dgram in
+  let h = Udp.decode_at dgram 0 len in
   Alcotest.(check int) "sport" 53 h.Udp.src_port;
-  Alcotest.(check string) "payload" "dns" (Udp.payload h dgram)
+  Alcotest.(check string) "payload" "dns"
+    (String.sub dgram Udp.header_len (Udp.payload_end dgram 0 len - Udp.header_len))
 
 let test_full_packet_decode () =
   let frame =
@@ -94,13 +100,24 @@ let test_ip_length_bounds_payload () =
       | None -> Alcotest.failf "%s: no TCP peek" name)
     [ ("ipv4", Ethernet.ethertype_ipv4, v4); ("ipv6", Ethernet.ethertype_ipv6, v6) ]
 
+(* Junk, including an IPv4 and an IPv6 Ethernet header over a truncated IP
+   header, is rejected by every entry point. *)
 let test_truncated_frames () =
+  let eth ethertype n = Ethernet.encode ~ethertype (String.make n '\x45') in
   List.iter
     (fun s ->
-      match Packet.decode_opt ~ts:Time_ns.epoch s with
-      | None -> ()
-      | Some _ -> Alcotest.failf "decoded %d junk bytes" (String.length s))
-    [ ""; "x"; String.make 13 'x'; String.make 20 '\x00' ]
+      let none what = function
+        | None -> ()
+        | Some _ -> Alcotest.failf "%s accepted %d junk bytes" what (String.length s)
+      in
+      none "decode_opt" (Packet.decode_opt ~ts:Time_ns.epoch s);
+      none "peek_addrs" (Packet.peek_addrs s);
+      none "peek_ipv4" (Packet.peek_ipv4 s);
+      none "peek_flow" (Packet.peek_flow s);
+      none "peek_udp" (Packet.peek_udp s);
+      none "peek_tcp" (Packet.peek_tcp s))
+    [ ""; "x"; String.make 13 'x'; String.make 20 '\x00';
+      eth Ethernet.ethertype_ipv4 19; eth Ethernet.ethertype_ipv6 39 ]
 
 (* ---- Pcap ---------------------------------------------------------------------------- *)
 
@@ -348,6 +365,7 @@ type mutation =
   | Tcp_offset of int  (** a TCP data offset, below 5 or up to 60 bytes *)
   | Ipv6 of int  (** re-framed as IPv6, [payload_length] this far off *)
   | Ethertype of int
+  | Fragment of int  (** the IPv4 flags and fragment offset word *)
   | Byte of int * int  (** one header byte overwritten *)
 
 let mutation_to_string = function
@@ -357,6 +375,7 @@ let mutation_to_string = function
   | Tcp_offset v -> Printf.sprintf "tcp data offset=%d" v
   | Ipv6 d -> Printf.sprintf "ipv6 payload_length%+d" d
   | Ethertype e -> Printf.sprintf "ethertype=0x%04x" e
+  | Fragment v -> Printf.sprintf "flags/fragment offset=0x%04x" v
   | Byte (i, v) -> Printf.sprintf "byte %d=0x%02x" i v
 
 let set_u8 s i v =
@@ -375,9 +394,9 @@ let ipv4_header_len f = (Char.code f.[14] land 0xf) * 4
 
 let to_ipv6 f d =
   let ihl = ipv4_header_len f in
-  let body_len = min (Wire.get_u16 f 16 - ihl) (String.length f - 14 - ihl) in
+  let body_len = min (String.get_uint16_be f 16 - ihl) (String.length f - 14 - ihl) in
   let body = String.sub f (14 + ihl) body_len in
-  let v6 off = Addr.of_ipv6_int64s 0x2001_0db8_0000_0000L (Int64.of_int (Wire.get_u32 f off)) in
+  let v6 off = Addr.of_ipv6_int64s 0x2001_0db8_0000_0000L (Int64.logand (Int64.of_int32 (String.get_int32_be f off)) 0xffff_ffffL) in
   let ip = Ipv6.encode ~next_header:(Char.code f.[23]) ~src:(v6 26) ~dst:(v6 30) body in
   set_u16
     (Ethernet.encode ~ethertype:Ethernet.ethertype_ipv6 ip)
@@ -393,6 +412,7 @@ let mutate f = function
       else set_u8 f o ((v lsl 4) lor (Char.code f.[o] land 0x0f))
   | Ipv6 d -> to_ipv6 f d
   | Ethertype e -> set_u16 f 12 e
+  | Fragment v -> set_u16 f 20 v
   | Byte (i, v) -> set_u8 f i v
 
 let gen_mutation =
@@ -404,10 +424,11 @@ let gen_mutation =
         (2, map (fun v -> Tcp_offset v) (oneof [ int_bound 4; int_range 6 15 ]));
         (2, map (fun d -> Ipv6 d) (int_range (-30) 30));
         (1, map (fun e -> Ethertype e) (oneofl [ 0x0806; 0x8100; 0x88cc; 0 ]));
+        (1, map (fun v -> Fragment v) (oneofl [ 0x2000; 0x4000; 0x0001; 0x20b9; 0x1fff ]));
         (2, map2 (fun i v -> Byte (i, v)) (int_bound 60) (int_bound 255)) ])
 
-(* Where [peek_tcp], [peek_udp] or [peek_flow] disagrees with [decode_opt]
-   on [f], if anywhere. *)
+(* Where [peek_tcp], [peek_udp], [peek_flow] or [peek_addrs] disagrees
+   with [decode_opt] on [f], if anywhere. *)
 let peek_disagreement f =
   let pkt = Packet.decode_opt ~ts:Time_ns.epoch f in
   let flow_is fl p = Option.equal Flow.equal (Some fl) (Packet.flow p) in
@@ -423,8 +444,7 @@ let peek_disagreement f =
     match (Packet.peek_udp f, pkt) with
     | Some (fl, off, len), Some ({ Packet.transport = Packet.UDP (_, payload); _ } as p) ->
         flow_is fl p && String.sub f off len = payload
-    | Some _, _ -> false
-    | None, Some { Packet.ip = Packet.V4 _; transport = Packet.UDP _; _ } -> false
+    | Some _, _ | None, Some { Packet.transport = Packet.UDP _; _ } -> false
     | None, _ -> true
   in
   let flow =
@@ -433,16 +453,23 @@ let peek_disagreement f =
     | None, Some _ -> false
     | _, None -> true
   in
+  let addrs =
+    match (Packet.peek_addrs f, pkt) with
+    | Some (s, d), Some p -> Addr.equal s (Packet.src p) && Addr.equal d (Packet.dst p)
+    | None, Some _ -> false
+    | _, None -> true
+  in
   if not tcp then Some "peek_tcp"
   else if not udp then Some "peek_udp"
   else if not flow then Some "peek_flow"
+  else if not addrs then Some "peek_addrs"
   else None
 
 (* Property: on generated HTTP and DNS frames, mutated and then truncated
-   at every length, [peek_tcp] is [Some] exactly when the decoder yields
-   TCP, with the same flow, header and payload bytes; [peek_udp] is [Some]
-   for every IPv4/UDP decode and agrees with it; [peek_flow] is the
-   decoded packet's flow. *)
+   at every length, [peek_tcp] and [peek_udp] are [Some] exactly when the
+   decoder yields TCP or UDP (IPv4 or IPv6), with the same flow, header and
+   payload bytes; [peek_flow] is the decoded packet's flow, and
+   [peek_addrs] its addresses. *)
 let prop_peeks_agree_with_decode =
   let frames = Lazy.force sample_frames in
   let gen = QCheck.Gen.(pair (int_bound (Array.length frames - 1)) gen_mutation) in
@@ -460,6 +487,34 @@ let prop_peeks_agree_with_decode =
          done;
          true))
 
+(* A non-first IPv4 fragment carries the middle of a datagram, not a
+   transport header: no entry point reads ports or a payload out of it,
+   yet it keeps its addresses, so the firewall still decides on it.  A
+   first fragment (offset 0, more-fragments set) still opens with one. *)
+let test_later_fragment () =
+  let frame =
+    Packet.encode_udp ~src:(a "10.0.0.1") ~dst:(a "10.0.0.2") ~src_port:5353
+      ~dst_port:53 "\x12\x34\x01\x00 rest of a query"
+  in
+  let later = set_u16 frame 20 0x20b9 and first = set_u16 frame 20 0x2000 in
+  Alcotest.(check bool) "no peek_udp" true (Packet.peek_udp later = None);
+  Alcotest.(check bool) "no peek_flow" true (Packet.peek_flow later = None);
+  Alcotest.(check bool) "no peek_tcp" true (Packet.peek_tcp later = None);
+  (match Packet.peek_addrs later with
+  | Some (s, d) ->
+      Alcotest.(check string) "addrs" "10.0.0.1 > 10.0.0.2"
+        (Addr.to_string s ^ " > " ^ Addr.to_string d)
+  | None -> Alcotest.fail "peek_addrs rejected a fragment");
+  (match Packet.decode_opt ~ts:Time_ns.epoch later with
+  | Some { Packet.transport = Packet.Other (17, payload); _ } ->
+      Alcotest.(check string) "the whole IP payload" (String.sub frame 34 (String.length frame - 34))
+        payload
+  | _ -> Alcotest.fail "a later fragment is not decoded as Other");
+  match Packet.peek_udp first with
+  | Some (fl, _, _) ->
+      Alcotest.(check string) "first fragment" "10.0.0.1:5353 > 10.0.0.2:53/udp" (Flow.to_string fl)
+  | None -> Alcotest.fail "a first fragment has no UDP header"
+
 let suite =
   [ Alcotest.test_case "internet checksum" `Quick test_checksum;
     Alcotest.test_case "ipv4 roundtrip" `Quick test_ipv4_roundtrip;
@@ -468,6 +523,7 @@ let suite =
     Alcotest.test_case "full packet decode" `Quick test_full_packet_decode;
     Alcotest.test_case "truncated frames rejected" `Quick test_truncated_frames;
     Alcotest.test_case "ip length bounds the payload" `Quick test_ip_length_bounds_payload;
+    Alcotest.test_case "ipv4 later fragments have no transport" `Quick test_later_fragment;
     Alcotest.test_case "pcap roundtrip" `Quick test_pcap_roundtrip;
     Alcotest.test_case "pcap rejects junk" `Quick test_pcap_rejects_junk;
     Alcotest.test_case "flow canonicalization" `Quick test_flow_canonical;

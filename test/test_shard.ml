@@ -155,12 +155,12 @@ let dns_records =
 
 let scripts = lazy (Mini_bro.Bro_scripts.parse_all ())
 
-let dns_log ?jobs ?idle_timeout kind =
+let dns_log ?(records = dns_records) ?jobs ?idle_timeout kind =
   let r =
     Driver.evaluate_src ~proto:(`Dns kind)
       ~engine_mode:Mini_bro.Bro_engine.Interpreted ~scripts:(Lazy.force scripts)
       ?jobs ?idle_timeout
-      (Pcap.iosrc_of_records (Lazy.force dns_records))
+      (Pcap.iosrc_of_records (Lazy.force records))
   in
   Mini_bro.Bro_log.to_string r.Driver.logger "dns"
 
@@ -198,6 +198,32 @@ let test_dns_identical_idle_timeout () =
   ;
   Alcotest.(check string) "dns.log identical with eviction at 2 shards" serial
     (dns_log ~jobs:2 ~idle_timeout Driver.Dns_std)
+
+(* DNS over IPv6 (the trace re-framed as [Test_net.to_ipv6] does) takes
+   the zero-copy path IPv4 takes: every datagram parses, the log has the
+   IPv4 log's rows, and it is byte-identical at 2 shards. *)
+let test_dns_ipv6 () =
+  let records =
+    lazy
+      (List.map
+         (fun (r : Pcap.record) ->
+           let data = Test_net.to_ipv6 r.Pcap.data 0 in
+           { r with Pcap.data; orig_len = String.length data })
+         (Lazy.force dns_records))
+  in
+  let errors = Hilti_obs.Metrics.counter_value Driver.m_parse_errors in
+  ignore
+    (Driver.run_dns_src ~kind:Driver.Dns_std ~sink:Events.null_sink
+       (Pcap.iosrc_of_records (Lazy.force records)));
+  Alcotest.(check int) "no parse errors" 0
+    (Hilti_obs.Metrics.counter_value Driver.m_parse_errors - errors);
+  let serial = dns_log ~records Driver.Dns_std in
+  let rows log = List.length (String.split_on_char '\n' log) in
+  Alcotest.(check int) "as many rows as over IPv4" (rows (dns_log Driver.Dns_std)) (rows serial);
+  Alcotest.(check bool) "IPv6 addresses logged" true
+    (Astring_contains.contains serial "2001:db8::");
+  Alcotest.(check string) "dns.log identical at 2 shards" serial
+    (dns_log ~records ~jobs:2 Driver.Dns_std)
 
 (* The Fig. 9/10 breakdown does not depend on the shard count: workers
    charge their parse passes to the parse profiler and the collector its
@@ -361,6 +387,7 @@ let suite =
       test_dns_batched_vs_unbatched;
     Alcotest.test_case "DNS logs byte-identical under eviction" `Quick
       test_dns_identical_idle_timeout;
+    Alcotest.test_case "DNS over IPv6: parsed, logs byte-identical" `Quick test_dns_ipv6;
     Alcotest.test_case "firewall logs byte-identical (1/2/4 shards)" `Quick
       test_firewall_identical;
   ]

@@ -36,8 +36,9 @@ let check_at s off limit =
 
 (* Fields of a header [check_at] accepted, read by offset. *)
 let protocol_at s off = String.get_uint8 s (off + 9)
-let src_at s off = Addr.of_ipv4_int32 (String.get_int32_be s (off + 12))
-let dst_at s off = Addr.of_ipv4_int32 (String.get_int32_be s (off + 16))
+let addr_at s off = Addr.of_ipv4_int (Int32.to_int (String.get_int32_be s off))
+let src_at s off = addr_at s (off + 12)
+let dst_at s off = addr_at s (off + 16)
 
 (* A fragment but the first: no transport header opens its payload. *)
 let later_fragment_at s off = String.get_uint16_be s (off + 6) land 0x1fff <> 0

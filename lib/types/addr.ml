@@ -12,18 +12,16 @@ type t = { hi : int64; lo : int64; family : family }
 
 let v4_prefix_lo = 0x0000_ffff_0000_0000L
 
-(* An IPv4 address [a.b.c.d] maps to ::ffff:a.b.c.d. *)
-let of_ipv4_int32 (i : int32) : t =
-  let low32 = Int64.logand (Int64.of_int32 i) 0xffff_ffffL in
-  { hi = 0L; lo = Int64.logor v4_prefix_lo low32; family = IPv4 }
+(** The IPv4 address whose 32 bits are the low bits of [i]; [a.b.c.d]
+    maps to ::ffff:a.b.c.d.  It takes a plain int so a caller reading the
+    address off the wire boxes no [int32]. *)
+let of_ipv4_int (i : int) : t =
+  { hi = 0L; lo = Int64.logor v4_prefix_lo (Int64.of_int (i land 0xffff_ffff)); family = IPv4 }
+
+let of_ipv4_int32 (i : int32) : t = of_ipv4_int (Int32.to_int i)
 
 let of_ipv4_octets a b c d =
-  let i =
-    Int32.logor
-      (Int32.shift_left (Int32.of_int (a land 0xff)) 24)
-      (Int32.of_int (((b land 0xff) lsl 16) lor ((c land 0xff) lsl 8) lor (d land 0xff)))
-  in
-  of_ipv4_int32 i
+  of_ipv4_int (((a land 0xff) lsl 24) lor ((b land 0xff) lsl 16) lor ((c land 0xff) lsl 8) lor (d land 0xff))
 
 let of_ipv6_int64s hi lo = { hi; lo; family = IPv6 }
 

@@ -165,32 +165,51 @@ let test_log_write () =
 (* Deterministic message of length [n] ("abc...zab..."). *)
 let alpha n = String.init n (fun i -> Char.chr (97 + (i mod 26)))
 
+(* Both kernels behind the same streaming code: the one [Sha1] picked for
+   this CPU and the portable one.  On a CPU without SHA-NI both entries
+   run the portable kernel. *)
+module type SHA1 = sig
+  type ctx
+
+  val init : unit -> ctx
+  val reset : ctx -> unit
+  val feed_bytes : ctx -> Bytes.t -> int -> int -> unit
+  val finish : ctx -> string
+  val digest : string -> string
+end
+
+let kernels : (string * (module SHA1)) list =
+  [ (Sha1.kernel, (module Sha1)); ("portable", (module Sha1.Portable)) ]
+
 let test_sha1 () =
-  let check name expected msg =
-    Alcotest.(check string) name expected (Sha1.digest msg)
-  in
-  (* FIPS 180 / RFC 3174 vectors. *)
-  check "abc" "a9993e364706816aba3e25717850c26c9cd0d89d" "abc";
-  check "empty" "da39a3ee5e6b4b0d3255bfef95601890afd80709" "";
-  check "448-bit" "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-    "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
-  check "896-bit" "a49b2446a02c645bf419f995b67091253a04a259"
-    "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnop\
-     jklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
-  check "million a" "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
-    (String.make 1_000_000 'a');
-  (* Padding boundaries: the length field fits (55), just misses (56) or
-     fills a block (63, 64, 65), and again one block later (119, 120).
-     Expected values from sha1sum over [alpha n]. *)
   List.iter
-    (fun (n, expected) -> check (Printf.sprintf "len %d" n) expected (alpha n))
-    [ (55, "a617d006d1ca12671785098a19a87fe58443bde9");
-      (56, "4ad5bb7ae3c4024768d364b77c52128ea3cffebe");
-      (63, "fc8a5ab77259625085ead3ec96515b3b8d933fad");
-      (64, "93249d4c2f8903ebf41ac358473148ae6ddd7042");
-      (65, "cf2a63cc308225cf07b498d2309a01dd0df52f67");
-      (119, "edd0f1133d0e4ca5f3e98bb7e0295f31d20d2cdb");
-      (120, "23a58eee587aa1f50d19a969ab36a3fe3e88c393") ]
+    (fun (kernel, (module S : SHA1)) ->
+      let check name expected msg =
+        Alcotest.(check string) (kernel ^ " " ^ name) expected (S.digest msg)
+      in
+      (* FIPS 180 / RFC 3174 vectors. *)
+      check "abc" "a9993e364706816aba3e25717850c26c9cd0d89d" "abc";
+      check "empty" "da39a3ee5e6b4b0d3255bfef95601890afd80709" "";
+      check "448-bit" "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
+        "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+      check "896-bit" "a49b2446a02c645bf419f995b67091253a04a259"
+        "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnop\
+         jklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
+      check "million a" "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
+        (String.make 1_000_000 'a');
+      (* Padding boundaries: the length field fits (55), just misses (56) or
+         fills a block (63, 64, 65), and again one block later (119, 120).
+         Expected values from sha1sum over [alpha n]. *)
+      List.iter
+        (fun (n, expected) -> check (Printf.sprintf "len %d" n) expected (alpha n))
+        [ (55, "a617d006d1ca12671785098a19a87fe58443bde9");
+          (56, "4ad5bb7ae3c4024768d364b77c52128ea3cffebe");
+          (63, "fc8a5ab77259625085ead3ec96515b3b8d933fad");
+          (64, "93249d4c2f8903ebf41ac358473148ae6ddd7042");
+          (65, "cf2a63cc308225cf07b498d2309a01dd0df52f67");
+          (119, "edd0f1133d0e4ca5f3e98bb7e0295f31d20d2cdb");
+          (120, "23a58eee587aa1f50d19a969ab36a3fe3e88c393") ])
+    kernels
 
 let test_sha1_streaming () =
   (* Any split of the message into two feeds hashes like one feed, and a
@@ -230,26 +249,72 @@ let test_sha1_high_bytes () =
   let n = 1000 in
   let msg = String.init n (fun i -> Char.chr (((i * 7) + 3) land 255)) in
   let expected = "4231a8a50a10fa9758db8ec71fdef855b751048a" in
-  Alcotest.(check string) "one-shot" expected (Sha1.digest msg);
-  let c = Sha1.init () in
   List.iter
-    (fun base ->
-      let buf = Bytes.make (base + n + 5) '\xff' in
-      Bytes.blit_string msg 0 buf base n;
+    (fun (kernel, (module S : SHA1)) ->
+      Alcotest.(check string) (kernel ^ " one-shot") expected (S.digest msg);
+      let c = S.init () in
       List.iter
-        (fun chunk ->
-          Sha1.reset c;
-          let pos = ref 0 in
-          while !pos < n do
-            let k = min chunk (n - !pos) in
-            Sha1.feed_bytes c buf (base + !pos) k;
-            pos := !pos + k
-          done;
-          Alcotest.(check string)
-            (Printf.sprintf "offset %d chunk %d" base chunk)
-            expected (Sha1.finish c))
-        [ 1; 63; 64; 65; 130; 1000 ])
-    [ 1; 3; 13; 61 ]
+        (fun base ->
+          let buf = Bytes.make (base + n + 5) '\xff' in
+          Bytes.blit_string msg 0 buf base n;
+          List.iter
+            (fun chunk ->
+              S.reset c;
+              let pos = ref 0 in
+              while !pos < n do
+                let k = min chunk (n - !pos) in
+                S.feed_bytes c buf (base + !pos) k;
+                pos := !pos + k
+              done;
+              Alcotest.(check string)
+                (Printf.sprintf "%s offset %d chunk %d" kernel base chunk)
+                expected (S.finish c))
+            [ 1; 63; 64; 65; 130; 1000 ])
+        [ 1; 3; 13; 61 ])
+    kernels
+
+let test_sha1_range_checked () =
+  (* The kernel trusts its range, so [feed_bytes] must reject every range
+     outside the buffer, including one whose end overflows [max_int]. *)
+  let buf = Bytes.make 128 'a' in
+  List.iter
+    (fun (off, len) ->
+      match Sha1.feed_bytes (Sha1.init ()) buf off len with
+      | () -> Alcotest.failf "feed_bytes off %d len %d accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (max_int - 10, 64); (max_int, 1); (-1, 1); (0, -1); (65, 64); (0, 129); (129, 0) ];
+  (* The edges of the buffer are in range. *)
+  let c = Sha1.init () in
+  Sha1.feed_bytes c buf 64 64;
+  Sha1.feed_bytes c buf 128 0;
+  Alcotest.(check string) "last 64 bytes" (Sha1.digest (String.make 64 'a')) (Sha1.finish c)
+
+(* The kernel [Sha1] runs and the portable one agree on any message, at any
+   offset inside a larger buffer, fed in any chunk sizes. *)
+let test_sha1_kernels_agree =
+  QCheck.Test.make ~count:300
+    ~name:(Printf.sprintf "sha1: %s kernel == portable kernel" Sha1.kernel)
+    QCheck.(
+      triple
+        (string_of_size Gen.(0 -- 4096))
+        (0 -- 63)
+        (array_of_size Gen.(1 -- 8) (1 -- 300)))
+    (fun (msg, base, chunks) ->
+      let n = String.length msg in
+      let buf = Bytes.make (base + n + 64) '\xa5' in
+      Bytes.blit_string msg 0 buf base n;
+      let hash (module S : SHA1) =
+        let c = S.init () in
+        let pos = ref 0 and i = ref 0 in
+        while !pos < n do
+          let k = min chunks.(!i mod Array.length chunks) (n - !pos) in
+          S.feed_bytes c buf (base + !pos) k;
+          pos := !pos + k;
+          incr i
+        done;
+        S.finish c
+      in
+      hash (module Sha1) = hash (module Sha1.Portable))
 
 (* ---- Typed converters == the [T_any] converter (QCheck) --------------------- *)
 
@@ -750,4 +815,6 @@ let suite =
     Alcotest.test_case "keys: non-keys raise" `Quick test_non_keys_raise;
     QCheck_alcotest.to_alcotest test_key_hash_consistent;
     QCheck_alcotest.to_alcotest test_key_table_model;
-    Alcotest.test_case "sha1 high bytes + unaligned blocks" `Quick test_sha1_high_bytes ]
+    Alcotest.test_case "sha1 high bytes + unaligned blocks" `Quick test_sha1_high_bytes;
+    Alcotest.test_case "sha1 feed_bytes range checked" `Quick test_sha1_range_checked;
+    QCheck_alcotest.to_alcotest test_sha1_kernels_agree ]

@@ -342,6 +342,24 @@ let test_reassembly_in_order_no_alloc () =
   Alcotest.(check (float 0.)) "minor words for 1,000 in-order segments" 0. words;
   Alcotest.(check int) "all delivered" ((n + 1) * len) !total
 
+(* An address read off an IPv4 header is its record and its boxed [int64]
+   (4 + 3 words); the 32 bits cross no module boundary as a boxed [int32]. *)
+let test_ipv4_addr_at () =
+  let hdr = Bytes.make 20 '\000' in
+  Bytes.set_int32_be hdr 12 0xc0a80101l;
+  Bytes.set_int32_be hdr 16 0xfffffffel;
+  let hdr = Bytes.to_string hdr in
+  Alcotest.(check string) "src" "192.168.1.1" (Addr.to_string (Ipv4.src_at hdr 0));
+  Alcotest.(check string) "dst, high bit set" "255.255.255.254"
+    (Addr.to_string (Ipv4.dst_at hdr 0));
+  let n = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Ipv4.src_at hdr 0))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check (float 0.)) "minor words per address" 7. words
+
 (* ---- Header peeks agree with the decoder ------------------------------------------------ *)
 
 let sample_frames =
@@ -537,4 +555,5 @@ let suite =
     prop_reassembly_slices;
     Alcotest.test_case "reassembly in order allocates nothing" `Quick
       test_reassembly_in_order_no_alloc;
-    prop_peeks_agree_with_decode ]
+    prop_peeks_agree_with_decode;
+    Alcotest.test_case "ipv4 addresses box no int32" `Quick test_ipv4_addr_at ]

@@ -52,6 +52,16 @@ let prop_addr_roundtrip =
   qt "addr: parse(print(a)) = a" addr_arb (fun a ->
       Addr.equal a (Addr.of_string (Addr.to_string a)))
 
+let prop_addr_of_ipv4_int =
+  qt "addr: of_ipv4_int reads the low 32 bits as a.b.c.d" QCheck.int (fun i ->
+      let octet k = (i lsr k) land 0xff in
+      let dotted = Printf.sprintf "%d.%d.%d.%d" (octet 24) (octet 16) (octet 8) (octet 0) in
+      let a = Addr.of_ipv4_int i in
+      Addr.is_ipv4 a
+      && Addr.to_string a = dotted
+      && Addr.equal a (Addr.of_string dotted)
+      && Addr.equal a (Addr.of_ipv4_int32 (Int32.of_int i)))
+
 let prop_addr_mask_idempotent =
   qt "addr: mask is idempotent"
     QCheck.(pair addr_arb (int_range 0 32))
@@ -429,6 +439,7 @@ let suite =
     Alcotest.test_case "addr rejects junk" `Quick test_addr_bad;
     Alcotest.test_case "addr mask" `Quick test_addr_mask;
     prop_addr_roundtrip;
+    prop_addr_of_ipv4_int;
     prop_addr_mask_idempotent;
     Alcotest.test_case "network" `Quick test_network;
     prop_network_contains_prefix;

@@ -9,6 +9,24 @@ let time_ns = Hilti_obs.Clock.timed
     not be charged to later ones. *)
 let gc_normalize () = Gc.compact ()
 
+(** Words allocated by [f ()], counted exactly.  [Gc.minor_words] reads
+    the minor heap up to its allocation pointer, where on OCaml 5.1
+    [Gc.allocated_bytes] and [Gc.quick_stat] see only what the minor heap
+    held at its last collection; blocks too large for the minor heap are
+    [Gc.counters]' major words less the promoted ones.  Each reading
+    calls [Gc.counters] on the far side of its [Gc.minor_words], so their
+    own allocation stays outside the count. *)
+let alloc_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(** {!alloc_words} in bytes. *)
+let alloc_bytes f = alloc_words f *. float_of_int (Sys.word_size / 8)
+
 (** Best-of-n timing to damp scheduler noise. *)
 let best_of ?(n = 3) f =
   let best = ref Int64.max_int in

@@ -675,17 +675,43 @@ let run_dns_src ~(kind : dns_kind) ~(sink : Events.sink) ?idle_timeout
    shard owning that pair's state, and per-shard trace clocks advance
    independently without changing any decision. *)
 
-(** One decision line, ["<ns> <src> > <dst> allow|deny"], built in one
-    buffer. *)
+(** One decision line, ["<ns> <src> > <dst> allow|deny"].  Between IPv4
+    hosts at a timestamp in the native int range the line is measured
+    first and then filled into one [Bytes.t]: the string is its only
+    allocation.  IPv6 and timestamps beyond that range go through a
+    [Buffer.t]. *)
 let fw_line ~ts ~src ~dst allowed =
-  let b = Buffer.create 64 in
-  Hilti_types.Digits.add_int64 b (Hilti_types.Time_ns.to_ns ts);
-  Buffer.add_char b ' ';
-  Hilti_types.Addr.add_to_buffer b src;
-  Buffer.add_string b " > ";
-  Hilti_types.Addr.add_to_buffer b dst;
-  Buffer.add_string b (if allowed then " allow" else " deny");
-  Buffer.contents b
+  let module A = Hilti_types.Addr in
+  let module D = Hilti_types.Digits in
+  let ns = Hilti_types.Time_ns.to_ns ts in
+  let n = Int64.to_int ns in
+  let verdict = if allowed then " allow" else " deny" in
+  if A.is_ipv4 src && A.is_ipv4 dst && Int64.equal (Int64.of_int n) ns then begin
+    let vlen = String.length verdict in
+    let s = Bytes.create (D.width n + 1 + A.ipv4_width src + 3 + A.ipv4_width dst + vlen) in
+    let p = D.write_int s 0 n in
+    Bytes.set s p ' ';
+    let p = A.write_ipv4 s (p + 1) src in
+    Bytes.set s p ' ';
+    Bytes.set s (p + 1) '>';
+    Bytes.set s (p + 2) ' ';
+    let p = A.write_ipv4 s (p + 3) dst in
+    (* Five or six bytes: [Bytes.blit_string] would be a C call. *)
+    for k = 0 to vlen - 1 do
+      Bytes.set s (p + k) verdict.[k]
+    done;
+    Bytes.unsafe_to_string s
+  end
+  else begin
+    let b = Buffer.create 64 in
+    D.add_int64 b ns;
+    Buffer.add_char b ' ';
+    A.add_to_buffer b src;
+    Buffer.add_string b " > ";
+    A.add_to_buffer b dst;
+    Buffer.add_string b verdict;
+    Buffer.contents b
+  end
 
 (** Run every frame of [src] through a firewall, emitting one decision
     line per IP packet via [emit], in trace order.  [mk_fw] builds each

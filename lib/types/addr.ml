@@ -135,58 +135,75 @@ let add_ipv4 b t =
   Buffer.add_char b '.';
   Digits.add_int b (i land 0xff)
 
-let groups_of t =
-  let g64 w =
-    [ Int64.to_int (Int64.logand (Int64.shift_right_logical w 48) 0xffffL);
-      Int64.to_int (Int64.logand (Int64.shift_right_logical w 32) 0xffffL);
-      Int64.to_int (Int64.logand (Int64.shift_right_logical w 16) 0xffffL);
-      Int64.to_int (Int64.logand w 0xffffL) ]
-  in
-  g64 t.hi @ g64 t.lo
+(** Characters in the dotted-quad form of an IPv4 address. *)
+let ipv4_width t =
+  let i = to_ipv4_int t in
+  3 + Digits.width ((i lsr 24) land 0xff) + Digits.width ((i lsr 16) land 0xff)
+  + Digits.width ((i lsr 8) land 0xff) + Digits.width (i land 0xff)
 
-let ipv6_to_string t =
-  (* Find the longest run of zero groups (length >= 2) to compress as ::. *)
-  let groups = Array.of_list (groups_of t) in
-  let best_start = ref (-1) and best_len = ref 0 in
-  let i = ref 0 in
-  while !i < 8 do
-    if groups.(!i) = 0 then begin
-      let j = ref !i in
-      while !j < 8 && groups.(!j) = 0 do incr j done;
-      if !j - !i > !best_len then begin
-        best_len := !j - !i;
-        best_start := !i
-      end;
-      i := !j
+(** Write the dotted-quad form of an IPv4 address into [s] at [pos];
+    returns the position after it.  Raises [Invalid_argument] if it does
+    not fit. *)
+let write_ipv4 s pos t =
+  let i = to_ipv4_int t in
+  let p = Digits.write_int s pos ((i lsr 24) land 0xff) in
+  Bytes.set s p '.';
+  let p = Digits.write_int s (p + 1) ((i lsr 16) land 0xff) in
+  Bytes.set s p '.';
+  let p = Digits.write_int s (p + 1) ((i lsr 8) land 0xff) in
+  Bytes.set s p '.';
+  Digits.write_int s (p + 1) (i land 0xff)
+
+(* Group [k] (0..7, most significant first) of the 128 bits. *)
+let group t k =
+  let w = if k < 4 then t.hi else t.lo in
+  Int64.to_int (Int64.shift_right_logical w (48 - (16 * (k land 3)))) land 0xffff
+
+let hex_digits = "0123456789abcdef"
+
+(* [g] (0..0xffff) in lower-case hex without leading zeros (["%x"]). *)
+let add_hex16 b g =
+  if g >= 0x1000 then Buffer.add_char b hex_digits.[g lsr 12];
+  if g >= 0x100 then Buffer.add_char b hex_digits.[(g lsr 8) land 0xf];
+  if g >= 0x10 then Buffer.add_char b hex_digits.[(g lsr 4) land 0xf];
+  Buffer.add_char b hex_digits.[g land 0xf]
+
+(* Groups [first..last] separated by ':'. *)
+let add_groups b t first last =
+  for k = first to last do
+    if k > first then Buffer.add_char b ':';
+    add_hex16 b (group t k)
+  done
+
+(** Append the text form of an IPv6 address: hex groups, with the
+    longest run of two or more zero groups (the first of equal runs)
+    written as [::]. *)
+let add_ipv6 b t =
+  let best_start = ref 0 and best_len = ref 0 and run = ref 0 in
+  for k = 0 to 7 do
+    if group t k = 0 then begin
+      incr run;
+      if !run > !best_len then begin
+        best_len := !run;
+        best_start := k + 1 - !run
+      end
     end
-    else incr i
+    else run := 0
   done;
-  let buf = Buffer.create 40 in
   if !best_len >= 2 then begin
-    for k = 0 to !best_start - 1 do
-      if k > 0 then Buffer.add_char buf ':';
-      Buffer.add_string buf (Printf.sprintf "%x" groups.(k))
-    done;
-    Buffer.add_string buf "::";
-    for k = !best_start + !best_len to 7 do
-      if k > !best_start + !best_len then Buffer.add_char buf ':';
-      Buffer.add_string buf (Printf.sprintf "%x" groups.(k))
-    done
+    add_groups b t 0 (!best_start - 1);
+    Buffer.add_string b "::";
+    add_groups b t (!best_start + !best_len) 7
   end
-  else
-    for k = 0 to 7 do
-      if k > 0 then Buffer.add_char buf ':';
-      Buffer.add_string buf (Printf.sprintf "%x" groups.(k))
-    done;
-  Buffer.contents buf
+  else add_groups b t 0 7
 
 let to_string t =
   match t.family with
   | IPv4 -> Digits.to_string ~size:16 add_ipv4 t
-  | IPv6 -> ipv6_to_string t
+  | IPv6 -> Digits.to_string ~size:39 add_ipv6 t
 
 let add_to_buffer b t =
-  match t.family with IPv4 -> add_ipv4 b t | IPv6 -> Buffer.add_string b (ipv6_to_string t)
+  match t.family with IPv4 -> add_ipv4 b t | IPv6 -> add_ipv6 b t
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

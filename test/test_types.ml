@@ -142,10 +142,25 @@ let edge_int64s =
     Int64.pred (Int64.of_int min_int); Int64.max_int; Int64.min_int;
     Int64.succ Int64.min_int; Int64.pred Int64.max_int ]
 
+(* Every value whose neighbour has one digit more or fewer: 10^k - 1,
+   10^k and 10^k + 1 for k = 0..18, their negations, and the ends of both
+   integer ranges. *)
+let digit_boundaries =
+  let rec pow k = if k = 0 then 1L else Int64.mul 10L (pow (k - 1)) in
+  let around =
+    List.concat_map
+      (fun k ->
+        let p = pow k in
+        [ Int64.pred p; p; Int64.succ p ])
+      (List.init 19 Fun.id)
+  in
+  around @ List.map Int64.neg around
+  @ [ Int64.of_int min_int; Int64.of_int max_int; Int64.min_int; Int64.max_int ]
+
 (* Edge values plus a seeded sweep over all magnitudes. *)
 let int64_samples =
   let st = Random.State.make [| 17 |] in
-  edge_int64s
+  edge_int64s @ digit_boundaries
   @ List.init 2000 (fun i ->
         let v = Random.State.int64 st Int64.max_int in
         let v = Int64.shift_right v (i mod 63) in
@@ -160,14 +175,24 @@ let test_render_counts () =
       let n = Int64.to_int v in
       if Int64.equal (Int64.of_int n) v then begin
         Alcotest.(check string) ("int " ^ want) want (Digits.int_to_string n);
-        Alcotest.(check string) ("int buffer " ^ want) ("<" ^ want) (buffered Digits.add_int n)
+        Alcotest.(check string) ("int buffer " ^ want) ("<" ^ want) (buffered Digits.add_int n);
+        Alcotest.(check int) ("width " ^ want) (String.length (string_of_int n)) (Digits.width n);
+        (* Filled in place between two sentinels, at an odd offset. *)
+        let s = Bytes.make (String.length want + 4) '#' in
+        let stop = Digits.write_int s 3 n in
+        Alcotest.(check string) ("write " ^ want) ("###" ^ want ^ "#") (Bytes.to_string s);
+        Alcotest.(check int) ("write end " ^ want) (3 + String.length want) stop;
+        List.iter
+          (fun w ->
+            Alcotest.(check string)
+              (Printf.sprintf "padded %d %s" w want)
+              (Printf.sprintf "%0*d" w n)
+              (Digits.to_string ~size:8 (Digits.add_padded ~width:w) n))
+          [ 0; 1; 2; 6; 19; 21 ]
       end)
     int64_samples;
-  List.iter
-    (fun (w, n) ->
-      Alcotest.(check string) "padded" (Printf.sprintf "%0*d" w n)
-        (Digits.to_string ~size:8 (Digits.add_padded ~width:w) n))
-    [ (6, 0); (6, 7); (6, 999_999); (6, 123); (2, 12345); (1, 0) ]
+  Alcotest.check_raises "write past the end" (Invalid_argument "Digits.write_int") (fun () ->
+      ignore (Digits.write_int (Bytes.create 3) 1 100))
 
 let test_render_times () =
   let samples =
@@ -225,6 +250,145 @@ let test_render_ports () =
           Alcotest.(check string) ("buffer " ^ want) ("<" ^ want) (buffered Port.add_to_buffer p))
         [ 0; 1; 53; 80; 443; 9999; 10000; 65535 ])
     [ Port.TCP; Port.UDP; Port.ICMP ]
+
+(* IPv6 text as [Addr] wrote it with one [Printf "%x"] per group, kept as the
+   reference. *)
+let ref_ipv6 hi lo =
+  let g64 w =
+    [ Int64.to_int (Int64.logand (Int64.shift_right_logical w 48) 0xffffL);
+      Int64.to_int (Int64.logand (Int64.shift_right_logical w 32) 0xffffL);
+      Int64.to_int (Int64.logand (Int64.shift_right_logical w 16) 0xffffL);
+      Int64.to_int (Int64.logand w 0xffffL) ]
+  in
+  let groups = Array.of_list (g64 hi @ g64 lo) in
+  let best_start = ref (-1) and best_len = ref 0 in
+  let i = ref 0 in
+  while !i < 8 do
+    if groups.(!i) = 0 then begin
+      let j = ref !i in
+      while !j < 8 && groups.(!j) = 0 do incr j done;
+      if !j - !i > !best_len then begin
+        best_len := !j - !i;
+        best_start := !i
+      end;
+      i := !j
+    end
+    else incr i
+  done;
+  let buf = Buffer.create 40 in
+  if !best_len >= 2 then begin
+    for k = 0 to !best_start - 1 do
+      if k > 0 then Buffer.add_char buf ':';
+      Buffer.add_string buf (Printf.sprintf "%x" groups.(k))
+    done;
+    Buffer.add_string buf "::";
+    for k = !best_start + !best_len to 7 do
+      if k > !best_start + !best_len then Buffer.add_char buf ':';
+      Buffer.add_string buf (Printf.sprintf "%x" groups.(k))
+    done
+  end
+  else
+    for k = 0 to 7 do
+      if k > 0 then Buffer.add_char buf ':';
+      Buffer.add_string buf (Printf.sprintf "%x" groups.(k))
+    done;
+  Buffer.contents buf
+
+(* The 128 bits of eight 16-bit groups. *)
+let v6_of_groups g =
+  let w a =
+    Array.fold_left (fun acc x -> Int64.logor (Int64.shift_left acc 16) (Int64.of_int x)) 0L a
+  in
+  (w (Array.sub g 0 4), w (Array.sub g 4 4))
+
+let test_render_ipv6 () =
+  let st = Random.State.make [| 29 |] in
+  let edges =
+    [ [| 0; 0; 0; 0; 0; 0; 0; 0 |]; [| 0; 0; 0; 0; 0; 0; 0; 1 |];
+      [| 0; 0; 0; 5; 6; 7; 8; 9 |]; [| 1; 2; 3; 4; 5; 0; 0; 0 |];
+      [| 1; 0; 0; 2; 3; 0; 0; 4 |]; [| 0; 0; 1; 2; 3; 4; 0; 0 |];
+      [| 1; 0; 2; 3; 4; 5; 6; 7 |]; [| 0; 1; 0; 1; 0; 1; 0; 1 |];
+      [| 1; 0; 0; 2; 0; 0; 0; 3 |]; [| 0xffff; 0xabc; 0xde; 0xf; 0x1000; 0x100; 0x10; 1 |];
+      [| 0; 0; 0; 0; 0; 0xffff; 0x0a00; 1 |] ]
+  in
+  let random =
+    List.init 2000 (fun _ ->
+        (* Mostly zero groups, so runs of every length and position occur. *)
+        Array.init 8 (fun _ ->
+            match Random.State.int st 4 with
+            | 0 | 1 -> 0
+            | 2 -> Random.State.int st 16
+            | _ -> Random.State.int st 0x10000))
+  in
+  List.iter
+    (fun g ->
+      let hi, lo = v6_of_groups g in
+      let want = ref_ipv6 hi lo in
+      let addr = Addr.of_ipv6_int64s hi lo in
+      Alcotest.(check string) want want (Addr.to_string addr);
+      Alcotest.(check string) ("buffer " ^ want) ("<" ^ want) (buffered Addr.add_to_buffer addr);
+      Alcotest.(check string) ("reparse " ^ want) want (Addr.to_string (Addr.of_string want)))
+    (edges @ random)
+
+(* [Driver.fw_line] against a [Printf] line over [Addr.to_string]: a
+   reference that shares no code with the measured, filled fast path. *)
+let test_fw_line () =
+  let ref_line ts src dst allowed =
+    Printf.sprintf "%Ld %s > %s %s" ts (Addr.to_string src) (Addr.to_string dst)
+      (if allowed then "allow" else "deny")
+  in
+  let addrs =
+    List.map Addr.of_string
+      [ "0.0.0.0"; "255.255.255.255"; "1.2.3.4"; "10.20.30.40"; "100.200.250.199";
+        "9.99.100.255"; "192.168.1.1"; "::"; "::1"; "2001:db8::ff00:42:8329";
+        "fe80:0:0:0:1:2:3:4" ]
+    @ [ Addr.of_ipv6_int64s 0L 0x0000_ffff_0a00_0001L ]
+  in
+  let tss =
+    [ 0L; 1L; 9L; 10L; 99L; -1L; -1_500_000_000L; 1_400_000_123_456_789L;
+      Int64.of_int max_int; Int64.succ (Int64.of_int max_int); Int64.of_int min_int;
+      Int64.pred (Int64.of_int min_int); Int64.max_int; Int64.min_int ]
+  in
+  List.iter
+    (fun ts ->
+      List.iter
+        (fun src ->
+          List.iter
+            (fun dst ->
+              List.iter
+                (fun allowed ->
+                  let want = ref_line ts src dst allowed in
+                  Alcotest.(check string) want want
+                    (Hilti_analyzers.Driver.fw_line ~ts:(Time_ns.of_ns ts) ~src ~dst allowed))
+                [ true; false ])
+            addrs)
+        addrs)
+    tss;
+  (* The IPv4 fast path over every octet width, at random. *)
+  let st = Random.State.make [| 31 |] in
+  let octet () =
+    match Random.State.int st 3 with
+    | 0 -> Random.State.int st 10
+    | 1 -> 10 + Random.State.int st 90
+    | _ -> 100 + Random.State.int st 156
+  in
+  let v4 () =
+    let a = octet () in
+    let b = octet () in
+    let c = octet () in
+    Addr.of_ipv4_octets a b c (octet ())
+  in
+  for _ = 1 to 2000 do
+    let src = v4 () in
+    let dst = v4 () in
+    let ts =
+      Int64.shift_right_logical (Random.State.int64 st Int64.max_int) (Random.State.int st 63)
+    in
+    let allowed = Random.State.bool st in
+    let want = ref_line ts src dst allowed in
+    Alcotest.(check string) want want
+      (Hilti_analyzers.Driver.fw_line ~ts:(Time_ns.of_ns ts) ~src ~dst allowed)
+  done
 
 (* ---- Bytes: the incremental-parsing substrate ---------------------------------------- *)
 
@@ -450,6 +614,8 @@ let suite =
     Alcotest.test_case "render times == Printf" `Quick test_render_times;
     Alcotest.test_case "render IPv4 == Printf, IPv6 unchanged" `Quick test_render_addrs;
     Alcotest.test_case "render ports == Printf" `Quick test_render_ports;
+    Alcotest.test_case "render IPv6 == Printf renderer" `Quick test_render_ipv6;
+    Alcotest.test_case "fw_line == Printf reference" `Quick test_fw_line;
     Alcotest.test_case "hbytes basics" `Quick test_hbytes_basics;
     Alcotest.test_case "hbytes blocking/freeze" `Quick test_hbytes_blocking_and_freeze;
     Alcotest.test_case "hbytes trim" `Quick test_hbytes_trim;

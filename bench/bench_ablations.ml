@@ -19,7 +19,7 @@ let expiration_bench () =
     (fun (name, strategy) ->
       let mgr = Timer_mgr.create () in
       ignore (Timer_mgr.advance mgr (Hilti_types.Time_ns.of_secs 1));
-      let m : (string, int) Exp_map.t = Exp_map.create () in
+      let m : int Exp_map.t = Exp_map.create () in
       (match strategy with
       | Some s -> Exp_map.set_timeout m s mgr
       | None -> ());

@@ -437,19 +437,28 @@ let key_fw_bench r =
    moves the entry's deadline (0 minor words; 20 when every refresh armed
    a new timer), and after a 61k-packet DNS + HTTP mix the firewall holds
    one pending timer per dynamic-rule entry (20.4 when stale timers stayed
-   queued until their deadline). *)
+   queued until their deadline).  The table's entries are its buckets: a
+   lookup hit allocates only the [Some] of its result (2 words; 4 with a
+   stdlib [Hashtbl] under a [Some]-boxed last-entry cache), and an
+   insert allocates one 7-word entry (11 with the [Hashtbl] cell beside
+   the entry record and the cache's [Some]). *)
 let exp_state_gates =
-  R.[ ("exp_map_refresh_words", At_most 0.); ("fw_pending_timers_per_entry", At_most 1.1) ]
+  R.
+    [ ("exp_map_refresh_words", At_most 0.);
+      ("exp_map_hit_words", At_most 2.);
+      ("exp_map_insert_words", At_most 7.);
+      ("fw_pending_timers_per_entry", At_most 1.1) ]
 
-(* Minor words per access refresh of an armed [Exp_map] entry, and the
-   firewall's pending timers per live dynamic-rule entry after a mixed
-   DNS + HTTP trace.  Both are exact counts: a refresh only moves the
-   entry's deadline, and each live entry owns at most one timer. *)
+(* Words per access refresh of an armed [Exp_map] entry, per lookup hit
+   on a key other than the last one looked up and per insert + remove,
+   and the firewall's pending timers per live dynamic-rule entry after a
+   mixed DNS + HTTP trace.  All are exact counts: a refresh only moves
+   the entry's deadline, and each live entry owns at most one timer. *)
 let exp_state_bench r =
   Bench_util.header "expiring state: refresh allocation and pending timers per entry";
   let module T = Hilti_types in
   let mgr = Timer_mgr.create () in
-  let m : (string, int) Exp_map.t = Exp_map.create () in
+  let m : int Exp_map.t = Exp_map.create () in
   Exp_map.set_timeout m (Expire.Access (T.Interval_ns.of_secs 300)) mgr;
   Exp_map.insert m "k" 1;
   let n = 100_000 in
@@ -463,6 +472,29 @@ let exp_state_bench r =
   Printf.printf "  minor words per access refresh: %.2f (%d pending timer(s) after %d refreshes)\n"
     refresh_words (Timer_mgr.pending mgr) n;
   R.num r ~unit_:"words" "exp_map_refresh_words" refresh_words;
+  (* Alternate two keys so no lookup repeats the one before it. *)
+  let keys = [| "a"; "b" |] in
+  let h : int Exp_map.t = Exp_map.create () in
+  Array.iter (fun k -> Exp_map.insert h k 0) keys;
+  let hit_words =
+    Bench_util.alloc_words (fun () ->
+        for i = 1 to n do
+          ignore (Sys.opaque_identity (Exp_map.find_opt h keys.(i land 1)))
+        done)
+    /. float_of_int n
+  in
+  let insert_words =
+    Bench_util.alloc_words (fun () ->
+        for _ = 1 to n do
+          Exp_map.add_fresh h "c" 0;
+          Exp_map.remove h "c"
+        done)
+    /. float_of_int n
+  in
+  Printf.printf "  words per find_opt hit: %.2f; per add_fresh + remove: %.2f\n"
+    hit_words insert_words;
+  R.num r ~unit_:"words" "exp_map_hit_words" hit_words;
+  R.num r ~unit_:"words" "exp_map_insert_words" insert_words;
   let fw =
     Hilti_firewall.Fw_hilti.load
       (Hilti_firewall.Fw_rules.parse_rules Bench_firewall.rules_text)
@@ -836,7 +868,7 @@ let run () =
     (cycles /. 1e6);
   (* Core runtime structures under Bechamel. *)
   let re = Regexp.compile_one "[a-z]+[0-9]+" in
-  let map : (string, int) Exp_map.t = Exp_map.create () in
+  let map : int Exp_map.t = Exp_map.create () in
   for i = 0 to 999 do
     Exp_map.insert map (string_of_int i) i
   done;

@@ -18,9 +18,9 @@ type 'a conn = {
 }
 
 type 'a t = {
-  table : (string, 'a conn) Hilti_rt.Exp_map.t;
-      (* keyed by {!Flow.packed_key}: flat strings hash and compare on the
-         runtime's C fast path, a measurable win on the per-packet path *)
+  table : 'a conn Hilti_rt.Exp_map.t;
+      (* keyed by {!Flow.packed_key}: one flat string per flow, hashed
+         once per lookup *)
   fresh : Flow.t -> Time_ns.t -> 'a;
   mutable created : int;
   mutable removed_cb : ('a conn -> unit) option;
@@ -48,8 +48,8 @@ let create ?timeout ?timer_mgr fresh =
       Hilti_rt.Exp_map.set_timeout table (Hilti_rt.Expire.Access ival) mgr
   | _ -> ());
   let t = { table; fresh; created = 0; removed_cb = None } in
-  (* Idle eviction flushes connection state through the same callback as a
-     manual removal, so analyzers see a uniform teardown path. *)
+  (* Idle eviction flushes connection state through the [on_remove]
+     callback, the analyzers' one teardown path. *)
   Hilti_rt.Exp_map.set_on_expire table (fun _canon conn ->
       Hilti_obs.Metrics.incr m_evicted;
       Hilti_obs.Metrics.gauge_decr m_live;
@@ -94,16 +94,5 @@ let lookup t ~ts flow =
       (* The probe above just missed, so skip [insert]'s presence check. *)
       Hilti_rt.Exp_map.add_fresh t.table key conn;
       (conn, Orig)
-
-let remove t flow =
-  let key = Flow.packed_key flow in
-  (match (t.removed_cb, Hilti_rt.Exp_map.find_opt t.table key) with
-  | Some cb, Some conn -> cb conn
-  | _ -> ());
-  if Hilti_rt.Exp_map.mem t.table key then
-    Hilti_obs.Metrics.gauge_decr m_live;
-  Hilti_rt.Exp_map.remove t.table key
-
-let iter f t = Hilti_rt.Exp_map.iter (fun _ conn -> f conn) t.table
 
 let fold f t init = Hilti_rt.Exp_map.fold (fun _ conn acc -> f conn acc) t.table init

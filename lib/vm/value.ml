@@ -31,8 +31,8 @@ type t =
   | Struct of strukt
   | List of t Deque.t
   | Vector of t Dynarray.t
-  | Set of (string, t) Hilti_rt.Exp_map.t            (** key string -> element *)
-  | Map of (string, t * t) Hilti_rt.Exp_map.t        (** key string -> (key, value) *)
+  | Set of t Hilti_rt.Exp_map.t                      (** key string -> element *)
+  | Map of (t * t) Hilti_rt.Exp_map.t                (** key string -> (key, value) *)
   | Iter of iter
   | Channel of t Hilti_rt.Channel.t
   | Classifier of classifier

@@ -116,7 +116,7 @@ let prop_timer_fire_order =
 let test_exp_map_policies () =
   let mgr = Timer_mgr.create () in
   ignore (Timer_mgr.advance mgr (Time_ns.of_secs 0));
-  let m : (string, int) Exp_map.t = Exp_map.create () in
+  let m : int Exp_map.t = Exp_map.create () in
   Exp_map.set_timeout m (Expire.Create (Interval_ns.of_secs 10)) mgr;
   Exp_map.insert m "k" 1;
   ignore (Timer_mgr.advance mgr (Time_ns.of_secs 5));
@@ -129,7 +129,7 @@ let test_exp_map_policies () =
 let test_exp_map_access_refresh () =
   let mgr = Timer_mgr.create () in
   ignore (Timer_mgr.advance mgr (Time_ns.of_secs 0));
-  let m : (string, int) Exp_map.t = Exp_map.create () in
+  let m : int Exp_map.t = Exp_map.create () in
   Exp_map.set_timeout m (Expire.Access (Interval_ns.of_secs 10)) mgr;
   Exp_map.insert m "k" 1;
   ignore (Timer_mgr.advance mgr (Time_ns.of_secs 8));
@@ -140,7 +140,7 @@ let test_exp_map_access_refresh () =
   Alcotest.(check bool) "idle entry gone at 30" false (Exp_map.mem m "k")
 
 let test_exp_map_default () =
-  let m : (string, int ref) Exp_map.t = Exp_map.create () in
+  let m : int ref Exp_map.t = Exp_map.create () in
   Exp_map.set_default m (fun _ -> ref 0);
   (match Exp_map.find_opt m "x" with
   | Some r -> incr r
@@ -155,7 +155,7 @@ let test_exp_map_default () =
    reports the new value. *)
 let stale_timer_case strategy ~drop () =
   let mgr = Timer_mgr.create () in
-  let m : (string, string) Exp_map.t = Exp_map.create () in
+  let m : string Exp_map.t = Exp_map.create () in
   Exp_map.set_timeout m (strategy (Interval_ns.of_secs 10)) mgr;
   let expired = ref [] in
   Exp_map.set_on_expire m (fun k v -> expired := (k, v) :: !expired);
@@ -189,7 +189,7 @@ let test_exp_map_stale_timer () =
    timer, and a refresh allocates nothing. *)
 let test_exp_map_bounded_refresh () =
   let mgr = Timer_mgr.create () in
-  let m : (string, int) Exp_map.t = Exp_map.create () in
+  let m : int Exp_map.t = Exp_map.create () in
   Exp_map.set_timeout m (Expire.Access (Interval_ns.of_secs 10)) mgr;
   Exp_map.insert m "k" 1;
   ignore (Exp_map.mem_touch m "k");
@@ -250,10 +250,11 @@ let timeout = 5
 let run_exp_model (strategy : Expire.strategy) ops =
   let ns s = Int64.mul (Int64.of_int s) 1_000_000_000L in
   let mgr = Timer_mgr.create () in
-  let m : (int, int) Exp_map.t = Exp_map.create () in
+  let m : int Exp_map.t = Exp_map.create () in
   if strategy <> Expire.Never then Exp_map.set_timeout m strategy mgr;
   let got = ref [] in
-  Exp_map.set_on_expire m (fun k v -> got := (k, v) :: !got);
+  Exp_map.set_on_expire m (fun k v -> got := (int_of_string k, v) :: !got);
+  let key = string_of_int in
   (* The model: key -> (value, deadline in seconds). *)
   let model : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
   let now = ref 0 in
@@ -269,7 +270,7 @@ let run_exp_model (strategy : Expire.strategy) ops =
     (fun op ->
       (match op with
       | Insert (k, v) ->
-          Exp_map.insert m k v;
+          Exp_map.insert m (key k) v;
           if Hashtbl.mem model k then begin
             let _, d = Hashtbl.find model k in
             Hashtbl.replace model k (v, d);
@@ -280,26 +281,26 @@ let run_exp_model (strategy : Expire.strategy) ops =
           (* Precondition: the key is absent; present keys go through
              [insert]'s write path instead. *)
           if Hashtbl.mem model k then begin
-            Exp_map.insert m k v;
+            Exp_map.insert m (key k) v;
             let _, d = Hashtbl.find model k in
             Hashtbl.replace model k (v, d);
             refresh k Expire.refreshed_by_write
           end
           else begin
-            Exp_map.add_fresh m k v;
+            Exp_map.add_fresh m (key k) v;
             fresh k v
           end
       | Find k ->
-          let r = Exp_map.find_opt m k in
+          let r = Exp_map.find_opt m (key k) in
           let expect = Option.map fst (Hashtbl.find_opt model k) in
           if r <> expect then fail op "find_opt disagrees";
           refresh k Expire.refreshed_by_read
       | Touch k ->
-          let r = Exp_map.mem_touch m k in
+          let r = Exp_map.mem_touch m (key k) in
           if r <> Hashtbl.mem model k then fail op "mem_touch disagrees";
           refresh k Expire.refreshed_by_read
       | Remove k ->
-          Exp_map.remove m k;
+          Exp_map.remove m (key k);
           Hashtbl.remove model k
       | Clear ->
           Exp_map.clear m;
@@ -331,7 +332,7 @@ let run_exp_model (strategy : Expire.strategy) ops =
           in
           check (List.rev !got) (List.sort compare due));
       for k = 0 to 4 do
-        if Exp_map.mem m k <> Hashtbl.mem model k then
+        if Exp_map.mem m (key k) <> Hashtbl.mem model k then
           fail op "membership of %d disagrees" k
       done;
       if Exp_map.size m <> Hashtbl.length model then fail op "size disagrees";
@@ -355,6 +356,83 @@ let prop_exp_map_model =
             Expire.to_string s ^ ": " ^ String.concat "; " (List.map show_exp_op ops))
           QCheck.Gen.(pair (oneofl strategies) (list_size (int_range 1 60) exp_op_gen)))
        (fun (s, ops) -> run_exp_model s ops))
+
+(* The order contract: [Exp_map.fold] visits entries in the order of a
+   stdlib [(string, int) Hashtbl.t] fed the same inserts, removes, clears
+   and expiries, while up to 200 keys push a 16-bucket map through three
+   doublings.  Every log that follows table order rests on it. *)
+type wide_op =
+  | W_insert of int * int
+  | W_add_fresh of int * int
+  | W_remove of int
+  | W_clear
+  | W_advance of int
+
+let show_wide_op = function
+  | W_insert (k, v) -> Printf.sprintf "insert %d %d" k v
+  | W_add_fresh (k, v) -> Printf.sprintf "add_fresh %d %d" k v
+  | W_remove k -> Printf.sprintf "remove %d" k
+  | W_clear -> "clear"
+  | W_advance d -> Printf.sprintf "advance %d" d
+
+let run_wide_order ops =
+  let mgr = Timer_mgr.create () in
+  let m : int Exp_map.t = Exp_map.create ~size:16 () in
+  Exp_map.set_timeout m (Expire.Create (Interval_ns.of_secs 60)) mgr;
+  let h : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  Exp_map.set_on_expire m (fun k _ -> Hashtbl.remove h k);
+  let key k = "key-" ^ string_of_int k in
+  let now = ref 0 in
+  let entries fold t = fold (fun k v acc -> (k, v) :: acc) t [] in
+  List.iter
+    (fun op ->
+      (match op with
+      | W_insert (k, v) ->
+          Exp_map.insert m (key k) v;
+          Hashtbl.replace h (key k) v
+      | W_add_fresh (k, v) ->
+          if Hashtbl.mem h (key k) then Exp_map.insert m (key k) v
+          else Exp_map.add_fresh m (key k) v;
+          Hashtbl.replace h (key k) v
+      | W_remove k ->
+          Exp_map.remove m (key k);
+          Hashtbl.remove h (key k)
+      | W_clear ->
+          Exp_map.clear m;
+          Hashtbl.reset h
+      | W_advance d ->
+          now := !now + d;
+          ignore (Timer_mgr.advance mgr (Time_ns.of_secs !now)));
+      if entries Exp_map.fold m <> entries Hashtbl.fold h then
+        failwith (show_wide_op op ^ ": fold order differs from Hashtbl's"))
+    ops;
+  true
+
+let test_exp_map_order_resizes () =
+  let inserts = List.init 200 (fun k -> W_insert (k, k)) in
+  let removes = List.init 100 (fun k -> W_remove (2 * k)) in
+  ignore
+    (run_wide_order
+       (inserts @ removes @ [ W_clear ] @ inserts @ [ W_advance 61 ] @ List.rev inserts))
+
+let prop_exp_map_order =
+  let open QCheck.Gen in
+  let key = int_range 0 199 and value = int_range 0 99 in
+  let op =
+    frequency
+      [ (30, map2 (fun k v -> W_insert (k, v)) key value);
+        (10, map2 (fun k v -> W_add_fresh (k, v)) key value);
+        (8, map (fun k -> W_remove k) key);
+        (1, return W_clear);
+        (6, map (fun d -> W_advance d) (int_range 0 3)) ]
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"exp_map fold order == stdlib Hashtbl order, across resizes"
+       ~count:100
+       (QCheck.make
+          ~print:(fun ops -> String.concat "; " (List.map show_wide_op ops))
+          (list_size (int_range 100 600) op))
+       run_wide_order)
 
 (* [Timer_mgr.cancel] takes a timer out of the queue at once; the others
    still fire in time order. *)
@@ -822,4 +900,7 @@ let suite =
     Alcotest.test_case "exp_map: refreshes keep one timer and allocate nothing" `Quick
       test_exp_map_bounded_refresh;
     prop_exp_map_model;
+    Alcotest.test_case "exp_map: fold order == Hashtbl order across resizes" `Quick
+      test_exp_map_order_resizes;
+    prop_exp_map_order;
     prop_timer_cancel_eager ]

@@ -3,9 +3,10 @@
    Load it with LD_PRELOAD.  It arms ITIMER_PROF, so SIGPROF arrives after
    every millisecond of CPU time the process spends (at most once per
    scheduler tick), and the handler records the program counter the signal
-   interrupted.  At exit it writes the samples, the executable's path and a
-   copy of the process's own memory map to PCSAMPLE_OUT.<pid>; symbolize.py
-   turns one or more such files into a profile.  Child processes inherit
+   interrupted.  At exit it writes the samples, the executable's path, the
+   process's command line and a copy of its own memory map to
+   PCSAMPLE_OUT.<pid>; symbolize.py turns one or more such files into a
+   profile.  Child processes inherit
    LD_PRELOAD and PCSAMPLE_OUT, so each writes a file of its own.
 
    Build:  gcc -O2 -Wall -shared -fPIC -o pcsample.so pcsample.c
@@ -77,6 +78,20 @@ __attribute__((destructor)) static void pcsample_stop(void) {
   exe[len > 0 ? len : 0] = '\0';
   unsigned long n = __atomic_load_n(&nsamples, __ATOMIC_RELAXED);
   fprintf(out, "exe %s\n", exe);
+  /* The command line, its NUL separators written as spaces, so processes
+     of the same executable can be told apart. */
+  FILE *cmd = fopen("/proc/self/cmdline", "r");
+  if (cmd != NULL) {
+    fputs("args", out);
+    int c, sep = 1;
+    while ((c = fgetc(cmd)) != EOF) {
+      if (sep) fputc(' ', out);
+      sep = c == '\0';
+      if (!sep) fputc(c, out);
+    }
+    fputc('\n', out);
+    fclose(cmd);
+  }
   fprintf(out, "dropped %lu\n", n > MAX_SAMPLES ? n - MAX_SAMPLES : 0);
   FILE *maps = fopen("/proc/self/maps", "r");
   if (maps != NULL) {

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Turn pcsample output files into a flat profile.
 
-    python3 tools/pcsample/symbolize.py [--top N] OUT.1234 [OUT.1235 ...]
+    python3 tools/pcsample/symbolize.py [--top N] [--match=S] OUT.1234 [OUT.1235 ...]
 
 Each file holds one process's samples (see pcsample.c).  A sample is
 charged to the function of the executable that contains it, found with
 `nm -n` over the executable recorded in the file, or to the name of the
 shared object it fell in.  The profile sums every file given and prints
-each function's share of the samples, largest first.
+each function's share of the samples, largest first, after one line per
+file with its sample count and command line.  `--match=S` keeps only the
+files whose command line contains S (e.g. `--match=--child` keeps a
+pipeline run's children and leaves out their parent).
 """
 
 import argparse
@@ -16,6 +19,19 @@ import collections
 import os
 import subprocess
 import sys
+
+
+def read_args(path):
+    """The command line recorded in [path], or "" (files written before
+    pcsample recorded it)."""
+    with open(path) as f:
+        for line in f:
+            tag, _, rest = line.rstrip("\n").partition(" ")
+            if tag == "args":
+                return rest
+            if tag == "pc":
+                break
+    return ""
 
 
 def read_sample_file(path):
@@ -67,6 +83,7 @@ def profile(paths):
     total = 0
     for path in paths:
         exe, maps, pcs = read_sample_file(path)
+        print(f"{len(pcs):8d}  {os.path.basename(path)}  {read_args(path)}")
         exe_maps = [m for m in maps if m[3] == exe]
         bias = 0
         if exe_maps and is_pie(exe):
@@ -88,12 +105,14 @@ def profile(paths):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--top", type=int, default=40, help="rows to print (default 40)")
+    ap.add_argument("--match", metavar="S", help="only files whose command line contains S")
     ap.add_argument("files", nargs="+", help="pcsample output files")
     args = ap.parse_args()
-    counts, total = profile(args.files)
+    files = [p for p in args.files if args.match is None or args.match in read_args(p)]
+    counts, total = profile(files)
     if total == 0:
         sys.exit("no samples")
-    print(f"{total} samples from {len(args.files)} file(s)")
+    print(f"{total} samples from {len(files)} file(s)")
     for name, n in counts.most_common(args.top):
         print(f"{100.0 * n / total:6.2f}% {n:8d}  {name}")
 
